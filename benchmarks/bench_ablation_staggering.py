@@ -7,13 +7,14 @@ windows and must not win anywhere; NBMS must be the best variant for most
 workloads.
 """
 
-from repro.experiments import run_staggering_ablation, table23_workloads
+from repro.experiments import run_spec, staggering_spec, table23_workloads
 
 
 def test_staggering_ablation(benchmark, bench_scale, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_staggering_ablation(
-            workloads=table23_workloads(bench_scale)[:5], seed=bench_seed, executor=grid_executor
+        lambda: run_spec(
+            staggering_spec(workloads=table23_workloads(bench_scale)[:5], seed=bench_seed),
+            executor=grid_executor,
         ),
         rounds=1,
         iterations=1,

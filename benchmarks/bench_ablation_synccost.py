@@ -5,13 +5,14 @@ and presents a minor contribution to the overall performance cost"; the
 saving of local checkpoints to stable storage dominates.
 """
 
-from repro.experiments import run_sync_cost, table23_workloads
+from repro.experiments import run_spec, sync_cost_spec, table23_workloads
 
 
 def test_sync_cost(benchmark, bench_scale, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_sync_cost(
-            workloads=table23_workloads(bench_scale)[:5], seed=bench_seed, executor=grid_executor
+        lambda: run_spec(
+            sync_cost_spec(workloads=table23_workloads(bench_scale)[:5], seed=bench_seed),
+            executor=grid_executor,
         ),
         rounds=1,
         iterations=1,

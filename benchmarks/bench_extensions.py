@@ -9,13 +9,21 @@ for recovering schemes, catastrophic for the domino case) and the
 checkpoint-interval optimum vs Young's formula.
 """
 
-from repro.experiments.capture import run_capture_ablation
-from repro.experiments.faults import run_failure_rates, run_interval_sweep
+from repro.experiments import (
+    capture_spec,
+    failure_rates_spec,
+    interval_sweep_spec,
+    run_spec,
+)
 
 
 def test_capture_ablation(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_capture_ablation(seed=bench_seed, executor=grid_executor), rounds=1, iterations=1
+        lambda: run_spec(
+            capture_spec(seed=bench_seed), executor=grid_executor
+        ),
+        rounds=1,
+        iterations=1,
     )
     table = result.render()
     print("\n" + table)
@@ -30,7 +38,11 @@ def test_capture_ablation(benchmark, bench_seed, save_result, grid_executor):
 
 def test_failure_rates(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_failure_rates(seed=bench_seed, executor=grid_executor), rounds=1, iterations=1
+        lambda: run_spec(
+            failure_rates_spec(seed=bench_seed), executor=grid_executor
+        ),
+        rounds=1,
+        iterations=1,
     )
     table = result.render()
     print("\n" + table)
@@ -44,7 +56,11 @@ def test_failure_rates(benchmark, bench_seed, save_result, grid_executor):
 
 def test_interval_sweep_vs_young(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_interval_sweep(seed=bench_seed, executor=grid_executor), rounds=1, iterations=1
+        lambda: run_spec(
+            interval_sweep_spec(seed=bench_seed), executor=grid_executor
+        ),
+        rounds=1,
+        iterations=1,
     )
     table = result.render()
     print("\n" + table)

@@ -10,12 +10,16 @@ per process; independent accumulates chains, and garbage collection helps
 but never reaches the coordinated bound.
 """
 
-from repro.experiments import run_domino, run_storage_overhead
+from repro.experiments import domino_spec, run_spec, storage_overhead_spec
 
 
 def test_domino(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_domino(seed=bench_seed, executor=grid_executor), rounds=1, iterations=1
+        lambda: run_spec(
+            domino_spec(seed=bench_seed), executor=grid_executor
+        ),
+        rounds=1,
+        iterations=1,
     )
     table = result.render()
     print("\n" + table)
@@ -33,7 +37,11 @@ def test_domino(benchmark, bench_seed, save_result, grid_executor):
 
 def test_storage_overhead(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_storage_overhead(seed=bench_seed, executor=grid_executor), rounds=1, iterations=1
+        lambda: run_spec(
+            storage_overhead_spec(seed=bench_seed), executor=grid_executor
+        ),
+        rounds=1,
+        iterations=1,
     )
     table = result.render()
     print("\n" + table)

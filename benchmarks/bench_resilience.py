@@ -8,12 +8,16 @@ committed line — and through all of it every scheme still reproduces the
 undisturbed application result exactly.
 """
 
-from repro.experiments import run_resilience
+from repro.experiments import resilience_spec, run_spec
 
 
 def test_resilience(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_resilience(seed=bench_seed, executor=grid_executor), rounds=1, iterations=1
+        lambda: run_spec(
+            resilience_spec(seed=bench_seed), executor=grid_executor
+        ),
+        rounds=1,
+        iterations=1,
     )
     table = result.render()
     print("\n" + table)

@@ -7,12 +7,14 @@ S2: overhead falls as the storage path speeds up, and staggering's
 advantage is largest when storage is slow.
 """
 
-from repro.experiments import run_bandwidth_sweep, run_writer_sweep
+from repro.experiments import bandwidth_sweep_spec, run_spec, writer_sweep_spec
 
 
 def test_writer_sweep(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_writer_sweep(node_counts=(2, 4, 8), seed=bench_seed, executor=grid_executor),
+        lambda: run_spec(
+            writer_sweep_spec(node_counts=(2, 4, 8), seed=bench_seed), executor=grid_executor
+        ),
         rounds=1,
         iterations=1,
     )
@@ -27,7 +29,9 @@ def test_writer_sweep(benchmark, bench_seed, save_result, grid_executor):
 
 def test_bandwidth_sweep(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_bandwidth_sweep(seed=bench_seed, executor=grid_executor),
+        lambda: run_spec(
+            bandwidth_sweep_spec(seed=bench_seed), executor=grid_executor
+        ),
         rounds=1,
         iterations=1,
     )

@@ -7,13 +7,14 @@ Paper shapes asserted here:
   * the loosely-coupled apps (TSP, NQUEENS) are among Indep's wins.
 """
 
-from repro.experiments import run_table1, table1_workloads
+from repro.experiments import run_spec, table1_spec, table1_workloads
 
 
 def test_table1(benchmark, bench_scale, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_table1(
-            workloads=table1_workloads(bench_scale), seed=bench_seed, executor=grid_executor
+        lambda: run_spec(
+            table1_spec(workloads=table1_workloads(bench_scale), seed=bench_seed),
+            executor=grid_executor,
         ),
         rounds=1,
         iterations=1,

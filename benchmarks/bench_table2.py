@@ -8,13 +8,14 @@ significant").
 """
 
 from repro.chklib.schemes import REGISTRY
-from repro.experiments import run_table23, table23_workloads
+from repro.experiments import run_spec, table23_spec, table23_workloads
 
 
 def test_table2(benchmark, bench_scale, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_table23(
-            workloads=table23_workloads(bench_scale), seed=bench_seed, executor=grid_executor
+        lambda: run_spec(
+            table23_spec(workloads=table23_workloads(bench_scale), seed=bench_seed),
+            executor=grid_executor,
         ),
         rounds=1,
         iterations=1,

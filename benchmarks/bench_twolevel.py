@@ -6,12 +6,16 @@ local disks in parallel (order-of-magnitude faster); the global server
 still receives every byte via the background trickle.
 """
 
-from repro.experiments.twolevel import run_two_level
+from repro.experiments import run_spec, two_level_spec
 
 
 def test_two_level(benchmark, bench_seed, save_result, grid_executor):
     result = benchmark.pedantic(
-        lambda: run_two_level(seed=bench_seed, executor=grid_executor), rounds=1, iterations=1
+        lambda: run_spec(
+            two_level_spec(seed=bench_seed), executor=grid_executor
+        ),
+        rounds=1,
+        iterations=1,
     )
     table = result.render()
     print("\n" + table)

@@ -1,18 +1,19 @@
 """Experiment harness: one module per table/figure plus ablations & sweeps.
 
 See DESIGN.md §4 for the per-experiment index. Each experiment is a
-declarative :class:`~repro.experiments.grid.ExperimentSpec` (``*_spec``
-factories) executed by the :class:`~repro.experiments.executor.GridExecutor`
-(deduplication, parallel fan-out, on-disk result cache); each ``run_*``
-convenience wrapper runs one spec and returns a
-:class:`~repro.analysis.result.TableResult` with ``render()`` (the
+declarative :class:`~repro.experiments.grid.ExperimentSpec` built by its
+``*_spec`` factory, and there is one way to run one: hand the spec to
+:func:`~repro.experiments.executor.run_spec` (or several to
+:meth:`GridExecutor.run_specs <repro.experiments.executor.GridExecutor.run_specs>`
+— deduplication, parallel fan-out, on-disk result cache).  The result is
+a :class:`~repro.analysis.result.TableResult` with ``render()`` (the
 table(s) as text) and ``shape_holds()`` (the paper's qualitative claims
 as booleans).
 """
 
-from .ablations import run_staggering_ablation, run_sync_cost, staggering_spec, sync_cost_spec
-from .capture import capture_spec, run_capture_ablation
-from .domino import domino_spec, run_domino, run_storage_overhead, storage_overhead_spec
+from .ablations import staggering_spec, sync_cost_spec
+from .capture import capture_spec
+from .domino import domino_spec, storage_overhead_spec
 from .executor import (
     CellTimeout,
     ExecutorStats,
@@ -21,13 +22,7 @@ from .executor import (
     run_cell,
     run_spec,
 )
-from .faults import (
-    failure_rates_spec,
-    interval_sweep_spec,
-    run_failure_rates,
-    run_interval_sweep,
-    young_interval,
-)
+from .faults import failure_rates_spec, interval_sweep_spec, young_interval
 from .grid import (
     Cell,
     ExperimentSpec,
@@ -42,23 +37,17 @@ from .harness import (
     SCHEMES_TABLE23,
     WorkloadResult,
     make_scheme,
-    run_workload,
+    overhead_grid,
     scheme_spec,
 )
-from .policies import POLICY_SCHEMES, policies_spec, run_policies
-from .resilience import RESILIENCE_SCHEMES, resilience_spec, run_resilience
-from .scale import SCALE_NS, run_scale, scale_machine, scale_spec, scale_workload
-from .sweeps import (
-    bandwidth_sweep_spec,
-    run_bandwidth_sweep,
-    run_writer_sweep,
-    writer_sweep_spec,
-)
-from .table1 import run_table1, table1_spec
-from .table23 import run_table23, table23_spec
-from .twolevel import run_two_level, two_level_spec
+from .policies import POLICY_SCHEMES, policies_spec
+from .resilience import RESILIENCE_SCHEMES, resilience_spec
+from .scale import SCALE_NS, scale_machine, scale_spec, scale_workload
+from .sweeps import bandwidth_sweep_spec, writer_sweep_spec
+from .table1 import table1_spec
+from .table23 import table23_spec
+from .twolevel import two_level_spec
 from .workloads import (
-    Workload,
     quick_workloads,
     scaled_iters,
     table1_workloads,
@@ -81,7 +70,6 @@ __all__ = [
     "run_cell",
     "run_spec",
     # workload catalogues
-    "Workload",
     "table1_workloads",
     "table23_workloads",
     "quick_workloads",
@@ -89,45 +77,30 @@ __all__ = [
     # shared harness
     "make_scheme",
     "scheme_spec",
-    "run_workload",
+    "overhead_grid",
     "WorkloadResult",
     "SCHEMES_TABLE1",
     "SCHEMES_TABLE23",
     "RESILIENCE_SCHEMES",
-    # experiments: specs + convenience wrappers
+    "POLICY_SCHEMES",
+    # the experiments
     "table1_spec",
-    "run_table1",
     "table23_spec",
-    "run_table23",
     "staggering_spec",
-    "run_staggering_ablation",
     "sync_cost_spec",
-    "run_sync_cost",
     "writer_sweep_spec",
-    "run_writer_sweep",
     "bandwidth_sweep_spec",
-    "run_bandwidth_sweep",
     "domino_spec",
-    "run_domino",
     "storage_overhead_spec",
-    "run_storage_overhead",
     "capture_spec",
-    "run_capture_ablation",
     "failure_rates_spec",
-    "run_failure_rates",
     "interval_sweep_spec",
-    "run_interval_sweep",
     "young_interval",
     "two_level_spec",
-    "run_two_level",
     "resilience_spec",
-    "run_resilience",
-    "POLICY_SCHEMES",
     "policies_spec",
-    "run_policies",
     "SCALE_NS",
     "scale_workload",
     "scale_machine",
     "scale_spec",
-    "run_scale",
 ]

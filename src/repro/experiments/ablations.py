@@ -17,18 +17,11 @@ from typing import List, Optional
 
 from ..analysis import TableResult, TableView, fmt_seconds
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
-from .grid import Cell, ExperimentSpec, GridResults, WorkloadSpec, interval_times
-from .harness import WorkloadResult, scheme_spec
+from .grid import ExperimentSpec, GridResults, WorkloadSpec
+from .harness import overhead_grid
 from .workloads import table23_workloads
 
-__all__ = [
-    "staggering_spec",
-    "run_staggering_ablation",
-    "SyncCostRow",
-    "sync_cost_spec",
-    "run_sync_cost",
-]
+__all__ = ["staggering_spec", "SyncCostRow", "sync_cost_spec"]
 
 _VARIANTS = ("coord_nb", "coord_nbs", "coord_nbm", "coord_nbms")
 
@@ -45,41 +38,12 @@ def staggering_spec(
         workloads if workloads is not None else table23_workloads(scale)[:4]
     )
     machine = machine or MachineParams.xplorer8()
-    baselines = tuple(
-        Cell(workload=w, machine=machine, seed=seed) for w in workloads
+    baselines, plan, measure = overhead_grid(
+        [(w, machine) for w in workloads], _VARIANTS, rounds, seed
     )
 
-    def cells_for(results: GridResults):
-        grid = []
-        for w, base in zip(workloads, baselines):
-            interval, times = interval_times(results[base].sim_time, rounds)
-            row = {
-                v: Cell(
-                    workload=w,
-                    scheme=scheme_spec(v, times, interval),
-                    machine=machine,
-                    seed=seed,
-                )
-                for v in _VARIANTS
-            }
-            grid.append((w, base, interval, row))
-        return grid
-
-    def plan(results: GridResults):
-        return [c for _, _, _, row in cells_for(results) for c in row.values()]
-
     def reduce(results: GridResults) -> TableResult:
-        wrs: List[WorkloadResult] = []
-        for w, base, interval, row in cells_for(results):
-            wrs.append(
-                WorkloadResult(
-                    label=w.label,
-                    normal=results[base],
-                    interval=interval,
-                    rounds=rounds,
-                    reports={v: results[c] for v, c in row.items()},
-                )
-            )
+        wrs = measure(results)
         rows = [{v: wr.per_checkpoint(v) for v in _VARIANTS} for wr in wrs]
         view = TableView(
             name="ablation-staggering",
@@ -118,31 +82,7 @@ def staggering_spec(
         )
 
     return ExperimentSpec(
-        name="ablation-staggering",
-        title="A1 — staggering ablation",
-        baselines=baselines,
-        plan=plan,
-        reduce=reduce,
-    )
-
-
-def run_staggering_ablation(
-    workloads: Optional[List[WorkloadSpec]] = None,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 2,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        staggering_spec(
-            workloads=workloads,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            scale=scale,
-        ),
-        executor=executor,
+        name="ablation-staggering", baselines=baselines, plan=plan, reduce=reduce
     )
 
 
@@ -177,39 +117,23 @@ def sync_cost_spec(
         workloads if workloads is not None else table23_workloads(scale)[:4]
     )
     machine = machine or MachineParams.xplorer8()
-    baselines = tuple(
-        Cell(workload=w, machine=machine, seed=seed) for w in workloads
+    baselines, plan, measure = overhead_grid(
+        [(w, machine) for w in workloads], ("coord_nb",), rounds, seed
     )
-
-    def cells_for(results: GridResults):
-        grid = []
-        for w, base in zip(workloads, baselines):
-            interval, times = interval_times(results[base].sim_time, rounds)
-            cell = Cell(
-                workload=w,
-                scheme=scheme_spec("coord_nb", times, interval),
-                machine=machine,
-                seed=seed,
-            )
-            grid.append((w, base, cell))
-        return grid
-
-    def plan(results: GridResults):
-        return [cell for _, _, cell in cells_for(results)]
 
     def reduce(results: GridResults) -> TableResult:
         link = machine.link
         rows: List[SyncCostRow] = []
-        for w, base, cell in cells_for(results):
-            report = results[cell]
+        for wr in measure(results):
+            report = wr.reports["coord_nb"]
             per_msg = report.control_bytes / max(1, report.control_messages)
             wire = (
                 link.latency + per_msg / link.bandwidth
             ) * report.control_messages
             rows.append(
                 SyncCostRow(
-                    label=w.label,
-                    overhead_s=report.sim_time - results[base].sim_time,
+                    label=wr.label,
+                    overhead_s=wr.overhead_seconds("coord_nb"),
                     blocked_time_s=report.blocked_time,
                     control_messages=report.control_messages,
                     control_bytes=report.control_bytes,
@@ -262,29 +186,5 @@ def sync_cost_spec(
         )
 
     return ExperimentSpec(
-        name="ablation-sync",
-        title="A2 — synchronisation cost",
-        baselines=baselines,
-        plan=plan,
-        reduce=reduce,
-    )
-
-
-def run_sync_cost(
-    workloads: Optional[List[WorkloadSpec]] = None,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 3,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        sync_cost_spec(
-            workloads=workloads,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            scale=scale,
-        ),
-        executor=executor,
+        name="ablation-sync", baselines=baselines, plan=plan, reduce=reduce
     )

@@ -22,12 +22,11 @@ from typing import List, Optional
 
 from ..analysis import TableResult, TableView, fmt_seconds
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
-from .grid import Cell, ExperimentSpec, GridResults, WorkloadSpec, interval_times
-from .harness import WorkloadResult, scheme_spec
+from .grid import ExperimentSpec, GridResults, WorkloadSpec
+from .harness import overhead_grid
 from .workloads import table23_workloads
 
-__all__ = ["capture_spec", "run_capture_ablation"]
+__all__ = ["capture_spec"]
 
 _SCHEMES = ("coord_nbms", "coord_nbcs", "coord_nbms_inc", "coord_nbcs_inc")
 _LABELS = {
@@ -50,41 +49,12 @@ def capture_spec(
         wanted = ("ising-288", "sor-320", "nqueens-12")
         workloads = [w for w in table23_workloads(scale) if w.label in wanted]
     machine = machine or MachineParams.xplorer8()
-    baselines = tuple(
-        Cell(workload=w, machine=machine, seed=seed) for w in workloads
+    baselines, plan, measure = overhead_grid(
+        [(w, machine) for w in workloads], _SCHEMES, rounds, seed
     )
 
-    def cells_for(results: GridResults):
-        grid = []
-        for w, base in zip(workloads, baselines):
-            interval, times = interval_times(results[base].sim_time, rounds)
-            row = {
-                s: Cell(
-                    workload=w,
-                    scheme=scheme_spec(s, times, interval),
-                    machine=machine,
-                    seed=seed,
-                )
-                for s in _SCHEMES
-            }
-            grid.append((w, base, interval, row))
-        return grid
-
-    def plan(results: GridResults):
-        return [c for _, _, _, row in cells_for(results) for c in row.values()]
-
     def reduce(results: GridResults) -> TableResult:
-        wrs: List[WorkloadResult] = []
-        for w, base, interval, row in cells_for(results):
-            wrs.append(
-                WorkloadResult(
-                    label=w.label,
-                    normal=results[base],
-                    interval=interval,
-                    rounds=rounds,
-                    reports={s: results[c] for s, c in row.items()},
-                )
-            )
+        wrs = measure(results)
         body = []
         for wr in wrs:
             row = [wr.label] + [wr.per_checkpoint(s) for s in _SCHEMES]
@@ -149,29 +119,5 @@ def capture_spec(
         )
 
     return ExperimentSpec(
-        name="capture",
-        title="E1 — capture mode x incremental ablation",
-        baselines=baselines,
-        plan=plan,
-        reduce=reduce,
-    )
-
-
-def run_capture_ablation(
-    workloads: Optional[List[WorkloadSpec]] = None,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 3,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        capture_spec(
-            workloads=workloads,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            scale=scale,
-        ),
-        executor=executor,
+        name="capture", baselines=baselines, plan=plan, reduce=reduce
     )

@@ -24,18 +24,10 @@ from typing import Dict, List, Optional
 from ..analysis import TableResult, TableView
 from ..fault.model import FaultModel
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
 from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec, interval_times
 from .workloads import table23_workloads
 
-__all__ = [
-    "DominoRow",
-    "domino_spec",
-    "run_domino",
-    "StorageRow",
-    "storage_overhead_spec",
-    "run_storage_overhead",
-]
+__all__ = ["DominoRow", "domino_spec", "StorageRow", "storage_overhead_spec"]
 
 
 @dataclass
@@ -210,31 +202,11 @@ def domino_spec(
 
     return ExperimentSpec(
         name="domino",
-        title="R1 — rollback behaviour at a crash",
         baselines=baselines,
         plan=plan,
         reduce=reduce,
     )
 
-
-def run_domino(
-    workloads: Optional[List[WorkloadSpec]] = None,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 3,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        domino_spec(
-            workloads=workloads,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            scale=scale,
-        ),
-        executor=executor,
-    )
 
 
 @dataclass
@@ -388,28 +360,7 @@ def storage_overhead_spec(
 
     return ExperimentSpec(
         name="storage-overhead",
-        title="R2 — stable-storage overhead",
         baselines=baselines,
         plan=plan,
         reduce=reduce,
-    )
-
-
-def run_storage_overhead(
-    workloads: Optional[List[WorkloadSpec]] = None,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 4,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        storage_overhead_spec(
-            workloads=workloads,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            scale=scale,
-        ),
-        executor=executor,
     )

@@ -169,68 +169,19 @@ def _guarded_task(cell: Cell):
     return _call_with_timeout(_run_cell_task, cell, _CELL_TIMEOUT)
 
 
-def _guarded_task_profiled(cell: Cell):
-    return _call_with_timeout(_run_cell_task_profiled, cell, _CELL_TIMEOUT)
-
-
-def _run_cell_task(cell: Cell) -> Tuple[dict, float, None]:
-    """Worker entry: run one cell, return (report dict, exec seconds, None)."""
-    import time
-
+def _run_cell_task(cell: Cell) -> Tuple[dict, float]:
+    """Worker entry: run one cell, return (report dict, exec seconds)."""
     t0 = time.perf_counter()  # verify: allow[wall-clock] — executor timing
     report = run_cell(cell)
     dt = time.perf_counter() - t0  # verify: allow[wall-clock] — executor timing
-    return report.to_dict(), dt, None
-
-
-#: rows per per-cell hotspot table (sorted by tottime, descending).
-_PROFILE_TOP_N = 20
-
-
-def _run_cell_task_profiled(cell: Cell) -> Tuple[dict, float, List[dict]]:
-    """Worker entry for ``--profile``: run one cell under :mod:`cProfile`
-    and return its hotspot table alongside the report.
-
-    The table is plain serializable rows (function, ncalls, tottime,
-    cumtime) so it crosses the process-pool boundary and lands in the
-    ``--timings`` JSON untouched.
-    """
-    import cProfile
-    import pstats
-    import time
-
-    profiler = cProfile.Profile()
-    t0 = time.perf_counter()  # verify: allow[wall-clock] — executor timing
-    profiler.enable()
-    report = run_cell(cell)
-    profiler.disable()
-    dt = time.perf_counter() - t0  # verify: allow[wall-clock] — executor timing
-    stats = pstats.Stats(profiler).stats  # type: ignore[attr-defined]
-    rows = sorted(stats.items(), key=lambda kv: kv[1][2], reverse=True)
-    hotspots = [
-        {
-            "function": f"{Path(filename).name}:{lineno}:{funcname}",
-            "ncalls": ncalls,
-            "tottime_s": round(tottime, 6),
-            "cumtime_s": round(cumtime, 6),
-        }
-        for (filename, lineno, funcname), (
-            _cc,
-            ncalls,
-            tottime,
-            cumtime,
-            _callers,
-        ) in rows[:_PROFILE_TOP_N]
-    ]
-    return report.to_dict(), dt, hotspots
+    return report.to_dict(), dt
 
 
 def run_spec(
     spec: ExperimentSpec, executor: Optional["GridExecutor"] = None
 ) -> TableResult:
     """Run one spec to its reduced result.  Without an explicit
-    *executor* this is the plain serial, uncached path — what the
-    ``run_*`` convenience wrappers and unit tests use."""
+    *executor* this is the plain serial, uncached path (unit tests)."""
     ex = executor if executor is not None else GridExecutor(jobs=1, use_cache=False)
     return ex.run_specs([spec])[spec.name]
 
@@ -376,18 +327,14 @@ class GridExecutor:
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
         verify: bool = False,
-        profile: bool = False,
         journal: Optional[RunJournal] = None,
         cell_timeout: float = 0.0,
         raise_on_failure: bool = True,
     ) -> None:
         self.jobs = max(1, int(jobs if jobs is not None else (os.cpu_count() or 1)))
-        # Profiling only sees cells that actually execute, so it disables
-        # the result cache (a warm cache would profile nothing).
-        self.use_cache = use_cache and not profile
+        self.use_cache = use_cache
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self.verify = verify
-        self.profile = profile
         self.journal = journal
         self.cell_timeout = float(cell_timeout)
         #: ``True`` (the default) re-raises the first cell failure — the
@@ -398,14 +345,15 @@ class GridExecutor:
         self.results = GridResults()
         #: per-cell execution seconds (0.0 for cache hits), by cell key.
         self.cell_seconds: Dict[str, float] = {}
-        #: per-cell cProfile hotspot tables (``profile=True`` only), by
-        #: cell key: {"cell": <jsonable cell>, "hotspots": [rows...]}.
-        self.cell_profiles: Dict[str, dict] = {}
         #: cells abandoned after exhausting their attempts, by cell key:
         #: {"cell": <jsonable cell>, "error", "kind", "attempts"}.
         self.failures: Dict[str, dict] = {}
         #: spec-level plan/reduce errors (``raise_on_failure=False``).
         self.spec_errors: Dict[str, str] = {}
+        #: every cell :meth:`run_specs` asked for on behalf of each spec
+        #: (baselines + planned), by spec name — what
+        #: :meth:`spec_seconds` sums over.
+        self._spec_cells: Dict[str, List[Cell]] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -420,16 +368,18 @@ class GridExecutor:
         returned mapping and recorded in :attr:`spec_errors`.
         """
         self.run_cells([c for spec in specs for c in spec.baselines])
-        planned: Dict[str, List[Cell]] = {}
+        planned: List[Cell] = []
         for spec in specs:
+            cells: List[Cell] = []
             try:
-                planned[spec.name] = list(spec.plan(self.results))
+                cells = list(spec.plan(self.results))
             except Exception as exc:
                 if self.raise_on_failure:
                     raise
                 self.spec_errors[spec.name] = f"plan failed: {exc!r}"
-                planned[spec.name] = []
-        self.run_cells([c for cells in planned.values() for c in cells])
+            self._spec_cells[spec.name] = list(spec.baselines) + cells
+            planned.extend(cells)
+        self.run_cells(planned)
         tables: Dict[str, TableResult] = {}
         for spec in specs:
             if spec.name in self.spec_errors:
@@ -471,37 +421,21 @@ class GridExecutor:
             todo.append((key, cell))
         if not todo:
             return self.results
-        task = _run_cell_task_profiled if self.profile else _run_cell_task
         if self.jobs == 1:
-            self._run_serial(todo, task)
+            self._run_serial(todo)
         else:
-            self._run_parallel(todo, task)
+            self._run_parallel(todo)
         return self.results
-
-    def profile_summary(self, limit: int = 10) -> List[dict]:
-        """Hotspots aggregated across every profiled cell (tottime sum),
-        for a one-glance "where did the grid spend its time" table."""
-        agg: Dict[str, dict] = {}
-        for entry in self.cell_profiles.values():
-            for row in entry["hotspots"]:
-                slot = agg.setdefault(
-                    row["function"],
-                    {"function": row["function"], "ncalls": 0, "tottime_s": 0.0},
-                )
-                slot["ncalls"] += row["ncalls"]
-                slot["tottime_s"] = round(slot["tottime_s"] + row["tottime_s"], 6)
-        return sorted(agg.values(), key=lambda r: r["tottime_s"], reverse=True)[
-            :limit
-        ]
 
     def spec_seconds(self, spec: ExperimentSpec) -> float:
         """Execution seconds attributable to *spec*: the summed runtimes
-        of its cells (shared cells count toward every spec using them;
-        cache hits count as zero)."""
-        total = 0.0
-        for cell in spec.all_cells(self.results):
-            total += self.cell_seconds.get(cell_key(cell), 0.0)
-        return total
+        of the cells :meth:`run_specs` ran for it (shared cells count
+        toward every spec using them; cache hits and failed cells count
+        as zero; a spec whose plan failed reports its baselines only)."""
+        return sum(
+            self.cell_seconds.get(cell_key(cell), 0.0)
+            for cell in self._spec_cells.get(spec.name, spec.baselines)
+        )
 
     # -- internals ----------------------------------------------------------
 
@@ -511,19 +445,12 @@ class GridExecutor:
         cell: Cell,
         report_dict: dict,
         dt: float,
-        hotspots: Optional[List[dict]] = None,
     ) -> None:
         # uniform round-trip: fresh results go through the same dict
         # normalisation as cached ones, so tables never depend on the path.
         report = RunReport.from_dict(report_dict)
         self.stats.executed += 1
         self.cell_seconds[key] = dt
-        if hotspots is not None:
-            self.cell_profiles[key] = {
-                "cell": cell_to_jsonable(cell),
-                "seconds": round(dt, 6),
-                "hotspots": hotspots,
-            }
         self.results.put(key, report)
         if self.journal is not None:
             self.journal.record(key, cell, report_dict)
@@ -548,7 +475,7 @@ class GridExecutor:
             "attempts": attempts,
         }
 
-    def _run_serial(self, todo: List[Tuple[str, Cell]], task) -> None:
+    def _run_serial(self, todo: List[Tuple[str, Cell]]) -> None:
         """In-process execution (``jobs=1`` and the post-pool-crash
         degradation path), with the same timeout/retry semantics as the
         pool."""
@@ -557,8 +484,8 @@ class GridExecutor:
             while True:
                 attempts += 1
                 try:
-                    report_dict, dt, hotspots = _call_with_timeout(
-                        task, cell, self.cell_timeout
+                    report_dict, dt = _call_with_timeout(
+                        _run_cell_task, cell, self.cell_timeout
                     )
                 except Exception as exc:
                     timed_out = isinstance(exc, CellTimeout)
@@ -576,10 +503,10 @@ class GridExecutor:
                         raise
                     break
                 else:
-                    self._absorb(key, cell, report_dict, dt, hotspots)
+                    self._absorb(key, cell, report_dict, dt)
                     break
 
-    def _run_parallel(self, todo: List[Tuple[str, Cell]], task) -> None:
+    def _run_parallel(self, todo: List[Tuple[str, Cell]]) -> None:
         """Pool execution that survives worker crashes and cell failures.
 
         Cells run in rounds: each round submits every remaining cell to a
@@ -590,15 +517,12 @@ class GridExecutor:
         restarts, with backoff, up to ``_MAX_POOL_RESTARTS`` times —
         after that the remaining cells run serially in-process.
         """
-        guarded = (
-            _guarded_task_profiled if task is _run_cell_task_profiled else _guarded_task
-        )
         remaining: Dict[str, Cell] = dict(todo)
         attempts: Dict[str, int] = {}
         restarts = 0
         while remaining:
             try:
-                self._parallel_round(remaining, attempts, guarded)
+                self._parallel_round(remaining, attempts)
             except BrokenProcessPool:
                 self.stats.pool_restarts += 1
                 restarts += 1
@@ -618,12 +542,12 @@ class GridExecutor:
                     )
                 if restarts > _MAX_POOL_RESTARTS:
                     # the pool keeps dying: finish the tail in-process
-                    self._run_serial(list(remaining.items()), task)
+                    self._run_serial(list(remaining.items()))
                     return
                 time.sleep(0.1 * restarts)  # verify: allow[wall-clock] — pool restart backoff
 
     def _parallel_round(
-        self, remaining: Dict[str, Cell], attempts: Dict[str, int], guarded
+        self, remaining: Dict[str, Cell], attempts: Dict[str, int]
     ) -> None:
         """One pool lifetime: submit all remaining cells, drain results.
 
@@ -639,15 +563,15 @@ class GridExecutor:
             futures = {}
             try:
                 for key, cell in remaining.items():
-                    futures[pool.submit(guarded, cell)] = (key, cell)
+                    futures[pool.submit(_guarded_task, cell)] = (key, cell)
             except BrokenProcessPool as exc:
                 broken = exc  # pool died mid-submission; drain what we have
             for fut in as_completed(futures):
                 key, cell = futures[fut]
                 exc = fut.exception()
                 if exc is None:
-                    report_dict, dt, hotspots = fut.result()
-                    self._absorb(key, cell, report_dict, dt, hotspots)
+                    report_dict, dt = fut.result()
+                    self._absorb(key, cell, report_dict, dt)
                     remaining.pop(key, None)
                     continue
                 if isinstance(exc, BrokenProcessPool):

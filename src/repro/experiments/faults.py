@@ -26,17 +26,10 @@ from ..analysis import TableResult, TableView, fmt_seconds
 from ..fault.model import FaultModel
 from ..fault.plans import crash_times as _shared_crash_times
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
-from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec
+from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec, interval_times
 from .workloads import scaled_iters
 
-__all__ = [
-    "failure_rates_spec",
-    "run_failure_rates",
-    "interval_sweep_spec",
-    "run_interval_sweep",
-    "young_interval",
-]
+__all__ = ["failure_rates_spec", "interval_sweep_spec", "young_interval"]
 
 _F1_SCHEMES = ("coord_nbms", "indep_m_log", "indep_m_nolog")
 
@@ -88,8 +81,7 @@ def failure_rates_spec(
 
     def cells_for(results: GridResults):
         T = results[baseline].sim_time
-        interval = T / (rounds + 1.5)
-        times = tuple(interval * (i + 1) for i in range(rounds))
+        interval, times = interval_times(T, rounds)
         skew = 0.1 * interval
         grid = {}
         for scheme_name in _F1_SCHEMES:
@@ -182,33 +174,11 @@ def failure_rates_spec(
 
     return ExperimentSpec(
         name="failure-rates",
-        title="F1 — completion time vs failure rate",
         baselines=(baseline,),
         plan=plan,
         reduce=reduce,
     )
 
-
-def run_failure_rates(
-    mtbf_factors: Sequence[float] = (float("inf"), 1.0, 0.5, 0.33),
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 4,
-    trials: int = 4,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        failure_rates_spec(
-            mtbf_factors=mtbf_factors,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            trials=trials,
-            scale=scale,
-        ),
-        executor=executor,
-    )
 
 
 def interval_sweep_spec(
@@ -324,28 +294,7 @@ def interval_sweep_spec(
 
     return ExperimentSpec(
         name="interval-sweep",
-        title="F2 — interval sweep vs Young's formula",
         baselines=(baseline,),
         plan=plan,
         reduce=reduce,
-    )
-
-
-def run_interval_sweep(
-    interval_fractions: Sequence[float] = (0.04, 0.08, 0.15, 0.3, 0.6),
-    mtbf_factor: float = 1.0,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        interval_sweep_spec(
-            interval_fractions=interval_fractions,
-            mtbf_factor=mtbf_factor,
-            seed=seed,
-            machine=machine,
-            scale=scale,
-        ),
-        executor=executor,
     )

@@ -89,9 +89,8 @@ def _resolve_app(kind: str):
 class WorkloadSpec:
     """One table row's application, declaratively: registry name + params.
 
-    Unlike the factory-closure :class:`~repro.experiments.workloads.Workload`,
-    a spec is plain data — picklable across process boundaries and stable
-    under content hashing.
+    Plain data rather than a factory closure — picklable across process
+    boundaries and stable under content hashing.
     """
 
     label: str
@@ -115,10 +114,6 @@ class WorkloadSpec:
         if self.image_bytes is not None:
             app.image_bytes = int(self.image_bytes)
         return app
-
-    # compat with the factory-based Workload interface
-    def make(self):
-        return self.build()
 
 
 #: scheme aliases: name -> (base, fixed option overrides) — a snapshot of
@@ -254,7 +249,6 @@ class ExperimentSpec:
     """
 
     name: str
-    title: str
     #: wave-1 cells — fully concrete up front (usually scheme=None).
     baselines: Tuple[Cell, ...]
     #: wave 2: baseline results -> dependent cells (times from T_normal).
@@ -263,6 +257,9 @@ class ExperimentSpec:
     reduce: Callable[[GridResults], TableResult]
 
     def all_cells(self, results: GridResults) -> List[Cell]:
+        """Baselines plus planned cells; the repo benchmark
+        (``benchmarks/e2e``, a frozen contract) reads a command's counts
+        back through this."""
         return list(self.baselines) + list(self.plan(results))
 
 

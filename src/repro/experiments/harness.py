@@ -1,29 +1,28 @@
-"""Shared experiment machinery: scheme construction and workload execution.
-
-The declarative grid (:mod:`repro.experiments.grid`) is the primary way
-experiments run; this module holds the pieces shared between the grid
-specs and direct imperative use:
+"""Shared experiment machinery: the measured schemes and the overhead rule.
 
 * :func:`scheme_spec` — the measured schemes as declarative
-  :class:`~repro.experiments.grid.SchemeSpec`s (independent timers get
+  :class:`~repro.experiments.grid.SchemeSpec`s (timer-driven families get
   their skew as a fixed fraction of the checkpoint interval);
 * :func:`make_scheme` — the same factory returning a live scheme object
   (examples and unit tests drive :class:`CheckpointRuntime` directly);
-* :func:`run_workload` / :class:`WorkloadResult` — one table row
-  measured inline, without the grid (unit tests of the runtime).
+* :func:`overhead_grid` / :class:`WorkloadResult` — the one rule behind
+  every overhead number: run NORMAL, place ``rounds`` checkpoints at
+  ``T / (rounds + 1.5)``, run each scheme on that same schedule and
+  machine, subtract.  The specs that measure failure-free overhead
+  (``table1``, ``table23``, the two ablations, ``capture``, ``scale`` and
+  both sweeps) build their cells here and only add a ``reduce``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from ..chklib import CheckpointRuntime
 from ..chklib.runtime import RunReport
 from ..chklib.schemes.base import Scheme
 from ..chklib.schemes.registry import REGISTRY
 from ..machine import MachineParams
-from .grid import SchemeSpec
+from .grid import Cell, GridResults, SchemeSpec, WorkloadSpec, interval_times
 
 __all__ = [
     "SCHEMES_TABLE1",
@@ -31,7 +30,7 @@ __all__ = [
     "INDEP_SKEW_FRACTION",
     "scheme_spec",
     "make_scheme",
-    "run_workload",
+    "overhead_grid",
     "WorkloadResult",
 ]
 
@@ -101,32 +100,59 @@ class WorkloadResult:
         return self.overhead_seconds(scheme) / self.rounds
 
 
-def run_workload(
-    workload,
+def overhead_grid(
+    points: Iterable[Tuple[WorkloadSpec, MachineParams]],
     schemes: Iterable[str],
-    rounds: int = 3,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    interval_divisor: float = 1.5,
-) -> WorkloadResult:
-    """Run a workload uncheckpointed, then once per scheme (inline, no
-    grid — the unit-test path).
+    rounds: int,
+    seed: int,
+    scheme_of: Callable[[str, Sequence[float], float], SchemeSpec] = scheme_spec,
+) -> Tuple[
+    Tuple[Cell, ...],
+    Callable[[GridResults], List[Cell]],
+    Callable[[GridResults], List[WorkloadResult]],
+]:
+    """The failure-free overhead measurement over ``(workload, machine)``
+    *points*, as the three pieces an :class:`ExperimentSpec` needs.
 
-    The checkpoint interval is ``T_normal / (rounds + interval_divisor)``:
-    `rounds` checkpoints fire inside the run with enough tail left for the
-    last round's background writes and commit to finish.
+    Returns ``(baselines, plan, measure)``: one uncheckpointed baseline
+    cell per point; ``plan(results)`` — for each point, each of *schemes*
+    on the schedule :func:`interval_times` derives from that point's
+    baseline duration, on the point's own machine (*scheme_of* builds the
+    scheme, so a spec can rewrite it); ``measure(results)`` — one
+    :class:`WorkloadResult` per point, in order.
     """
-    machine = machine or MachineParams.xplorer8()
-    normal = CheckpointRuntime(workload.make(), machine=machine, seed=seed).run()
-    interval = normal.sim_time / (rounds + interval_divisor)
-    times = [interval * (i + 1) for i in range(rounds)]
-    result = WorkloadResult(
-        label=workload.label, normal=normal, interval=interval, rounds=rounds
-    )
-    for name in schemes:
-        scheme = make_scheme(name, times, interval)
-        report = CheckpointRuntime(
-            workload.make(), scheme=scheme, machine=machine, seed=seed
-        ).run()
-        result.reports[name] = report
-    return result
+    points = list(points)
+    schemes = tuple(schemes)
+    baselines = tuple(Cell(workload=w, machine=m, seed=seed) for w, m in points)
+
+    def rows(
+        results: GridResults,
+    ) -> Iterator[Tuple[WorkloadSpec, Cell, float, Dict[str, Cell]]]:
+        for (w, m), base in zip(points, baselines):
+            interval, times = interval_times(results[base].sim_time, rounds)
+            yield w, base, interval, {
+                s: Cell(
+                    workload=w,
+                    scheme=scheme_of(s, times, interval),
+                    machine=m,
+                    seed=seed,
+                )
+                for s in schemes
+            }
+
+    def plan(results: GridResults) -> List[Cell]:
+        return [c for _, _, _, row in rows(results) for c in row.values()]
+
+    def measure(results: GridResults) -> List[WorkloadResult]:
+        return [
+            WorkloadResult(
+                label=w.label,
+                normal=results[base],
+                interval=interval,
+                rounds=rounds,
+                reports={s: results[c] for s, c in row.items()},
+            )
+            for w, base, interval, row in rows(results)
+        ]
+
+    return baselines, plan, measure

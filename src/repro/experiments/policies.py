@@ -33,28 +33,16 @@ from ..analysis import TableResult, TableView
 from ..chklib import RunReport, policy_spec
 from ..fault import FaultModel, StorageFaultSpec
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
 from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec
-from .workloads import scaled_iters
+from .workloads import fault_workload
 
-__all__ = ["policies_spec", "run_policies", "POLICY_SCHEMES"]
+__all__ = ["policies_spec", "POLICY_SCHEMES"]
 
 #: one coordinated and one independent representative.
 POLICY_SCHEMES = ("coord_nb", "indep_m_log")
 
 #: the three policy conditions of the experiment.
 _CONDITIONS = ("periodic", "adaptive", "adaptive-quiet")
-
-
-def _default_workload(scale: float) -> WorkloadSpec:
-    return WorkloadSpec.of(
-        "sor-26",
-        "sor",
-        image_bytes=32 * 1024,
-        n=26,
-        iters=scaled_iters(10, scale),
-        flops_per_cell=3000.0,
-    )
 
 
 def policies_spec(
@@ -66,7 +54,7 @@ def policies_spec(
 ) -> ExperimentSpec:
     """The policy comparison grid (deterministic per *seed*)."""
     machine = machine or MachineParams(n_nodes=4)
-    workload = workload or _default_workload(scale)
+    workload = workload or fault_workload(scale)
     baseline = Cell(workload=workload, machine=machine, seed=seed)
 
     def cells_for(results: GridResults) -> Dict[Tuple[str, str], Cell]:
@@ -202,20 +190,7 @@ def policies_spec(
 
     return ExperimentSpec(
         name="policies",
-        title="P1 — checkpoint policies (fixed vs fault-adaptive)",
         baselines=(baseline,),
         plan=plan,
         reduce=reduce,
-    )
-
-
-def run_policies(
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        policies_spec(seed=seed, machine=machine, scale=scale),
-        executor=executor,
     )

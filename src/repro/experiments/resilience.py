@@ -31,11 +31,10 @@ from ..chklib import RunReport
 from ..fault import FaultModel, RetryPolicy, StorageFaultSpec
 from ..machine import MachineParams
 from ..chklib.schemes.registry import REGISTRY
-from .executor import GridExecutor, run_spec
 from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec
-from .workloads import scaled_iters
+from .workloads import fault_workload
 
-__all__ = ["resilience_spec", "run_resilience", "RESILIENCE_SCHEMES"]
+__all__ = ["resilience_spec", "RESILIENCE_SCHEMES"]
 
 #: the five headline schemes of the sweep (paper naming), plus the third
 #: protocol family (communication-induced + sender-based message logging).
@@ -56,17 +55,6 @@ RESILIENCE_SCHEMES = (
 _LOCAL_DROP_SCHEMES = ("indep_m_log", "indep_m_nolog", "cic")
 
 
-def _default_workload(scale: float) -> WorkloadSpec:
-    return WorkloadSpec.of(
-        "sor-26",
-        "sor",
-        image_bytes=32 * 1024,
-        n=26,
-        iters=scaled_iters(10, scale),
-        flops_per_cell=3000.0,
-    )
-
-
 def _result_key(report: RunReport) -> Any:
     return report.result["sum"]
 
@@ -80,7 +68,7 @@ def resilience_spec(
 ) -> ExperimentSpec:
     """The full resilience sweep (deterministic per *seed*)."""
     machine = machine or MachineParams(n_nodes=4)
-    workload = workload or _default_workload(scale)
+    workload = workload or fault_workload(scale)
     rates = sorted(fault_rates)
     baseline = Cell(workload=workload, machine=machine, seed=seed)
 
@@ -298,26 +286,7 @@ def resilience_spec(
 
     return ExperimentSpec(
         name="resilience",
-        title="R3 — resilience under faulty stable storage",
         baselines=(baseline,),
         plan=plan,
         reduce=reduce,
-    )
-
-
-def run_resilience(
-    fault_rates: Sequence[float] = (0.0, 0.02, 0.10),
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        resilience_spec(
-            fault_rates=fault_rates,
-            seed=seed,
-            machine=machine,
-            scale=scale,
-        ),
-        executor=executor,
     )

@@ -63,7 +63,6 @@ from .sweeps import bandwidth_sweep_spec, writer_sweep_spec
 from .table1 import table1_spec
 from .table23 import table23_spec
 from .twolevel import two_level_spec
-from .workloads import table1_workloads, table23_workloads
 
 __all__ = ["main"]
 
@@ -110,7 +109,7 @@ _EXPERIMENTS = {
 _ALL_ORDER = [name for name in _EXPERIMENTS if name != "scale"]
 
 
-def _emit(title: str, body: str, summary: str = "") -> None:
+def _emit(body: str, summary: str = "") -> None:
     print()
     print(body)
     if summary:
@@ -124,6 +123,27 @@ def _shape_report(shapes: dict) -> str:
     for key, ok in shapes.items():
         lines.append(f"  [{'ok' if ok else 'MISS'}] {key}")
     return "\n".join(lines)
+
+
+#: spec name -> (factory, the keyword its ``--ranks`` workload override
+#: goes by: a row list or a single workload).  Every factory here takes
+#: ``seed``, ``scale`` and ``machine``; ``scale`` and ``sweep-writers``
+#: size their own machines and are built separately in :func:`_build_spec`.
+_FACTORIES = {
+    "table1": (table1_spec, "workloads"),
+    "table23": (table23_spec, "workloads"),
+    "ablation-staggering": (staggering_spec, "workloads"),
+    "ablation-sync": (sync_cost_spec, "workloads"),
+    "sweep-storage": (bandwidth_sweep_spec, "workload"),
+    "domino": (domino_spec, "workloads"),
+    "storage-overhead": (storage_overhead_spec, "workloads"),
+    "capture": (capture_spec, "workloads"),
+    "failure-rates": (failure_rates_spec, "workload"),
+    "interval-sweep": (interval_sweep_spec, "workload"),
+    "two-level": (two_level_spec, "workloads"),
+    "resilience": (resilience_spec, "workload"),
+    "policies": (policies_spec, "workload"),
+}
 
 
 def _build_spec(
@@ -143,15 +163,6 @@ def _build_spec(
     scale sweep. At the default 8 ranks with no topology flag nothing
     changes.
     """
-    machine = None
-    workload = None
-    if ranks is not None or topology is not None:
-        n = ranks if ranks is not None else 8
-        machine = scale_machine(n, topology)
-        if ranks is not None:
-            workload = scale_workload(ranks, scale)
-    workloads = None if workload is None else [workload]
-
     if spec_name == "scale":
         return scale_spec(
             ns=(ranks,) if ranks is not None else None,
@@ -159,78 +170,31 @@ def _build_spec(
             scale=scale,
             topology=topology,
         )
-    if spec_name == "table1":
-        return table1_spec(
-            workloads=workloads or table1_workloads(scale),
-            seed=seed,
-            machine=machine,
-        )
-    if spec_name == "table23":
-        return table23_spec(
-            workloads=workloads or table23_workloads(scale),
-            seed=seed,
-            machine=machine,
-        )
-    if spec_name == "ablation-staggering":
-        return staggering_spec(
-            workloads=workloads or table23_workloads(scale)[:4],
-            seed=seed,
-            machine=machine,
-        )
-    if spec_name == "ablation-sync":
-        return sync_cost_spec(
-            workloads=workloads or table23_workloads(scale)[:4],
-            seed=seed,
-            machine=machine,
-        )
     if spec_name == "sweep-writers":
-        if ranks is not None:
-            counts = sorted({max(2, ranks // 4), max(2, ranks // 2), ranks})
-            return writer_sweep_spec(
-                node_counts=counts,
-                seed=seed,
-                scale=scale,
-                base_grid=max(128, 4 * counts[0] + 2),
-                topology=topology,
-            )
-        return writer_sweep_spec(seed=seed, scale=scale, topology=topology)
-    if spec_name == "sweep-storage":
-        return bandwidth_sweep_spec(
-            seed=seed, scale=scale, workload=workload, machine=machine
+        if ranks is None:
+            return writer_sweep_spec(seed=seed, scale=scale, topology=topology)
+        counts = sorted({max(2, ranks // 4), max(2, ranks // 2), ranks})
+        return writer_sweep_spec(
+            node_counts=counts,
+            seed=seed,
+            scale=scale,
+            base_grid=max(128, 4 * counts[0] + 2),
+            topology=topology,
         )
-    if spec_name == "domino":
-        return domino_spec(
-            workloads=workloads, seed=seed, scale=scale, machine=machine
-        )
-    if spec_name == "storage-overhead":
-        return storage_overhead_spec(
-            workloads=workloads, seed=seed, scale=scale, machine=machine
-        )
-    if spec_name == "capture":
-        return capture_spec(
-            workloads=workloads, seed=seed, scale=scale, machine=machine
-        )
-    if spec_name == "failure-rates":
-        return failure_rates_spec(
-            workload=workload, seed=seed, scale=scale, machine=machine
-        )
-    if spec_name == "interval-sweep":
-        return interval_sweep_spec(
-            workload=workload, seed=seed, scale=scale, machine=machine
-        )
-    if spec_name == "two-level":
-        return two_level_spec(
-            workloads=workloads, seed=seed, scale=scale, machine=machine
-        )
-    if spec_name == "resilience":
-        return resilience_spec(
-            workload=workload, seed=seed, scale=scale, machine=machine
-        )
-    if spec_name == "policies":
-        return policies_spec(
-            workload=workload, seed=seed, scale=scale, machine=machine
-        )
-    raise ValueError(f"unknown spec {spec_name!r}")
+    if spec_name not in _FACTORIES:
+        raise ValueError(f"unknown spec {spec_name!r}")
+    factory, workload_kw = _FACTORIES[spec_name]
+    machine = None
+    if ranks is not None or topology is not None:
+        machine = scale_machine(ranks if ranks is not None else 8, topology)
+    override = None
+    if ranks is not None:
+        override = scale_workload(ranks, scale)
+        if workload_kw == "workloads":
+            override = [override]
+    return factory(
+        seed=seed, scale=scale, machine=machine, **{workload_kw: override}
+    )
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -315,13 +279,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="write per-experiment execution seconds + executor stats as JSON",
     )
-    parser.add_argument(
-        "--profile",
-        action="store_true",
-        help="cProfile every executed cell (disables the result cache); "
-        "per-cell hotspot tables land in --timings, a cross-cell "
-        "summary on stderr",
-    )
     parser.add_argument("--verbose", action="store_true")
     parser.add_argument(
         "--report",
@@ -376,7 +333,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"  [{'ok' if rep.ok else 'FAIL'}] {name:<16} {rep.summary()}"
             for name, rep in results
         ]
-        _emit("smoke", "verification smoke battery:\n" + "\n".join(lines))
+        _emit("verification smoke battery:\n" + "\n".join(lines))
         for _name, rep in results:
             rep.raise_if_violated()
         wall = time.time() - t0  # verify: allow[wall-clock] — CLI wall-time reporting
@@ -408,7 +365,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         verify=args.verify,
-        profile=args.profile,
         journal=journal,
         cell_timeout=args.cell_timeout,
         raise_on_failure=False,
@@ -432,7 +388,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             continue
         if view is not None and not with_summary:  # table2: just the table
             report_sections.append((title, res.view(view)))
-            _emit(exp, res.render(view))
+            _emit(res.render(view))
             continue
         if view is not None:  # table3: one view + the shared shapes/summary
             from ..analysis import TableResult
@@ -445,7 +401,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             report_sections.append((title, narrowed))
             _emit(
-                exp,
                 narrowed.render(),
                 narrowed.summary() + "\n" + _shape_report(narrowed.shapes),
             )
@@ -454,7 +409,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         summary = _shape_report(res.shape_holds())
         if with_summary and res.summary_lines:
             summary = res.summary() + "\n" + summary
-        _emit(exp, res.render(), summary)
+        _emit(res.render(), summary)
 
     if args.report and report_sections:
         from ..analysis import build_report
@@ -474,25 +429,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             "jobs": executor.jobs,
             "wall_seconds": round(time.time() - t0, 3),  # verify: allow[wall-clock] — CLI wall-time reporting
         }
-        if args.profile:
-            timings["profiles"] = executor.cell_profiles
-            timings["profile_summary"] = executor.profile_summary()
         with open(args.timings, "w") as fh:
             json.dump(timings, fh, indent=2, sort_keys=True)
         print(f"[runner] timings written to {args.timings}", file=sys.stderr)
-
-    if args.profile and executor.cell_profiles:
-        print(
-            f"[runner] profile: {len(executor.cell_profiles)} cells, "
-            "aggregated hotspots (tottime):",
-            file=sys.stderr,
-        )
-        for row in executor.profile_summary():
-            print(
-                f"    {row['tottime_s']:9.3f}s  {row['ncalls']:>10}  "
-                f"{row['function']}",
-                file=sys.stderr,
-            )
 
     print(f"[runner] grid: {executor.stats}", file=sys.stderr)
     wall = time.time() - t0  # verify: allow[wall-clock] — CLI wall-time reporting

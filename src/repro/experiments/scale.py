@@ -33,22 +33,15 @@ pulls further ahead of plain Coord_NB the larger the machine gets.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..analysis import SchemeComparison, TableResult, TableView, fmt_seconds
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
-from .grid import Cell, ExperimentSpec, GridResults, WorkloadSpec, interval_times
-from .harness import SCHEMES_TABLE1, WorkloadResult, scheme_spec
+from .grid import ExperimentSpec, GridResults, WorkloadSpec
+from .harness import SCHEMES_TABLE1, overhead_grid, scheme_spec
 from .workloads import scaled_iters
 
-__all__ = [
-    "SCALE_NS",
-    "scale_workload",
-    "scale_machine",
-    "scale_spec",
-    "run_scale",
-]
+__all__ = ["SCALE_NS", "scale_workload", "scale_machine", "scale_spec"]
 
 #: default rank counts of the sweep (8 = the paper's machine).
 SCALE_NS: Tuple[int, ...] = (8, 64, 256, 1024, 4096)
@@ -107,44 +100,17 @@ def scale_spec(
     ns = tuple(int(n) for n in (ns if ns is not None else SCALE_NS))
     if not ns:
         raise ValueError("scale sweep needs at least one rank count")
-    points = [(n, scale_workload(n, scale), scale_machine(n, topology)) for n in ns]
-    baselines = tuple(
-        Cell(workload=w, machine=m, seed=seed) for _, w, m in points
+    baselines, plan, measure = overhead_grid(
+        [(scale_workload(n, scale), scale_machine(n, topology)) for n in ns],
+        SCHEMES_TABLE1,
+        rounds,
+        seed,
+        scheme_of=_scale_scheme,
     )
 
-    def cells_for(results: GridResults):
-        grid = []
-        for (n, w, m), base in zip(points, baselines):
-            interval, times = interval_times(results[base].sim_time, rounds)
-            row = {
-                s: Cell(
-                    workload=w,
-                    scheme=_scale_scheme(s, times, interval),
-                    machine=m,
-                    seed=seed,
-                )
-                for s in SCHEMES_TABLE1
-            }
-            grid.append((n, w, base, interval, row))
-        return grid
-
-    def plan(results: GridResults):
-        return [c for _, _, _, _, row in cells_for(results) for c in row.values()]
-
     def reduce(results: GridResults) -> TableResult:
-        wrs: List[WorkloadResult] = []
-        labels: List[str] = []
-        for n, w, base, interval, row in cells_for(results):
-            labels.append(f"N={n}")
-            wrs.append(
-                WorkloadResult(
-                    label=w.label,
-                    normal=results[base],
-                    interval=interval,
-                    rounds=rounds,
-                    reports={s: results[c] for s, c in row.items()},
-                )
-            )
+        wrs = measure(results)
+        labels = [f"N={n}" for n in ns]
         rows = [{s: wr.per_checkpoint(s) for s in SCHEMES_TABLE1} for wr in wrs]
 
         def win(row) -> float:
@@ -194,24 +160,5 @@ def scale_spec(
         )
 
     return ExperimentSpec(
-        name="scale",
-        title="Scale — overhead vs machine size",
-        baselines=baselines,
-        plan=plan,
-        reduce=reduce,
-    )
-
-
-def run_scale(
-    ns: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    rounds: int = 2,
-    scale: float = 1.0,
-    topology: Optional[str] = None,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    """Execute the scale sweep and reduce to the rendered table."""
-    return run_spec(
-        scale_spec(ns=ns, seed=seed, rounds=rounds, scale=scale, topology=topology),
-        executor=executor,
+        name="scale", baselines=baselines, plan=plan, reduce=reduce
     )

@@ -11,21 +11,15 @@ slow; the curves converge as the bottleneck disappears.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..analysis import TableResult, TableView, fmt_seconds
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
-from .grid import Cell, ExperimentSpec, GridResults, WorkloadSpec, interval_times
-from .harness import scheme_spec
+from .grid import ExperimentSpec, GridResults, WorkloadSpec
+from .harness import overhead_grid
 from .workloads import scaled_iters
 
-__all__ = [
-    "writer_sweep_spec",
-    "run_writer_sweep",
-    "bandwidth_sweep_spec",
-    "run_bandwidth_sweep",
-]
+__all__ = ["writer_sweep_spec", "bandwidth_sweep_spec"]
 
 
 def writer_sweep_spec(
@@ -46,7 +40,6 @@ def writer_sweep_spec(
         grid = int(round(base_grid * (n / node_counts[0]) ** 0.5 / 2)) * 2
         points.append(
             (
-                n,
                 WorkloadSpec.of(
                     f"sor{grid}@{n}",
                     "sor",
@@ -59,32 +52,15 @@ def writer_sweep_spec(
                 else MachineParams.xplorer(n),
             )
         )
-    baselines = tuple(
-        Cell(workload=w, machine=m, seed=seed) for _, w, m in points
+    baselines, plan, measure = overhead_grid(
+        points, ("coord_nb",), rounds, seed
     )
 
-    def cells_for(results: GridResults):
-        grid = []
-        for (n, w, m), base in zip(points, baselines):
-            interval, times = interval_times(results[base].sim_time, rounds)
-            cell = Cell(
-                workload=w,
-                scheme=scheme_spec("coord_nb", times, interval),
-                machine=m,
-                seed=seed,
-            )
-            grid.append((n, base, cell))
-        return grid
-
-    def plan(results: GridResults):
-        return [cell for _, _, cell in cells_for(results)]
-
     def reduce(results: GridResults) -> TableResult:
-        per_ckpt: Dict[int, float] = {}
-        for n, base, cell in cells_for(results):
-            per_ckpt[n] = (
-                results[cell].sim_time - results[base].sim_time
-            ) / rounds
+        per_ckpt: Dict[int, float] = {
+            n: wr.per_checkpoint("coord_nb")
+            for n, wr in zip(node_counts, measure(results))
+        }
         n0 = node_counts[0]
         base_cost = per_ckpt[n0]
         view = TableView(
@@ -123,31 +99,7 @@ def writer_sweep_spec(
         )
 
     return ExperimentSpec(
-        name="sweep-writers",
-        title="S1 — writer-count sweep",
-        baselines=baselines,
-        plan=plan,
-        reduce=reduce,
-    )
-
-
-def run_writer_sweep(
-    node_counts: Sequence[int] = (2, 4, 8),
-    seed: int = 0,
-    rounds: int = 2,
-    base_grid: int = 128,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        writer_sweep_spec(
-            node_counts=node_counts,
-            seed=seed,
-            rounds=rounds,
-            base_grid=base_grid,
-            scale=scale,
-        ),
-        executor=executor,
+        name="sweep-writers", baselines=baselines, plan=plan, reduce=reduce
     )
 
 
@@ -171,40 +123,19 @@ def bandwidth_sweep_spec(
         flops_per_cell=40.0,
     )
     base_machine = machine or MachineParams.xplorer8()
-    machines = [
-        base_machine.with_storage(bandwidth=bw) for bw in bandwidths
-    ]
-    baselines = tuple(
-        Cell(workload=workload, machine=m, seed=seed) for m in machines
+    schemes = ("coord_nb", "coord_nbms")
+    baselines, plan, measure = overhead_grid(
+        [(workload, base_machine.with_storage(bandwidth=bw)) for bw in bandwidths],
+        schemes,
+        rounds,
+        seed,
     )
 
-    def cells_for(results: GridResults):
-        grid = []
-        for bw, m, base in zip(bandwidths, machines, baselines):
-            interval, times = interval_times(results[base].sim_time, rounds)
-            row = {
-                s: Cell(
-                    workload=workload,
-                    scheme=scheme_spec(s, times, interval),
-                    machine=m,
-                    seed=seed,
-                )
-                for s in ("coord_nb", "coord_nbms")
-            }
-            grid.append((bw, base, row))
-        return grid
-
-    def plan(results: GridResults):
-        return [c for _, _, row in cells_for(results) for c in row.values()]
-
     def reduce(results: GridResults) -> TableResult:
-        overhead_pct: Dict[float, Dict[str, float]] = {}
-        for bw, base, row in cells_for(results):
-            normal = results[base].sim_time
-            overhead_pct[bw] = {
-                s: 100.0 * (results[c].sim_time - normal) / normal
-                for s, c in row.items()
-            }
+        overhead_pct: Dict[float, Dict[str, float]] = {
+            bw: {s: wr.overhead_percent(s) for s in schemes}
+            for bw, wr in zip(bandwidths, measure(results))
+        }
         body = []
         for bw in bandwidths:
             row = overhead_pct[bw]
@@ -250,29 +181,5 @@ def bandwidth_sweep_spec(
         )
 
     return ExperimentSpec(
-        name="sweep-storage",
-        title="S2 — storage-bandwidth sweep",
-        baselines=baselines,
-        plan=plan,
-        reduce=reduce,
-    )
-
-
-def run_bandwidth_sweep(
-    bandwidths: Sequence[float] = (400e3, 800e3, 1.6e6, 3.2e6),
-    seed: int = 0,
-    rounds: int = 2,
-    workload: Optional[WorkloadSpec] = None,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        bandwidth_sweep_spec(
-            bandwidths=bandwidths,
-            seed=seed,
-            rounds=rounds,
-            workload=workload,
-            scale=scale,
-        ),
-        executor=executor,
+        name="sweep-storage", baselines=baselines, plan=plan, reduce=reduce
     )

@@ -17,12 +17,11 @@ from typing import List, Optional
 
 from ..analysis import SchemeComparison, TableResult, TableView, fmt_seconds
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
-from .grid import Cell, ExperimentSpec, GridResults, WorkloadSpec, interval_times
-from .harness import SCHEMES_TABLE1, WorkloadResult, scheme_spec
+from .grid import ExperimentSpec, GridResults, WorkloadSpec
+from .harness import SCHEMES_TABLE1, overhead_grid
 from .workloads import table1_workloads
 
-__all__ = ["table1_spec", "run_table1"]
+__all__ = ["table1_spec"]
 
 
 def table1_spec(
@@ -35,41 +34,12 @@ def table1_spec(
     """Every Table 1 cell as a declarative grid (126 runs at full scale)."""
     workloads = workloads if workloads is not None else table1_workloads(scale)
     machine = machine or MachineParams.xplorer8()
-    baselines = tuple(
-        Cell(workload=w, machine=machine, seed=seed) for w in workloads
+    baselines, plan, measure = overhead_grid(
+        [(w, machine) for w in workloads], SCHEMES_TABLE1, rounds, seed
     )
 
-    def cells_for(results: GridResults):
-        grid = []
-        for w, base in zip(workloads, baselines):
-            interval, times = interval_times(results[base].sim_time, rounds)
-            row = {
-                s: Cell(
-                    workload=w,
-                    scheme=scheme_spec(s, times, interval),
-                    machine=machine,
-                    seed=seed,
-                )
-                for s in SCHEMES_TABLE1
-            }
-            grid.append((w, base, interval, row))
-        return grid
-
-    def plan(results: GridResults):
-        return [c for _, _, _, row in cells_for(results) for c in row.values()]
-
     def reduce(results: GridResults) -> TableResult:
-        wrs: List[WorkloadResult] = []
-        for w, base, interval, row in cells_for(results):
-            wrs.append(
-                WorkloadResult(
-                    label=w.label,
-                    normal=results[base],
-                    interval=interval,
-                    rounds=rounds,
-                    reports={s: results[c] for s, c in row.items()},
-                )
-            )
+        wrs = measure(results)
         rows = [{s: wr.per_checkpoint(s) for s in SCHEMES_TABLE1} for wr in wrs]
         view = TableView(
             name="table1",
@@ -106,30 +76,5 @@ def table1_spec(
         )
 
     return ExperimentSpec(
-        name="table1",
-        title="Table 1 — overhead per checkpoint",
-        baselines=baselines,
-        plan=plan,
-        reduce=reduce,
-    )
-
-
-def run_table1(
-    workloads: Optional[List[WorkloadSpec]] = None,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 2,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    """Execute every Table 1 cell and reduce to the rendered table."""
-    return run_spec(
-        table1_spec(
-            workloads=workloads,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            scale=scale,
-        ),
-        executor=executor,
+        name="table1", baselines=baselines, plan=plan, reduce=reduce
     )

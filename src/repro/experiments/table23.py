@@ -26,12 +26,11 @@ from ..analysis import (
     reduction_factor,
 )
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
-from .grid import Cell, ExperimentSpec, GridResults, WorkloadSpec, interval_times
-from .harness import SCHEMES_TABLE23, WorkloadResult, scheme_spec
+from .grid import ExperimentSpec, GridResults, WorkloadSpec
+from .harness import SCHEMES_TABLE23, overhead_grid
 from .workloads import table23_workloads
 
-__all__ = ["table23_spec", "run_table23"]
+__all__ = ["table23_spec"]
 
 
 def table23_spec(
@@ -44,41 +43,12 @@ def table23_spec(
     """The shared Table 2/3 grid (45 runs at full scale)."""
     workloads = workloads if workloads is not None else table23_workloads(scale)
     machine = machine or MachineParams.xplorer8()
-    baselines = tuple(
-        Cell(workload=w, machine=machine, seed=seed) for w in workloads
+    baselines, plan, measure = overhead_grid(
+        [(w, machine) for w in workloads], SCHEMES_TABLE23, rounds, seed
     )
 
-    def cells_for(results: GridResults):
-        grid = []
-        for w, base in zip(workloads, baselines):
-            interval, times = interval_times(results[base].sim_time, rounds)
-            row = {
-                s: Cell(
-                    workload=w,
-                    scheme=scheme_spec(s, times, interval),
-                    machine=machine,
-                    seed=seed,
-                )
-                for s in SCHEMES_TABLE23
-            }
-            grid.append((w, base, interval, row))
-        return grid
-
-    def plan(results: GridResults):
-        return [c for _, _, _, row in cells_for(results) for c in row.values()]
-
     def reduce(results: GridResults) -> TableResult:
-        wrs: List[WorkloadResult] = []
-        for w, base, interval, row in cells_for(results):
-            wrs.append(
-                WorkloadResult(
-                    label=w.label,
-                    normal=results[base],
-                    interval=interval,
-                    rounds=rounds,
-                    reports={s: results[c] for s, c in row.items()},
-                )
-            )
+        wrs = measure(results)
         overhead_rows = [
             {s: wr.overhead_percent(s) for s in SCHEMES_TABLE23} for wr in wrs
         ]
@@ -166,30 +136,5 @@ def table23_spec(
         )
 
     return ExperimentSpec(
-        name="table23",
-        title="Tables 2/3 — execution times and overhead percentages",
-        baselines=baselines,
-        plan=plan,
-        reduce=reduce,
-    )
-
-
-def run_table23(
-    workloads: Optional[List[WorkloadSpec]] = None,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 3,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    """Execute every Table 2/3 cell and reduce to the two table views."""
-    return run_spec(
-        table23_spec(
-            workloads=workloads,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            scale=scale,
-        ),
-        executor=executor,
+        name="table23", baselines=baselines, plan=plan, reduce=reduce
     )

@@ -24,11 +24,10 @@ from typing import Dict, List, Optional
 from ..analysis import TableResult, TableView, fmt_seconds
 from ..fault.model import FaultModel
 from ..machine import MachineParams
-from .executor import GridExecutor, run_spec
 from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec, interval_times
 from .workloads import table23_workloads
 
-__all__ = ["TwoLevelRow", "two_level_spec", "run_two_level"]
+__all__ = ["TwoLevelRow", "two_level_spec"]
 
 _VARIANTS = ("coord_nb", "coord_nb_2l", "coord_nbms", "coord_nbms_2l")
 
@@ -159,28 +158,7 @@ def two_level_spec(
 
     return ExperimentSpec(
         name="two-level",
-        title="E3 — two-level stable storage",
         baselines=baselines,
         plan=plan,
         reduce=reduce,
-    )
-
-
-def run_two_level(
-    workloads: Optional[List[WorkloadSpec]] = None,
-    seed: int = 0,
-    machine: Optional[MachineParams] = None,
-    rounds: int = 3,
-    scale: float = 1.0,
-    executor: Optional[GridExecutor] = None,
-) -> TableResult:
-    return run_spec(
-        two_level_spec(
-            workloads=workloads,
-            seed=seed,
-            machine=machine,
-            rounds=rounds,
-            scale=scale,
-        ),
-        executor=executor,
     )

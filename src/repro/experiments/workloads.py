@@ -14,46 +14,28 @@ table lists 20 rows but reports 21 comparisons; we side with the count.
 The catalogues return :class:`~repro.experiments.grid.WorkloadSpec`s —
 declarative (registry name + parameters) so experiment cells can be
 pickled to worker processes and content-hashed for the result cache.
-:class:`Workload` remains for ad-hoc factory closures in tests and
-examples; it cannot participate in the cached grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
-from ..apps import Application
 from ..core.errors import InvariantViolation
 from .grid import WorkloadSpec
 
 __all__ = [
-    "Workload",
     "WorkloadSpec",
     "table1_workloads",
     "table23_workloads",
     "quick_workloads",
+    "fault_workload",
     "scaled_iters",
 ]
-
-
-@dataclass(frozen=True)
-class Workload:
-    """An ad-hoc workload: a label and an application factory closure."""
-
-    label: str
-    factory: Callable[[], Application]
-
-    def make(self) -> Application:
-        return self.factory()
 
 
 def scaled_iters(iters: int, scale: float, floor: int = 8) -> int:
     """Scale an iteration count (``--quick``), never below *floor*."""
     return max(floor, int(round(iters * scale)))
-
-
-_scaled = scaled_iters  # internal alias, kept for brevity below
 
 
 def table1_workloads(scale: float = 1.0) -> List[WorkloadSpec]:
@@ -66,7 +48,7 @@ def table1_workloads(scale: float = 1.0) -> List[WorkloadSpec]:
     for n, iters in zip(ising_sizes, ising_iters):
         ws.append(
             WorkloadSpec.of(
-                f"ising-{n}", "ising", n=n, iters=_scaled(iters, scale)
+                f"ising-{n}", "ising", n=n, iters=scaled_iters(iters, scale)
             )
         )
     sor_sizes = [128, 192, 256, 320, 384, 512]
@@ -77,7 +59,7 @@ def table1_workloads(scale: float = 1.0) -> List[WorkloadSpec]:
                 f"sor-{n}",
                 "sor",
                 n=n,
-                iters=_scaled(iters, scale),
+                iters=scaled_iters(iters, scale),
                 flops_per_cell=40.0,
             )
         )
@@ -87,7 +69,10 @@ def table1_workloads(scale: float = 1.0) -> List[WorkloadSpec]:
         ws.append(WorkloadSpec.of(f"asp-{n}", "asp", n=n, flops_per_cell=24.0))
     ws.append(
         WorkloadSpec.of(
-            "nbody-1536", "nbody", n=1536, iters=_scaled(12, scale, floor=4)
+            "nbody-1536",
+            "nbody",
+            n=1536,
+            iters=scaled_iters(12, scale, floor=4),
         )
     )
     ws.append(WorkloadSpec.of("tsp-12", "tsp", n_cities=12, flops_per_node=4000.0))
@@ -104,18 +89,33 @@ def table23_workloads(scale: float = 1.0) -> List[WorkloadSpec]:
     """The 9 rows of Tables 2 and 3 (ISINGx2, SORx2, GAUSS, ASP, NBODY,
     TSP, NQUEENS)."""
     return [
-        WorkloadSpec.of("ising-448", "ising", n=448, iters=_scaled(110, scale)),
-        WorkloadSpec.of("ising-288", "ising", n=288, iters=_scaled(260, scale)),
         WorkloadSpec.of(
-            "sor-512", "sor", n=512, iters=_scaled(100, scale), flops_per_cell=40.0
+            "ising-448", "ising", n=448, iters=scaled_iters(110, scale)
         ),
         WorkloadSpec.of(
-            "sor-320", "sor", n=320, iters=_scaled(250, scale), flops_per_cell=40.0
+            "ising-288", "ising", n=288, iters=scaled_iters(260, scale)
+        ),
+        WorkloadSpec.of(
+            "sor-512",
+            "sor",
+            n=512,
+            iters=scaled_iters(100, scale),
+            flops_per_cell=40.0,
+        ),
+        WorkloadSpec.of(
+            "sor-320",
+            "sor",
+            n=320,
+            iters=scaled_iters(250, scale),
+            flops_per_cell=40.0,
         ),
         WorkloadSpec.of("gauss-512", "gauss", n=512, flops_per_cell=32.0),
         WorkloadSpec.of("asp-352", "asp", n=352, flops_per_cell=24.0),
         WorkloadSpec.of(
-            "nbody-1536", "nbody", n=1536, iters=_scaled(12, scale, floor=4)
+            "nbody-1536",
+            "nbody",
+            n=1536,
+            iters=scaled_iters(12, scale, floor=4),
         ),
         WorkloadSpec.of("tsp-12", "tsp", n_cities=12, flops_per_node=4000.0),
         WorkloadSpec.of("nqueens-12", "nqueens", n=12, flops_per_node=2000.0),
@@ -129,3 +129,16 @@ def quick_workloads() -> List[WorkloadSpec]:
         WorkloadSpec.of("ising-96", "ising", n=96, iters=120),
         WorkloadSpec.of("nqueens-10", "nqueens", n=10, flops_per_node=2000.0),
     ]
+
+
+def fault_workload(scale: float = 1.0) -> WorkloadSpec:
+    """The small 4-rank SOR the storage-fault experiments (``resilience``,
+    ``policies``) run: short enough for dozens of faulted cells."""
+    return WorkloadSpec.of(
+        "sor-26",
+        "sor",
+        image_bytes=32 * 1024,
+        n=26,
+        iters=scaled_iters(10, scale),
+        flops_per_cell=3000.0,
+    )

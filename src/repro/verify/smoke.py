@@ -50,13 +50,13 @@ def run_smoke(
 ) -> List[Tuple[str, TraceReport]]:
     """Run the smoke battery; returns ``[(scheme, TraceReport), ...]``."""
     from ..chklib.runtime import CheckpointRuntime
+    from ..experiments.grid import interval_times
     from ..experiments.workloads import quick_workloads
     from ..fault.model import FaultModel
 
     workload = quick_workloads()[0]
-    normal = CheckpointRuntime(workload.make(), seed=seed).run()
-    interval = normal.sim_time / 4.5
-    times = [interval * (i + 1) for i in range(3)]
+    normal = CheckpointRuntime(workload.build(), seed=seed).run()
+    interval, times = interval_times(normal.sim_time, 3)
     results: List[Tuple[str, TraceReport]] = []
     for name in SMOKE_SCHEMES:
         scheme = _make_scheme(name, times, interval)
@@ -64,7 +64,7 @@ def run_smoke(
             FaultModel.machine_crash(interval * 2.5) if crash else None
         )
         runtime = CheckpointRuntime(
-            workload.make(), scheme=scheme, seed=seed, fault_model=fault
+            workload.build(), scheme=scheme, seed=seed, fault_model=fault
         )
         runtime.run()
         report = check_runtime(runtime)

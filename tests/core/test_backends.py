@@ -29,6 +29,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.experiments.runner as runner_mod
+import repro.experiments.table1 as table1_mod
+import repro.experiments.table23 as table23_mod
 from repro.apps import SOR
 from repro.chklib import (
     CheckpointRuntime,
@@ -423,8 +425,8 @@ def _tiny_workloads(scale=1.0):
 def test_runner_tables_byte_identical_across_backends(
     table, capsys, monkeypatch
 ):
-    monkeypatch.setattr(runner_mod, "table1_workloads", _tiny_workloads)
-    monkeypatch.setattr(runner_mod, "table23_workloads", _tiny_workloads)
+    monkeypatch.setattr(table1_mod, "table1_workloads", _tiny_workloads)
+    monkeypatch.setattr(table23_mod, "table23_workloads", _tiny_workloads)
     outs = {}
     for backend in BACKENDS:
         monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)

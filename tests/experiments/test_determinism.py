@@ -15,6 +15,8 @@ import json
 import pytest
 
 import repro.experiments.runner as runner_mod
+import repro.experiments.table1 as table1_mod
+import repro.experiments.table23 as table23_mod
 from repro.experiments import WorkloadSpec
 
 
@@ -33,8 +35,8 @@ def tiny_workloads(scale=1.0):
 
 @pytest.fixture(autouse=True)
 def patch_workloads(monkeypatch):
-    monkeypatch.setattr(runner_mod, "table1_workloads", tiny_workloads)
-    monkeypatch.setattr(runner_mod, "table23_workloads", tiny_workloads)
+    monkeypatch.setattr(table1_mod, "table1_workloads", tiny_workloads)
+    monkeypatch.setattr(table23_mod, "table23_workloads", tiny_workloads)
 
 
 def _run(args, capsys) -> str:
@@ -91,21 +93,3 @@ def test_two_tier_queue_output_matches_heap_only(monkeypatch, capsys):
     monkeypatch.setenv("REPRO_KERNEL_HEAP_ONLY", "1")
     heap_only = _run(base, capsys)
     assert fast == heap_only
-
-
-def test_profile_writes_hotspot_tables_without_touching_stdout(
-    tmp_path, capsys
-):
-    t_path = str(tmp_path / "timings.json")
-    base = ["table1", "--quick", "--no-cache", "--jobs", "1"]
-    profiled = _run(base + ["--profile", "--timings", t_path], capsys)
-    plain = _run(base, capsys)
-    assert profiled == plain
-    with open(t_path) as fh:
-        timings = json.load(fh)
-    assert timings["profiles"] and timings["profile_summary"]
-    entry = next(iter(timings["profiles"].values()))
-    assert entry["hotspots"], entry
-    row = entry["hotspots"][0]
-    assert {"function", "ncalls", "tottime_s", "cumtime_s"} <= set(row)
-    assert timings["stats"]["cache_hits"] == 0  # --profile bypasses cache

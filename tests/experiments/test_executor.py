@@ -48,8 +48,7 @@ def _tiny_spec(name="tiny", seed=0) -> ExperimentSpec:
         )
 
     return ExperimentSpec(
-        name=name, title=name, baselines=(baseline,), plan=plan,
-        reduce=reduce,
+        name=name, baselines=(baseline,), plan=plan, reduce=reduce
     )
 
 

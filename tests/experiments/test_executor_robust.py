@@ -67,8 +67,7 @@ def _tiny_spec(name="tiny", seed=0) -> ExperimentSpec:
         )
 
     return ExperimentSpec(
-        name=name, title=name, baselines=(baseline,), plan=plan,
-        reduce=reduce,
+        name=name, baselines=(baseline,), plan=plan, reduce=reduce
     )
 
 
@@ -274,7 +273,6 @@ def _broken_spec(name="tiny"):
     baseline = Cell(workload=WorkloadSpec.of("bad", "not-an-app"))
     return ExperimentSpec(
         name=name,
-        title=name,
         baselines=(baseline,),
         # results[baseline] raises: the failed baseline never produced one
         plan=lambda results: [results[baseline]] and [],
@@ -282,16 +280,25 @@ def _broken_spec(name="tiny"):
     )
 
 
-def test_runner_exits_nonzero_and_summarises_failures(monkeypatch, capsys):
+def test_runner_exits_nonzero_and_summarises_failures(
+    monkeypatch, capsys, tmp_path
+):
     monkeypatch.setattr(
         runner_mod, "_build_spec", lambda spec_name, seed, scale, **kw: _broken_spec("table1")
     )
-    rc = runner_mod.main(["table1", "--no-cache", "--jobs", "1"])
-    captured = capsys.readouterr()
-    assert rc == 1
-    assert "cell(s) FAILED" in captured.err
-    assert "bad/baseline" in captured.err
-    assert "[runner] table1: no result" in captured.err
+    timings = tmp_path / "timings.json"
+    # with and without --timings (a loop, not parametrize: the test id
+    # is pinned); a failed baseline must not take the timings file down
+    for extra in ([], ["--timings", str(timings)]):
+        rc = runner_mod.main(["table1", "--no-cache", "--jobs", "1"] + extra)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "cell(s) FAILED" in captured.err
+        assert "bad/baseline" in captured.err
+        assert "[runner] table1: no result" in captured.err
+    written = json.loads(timings.read_text())
+    assert written["stats"]["failed"] >= 1
+    assert written["experiments"] == {"table1": 0.0}
 
 
 def test_runner_reports_spec_level_errors(monkeypatch, capsys):

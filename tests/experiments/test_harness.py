@@ -4,14 +4,21 @@ import pytest
 
 from repro.experiments import (
     SCHEMES_TABLE1,
+    Cell,
     WorkloadSpec,
+    cell_key,
+    interval_times,
     make_scheme,
-    run_workload,
+    overhead_grid,
+    run_spec,
+    scale_spec,
+    scheme_spec,
+    table1_spec,
     table1_workloads,
+    table23_spec,
     table23_workloads,
 )
-from repro.experiments.table1 import run_table1
-from repro.experiments.table23 import run_table23
+from repro.experiments.executor import GridExecutor
 from repro.machine import MachineParams
 
 TINY = [
@@ -58,13 +65,74 @@ class TestSchemeFactory:
         assert nbs.staggered and not nbs.memory_ckpt
 
 
-class TestRunWorkload:
-    def test_overheads_positive_and_consistent(self):
-        res = run_workload(
-            TINY[0], ("coord_nb", "coord_nbms"), rounds=2, machine=MACHINE
+def _run_grid(baselines, plan):
+    """Baselines, then the planned cells: (results, planned)."""
+    ex = GridExecutor(jobs=1, use_cache=False)
+    results = ex.run_cells(baselines)
+    planned = plan(results)
+    ex.run_cells(planned)
+    return results, planned
+
+
+class TestOverheadGrid:
+    def test_plan_is_the_hand_built_grid(self):
+        schemes, rounds, seed = ("coord_nb", "indep_m"), 2, 7
+        points = [(w, MACHINE) for w in TINY]
+        baselines, plan, _ = overhead_grid(points, schemes, rounds, seed)
+        assert [cell_key(c) for c in baselines] == [
+            cell_key(Cell(workload=w, machine=MACHINE, seed=seed)) for w in TINY
+        ]
+        results, planned = _run_grid(baselines, plan)
+        expected = []
+        for w, base in zip(TINY, baselines):
+            interval, times = interval_times(results[base].sim_time, rounds)
+            expected += [
+                Cell(
+                    workload=w,
+                    scheme=scheme_spec(s, times, interval),
+                    machine=MACHINE,
+                    seed=seed,
+                )
+                for s in schemes
+            ]
+        assert [cell_key(c) for c in planned] == [cell_key(c) for c in expected]
+
+    def test_per_point_machines_are_honoured(self):
+        machines = [MachineParams(n_nodes=2), MachineParams(n_nodes=4)]
+        baselines, plan, _ = overhead_grid(
+            [(TINY[0], m) for m in machines], ("coord_nb",), 2, 0
         )
+        _, planned = _run_grid(baselines, plan)
+        assert [c.machine for c in baselines] == machines
+        assert [c.machine for c in planned] == machines
+
+    def test_scheme_of_hook_rewrites_the_scheme(self):
+        # scale's hook: peers-scoped markers on coordinated cells only
+        spec = scale_spec(ns=(4,), scale=0.2)
+        ex = GridExecutor(jobs=1, use_cache=False)
+        (base,) = spec.baselines
+        planned = spec.plan(ex.run_cells(spec.baselines))
+        interval, times = interval_times(ex.results[base].sim_time, 2)
+        by_name = dict(zip(SCHEMES_TABLE1, planned))
+        for name, cell in by_name.items():
+            standard = scheme_spec(name, times, interval)
+            if name.startswith("coord"):
+                assert cell.scheme.marker_scope == "peers"
+                assert standard.marker_scope == "all"
+            else:
+                assert cell.scheme == standard
+                assert cell.scheme.skew == pytest.approx(0.25 * interval)
+
+    def test_overheads_positive_and_consistent(self):
+        schemes = ("coord_nb", "coord_nbms")
+        baselines, plan, measure = overhead_grid(
+            [(TINY[0], MACHINE)], schemes, 2, 0
+        )
+        results, _ = _run_grid(baselines, plan)
+        (res,) = measure(results)
+        assert res.label == "sor-tiny"
         assert res.normal_time > 0
-        for scheme in ("coord_nb", "coord_nbms"):
+        for scheme in schemes:
             assert res.overhead_seconds(scheme) > 0
             assert res.overhead_percent(scheme) == pytest.approx(
                 100 * res.overhead_seconds(scheme) / res.normal_time
@@ -74,7 +142,10 @@ class TestRunWorkload:
             )
 
     def test_interval_spacing(self):
-        res = run_workload(TINY[0], (), rounds=3, machine=MACHINE)
+        baselines, plan, measure = overhead_grid([(TINY[0], MACHINE)], (), 3, 0)
+        results, planned = _run_grid(baselines, plan)
+        assert planned == []
+        (res,) = measure(results)
         assert res.interval == pytest.approx(res.normal_time / 4.5)
 
 
@@ -91,19 +162,19 @@ class TestWorkloadCatalogues:
         assert len(table23_workloads()) == 9
 
     def test_scale_shrinks_iterations(self):
-        full = table1_workloads(1.0)[0].make()
-        quick = table1_workloads(0.2)[0].make()
+        full = table1_workloads(1.0)[0].build()
+        quick = table1_workloads(0.2)[0].build()
         assert quick.iters < full.iters
         assert quick.n == full.n  # sizes (checkpoint volumes) unchanged
 
     def test_specs_build_fresh_instances(self):
         w = table1_workloads()[0]
-        assert w.make() is not w.make()
+        assert w.build() is not w.build()
 
 
 class TestTableRunners:
     def test_table1_on_tiny_workloads(self):
-        result = run_table1(workloads=TINY, machine=MACHINE, rounds=2)
+        result = run_spec(table1_spec(workloads=TINY, machine=MACHINE, rounds=2))
         table = result.render()
         assert "sor-tiny" in table and "nq-tiny" in table
         assert "COORD_NBMS" in table
@@ -119,7 +190,9 @@ class TestTableRunners:
         }
 
     def test_table23_on_tiny_workloads(self):
-        result = run_table23(workloads=TINY, machine=MACHINE, rounds=2)
+        result = run_spec(
+            table23_spec(workloads=TINY, machine=MACHINE, rounds=2)
+        )
         t2 = result.render("table2")
         t3 = result.render("table3")
         assert "NORMAL" in t2

@@ -3,6 +3,8 @@
 import pytest
 
 import repro.experiments.runner as runner_mod
+import repro.experiments.table1 as table1_mod
+import repro.experiments.table23 as table23_mod
 from repro.experiments import WorkloadSpec
 
 _FAST = ["--jobs", "1", "--no-cache"]
@@ -23,8 +25,8 @@ def tiny_workloads(scale=1.0):
 
 @pytest.fixture(autouse=True)
 def patch_workloads(monkeypatch):
-    monkeypatch.setattr(runner_mod, "table1_workloads", tiny_workloads)
-    monkeypatch.setattr(runner_mod, "table23_workloads", tiny_workloads)
+    monkeypatch.setattr(table1_mod, "table1_workloads", tiny_workloads)
+    monkeypatch.setattr(table23_mod, "table23_workloads", tiny_workloads)
 
 
 def test_runner_table1(capsys):

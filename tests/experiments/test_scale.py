@@ -5,7 +5,7 @@ import pytest
 import repro.experiments.runner as runner_mod
 from repro.experiments import (
     SCALE_NS,
-    run_scale,
+    run_spec,
     scale_machine,
     scale_spec,
     scale_workload,
@@ -50,7 +50,7 @@ def test_scale_spec_rejects_empty():
 
 
 def test_run_scale_small_end_to_end():
-    result = run_scale(ns=(4, 8), scale=0.2, rounds=2)
+    result = run_spec(scale_spec(ns=(4, 8), scale=0.2, rounds=2))
     assert result.name == "scale"
     rows = result.data["rows"]
     assert len(rows) == 2
@@ -62,7 +62,7 @@ def test_run_scale_small_end_to_end():
 
 
 def test_scale_single_point_has_no_growth_shape():
-    result = run_scale(ns=(6,), scale=0.2)
+    result = run_spec(scale_spec(ns=(6,), scale=0.2))
     assert "nbms_win_grows_with_scale" not in result.shapes
     assert "nbms_beats_nb_everywhere" in result.shapes
 
