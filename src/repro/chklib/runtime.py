@@ -308,8 +308,8 @@ class CheckpointRuntime:
         self.engine = Engine(
             start_time=float(_resume["meta"]["halted_at"]) if _resume else 0.0
         )
-        # trace=False selects the NullTracer: true no-op recording methods,
-        # so untraced sweeps pay nothing per protocol message.
+        # trace=False selects the NullTracer: the counters the report reads
+        # are still kept, but no event, span or timeline is recorded.
         self.tracer = make_tracer(self.engine, enabled=trace)
         self.machine_params = machine or MachineParams.xplorer8()
         self.cluster = Cluster(self.engine, self.machine_params, tracer=self.tracer)
@@ -839,7 +839,7 @@ class CheckpointRuntime:
                 self.agents[rank].reset_for_recovery(epoch=0)
         # 7. re-inject in-transit channel state, in per-channel seq order.
         for msg in sorted(replay, key=lambda m: (m.dst, m.src, m.seq)):
-            clone = _dc.replace(msg, meta=dict(msg.meta))
+            clone = msg.shell_copy()
             clone.meta["gen"] = self.generation
             self.transport.deliver_local(clone)
         # 8. restart the application.

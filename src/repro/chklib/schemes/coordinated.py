@@ -39,7 +39,6 @@ numbers. See DESIGN.md §5.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Set
 
 from ...core.errors import InvariantViolation, SimulationError, StorageFault
@@ -406,7 +405,7 @@ class CoordinatedScheme(Scheme):
             and msg.epoch < rnd.n
             and msg.src in rnd.markers_pending
         ):
-            rnd.record.channel_msgs.append(_shell_copy(msg))
+            agent.runtime.store.record_channel_msg(rnd.record, msg.shell_copy())
             agent.runtime.tracer.add("chk.channel_msgs_recorded")
 
     def on_control(self, agent: CoordinatedAgent, msg: Message) -> None:
@@ -522,7 +521,7 @@ class CoordinatedScheme(Scheme):
         # pre-cut messages still queued in the mailbox are in-transit state
         for m in agent.comm.mailbox.pending:
             if m.epoch < n:
-                record.channel_msgs.append(_shell_copy(m))
+                record.channel_msgs.append(m.shell_copy())
         # markers claim the outgoing link now (FIFO after pre-cut sends,
         # before any post-cut application sends) and fly in the background.
         for dst in others:
@@ -882,8 +881,3 @@ class CoordinatedScheme(Scheme):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CoordinatedScheme {self.name} times={self.times}>"
 
-
-def _shell_copy(msg: Message) -> Message:
-    """Copy the message shell (payload shared; payloads are immutable by
-    the application contract) so later meta mutation cannot alias."""
-    return dataclasses.replace(msg, meta=dict(msg.meta))

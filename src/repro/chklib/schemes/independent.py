@@ -28,7 +28,6 @@ Options:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
 from ...core.errors import SimulationError, StorageFault
@@ -211,9 +210,7 @@ class IndependentScheme(Scheme):
             return
         assert isinstance(agent, IndependentAgent)
         msg.finalize_size()  # the log must account wire bytes
-        agent.volatile_log.append(
-            dataclasses.replace(msg, meta=dict(msg.meta))
-        )
+        agent.volatile_log.append(msg.shell_copy())
         agent.runtime.tracer.add("chk.messages_logged")
 
     def at_point(self, agent: SchemeAgent) -> Generator[Any, Any, None]:

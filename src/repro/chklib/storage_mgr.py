@@ -120,6 +120,11 @@ class CheckpointStore:
         self._chains: Dict[int, Dict[int, CheckpointRecord]] = {
             r: {} for r in range(n_ranks)
         }
+        # running occupancy, adjusted wherever it changes (add, discard,
+        # record_channel_msg) so the peak sample in add() is O(1); count()
+        # and total_bytes() stay the from-scratch reference.
+        self._count = 0
+        self._bytes = 0
         # metrics
         self.peak_bytes = 0
         self.peak_checkpoints = 0
@@ -138,7 +143,20 @@ class CheckpointStore:
         if record.index < 1:
             raise ValueError(f"checkpoint indices are 1-based, got {record.index}")
         chain[record.index] = record
-        self._update_peaks()
+        self._count += 1
+        self._bytes += record.total_bytes
+        if self._bytes > self.peak_bytes:
+            self.peak_bytes = self._bytes
+        if self._count > self.peak_checkpoints:
+            self.peak_checkpoints = self._count
+
+    def record_channel_msg(self, record: CheckpointRecord, msg: Message) -> None:
+        """Append an in-transit message to *record*'s channel state. A
+        coordinated round keeps recording after its write landed, so the
+        record may already be stored (and occupy more bytes from now on)."""
+        record.channel_msgs.append(msg)
+        if self._chains[record.rank].get(record.index) is record:
+            self._bytes += msg.size
 
     def commit(self, rank: int, index: int) -> None:
         """Mark a checkpoint stable (keeps it eligible for recovery)."""
@@ -208,8 +226,8 @@ class CheckpointStore:
         return total
 
     def total_bytes(self) -> int:
-        # Hot: sampled after every add() for the peak metric. Open-coded
-        # sum of CheckpointRecord.total_bytes without the property calls.
+        # Open-coded sum of CheckpointRecord.total_bytes without the
+        # property calls (a 4096-rank store holds thousands of records).
         total = 0
         for chain in self._chains.values():
             for rec in chain.values():
@@ -228,9 +246,12 @@ class CheckpointStore:
     def discard(self, rank: int, index: int) -> int:
         """Remove one checkpoint; returns the bytes freed."""
         rec = self._chains[rank].pop(index)
-        self.discarded_bytes += rec.total_bytes
+        freed = rec.total_bytes
+        self._count -= 1
+        self._bytes -= freed
+        self.discarded_bytes += freed
         self.discarded_count += 1
-        return rec.total_bytes
+        return freed
 
     def discard_older_than(self, rank: int, index: int) -> int:
         """Remove all of *rank*'s checkpoints strictly older than *index*."""
@@ -286,12 +307,6 @@ class CheckpointStore:
                 if msg.dst == dst and msg.seq == seq:
                     return msg
         return None
-
-    # -- internals ---------------------------------------------------------------
-
-    def _update_peaks(self) -> None:
-        self.peak_bytes = max(self.peak_bytes, self.total_bytes())
-        self.peak_checkpoints = max(self.peak_checkpoints, self.count())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

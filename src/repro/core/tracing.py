@@ -9,12 +9,14 @@ A :class:`Tracer` is attached to a run and accumulates:
   cuts, writes, message sends/deliveries, recoveries, GC) consumed by the
   trace invariant engine (:mod:`repro.verify.trace_check`).
 
-Recording is cheap (dict/list appends) and can be disabled wholesale:
-:class:`NullTracer` implements the same interface with true no-op method
-bodies, so the hot path of big sweeps pays only the call. Events and spans
-are additionally indexed per kind/name at record time, so the verify
-engine's :meth:`Tracer.events_named`/:meth:`Tracer.spans_named` lookups
-are O(matches) instead of O(total recorded).
+Counters belong to the run's report, so they are kept whether or not
+anything is recorded. Timelines, spans and events are *recordings*: they
+exist for a reader (the trace audit, the timeline renderer, a test), and
+:class:`NullTracer` — same interface, no-op recording bodies — drops them
+when there is none, so a run nobody inspects pays only the call. Events
+and spans are additionally indexed per kind/name at record time, so the
+verify engine's :meth:`Tracer.events_named`/:meth:`Tracer.spans_named`
+lookups are O(matches) instead of O(total recorded).
 """
 
 from __future__ import annotations
@@ -120,9 +122,12 @@ class Span:
 class Tracer:
     """Accumulates counters, timelines and spans for one simulation run."""
 
-    def __init__(self, engine: "Engine", enabled: bool = True) -> None:
+    #: does this tracer record events, spans and timelines? (Counters are
+    #: kept either way.) Emission sites test it to skip building kwargs.
+    enabled = True
+
+    def __init__(self, engine: "Engine") -> None:
         self.engine = engine
-        self.enabled = enabled
         self.counters: Dict[str, float] = {}
         self.timelines: Dict[str, List[Tuple[float, float]]] = {}
         self.spans: List[Span] = []
@@ -136,8 +141,6 @@ class Tracer:
 
     def add(self, counter: str, amount: float = 1.0) -> None:
         """Increment a named counter."""
-        if not self.enabled:
-            return
         self.counters[counter] = self.counters.get(counter, 0.0) + amount
 
     def get(self, counter: str, default: float = 0.0) -> float:
@@ -147,8 +150,6 @@ class Tracer:
 
     def event(self, kind: str, **fields: object) -> None:
         """Record a structured protocol event at the current time."""
-        if not self.enabled:
-            return
         ev = TraceEvent(self.engine.now, kind, fields)
         self.events.append(ev)
         bucket = self._events_by_kind.get(kind)
@@ -165,8 +166,6 @@ class Tracer:
 
     def sample(self, timeline: str, value: float) -> None:
         """Record ``(now, value)`` on a named timeline."""
-        if not self.enabled:
-            return
         self.timelines.setdefault(timeline, []).append((self.engine.now, value))
 
     # -- spans -----------------------------------------------------------------
@@ -175,16 +174,15 @@ class Tracer:
         """Open an interval starting now; close with :meth:`close_span`.
 
         ``attrs`` is already a fresh dict owned by this call, so it is
-        stored as-is — no defensive copy (and none at all when disabled).
+        stored as-is — no defensive copy.
         """
         span = Span(name=name, start=self.engine.now, attrs=attrs)
-        if self.enabled:
-            self.spans.append(span)
-            bucket = self._spans_by_name.get(name)
-            if bucket is None:
-                self._spans_by_name[name] = [span]
-            else:
-                bucket.append(span)
+        self.spans.append(span)
+        bucket = self._spans_by_name.get(name)
+        if bucket is None:
+            self._spans_by_name[name] = [span]
+        else:
+            bucket.append(span)
         return span
 
     def close_span(self, span: Span, **attrs: object) -> Span:
@@ -205,10 +203,9 @@ class Tracer:
         Spans are intentionally excluded: a halted run can hold open spans
         whose closing side lives in interrupted coroutines, so they cannot
         be resumed faithfully — and no report or invariant depends on spans
-        surviving a restart.
+        surviving a restart. A :class:`NullTracer` exports its counters
+        and no recordings.
         """
-        if not self.enabled:
-            return {}
         return {
             "counters": dict(self.counters),
             "events": [(ev.time, ev.kind, dict(ev.fields)) for ev in self.events],
@@ -216,10 +213,11 @@ class Tracer:
         }
 
     def restore_state(self, state: dict) -> None:
-        """Load a snapshot from :meth:`export_state` (no-op when disabled)."""
-        if not self.enabled or not state:
-            return
+        """Load a snapshot from :meth:`export_state`: the counters always,
+        the recordings only into a tracer that records."""
         self.counters = dict(state.get("counters", {}))
+        if not self.enabled:
+            return
         self.events = [
             TraceEvent(t, kind, dict(fields))
             for t, kind, fields in state.get("events", ())
@@ -248,21 +246,18 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """Zero-overhead tracer: every recording method body is a true no-op.
+    """Records nothing, counts everything.
 
     Selected by :func:`make_tracer` (and
     :class:`~repro.chklib.runtime.CheckpointRuntime` with ``trace=False``)
-    so untraced sweeps pay nothing per protocol message beyond the call
-    itself — no ``TraceEvent`` construction, no appends, no ``Span``
-    allocation. Read accessors still answer (with empties/zeros), so all
-    reporting code works unchanged.
+    for runs whose recordings nobody reads: every recording method body is
+    a true no-op — no ``TraceEvent`` construction, no appends, no ``Span``
+    allocation — while :meth:`add` is inherited, so the run's
+    :class:`~repro.chklib.runtime.RunReport` is the same with or without
+    recording. Read accessors answer with empties for the recordings.
     """
 
-    def __init__(self, engine: "Engine") -> None:
-        super().__init__(engine, enabled=False)
-
-    def add(self, counter: str, amount: float = 1.0) -> None:
-        pass
+    enabled = False
 
     def event(self, kind: str, **fields: object) -> None:
         pass
@@ -280,12 +275,12 @@ class NullTracer(Tracer):
         return "<NullTracer>"
 
 
-#: the shared dummy span handed out by a disabled tracer; closed at birth
+#: the shared dummy span handed out by a :class:`NullTracer`; closed at birth
 #: so accidental ``duration`` reads stay well-defined (always 0.0).
 _NULL_SPAN = Span(name="<null>", start=0.0, end=0.0)
 
 
 def make_tracer(engine: "Engine", enabled: bool = True) -> Tracer:
-    """The run's tracer: a recording :class:`Tracer`, or the no-op
-    :class:`NullTracer` when tracing is off."""
+    """The run's tracer: a recording :class:`Tracer`, or the counting-only
+    :class:`NullTracer` when nobody will read the recordings."""
     return Tracer(engine) if enabled else NullTracer(engine)

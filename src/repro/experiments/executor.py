@@ -47,6 +47,7 @@ Robustness (the crash-survivable experiment plane):
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import os
@@ -117,14 +118,27 @@ def code_fingerprint() -> str:
 
 
 def run_cell(cell: Cell) -> RunReport:
-    """Execute one grid cell (one deterministic simulation)."""
-    return CheckpointRuntime(
+    """Execute one grid cell (one deterministic simulation).
+
+    Only the report leaves this function, so events, spans and timelines
+    are recorded only when the post-run trace audit is on to read them.
+    """
+    from ..verify.trace_check import runtime_verification_enabled
+
+    report = CheckpointRuntime(
         cell.workload.build(),
         scheme=cell.scheme.build() if cell.scheme is not None else None,
         machine=cell.machine,
         seed=cell.seed,
         fault_model=cell.fault,
+        trace=runtime_verification_enabled(),
     ).run()
+    # The finished runtime is one reference cycle (engine <-> processes <->
+    # agents <-> runtime) that refcounting cannot free; left to the cyclic
+    # collector it survives until a full pass, which at 512 ranks comes
+    # while the next cell is already allocating on top of it.
+    gc.collect()
+    return report
 
 
 # -- worker-process side ------------------------------------------------------

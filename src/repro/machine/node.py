@@ -95,13 +95,20 @@ class Node:
             t0 = engine.now
             finish = engine.timeout(remaining / rate)
             change = self._rate_change
-            yield finish | change
+            either = finish | change
+            yield either
             elapsed = engine.now - t0
             done = rate * elapsed
             remaining -= done
             self.busy_time += elapsed
             self.flops_done += done
             if finish.processed:
+                # `either` has fired, so its subscription on the (usually
+                # still pending) rate-change event is a no-op callback;
+                # left there, every compute would stay alive until the
+                # next rate bump.
+                if change.callbacks is not None:
+                    change.callbacks.remove(either._check)
                 break
 
     def compute_time(self, flops: float) -> float:

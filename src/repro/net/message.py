@@ -85,6 +85,22 @@ class Message:
         if self.size == 0:
             self.size = HEADER_BYTES + payload_nbytes(self.payload)
 
+    def shell_copy(self) -> "Message":
+        """A copy of the message shell: the payload is shared (payloads are
+        immutable by the application contract), ``meta`` is copied, so later
+        meta mutation on either side cannot alias."""
+        return Message(
+            self.src,
+            self.dst,
+            self.tag,
+            self.payload,
+            self.seq,
+            self.epoch,
+            self.kind,
+            self.size,
+            dict(self.meta),
+        )
+
     @property
     def channel(self) -> tuple[int, int]:
         return (self.src, self.dst)

@@ -157,6 +157,67 @@ def test_two_restarts_from_one_line_are_independent(T):
     assert _dumps(r1) == _dumps(r2)
 
 
+# -- recording off: same report, same resume ----------------------------------
+
+SCHEME_NAMES = sorted(schemes(1.0))
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES + ["coord_nb+crash"])
+def test_report_does_not_depend_on_recording(name, T):
+    """``trace=False`` drops events, spans and timelines — never a counter
+    or a report field (it used to zero ``checkpoints_committed``, the retry
+    and abort tallies and ``counters``)."""
+    name, _, crash = name.partition("+")
+    fault = FaultModel.machine_crash(0.55 * T) if crash else None
+
+    def run(trace):
+        rt = CheckpointRuntime(
+            make_app(),
+            scheme=schemes(T)[name](),
+            machine=MACHINE,
+            seed=SEED,
+            fault_model=fault,
+            trace=trace,
+        )
+        return rt, rt.run()
+
+    traced_rt, traced = run(True)
+    untraced_rt, untraced = run(False)
+    assert traced_rt.tracer.events and not untraced_rt.tracer.events
+    assert untraced.to_dict() == traced.to_dict()
+    assert untraced.checkpoints_committed > 0 and untraced.counters
+    assert len(untraced.recoveries) == (1 if crash else 0)
+
+
+def test_untraced_restart_continues_bitwise_identically(T):
+    """A/B/C with recording off everywhere: the durable line of an
+    untraced run carries its counters."""
+    make_scheme = schemes(T)["coord_nbm"]
+    halt = 0.55 * T
+
+    def runtime(**kw):
+        return CheckpointRuntime(
+            make_app(),
+            scheme=make_scheme(),
+            machine=MACHINE,
+            seed=SEED,
+            trace=False,
+            **kw,
+        )
+
+    ra = runtime().run()
+    rb = runtime(fault_model=FaultModel.machine_crash(halt)).run()
+    halted = runtime()
+    halted.run(halt_at=halt)
+    assert halted.durable_line.meta["trace"] is False
+    resumed = CheckpointRuntime.restart_from(halted.durable_line)
+    rc = resumed.run()
+    assert not resumed.tracer.enabled and resumed.tracer.events == []
+    assert _dumps(rc) == _dumps(rb)
+    assert rc.counters["chk.commits"] == rb.checkpoints_committed > 0
+    assert rc.result == ra.result
+
+
 def test_halt_after_completion_never_fires(T):
     make_scheme = schemes(T)["coord_nb"]
     rt = CheckpointRuntime(

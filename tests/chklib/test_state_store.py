@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.chklib import CheckpointRecord, CheckpointStore, Snapshot, state_nbytes
+from repro.net import Message
 
 
 def make_record(rank, index, state=None, **kw):
@@ -63,8 +66,6 @@ class TestCheckpointRecord:
         assert rec.total_bytes == rec.state_bytes
 
     def test_channel_and_log_bytes(self):
-        from repro.net import Message
-
         rec = make_record(0, 1)
         m = Message(src=1, dst=0, tag=0, payload=np.zeros(10), seq=1)
         m.finalize_size()
@@ -154,3 +155,82 @@ class TestCheckpointStore:
         assert store.find_logged(0, 1, 7) is msg
         assert store.find_logged(0, 1, 8) is None
         assert store.find_logged(1, 0, 7) is None
+
+
+# -- running occupancy == from-scratch recomputation --------------------------
+
+_N_RANKS = 3
+
+_store_op = st.one_of(
+    # add: (rank, pad bytes, pre-add channel msgs, pre-add log msgs)
+    st.tuples(
+        st.just("add"),
+        st.integers(0, _N_RANKS - 1),
+        st.integers(0, 4096),
+        st.lists(st.integers(1, 512), max_size=3),
+        st.lists(st.integers(1, 512), max_size=3),
+    ),
+    # channel message recorded into the k-th record ever created (stored,
+    # not stored yet — or discarded meanwhile)
+    st.tuples(st.just("chan"), st.integers(0, 30), st.integers(1, 2048)),
+    st.tuples(st.just("store-pending"), st.integers(0, 30)),
+    st.tuples(st.just("discard"), st.integers(0, _N_RANKS - 1), st.integers(0, 12)),
+    st.tuples(st.just("older"), st.integers(0, _N_RANKS - 1), st.integers(0, 12)),
+)
+
+
+def _msg(size):
+    return Message(src=1, dst=0, tag=0, payload=None, seq=1, size=size)
+
+
+@given(st.lists(_store_op, max_size=60))
+@settings(max_examples=200, deadline=None)
+def test_running_occupancy_matches_recomputation(ops):
+    """``add`` samples the peaks from running count/bytes; after any mix of
+    adds, discards and post-add channel recording they must equal what
+    ``count()``/``total_bytes()`` recompute from the chains — at every
+    step, so both peaks equal the peaks of the recomputed series."""
+    store = CheckpointStore(_N_RANKS)
+    created = []  # every record ever built, stored or not
+    pending = []  # built, written later (a coordinated round in flight)
+    next_index = {r: 1 for r in range(_N_RANKS)}
+    ref_peak_bytes = ref_peak_count = 0
+
+    def build(rank, pad, chan, log):
+        rec = make_record(rank, next_index[rank], pad_bytes=pad)
+        next_index[rank] += 1
+        rec.channel_msgs.extend(_msg(s) for s in chan)
+        rec.log_annex.extend(_msg(s) for s in log)
+        created.append(rec)
+        return rec
+
+    for op in ops:
+        added = False
+        if op[0] == "add":
+            _, rank, pad, chan, log = op
+            rec = build(rank, pad, chan, log)
+            if pad % 3 == 0:
+                pending.append(rec)  # cut now, stored by a later op
+            else:
+                store.add(rec)
+                added = True
+        elif op[0] == "chan" and created:
+            store.record_channel_msg(created[op[1] % len(created)], _msg(op[2]))
+        elif op[0] == "store-pending" and pending:
+            rec = pending.pop(op[1] % len(pending))
+            if rec.index > store.latest_index(rec.rank):
+                store.add(rec)
+                added = True
+        elif op[0] == "discard":
+            _, rank, index = op
+            if index in {r.index for r in store.chain(rank)}:
+                store.discard(rank, index)
+        elif op[0] == "older":
+            store.discard_older_than(op[1], op[2])
+        assert store._count == store.count()
+        assert store._bytes == store.total_bytes()
+        if added:  # the peaks are sampled where they always were: at add()
+            ref_peak_bytes = max(ref_peak_bytes, store.total_bytes())
+            ref_peak_count = max(ref_peak_count, store.count())
+        assert store.peak_bytes == ref_peak_bytes
+        assert store.peak_checkpoints == ref_peak_count

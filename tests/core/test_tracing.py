@@ -46,35 +46,43 @@ def test_spans_named_and_total_span_time_skip_open_spans():
 
 def test_disabled_tracer_records_nothing():
     eng = Engine()
-    tr = Tracer(eng, enabled=False)
-    tr.add("counter")
-    tr.event("kind", x=1)
-    tr.sample("line", 3.0)
-    span = tr.open_span("s")
-    tr.close_span(span)
-    assert tr.counters == {}
-    assert tr.events == []
-    assert tr.timelines == {}
-    assert tr.spans == []
-    assert tr.get("counter") == 0.0
-
-
-def test_null_tracer_is_inert_but_readable():
-    eng = Engine()
-    tr = NullTracer(eng)
+    tr = make_tracer(eng, enabled=False)
     assert not tr.enabled
-    tr.add("bytes", 100.0)
     tr.event("proto.commit", round=1)
     tr.sample("load", 1.0)
     span = tr.open_span("ckpt", node=3)
     assert tr.close_span(span, ok=True) is span
     # nothing was recorded, all read accessors answer with empties
-    assert tr.counters == {} and tr.events == [] and tr.spans == []
+    assert tr.events == [] and tr.spans == [] and tr.timelines == {}
     assert tr.events_named("proto.commit") == []
     assert tr.spans_named("ckpt") == []
     assert tr.total_span_time("ckpt") == 0.0
     # the shared null span is closed at birth: duration is well-defined
     assert span.duration == 0.0
+
+
+def test_null_tracer_counts_everything():
+    """Counters feed the RunReport, so they do not depend on recording."""
+    eng = Engine()
+    null, full = NullTracer(eng), Tracer(eng)
+    for tr in (null, full):
+        tr.add("chk.commits")
+        tr.add("bytes", 100.0)
+        tr.add("bytes", 28.0)
+        tr.event("proto.commit", round=1)
+    assert null.counters == full.counters == {"chk.commits": 1.0, "bytes": 128.0}
+    assert null.get("bytes") == 128.0 and null.get("absent") == 0.0
+    # a durable line carries the counters of an unrecorded run ...
+    state = null.export_state()
+    assert state == {"counters": null.counters, "events": [], "timelines": {}}
+    # ... and a resumed unrecorded run takes the counters and nothing else
+    resumed = NullTracer(eng)
+    resumed.restore_state(full.export_state())
+    assert resumed.counters == full.counters
+    assert resumed.events == [] and resumed.events_named("proto.commit") == []
+    recording = Tracer(eng)
+    recording.restore_state(full.export_state())
+    assert [e.kind for e in recording.events] == ["proto.commit"]
 
 
 def test_null_tracer_span_is_shared_singleton():

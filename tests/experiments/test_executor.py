@@ -146,3 +146,39 @@ def test_run_cell_is_deterministic():
     a = run_cell(Cell(workload=_TINY, seed=3))
     b = run_cell(Cell(workload=_TINY, seed=3))
     assert a.to_dict() == b.to_dict()
+
+
+def test_run_cell_records_only_under_the_audit(monkeypatch):
+    """Only the report leaves ``run_cell``, so a cell builds trace events
+    only when the post-run audit is on to read them — and then the audit
+    reads every one of them. The report is the same either way."""
+    import repro.core.tracing as tracing
+    import repro.verify.trace_check as trace_check
+
+    built = []
+    audited = []
+
+    class CountingEvent(tracing.TraceEvent):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    real_check = trace_check.check_trace
+
+    def counting_check(events, meta):
+        report = real_check(events, meta)
+        audited.append(report.events_checked)
+        return report
+
+    monkeypatch.setattr(tracing, "TraceEvent", CountingEvent)
+    monkeypatch.setattr(trace_check, "check_trace", counting_check)
+    cell = Cell(workload=_TINY, scheme=SchemeSpec.of("coord_nbms", (0.002, 0.004)))
+
+    quiet = run_cell(cell)
+    assert quiet.checkpoints_committed > 0
+    assert built == [] and audited == []
+
+    with trace_check.verified():
+        loud = run_cell(cell)
+    assert len(built) > 0 and audited == [len(built)]
+    assert loud.to_dict() == quiet.to_dict()

@@ -132,3 +132,78 @@ def test_parallel_computes_on_one_node_both_slow_during_stream():
     eng.run(until=100.0)
     assert done["a"] == pytest.approx(2.0)
     assert done["b"] == pytest.approx(4.0)
+
+
+# -- spent compute subscriptions are detached ---------------------------------
+
+
+def test_sequential_computes_retain_no_spent_subscription():
+    """Each compute() subscribes an AnyOf to the node's rate-change event;
+    once the compute finished that subscription is dead weight. It used to
+    pile up — one AnyOf + Timeout + bound method per compute — until the
+    next rate bump."""
+    eng, node = make_node(cpu_flops=1000.0)
+    high_water = []
+
+    def app(k):
+        for _ in range(k):
+            yield from node.compute(100.0)
+            high_water.append(len(node._rate_change.callbacks))
+
+    eng.process(app(50))
+    eng.process(app(50))  # two computes in flight at any time
+    eng.run()
+    assert node.flops_done == pytest.approx(100 * 100.0)
+    # bounded by the computes in flight, not by the computes done
+    assert max(high_water) <= 2
+    assert node._rate_change.callbacks == []
+
+
+def _parent_compute(node, flops):
+    """``Node.compute`` as it was before the detach (the reference)."""
+    engine = node.engine
+    remaining = float(flops)
+    while remaining > 1e-9:
+        rate = node.params.cpu_flops / node.slowdown
+        t0 = engine.now
+        finish = engine.timeout(remaining / rate)
+        change = node._rate_change
+        yield finish | change
+        elapsed = engine.now - t0
+        done = rate * elapsed
+        remaining -= done
+        node.busy_time += elapsed
+        node.flops_done += done
+        if finish.processed:
+            break
+
+
+@pytest.mark.parametrize("backend", ["reference", "twotier", "batched"])
+def test_detach_leaves_firing_order_unchanged(backend):
+    """Rate bumps interleaved with computes — before, inside, at the very
+    instant of and after a compute's end — split the computes exactly as
+    before: the step-hook transcript equals the parent implementation's."""
+
+    def transcript(compute):
+        eng = Engine(backend=backend)
+        node = Node(eng, 0, NodeParams(cpu_flops=1000.0, bg_write_interference=0.5))
+        fired, ends = [], []
+        eng.step_hook = lambda t, ev: fired.append((t, type(ev).__name__))
+
+        def app(tag, chunks):
+            for flops in chunks:
+                yield from compute(node, flops)
+                ends.append((tag, eng.now))
+
+        def bumps():
+            for gap, start in ((0.5, True), (1.0, False), (0.5, True), (2.25, False)):
+                yield eng.timeout(gap)
+                node.bg_stream_started() if start else node.bg_stream_stopped()
+
+        eng.process(app("a", [1000.0, 1000.0, 500.0, 2000.0]))
+        eng.process(app("b", [250.0] * 8))
+        eng.process(bumps())
+        eng.run()
+        return fired, ends, eng.now, eng._seq, node.busy_time, node.flops_done
+
+    assert transcript(Node.compute) == transcript(_parent_compute)
