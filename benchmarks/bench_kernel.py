@@ -23,14 +23,10 @@ Benchmarks
   peers-scoped markers) at 512 ranks on the 16-rack hierarchical
   machine: the large-topology path (per-rack link costs, multi-server
   storage plane, per-server staggering rings) under load;
-* ``scale_1024``       — the same round at 1024 ranks: the regime the
-  batched backend exists for (bigger timestamp cohorts, longer storms);
-* ``storm_batch``      — homogeneous timeout storms inserted through
-  ``Engine.timeout_batch`` (the vectorised grouped-insert path; waves
-  land on a handful of shared timestamps, so the batched calendar
-  drains whole cohorts per dispatch step).
+* ``scale_1024``       — the same round at 1024 ranks (32 racks): more
+  events at each shared timestamp, longer timeout storms.
 
-Backends: ``--backend {reference,twotier,batched}`` runs the whole
+Backends: ``--backend {reference,twotier}`` runs the whole
 suite under one kernel backend (it sets ``REPRO_KERNEL_BACKEND`` for
 every engine the benches build). Per-backend baselines live in the
 ``backends`` section of BENCH_kernel.json — record one with
@@ -126,29 +122,6 @@ def bench_timeout_storm(scale: float = 1.0) -> int:
         eng.process(ticker(i))
     eng.run()
     return n_procs * per
-
-
-def bench_storm_batch(scale: float = 1.0) -> int:
-    """Homogeneous timeout storms via the vectorised grouped insert.
-
-    Waves of 512 timeouts drawn from 8 distinct delays: each wave lands
-    on 8 shared timestamps, so a cohort-draining backend pops 64 events
-    per queue operation instead of one.
-    """
-    n = 512
-    waves = max(5, int(150 * scale))
-    eng = Engine()
-    delays = [0.001 + (i % 8) * 0.00025 for i in range(n)]
-    last = delays.index(max(delays))
-
-    def driver():
-        for _ in range(waves):
-            evs = eng.timeout_batch(delays)
-            yield evs[last]  # the rest of the wave fires unobserved
-
-    eng.process(driver())
-    eng.run()
-    return n * waves
 
 
 def bench_ping_pong(scale: float = 1.0) -> int:
@@ -257,7 +230,7 @@ def bench_scale_512(scale: float = 1.0) -> int:
 
 
 def bench_scale_1024(scale: float = 1.0) -> int:
-    """The same round at 1024 ranks — the batched backend's regime."""
+    """The same round at 1024 ranks on the 32-rack machine."""
     return _bench_scale(1024, scale)
 
 
@@ -282,7 +255,6 @@ BENCHES: Dict[str, Callable[[float], int]] = {
     "calibration": bench_calibration,
     "event_churn": bench_event_churn,
     "timeout_storm": bench_timeout_storm,
-    "storm_batch": bench_storm_batch,
     "ping_pong": bench_ping_pong,
     "coord_nbm_round": bench_coord_nbm_round,
     "indep_run": bench_indep_run,
@@ -430,10 +402,7 @@ def check_against_baseline(path: Path, run: dict, tolerance: float) -> int:
     for name, row in run["benchmarks"].items():
         if name == "calibration":
             continue
-        if not scale_matches and name not in HEADLINE + (
-            "ping_pong",
-            "storm_batch",
-        ):
+        if not scale_matches and name not in HEADLINE + ("ping_pong",):
             # the macro benches (full checkpointed runs) carry fixed
             # setup costs, so their per-op cost is only comparable at
             # the baseline's own scale

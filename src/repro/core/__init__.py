@@ -5,7 +5,7 @@ specialised for deterministic reproduction runs: strict ``(time, priority,
 sequence)`` ordering, FIFO resources and named random substreams.
 """
 
-from .engine import LOW, NORMAL, URGENT, Engine, ReferenceEngine, TwoTierEngine
+from .engine import LOW, NORMAL, URGENT, Engine
 from .errors import (
     Deadlock,
     EventAlreadyTriggered,
@@ -19,7 +19,6 @@ from .kernel import (
     BACKEND_ENV,
     DEFAULT_BACKEND,
     available_backends,
-    backend_class,
     resolve_backend,
 )
 from .process import Process
@@ -29,12 +28,9 @@ from .tracing import NullTracer, Span, Tracer, make_tracer
 
 __all__ = [
     "Engine",
-    "ReferenceEngine",
-    "TwoTierEngine",
     "BACKEND_ENV",
     "DEFAULT_BACKEND",
     "available_backends",
-    "backend_class",
     "resolve_backend",
     "URGENT",
     "NORMAL",

@@ -10,21 +10,6 @@ a monotone counter, so same-time same-priority events fire in scheduling
 order — this is what makes the whole simulation reproducible without any
 real-time dependence.
 
-Kernel backends
----------------
-
-The queue data structures and the dispatch loop are pluggable (see
-:mod:`repro.core.kernel` for the selection rules and the contract).
-``Engine(...)`` resolves to one of the registered backend subclasses:
-
-* :class:`ReferenceEngine` — single ``(time, priority, seq)`` heap, the
-  certification oracle;
-* :class:`TwoTierEngine` — the default: heap plus a FIFO *fast lane* for
-  delay-0 ``NORMAL`` events (the dominant traffic), with head-to-head
-  arbitration so firing order is unchanged;
-* :class:`repro.core.batched.BatchedEngine` — calendar buckets drained as
-  whole same-timestamp cohorts, for large-N scale sweeps.
-
 Two-tier queue
 --------------
 
@@ -41,9 +26,10 @@ events pay ``heappush``/``heappop``. The firing order is unchanged:
   smaller ``(time, priority, seq)`` key.  Sequence numbers are unique, so
   the comparison never ties.
 
-``REPRO_KERNEL_HEAP_ONLY=1`` and ``Engine(fast_lane=...)`` are kept as
-deprecated spellings of the backend selector: they map to the
-``reference`` and ``twotier`` backends exactly as before.
+The lane is the engine's one selectable variation (see
+:mod:`repro.core.kernel`): ``twotier`` runs with it, ``reference`` sends
+every event through the single heap and is the ordering oracle the parity
+suite compares ``twotier`` against.
 """
 
 from __future__ import annotations
@@ -54,9 +40,10 @@ from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tu
 
 from .errors import Deadlock, InvariantViolation, NegativeDelay, SimulationError
 from .events import AllOf, AnyOf, Event, Timeout
+from .kernel import resolve_backend
 from .process import Process
 
-__all__ = ["Engine", "ReferenceEngine", "TwoTierEngine", "URGENT", "NORMAL", "LOW"]
+__all__ = ["Engine", "URGENT", "NORMAL", "LOW"]
 
 #: Scheduling priorities (lower fires first at equal times).
 URGENT = 0
@@ -89,19 +76,10 @@ class _Delay(Event):
 class Engine:
     """Discrete-event simulation engine with a deterministic event queue.
 
-    ``Engine(...)`` is a factory: construction resolves a kernel backend
-    (``backend=`` argument, ``REPRO_KERNEL_BACKEND``, or the deprecated
-    ``fast_lane``/``REPRO_KERNEL_HEAP_ONLY`` spellings) and returns an
-    instance of the matching subclass. The base class carries the full
-    two-tier implementation; backends override the queue surface
-    (``_push``/``schedule``/``delay``/``peek``/``queued``/``step``/
-    ``_dispatch``) — see :mod:`repro.core.kernel` for the contract.
+    ``backend`` names the queue layout (``twotier`` or ``reference``);
+    when omitted it comes from ``REPRO_KERNEL_BACKEND``, else ``twotier``
+    — see :func:`repro.core.kernel.resolve_backend`.
     """
-
-    #: backend name this class is registered under (subclasses override).
-    BACKEND_NAME = "twotier"
-    #: whether delay-0 NORMAL events use the FIFO fast lane.
-    _HAS_FAST_LANE = True
 
     __slots__ = (
         "_now",
@@ -114,52 +92,23 @@ class Engine:
         "step_hook",
     )
 
-    def __new__(
-        cls,
-        start_time: float = 0.0,
-        fast_lane: Optional[bool] = None,
-        backend: Optional[str] = None,
-    ) -> "Engine":
-        if cls is Engine:
-            from .kernel import backend_class, resolve_backend
-
-            cls = backend_class(resolve_backend(backend, fast_lane))
-        return object.__new__(cls)
-
-    def __init__(
-        self,
-        start_time: float = 0.0,
-        fast_lane: Optional[bool] = None,
-        backend: Optional[str] = None,
-    ) -> None:
-        if backend is not None or fast_lane is not None:
-            # Selection already happened in __new__; here we only reject a
-            # direct subclass construction that contradicts its own backend.
-            from .kernel import resolve_backend
-
-            want = resolve_backend(backend, fast_lane)
-            if want != self.BACKEND_NAME:
-                raise ValueError(
-                    f"{type(self).__name__} is the {self.BACKEND_NAME!r} "
-                    f"backend; construction requested {want!r}"
-                )
+    def __init__(self, start_time: float = 0.0, backend: Optional[str] = None) -> None:
         self._now = float(start_time)
-        self._heap: Optional[List[Tuple[float, int, int, Event]]] = []
+        self._heap: List[Tuple[float, int, int, Event]] = []
         #: delay-0 NORMAL-priority FIFO (see module docstring).
         self._lane: Deque[Tuple[float, int, Event]] = deque()
         self._seq = 0
         self._active_processes = 0
-        self._fast_lane = self._HAS_FAST_LANE
+        #: whether delay-0 NORMAL events use the FIFO fast lane.
+        self._fast_lane = resolve_backend(backend) == "twotier"
         self._delay_pool: list[_Delay] = []
         #: optional hook called as ``hook(time, event)`` before callbacks run.
         self.step_hook: Optional[Callable[[float, Event], None]] = None
 
-    # -- backend ----------------------------------------------------------
-
     @property
     def backend(self) -> str:
         """Name of the kernel backend this engine runs on."""
-        return self.BACKEND_NAME
+        return "twotier" if self._fast_lane else "reference"
 
     # -- clock ------------------------------------------------------------
 
@@ -194,15 +143,6 @@ class Engine:
         else:
             heappush(self._heap, (self._now + delay, priority, self._seq, event))
 
-    def _push(self, time: float, priority: int, seq: int, event: Event) -> None:
-        """Cold-path enqueue of an entry whose full key is already assigned.
-
-        ``events.py`` inlines the hot scheduling paths against ``_lane`` and
-        ``_heap`` directly; backends that publish no ``_heap`` (it is
-        ``None``) receive everything else through this hook instead.
-        """
-        heappush(self._heap, (time, priority, seq, event))
-
     # -- event factories ----------------------------------------------------
 
     def event(self) -> Event:
@@ -212,24 +152,6 @@ class Engine:
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """An event that fires ``delay`` seconds from now."""
         return Timeout(self, delay, value)
-
-    def timeout_batch(self, delays: Iterable[float], value: Any = None) -> List[Timeout]:
-        """One timeout per element of *delays*, scheduled in iteration order.
-
-        Semantically identical to ``[engine.timeout(d, value) for d in
-        delays]`` (sequence numbers are assigned in iteration order, so the
-        firing order is byte-identical); backends may vectorise the insert.
-
-        All-or-nothing: delays are validated up front, so a negative entry
-        schedules *no* events and consumes no sequence numbers — the same
-        contract the vectorised backends give for free.
-        """
-        ds = [float(d) for d in delays]
-        if ds:
-            lo = min(ds)
-            if lo < 0:
-                raise NegativeDelay(lo)
-        return [Timeout(self, d, value) for d in ds]
 
     def delay(self, delay: float, value: Any = None) -> Event:
         """A lightweight pooled timeout for the ``yield engine.delay(t)``
@@ -287,17 +209,17 @@ class Engine:
             else:
                 del lane[0]
                 time, event = entry[0], entry[2]
-        else:
+        elif heap:
             time, _prio, _seq, event = heappop(heap)
+        else:
+            raise SimulationError(
+                f"step() on an empty event queue at t={self._now:.6f}"
+            )
         if time < self._now:  # pragma: no cover - defensive
             raise SimulationError("event queue yielded a past event")
         self._now = time
         if self.step_hook is not None:
             self.step_hook(time, event)
-        self._fire(event)
-
-    def _fire(self, event: Event) -> None:
-        """Run a popped event's callbacks (shared cold-path helper)."""
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
         if callbacks is None:
@@ -412,26 +334,3 @@ class Engine:
             f"<{type(self).__name__} t={self._now:.6f} queued={self.queued} "
             f"active={self._active_processes}>"
         )
-
-
-class TwoTierEngine(Engine):
-    """The default backend: fast lane + heap (the base implementation)."""
-
-    BACKEND_NAME = "twotier"
-    _HAS_FAST_LANE = True
-
-    __slots__ = ()
-
-
-class ReferenceEngine(Engine):
-    """The heap-only oracle backend: every event through one heap.
-
-    With ``_fast_lane`` off, the inlined scheduling paths in ``events.py``
-    and the base dispatch loop never touch the lane, so this is exactly
-    the legacy single-heap kernel kept for determinism certification.
-    """
-
-    BACKEND_NAME = "reference"
-    _HAS_FAST_LANE = False
-
-    __slots__ = ()

@@ -19,7 +19,6 @@ __all__ = [
     "EventAlreadyTriggered",
     "InvariantViolation",
     "VerificationError",
-    "ensure_delay",
 ]
 
 
@@ -33,22 +32,14 @@ class NegativeDelay(SimulationError, ValueError):
     Subclasses :class:`ValueError` for backwards compatibility: callers
     have always been able to catch a bad ``timeout``/``schedule`` delay
     as a ``ValueError``. This class is the single source of truth for the
-    error's type and message; the hot scheduling paths
-    (:meth:`Engine.schedule`, :meth:`Engine.delay`, ``Timeout.__init__``)
-    inline the ``delay < 0`` comparison and raise it directly, while cold
-    paths may use :func:`ensure_delay`.
+    error's type and message; the three validation points
+    (``Timeout.__init__``, :meth:`Engine.schedule`, :meth:`Engine.delay`)
+    inline the ``delay < 0`` comparison and raise it directly.
     """
 
     def __init__(self, delay: Any) -> None:
         super().__init__(f"cannot schedule into the past (delay={delay!r})")
         self.delay = delay
-
-
-def ensure_delay(delay: float) -> float:
-    """Validate a scheduling delay, raising :class:`NegativeDelay`."""
-    if delay < 0:
-        raise NegativeDelay(delay)
-    return delay
 
 
 class Deadlock(SimulationError):

@@ -104,11 +104,7 @@ class Event:
         if priority == 1 and engine._fast_lane:
             engine._lane.append((engine._now, seq, self))
         else:
-            heap = engine._heap
-            if heap is not None:
-                heappush(heap, (engine._now, priority, seq, self))
-            else:  # backends without a heap (e.g. batched) take the hook
-                engine._push(engine._now, priority, seq, self)
+            heappush(engine._heap, (engine._now, priority, seq, self))
         return self
 
     def fail(self, exception: BaseException, priority: int = 1) -> "Event":
@@ -124,11 +120,7 @@ class Event:
         if priority == 1 and engine._fast_lane:
             engine._lane.append((engine._now, seq, self))
         else:
-            heap = engine._heap
-            if heap is not None:
-                heappush(heap, (engine._now, priority, seq, self))
-            else:  # backends without a heap (e.g. batched) take the hook
-                engine._push(engine._now, priority, seq, self)
+            heappush(engine._heap, (engine._now, priority, seq, self))
         return self
 
     def trigger(self, event: "Event") -> None:
@@ -180,11 +172,7 @@ class Timeout(Event):
         if delay == 0.0 and engine._fast_lane:
             engine._lane.append((engine._now, seq, self))
         else:
-            heap = engine._heap
-            if heap is not None:
-                heappush(heap, (engine._now + delay, 1, seq, self))
-            else:  # backends without a heap (e.g. batched) take the hook
-                engine._push(engine._now + delay, 1, seq, self)
+            heappush(engine._heap, (engine._now + delay, 1, seq, self))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Timeout delay={self.delay!r}>"

@@ -1,150 +1,67 @@
-"""Kernel backend selection: the pluggable event-queue contract.
+"""Kernel backend selection: one engine, with or without the fast lane.
 
-The simulation kernel is split from the :class:`~repro.core.engine.Engine`
-API behind a small family of *backends*. A backend is an Engine subclass
-that owns the event-queue data structures and the dispatch loop; the
-event/process co-routine machinery (``events.py``/``process.py``) is
-shared. Three backends ship in-tree:
+:class:`~repro.core.engine.Engine` has one selectable variation, where
+delay-0 ``NORMAL`` events queue:
 
 ``reference``
-    The canonical single-heap kernel: every event goes through one
-    ``(time, priority, seq)`` heap, popped one at a time. Slowest,
-    simplest, and the certification oracle — any other backend must
-    produce byte-identical firing order (and therefore byte-identical
-    tables, traces and recovery lines) against it.
+    Every event goes through one ``(time, priority, seq)`` heap, popped
+    one at a time. The ordering oracle: the parity suite
+    (``tests/core/test_backends.py``) requires ``twotier`` to produce
+    byte-identical firing order — and therefore byte-identical tables,
+    traces and recovery lines — against it.
 
 ``twotier``
-    The default production kernel (PR 4): delay-0 ``NORMAL`` events on a
+    The default, what every command runs: delay-0 ``NORMAL`` events on a
     FIFO fast lane, future/priority events on the heap, head-to-head
-    ``(time, priority, seq)`` arbitration.
+    ``(time, priority, seq)`` arbitration (see :mod:`repro.core.engine`
+    for why the lane cannot reorder).
 
-``batched``
-    The accelerated kernel (see :mod:`repro.core.batched`): an
-    array-backed calendar of exact-timestamp buckets drained as whole
-    cohorts per dispatch step, with a numpy lane for batching
-    homogeneous timeout storms into grouped inserts.
-
-Selection
----------
-
-* ``Engine(backend="batched")`` — explicit, wins over everything;
-* ``REPRO_KERNEL_BACKEND={reference,twotier,batched}`` — per-run env
-  override, inherited by experiment worker processes;
-* ``Engine(fast_lane=False)`` / ``REPRO_KERNEL_HEAP_ONLY=1`` — the
-  deprecated PR 4 spellings, kept as shims: they map to ``reference``
-  and ``twotier`` exactly as before;
-* default: ``twotier``.
-
-The backend contract (what a new backend must implement)
---------------------------------------------------------
-
-A backend subclasses ``Engine`` and overrides the queue surface:
-
-* ``_push(time, priority, seq, event)`` — enqueue a triggered event at
-  an absolute time (the cold path used by ``events.py`` when the
-  engine publishes no ``_heap``);
-* ``schedule``/``timeout``/``delay`` — the event factories (may reuse
-  the base implementations when the layout allows);
-* ``step``/``_dispatch``/``peek``/``queued`` — the dispatch loop.
-
-Hard rules, enforced by the parity suite (``tests/core/test_backends.py``)
-and the static analyzer's backend-purity pass:
-
-1. events fire in exactly ``(time, priority, seq)`` order — ``seq`` is
-   the engine-wide monotone counter and must tick once per scheduled
-   event, so traces and RNG draws replay identically;
-2. a backend module may not import ``repro.chklib``/``repro.experiments``
-   (layering: protocols sit above the kernel) and may not touch
-   wall-clock time or the global RNG (no hidden nondeterminism);
-3. ``step_hook`` observes every fired event with its firing time, and
-   event-object recycling (the ``_Delay`` pool) is disabled while a
-   hook is installed.
-
-Certifying a new backend = adding it to ``BACKENDS`` and getting the
-parity suite plus ``benchmarks/bench_kernel.py --check`` green for it.
+Selection: ``Engine(backend=...)`` wins over ``REPRO_KERNEL_BACKEND``
+(inherited by experiment worker processes), which wins over the
+``twotier`` default. Any other name is an error from either source.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Optional, Tuple, Type
+from typing import Optional, Tuple
 
 __all__ = [
     "BACKEND_ENV",
     "DEFAULT_BACKEND",
-    "KERNEL_BACKENDS",
     "available_backends",
-    "backend_class",
     "resolve_backend",
 ]
 
 #: environment variable naming the backend for new engines.
 BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
-#: the PR 4 heap-only switch, honoured as a deprecation shim.
-_HEAP_ONLY_ENV = "REPRO_KERNEL_HEAP_ONLY"
-
 DEFAULT_BACKEND = "twotier"
 
-#: the in-tree backends (name -> "module:ClassName", imported lazily to
-#: keep engine.py free of a circular import).
-KERNEL_BACKENDS: Dict[str, Tuple[str, str]] = {
-    "reference": ("repro.core.engine", "ReferenceEngine"),
-    "twotier": ("repro.core.engine", "TwoTierEngine"),
-    "batched": ("repro.core.batched", "BatchedEngine"),
-}
+_BACKENDS = ("reference", "twotier")
 
 
 def available_backends() -> Tuple[str, ...]:
     """The selectable backend names, reference first."""
-    return tuple(KERNEL_BACKENDS)
+    return _BACKENDS
 
 
-def resolve_backend(
-    backend: Optional[str] = None, fast_lane: Optional[bool] = None
-) -> str:
-    """The backend name an ``Engine(...)`` call selects.
-
-    Precedence: explicit ``backend`` arg > deprecated ``fast_lane`` arg
-    > ``REPRO_KERNEL_BACKEND`` > deprecated ``REPRO_KERNEL_HEAP_ONLY``
-    > the ``twotier`` default.
-    """
-    if backend is not None and fast_lane is not None:
-        raise ValueError(
-            "pass backend=... or the deprecated fast_lane=..., not both"
-        )
+def resolve_backend(backend: Optional[str] = None) -> str:
+    """The backend name an ``Engine(backend=backend)`` call selects."""
     if backend is not None:
         name = str(backend).strip().lower()
-        if name not in KERNEL_BACKENDS:
+        if name not in _BACKENDS:
             raise ValueError(
                 f"unknown kernel backend {backend!r}; "
-                f"available: {', '.join(KERNEL_BACKENDS)}"
+                f"available: {', '.join(_BACKENDS)}"
             )
         return name
-    if fast_lane is not None:
-        return "twotier" if fast_lane else "reference"
     name = os.environ.get(BACKEND_ENV, "").strip().lower()
-    if name:
-        if name not in KERNEL_BACKENDS:
-            raise ValueError(
-                f"{BACKEND_ENV}={name!r} names no kernel backend; "
-                f"available: {', '.join(KERNEL_BACKENDS)}"
-            )
-        return name
-    if os.environ.get(_HEAP_ONLY_ENV, "") in ("1", "true"):
-        return "reference"
-    return DEFAULT_BACKEND
-
-
-def backend_class(name: str) -> Type:
-    """The Engine subclass registered under *name* (lazy import)."""
-    try:
-        module_name, class_name = KERNEL_BACKENDS[name]
-    except KeyError:
+    if not name:
+        return DEFAULT_BACKEND
+    if name not in _BACKENDS:
         raise ValueError(
-            f"unknown kernel backend {name!r}; "
-            f"available: {', '.join(KERNEL_BACKENDS)}"
-        ) from None
-    import importlib
-
-    return getattr(importlib.import_module(module_name), class_name)
+            f"{BACKEND_ENV}={name!r} names no kernel backend; "
+            f"available: {', '.join(_BACKENDS)}"
+        )
+    return name

@@ -5,10 +5,7 @@ experiment re-runs its central comparison on the hierarchical machine
 model (racks × nodes, multi-server storage plane) at N ∈ {8, 64, 256,
 1024, 4096} ranks — the 8-rank point is the paper's flat testbed, every
 larger point a racks machine built by
-:meth:`MachineParams.hierarchical`. The N=4096 cell is what the batched
-kernel backend exists for (run the sweep under
-``REPRO_KERNEL_BACKEND=batched``; every backend produces byte-identical
-tables, so the choice is pure wall-clock).
+:meth:`MachineParams.hierarchical`.
 
 The workload is weak-scaled SOR: the grid gains exactly four interior
 rows per rank (``n = 4N + 2``) and the per-cell flop constant is chosen

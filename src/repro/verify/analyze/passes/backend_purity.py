@@ -1,10 +1,9 @@
-"""Backend-purity pass: kernel backends stay deterministic and layered.
+"""Backend-purity pass: the kernel stays deterministic and layered.
 
-The pluggable kernel (:mod:`repro.core.kernel`) invites accelerated
-backends — and accelerated code is exactly where hidden nondeterminism
-or an upward import would be smuggled in. This pass polices the whole
-``repro/core/`` layer (every backend is an Engine subclass living
-there):
+Everything above it trusts the kernel's firing order, so the kernel is
+exactly where hidden nondeterminism or an upward import would do the
+most damage. This pass polices the whole ``repro/core/`` layer (the
+one :class:`~repro.core.engine.Engine` and whatever is added beside it):
 
 ``backend-purity``
     * a core module may not import ``repro.chklib`` or

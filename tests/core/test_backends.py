@@ -1,15 +1,13 @@
-"""Backend-parity certification suite (DESIGN.md §12).
+"""Oracle-vs-engine parity suite (DESIGN.md §12).
 
-Every kernel backend must fire events in exactly the same
-``(time, priority, seq)`` order as the reference heap, with ``seq``
-ticking once per scheduled event — so tables, traces, recovery lines
-and RNG draws are byte-identical whichever backend runs them. This
-suite is the oracle a new backend (Cython/mypyc/Rust) must pass:
+The ``twotier`` engine must fire events in exactly the same
+``(time, priority, seq)`` order as the ``reference`` single heap, with
+``seq`` ticking once per scheduled event — so tables, traces, recovery
+lines and RNG draws are byte-identical whichever of the two runs them:
 
-* selector semantics (arg > env > deprecated shims > default);
+* selector semantics (arg > env > default, anything else rejected);
 * property tests replaying random mixed workloads — timestamp
-  collisions (cohorts), priorities (dirty cohorts), delay-0 lane
-  traffic, batched inserts — under every backend;
+  collisions, priorities, delay-0 lane traffic — under both;
 * all nine checkpointing schemes (including the CIC and message-logging
   family), crash/recovery, halt/resume via a
   durable line crossing *backends* as well as process boundaries
@@ -41,34 +39,37 @@ from repro.chklib import (
     IndependentScheme,
 )
 from repro.chklib.schemes.msglog import MessageLoggingScheme
-from repro.core import Engine, Event, NegativeDelay, available_backends, backend_class
+from repro.core import Engine, Event, available_backends
 from repro.core.engine import LOW, URGENT
 from repro.core.kernel import resolve_backend
 from repro.experiments import WorkloadSpec
 from repro.machine import MachineParams
 from repro.verify.trace_check import verified
 
-BACKENDS = ("reference", "twotier", "batched")
+BACKENDS = ("reference", "twotier")
 
 
 @pytest.fixture(autouse=True)
 def _isolate_backend_env(monkeypatch):
     monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    monkeypatch.delenv("REPRO_KERNEL_HEAP_ONLY", raising=False)
 
 
 # -- selector semantics -------------------------------------------------------
 
 
-def test_available_backends_lists_all_three():
+def test_available_backends_lists_oracle_then_engine():
     assert available_backends() == BACKENDS
 
 
 @pytest.mark.parametrize("name", BACKENDS)
 def test_backend_arg_selects_class(name):
     eng = Engine(backend=name)
-    assert type(eng) is backend_class(name)
+    assert type(eng) is Engine
     assert eng.backend == name
+    Event(eng).succeed(None)
+    assert (len(eng._lane), len(eng._heap)) == (
+        (1, 0) if name == "twotier" else (0, 1)
+    )
 
 
 @pytest.mark.parametrize("name", BACKENDS)
@@ -78,44 +79,22 @@ def test_env_var_selects_backend(name, monkeypatch):
 
 
 def test_explicit_arg_beats_env(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "twotier")
     assert Engine(backend="reference").backend == "reference"
 
 
-def test_env_beats_deprecated_heap_only_shim(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
-    monkeypatch.setenv("REPRO_KERNEL_HEAP_ONLY", "1")
-    assert Engine().backend == "batched"
-
-
-def test_deprecated_fast_lane_arg_maps_to_backends():
-    assert Engine(fast_lane=True).backend == "twotier"
-    assert Engine(fast_lane=False).backend == "reference"
-
-
-def test_unknown_backend_rejected():
-    with pytest.raises(ValueError, match="unknown kernel backend"):
-        Engine(backend="rust")
-    with pytest.raises(ValueError, match="names no kernel backend"):
-        os.environ["REPRO_KERNEL_BACKEND"] = "nope"
-        try:
+def test_unknown_backend_rejected(monkeypatch):
+    # "batched" is what a stale shell may still export: fail, don't fall back
+    names = r"available: reference, twotier$"
+    for arg in ("rust", "batched"):
+        with pytest.raises(ValueError, match="unknown kernel backend.*" + names):
+            Engine(backend=arg)
+    for env in ("nope", "batched"):
+        monkeypatch.setenv("REPRO_KERNEL_BACKEND", env)
+        with pytest.raises(ValueError, match="names no kernel backend.*" + names):
             resolve_backend()
-        finally:
-            del os.environ["REPRO_KERNEL_BACKEND"]
-
-
-def test_backend_and_fast_lane_conflict():
-    with pytest.raises(ValueError, match="not both"):
-        Engine(backend="twotier", fast_lane=True)
-
-
-def test_direct_subclass_construction_validates_selector():
-    from repro.core.batched import BatchedEngine
-    from repro.core.engine import TwoTierEngine
-
-    assert BatchedEngine().backend == "batched"
-    with pytest.raises(ValueError):
-        TwoTierEngine(backend="batched")
+        with pytest.raises(ValueError, match="names no kernel backend.*" + names):
+            Engine()
 
 
 def test_default_is_twotier():
@@ -124,8 +103,8 @@ def test_default_is_twotier():
 
 # -- random-workload firing-order parity --------------------------------------
 
-# small discrete delay pool => heavy timestamp collisions, the batched
-# calendar's cohort paths get exercised rather than dodged.
+# small discrete delay pool => heavy timestamp collisions, so heap-vs-lane
+# arbitration at equal times gets exercised rather than dodged.
 _DELAYS = (0.0, 0.25, 0.25, 0.5, 0.5, 0.5, 1.0, 2.0)
 
 _op = st.one_of(
@@ -133,10 +112,6 @@ _op = st.one_of(
     st.tuples(st.just("d"), st.sampled_from(_DELAYS)),
     st.tuples(st.just("imm"), st.just(None)),
     st.tuples(st.just("pri"), st.sampled_from([URGENT, LOW])),
-    st.tuples(
-        st.just("batch"),
-        st.lists(st.sampled_from(_DELAYS), min_size=1, max_size=5),
-    ),
 )
 _workload = st.lists(
     st.lists(_op, min_size=1, max_size=8), min_size=1, max_size=6
@@ -164,11 +139,6 @@ def _replay(backend, workers, hook):
                 ev = Event(eng)
                 ev.succeed((tag, i), priority=arg)
                 yield ev
-            elif kind == "batch":
-                evs = eng.timeout_batch(arg, value=(tag, i))
-                # wait on the slowest; the rest fire unobserved (but the
-                # step hook still sees them, in certified order)
-                yield evs[arg.index(max(arg))]
             log.append((tag, i, eng.now))
 
     for tag, ops in enumerate(workers):
@@ -180,47 +150,18 @@ def _replay(backend, workers, hook):
 @given(_workload)
 @settings(max_examples=60, deadline=None)
 def test_random_workloads_fire_identically_across_backends(workers):
-    ref = _replay("reference", workers, hook=True)
-    for backend in ("twotier", "batched"):
-        assert _replay(backend, workers, hook=True) == ref
+    assert _replay("twotier", workers, hook=True) == _replay(
+        "reference", workers, hook=True
+    )
 
 
 @given(_workload)
 @settings(max_examples=40, deadline=None)
 def test_random_workloads_identical_without_step_hook(workers):
     # no hook => the _Delay pool recycles; resumption order must not move
-    ref = _replay("reference", workers, hook=False)
-    for backend in ("twotier", "batched"):
-        assert _replay(backend, workers, hook=False) == ref
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_timeout_batch_equals_timeout_loop(backend):
-    delays = [0.5, 0.25, 0.5, 0.0, 1.0, 0.25]
-
-    def run(batch):
-        eng = Engine(backend=backend)
-        fired = []
-        eng.step_hook = lambda t, ev: fired.append((t, ev._value))
-        if batch:
-            eng.timeout_batch(delays, value="x")
-        else:
-            for d in delays:
-                eng.timeout(d, value="x")
-        eng.run()
-        return fired, eng.now, eng._seq
-
-    assert run(batch=True) == run(batch=False)
-
-
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_timeout_batch_negative_delay_schedules_nothing(backend):
-    eng = Engine(backend=backend)
-    with pytest.raises(NegativeDelay):
-        eng.timeout_batch([0.5, -1.0, 0.25])
-    # all-or-nothing on every backend: no events, no burned seq numbers
-    assert eng.queued == 0
-    assert eng._seq == 0
+    assert _replay("twotier", workers, hook=False) == _replay(
+        "reference", workers, hook=False
+    )
 
 
 # -- scheme-level parity (the seven schemes of the paper grid) ----------------
@@ -297,7 +238,6 @@ def test_scheme_reports_identical_across_backends(name, _T, monkeypatch):
     make_scheme = _schemes(_T)[name]
     ref = _run_scheme("reference", make_scheme, monkeypatch)
     assert _run_scheme("twotier", make_scheme, monkeypatch) == ref
-    assert _run_scheme("batched", make_scheme, monkeypatch) == ref
 
 
 def test_crash_recovery_identical_across_backends(_T, monkeypatch):
@@ -305,12 +245,11 @@ def test_crash_recovery_identical_across_backends(_T, monkeypatch):
     fault = lambda: FaultModel.machine_crash(0.55 * _T)  # noqa: E731
     ref = _run_scheme("reference", make_scheme, monkeypatch, fault())
     assert _run_scheme("twotier", make_scheme, monkeypatch, fault()) == ref
-    assert _run_scheme("batched", make_scheme, monkeypatch, fault()) == ref
 
 
 def test_traced_verified_runs_identical_across_backends(_T, monkeypatch):
-    """--verify parity: the post-hoc trace audit passes under every
-    backend and the audited trace state is byte-identical."""
+    """--verify parity: the post-hoc trace audit passes under both
+    backends and the audited trace state is byte-identical."""
     make_scheme = _schemes(_T)["indep_log"]
     states = {}
     with verified():
@@ -324,12 +263,11 @@ def test_traced_verified_runs_identical_across_backends(_T, monkeypatch):
                 rt.tracer.export_state(), sort_keys=True, default=str
             )
     assert states["twotier"] == states["reference"]
-    assert states["batched"] == states["reference"]
 
 
 @pytest.mark.parametrize("name", ["coord_nb", "cic", "indep_m_mlog"])
 def test_durable_line_resumes_across_backends(name, _T, tmp_path, monkeypatch):
-    """Halt under batched, restart the on-disk line under reference —
+    """Halt under twotier, restart the on-disk line under reference —
     bitwise the same as an in-process crash recovery under twotier."""
     make_scheme = _schemes(_T)[name]
     halt = 0.55 * _T
@@ -338,7 +276,7 @@ def test_durable_line_resumes_across_backends(name, _T, tmp_path, monkeypatch):
         "twotier", make_scheme, monkeypatch, FaultModel.machine_crash(halt)
     )
 
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "batched")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "twotier")
     halted = CheckpointRuntime(
         _make_app(), scheme=make_scheme(), machine=_MACHINE, seed=_SEED
     )
@@ -380,7 +318,7 @@ def test_sigkill_resume_under_every_backend(_T, tmp_path, monkeypatch):
     """A run SIGKILLed right after persisting its recovery line resumes
     bit-for-bit under each backend from the frame it left behind."""
     line = tmp_path / "killed.line"
-    env = dict(os.environ, REPRO_KERNEL_BACKEND="batched")
+    env = dict(os.environ, REPRO_KERNEL_BACKEND="reference")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (env.get("PYTHONPATH"), *sys.path) if p
     )
@@ -436,4 +374,3 @@ def test_runner_tables_byte_identical_across_backends(
         )
         outs[backend] = capsys.readouterr().out
     assert outs["twotier"] == outs["reference"]
-    assert outs["batched"] == outs["reference"]

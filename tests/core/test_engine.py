@@ -164,6 +164,17 @@ def test_peek_reports_next_event_time():
     assert eng.peek() == 7.0
 
 
+@pytest.mark.parametrize("backend", ["reference", "twotier"])
+def test_step_on_empty_queue_is_a_typed_error(backend):
+    eng = Engine(start_time=2.5, backend=backend)
+    with pytest.raises(SimulationError, match=r"empty event queue at t=2\.5"):
+        eng.step()
+    eng.timeout(1.0)
+    eng.step()
+    with pytest.raises(SimulationError, match=r"empty event queue at t=3\.5"):
+        eng.step()
+
+
 def test_step_hook_sees_every_event():
     eng = Engine()
     seen = []

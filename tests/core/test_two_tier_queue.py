@@ -1,4 +1,4 @@
-"""The two-tier event queue: ordering, fallback flag, the delay pool.
+"""The two-tier event queue: ordering and the delay pool.
 
 The fast lane must be invisible: everything here asserts that firing
 order under the deque+heap queue is exactly the ``(time, priority, seq)``
@@ -46,8 +46,8 @@ def _scenario(eng: Engine):
 
 
 def test_firing_order_identical_to_heap_only_kernel():
-    assert _scenario(Engine(fast_lane=True)) == _scenario(
-        Engine(fast_lane=False)
+    assert _scenario(Engine(backend="twotier")) == _scenario(
+        Engine(backend="reference")
     )
 
 
@@ -96,27 +96,6 @@ def test_peek_and_queued_consider_both_tiers():
     eng.step()
     assert eng.queued == 1
     assert eng.peek() == 5.0
-
-
-def test_heap_only_env_var_disables_fast_lane(monkeypatch):
-    # the legacy env var is a deprecation shim for the backend selector,
-    # which REPRO_KERNEL_BACKEND would outrank — isolate from it here
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    monkeypatch.setenv("REPRO_KERNEL_HEAP_ONLY", "1")
-    eng = Engine()
-    assert not eng._fast_lane
-    assert eng.backend == "reference"
-    Event(eng).succeed(None)
-    assert not eng._lane and len(eng._heap) == 1
-    monkeypatch.delenv("REPRO_KERNEL_HEAP_ONLY")
-    assert Engine()._fast_lane
-
-
-def test_explicit_fast_lane_flag_beats_env(monkeypatch):
-    monkeypatch.delenv("REPRO_KERNEL_BACKEND", raising=False)
-    monkeypatch.setenv("REPRO_KERNEL_HEAP_ONLY", "1")
-    assert Engine(fast_lane=True)._fast_lane
-    assert Engine(fast_lane=True).backend == "twotier"
 
 
 def test_delay_pool_recycles_objects():

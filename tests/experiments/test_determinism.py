@@ -86,10 +86,10 @@ def test_parallel_run_against_serial_cache_is_identical(tmp_path, capsys):
 
 def test_two_tier_queue_output_matches_heap_only(monkeypatch, capsys):
     """The kernel's fast lane must not change a single output byte:
-    the same grid run under ``REPRO_KERNEL_HEAP_ONLY=1`` (legacy
-    heap-only scheduling) renders byte-identical tables."""
+    the same grid run under ``REPRO_KERNEL_BACKEND=reference`` (single
+    heap, no lane) renders byte-identical tables."""
     base = ["table1", "--quick", "--no-cache", "--jobs", "1"]
     fast = _run(base, capsys)
-    monkeypatch.setenv("REPRO_KERNEL_HEAP_ONLY", "1")
+    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
     heap_only = _run(base, capsys)
     assert fast == heap_only

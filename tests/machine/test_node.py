@@ -178,7 +178,7 @@ def _parent_compute(node, flops):
             break
 
 
-@pytest.mark.parametrize("backend", ["reference", "twotier", "batched"])
+@pytest.mark.parametrize("backend", ["reference", "twotier"])
 def test_detach_leaves_firing_order_unchanged(backend):
     """Rate bumps interleaved with computes — before, inside, at the very
     instant of and after a compute's end — split the computes exactly as

@@ -566,9 +566,8 @@ def test_backend_clean_module_clean():
         import heapq
         from .engine import Engine
 
-        class FastEngine(Engine):
-            def _push(self, ev):
-                heapq.heappush(self._heap, ev)
+        def requeue(engine: Engine, entry):
+            heapq.heappush(engine._heap, entry)
         """,
         path=_CORE,
     )
