@@ -51,7 +51,7 @@ from .schemes import (
     Scheme,
     SchemeAgent,
 )
-from .state import Snapshot, state_nbytes
+from .state import Snapshot
 from .storage_mgr import CheckpointRecord, CheckpointStore
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "ProtocolRegistry",
     "REGISTRY",
     "Snapshot",
-    "state_nbytes",
     "CheckpointRecord",
     "CheckpointStore",
     "CutPoint",

@@ -282,6 +282,7 @@ class CheckpointRuntime:
         "comms",
         "durable_line",
         "halted",
+        "keeps_bytes",
         "_gen_procs",
         "_finished",
         "_done",
@@ -356,6 +357,11 @@ class CheckpointRuntime:
         #: set by a ``halt_at`` run: the captured image of this run.
         self.durable_line: Optional[DurableLine] = None
         self.halted = False
+        #: do checkpoints hold their image and message payloads on the host,
+        #: or only the sizes? Decided once by :meth:`run`, from whether
+        #: anything can ever read them back (``SchemeAgent.capture`` /
+        #: ``retain`` are the only readers).
+        self.keeps_bytes = True
         #: simulated time this runtime resumed from (None = a fresh run).
         self._resumed_at: Optional[float] = None
         if _resume is not None:
@@ -387,6 +393,14 @@ class CheckpointRuntime:
         if self._ran:
             raise RuntimeError("a CheckpointRuntime instance runs only once")
         self._ran = True
+        # Only a crash, a halt or the recovery a resume starts with ever
+        # restores an image or replays a recorded message; without any of
+        # the three, every simulated statistic needs sizes alone.
+        self.keeps_bytes = (
+            self.fault_model is not None
+            or halt_at is not None
+            or self._resumed_at is not None
+        )
         if halt_at is not None:
             halt_at = float(halt_at)
             if halt_at <= self.engine.now:
@@ -466,6 +480,12 @@ class CheckpointRuntime:
         wipes it in-process too, so the restart reconstructs exactly what a
         crash survivor would see.
         """
+        if not self.keeps_bytes:
+            raise ResumeError(
+                "cannot export a durable line: this run kept checkpoint "
+                "sizes, not bytes (no fault model, no halt_at, not resumed "
+                "— nothing could restore from it)"
+            )
         meta = {
             "version": LINE_PAYLOAD_VERSION,
             "app": getattr(self.app, "name", type(self.app).__name__),

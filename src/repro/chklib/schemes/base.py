@@ -10,7 +10,8 @@ blocking work performed at application checkpoint points.
 The runtime (:mod:`repro.chklib.runtime`) is duck-typed here; the
 attributes a scheme relies on are: ``engine``, ``cluster``, ``transport``,
 ``comms``, ``agents``, ``store`` (CheckpointStore), ``storage``
-(StableStorage), ``tracer``, ``generation``, ``rngs``, ``spawn``.
+(StableStorage), ``tracer``, ``generation``, ``rngs``, ``spawn``,
+``keeps_bytes``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,11 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
 
 from ...core.errors import InvariantViolation, SimulationError, StorageFault
 from ...net.api import CommAgent
-from ...net.message import KIND_APP, Message
+from ...net.message import KIND_APP, SIZE_ONLY, Message
+from ..incremental import IncrementalState
 from ..retry import stable_write
+from ..state import Snapshot
+from ..storage_mgr import CheckpointRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ...net.api import Comm
@@ -46,6 +50,7 @@ class SchemeAgent(CommAgent):
         "state_ref",
         "pending_cut",
         "finished",
+        "inc",
     )
 
     def __init__(
@@ -67,6 +72,12 @@ class SchemeAgent(CommAgent):
         #: cuts are taken immediately (a system-level checkpointer saves
         #: idle processes too).
         self.finished = False
+        #: page-level dirty tracking (incremental checkpointing only).
+        self.inc: Optional[IncrementalState] = (
+            IncrementalState(full_every=scheme.full_every)
+            if scheme.incremental
+            else None
+        )
         # cumulative metrics
         self.blocked_time = 0.0
         self.cuts_taken = 0
@@ -153,6 +164,59 @@ class SchemeAgent(CommAgent):
         """Called by the application at every checkpoint point."""
         yield from self.scheme.at_point(self)
 
+    # -- what a checkpoint holds on the host --------------------------------
+    #
+    # The paper's numbers depend on how many bytes a checkpoint has, never
+    # on what they are. ``runtime.keeps_bytes`` says whether anything can
+    # ever read them back; the two operations below are the only places
+    # that ask, so no scheme branches on it.
+
+    def capture(self, n: int) -> CheckpointRecord:
+        """Checkpoint *n* of this rank's state, taken now: the image, the
+        channel counters and (incremental schemes) the dirty-page plan. On
+        a run nothing can restore, the image keeps its size and CRC and
+        lets go of the bytes once the planner has hashed them."""
+        rt = self.runtime
+        if self.state_ref is None:
+            raise SimulationError(f"rank {self.rank}: cut with no bound state")
+        snap = Snapshot.capture(self.state_ref)
+        record = CheckpointRecord(
+            rank=self.rank,
+            index=n,
+            snapshot=snap,
+            comm_meta=self.comm.channel_meta(),
+            taken_at=rt.engine.now,
+            pad_bytes=getattr(rt.app, "image_bytes", 0),
+        )
+        if self.inc is not None:
+            # incremental: ship only dirty pages (measured, not modelled)
+            is_full, state_bytes, hashes = self.inc.plan(snap.blob)
+            self.inc.advance(is_full, hashes)
+            if is_full:
+                record.stored_state_bytes = record.state_bytes
+                rt.tracer.add("chk.full_ckpts")
+            else:
+                record.stored_state_bytes = state_bytes
+                record.base_index = self.epoch
+                rt.tracer.add("chk.incremental_ckpts")
+                rt.tracer.add(
+                    "chk.incremental_bytes_saved",
+                    record.state_bytes - state_bytes,
+                )
+        if not rt.keeps_bytes:
+            snap.drop_bytes()
+        return record
+
+    def retain(self, msg: Message) -> Message:
+        """The copy of *msg* a checkpoint holds (sender log, channel
+        state): always the shell with its final wire size, the payload
+        only when a replay could need it."""
+        msg.finalize_size()  # the record must account wire bytes
+        kept = msg.shell_copy()
+        if not self.runtime.keeps_bytes:
+            kept.payload = SIZE_ONLY
+        return kept
+
     def charge_blocked(self, started_at: float) -> None:
         """Account application-blocked time for a completed cut."""
         dt = self.runtime.engine.now - started_at
@@ -190,6 +254,10 @@ class Scheme:
     #: local disk (fast, contention-free); a background "trickle" copies
     #: them to the global server afterwards.
     two_level = False
+    #: incremental checkpointing: write only dirty pages, with a full
+    #: checkpoint every ``full_every`` cuts.
+    incremental = False
+    full_every = 4
 
     #: Capture manifests (see :mod:`repro.chklib.resume`). A scheme is
     #: pickled whole into the durable line; VOLATILE_FIELDS are nulled by

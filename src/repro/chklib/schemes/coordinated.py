@@ -44,10 +44,9 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 from ...core.errors import InvariantViolation, SimulationError, StorageFault
 from ...core.events import Event
 from ...net.message import KIND_CONTROL, KIND_MARKER, Message
-from ..incremental import PAGE_SIZE, IncrementalState
+from ..incremental import PAGE_SIZE
 from ..policy import CheckpointPolicy, FixedTimes
 from ..retry import stable_write
-from ..state import Snapshot
 from ..storage_mgr import CheckpointRecord
 from .base import Scheme, SchemeAgent
 
@@ -99,7 +98,6 @@ class CoordinatedAgent(SchemeAgent):
         "early_markers",
         "early_tokens",
         "aborted_rounds",
-        "inc",
     )
 
     def __init__(self, scheme: "CoordinatedScheme", runtime, rank: int) -> None:
@@ -112,12 +110,6 @@ class CoordinatedAgent(SchemeAgent):
         #: rounds cancelled by CTL_ABORT — never cut for these, even if the
         #: (slower) request arrives after the abort.
         self.aborted_rounds: Set[int] = set()
-        #: page-level dirty tracking (incremental checkpointing only).
-        self.inc: Optional[IncrementalState] = (
-            IncrementalState(full_every=scheme.full_every)
-            if scheme.incremental
-            else None
-        )
 
     def reset_for_recovery(self, epoch: int) -> None:
         self.round = None
@@ -405,7 +397,7 @@ class CoordinatedScheme(Scheme):
             and msg.epoch < rnd.n
             and msg.src in rnd.markers_pending
         ):
-            agent.runtime.store.record_channel_msg(rnd.record, msg.shell_copy())
+            agent.runtime.store.record_channel_msg(rnd.record, agent.retain(msg))
             agent.runtime.tracer.add("chk.channel_msgs_recorded")
 
     def on_control(self, agent: CoordinatedAgent, msg: Message) -> None:
@@ -484,32 +476,7 @@ class CoordinatedScheme(Scheme):
         rt = agent.runtime
         engine = rt.engine
         t0 = engine.now
-        if agent.state_ref is None:
-            raise SimulationError(f"rank {agent.rank}: cut with no bound state")
-        snap = Snapshot.capture(agent.state_ref)
-        record = CheckpointRecord(
-            rank=agent.rank,
-            index=n,
-            snapshot=snap,
-            comm_meta=agent.comm.channel_meta(),
-            taken_at=t0,
-            pad_bytes=getattr(rt.app, "image_bytes", 0),
-        )
-        if agent.inc is not None:
-            # incremental: ship only dirty pages (measured, not modelled)
-            is_full, state_bytes, hashes = agent.inc.plan(snap.blob)
-            agent.inc.advance(is_full, hashes)
-            if is_full:
-                record.stored_state_bytes = record.state_bytes
-                rt.tracer.add("chk.full_ckpts")
-            else:
-                record.stored_state_bytes = state_bytes
-                record.base_index = agent.epoch
-                rt.tracer.add("chk.incremental_ckpts")
-                rt.tracer.add(
-                    "chk.incremental_bytes_saved",
-                    record.state_bytes - state_bytes,
-                )
+        record = agent.capture(n)
         others = self._marker_targets(rt, agent.rank)
         rnd = _Round(n, record, set(others), engine)
         rnd.markers_pending -= agent.early_markers.pop(n, set())
@@ -521,7 +488,7 @@ class CoordinatedScheme(Scheme):
         # pre-cut messages still queued in the mailbox are in-transit state
         for m in agent.comm.mailbox.pending:
             if m.epoch < n:
-                record.channel_msgs.append(m.shell_copy())
+                record.channel_msgs.append(agent.retain(m))
         # markers claim the outgoing link now (FIFO after pre-cut sends,
         # before any post-cut application sends) and fly in the background.
         for dst in others:

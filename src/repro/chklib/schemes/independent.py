@@ -33,11 +33,10 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 from ...core.errors import SimulationError, StorageFault
 from ...net.message import Message
 from ..garbage import collect_garbage
-from ..incremental import PAGE_SIZE, IncrementalState
+from ..incremental import PAGE_SIZE
 from ..policy import CheckpointPolicy, FixedTimes
 from ..recovery import build_cuts, consistent_line, in_transit_ranges
 from ..retry import stable_write
-from ..state import Snapshot
 from ..storage_mgr import CheckpointRecord
 from .base import Scheme, SchemeAgent
 
@@ -52,19 +51,13 @@ class IndependentAgent(SchemeAgent):
 
     #: All in-flight; wiped by recovery/restart (the volatile sender log
     #: is exactly the state an independent-checkpointing crash loses).
-    VOLATILE_FIELDS = ("volatile_log", "writing", "inc")
+    VOLATILE_FIELDS = ("volatile_log", "writing")
 
     def __init__(self, scheme: "IndependentScheme", runtime, rank: int) -> None:
         super().__init__(scheme, runtime, rank)
         self.volatile_log: List[Message] = []
         #: background write in flight (at most one with sane intervals).
         self.writing = False
-        #: page-level dirty tracking (incremental checkpointing only).
-        self.inc: Optional[IncrementalState] = (
-            IncrementalState(full_every=scheme.full_every)
-            if scheme.incremental
-            else None
-        )
 
 
 class IndependentScheme(Scheme):
@@ -209,8 +202,7 @@ class IndependentScheme(Scheme):
         if not self.logging:
             return
         assert isinstance(agent, IndependentAgent)
-        msg.finalize_size()  # the log must account wire bytes
-        agent.volatile_log.append(msg.shell_copy())
+        agent.volatile_log.append(agent.retain(msg))
         agent.runtime.tracer.add("chk.messages_logged")
 
     def at_point(self, agent: SchemeAgent) -> Generator[Any, Any, None]:
@@ -238,34 +230,10 @@ class IndependentScheme(Scheme):
         rt = agent.runtime
         engine = rt.engine
         t0 = engine.now
-        if agent.state_ref is None:
-            raise SimulationError(f"rank {agent.rank}: cut with no bound state")
-        snap = Snapshot.capture(agent.state_ref)
-        record = CheckpointRecord(
-            rank=agent.rank,
-            index=n,
-            snapshot=snap,
-            comm_meta=agent.comm.channel_meta(),
-            taken_at=t0,
-            pad_bytes=getattr(rt.app, "image_bytes", 0),
-        )
+        record = agent.capture(n)
         if self.logging:
             record.log_annex = agent.volatile_log
             agent.volatile_log = []
-        if agent.inc is not None:
-            is_full, state_bytes, hashes = agent.inc.plan(snap.blob)
-            agent.inc.advance(is_full, hashes)
-            if is_full:
-                record.stored_state_bytes = record.state_bytes
-                rt.tracer.add("chk.full_ckpts")
-            else:
-                record.stored_state_bytes = state_bytes
-                record.base_index = agent.epoch
-                rt.tracer.add("chk.incremental_ckpts")
-                rt.tracer.add(
-                    "chk.incremental_bytes_saved",
-                    record.state_bytes - state_bytes,
-                )
         agent.epoch = n
         agent.cuts_taken += 1
         rt.tracer.add("chk.cuts")

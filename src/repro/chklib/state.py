@@ -5,6 +5,11 @@ dictionary (NumPy arrays, counters, RNG state). Pickling both isolates the
 snapshot from later in-place mutation and yields a realistic byte size —
 the single number that drives all of the paper's overhead results.
 
+Because only the *size* drives them, a snapshot on a run nothing can ever
+restore lets go of the bytes (:meth:`Snapshot.drop_bytes`) and keeps
+``nbytes`` and the capture-time CRC; asking it for the bytes afterwards
+raises :class:`~repro.core.errors.SizeOnlyError`.
+
 The applications' contract (see :mod:`repro.apps.base`):
 
 * all replay-relevant state lives in one dict, mutated in place;
@@ -16,24 +21,27 @@ The applications' contract (see :mod:`repro.apps.base`):
 from __future__ import annotations
 
 import pickle
-from typing import Any, Dict
+import zlib
+from typing import Any, Dict, Optional
 
-__all__ = ["Snapshot", "state_nbytes"]
+from ..core.errors import SizeOnlyError
 
-
-def state_nbytes(state: Dict[str, Any]) -> int:
-    """Serialized size of a state dict without keeping the bytes around."""
-    return len(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+__all__ = ["Snapshot"]
 
 
 class Snapshot:
-    """An immutable, restorable copy of a process state."""
+    """An immutable copy of a process state: restorable while it holds its
+    bytes, a size and a checksum either way."""
 
-    __slots__ = ("_blob", "nbytes")
+    __slots__ = ("_blob", "nbytes", "checksum")
 
     def __init__(self, blob: bytes) -> None:
-        self._blob = blob
+        self._blob: Optional[bytes] = blob
         self.nbytes = len(blob)
+        #: CRC of the image, computed once here (integrity validation at
+        #: recovery compares against it; corruption perturbs the stored
+        #: copy on the record, never the image).
+        self.checksum = zlib.crc32(blob)
 
     @classmethod
     def capture(cls, state: Dict[str, Any]) -> "Snapshot":
@@ -42,14 +50,25 @@ class Snapshot:
             raise TypeError(f"process state must be a dict, got {type(state)!r}")
         return cls(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
 
+    def drop_bytes(self) -> None:
+        """Keep ``nbytes`` and ``checksum``, release the image."""
+        self._blob = None
+
     @property
     def blob(self) -> bytes:
         """The serialized state (page-level dirty tracking reads this)."""
+        if self._blob is None:
+            raise SizeOnlyError(
+                f"{self!r} kept its size, not its bytes: the run that took "
+                f"it had no fault model, no halt_at and was not resumed, so "
+                f"nothing could ever restore it"
+            )
         return self._blob
 
     def restore(self) -> Dict[str, Any]:
         """A fresh, independent copy of the captured state."""
-        return pickle.loads(self._blob)
+        return pickle.loads(self.blob)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<Snapshot {self.nbytes}B>"
+        held = "" if self._blob is not None else " size-only"
+        return f"<Snapshot {self.nbytes}B{held}>"

@@ -11,7 +11,6 @@ accumulates a chain until garbage collection).
 
 from __future__ import annotations
 
-import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -65,8 +64,9 @@ class CheckpointRecord:
     # -- integrity -----------------------------------------------------------
 
     def content_checksum(self) -> int:
-        """CRC over the state image this record restores."""
-        return zlib.crc32(self.snapshot.blob)
+        """CRC over the state image this record restores (computed once, at
+        capture — a size-only image still has it)."""
+        return self.snapshot.checksum
 
     def verify_integrity(self) -> bool:
         """Does the stored image still match its capture-time checksum?"""

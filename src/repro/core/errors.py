@@ -16,6 +16,7 @@ __all__ = [
     "StopProcess",
     "StorageFault",
     "ResumeError",
+    "SizeOnlyError",
     "EventAlreadyTriggered",
     "InvariantViolation",
     "VerificationError",
@@ -108,6 +109,16 @@ class ResumeError(SimulationError):
     (rank count, seed, scheme or application mismatch). Also raised when a
     run is asked to halt in a configuration that cannot produce a durable
     line (no checkpointing scheme installed)."""
+
+
+class SizeOnlyError(SimulationError):
+    """Bytes were asked of a checkpoint image or recorded message that
+    kept only its size.
+
+    A run nothing can ever restore (no fault model, no ``halt_at``, not
+    resumed) holds ``nbytes`` and a CRC per image and ``size`` per logged
+    message, never the bytes; restoring or replaying one is a bug in the
+    caller, not a recoverable condition."""
 
 
 class EventAlreadyTriggered(SimulationError):

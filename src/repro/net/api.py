@@ -220,14 +220,15 @@ class Comm:
     def restore_meta(self, meta: dict) -> None:
         """Restore counters from a checkpoint and rewind send sequences so
         re-executed sends reuse their original sequence numbers."""
+        # only channels this rank has used carry a sequence counter: the
+        # ones live now and the ones the checkpoint knew (a channel in
+        # neither already reads as 0)
+        used = self.sent_counts.keys() | meta["sent"].keys()
         self.sent_counts = dict(meta["sent"])
         self.consumed_counts = dict(meta["consumed"])
         self.coll_counter = int(meta["coll_counter"])
-        for dst in range(self.size):
-            if dst != self.rank:
-                self.transport.rewind_seq(
-                    self.rank, dst, self.sent_counts.get(dst, 0)
-                )
+        for dst in used:
+            self.transport.rewind_seq(self.rank, dst, self.sent_counts.get(dst, 0))
 
     def reset_mailbox(self) -> None:
         """Drop all buffered messages and pending receives (rollback)."""

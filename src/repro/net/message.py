@@ -26,6 +26,7 @@ __all__ = [
     "KIND_MARKER",
     "KIND_CONTROL",
     "HEADER_BYTES",
+    "SIZE_ONLY",
     "ANY_SOURCE",
     "ANY_TAG",
 ]
@@ -37,6 +38,21 @@ KIND_CONTROL = "control"
 
 #: fixed per-message header cost on the wire (addressing, seq, epoch, tag).
 HEADER_BYTES = 32
+
+
+class _SizeOnly:
+    """Payload of a recorded message that kept ``size`` but not the bytes."""
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return "<size-only>"
+
+    def __reduce__(self):  # one identity across pickling
+        return "SIZE_ONLY"
+
+
+#: what a checkpoint on a run that can never replay holds in place of a
+#: logged / channel-recorded payload; the message keeps its final ``size``.
+SIZE_ONLY = _SizeOnly()
 
 #: wildcards for :meth:`repro.net.api.Comm.recv`
 ANY_SOURCE = -1

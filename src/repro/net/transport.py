@@ -13,8 +13,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List
 
+from ..core.errors import SizeOnlyError
 from ..core.events import Event
-from .message import Message
+from .message import SIZE_ONLY, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.tracing import Tracer
@@ -129,6 +130,11 @@ class Transport:
         (recovery re-injection of recorded channel state)."""
         if msg.dst not in self.endpoints:
             raise KeyError(f"no endpoint registered for rank {msg.dst}")
+        if msg.payload is SIZE_ONLY:
+            raise SizeOnlyError(
+                f"cannot replay {msg!r}: the run that recorded it kept the "
+                f"size, not the payload"
+            )
         self.endpoints[msg.dst](msg)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.chklib import CheckpointRecord, CheckpointStore, Snapshot, state_nbytes
+from repro.chklib import CheckpointRecord, CheckpointStore, Snapshot
+from repro.core.errors import SizeOnlyError
 from repro.net import Message
 
 
@@ -54,9 +55,17 @@ class TestSnapshot:
         with pytest.raises(TypeError):
             Snapshot.capture([1, 2, 3])
 
-    def test_state_nbytes_matches_capture(self):
-        state = {"x": np.zeros(100)}
-        assert state_nbytes(state) == Snapshot.capture(state).nbytes
+    def test_size_only_keeps_size_and_crc_and_refuses_bytes(self):
+        import zlib
+
+        snap = Snapshot.capture({"x": np.zeros(100)})
+        nbytes, crc = snap.nbytes, zlib.crc32(snap.blob)
+        snap.drop_bytes()
+        assert (snap.nbytes, snap.checksum) == (nbytes, crc)
+        with pytest.raises(SizeOnlyError, match="size, not its bytes"):
+            snap.restore()
+        with pytest.raises(SizeOnlyError):
+            snap.blob
 
 
 class TestCheckpointRecord:
@@ -64,6 +73,15 @@ class TestCheckpointRecord:
         rec = make_record(0, 1, {"x": np.zeros(100)}, pad_bytes=1000)
         assert rec.state_bytes == rec.snapshot.nbytes + 1000
         assert rec.total_bytes == rec.state_bytes
+
+    def test_integrity_needs_no_bytes(self):
+        """The CRC is taken once at capture: a size-only record validates,
+        and a corrupted one is still caught."""
+        rec = make_record(0, 1, {"x": np.zeros(100)})
+        rec.snapshot.drop_bytes()
+        assert rec.verify_integrity()
+        rec.mark_corrupted()
+        assert not rec.verify_integrity()
 
     def test_channel_and_log_bytes(self):
         rec = make_record(0, 1)
