@@ -8,14 +8,16 @@ rows. Integer weights keep all results exactly comparable.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import operator
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, Sequence, Tuple
 
 import numpy as np
 
 from ..core.rng import derive_seed
 from ..net.collectives import bcast, reduce
-from .base import Application
+from .base import Application, partition
 
 __all__ = ["ASP"]
 
@@ -23,31 +25,25 @@ __all__ = ["ASP"]
 _INF = np.int64(1) << 40
 
 
-def _partition(n: int, size: int) -> List[Tuple[int, int]]:
-    base, extra = divmod(n, size)
-    out, lo = [], 0
-    for r in range(size):
-        cnt = base + (1 if r < extra else 0)
-        out.append((lo, lo + cnt))
-        lo += cnt
-    return out
-
-
+@functools.lru_cache(maxsize=1)
 def _make_graph(n: int, seed: int, density: float) -> np.ndarray:
-    """Random directed graph with integer weights (deterministic)."""
+    """Random directed graph with integer weights (deterministic); one
+    read-only instance per ``(n, seed, density)`` — copy before relaxing."""
     rng = np.random.default_rng(derive_seed(seed, "asp.graph"))
     weights = rng.integers(1, 100, size=(n, n)).astype(np.int64)
     present = rng.random(size=(n, n)) < density
     dist = np.where(present, weights, _INF)
     np.fill_diagonal(dist, 0)
+    dist.setflags(write=False)
     return dist
 
 
-def _owner_of(row: int, parts: List[Tuple[int, int]]) -> int:
-    for rank, (lo, hi) in enumerate(parts):
-        if lo <= row < hi:
-            return rank
-    raise ValueError(f"row {row} not owned by anyone")
+def _owner_of(row: int, parts: Sequence[Tuple[int, int]]) -> int:
+    """Rank whose ``(lo, hi)`` range of the ascending *parts* holds *row*."""
+    rank = bisect.bisect_right(parts, row, key=operator.itemgetter(0)) - 1
+    if rank < 0 or not parts[rank][0] <= row < parts[rank][1]:
+        raise ValueError(f"row {row} not owned by anyone")
+    return rank
 
 
 class ASP(Application):
@@ -71,14 +67,14 @@ class ASP(Application):
     def make_state(self, rank: int, size: int, seed: int) -> Dict[str, Any]:
         if self.n < size:
             raise ValueError(f"graph n={self.n} smaller than ranks ({size})")
-        parts = _partition(self.n, size)
+        parts = partition(self.n, size)
         lo, hi = parts[rank]
         full = _make_graph(self.n, seed, self.density)
         return {"iter": 0, "lo": lo, "hi": hi, "rows": full[lo:hi].copy()}
 
     def run(self, ctx, state: Dict[str, Any]) -> Generator[Any, Any, Any]:
         comm = ctx.comm
-        parts = _partition(self.n, ctx.size)
+        parts = partition(self.n, ctx.size)
         lo = state["lo"]
         my_rows = state["rows"].shape[0]
         step_flops = self.flops_per_cell * my_rows * self.n
@@ -106,7 +102,7 @@ class ASP(Application):
     # -- reference ------------------------------------------------------------------
 
     def serial_result(self, size: int, seed: int) -> Any:
-        dist = _make_graph(self.n, seed, self.density)
+        dist = _make_graph(self.n, seed, self.density).copy()
         for k in range(self.n):
             via = dist[:, k][:, None] + dist[k][None, :]
             np.minimum(dist, via, out=dist)

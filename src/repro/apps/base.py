@@ -29,11 +29,29 @@ against a serial reference.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator
+import functools
+from typing import Any, Dict, Generator, Tuple
 
 from ..core.rng import derive_seed
 
-__all__ = ["Application", "app_rng"]
+__all__ = ["Application", "app_rng", "partition"]
+
+
+@functools.lru_cache(maxsize=32)
+def partition(n: int, size: int) -> Tuple[Tuple[int, int], ...]:
+    """Split ``0 .. n-1`` into ``size`` contiguous balanced ``(lo, hi)`` ranges.
+
+    Cached: every rank asks for the same table, which would otherwise
+    cost O(size) per rank — O(size^2) per run at scale.
+    """
+    base, extra = divmod(n, size)
+    ranges = []
+    lo = 0
+    for r in range(size):
+        cnt = base + (1 if r < extra else 0)
+        ranges.append((lo, lo + cnt))
+        lo += cnt
+    return tuple(ranges)
 
 
 def app_rng(seed: int, app_name: str, rank: int):

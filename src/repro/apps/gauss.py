@@ -13,6 +13,7 @@ back-substituted there (charged as compute).
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Generator
 
 import numpy as np
@@ -24,13 +25,28 @@ from .base import Application
 __all__ = ["Gauss"]
 
 
+@functools.lru_cache(maxsize=1)
 def _make_system(n: int, seed: int) -> np.ndarray:
-    """Augmented matrix [A | b], A strictly diagonally dominant."""
+    """Augmented matrix [A | b], A strictly diagonally dominant; one
+    read-only instance per ``(n, seed)`` — copy before eliminating."""
     rng = np.random.default_rng(derive_seed(seed, "gauss.system"))
     a = rng.uniform(-1.0, 1.0, size=(n, n))
     a[np.arange(n), np.arange(n)] = n + rng.uniform(1.0, 2.0, size=n)
     b = rng.uniform(-1.0, 1.0, size=(n, 1))
-    return np.concatenate([a, b], axis=1)
+    aug = np.concatenate([a, b], axis=1)
+    aug.setflags(write=False)
+    return aug
+
+
+def _eliminate(rows: np.ndarray, ids: np.ndarray, pivot: np.ndarray, k: int) -> int:
+    """Eliminate column *k* from the rows whose global id exceeds *k*, in
+    place; returns how many rows that was. ``ids`` ascends (the cyclic
+    distribution, or all rows), so they are a suffix of *rows*."""
+    below = rows[int(np.searchsorted(ids, k, side="right")) :]
+    if below.shape[0] > 0:
+        factors = below[:, k] / pivot[k]
+        below[:, k:] -= factors[:, None] * pivot[k:]
+    return below.shape[0]
 
 
 class Gauss(Application):
@@ -68,12 +84,7 @@ class Gauss(Application):
             else:
                 pivot = None
             pivot = yield from bcast(comm, pivot, root=owner)
-            # eliminate column k from all my rows below k
-            below = ids > k
-            m = int(below.sum())
-            if m > 0:
-                factors = rows[below, k] / pivot[k]
-                rows[below, k:] -= factors[:, None] * pivot[k:]
+            m = _eliminate(rows, ids, pivot, k)
             yield from ctx.compute(self.flops_per_cell * m * (n + 1 - k))
             state["iter"] += 1
             yield from ctx.checkpoint_point()
@@ -92,13 +103,11 @@ class Gauss(Application):
     # -- reference -------------------------------------------------------------------
 
     def serial_result(self, size: int, seed: int) -> Any:
-        aug = _make_system(self.n, seed)
+        aug = _make_system(self.n, seed).copy()
         n = self.n
+        ids = np.arange(n)
         for k in range(n):
-            pivot = aug[k].copy()
-            below = np.arange(n) > k
-            factors = aug[below, k] / pivot[k]
-            aug[below, k:] -= factors[:, None] * pivot[k:]
+            _eliminate(aug, ids, aug[k].copy(), k)
         x = _back_substitute(aug)
         return {"x_sum": float(x.sum()), "x": x, "n": n}
 

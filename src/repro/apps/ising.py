@@ -17,14 +17,15 @@ re-execution agree exactly.
 
 from __future__ import annotations
 
+import functools
 import operator
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, Tuple
 
 import numpy as np
 
 from ..core.rng import derive_seed
 from ..net.collectives import reduce
-from .base import Application
+from .base import Application, partition
 
 __all__ = ["Ising"]
 
@@ -32,22 +33,18 @@ _TAG_UP = 1
 _TAG_DOWN = 2
 
 
-def _partition(rows: int, size: int) -> List[Tuple[int, int]]:
-    base, extra = divmod(rows, size)
-    out, lo = [], 0
-    for r in range(size):
-        cnt = base + (1 if r < extra else 0)
-        out.append((lo, lo + cnt))
-        lo += cnt
-    return out
-
-
+@functools.lru_cache(maxsize=1)
 def _couplings(n: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """Full coupling fields: ``jh[i, j]`` bonds (i,j)-(i,j+1 mod n),
-    ``jv[i, j]`` bonds (i,j)-(i+1 mod n,j). Gaussian disorder."""
+    ``jv[i, j]`` bonds (i,j)-(i+1 mod n,j). Gaussian disorder.
+
+    One read-only instance per ``(n, seed)``: every rank of every cell of
+    a workload slices its rows out of the same two fields."""
     rng = np.random.default_rng(derive_seed(seed, "ising.bonds"))
     jh = rng.normal(0.0, 1.0, size=(n, n))
     jv = rng.normal(0.0, 1.0, size=(n, n))
+    jh.setflags(write=False)
+    jv.setflags(write=False)
     return jh, jv
 
 
@@ -75,30 +72,45 @@ def _sweep_colour(
     ``jh_rows`` covers global rows ``row_offset .. row_offset+m-1``;
     ``jv_rows`` covers ``row_offset-1 .. row_offset+m-1`` (one extra row
     above, for the bond to the upper halo). Same-colour sites share no
-    bonds, so the vectorised simultaneous update is an exact sweep.
+    bonds, so the vectorised simultaneous update is an exact sweep. Only
+    the colour's sites are evaluated, through strided slices; the
+    arithmetic per site is the full-lattice expression's, term for term.
     """
     m, n = block.shape[0] - 2, block.shape[1]
     if m <= 0:
         return
     interior = block[1:-1]
-    up = block[0:-2]
-    down = block[2:]
-    left = np.roll(interior, 1, axis=1)
-    right = np.roll(interior, -1, axis=1)
-    j_up = jv_rows[:-1]  # bond to row above
-    j_down = jv_rows[1:]  # bond to row below
-    j_right = jh_rows  # bond to column j+1
-    j_left = np.roll(jh_rows, 1, axis=1)  # bond to column j-1
-    field = j_up * up + j_down * down + j_left * left + j_right * right
-    d_e = 2.0 * interior * field  # energy cost of flipping
-    gi = (row_offset + np.arange(m))[:, None]
-    gj = np.arange(n)[None, :]
-    mask = (gi + gj) % 2 == colour
+    # periodic columns, as of before the sweep: wide[:, j] is the spin left
+    # of column j and wide[:, j + 2] the one right of it
+    wide = np.empty((m, n + 2), dtype=np.int8)
+    wide[:, 1:-1] = interior
+    wide[:, 0] = interior[:, -1]
+    wide[:, -1] = interior[:, 0]
+    j_left = np.empty_like(jh_rows)  # bond to column j-1
+    j_left[:, 1:] = jh_rows[:, :-1]
+    j_left[:, 0] = jh_rows[:, -1]
     # one uniform draw per lattice site (fixed count -> deterministic
     # stream consumption independent of acceptance)
     u = rng.random(size=interior.shape)
-    flip = mask & (u < np.exp(-beta * np.maximum(d_e, 0.0)))
-    interior[flip] = -interior[flip]
+    # interior[i, j] is global site (row_offset + i, j): it has *colour*
+    # where j has parity q on even local rows and 1 - q on odd ones. The
+    # two groups share no bonds, so flipping one before evaluating the
+    # other changes nothing the other reads.
+    q = (colour + row_offset) % 2
+    for at in (
+        (slice(0, None, 2), slice(q, None, 2)),
+        (slice(1, None, 2), slice(1 - q, None, 2)),
+    ):
+        site = interior[at]
+        field = (
+            jv_rows[:-1][at] * block[0:-2][at]  # bond to row above
+            + jv_rows[1:][at] * block[2:][at]  # bond to row below
+            + j_left[at] * wide[:, :-2][at]
+            + jh_rows[at] * wide[:, 2:][at]  # bond to column j+1
+        )
+        d_e = 2.0 * site * field  # energy cost of flipping
+        flip = u[at] < np.exp(-beta * np.maximum(d_e, 0.0))
+        np.copyto(site, -site, where=flip)
 
 
 class Ising(Application):
@@ -123,7 +135,7 @@ class Ising(Application):
     def make_state(self, rank: int, size: int, seed: int) -> Dict[str, Any]:
         if self.n < size:
             raise ValueError(f"lattice n={self.n} smaller than ranks ({size})")
-        lo, hi = _partition(self.n, size)[rank]
+        lo, hi = partition(self.n, size)[rank]
         jh, jv = _couplings(self.n, seed)
         return {
             "iter": 0,
@@ -182,7 +194,7 @@ class Ising(Application):
         decomposition, same per-rank streams, same colour ordering. Blocks
         of one colour are independent given the current lattice, so the
         block-sequential update equals the parallel one bit for bit."""
-        parts = _partition(self.n, size)
+        parts = partition(self.n, size)
         jh, jv = _couplings(self.n, seed)
         lattice = np.empty((self.n, self.n), dtype=np.int8)
         rngs = []

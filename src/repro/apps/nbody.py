@@ -9,29 +9,19 @@ run and the block-ordered serial reference are bit-identical.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Tuple
+from typing import Any, Dict, Generator, Tuple
 
 import numpy as np
 
 from ..core.rng import derive_seed
 from ..net.collectives import gather
-from .base import Application
+from .base import Application, partition
 
 __all__ = ["NBody"]
 
 _TAG_RING = 3
 _G = 1.0
 _EPS2 = 1e-3  #: softening
-
-
-def _partition(n: int, size: int) -> List[Tuple[int, int]]:
-    base, extra = divmod(n, size)
-    out, lo = [], 0
-    for r in range(size):
-        cnt = base + (1 if r < extra else 0)
-        out.append((lo, lo + cnt))
-        lo += cnt
-    return out
 
 
 def _init_block(rank: int, count: int, seed: int) -> Tuple[np.ndarray, ...]:
@@ -45,13 +35,30 @@ def _init_block(rank: int, count: int, seed: int) -> Tuple[np.ndarray, ...]:
 def _block_forces(
     tpos: np.ndarray, spos: np.ndarray, smass: np.ndarray
 ) -> np.ndarray:
-    """Softened gravitational force of source block on target block."""
+    """Softened gravitational force of source block on target block.
+
+    Works on a source-major ``(s, 3, t)`` stack of per-component planes, so
+    no operand carries a length-3 inner axis. Summing the stack over the
+    sources adds them in index order for every block shape: its inner
+    extent ``3 t`` is never 1 (a lone ``(s, 1)`` plane is contiguous along
+    the sources, and numpy would sum it pairwise). The planes are updated
+    in place — a fresh ``(s, t)`` temporary per operation costs more in
+    page faults than the arithmetic does.
+    """
     if tpos.size == 0 or spos.size == 0:
         return np.zeros_like(tpos)
-    dr = spos[None, :, :] - tpos[:, None, :]  # (t, s, 3)
-    r2 = (dr * dr).sum(axis=2) + _EPS2
-    inv_r3 = r2 ** -1.5
-    return _G * (dr * (smass[None, :] * inv_r3)[:, :, None]).sum(axis=1)
+    dr = spos[:, :, None] - np.ascontiguousarray(tpos.T)  # (s, 3, t)
+    # w = m_s * (dx^2 + dy^2 + dz^2 + eps^2) ** -1.5, added in that order
+    w = dr[:, 0] * dr[:, 0]
+    sq = dr[:, 1] * dr[:, 1]
+    w += sq
+    np.multiply(dr[:, 2], dr[:, 2], out=sq)
+    w += sq
+    w += _EPS2
+    np.power(w, -1.5, out=w)
+    w *= smass[:, None]
+    dr *= w[:, None, :]
+    return _G * dr.sum(axis=0).T
 
 
 class NBody(Application):
@@ -76,7 +83,7 @@ class NBody(Application):
     def make_state(self, rank: int, size: int, seed: int) -> Dict[str, Any]:
         if self.n < size:
             raise ValueError(f"n={self.n} bodies on {size} ranks")
-        lo, hi = _partition(self.n, size)[rank]
+        lo, hi = partition(self.n, size)[rank]
         pos, vel, mass = _init_block(rank, hi - lo, seed)
         return {"iter": 0, "pos": pos, "vel": vel, "mass": mass}
 
@@ -123,7 +130,7 @@ class NBody(Application):
         """Same block decomposition and the same per-target accumulation
         order (own block, then left neighbour's, then its left, …), so the
         floating-point result is identical to the parallel run."""
-        parts = _partition(self.n, size)
+        parts = partition(self.n, size)
         blocks = [
             _init_block(r, hi - lo, seed) for r, (lo, hi) in enumerate(parts)
         ]

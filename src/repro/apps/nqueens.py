@@ -5,10 +5,14 @@ over the ranks; each task is counted by a bitmask depth-first search. Like
 TSP, this is the loosely-coupled regime: ranks only talk at the final
 sum-reduction.
 
-The per-task DFS is memoised process-wide (the same board is re-counted
-across schemes, runs and post-crash replays); simulated time is charged
-from the explored-node count, so memoisation never distorts the measured
-overheads.
+What is memoised process-wide is the *task root*: ``_count_from`` is an
+``lru_cache`` over the 110-odd prefix placements, and the search below a
+root recurses through the uncached ``_dfs`` (a cache on the recursion
+itself is evicted by its own ~10^6 inner nodes per pass and never hits).
+The same board is counted by every scheme cell of a table row and again by
+every post-crash replay; all but the first look the task up. Simulated time
+is charged from the returned node count, never from host time, so a hit and
+a miss charge the same flops and memoisation cannot move an overhead.
 """
 
 from __future__ import annotations
@@ -23,8 +27,7 @@ from .base import Application
 __all__ = ["NQueens"]
 
 
-@functools.lru_cache(maxsize=4096)
-def _count_from(n: int, cols: int, diag1: int, diag2: int, row: int) -> Tuple[int, int]:
+def _dfs(n: int, cols: int, diag1: int, diag2: int, row: int) -> Tuple[int, int]:
     """Solutions and explored nodes below a partial placement (bitmasks)."""
     if row == n:
         return 1, 1
@@ -35,12 +38,18 @@ def _count_from(n: int, cols: int, diag1: int, diag2: int, row: int) -> Tuple[in
     while free:
         bit = free & -free
         free ^= bit
-        s, m = _count_from(
+        s, m = _dfs(
             n, cols | bit, ((diag1 | bit) << 1) & full, (diag2 | bit) >> 1, row + 1
         )
         solutions += s
         nodes += m
     return solutions, nodes
+
+
+@functools.lru_cache(maxsize=4096)
+def _count_from(n: int, cols: int, diag1: int, diag2: int, row: int) -> Tuple[int, int]:
+    """``_dfs`` memoised at the root it is called with (one entry per task)."""
+    return _dfs(n, cols, diag1, diag2, row)
 
 
 class NQueens(Application):

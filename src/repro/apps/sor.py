@@ -10,13 +10,12 @@ structure that penalises unsynchronised checkpoint blocking.
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from typing import Any, Dict, Generator, List, Tuple
 
 import numpy as np
 
 from ..net.collectives import reduce
-from .base import Application
+from .base import Application, partition
 
 __all__ = ["SOR"]
 
@@ -95,24 +94,6 @@ def _sweep(block: np.ndarray, row_offset: int, omega: float, phase: int) -> None
     interior[1::2, 1 - q :: 2] = updated[1::2, 1 - q :: 2]
 
 
-@lru_cache(maxsize=None)
-def _partition(n: int, size: int) -> Tuple[Tuple[int, int], ...]:
-    """Split interior rows ``1 .. n-2`` into contiguous per-rank ranges.
-
-    Cached: every rank asks for the same table, which would otherwise
-    cost O(size) per rank — O(size^2) per run at scale.
-    """
-    interior = n - 2
-    base, extra = divmod(interior, size)
-    ranges = []
-    lo = 1
-    for r in range(size):
-        cnt = base + (1 if r < extra else 0)
-        ranges.append((lo, lo + cnt))
-        lo += cnt
-    return tuple(ranges)
-
-
 class SOR(Application):
     """Red-black SOR on an ``n x n`` grid for ``iters`` iterations."""
 
@@ -157,7 +138,8 @@ class SOR(Application):
             raise ValueError(
                 f"grid n={self.n} has fewer interior rows than ranks ({size})"
             )
-        lo, hi = _partition(self.n, size)[rank]
+        lo, hi = partition(self.n - 2, size)[rank]
+        lo, hi = lo + 1, hi + 1  # the interior starts at global row 1
         return {"iter": 0, "lo": lo, "hi": hi, "grid": _init_block(lo, hi, self.n)}
 
     def run(self, ctx, state: Dict[str, Any]) -> Generator[Any, Any, Any]:

@@ -3,39 +3,44 @@
 import numpy as np
 import pytest
 
+from repro.apps import SOR
 from repro.apps.asp import _INF, _make_graph, _owner_of
-from repro.apps.asp import _partition as asp_partition
+from repro.apps.base import partition
 from repro.apps.gauss import _back_substitute, _make_system
 from repro.apps.ising import _couplings, _init_spins, _sweep_colour
 from repro.apps.nbody import _block_forces, _init_block
 from repro.apps.nqueens import _count_from
-from repro.apps.sor import _boundary_value, _init_block as sor_block, _partition, _sweep
+from repro.apps.sor import _boundary_value, _init_block as sor_block, _sweep
 from repro.apps.tsp import _greedy_bound, _make_map, _solve_task
 
 
 class TestPartitioning:
     @pytest.mark.parametrize("n,size", [(10, 1), (10, 3), (100, 8), (9, 8)])
     def test_sor_partition_covers_interior(self, n, size):
-        parts = _partition(n, size)
-        assert parts[0][0] == 1
-        assert parts[-1][1] == n - 1
+        # SOR splits its n-2 interior rows and shifts them past row 0
+        parts = partition(n - 2, size)
+        assert parts[0][0] == 0
+        assert parts[-1][1] == n - 2
         for (a_lo, a_hi), (b_lo, b_hi) in zip(parts, parts[1:]):
             assert a_hi == b_lo  # contiguous, no gaps or overlaps
+        if n - 2 >= size:
+            owned = [SOR(n=n).make_state(r, size, 0) for r in range(size)]
+            assert [(s["lo"] - 1, s["hi"] - 1) for s in owned] == list(parts)
 
     def test_sor_partition_balanced(self):
-        parts = _partition(100, 8)
+        parts = partition(98, 8)
         sizes = [hi - lo for lo, hi in parts]
         assert max(sizes) - min(sizes) <= 1
 
     @pytest.mark.parametrize("n,size", [(16, 4), (17, 4), (5, 5)])
     def test_asp_partition_covers_all_rows(self, n, size):
-        parts = asp_partition(n, size)
+        parts = partition(n, size)
         assert parts[0][0] == 0 and parts[-1][1] == n
         total = sum(hi - lo for lo, hi in parts)
         assert total == n
 
     def test_asp_owner_of(self):
-        parts = asp_partition(10, 3)
+        parts = partition(10, 3)
         for row in range(10):
             rank = _owner_of(row, parts)
             lo, hi = parts[rank]
