@@ -18,6 +18,10 @@ The package contains everything the study needs, built from scratch:
   ablations, sweeps and recovery experiments;
 * :mod:`repro.analysis` — overhead metrics and table rendering.
 
+Importing :mod:`repro` loads none of them, and each subpackage imports the
+submodule behind a name only when that name is first used
+(:mod:`repro._lazy`), so a command pays at start-up for what it runs.
+
 Quickstart::
 
     from repro.apps import SOR
@@ -33,43 +37,4 @@ Quickstart::
     print(report.sim_time - baseline.sim_time, "seconds of overhead")
 """
 
-from . import analysis, apps, chklib, core, experiments, fault, machine, net
-from .apps import ASP, SOR, Application, Gauss, Ising, NBody, NQueens, TSP
-from .chklib import (
-    CheckpointRuntime,
-    CoordinatedScheme,
-    FaultPlan,
-    IndependentScheme,
-    NoCheckpointing,
-    RunReport,
-)
-from .machine import MachineParams
-
 __version__ = "1.0.0"
-
-__all__ = [
-    "core",
-    "machine",
-    "net",
-    "chklib",
-    "apps",
-    "experiments",
-    "analysis",
-    "fault",
-    "CheckpointRuntime",
-    "CoordinatedScheme",
-    "IndependentScheme",
-    "NoCheckpointing",
-    "FaultPlan",
-    "RunReport",
-    "MachineParams",
-    "Application",
-    "SOR",
-    "Ising",
-    "ASP",
-    "NBody",
-    "Gauss",
-    "TSP",
-    "NQueens",
-    "__version__",
-]

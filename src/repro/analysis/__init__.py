@@ -1,30 +1,23 @@
 """Measurement analysis: overhead metrics and table rendering."""
 
-from .metrics import (
-    SchemeComparison,
-    count_wins,
-    overhead_percent,
-    overhead_seconds,
-    per_checkpoint_overhead,
-    reduction_factor,
-)
-from .report import build_report
-from .result import TableResult, TableView
-from .tables import fmt_percent, fmt_seconds, render_table
-from .timeline import render_timeline
+from .._lazy import lazy_surface
 
-__all__ = [
-    "overhead_seconds",
-    "overhead_percent",
-    "per_checkpoint_overhead",
-    "count_wins",
-    "reduction_factor",
-    "SchemeComparison",
-    "render_table",
-    "fmt_seconds",
-    "fmt_percent",
-    "render_timeline",
-    "build_report",
-    "TableResult",
-    "TableView",
-]
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "overhead_seconds": "metrics",
+    "overhead_percent": "metrics",
+    "per_checkpoint_overhead": "metrics",
+    "count_wins": "metrics",
+    "reduction_factor": "metrics",
+    "SchemeComparison": "metrics",
+    "render_table": "tables",
+    "fmt_seconds": "tables",
+    "fmt_percent": "tables",
+    "render_timeline": "timeline",
+    "build_report": "report",
+    "TableResult": "result",
+    "TableView": "result",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

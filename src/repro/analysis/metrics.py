@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Tuple
 
-from ..chklib.runtime import RunReport
+from ..chklib.report import RunReport
 
 __all__ = [
     "overhead_seconds",

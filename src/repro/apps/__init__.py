@@ -5,26 +5,20 @@ NBODY (ring pipeline). Loosely-coupled: TSP, NQUEENS (static task split,
 end-only reduction).
 """
 
-from .asp import ASP
-from .base import Application, app_rng
-from .gauss import Gauss
-from .ising import Ising
-from .nbody import NBody
-from .nqueens import NQueens
-from .sor import SOR
-from .tsp import TSP
+from .._lazy import lazy_surface
 
-ALL_APPS = (Ising, SOR, ASP, NBody, Gauss, TSP, NQueens)
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "Application": "base",
+    "app_rng": "base",
+    "SOR": "sor",
+    "Ising": "ising",
+    "ASP": "asp",
+    "NBody": "nbody",
+    "Gauss": "gauss",
+    "TSP": "tsp",
+    "NQueens": "nqueens",
+}
 
-__all__ = [
-    "Application",
-    "app_rng",
-    "SOR",
-    "Ising",
-    "ASP",
-    "NBody",
-    "Gauss",
-    "TSP",
-    "NQueens",
-    "ALL_APPS",
-]
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

@@ -6,96 +6,54 @@ analysis, garbage collection, message logging and the runtime that ties an
 application, a scheme and a machine together.
 """
 
-from .dependency import line_via_graph, rollback_dependency_graph
-from .garbage import GcStats, collect_garbage
-from .recovery import (
-    CutPoint,
-    build_cuts,
-    consistent_line,
-    covered_index_line,
-    domino_extent,
-    in_transit_ranges,
-    is_consistent,
-    rollback_distances,
-)
-from .policy import (
-    CheckpointPolicy,
-    FailureRateAdaptive,
-    FixedTimes,
-    Periodic,
-    PhaseTriggered,
-    StoragePressure,
-    build_policy,
-    policy_spec,
-)
-from .resume import DurableLine
-from .retry import stable_read, stable_write
-from .runtime import (
-    CheckpointRuntime,
-    Ctx,
-    FaultModel,
-    FaultPlan,
-    RecoveryEvent,
-    RetryPolicy,
-    RunReport,
-)
-from .schemes import (
-    REGISTRY,
-    CICScheme,
-    CoordinatedScheme,
-    IndependentScheme,
-    MessageLoggingScheme,
-    NoCheckpointing,
-    ProtocolFamily,
-    ProtocolRegistry,
-    Scheme,
-    SchemeAgent,
-)
-from .state import Snapshot
-from .storage_mgr import CheckpointRecord, CheckpointStore
+from .._lazy import lazy_surface
 
-__all__ = [
-    "CheckpointRuntime",
-    "Ctx",
-    "FaultPlan",
-    "FaultModel",
-    "RetryPolicy",
-    "RunReport",
-    "RecoveryEvent",
-    "DurableLine",
-    "CheckpointPolicy",
-    "FixedTimes",
-    "Periodic",
-    "PhaseTriggered",
-    "FailureRateAdaptive",
-    "StoragePressure",
-    "policy_spec",
-    "build_policy",
-    "stable_write",
-    "stable_read",
-    "Scheme",
-    "SchemeAgent",
-    "NoCheckpointing",
-    "CoordinatedScheme",
-    "IndependentScheme",
-    "CICScheme",
-    "MessageLoggingScheme",
-    "ProtocolFamily",
-    "ProtocolRegistry",
-    "REGISTRY",
-    "Snapshot",
-    "CheckpointRecord",
-    "CheckpointStore",
-    "CutPoint",
-    "build_cuts",
-    "consistent_line",
-    "covered_index_line",
-    "is_consistent",
-    "in_transit_ranges",
-    "rollback_distances",
-    "domino_extent",
-    "rollback_dependency_graph",
-    "line_via_graph",
-    "collect_garbage",
-    "GcStats",
-]
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "CheckpointRuntime": "runtime",
+    "Ctx": "runtime",
+    "FaultPlan": "runtime",
+    "FaultModel": "runtime",
+    "RetryPolicy": "runtime",
+    "RunReport": "report",
+    "RecoveryEvent": "report",
+    "DurableLine": "resume",
+    "CheckpointPolicy": "policy",
+    "FixedTimes": "policy",
+    "Periodic": "policy",
+    "PhaseTriggered": "policy",
+    "FailureRateAdaptive": "policy",
+    "StoragePressure": "policy",
+    "policy_spec": "policy",
+    "build_policy": "policy",
+    "stable_write": "retry",
+    "stable_read": "retry",
+    "Scheme": "schemes",
+    "SchemeAgent": "schemes",
+    "NoCheckpointing": "schemes",
+    "CoordinatedScheme": "schemes",
+    "IndependentScheme": "schemes",
+    "CICScheme": "schemes",
+    "MessageLoggingScheme": "schemes",
+    "ProtocolFamily": "schemes",
+    "ProtocolRegistry": "schemes",
+    "REGISTRY": "schemes",
+    "Snapshot": "state",
+    "CheckpointRecord": "storage_mgr",
+    "CheckpointStore": "storage_mgr",
+    "CutPoint": "recovery",
+    "build_cuts": "recovery",
+    "consistent_line": "recovery",
+    "covered_index_line": "recovery",
+    "is_consistent": "recovery",
+    "in_transit_ranges": "recovery",
+    "rollback_distances": "recovery",
+    "domino_extent": "recovery",
+    "rollback_dependency_graph": "dependency",
+    "line_via_graph": "dependency",
+    "collect_garbage": "garbage",
+    "GcStats": "garbage",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

@@ -2,25 +2,24 @@
 families, the CIC / message-logging third family, ablation variants, the
 no-checkpoint baseline — and the protocol registry that owns them."""
 
-from .base import NoCheckpointing, Scheme, SchemeAgent
-from .cic import CICAgent, CICScheme
-from .coordinated import CoordinatedAgent, CoordinatedScheme
-from .independent import IndependentAgent, IndependentScheme
-from .msglog import MessageLoggingScheme
-from .registry import REGISTRY, ProtocolFamily, ProtocolRegistry
+from ..._lazy import lazy_surface
 
-__all__ = [
-    "Scheme",
-    "SchemeAgent",
-    "NoCheckpointing",
-    "CoordinatedScheme",
-    "CoordinatedAgent",
-    "IndependentScheme",
-    "IndependentAgent",
-    "CICScheme",
-    "CICAgent",
-    "MessageLoggingScheme",
-    "ProtocolFamily",
-    "ProtocolRegistry",
-    "REGISTRY",
-]
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "Scheme": "base",
+    "SchemeAgent": "base",
+    "NoCheckpointing": "base",
+    "CoordinatedScheme": "coordinated",
+    "CoordinatedAgent": "coordinated",
+    "IndependentScheme": "independent",
+    "IndependentAgent": "independent",
+    "CICScheme": "cic",
+    "CICAgent": "cic",
+    "MessageLoggingScheme": "msglog",
+    "ProtocolFamily": "registry",
+    "ProtocolRegistry": "registry",
+    "REGISTRY": "registry",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

@@ -4,7 +4,8 @@ Everything the rest of the codebase needs to know about a checkpointing
 protocol family lives here, declared once per family:
 
 * the concrete :class:`~repro.chklib.schemes.base.Scheme` class (whose
-  ``RESUME_FIELDS`` manifests the resume layer unions over the MRO);
+  ``RESUME_FIELDS`` manifests the resume layer unions over the MRO),
+  named by dotted path and imported on first use;
 * its *base names* and how to build a scheme from a declarative
   :class:`~repro.experiments.grid.SchemeSpec`;
 * the *option schema* — which ``SchemeSpec`` fields the family honours
@@ -13,8 +14,9 @@ protocol family lives here, declared once per family:
 * its *verify hooks*: the abstract model-checker machines
   (``Scheme.model_machines``), the trace-invariant checkers
   (``Scheme.trace_checkers``), and the trace-event vocabulary
-  (``Scheme.TRACE_EVENTS``), validated here against
-  :data:`repro.core.tracing.EVENT_KINDS` so no protocol event can ship
+  (``Scheme.TRACE_EVENTS``), validated against
+  :data:`repro.core.tracing.EVENT_KINDS` whenever the class is resolved
+  here, so no protocol event can ship
   unregistered — the static analyzer's trace-conformance pass then
   proves every registered kind is both emitted and consumed.
 
@@ -30,29 +32,50 @@ checkers and the resume layer all pick it up from the registry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Tuple, Type
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple, Type
 
-from .base import Scheme
-from .cic import CICScheme
-from .coordinated import CoordinatedScheme
-from .independent import IndependentScheme
-from .msglog import MessageLoggingScheme
+from ..._lazy import resolve
+
+if TYPE_CHECKING:
+    from .base import Scheme
 
 __all__ = ["ProtocolFamily", "ProtocolRegistry", "REGISTRY"]
 
 
 @dataclass(frozen=True)
 class ProtocolFamily:
-    """One protocol family's registry entry."""
+    """One protocol family's registry entry.
+
+    Everything but the class is plain data: resolving an alias, checking
+    a spec's options or planning a cell never imports the protocol's
+    code, so a command whose every cell is cached does not load it.
+    """
 
     name: str  #: family key ("coordinated", "independent", "cic", "msglog")
-    scheme_cls: Type[Scheme]
+    scheme: str  #: dotted path of the family's Scheme class
     bases: Tuple[str, ...]  #: SchemeSpec base names this family owns
     options: Tuple[str, ...]  #: SchemeSpec fields the family's build honours
-    build: Callable[[Any], Scheme]  #: SchemeSpec -> Scheme
+    build: Callable[[Type[Scheme], Any], Scheme]  #: (class, SchemeSpec) -> Scheme
     #: timer-driven checkpointing: experiments add the standard per-rank
     #: timer skew when planning cells for this family.
     skewed: bool = False
+
+    @property
+    def scheme_cls(self) -> Type[Scheme]:
+        """The family's Scheme class, imported on first use and checked
+        against :data:`repro.core.tracing.EVENT_KINDS` on every
+        resolution — a protocol declaring an event kind the tracer would
+        reject fails before any of its schemes is built or model-checked."""
+        from ...core.tracing import EVENT_KINDS
+
+        cls = resolve(self.scheme)
+        rogue = sorted(set(cls.TRACE_EVENTS) - EVENT_KINDS)
+        if rogue:
+            raise ValueError(
+                f"protocol family {self.name!r} declares trace "
+                f"events missing from EVENT_KINDS: {rogue}"
+            )
+        return cls
 
 
 class ProtocolRegistry:
@@ -147,7 +170,8 @@ class ProtocolRegistry:
 
     def build(self, spec: Any) -> Scheme:
         """Instantiate a scheme from a ``SchemeSpec``."""
-        return self.family_for_base(spec.name).build(spec)
+        family = self.family_for_base(spec.name)
+        return family.build(family.scheme_cls, spec)
 
     # -- verify hooks ----------------------------------------------------------
 
@@ -181,18 +205,12 @@ class ProtocolRegistry:
         return frozenset(kinds)
 
     def validate(self) -> None:
-        """Fail fast if a family declares an event kind the tracer would
+        """Fail if any family declares an event kind the tracer would
         reject — keeps ``EVENT_KINDS`` and the analyzer's conformance
-        pass authoritative over the schemes' vocabularies."""
-        from ...core.tracing import EVENT_KINDS
-
+        pass authoritative over the schemes' vocabularies. Resolving a
+        family's :attr:`~ProtocolFamily.scheme_cls` runs the check."""
         for family in self._families.values():
-            rogue = sorted(set(family.scheme_cls.TRACE_EVENTS) - EVENT_KINDS)
-            if rogue:
-                raise ValueError(
-                    f"protocol family {family.name!r} declares trace "
-                    f"events missing from EVENT_KINDS: {rogue}"
-                )
+            family.scheme_cls
 
     # -- describe (runner --list-schemes) --------------------------------------
 
@@ -221,23 +239,24 @@ _OPTION_DEFAULTS: Dict[str, Any] = {
 
 # -- family builders (SchemeSpec -> Scheme) ------------------------------------
 
+#: base name -> the family class's factory classmethod building it.
 _COORD_FACTORIES = {
-    "coord_nb": CoordinatedScheme.NB,
-    "coord_nbm": CoordinatedScheme.NBM,
-    "coord_nbms": CoordinatedScheme.NBMS,
-    "coord_nbs": CoordinatedScheme.NBS,
-    "coord_nbc": CoordinatedScheme.NBC,
-    "coord_nbcs": CoordinatedScheme.NBCS,
+    "coord_nb": "NB",
+    "coord_nbm": "NBM",
+    "coord_nbms": "NBMS",
+    "coord_nbs": "NBS",
+    "coord_nbc": "NBC",
+    "coord_nbcs": "NBCS",
 }
 
 _INDEP_FACTORIES = {
-    "indep": IndependentScheme.Indep,
-    "indep_m": IndependentScheme.IndepM,
-    "indep_c": IndependentScheme.IndepC,
+    "indep": "Indep",
+    "indep_m": "IndepM",
+    "indep_c": "IndepC",
 }
 
 
-def _build_coordinated(spec: Any) -> Scheme:
+def _build_coordinated(cls: Any, spec: Any) -> Scheme:
     from ..policy import build_policy
 
     kw: Dict[str, Any] = {}
@@ -249,10 +268,10 @@ def _build_coordinated(spec: Any) -> Scheme:
         kw["marker_scope"] = spec.marker_scope
     if spec.policy is not None:
         kw["policy"] = build_policy(spec.policy)
-    return _COORD_FACTORIES[spec.name](list(spec.times), **kw)
+    return getattr(cls, _COORD_FACTORIES[spec.name])(list(spec.times), **kw)
 
 
-def _build_independent(spec: Any) -> Scheme:
+def _build_independent(cls: Any, spec: Any) -> Scheme:
     from ..policy import build_policy
 
     kw: Dict[str, Any] = {"skew": spec.skew}
@@ -262,10 +281,10 @@ def _build_independent(spec: Any) -> Scheme:
         kw["gc"] = True
     if spec.policy is not None:
         kw["policy"] = build_policy(spec.policy)
-    return _INDEP_FACTORIES[spec.name](list(spec.times), **kw)
+    return getattr(cls, _INDEP_FACTORIES[spec.name])(list(spec.times), **kw)
 
 
-def _build_cic(spec: Any) -> Scheme:
+def _build_cic(cls: Any, spec: Any) -> Scheme:
     from ..policy import build_policy
 
     kw: Dict[str, Any] = {"skew": spec.skew}
@@ -273,10 +292,10 @@ def _build_cic(spec: Any) -> Scheme:
         kw["cic_rule"] = spec.cic_rule
     if spec.policy is not None:
         kw["policy"] = build_policy(spec.policy)
-    return CICScheme(list(spec.times), **kw)
+    return cls(list(spec.times), **kw)
 
 
-def _build_msglog(spec: Any) -> Scheme:
+def _build_msglog(cls: Any, spec: Any) -> Scheme:
     from ..policy import build_policy
 
     kw: Dict[str, Any] = {"skew": spec.skew}
@@ -284,7 +303,7 @@ def _build_msglog(spec: Any) -> Scheme:
         kw["gc"] = True
     if spec.policy is not None:
         kw["policy"] = build_policy(spec.policy)
-    return MessageLoggingScheme.Mlog(list(spec.times), **kw)
+    return cls.Mlog(list(spec.times), **kw)
 
 
 #: The process-wide registry, populated at import. Scheme resolution,
@@ -294,7 +313,7 @@ REGISTRY = ProtocolRegistry()
 REGISTRY.register(
     ProtocolFamily(
         name="coordinated",
-        scheme_cls=CoordinatedScheme,
+        scheme=f"{__package__}.coordinated.CoordinatedScheme",
         bases=tuple(_COORD_FACTORIES),
         options=("incremental", "two_level", "marker_scope", "policy"),
         build=_build_coordinated,
@@ -304,7 +323,7 @@ REGISTRY.register(
 REGISTRY.register(
     ProtocolFamily(
         name="independent",
-        scheme_cls=IndependentScheme,
+        scheme=f"{__package__}.independent.IndependentScheme",
         bases=tuple(_INDEP_FACTORIES),
         options=("skew", "logging", "gc", "policy"),
         build=_build_independent,
@@ -314,7 +333,7 @@ REGISTRY.register(
 REGISTRY.register(
     ProtocolFamily(
         name="cic",
-        scheme_cls=CICScheme,
+        scheme=f"{__package__}.cic.CICScheme",
         bases=("cic",),
         options=("skew", "cic_rule", "policy"),
         build=_build_cic,
@@ -324,7 +343,7 @@ REGISTRY.register(
 REGISTRY.register(
     ProtocolFamily(
         name="msglog",
-        scheme_cls=MessageLoggingScheme,
+        scheme=f"{__package__}.msglog.MessageLoggingScheme",
         bases=("mlog",),
         options=("skew", "gc", "policy"),
         build=_build_msglog,
@@ -359,5 +378,3 @@ for _alias, _base, _fixed in (
 ):
     REGISTRY.register_alias(_alias, _base, _fixed)
 del _alias, _base, _fixed
-
-REGISTRY.validate()

@@ -5,55 +5,40 @@ specialised for deterministic reproduction runs: strict ``(time, priority,
 sequence)`` ordering, FIFO resources and named random substreams.
 """
 
-from .engine import LOW, NORMAL, URGENT, Engine
-from .errors import (
-    Deadlock,
-    EventAlreadyTriggered,
-    Interrupt,
-    NegativeDelay,
-    SimulationError,
-    StopProcess,
-)
-from .events import AllOf, AnyOf, Event, Timeout
-from .kernel import (
-    BACKEND_ENV,
-    DEFAULT_BACKEND,
-    available_backends,
-    resolve_backend,
-)
-from .process import Process
-from .resources import Request, Resource, Store, StoreGet
-from .rng import RngStreams, derive_seed
-from .tracing import NullTracer, Span, Tracer, make_tracer
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Engine",
-    "BACKEND_ENV",
-    "DEFAULT_BACKEND",
-    "available_backends",
-    "resolve_backend",
-    "URGENT",
-    "NORMAL",
-    "LOW",
-    "Event",
-    "Timeout",
-    "AnyOf",
-    "AllOf",
-    "Process",
-    "Resource",
-    "Request",
-    "Store",
-    "StoreGet",
-    "RngStreams",
-    "derive_seed",
-    "Tracer",
-    "NullTracer",
-    "make_tracer",
-    "Span",
-    "SimulationError",
-    "Deadlock",
-    "Interrupt",
-    "NegativeDelay",
-    "StopProcess",
-    "EventAlreadyTriggered",
-]
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "Engine": "engine",
+    "BACKEND_ENV": "kernel",
+    "DEFAULT_BACKEND": "kernel",
+    "available_backends": "kernel",
+    "resolve_backend": "kernel",
+    "URGENT": "engine",
+    "NORMAL": "engine",
+    "LOW": "engine",
+    "Event": "events",
+    "Timeout": "events",
+    "AnyOf": "events",
+    "AllOf": "events",
+    "Process": "process",
+    "Resource": "resources",
+    "Request": "resources",
+    "Store": "resources",
+    "StoreGet": "resources",
+    "RngStreams": "rng",
+    "derive_seed": "rng",
+    "Tracer": "tracing",
+    "NullTracer": "tracing",
+    "make_tracer": "tracing",
+    "Span": "tracing",
+    "SimulationError": "errors",
+    "Deadlock": "errors",
+    "Interrupt": "errors",
+    "NegativeDelay": "errors",
+    "StopProcess": "errors",
+    "EventAlreadyTriggered": "errors",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

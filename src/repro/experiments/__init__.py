@@ -11,96 +11,59 @@ table(s) as text) and ``shape_holds()`` (the paper's qualitative claims
 as booleans).
 """
 
-from .ablations import staggering_spec, sync_cost_spec
-from .capture import capture_spec
-from .domino import domino_spec, storage_overhead_spec
-from .executor import (
-    CellTimeout,
-    ExecutorStats,
-    GridExecutor,
-    RunJournal,
-    run_cell,
-    run_spec,
-)
-from .faults import failure_rates_spec, interval_sweep_spec, young_interval
-from .grid import (
-    Cell,
-    ExperimentSpec,
-    GridResults,
-    SchemeSpec,
-    WorkloadSpec,
-    cell_key,
-    interval_times,
-)
-from .harness import (
-    SCHEMES_TABLE1,
-    SCHEMES_TABLE23,
-    WorkloadResult,
-    make_scheme,
-    overhead_grid,
-    scheme_spec,
-)
-from .policies import POLICY_SCHEMES, policies_spec
-from .resilience import RESILIENCE_SCHEMES, resilience_spec
-from .scale import SCALE_NS, scale_machine, scale_spec, scale_workload
-from .sweeps import bandwidth_sweep_spec, writer_sweep_spec
-from .table1 import table1_spec
-from .table23 import table23_spec
-from .twolevel import two_level_spec
-from .workloads import (
-    quick_workloads,
-    scaled_iters,
-    table1_workloads,
-    table23_workloads,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
     # grid + execution core
-    "Cell",
-    "ExperimentSpec",
-    "GridResults",
-    "SchemeSpec",
-    "WorkloadSpec",
-    "cell_key",
-    "interval_times",
-    "GridExecutor",
-    "ExecutorStats",
-    "RunJournal",
-    "CellTimeout",
-    "run_cell",
-    "run_spec",
+    "Cell": "grid",
+    "ExperimentSpec": "grid",
+    "GridResults": "grid",
+    "SchemeSpec": "grid",
+    "WorkloadSpec": "grid",
+    "cell_key": "grid",
+    "interval_times": "grid",
+    "GridExecutor": "executor",
+    "ExecutorStats": "executor",
+    "RunJournal": "executor",
+    "CellTimeout": "executor",
+    "run_cell": "executor",
+    "run_spec": "executor",
     # workload catalogues
-    "table1_workloads",
-    "table23_workloads",
-    "quick_workloads",
-    "scaled_iters",
+    "table1_workloads": "workloads",
+    "table23_workloads": "workloads",
+    "quick_workloads": "workloads",
+    "scaled_iters": "workloads",
     # shared harness
-    "make_scheme",
-    "scheme_spec",
-    "overhead_grid",
-    "WorkloadResult",
-    "SCHEMES_TABLE1",
-    "SCHEMES_TABLE23",
-    "RESILIENCE_SCHEMES",
-    "POLICY_SCHEMES",
+    "make_scheme": "harness",
+    "scheme_spec": "harness",
+    "overhead_grid": "harness",
+    "WorkloadResult": "harness",
+    "SCHEMES_TABLE1": "harness",
+    "SCHEMES_TABLE23": "harness",
+    "RESILIENCE_SCHEMES": "resilience",
+    "POLICY_SCHEMES": "policies",
     # the experiments
-    "table1_spec",
-    "table23_spec",
-    "staggering_spec",
-    "sync_cost_spec",
-    "writer_sweep_spec",
-    "bandwidth_sweep_spec",
-    "domino_spec",
-    "storage_overhead_spec",
-    "capture_spec",
-    "failure_rates_spec",
-    "interval_sweep_spec",
-    "young_interval",
-    "two_level_spec",
-    "resilience_spec",
-    "policies_spec",
-    "SCALE_NS",
-    "scale_workload",
-    "scale_machine",
-    "scale_spec",
-]
+    "table1_spec": "table1",
+    "table23_spec": "table23",
+    "staggering_spec": "ablations",
+    "sync_cost_spec": "ablations",
+    "writer_sweep_spec": "sweeps",
+    "bandwidth_sweep_spec": "sweeps",
+    "domino_spec": "domino",
+    "storage_overhead_spec": "domino",
+    "capture_spec": "capture",
+    "failure_rates_spec": "faults",
+    "interval_sweep_spec": "faults",
+    "young_interval": "faults",
+    "two_level_spec": "twolevel",
+    "resilience_spec": "resilience",
+    "policies_spec": "policies",
+    "SCALE_NS": "scale",
+    "scale_workload": "scale",
+    "scale_machine": "scale",
+    "scale_spec": "scale",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

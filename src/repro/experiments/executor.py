@@ -54,14 +54,12 @@ import os
 import signal
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..analysis.result import TableResult
-from ..chklib.runtime import CheckpointRuntime, RunReport
+from ..chklib.report import RunReport
 from .grid import Cell, ExperimentSpec, GridResults, cell_key, cell_to_jsonable
 
 __all__ = [
@@ -73,6 +71,7 @@ __all__ = [
     "run_spec",
     "code_fingerprint",
     "default_cache_dir",
+    "write_json_atomic",
 ]
 
 _CACHE_VERSION = 1
@@ -117,12 +116,27 @@ def code_fingerprint() -> str:
     return _FINGERPRINT
 
 
+def write_json_atomic(path: Path, entry: dict) -> None:
+    """Write *entry* to *path* as JSON through a temporary file and a
+    rename, so a reader sees the whole entry or none.  Best-effort, like
+    every cache write: an ``OSError`` never fails the run."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
+        with os.fdopen(fd, "w") as fh:
+            json.dump(entry, fh)
+        os.replace(tmp, path)
+    except OSError:
+        pass
+
+
 def run_cell(cell: Cell) -> RunReport:
     """Execute one grid cell (one deterministic simulation).
 
     Only the report leaves this function, so events, spans and timelines
     are recorded only when the post-run trace audit is on to read them.
     """
+    from ..chklib.runtime import CheckpointRuntime
     from ..verify.trace_check import runtime_verification_enabled
 
     report = CheckpointRuntime(
@@ -152,7 +166,7 @@ def _worker_init(verify: bool, cell_timeout: float = 0.0) -> None:  # pragma: no
     global _CELL_TIMEOUT
     _CELL_TIMEOUT = float(cell_timeout)
     if verify:
-        from ..verify import set_runtime_verification
+        from ..verify.trace_check import set_runtime_verification
 
         set_runtime_verification(True)
 
@@ -474,6 +488,8 @@ class GridExecutor:
     def _record_failure(
         self, key: str, cell: Cell, exc: BaseException, attempts: int
     ) -> None:
+        from concurrent.futures.process import BrokenProcessPool
+
         kind = (
             "timeout"
             if isinstance(exc, CellTimeout)
@@ -531,6 +547,10 @@ class GridExecutor:
         restarts, with backoff, up to ``_MAX_POOL_RESTARTS`` times —
         after that the remaining cells run serially in-process.
         """
+        # the pool machinery (multiprocessing) is imported only by a
+        # command that has cells to fan out
+        from concurrent.futures.process import BrokenProcessPool
+
         remaining: Dict[str, Cell] = dict(todo)
         attempts: Dict[str, int] = {}
         restarts = 0
@@ -568,6 +588,9 @@ class GridExecutor:
         Mutates *remaining*/*attempts* in place; raises
         :class:`BrokenProcessPool` if the pool died (the caller restarts).
         """
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+        from concurrent.futures.process import BrokenProcessPool
+
         broken: Optional[BrokenProcessPool] = None
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, len(remaining)),
@@ -642,13 +665,4 @@ class GridExecutor:
             "cell": cell_to_jsonable(cell),
             "report": report_dict,
         }
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=path.parent, prefix=".tmp-", suffix=".json"
-            )
-            with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
-            os.replace(tmp, path)
-        except OSError:  # caching is best-effort; never fail the run
-            pass
+        write_json_atomic(path, entry)

@@ -33,14 +33,27 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..analysis.result import TableResult
-from ..chklib.runtime import RunReport
-from ..chklib.schemes.base import Scheme
+from ..chklib.report import RunReport
 from ..chklib.schemes.registry import REGISTRY
-from ..fault.model import FaultModel
 from ..machine import MachineParams
+
+if TYPE_CHECKING:
+    from ..chklib.schemes.base import Scheme
+    from ..fault.model import FaultModel
 
 __all__ = [
     "WorkloadSpec",
@@ -55,29 +68,24 @@ __all__ = [
 ]
 
 
-def _app_registry() -> Dict[str, Any]:
-    from ..apps import ASP, SOR, Gauss, Ising, NBody, NQueens, TSP
-
-    return {
-        "ising": Ising,
-        "sor": SOR,
-        "gauss": Gauss,
-        "asp": ASP,
-        "nbody": NBody,
-        "tsp": TSP,
-        "nqueens": NQueens,
-    }
-
-
-#: registry key -> Application class (resolved lazily to avoid cycles).
-APP_REGISTRY: Dict[str, Any] = {}
+#: registry key -> the Application class's name on :mod:`repro.apps`,
+#: whose surface imports only the module defining the one a cell builds.
+APP_REGISTRY: Dict[str, str] = {
+    "ising": "Ising",
+    "sor": "SOR",
+    "gauss": "Gauss",
+    "asp": "ASP",
+    "nbody": "NBody",
+    "tsp": "TSP",
+    "nqueens": "NQueens",
+}
 
 
 def _resolve_app(kind: str):
-    if not APP_REGISTRY:
-        APP_REGISTRY.update(_app_registry())
+    from .. import apps
+
     try:
-        return APP_REGISTRY[kind]
+        return getattr(apps, APP_REGISTRY[kind])
     except KeyError:
         raise ValueError(
             f"unknown application kind {kind!r} "

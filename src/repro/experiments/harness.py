@@ -16,13 +16,24 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Sequence,
+    Tuple,
+)
 
-from ..chklib.runtime import RunReport
-from ..chklib.schemes.base import Scheme
+from ..chklib.report import RunReport
 from ..chklib.schemes.registry import REGISTRY
 from ..machine import MachineParams
 from .grid import Cell, GridResults, SchemeSpec, WorkloadSpec, interval_times
+
+if TYPE_CHECKING:
+    from ..chklib.schemes.base import Scheme
 
 __all__ = [
     "SCHEMES_TABLE1",

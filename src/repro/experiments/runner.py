@@ -29,6 +29,10 @@ stdout is byte-identical regardless of job count or cache state.
 Any invocation accepts ``--verify``: every simulation run is then audited
 post-hoc by the trace invariant engine (:mod:`repro.verify`), and the
 first violated invariant aborts the experiment with a VerificationError.
+Before any cell runs, ``--verify`` also gates on the static analyzer's
+whole-tree report (exit 2 on a new finding or a stale baseline entry); a
+clean verdict is recorded in the result cache and reused while the code,
+``ANALYZE_BASELINE.json`` and the interpreter version stay the same.
 ``smoke`` is the verification smoke battery itself — a small traced run of
 every scheme (plus a crash) with the audit always on.
 
@@ -44,25 +48,23 @@ can, prints a per-cell failure summary to stderr and exits non-zero.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 import time
+from pathlib import Path
 from typing import Dict, List, Optional
 
+from .. import experiments
 from ..machine import MachineParams
-from .ablations import staggering_spec, sync_cost_spec
-from .capture import capture_spec
-from .domino import domino_spec, storage_overhead_spec
-from .executor import GridExecutor, RunJournal, default_cache_dir
-from .faults import failure_rates_spec, interval_sweep_spec
+from .executor import (
+    GridExecutor,
+    RunJournal,
+    code_fingerprint,
+    default_cache_dir,
+    write_json_atomic,
+)
 from .grid import ExperimentSpec
-from .policies import policies_spec
-from .resilience import resilience_spec
-from .scale import scale_machine, scale_spec, scale_workload
-from .sweeps import bandwidth_sweep_spec, writer_sweep_spec
-from .table1 import table1_spec
-from .table23 import table23_spec
-from .twolevel import two_level_spec
 
 __all__ = ["main"]
 
@@ -126,23 +128,26 @@ def _shape_report(shapes: dict) -> str:
 
 
 #: spec name -> (factory, the keyword its ``--ranks`` workload override
-#: goes by: a row list or a single workload).  Every factory here takes
-#: ``seed``, ``scale`` and ``machine``; ``scale`` and ``sweep-writers``
-#: size their own machines and are built separately in :func:`_build_spec`.
+#: goes by: a row list or a single workload).  Factories are looked up by
+#: name on the package surface, which imports the one module defining
+#: each, so a command loads only the experiments it runs.  Every factory
+#: here takes ``seed``, ``scale`` and ``machine``; ``scale`` and
+#: ``sweep-writers`` size their own machines and are built separately in
+#: :func:`_build_spec`.
 _FACTORIES = {
-    "table1": (table1_spec, "workloads"),
-    "table23": (table23_spec, "workloads"),
-    "ablation-staggering": (staggering_spec, "workloads"),
-    "ablation-sync": (sync_cost_spec, "workloads"),
-    "sweep-storage": (bandwidth_sweep_spec, "workload"),
-    "domino": (domino_spec, "workloads"),
-    "storage-overhead": (storage_overhead_spec, "workloads"),
-    "capture": (capture_spec, "workloads"),
-    "failure-rates": (failure_rates_spec, "workload"),
-    "interval-sweep": (interval_sweep_spec, "workload"),
-    "two-level": (two_level_spec, "workloads"),
-    "resilience": (resilience_spec, "workload"),
-    "policies": (policies_spec, "workload"),
+    "table1": ("table1_spec", "workloads"),
+    "table23": ("table23_spec", "workloads"),
+    "ablation-staggering": ("staggering_spec", "workloads"),
+    "ablation-sync": ("sync_cost_spec", "workloads"),
+    "sweep-storage": ("bandwidth_sweep_spec", "workload"),
+    "domino": ("domino_spec", "workloads"),
+    "storage-overhead": ("storage_overhead_spec", "workloads"),
+    "capture": ("capture_spec", "workloads"),
+    "failure-rates": ("failure_rates_spec", "workload"),
+    "interval-sweep": ("interval_sweep_spec", "workload"),
+    "two-level": ("two_level_spec", "workloads"),
+    "resilience": ("resilience_spec", "workload"),
+    "policies": ("policies_spec", "workload"),
 }
 
 
@@ -164,7 +169,7 @@ def _build_spec(
     changes.
     """
     if spec_name == "scale":
-        return scale_spec(
+        return experiments.scale_spec(
             ns=(ranks,) if ranks is not None else None,
             seed=seed,
             scale=scale,
@@ -172,9 +177,11 @@ def _build_spec(
         )
     if spec_name == "sweep-writers":
         if ranks is None:
-            return writer_sweep_spec(seed=seed, scale=scale, topology=topology)
+            return experiments.writer_sweep_spec(
+                seed=seed, scale=scale, topology=topology
+            )
         counts = sorted({max(2, ranks // 4), max(2, ranks // 2), ranks})
-        return writer_sweep_spec(
+        return experiments.writer_sweep_spec(
             node_counts=counts,
             seed=seed,
             scale=scale,
@@ -186,15 +193,79 @@ def _build_spec(
     factory, workload_kw = _FACTORIES[spec_name]
     machine = None
     if ranks is not None or topology is not None:
-        machine = scale_machine(ranks if ranks is not None else 8, topology)
+        machine = experiments.scale_machine(
+            ranks if ranks is not None else 8, topology
+        )
     override = None
     if ranks is not None:
-        override = scale_workload(ranks, scale)
+        override = experiments.scale_workload(ranks, scale)
         if workload_kw == "workloads":
             override = [override]
-    return factory(
+    return getattr(experiments, factory)(
         seed=seed, scale=scale, machine=machine, **{workload_kw: override}
     )
+
+
+#: layout version of a recorded static-gate verdict.
+_VERDICT_VERSION = 1
+
+
+def _static_gate(cache_dir: Optional[str], use_cache: bool) -> bool:
+    """``--verify``'s static gate: the whole-tree analyzer report against
+    the committed baseline.
+
+    The verdict is a pure function of three inputs — every ``*.py`` under
+    the package (:func:`code_fingerprint`, the analyzer included), the
+    baseline's bytes and the interpreter's minor version (its ``ast``) —
+    so a clean one is recorded in the result cache under their sha256 and
+    the next command on the same tree reuses it without importing the
+    analyzer. A failing verdict is never recorded: its findings print on
+    every run until they are fixed.
+    """
+    from ..verify import analyze as analyzer
+
+    fingerprint = code_fingerprint()
+    baseline = analyzer.default_baseline_path()
+    key = hashlib.sha256(fingerprint.encode("ascii"))
+    key.update(
+        hashlib.sha256(baseline.read_bytes() if baseline.is_file() else b"").digest()
+    )
+    key.update("{}.{}".format(*sys.version_info[:2]).encode("ascii"))
+    root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
+    path = root / "gate" / f"{key.hexdigest()}.json"
+    if use_cache:
+        try:
+            with open(path) as fh:
+                entry = json.load(fh)
+        except (OSError, ValueError):
+            entry = {}
+        if entry.get("version") == _VERDICT_VERSION and entry.get("ok") is True:
+            print(
+                f"[runner] static gate: reused the clean verdict for tree "
+                f"{fingerprint[:12]}",
+                file=sys.stderr,
+            )
+            return True
+    report = analyzer.check_tree(force=True)
+    if not report.ok:
+        for line in report.render_text():
+            print(line, file=sys.stderr)
+        print(
+            "[runner] static analysis failed (new findings or stale "
+            "baseline); fix them or update ANALYZE_BASELINE.json",
+            file=sys.stderr,
+        )
+        return False
+    print(
+        f"[runner] static gate: analysed tree {fingerprint[:12]}: clean",
+        file=sys.stderr,
+    )
+    if use_cache:
+        write_json_atomic(
+            path,
+            {"version": _VERDICT_VERSION, "fingerprint": fingerprint, "ok": True},
+        )
+    return True
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -301,24 +372,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error("an experiment is required (or --list-schemes)")
 
     if args.verify:
-        from ..verify import set_runtime_verification
+        from ..verify.trace_check import set_runtime_verification
 
         set_runtime_verification(True)
-        # static gate before any simulation: the whole-tree analyzer
-        # report against the committed baseline (memoized per process).
-        # Output goes to stderr only — runner stdout is byte-compared by
-        # the resume-smoke CI job and must stay result-only.
-        from ..verify.analyze import check_tree
-
-        analysis = check_tree()
-        if not analysis.ok:
-            for line in analysis.render_text():
-                print(line, file=sys.stderr)
-            print(
-                "[runner] static analysis failed (new findings or stale "
-                "baseline); fix them or update ANALYZE_BASELINE.json",
-                file=sys.stderr,
-            )
+        # static gate before any simulation. Output goes to stderr only —
+        # runner stdout is byte-compared by the resume-smoke CI job and
+        # must stay result-only.
+        if not _static_gate(args.cache_dir, use_cache=not args.no_cache):
             return 2
 
     scale = 0.2 if args.quick else 1.0

@@ -8,32 +8,26 @@ legacy :class:`~repro.fault.model.FaultPlan` (crash times only) is still
 accepted everywhere and normalised internally.
 """
 
-from .injection import OpVerdict, StorageFaultInjector, make_injector
-from .model import CrashEvent, FaultModel, FaultPlan, RetryPolicy, StorageFaultSpec
-from .plans import (
-    crash_times,
-    exponential_node_model,
-    exponential_plan,
-    node_crash_model,
-    periodic_plan,
-    single_crash,
-    storage_fault_model,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "FaultPlan",
-    "FaultModel",
-    "CrashEvent",
-    "RetryPolicy",
-    "StorageFaultSpec",
-    "StorageFaultInjector",
-    "OpVerdict",
-    "make_injector",
-    "single_crash",
-    "periodic_plan",
-    "exponential_plan",
-    "crash_times",
-    "node_crash_model",
-    "exponential_node_model",
-    "storage_fault_model",
-]
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "FaultPlan": "model",
+    "FaultModel": "model",
+    "CrashEvent": "model",
+    "RetryPolicy": "model",
+    "StorageFaultSpec": "model",
+    "StorageFaultInjector": "injection",
+    "OpVerdict": "injection",
+    "make_injector": "injection",
+    "single_crash": "plans",
+    "periodic_plan": "plans",
+    "exponential_plan": "plans",
+    "crash_times": "plans",
+    "node_crash_model": "plans",
+    "exponential_node_model": "plans",
+    "storage_fault_model": "plans",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

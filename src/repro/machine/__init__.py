@@ -8,35 +8,25 @@ buffers. The flat 8-node default remains bit-identical to the paper's
 machine. See ``DESIGN.md`` §2 and §11.
 """
 
-from .cluster import Cluster
-from .node import Node
-from .params import (
-    LinkParams,
-    LocalDiskParams,
-    MachineParams,
-    NodeParams,
-    StoragePlaneParams,
-    StorageParams,
-    TopologyParams,
-)
-from .shared_server import SharedServer, TransferJob
-from .storage import StableStorage
-from .storage_plane import StoragePlane
-from .topology import Topology
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Cluster",
-    "Node",
-    "MachineParams",
-    "NodeParams",
-    "LinkParams",
-    "LocalDiskParams",
-    "StorageParams",
-    "TopologyParams",
-    "StoragePlaneParams",
-    "SharedServer",
-    "TransferJob",
-    "StableStorage",
-    "StoragePlane",
-    "Topology",
-]
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "Cluster": "cluster",
+    "Node": "node",
+    "MachineParams": "params",
+    "NodeParams": "params",
+    "LinkParams": "params",
+    "LocalDiskParams": "params",
+    "StorageParams": "params",
+    "TopologyParams": "params",
+    "StoragePlaneParams": "params",
+    "SharedServer": "shared_server",
+    "TransferJob": "shared_server",
+    "StableStorage": "storage",
+    "StoragePlane": "storage_plane",
+    "Topology": "topology",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

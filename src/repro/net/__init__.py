@@ -6,50 +6,32 @@ use binomial-tree / dissemination algorithms. Checkpointing schemes attach
 a :class:`CommAgent` to intercept sends, deliveries and consumptions.
 """
 
-from .api import Comm, CommAgent
-from .collectives import (
-    COLL_TAG_BASE,
-    allreduce,
-    alltoall,
-    barrier,
-    bcast,
-    gather,
-    reduce,
-    scatter,
-)
-from .mailbox import Mailbox, RecvRequest
-from .message import (
-    ANY_SOURCE,
-    ANY_TAG,
-    HEADER_BYTES,
-    KIND_APP,
-    KIND_CONTROL,
-    KIND_MARKER,
-    Message,
-    payload_nbytes,
-)
-from .transport import Transport
+from .._lazy import lazy_surface
 
-__all__ = [
-    "Comm",
-    "CommAgent",
-    "Transport",
-    "Mailbox",
-    "RecvRequest",
-    "Message",
-    "payload_nbytes",
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "KIND_APP",
-    "KIND_MARKER",
-    "KIND_CONTROL",
-    "HEADER_BYTES",
-    "COLL_TAG_BASE",
-    "barrier",
-    "bcast",
-    "reduce",
-    "allreduce",
-    "gather",
-    "scatter",
-    "alltoall",
-]
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "Comm": "api",
+    "CommAgent": "api",
+    "Transport": "transport",
+    "Mailbox": "mailbox",
+    "RecvRequest": "mailbox",
+    "Message": "message",
+    "payload_nbytes": "message",
+    "ANY_SOURCE": "message",
+    "ANY_TAG": "message",
+    "KIND_APP": "message",
+    "KIND_MARKER": "message",
+    "KIND_CONTROL": "message",
+    "HEADER_BYTES": "message",
+    "COLL_TAG_BASE": "collectives",
+    "barrier": "collectives",
+    "bcast": "collectives",
+    "reduce": "collectives",
+    "allreduce": "collectives",
+    "gather": "collectives",
+    "scatter": "collectives",
+    "alltoall": "collectives",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

@@ -29,51 +29,35 @@ each layer has a distinct failure exit code (lint=2, model=3, trace=4,
 analyze=5).
 """
 
-from .analyze import AnalysisReport, Baseline, Finding, analyze
-from .explorer import ExplorationResult, Violation, explore
-from .invariants import RunMeta, TraceViolation, default_checkers
-from .lint import LintIssue, lint_paths, lint_source
-from .model import (
-    CicIndexModel,
-    ModelBugs,
-    SenderLogModel,
-    TokenRingModel,
-    TwoPhaseCommitModel,
-)
-from .trace_check import (
-    TraceReport,
-    check_runtime,
-    check_trace,
-    meta_for_runtime,
-    runtime_verification_enabled,
-    set_runtime_verification,
-    verified,
-)
+from .._lazy import lazy_surface
 
-__all__ = [
-    "AnalysisReport",
-    "Baseline",
-    "Finding",
-    "analyze",
-    "ExplorationResult",
-    "Violation",
-    "explore",
-    "RunMeta",
-    "TraceViolation",
-    "default_checkers",
-    "LintIssue",
-    "lint_paths",
-    "lint_source",
-    "CicIndexModel",
-    "ModelBugs",
-    "SenderLogModel",
-    "TokenRingModel",
-    "TwoPhaseCommitModel",
-    "TraceReport",
-    "check_runtime",
-    "check_trace",
-    "meta_for_runtime",
-    "runtime_verification_enabled",
-    "set_runtime_verification",
-    "verified",
-]
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "AnalysisReport": "analyze.findings",
+    "Baseline": "analyze.findings",
+    "Finding": "analyze.findings",
+    "ExplorationResult": "explorer",
+    "Violation": "explorer",
+    "explore": "explorer",
+    "RunMeta": "invariants",
+    "TraceViolation": "invariants",
+    "default_checkers": "invariants",
+    "LintIssue": "lint",
+    "lint_paths": "lint",
+    "lint_source": "lint",
+    "CicIndexModel": "model",
+    "ModelBugs": "model",
+    "SenderLogModel": "model",
+    "TokenRingModel": "model",
+    "TwoPhaseCommitModel": "model",
+    "TraceReport": "trace_check",
+    "check_runtime": "trace_check",
+    "check_trace": "trace_check",
+    "meta_for_runtime": "trace_check",
+    "runtime_verification_enabled": "trace_check",
+    "set_runtime_verification": "trace_check",
+    "verified": "trace_check",
+}
+
+__all__ = list(_LAZY)
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)

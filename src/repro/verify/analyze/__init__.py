@@ -40,35 +40,42 @@ memoized gate the experiment runner's ``--verify`` uses.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Iterable, List, Optional, Union
 
-from .findings import AnalysisReport, Baseline, Finding
-from .frontend import Module, Project, build_project, default_target
-from .passes import ALL_PASSES
+from ..._lazy import lazy_surface
 
-__all__ = [
-    "AnalysisReport",
-    "Baseline",
-    "Finding",
-    "Module",
-    "Project",
-    "ALL_PASSES",
-    "build_project",
-    "default_target",
-    "default_baseline_path",
-    "run_passes",
-    "analyze",
-    "check_tree",
-]
+if TYPE_CHECKING:
+    from .findings import AnalysisReport, Baseline, Finding
+    from .frontend import Project
+
+#: name -> the submodule defining it, imported on first use.
+_LAZY = {
+    "AnalysisReport": "findings",
+    "Baseline": "findings",
+    "Finding": "findings",
+    "Module": "frontend",
+    "Project": "frontend",
+    "ALL_PASSES": "passes",
+    "build_project": "frontend",
+    "default_target": "frontend",
+}
+
+__all__ = [*_LAZY, "default_baseline_path", "run_passes", "analyze", "check_tree"]
+__getattr__, __dir__ = lazy_surface(__name__, _LAZY)
 
 
 def default_baseline_path() -> Path:
-    """``ANALYZE_BASELINE.json`` at the repository root (may not exist)."""
-    return default_target().parent.parent / "ANALYZE_BASELINE.json"
+    """``ANALYZE_BASELINE.json`` at the repository root (may not exist).
+
+    Two levels above the analysed package root, found without importing
+    the analyzer: the runner keys its cached gate verdict on this file."""
+    return Path(__file__).resolve().parents[4] / "ANALYZE_BASELINE.json"
 
 
 def run_passes(project: Project) -> List[Finding]:
     """Run every pass over *project*; findings in pass order."""
+    from . import ALL_PASSES
+
     findings: List[Finding] = []
     for _name, pass_fn in ALL_PASSES:
         findings.extend(pass_fn(project))
@@ -85,6 +92,8 @@ def analyze(
     None means the default repo-root baseline when analysing the whole
     tree, and an empty baseline for explicit path subsets.
     """
+    from . import AnalysisReport, Baseline, build_project
+
     if isinstance(baseline, Baseline):
         base = baseline
     elif baseline is not None:

@@ -241,6 +241,9 @@ class Module:
                 continue
             elif isinstance(child, _FUNC_NODES):
                 cls = class_stack[-1] if class_stack else None
+                # one walk of the function's own scope feeds all three
+                # per-function facts below
+                own = list(_own_scope_children(child))
                 qual = ".".join(
                     [c.name for c in class_stack]
                     + [f.name for f in func_stack]
@@ -252,17 +255,19 @@ class Module:
                     qualname=qual,
                     class_name=cls.name if cls else None,
                     module=self,
-                    is_generator=_own_scope_has_yield(child),
+                    is_generator=any(
+                        isinstance(c, (ast.Yield, ast.YieldFrom)) for c in own
+                    ),
                     returns=[
-                        r.value
-                        for r in _own_scope_nodes(child, ast.Return)
-                        if r.value is not None
+                        c.value
+                        for c in own
+                        if isinstance(c, ast.Return) and c.value is not None
                     ],
                 )
                 self.functions.append(info)
                 if cls is not None:
                     cls.methods.append(info)
-                    _collect_self_assigns(child, cls)
+                    _collect_self_assigns(own, cls)
                 self._walk(child, class_stack, func_stack + [info])
                 continue
             elif class_stack and isinstance(child, (ast.Assign, ast.AugAssign)):
@@ -313,20 +318,10 @@ def _own_scope_children(node: ast.AST):
         stack.extend(ast.iter_child_nodes(child))
 
 
-def _own_scope_nodes(node: ast.AST, kind) -> List[ast.AST]:
-    return [c for c in _own_scope_children(node) if isinstance(c, kind)]
-
-
-def _own_scope_has_yield(func: ast.AST) -> bool:
-    return any(
-        isinstance(c, (ast.Yield, ast.YieldFrom))
-        for c in _own_scope_children(func)
-    )
-
-
-def _collect_self_assigns(func: ast.AST, cls: ClassInfo) -> None:
-    """Record ``self.X`` attribute stores in *func*'s own scope."""
-    for child in _own_scope_children(func):
+def _collect_self_assigns(own: Iterable[ast.AST], cls: ClassInfo) -> None:
+    """Record the ``self.X`` attribute stores among *own*, a method's
+    own-scope nodes."""
+    for child in own:
         targets: List[ast.expr] = []
         if isinstance(child, ast.Assign):
             targets = list(child.targets)

@@ -20,11 +20,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Any, Iterator, List, Sequence
 
 from ..core.errors import VerificationError
-from ..core.tracing import TraceEvent
-from .invariants import RunMeta, TraceViolation, default_checkers
+
+if TYPE_CHECKING:
+    from ..core.tracing import TraceEvent
+    from .invariants import RunMeta, TraceViolation
 
 __all__ = [
     "TraceReport",
@@ -69,6 +71,8 @@ class TraceReport:
 
 def check_trace(events: Sequence[TraceEvent], meta: RunMeta) -> TraceReport:
     """Replay *events* through the full checker battery."""
+    from .invariants import default_checkers
+
     checkers = default_checkers(meta)
     for index, ev in enumerate(events):
         for checker in checkers:
@@ -86,6 +90,8 @@ def check_trace(events: Sequence[TraceEvent], meta: RunMeta) -> TraceReport:
 
 def meta_for_runtime(runtime: Any) -> RunMeta:
     """Derive checker metadata from a (duck-typed) runtime's scheme."""
+    from .invariants import RunMeta
+
     scheme = runtime.scheme
     storage = getattr(runtime, "storage", None)
     return RunMeta(

@@ -152,16 +152,17 @@ def test_trace_events_registered_in_event_kinds():
     } <= REGISTRY.trace_events()
 
 
-def test_validate_rejects_rogue_event_vocabulary():
-    class Rogue(CICScheme):
-        TRACE_EVENTS = ("proto.not.a.kind",)
+class Rogue(CICScheme):
+    TRACE_EVENTS = ("proto.not.a.kind",)
 
+
+def test_validate_rejects_rogue_event_vocabulary():
     reg = ProtocolRegistry()
     fam = REGISTRY.family_of("cic")
     reg.register(
         ProtocolFamily(
             name="rogue",
-            scheme_cls=Rogue,
+            scheme=f"{__name__}.Rogue",
             bases=("rogue",),
             options=fam.options,
             build=fam.build,

@@ -1,9 +1,5 @@
 """CLI runner smoke tests (tiny workloads via monkeypatching)."""
 
-import os
-import subprocess
-import sys
-
 import pytest
 
 import repro.experiments.runner as runner_mod
@@ -98,21 +94,3 @@ def test_runner_diagnostics_on_stderr_only(capsys):
     assert "[runner]" not in captured.out
     assert "[runner] grid:" in captured.err
 
-
-def test_importing_the_runner_does_not_import_networkx():
-    """Only the domino experiment walks a graph; every other command must
-    not pay networkx's import (a third of the runner's) at start-up."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (env.get("PYTHONPATH"), *sys.path) if p
-    )
-    probe = (
-        "import sys, repro.experiments.runner; "
-        "from repro.chklib.dependency import line_via_graph; "
-        "print('networkx' in sys.modules)"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
