@@ -1,4 +1,5 @@
-"""Scheme framework: per-rank agents and the scheme interface.
+"""Scheme framework: per-rank agents, the scheme interface and the one
+checkpoint write path.
 
 A :class:`Scheme` object describes one checkpointing policy (one column of
 the paper's tables). It creates one :class:`SchemeAgent` per rank — the
@@ -6,6 +7,13 @@ agent plugs into the rank's :class:`~repro.net.api.Comm` as a
 :class:`~repro.net.api.CommAgent` and implements the mechanics: epoch
 piggybacking, duplicate suppression, channel-state recording, and the
 blocking work performed at application checkpoint points.
+
+The paper defines its schemes on two axes, and both live here, once:
+what the application blocks on at a cut (``capture``: the whole stable
+write, a main-memory copy, or write-protecting the pages) and whether
+background writes are staggered (a protocol's :meth:`Scheme.write_gate`
+and :meth:`Scheme.blocking_write`). A protocol family only decides when
+to cut and what a landed or failed write means.
 
 The runtime (:mod:`repro.chklib.runtime`) is duck-typed here; the
 attributes a scheme relies on are: ``engine``, ``cluster``, ``transport``,
@@ -16,21 +24,29 @@ attributes a scheme relies on are: ``engine``, ``cluster``, ``transport``,
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
 from ...core.errors import InvariantViolation, SimulationError, StorageFault
 from ...net.api import CommAgent
 from ...net.message import KIND_APP, SIZE_ONLY, Message
-from ..incremental import IncrementalState
+from ..incremental import PAGE_SIZE, IncrementalState
+from ..policy import CheckpointPolicy, FixedTimes
 from ..retry import stable_write
 from ..state import Snapshot
 from ..storage_mgr import CheckpointRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ...core.events import Event
     from ...net.api import Comm
     from ..runtime import CheckpointRuntime
 
-__all__ = ["SchemeAgent", "Scheme", "NoCheckpointing"]
+__all__ = ["SchemeAgent", "Scheme", "WriteJob", "NoCheckpointing"]
+
+#: how a cut captures state: "blocking" (the stable write in the
+#: application's time), "memcopy" (a main-memory buffer copy, then a
+#: checkpointer thread) or "cow" (write-protect the pages, stream in the
+#: background while application stores fault-and-copy).
+CAPTURE_MODES = ("blocking", "memcopy", "cow")
 
 
 class SchemeAgent(CommAgent):
@@ -51,6 +67,7 @@ class SchemeAgent(CommAgent):
         "pending_cut",
         "finished",
         "inc",
+        "writing",
     )
 
     def __init__(
@@ -72,6 +89,8 @@ class SchemeAgent(CommAgent):
         #: cuts are taken immediately (a system-level checkpointer saves
         #: idle processes too).
         self.finished = False
+        #: a background checkpoint write is in flight on this rank.
+        self.writing = False
         #: page-level dirty tracking (incremental checkpointing only).
         self.inc: Optional[IncrementalState] = (
             IncrementalState(full_every=scheme.full_every)
@@ -229,40 +248,66 @@ class SchemeAgent(CommAgent):
         """Drop in-flight protocol state after a rollback."""
         self.epoch = epoch
         self.pending_cut = None
+        self.writing = False
+        if self.inc is not None:
+            # the dirty-page chain restarts from the restored image
+            self.inc.reset()
         self.scheme.reset_agent(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} r{self.rank} epoch={self.epoch}>"
 
 
+class WriteJob:
+    """One checkpoint image on its way to stable storage."""
+
+    __slots__ = ("n", "record", "nbytes", "aborted")
+
+    def __init__(self, n: int, record: CheckpointRecord, nbytes: int) -> None:
+        self.n = n
+        self.record = record
+        #: bytes the image carries to storage (see ``Scheme._write_bytes``).
+        self.nbytes = nbytes
+        #: the protocol cancelled this checkpoint; a writer still waiting
+        #: on its gate drops it instead of writing.
+        self.aborted = False
+
+
 class Scheme:
     """Base checkpointing scheme (default: no-ops everywhere).
 
-    Concrete schemes override the hooks they need. Flags describe the
+    Concrete schemes override the hooks they need. Attributes describe the
     mechanics so experiments can introspect what they are measuring:
 
-    * ``memory_ckpt`` — the cut blocks only for a main-memory copy and a
-      checkpointer thread streams the buffer to stable storage.
-    * ``staggered`` — background writes are serialised on a token ring.
+    * ``capture`` — what a cut blocks on (see :data:`CAPTURE_MODES`);
+      ``memory_ckpt`` says whether that is less than the stable write.
+    * ``staggered`` — background writes are serialised (a token ring, or
+      a FIFO slot for blocked writes).
+    * ``two_level`` — capture writes go to the node's private local disk
+      (fast, contention-free); a background "trickle" copies them to the
+      global server afterwards.
+    * ``incremental`` — write only dirty pages, with a full checkpoint
+      every ``full_every`` cuts.
     """
 
-    name = "none"
-    klass = "none"  #: "coordinated" | "independent" | "none"
-    memory_ckpt = False
+    klass = "none"  #: "coordinated" | "independent" | "cic" | "msglog" | "none"
     staggered = False
-    #: two-level stable storage: capture writes go to the node's private
-    #: local disk (fast, contention-free); a background "trickle" copies
-    #: them to the global server afterwards.
-    two_level = False
-    #: incremental checkpointing: write only dirty pages, with a full
-    #: checkpoint every ``full_every`` cuts.
-    incremental = False
-    full_every = 4
+    #: storage tag and checkpointer-thread name prefixes of image writes.
+    write_tag = "ckpt"
+    writer_name = "ckpt-writer"
 
     #: Capture manifests (see :mod:`repro.chklib.resume`). A scheme is
     #: pickled whole into the durable line; VOLATILE_FIELDS are nulled by
     #: the generic ``__getstate__`` below and rebuilt by ``install()``.
-    RESUME_FIELDS: tuple = ()
+    RESUME_FIELDS: tuple = (
+        "times",
+        "policy",
+        "capture",
+        "incremental",
+        "full_every",
+        "two_level",
+        "name",
+    )
     VOLATILE_FIELDS: tuple = ()
 
     #: Protocol-specific trace-event vocabulary (beyond the shared kinds
@@ -271,6 +316,34 @@ class Scheme:
     #: event cannot ship unregistered — the analyzer's trace-conformance
     #: pass then proves it is both emitted and consumed.
     TRACE_EVENTS: tuple = ()
+
+    def __init__(
+        self,
+        times: Sequence[float],
+        name: str,
+        capture: str = "blocking",
+        incremental: bool = False,
+        full_every: int = 4,
+        two_level: bool = False,
+        policy: Optional[CheckpointPolicy] = None,
+    ) -> None:
+        self.times = sorted(float(t) for t in times)
+        #: when to checkpoint; the explicit ``times`` schedule is the
+        #: legacy default, wrapped in a :class:`FixedTimes` policy.
+        self.policy = policy if policy is not None else FixedTimes(self.times)
+        if capture not in CAPTURE_MODES:
+            raise ValueError(f"unknown capture mode {capture!r}")
+        self.capture = capture
+        self.incremental = bool(incremental)
+        self.full_every = int(full_every)
+        self.two_level = bool(two_level)
+        self.name = name + ("_2l" if two_level else "")
+
+    @property
+    def memory_ckpt(self) -> bool:
+        """The cut blocks only for an in-memory capture and a checkpointer
+        thread streams the image to stable storage."""
+        return self.capture != "blocking"
 
     @classmethod
     def model_machines(cls):
@@ -309,66 +382,6 @@ class Scheme:
     def on_app_send(self, agent: SchemeAgent, msg: Message) -> None:
         pass
 
-    # -- two-level stable storage helpers ---------------------------------------
-
-    def ckpt_storage(self, agent: SchemeAgent):
-        """Where the capture write goes (local disk under two-level)."""
-        rt = agent.runtime
-        if self.two_level:
-            return rt.cluster.local_disk(agent.rank)
-        return rt.storage
-
-    def after_stable_write(self, agent: SchemeAgent, record, nbytes: float) -> None:
-        """Called when the capture write completed; under two-level this
-        starts the background copy to the global server, and under a
-        burst-buffered storage plane the background drain onto the rank's
-        shard server."""
-        rt = agent.runtime
-        if self.two_level:
-            rt.spawn(
-                self._trickle(agent, record, nbytes),
-                name=f"trickle:{record.index}:r{agent.rank}",
-            )
-            return
-        if rt.cluster.storage.has_burst_buffers:
-            rt.spawn(
-                self._drain(agent, record, nbytes),
-                name=f"drain:{record.index}:r{agent.rank}",
-            )
-            return
-        record.global_written_at = record.written_at
-
-    def _trickle(self, agent: SchemeAgent, record, nbytes: float):
-        rt = agent.runtime
-        try:
-            yield from stable_write(
-                rt.cluster.storage.server_for(agent.rank),
-                agent.node,
-                nbytes,
-                tag=f"trickle{record.index}:r{agent.rank}",
-                retry=rt.retry_policy,
-                tracer=rt.tracer,
-                background=True,
-            )
-        except StorageFault:
-            # the local-disk copy stays valid; only the global replica is
-            # missing, which matters if this node's disk later dies.
-            rt.tracer.add("chk.trickle_failures")
-            return
-        record.global_written_at = rt.engine.now
-        rt.tracer.add("chk.trickled_bytes", nbytes)
-
-    def _drain(self, agent: SchemeAgent, record, nbytes: float):
-        """Empty *record*'s bytes from the rack burst buffer onto the
-        rank's shard server. Generation-scoped (``rt.spawn``): a crash
-        kills in-flight drains identically on the in-process and restart
-        paths, so the resume equivalence proof covers the buffered plane."""
-        rt = agent.runtime
-        yield from rt.cluster.storage.drain(
-            agent.node, nbytes, tag=f"drain{record.index}:r{agent.rank}"
-        )
-        record.global_written_at = rt.engine.now
-
     def on_app_deliver(self, agent: SchemeAgent, msg: Message) -> None:
         pass
 
@@ -387,6 +400,170 @@ class Scheme:
 
     def reset_agent(self, agent: SchemeAgent) -> None:
         pass
+
+    # -- the checkpoint write path ------------------------------------------------
+    #
+    # One path for every protocol. ``save`` blocks the cut for what
+    # ``capture`` says and hands the rest to a checkpointer thread
+    # (``_writer``); ``_write`` is the one stable write of an image. A
+    # protocol supplies the hooks below it: its image size, its
+    # staggering gates, and what a landed or failed write means.
+
+    def _write_bytes(self, record: CheckpointRecord) -> int:
+        """Bytes checkpoint *record* carries to stable storage."""
+        return record.write_bytes
+
+    def write_gate(self, agent: SchemeAgent, job: WriteJob) -> Optional["Event"]:
+        """What a checkpointer thread waits for before it writes (None =
+        write at once): the staggering gate of the background writes."""
+        return None
+
+    def blocking_write(self, agent: SchemeAgent, job: WriteJob):
+        """The stable write a blocked cut waits for — a generator
+        returning whether the image landed. Staggering of blocked writes
+        wraps it."""
+        return self._write(agent, job)
+
+    def save(self, agent: SchemeAgent, job: WriteJob) -> Generator[Any, Any, None]:
+        """Make *job*'s image stable: block the application for what
+        ``capture`` says and charge it, streaming the rest in the
+        background."""
+        rt = agent.runtime
+        t0 = rt.engine.now
+        span = rt.tracer.open_span(
+            "ckpt.cut", rank=agent.rank, n=job.n, scheme=self.name
+        )
+        if agent.finished:
+            # a finished process has nothing to block: capture is already
+            # done, the write streams in the background under any variant.
+            self._spawn_writer(agent, job, cow=False)
+            rt.tracer.close_span(span)
+            return
+        if self.capture == "cow":
+            # block only to write-protect the pages; the background writer
+            # streams while application stores fault-and-copy.
+            pages = max(1, job.record.state_bytes // PAGE_SIZE)
+            yield rt.engine.delay(pages * agent.node.params.cow_mark_cost)
+            self._spawn_writer(agent, job, cow=True)
+        elif self.capture == "memcopy":
+            # block only for the buffer copy; the checkpointer thread does
+            # the rest concurrently with the application.
+            yield from agent.node.mem_copy(job.nbytes)
+            self._spawn_writer(agent, job, cow=False)
+        else:
+            rt.cluster.set_rank_blocked(agent.rank, True)
+            try:
+                wrote = yield from self.blocking_write(agent, job)
+            finally:
+                rt.cluster.set_rank_blocked(agent.rank, False)
+            (self._write_finished if wrote else self._write_failed)(agent, job)
+        agent.charge_blocked(t0)
+        rt.tracer.close_span(span)
+
+    def _spawn_writer(self, agent: SchemeAgent, job: WriteJob, cow: bool) -> None:
+        agent.writing = True
+        agent.runtime.spawn(
+            self._writer(agent, job, cow),
+            name=f"{self.writer_name}:{job.n}:r{agent.rank}",
+        )
+
+    def _writer(self, agent: SchemeAgent, job: WriteJob, cow: bool):
+        """A checkpointer thread: pass the gate, then write the image."""
+        if cow:
+            agent.node.cow_window_opened()
+        try:
+            gate = self.write_gate(agent, job)
+            if gate is not None:
+                yield gate
+            if job.aborted:
+                return  # an abort woke us up; nothing to write
+            wrote = yield from self._write(agent, job, background=True)
+        finally:
+            agent.writing = False
+            if cow:
+                agent.node.cow_window_closed()
+        (self._write_finished if wrote else self._write_failed)(agent, job)
+
+    def _write(self, agent: SchemeAgent, job: WriteJob, background: bool = False):
+        """Stream *job*'s image to its capture target (the node's local
+        disk under two-level storage); returns whether it landed."""
+        rt = agent.runtime
+        rt.tracer.event(
+            "proto.write_begin", rank=agent.rank, round=job.n, scheme=self.name
+        )
+        wrote = True
+        try:
+            yield from stable_write(
+                rt.cluster.local_disk(agent.rank) if self.two_level else rt.storage,
+                agent.node,
+                job.nbytes,
+                tag=f"{self.write_tag}{job.n}:r{agent.rank}",
+                retry=rt.retry_policy,
+                tracer=rt.tracer,
+                background=background,
+            )
+        except StorageFault:
+            wrote = False
+        rt.tracer.event("proto.write_end", rank=agent.rank, round=job.n, ok=wrote)
+        return wrote
+
+    def _write_finished(self, agent: SchemeAgent, job: WriteJob) -> None:
+        """*job*'s image landed: store it, then start its copy to the
+        global tier — the trickle under two-level storage, the drain out
+        of a burst buffer."""
+        rt = agent.runtime
+        record = job.record
+        record.written_at = rt.engine.now
+        rt.store.add(record)
+        inj = rt.storage.fault_injector
+        if inj is not None and inj.corrupts_checkpoint(agent.rank, job.n):
+            # silent media corruption: nobody notices until recovery
+            # validates the record's checksum.
+            rt.store.corrupt(agent.rank, job.n)
+            rt.tracer.add("chk.ckpts_corrupted")
+        if self.two_level:
+            rt.spawn(
+                self._trickle(agent, job), name=f"trickle:{job.n}:r{agent.rank}"
+            )
+        elif rt.cluster.storage.has_burst_buffers:
+            rt.spawn(self._drain(agent, job), name=f"drain:{job.n}:r{agent.rank}")
+        else:
+            record.global_written_at = record.written_at
+
+    def _write_failed(self, agent: SchemeAgent, job: WriteJob) -> None:
+        """*job*'s write exhausted its retries."""
+        agent.runtime.tracer.add("chk.ckpt_writes_failed")
+
+    def _trickle(self, agent: SchemeAgent, job: WriteJob):
+        rt = agent.runtime
+        try:
+            yield from stable_write(
+                rt.cluster.storage.server_for(agent.rank),
+                agent.node,
+                job.nbytes,
+                tag=f"trickle{job.n}:r{agent.rank}",
+                retry=rt.retry_policy,
+                tracer=rt.tracer,
+                background=True,
+            )
+        except StorageFault:
+            # the local-disk copy stays valid; only the global replica is
+            # missing, which matters if this node's disk later dies.
+            rt.tracer.add("chk.trickle_failures")
+            return
+        job.record.global_written_at = rt.engine.now
+        rt.tracer.add("chk.trickled_bytes", job.nbytes)
+
+    def _drain(self, agent: SchemeAgent, job: WriteJob):
+        """Empty *job*'s bytes from the rack burst buffer onto the rank's
+        shard server. Generation-scoped (``rt.spawn``): a crash kills
+        in-flight drains identically on the in-process and restart paths,
+        so the resume equivalence proof covers the buffered plane."""
+        rt = agent.runtime
+        yield from rt.cluster.storage.drain(
+            agent.node, job.nbytes, tag=f"drain{job.n}:r{agent.rank}"
+        )
+        job.record.global_written_at = rt.engine.now
 
     # -- recovery interface -----------------------------------------------------
 
@@ -426,5 +603,5 @@ class Scheme:
 class NoCheckpointing(Scheme):
     """The NORMAL column: no checkpoints, no protocol, no recovery."""
 
-    name = "normal"
-    klass = "none"
+    def __init__(self) -> None:
+        super().__init__((), name="normal")

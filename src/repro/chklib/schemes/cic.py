@@ -78,7 +78,7 @@ class CICScheme(IndependentScheme):
         cic_rule: str = "bcs",
         skew: float = 0.0,
         name: Optional[str] = None,
-        capture: Optional[str] = None,
+        capture: str = "memcopy",
         policy: Optional[CheckpointPolicy] = None,
     ) -> None:
         if cic_rule not in ("bcs", "fdas"):
@@ -88,13 +88,7 @@ class CICScheme(IndependentScheme):
         # Logging stays on: the annex logs are what cover the window
         # between a triggering receive and its deferred forced cut.
         super().__init__(
-            times,
-            memory_ckpt=True,
-            name=name,
-            skew=skew,
-            logging=True,
-            capture=capture,
-            policy=policy,
+            times, name, capture=capture, skew=skew, logging=True, policy=policy
         )
         self.cic_rule = cic_rule
         #: per-rank FDAS promotions: ``{rank: {base_index: top_index}}`` —
@@ -214,12 +208,6 @@ class CICScheme(IndependentScheme):
             and store.chain_intact(rec.rank, rec.index),
         )
         return line
-
-    def replay_messages(self, runtime: "CheckpointRuntime", line: Dict[int, Any]):
-        # Same stable-log replay as the logging independent family: the
-        # annexes flushed with each checkpoint cover every message the
-        # line's counters say is in transit.
-        return super().replay_messages(runtime, line)
 
     def reset_agent(self, agent: SchemeAgent) -> None:
         super().reset_agent(agent)

@@ -19,7 +19,9 @@ markers, i.e. Chandy–Lamport channel-state recording):
    upon which everyone atomically discards checkpoint *n-1* — coordinated
    checkpointing never holds more than two checkpoints per process.
 
-Variants (what the application blocks on at the cut):
+Variants (what the application blocks on at the cut — the ``capture``
+mode the shared write path in :mod:`.base` implements — and whether the
+background writes are staggered):
 
 * ``Coord_NB``   — blocked for the full write to stable storage.
 * ``Coord_NBM``  — blocked for a main-memory copy; a checkpointer thread
@@ -41,14 +43,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Set
 
-from ...core.errors import InvariantViolation, SimulationError, StorageFault
+from ...core.errors import SimulationError
 from ...core.events import Event
 from ...net.message import KIND_CONTROL, KIND_MARKER, Message
-from ..incremental import PAGE_SIZE
-from ..policy import CheckpointPolicy, FixedTimes
-from ..retry import stable_write
+from ..policy import CheckpointPolicy
 from ..storage_mgr import CheckpointRecord
-from .base import Scheme, SchemeAgent
+from .base import Scheme, SchemeAgent, WriteJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime import CheckpointRuntime
@@ -64,27 +64,19 @@ CTL_TOKEN = "token"
 CTL_ABORT = "abort"
 
 
-class _Round:
+class _Round(WriteJob):
     """Per-agent state of one in-progress checkpoint."""
 
-    __slots__ = (
-        "n",
-        "record",
-        "markers_pending",
-        "token_event",
-        "write_done",
-        "acked",
-        "aborted",
-    )
+    __slots__ = ("markers_pending", "token_event", "write_done", "acked")
 
-    def __init__(self, n: int, record: CheckpointRecord, others: Set[int], engine) -> None:
-        self.n = n
-        self.record = record
+    def __init__(
+        self, n: int, record: CheckpointRecord, nbytes: int, others: Set[int], engine
+    ) -> None:
+        super().__init__(n, record, nbytes)
         self.markers_pending = set(others)
         self.token_event: Event = Event(engine)
         self.write_done = False
         self.acked = False
-        self.aborted = False
 
 
 class CoordinatedAgent(SchemeAgent):
@@ -111,13 +103,6 @@ class CoordinatedAgent(SchemeAgent):
         #: (slower) request arrives after the abort.
         self.aborted_rounds: Set[int] = set()
 
-    def reset_for_recovery(self, epoch: int) -> None:
-        self.round = None
-        self.early_markers.clear()
-        self.early_tokens.clear()
-        self.aborted_rounds.clear()
-        super().reset_for_recovery(epoch)
-
 
 class CoordinatedScheme(Scheme):
     """Coordinator + agents for one coordinated variant."""
@@ -129,15 +114,7 @@ class CoordinatedScheme(Scheme):
     #: ``_acks``/``_aborted`` must survive a halt so ``on_crash`` and the
     #: coordinator's bookkeeping resume bitwise-identically.
     RESUME_FIELDS = (
-        "times",
-        "policy",
-        "capture",
-        "memory_ckpt",
         "staggered",
-        "incremental",
-        "full_every",
-        "two_level",
-        "name",
         "coordinator_rank",
         "marker_scope",
         "_next_n",
@@ -176,35 +153,26 @@ class CoordinatedScheme(Scheme):
     def __init__(
         self,
         times: Sequence[float],
-        memory_ckpt: bool,
         staggered: bool,
         name: str,
+        capture: str = "blocking",
         coordinator_rank: int = 0,
-        capture: Optional[str] = None,
         incremental: bool = False,
         full_every: int = 4,
         two_level: bool = False,
         policy: Optional[CheckpointPolicy] = None,
         marker_scope: str = "all",
     ) -> None:
-        self.times = sorted(float(t) for t in times)
-        #: when to initiate rounds; the explicit ``times`` schedule is the
-        #: legacy default, wrapped in a :class:`FixedTimes` policy.
-        self.policy = policy if policy is not None else FixedTimes(self.times)
-        #: how the cut captures state: "blocking" (write in the app's
-        #: time), "memcopy" (buffer + checkpointer thread) or "cow"
-        #: (write-protect pages, stream in background, faults pay copies).
-        self.capture = capture or ("memcopy" if memory_ckpt else "blocking")
-        if self.capture not in ("blocking", "memcopy", "cow"):
-            raise ValueError(f"unknown capture mode {self.capture!r}")
-        self.memory_ckpt = self.capture != "blocking"
+        super().__init__(
+            times,
+            name,
+            capture=capture,
+            incremental=incremental,
+            full_every=full_every,
+            two_level=two_level,
+            policy=policy,
+        )
         self.staggered = bool(staggered)
-        #: incremental checkpointing: write only dirty pages, with a full
-        #: checkpoint every ``full_every`` rounds.
-        self.incremental = bool(incremental)
-        self.full_every = int(full_every)
-        self.two_level = bool(two_level)
-        self.name = name + ("_2l" if two_level else "")
         self.coordinator_rank = coordinator_rank
         #: which channels carry markers: "all" (every rank pair — the
         #: classic Chandy–Lamport closure, O(N²) markers per round) or
@@ -242,38 +210,32 @@ class CoordinatedScheme(Scheme):
     @classmethod
     def NB(cls, times: Sequence[float], **kw) -> "CoordinatedScheme":
         """Non-blocking protocol, blocking storage write."""
-        return cls(times, memory_ckpt=False, staggered=False, name="coord_nb", **kw)
+        return cls(times, staggered=False, name="coord_nb", capture="blocking", **kw)
 
     @classmethod
     def NBM(cls, times: Sequence[float], **kw) -> "CoordinatedScheme":
         """+ main-memory checkpointing."""
-        return cls(times, memory_ckpt=True, staggered=False, name="coord_nbm", **kw)
+        return cls(times, staggered=False, name="coord_nbm", capture="memcopy", **kw)
 
     @classmethod
     def NBMS(cls, times: Sequence[float], **kw) -> "CoordinatedScheme":
         """+ main-memory checkpointing + staggered writes."""
-        return cls(times, memory_ckpt=True, staggered=True, name="coord_nbms", **kw)
+        return cls(times, staggered=True, name="coord_nbms", capture="memcopy", **kw)
 
     @classmethod
     def NBS(cls, times: Sequence[float], **kw) -> "CoordinatedScheme":
         """Ablation: staggered writes without memory checkpointing."""
-        return cls(times, memory_ckpt=False, staggered=True, name="coord_nbs", **kw)
+        return cls(times, staggered=True, name="coord_nbs", capture="blocking", **kw)
 
     @classmethod
     def NBC(cls, times: Sequence[float], **kw) -> "CoordinatedScheme":
         """Extension: copy-on-write capture, concurrent background writes."""
-        return cls(
-            times, memory_ckpt=True, staggered=False, name="coord_nbc",
-            capture="cow", **kw
-        )
+        return cls(times, staggered=False, name="coord_nbc", capture="cow", **kw)
 
     @classmethod
     def NBCS(cls, times: Sequence[float], **kw) -> "CoordinatedScheme":
         """Extension: copy-on-write capture + staggered writes."""
-        return cls(
-            times, memory_ckpt=True, staggered=True, name="coord_nbcs",
-            capture="cow", **kw
-        )
+        return cls(times, staggered=True, name="coord_nbcs", capture="cow", **kw)
 
     # -- wiring ---------------------------------------------------------------
 
@@ -322,11 +284,6 @@ class CoordinatedScheme(Scheme):
             for i, r in enumerate(ranks):
                 self._ring_next[r] = ranks[(i + 1) % len(ranks)]
                 self._ring_leader[r] = leader
-
-    def _ring_leader_of(self, runtime: "CheckpointRuntime", rank: int) -> int:
-        if self._ring_leader is None:
-            self._build_rings(runtime)
-        return self._ring_leader[rank]
 
     def _marker_targets(self, rt: "CheckpointRuntime", rank: int) -> List[int]:
         """The channels carrying this rank's markers (and, symmetrically,
@@ -474,11 +431,9 @@ class CoordinatedScheme(Scheme):
 
     def _cut(self, agent: CoordinatedAgent, n: int) -> Generator[Any, Any, None]:
         rt = agent.runtime
-        engine = rt.engine
-        t0 = engine.now
         record = agent.capture(n)
         others = self._marker_targets(rt, agent.rank)
-        rnd = _Round(n, record, set(others), engine)
+        rnd = _Round(n, record, self._write_bytes(record), others, rt.engine)
         rnd.markers_pending -= agent.early_markers.pop(n, set())
         agent.round = rnd
         agent.epoch = n
@@ -499,178 +454,50 @@ class CoordinatedScheme(Scheme):
         if n in agent.early_tokens:
             agent.early_tokens.discard(n)
             rnd.token_event.succeed()
-        span = rt.tracer.open_span("ckpt.cut", rank=agent.rank, n=n, scheme=self.name)
-        if agent.finished:
-            # a finished process has nothing to block: capture is already
-            # done, the write streams in the background under any variant.
-            rt.spawn(
-                self._bg_writer(agent, rnd, cow=False),
-                name=f"ckpt-writer:{n}:r{agent.rank}",
-            )
-            rt.tracer.close_span(span)
-            self._maybe_ack(agent, rnd)
-            return
-        if self.capture == "cow":
-            # block only to write-protect the pages; the background writer
-            # streams while application stores fault-and-copy.
-            pages = max(1, record.state_bytes // PAGE_SIZE)
-            yield engine.delay(pages * agent.node.params.cow_mark_cost)
-            rt.spawn(
-                self._bg_writer(agent, rnd, cow=True),
-                name=f"ckpt-writer:{n}:r{agent.rank}",
-            )
-        elif self.memory_ckpt:
-            # block only for the buffer copy; the checkpointer thread does
-            # the rest concurrently with the application.
-            yield from agent.node.mem_copy(record.write_bytes)
-            rt.spawn(self._bg_writer(agent, rnd), name=f"ckpt-writer:{n}:r{agent.rank}")
-        elif self.staggered:
-            # blocking + staggered (NBS ablation): serialise writes on a
-            # FIFO slot, granted in cut order.
-            if self._write_slot is None:
-                raise InvariantViolation(
-                    "NBS cut without a write slot (install() not run?)",
-                    scheme=self.name,
-                    rank=agent.rank,
-                )
-            rt.cluster.set_rank_blocked(agent.rank, True)
-            wrote = True
-            slot_res = self._write_slot[
-                rt.cluster.storage.server_index(agent.rank)
-            ]
-            try:
-                with slot_res.request() as slot:
-                    yield slot
-                    rt.tracer.event(
-                        "proto.write_begin",
-                        rank=agent.rank,
-                        round=n,
-                        scheme=self.name,
-                    )
-                    try:
-                        yield from stable_write(
-                            self.ckpt_storage(agent),
-                            agent.node,
-                            record.write_bytes,
-                            tag=f"ckpt{n}:r{agent.rank}",
-                            retry=rt.retry_policy,
-                            tracer=rt.tracer,
-                        )
-                    except StorageFault:
-                        wrote = False
-                    rt.tracer.event(
-                        "proto.write_end", rank=agent.rank, round=n, ok=wrote
-                    )
-            finally:
-                rt.cluster.set_rank_blocked(agent.rank, False)
-            if wrote:
-                self._write_finished(agent, rnd)
-            else:
-                self._write_failed(agent, rnd)
-        else:
-            rt.cluster.set_rank_blocked(agent.rank, True)
-            wrote = True
-            rt.tracer.event(
-                "proto.write_begin", rank=agent.rank, round=n, scheme=self.name
-            )
-            try:
-                try:
-                    yield from stable_write(
-                        self.ckpt_storage(agent),
-                        agent.node,
-                        record.write_bytes,
-                        tag=f"ckpt{n}:r{agent.rank}",
-                        retry=rt.retry_policy,
-                        tracer=rt.tracer,
-                    )
-                except StorageFault:
-                    wrote = False
-            finally:
-                rt.cluster.set_rank_blocked(agent.rank, False)
-            rt.tracer.event("proto.write_end", rank=agent.rank, round=n, ok=wrote)
-            if wrote:
-                self._write_finished(agent, rnd)
-            else:
-                self._write_failed(agent, rnd)
-        agent.charge_blocked(t0)
-        rt.tracer.close_span(span)
-        self._maybe_ack(agent, rnd)
+        yield from self.save(agent, rnd)
 
-    def _bg_writer(self, agent: CoordinatedAgent, rnd: _Round, cow: bool = False):
+    # -- staggering ----------------------------------------------------------------
+
+    def write_gate(self, agent: CoordinatedAgent, rnd: _Round) -> Optional[Event]:
+        """NBMS/NBCS: a background writer waits for its ring's token. Ring
+        leaders (the coordinator's ring, plus one rank per additional
+        storage server) hold their ring's token implicitly and write
+        first."""
+        if (
+            self.staggered
+            and self.memory_ckpt
+            and agent.rank != self._ring_leader[agent.rank]
+        ):
+            return rnd.token_event
+        return None
+
+    def blocking_write(self, agent: CoordinatedAgent, rnd: _Round):
+        """NBS: blocked writes serialise on their server's FIFO slot,
+        granted in cut order."""
+        if not self.staggered:
+            return (yield from super().blocking_write(agent, rnd))
         rt = agent.runtime
-        if cow:
-            agent.node.cow_window_opened()
-        wrote = True
-        try:
-            # the token ring only runs in the memory variants (NBMS/NBCS);
-            # NBS serialises via the write slot in the blocking path.
-            # Ring leaders (the coordinator's ring, plus one rank per
-            # additional storage server) hold their ring's token
-            # implicitly and write first.
-            if (
-                self.staggered
-                and self.memory_ckpt
-                and agent.rank != self._ring_leader_of(rt, agent.rank)
-            ):
-                yield rnd.token_event
-            if rnd.aborted:
-                return  # an abort woke us up; nothing to write
-            rt.tracer.event(
-                "proto.write_begin",
-                rank=agent.rank,
-                round=rnd.n,
-                scheme=self.name,
-            )
-            try:
-                yield from stable_write(
-                    self.ckpt_storage(agent),
-                    agent.node,
-                    rnd.record.write_bytes,
-                    tag=f"ckpt{rnd.n}:r{agent.rank}",
-                    retry=rt.retry_policy,
-                    tracer=rt.tracer,
-                    background=True,
-                )
-            except StorageFault:
-                wrote = False
-            rt.tracer.event(
-                "proto.write_end", rank=agent.rank, round=rnd.n, ok=wrote
-            )
-        finally:
-            if cow:
-                agent.node.cow_window_closed()
-        if wrote:
-            self._write_finished(agent, rnd)
-            self._maybe_ack(agent, rnd)
-        else:
-            self._write_failed(agent, rnd)
+        slot = self._write_slot[rt.cluster.storage.server_index(agent.rank)]
+        with slot.request() as req:
+            yield req
+            return (yield from super().blocking_write(agent, rnd))
 
     def _write_finished(self, agent: CoordinatedAgent, rnd: _Round) -> None:
-        rt = agent.runtime
         if rnd.aborted:
             return  # the round died while the write was in flight
-        rnd.record.written_at = rt.engine.now
-        rt.store.add(rnd.record)
+        super()._write_finished(agent, rnd)
         rnd.write_done = True
-        inj = rt.storage.fault_injector
-        if inj is not None and inj.corrupts_checkpoint(agent.rank, rnd.n):
-            # silent media corruption: nobody notices until recovery
-            # validates the record's checksum.
-            rt.store.corrupt(agent.rank, rnd.n)
-            rt.tracer.add("chk.ckpts_corrupted")
-        self.after_stable_write(agent, rnd.record, rnd.record.write_bytes)
         if self.staggered and self.memory_ckpt:  # NBS uses the FIFO slot
-            if self._ring_next is None:
-                self._build_rings(rt)
             nxt = self._ring_next[agent.rank]
             if nxt != self._ring_leader[agent.rank]:
-                rt.tracer.event(
+                agent.runtime.tracer.event(
                     "proto.token_pass", round=rnd.n, src=agent.rank, dst=nxt
                 )
-                rt.spawn(
+                agent.runtime.spawn(
                     agent.comm.send_control(nxt, KIND_CONTROL, type=CTL_TOKEN, n=rnd.n),
                     name=f"token:{rnd.n}:{agent.rank}->{nxt}",
                 )
+        self._maybe_ack(agent, rnd)
 
     # -- round abort (a rank's write exhausted its retries) -----------------------
 
@@ -678,8 +505,8 @@ class CoordinatedScheme(Scheme):
         """This rank cannot persist checkpoint *rnd.n*: the round can never
         gather all acks, so cancel it cleanly for everyone instead of
         wedging the protocol."""
+        super()._write_failed(agent, rnd)
         rt = agent.runtime
-        rt.tracer.add("chk.ckpt_writes_failed")
         rt.tracer.event("proto.abort_report", rank=agent.rank, round=rnd.n)
         self._apply_abort(agent, rnd.n)
         if agent.rank == self.coordinator_rank:
@@ -842,8 +669,6 @@ class CoordinatedScheme(Scheme):
         agent.early_markers.clear()
         agent.early_tokens.clear()
         agent.aborted_rounds.clear()
-        if agent.inc is not None:
-            agent.inc.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<CoordinatedScheme {self.name} times={self.times}>"

@@ -18,10 +18,8 @@ Options:
   copied into a volatile log, flushed to stable storage together with the
   next checkpoint. Recovery can then replay in-transit messages across any
   consistent line (the paper cites this as the fix for lost messages /
-  domino mitigation).
-* ``pessimistic_logging`` — the log write happens synchronously inside the
-  send path (charged to the sender) instead of at checkpoint time — the
-  expensive classic variant, kept for ablations.
+  domino mitigation). Logging every send synchronously instead is the
+  message-logging family (:mod:`.msglog`).
 * ``gc`` — run recovery-line garbage collection after each checkpoint
   (Wang-style space reclamation).
 """
@@ -30,15 +28,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
-from ...core.errors import SimulationError, StorageFault
+from ...core.errors import SimulationError
 from ...net.message import Message
 from ..garbage import collect_garbage
-from ..incremental import PAGE_SIZE
-from ..policy import CheckpointPolicy, FixedTimes
+from ..policy import CheckpointPolicy
 from ..recovery import build_cuts, consistent_line, in_transit_ranges
-from ..retry import stable_write
 from ..storage_mgr import CheckpointRecord
-from .base import Scheme, SchemeAgent
+from .base import Scheme, SchemeAgent, WriteJob
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime import CheckpointRuntime
@@ -49,42 +45,26 @@ __all__ = ["IndependentScheme", "IndependentAgent"]
 class IndependentAgent(SchemeAgent):
     """Rank-local state: the volatile sender log."""
 
-    #: All in-flight; wiped by recovery/restart (the volatile sender log
-    #: is exactly the state an independent-checkpointing crash loses).
-    VOLATILE_FIELDS = ("volatile_log", "writing")
+    #: Wiped by recovery/restart (the volatile sender log is exactly the
+    #: state an independent-checkpointing crash loses).
+    VOLATILE_FIELDS = ("volatile_log",)
 
     def __init__(self, scheme: "IndependentScheme", runtime, rank: int) -> None:
         super().__init__(scheme, runtime, rank)
         self.volatile_log: List[Message] = []
-        #: background write in flight (at most one with sane intervals).
-        self.writing = False
 
 
 class IndependentScheme(Scheme):
     """Timer-driven uncoordinated checkpointing."""
 
     klass = "independent"
+    write_tag = "ickpt"
+    writer_name = "indep-writer"
 
     #: Capture manifest: the whole scheme object is durable — per-rank
     #: fire/draw bookkeeping must survive a halt so resumed timers replay
     #: the same skewed schedule bitwise.
-    RESUME_FIELDS = (
-        "times",
-        "policy",
-        "_fired",
-        "_drawn",
-        "_pending_fire",
-        "capture",
-        "memory_ckpt",
-        "incremental",
-        "full_every",
-        "two_level",
-        "name",
-        "skew",
-        "logging",
-        "pessimistic_logging",
-        "gc",
-    )
+    RESUME_FIELDS = ("_fired", "_drawn", "_pending_fire", "skew", "logging", "gc")
 
     #: Beyond the shared kinds, independent checkpointing only adds the
     #: per-rank commit of a background write.
@@ -93,22 +73,25 @@ class IndependentScheme(Scheme):
     def __init__(
         self,
         times: Sequence[float],
-        memory_ckpt: bool,
         name: str,
+        capture: str = "blocking",
         skew: float = 0.0,
         logging: bool = False,
-        pessimistic_logging: bool = False,
         gc: bool = False,
-        capture: Optional[str] = None,
         incremental: bool = False,
         full_every: int = 4,
         two_level: bool = False,
         policy: Optional[CheckpointPolicy] = None,
     ) -> None:
-        self.times = sorted(float(t) for t in times)
-        #: when each rank's timer fires; the explicit ``times`` schedule is
-        #: the legacy default, wrapped in a :class:`FixedTimes` policy.
-        self.policy = policy if policy is not None else FixedTimes(self.times)
+        super().__init__(
+            times,
+            name,
+            capture=capture,
+            incremental=incremental,
+            full_every=full_every,
+            two_level=two_level,
+            policy=policy,
+        )
         #: per-rank resume bookkeeping: shots fired, shots whose skew was
         #: drawn, and the drawn-but-unfired fire time carried across a halt
         #: (the restored RNG stream is already past the draw, so a resumed
@@ -116,40 +99,27 @@ class IndependentScheme(Scheme):
         self._fired: Dict[int, int] = {}
         self._drawn: Dict[int, int] = {}
         self._pending_fire: Dict[int, float] = {}
-        #: capture mode: "blocking" | "memcopy" | "cow" (see coordinated).
-        self.capture = capture or ("memcopy" if memory_ckpt else "blocking")
-        if self.capture not in ("blocking", "memcopy", "cow"):
-            raise ValueError(f"unknown capture mode {self.capture!r}")
-        self.memory_ckpt = self.capture != "blocking"
-        self.incremental = bool(incremental)
-        self.full_every = int(full_every)
-        self.two_level = bool(two_level)
-        self.name = name + ("_2l" if two_level else "")
         #: amplitude (seconds) of the deterministic per-rank timer skew.
         #: Real independent timers drift apart but start aligned; partial
         #: overlap of the background writes is part of the measured effect.
         self.skew = float(skew)
-        self.logging = bool(logging) or bool(pessimistic_logging)
-        self.pessimistic_logging = bool(pessimistic_logging)
+        self.logging = bool(logging)
         self.gc = bool(gc)
 
     # -- named variants -------------------------------------------------------
 
     @classmethod
-    def Indep(cls, times: Sequence[float], skew: float = 0.0, **kw) -> "IndependentScheme":
-        return cls(times, memory_ckpt=False, name="indep", skew=skew, **kw)
+    def Indep(cls, times: Sequence[float], **kw) -> "IndependentScheme":
+        return cls(times, name="indep", capture="blocking", **kw)
 
     @classmethod
-    def IndepM(cls, times: Sequence[float], skew: float = 0.0, **kw) -> "IndependentScheme":
-        return cls(times, memory_ckpt=True, name="indep_m", skew=skew, **kw)
+    def IndepM(cls, times: Sequence[float], **kw) -> "IndependentScheme":
+        return cls(times, name="indep_m", capture="memcopy", **kw)
 
     @classmethod
-    def IndepC(cls, times: Sequence[float], skew: float = 0.0, **kw) -> "IndependentScheme":
+    def IndepC(cls, times: Sequence[float], **kw) -> "IndependentScheme":
         """Extension: copy-on-write capture."""
-        return cls(
-            times, memory_ckpt=True, name="indep_c", skew=skew,
-            capture="cow", **kw
-        )
+        return cls(times, name="indep_c", capture="cow", **kw)
 
     # -- wiring ------------------------------------------------------------------
 
@@ -228,8 +198,6 @@ class IndependentScheme(Scheme):
 
     def _cut(self, agent: IndependentAgent, n: int) -> Generator[Any, Any, None]:
         rt = agent.runtime
-        engine = rt.engine
-        t0 = engine.now
         record = agent.capture(n)
         if self.logging:
             record.log_annex = agent.volatile_log
@@ -238,114 +206,20 @@ class IndependentScheme(Scheme):
         agent.cuts_taken += 1
         rt.tracer.add("chk.cuts")
         rt.tracer.event("proto.cut", rank=agent.rank, round=n, scheme=self.name)
-        span = rt.tracer.open_span("ckpt.cut", rank=agent.rank, n=n, scheme=self.name)
-        write_bytes = record.write_bytes + (
-            0 if self.pessimistic_logging else record.log_bytes
-        )
-        if agent.finished:
-            # a finished process has nothing to block: stream in background.
-            agent.writing = True
-            rt.spawn(
-                self._bg_writer(agent, record, write_bytes),
-                name=f"indep-writer:{n}:r{agent.rank}",
-            )
-            rt.tracer.close_span(span)
-            return
-        if self.capture == "cow":
-            pages = max(1, record.state_bytes // PAGE_SIZE)
-            yield engine.delay(pages * agent.node.params.cow_mark_cost)
-            agent.writing = True
-            rt.spawn(
-                self._bg_writer(agent, record, write_bytes, cow=True),
-                name=f"indep-writer:{n}:r{agent.rank}",
-            )
-        elif self.memory_ckpt:
-            yield from agent.node.mem_copy(write_bytes)
-            agent.writing = True
-            rt.spawn(
-                self._bg_writer(agent, record, write_bytes),
-                name=f"indep-writer:{n}:r{agent.rank}",
-            )
-        else:
-            rt.cluster.set_rank_blocked(agent.rank, True)
-            wrote = True
-            rt.tracer.event(
-                "proto.write_begin", rank=agent.rank, round=n, scheme=self.name
-            )
-            try:
-                try:
-                    yield from stable_write(
-                        self.ckpt_storage(agent),
-                        agent.node,
-                        write_bytes,
-                        tag=f"ickpt{n}:r{agent.rank}",
-                        retry=rt.retry_policy,
-                        tracer=rt.tracer,
-                    )
-                except StorageFault:
-                    wrote = False
-            finally:
-                rt.cluster.set_rank_blocked(agent.rank, False)
-            rt.tracer.event("proto.write_end", rank=agent.rank, round=n, ok=wrote)
-            if wrote:
-                self._write_finished(agent, record, write_bytes)
-            else:
-                self._write_failed(agent, record)
-        agent.charge_blocked(t0)
-        rt.tracer.close_span(span)
+        yield from self.save(agent, WriteJob(n, record, self._write_bytes(record)))
 
-    def _bg_writer(
-        self,
-        agent: IndependentAgent,
-        record: CheckpointRecord,
-        nbytes: int,
-        cow: bool = False,
-    ):
-        rt = agent.runtime
-        if cow:
-            agent.node.cow_window_opened()
-        wrote = True
-        rt.tracer.event(
-            "proto.write_begin",
-            rank=agent.rank,
-            round=record.index,
-            scheme=self.name,
-        )
-        try:
-            try:
-                yield from stable_write(
-                    self.ckpt_storage(agent),
-                    agent.node,
-                    nbytes,
-                    tag=f"ickpt{record.index}:r{agent.rank}",
-                    retry=rt.retry_policy,
-                    tracer=rt.tracer,
-                    background=True,
-                )
-            except StorageFault:
-                wrote = False
-        finally:
-            agent.writing = False
-            if cow:
-                agent.node.cow_window_closed()
-        rt.tracer.event(
-            "proto.write_end", rank=agent.rank, round=record.index, ok=wrote
-        )
-        if wrote:
-            self._write_finished(agent, record, nbytes)
-        else:
-            self._write_failed(agent, record)
+    def _write_bytes(self, record: CheckpointRecord) -> int:
+        # the sender log flushes with the image it was cut with
+        return record.write_bytes + record.log_bytes
 
-    def _write_failed(
-        self, agent: IndependentAgent, record: CheckpointRecord
-    ) -> None:
+    def _write_failed(self, agent: IndependentAgent, job: WriteJob) -> None:
         """The checkpoint write exhausted its retries. Independent schemes
         have no round to abort: drop the local checkpoint and carry on (the
         previous one still covers this rank). Log messages that failed to
         persist go back to the front of the volatile log so the next
         checkpoint flushes them — replay must never miss a logged send."""
-        rt = agent.runtime
-        rt.tracer.add("chk.ckpt_writes_failed")
+        super()._write_failed(agent, job)
+        record = job.record
         if self.logging and record.log_annex:
             agent.volatile_log[:0] = record.log_annex
             record.log_annex = []
@@ -354,21 +228,12 @@ class IndependentScheme(Scheme):
             # force the next checkpoint to be a full one.
             agent.inc.reset()
 
-    def _write_finished(
-        self, agent: IndependentAgent, record: CheckpointRecord, nbytes: float
-    ) -> None:
+    def _write_finished(self, agent: IndependentAgent, job: WriteJob) -> None:
+        super()._write_finished(agent, job)
         rt = agent.runtime
-        record.written_at = rt.engine.now
-        record.committed = True  # a written independent checkpoint is stable
-        rt.store.add(record)
-        inj = rt.storage.fault_injector
-        if inj is not None and inj.corrupts_checkpoint(agent.rank, record.index):
-            # silent media corruption, detected at recovery by checksum
-            rt.store.corrupt(agent.rank, record.index)
-            rt.tracer.add("chk.ckpts_corrupted")
-        self.after_stable_write(agent, record, nbytes)
+        job.record.committed = True  # a written independent checkpoint is stable
         rt.tracer.add("chk.commits")
-        rt.tracer.event("proto.local_commit", rank=agent.rank, index=record.index)
+        rt.tracer.event("proto.local_commit", rank=agent.rank, index=job.n)
         if self.gc:
             stats = collect_garbage(
                 rt.store,
@@ -378,31 +243,6 @@ class IndependentScheme(Scheme):
             )
             rt.tracer.add("chk.gc_freed_bytes", stats.freed_bytes)
             rt.tracer.add("chk.gc_freed_ckpts", stats.freed_checkpoints)
-
-    # -- pessimistic logging (send path pays the log write) ------------------------
-
-    def send_extra(self, agent: SchemeAgent, msg: Message):
-        if not self.pessimistic_logging or msg.kind != "app":
-            return None
-        assert isinstance(agent, IndependentAgent)
-        return self._logged_send_cost(agent, msg)
-
-    def _logged_send_cost(self, agent: IndependentAgent, msg: Message):
-        """Synchronous log flush inside the send path (pessimistic mode)."""
-        rt = agent.runtime
-        try:
-            yield from stable_write(
-                rt.storage,
-                agent.node,
-                msg.size,
-                tag=f"msglog:r{agent.rank}",
-                retry=rt.retry_policy,
-                tracer=rt.tracer,
-            )
-        except StorageFault:
-            # degrade to optimistic for this message: it is already in the
-            # volatile log and flushes with the next checkpoint instead.
-            rt.tracer.add("chk.msglog_failed")
 
     # -- recovery ---------------------------------------------------------------------
 
@@ -477,9 +317,6 @@ class IndependentScheme(Scheme):
     def reset_agent(self, agent: SchemeAgent) -> None:
         assert isinstance(agent, IndependentAgent)
         agent.volatile_log.clear()
-        agent.writing = False
-        if agent.inc is not None:
-            agent.inc.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<IndependentScheme {self.name} times={self.times} skew={self.skew}>"

@@ -6,8 +6,10 @@ protocol family lives here, declared once per family:
 * the concrete :class:`~repro.chklib.schemes.base.Scheme` class (whose
   ``RESUME_FIELDS`` manifests the resume layer unions over the MRO),
   named by dotted path and imported on first use;
-* its *base names* and how to build a scheme from a declarative
-  :class:`~repro.experiments.grid.SchemeSpec`;
+* its *base names* (one named constructor each, or the class itself) —
+  :meth:`ProtocolRegistry.build` turns a declarative
+  :class:`~repro.experiments.grid.SchemeSpec` into a scheme by the same
+  rule for every family;
 * the *option schema* — which ``SchemeSpec`` fields the family honours
   (anything else is rejected at spec-build time instead of silently
   ignored);
@@ -55,7 +57,6 @@ class ProtocolFamily:
     scheme: str  #: dotted path of the family's Scheme class
     bases: Tuple[str, ...]  #: SchemeSpec base names this family owns
     options: Tuple[str, ...]  #: SchemeSpec fields the family's build honours
-    build: Callable[[Type[Scheme], Any], Scheme]  #: (class, SchemeSpec) -> Scheme
     #: timer-driven checkpointing: experiments add the standard per-rank
     #: timer skew when planning cells for this family.
     skewed: bool = False
@@ -169,9 +170,21 @@ class ProtocolRegistry:
             )
 
     def build(self, spec: Any) -> Scheme:
-        """Instantiate a scheme from a ``SchemeSpec``."""
+        """Instantiate a scheme from a ``SchemeSpec``: the base's named
+        constructor (or the family class) gets the spec's times plus every
+        schema option the spec sets away from its default."""
+        from ..policy import build_policy
+
         family = self.family_for_base(spec.name)
-        return family.build(family.scheme_cls, spec)
+        kw: Dict[str, Any] = {}
+        for option in family.options:
+            value = getattr(spec, option)
+            if value != _OPTION_DEFAULTS[option]:
+                kw[option] = build_policy(value) if option == "policy" else value
+        cls = family.scheme_cls
+        factory = _FACTORIES.get(spec.name)
+        make = getattr(cls, factory) if factory is not None else cls
+        return make(list(spec.times), **kw)
 
     # -- verify hooks ----------------------------------------------------------
 
@@ -237,73 +250,19 @@ _OPTION_DEFAULTS: Dict[str, Any] = {
 }
 
 
-# -- family builders (SchemeSpec -> Scheme) ------------------------------------
-
-#: base name -> the family class's factory classmethod building it.
-_COORD_FACTORIES = {
+#: base name -> the family class's named constructor building it (bases
+#: missing here are built by calling the family class itself).
+_FACTORIES = {
     "coord_nb": "NB",
     "coord_nbm": "NBM",
     "coord_nbms": "NBMS",
     "coord_nbs": "NBS",
     "coord_nbc": "NBC",
     "coord_nbcs": "NBCS",
-}
-
-_INDEP_FACTORIES = {
     "indep": "Indep",
     "indep_m": "IndepM",
     "indep_c": "IndepC",
 }
-
-
-def _build_coordinated(cls: Any, spec: Any) -> Scheme:
-    from ..policy import build_policy
-
-    kw: Dict[str, Any] = {}
-    if spec.incremental:
-        kw["incremental"] = True
-    if spec.two_level:
-        kw["two_level"] = True
-    if spec.marker_scope != "all":
-        kw["marker_scope"] = spec.marker_scope
-    if spec.policy is not None:
-        kw["policy"] = build_policy(spec.policy)
-    return getattr(cls, _COORD_FACTORIES[spec.name])(list(spec.times), **kw)
-
-
-def _build_independent(cls: Any, spec: Any) -> Scheme:
-    from ..policy import build_policy
-
-    kw: Dict[str, Any] = {"skew": spec.skew}
-    if spec.logging:
-        kw["logging"] = True
-    if spec.gc:
-        kw["gc"] = True
-    if spec.policy is not None:
-        kw["policy"] = build_policy(spec.policy)
-    return getattr(cls, _INDEP_FACTORIES[spec.name])(list(spec.times), **kw)
-
-
-def _build_cic(cls: Any, spec: Any) -> Scheme:
-    from ..policy import build_policy
-
-    kw: Dict[str, Any] = {"skew": spec.skew}
-    if spec.cic_rule != "bcs":
-        kw["cic_rule"] = spec.cic_rule
-    if spec.policy is not None:
-        kw["policy"] = build_policy(spec.policy)
-    return cls(list(spec.times), **kw)
-
-
-def _build_msglog(cls: Any, spec: Any) -> Scheme:
-    from ..policy import build_policy
-
-    kw: Dict[str, Any] = {"skew": spec.skew}
-    if spec.gc:
-        kw["gc"] = True
-    if spec.policy is not None:
-        kw["policy"] = build_policy(spec.policy)
-    return cls.Mlog(list(spec.times), **kw)
 
 
 #: The process-wide registry, populated at import. Scheme resolution,
@@ -314,9 +273,9 @@ REGISTRY.register(
     ProtocolFamily(
         name="coordinated",
         scheme=f"{__package__}.coordinated.CoordinatedScheme",
-        bases=tuple(_COORD_FACTORIES),
+        bases=("coord_nb", "coord_nbm", "coord_nbms",
+               "coord_nbs", "coord_nbc", "coord_nbcs"),
         options=("incremental", "two_level", "marker_scope", "policy"),
-        build=_build_coordinated,
         skewed=False,
     )
 )
@@ -324,9 +283,8 @@ REGISTRY.register(
     ProtocolFamily(
         name="independent",
         scheme=f"{__package__}.independent.IndependentScheme",
-        bases=tuple(_INDEP_FACTORIES),
+        bases=("indep", "indep_m", "indep_c"),
         options=("skew", "logging", "gc", "policy"),
-        build=_build_independent,
         skewed=True,
     )
 )
@@ -336,7 +294,6 @@ REGISTRY.register(
         scheme=f"{__package__}.cic.CICScheme",
         bases=("cic",),
         options=("skew", "cic_rule", "policy"),
-        build=_build_cic,
         skewed=True,
     )
 )
@@ -346,7 +303,6 @@ REGISTRY.register(
         scheme=f"{__package__}.msglog.MessageLoggingScheme",
         bases=("mlog",),
         options=("skew", "gc", "policy"),
-        build=_build_msglog,
         skewed=True,
     )
 )

@@ -279,9 +279,15 @@ class Module:
     @staticmethod
     def _collect_manifests(cls_node: ast.ClassDef, info: ClassInfo) -> None:
         for stmt in cls_node.body:
-            if not isinstance(stmt, ast.Assign):
+            # ``RESUME_FIELDS = (...)`` or ``RESUME_FIELDS: tuple = (...)``
+            # — resume.py reads the class attribute either way.
+            if isinstance(stmt, ast.Assign):
+                targets = stmt.targets
+            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
+                targets = [stmt.target]
+            else:
                 continue
-            for target in stmt.targets:
+            for target in targets:
                 if not isinstance(target, ast.Name):
                     continue
                 if not (

@@ -246,7 +246,6 @@ class TestCowCapture:
 
     def test_invalid_capture_mode_rejected(self):
         with pytest.raises(ValueError):
-            CoordinatedScheme([1.0], memory_ckpt=True, staggered=False,
-                              name="x", capture="magic")
+            CoordinatedScheme([1.0], staggered=False, name="x", capture="magic")
         with pytest.raises(ValueError):
-            IndependentScheme([1.0], memory_ckpt=True, name="x", capture="magic")
+            IndependentScheme([1.0], name="x", capture="magic")

@@ -124,7 +124,7 @@ def test_build_constructs_the_right_classes():
     assert cic.skew == 0.1
     mlog = SchemeSpec.of("indep_m_mlog", (1.0,), skew=0.1).build()
     assert isinstance(mlog, MessageLoggingScheme)
-    assert mlog.pessimistic_logging
+    assert mlog.logging
 
 
 # -- verify hooks --------------------------------------------------------------
@@ -165,7 +165,6 @@ def test_validate_rejects_rogue_event_vocabulary():
             scheme=f"{__name__}.Rogue",
             bases=("rogue",),
             options=fam.options,
-            build=fam.build,
             skewed=True,
         )
     )

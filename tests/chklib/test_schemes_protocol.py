@@ -16,6 +16,7 @@ from repro.chklib import (
     CoordinatedScheme,
     FaultPlan,
     IndependentScheme,
+    MessageLoggingScheme,
 )
 from repro.machine import MachineParams
 from repro.net.collectives import reduce
@@ -139,7 +140,7 @@ def test_pessimistic_logging_charges_send_path():
         scheme=IndependentScheme.Indep(times, logging=True)
     )
     _, pess = run_pingpong(
-        scheme=IndependentScheme.Indep(times, pessimistic_logging=True)
+        scheme=MessageLoggingScheme(times, capture="blocking")
     )
     # synchronous log flush on every send is much more expensive
     assert pess.sim_time > plain.sim_time

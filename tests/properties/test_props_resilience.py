@@ -10,21 +10,27 @@ resilience invariants checked:
   requirement (``RecoveryEvent.line_consistent``);
 * no rank ever resumes from an uncommitted or quarantined checkpoint
   (audited at the moment each candidate line is selected).
+
+Every registry alias is drawn, so each capture mode, staggering gate and
+family's failed-write handling runs under storage faults.
 """
 
 import functools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import SOR
-from repro.chklib import CheckpointRuntime, CoordinatedScheme, IndependentScheme
+from repro.chklib import CheckpointRuntime
+from repro.chklib.schemes.registry import REGISTRY
+from repro.experiments.grid import SchemeSpec
 from repro.fault import FaultModel, RetryPolicy, StorageFaultSpec
 from repro.machine import MachineParams
 
 N_RANKS = 4
 MACHINE = MachineParams(n_nodes=N_RANKS)
-SCHEME_NAMES = ("coord_nb", "coord_nbm", "coord_nbms", "indep_m_log", "indep_m_nolog")
+ALIASES = REGISTRY.aliases()
 
 
 def _app():
@@ -40,18 +46,9 @@ def _baseline(seed):
     return report.sim_time, report.result["sum"]
 
 
-def _make_scheme(name, T):
-    times = [T / 4, T / 2]
-    skew = T / 50
-    if name == "coord_nb":
-        return CoordinatedScheme.NB(times)
-    if name == "coord_nbm":
-        return CoordinatedScheme.NBM(times)
-    if name == "coord_nbms":
-        return CoordinatedScheme.NBMS(times)
-    if name == "indep_m_log":
-        return IndependentScheme.IndepM(times, skew=skew, logging=True)
-    return IndependentScheme.IndepM(times, skew=skew)
+def _make_scheme(alias, T):
+    skew = T / 50 if REGISTRY.skewed(alias) else 0.0
+    return SchemeSpec.of(alias, [T / 4, T / 2], skew=skew).build()
 
 
 class AuditingRuntime(CheckpointRuntime):
@@ -78,7 +75,6 @@ class AuditingRuntime(CheckpointRuntime):
 @st.composite
 def fault_scenarios(draw):
     seed = draw(st.integers(0, 3))
-    scheme = draw(st.sampled_from(SCHEME_NAMES))
     p_write = draw(st.sampled_from([0.0, 0.02, 0.05, 0.15]))
     p_read = draw(st.sampled_from([0.0, 0.02, 0.05, 0.15]))
     p_corrupt = draw(st.sampled_from([0.0, 0.05, 0.25]))
@@ -92,7 +88,6 @@ def fault_scenarios(draw):
     max_retries = draw(st.integers(0, 4))
     return dict(
         seed=seed,
-        scheme=scheme,
         spec=StorageFaultSpec(
             write_fail_p=p_write,
             read_fail_p=p_read,
@@ -105,7 +100,7 @@ def fault_scenarios(draw):
     )
 
 
-def _run(sc):
+def _run(alias, sc):
     T, expected = _baseline(sc["seed"])
     at = sc["crash_frac"] * T
     if sc["node_crash"]:
@@ -116,7 +111,7 @@ def _run(sc):
         model = FaultModel.machine_crash(at, storage=sc["spec"], retry=sc["retry"])
     rt = AuditingRuntime(
         _app(),
-        scheme=_make_scheme(sc["scheme"], T),
+        scheme=_make_scheme(alias, T),
         machine=MACHINE,
         seed=sc["seed"],
         fault_model=model,
@@ -124,20 +119,22 @@ def _run(sc):
     return rt, rt.run(), expected
 
 
-@given(fault_scenarios())
-@settings(max_examples=30, deadline=None)
-def test_result_exact_and_recovery_sound_under_storage_faults(sc):
-    rt, report, expected = _run(sc)
+@pytest.mark.parametrize("alias", ALIASES)
+@given(sc=fault_scenarios())
+@settings(max_examples=12, deadline=None)
+def test_result_exact_and_recovery_sound_under_storage_faults(alias, sc):
+    rt, report, expected = _run(alias, sc)
     assert report.result["sum"] == expected
     assert report.recoveries, "the scheduled crash must actually fire"
     for ev in report.recoveries:
         assert ev.line_consistent, f"unsound line restored: {ev}"
 
 
-@given(fault_scenarios())
-@settings(max_examples=30, deadline=None)
-def test_no_rank_resumes_from_uncommitted_or_quarantined(sc):
-    rt, report, _ = _run(sc)
+@pytest.mark.parametrize("alias", ALIASES)
+@given(sc=fault_scenarios())
+@settings(max_examples=12, deadline=None)
+def test_no_rank_resumes_from_uncommitted_or_quarantined(alias, sc):
+    rt, report, _ = _run(alias, sc)
     assert rt.audited_lines, "recovery never selected a line"
     for line in rt.audited_lines:
         for rank, flags in line.items():
@@ -149,12 +146,13 @@ def test_no_rank_resumes_from_uncommitted_or_quarantined(sc):
             assert written, f"rank {rank} resumed from unwritten checkpoint"
 
 
-@given(fault_scenarios())
-@settings(max_examples=20, deadline=None)
-def test_retry_accounting_is_bounded(sc):
+@pytest.mark.parametrize("alias", ALIASES)
+@given(sc=fault_scenarios())
+@settings(max_examples=8, deadline=None)
+def test_retry_accounting_is_bounded(alias, sc):
     """Retries never exceed the per-operation budget times the number of
     faults, and a zero-fault spec injects nothing."""
-    rt, report, _ = _run(sc)
+    rt, report, _ = _run(alias, sc)
     budget = sc["retry"].max_retries
     assert report.storage_write_retries <= report.storage_write_faults * max(budget, 1)
     assert report.storage_read_retries <= report.storage_read_faults * max(budget, 1)

@@ -90,6 +90,28 @@ def test_class_manifests_and_self_fields():
     assert set(cls.self_fields) == {"a", "b", "engine"}
 
 
+def test_annotated_class_manifests_are_read():
+    # resume.py reads the class attribute however it is spelled, so an
+    # annotated manifest must count too (a bare annotation declares none)
+    mod = _module(
+        """
+        class Base:
+            RESUME_FIELDS: tuple = ("times", "name")
+            VOLATILE_FIELDS: tuple = ()
+            RESUME_COMPONENTS: tuple
+
+            def __init__(self):
+                self.times = []
+                self.name = "x"
+        """
+    )
+    (cls,) = mod.classes
+    assert cls.manifests["RESUME_FIELDS"] == ("times", "name")
+    assert cls.manifests["VOLATILE_FIELDS"] == ()
+    assert "RESUME_COMPONENTS" not in cls.manifests
+    assert cls.declared_fields() == {"times", "name"}
+
+
 def test_class_bases_use_terminal_names():
     mod = _module(
         """

@@ -123,10 +123,8 @@ class NoTokenWait(CoordinatedScheme):
     the staggering token — concurrent writes hammer the storage path the
     token ring exists to serialise."""
 
-    def _bg_writer(self, agent, rnd, cow=False):
-        if not rnd.token_event.triggered:
-            rnd.token_event.succeed()  # BUG: skip the token wait
-        yield from super()._bg_writer(agent, rnd, cow)
+    def write_gate(self, agent, rnd):
+        return None  # BUG: skip the token wait
 
 
 def test_skipped_token_wait_breaks_write_mutex():
@@ -151,8 +149,8 @@ class GreedyGc(IndependentScheme):
     """BUG: the 'space reclamation' pass discards the recovery-line member
     itself (each rank's newest checkpoint) instead of what lies behind it."""
 
-    def _write_finished(self, agent, record, nbytes):
-        super()._write_finished(agent, record, nbytes)
+    def _write_finished(self, agent, job):
+        super()._write_finished(agent, job)
         rt = agent.runtime
         latest = {r: rt.store.latest_index(r) for r in range(rt.n_ranks)}
         rt.tracer.event(
@@ -169,7 +167,7 @@ class GreedyGc(IndependentScheme):
 
 
 def test_gc_of_live_checkpoint_is_flagged():
-    scheme = GreedyGc(_times(), memory_ckpt=False, name="indep_greedy", logging=True)
+    scheme = GreedyGc(_times(), name="indep_greedy", logging=True)
     rt = _run(scheme=scheme)
     report = check_runtime(rt)
     assert not report.ok
@@ -180,9 +178,7 @@ def test_gc_of_live_checkpoint_is_flagged():
 
 
 def test_shipped_gc_is_line_safe():
-    scheme = IndependentScheme(
-        _times(), memory_ckpt=False, name="indep_gc", logging=True, gc=True
-    )
+    scheme = IndependentScheme(_times(), name="indep_gc", logging=True, gc=True)
     rt = _run(scheme=scheme)
     report = check_runtime(rt)
     assert report.ok, report.violations
