@@ -2,19 +2,23 @@
 
 Every analysis pass (and the hygiene lint that predates them) consumes the
 same pre-digested view of the tree, built here in a single recursive walk
-per module:
+per module that lists each node's children exactly once
+(:func:`child_nodes`). The passes read these indexes and walk nothing:
 
 * :class:`Module` — the parsed source plus flat, walk-ordered indexes of
   the nodes the passes care about (calls with their dotted callee names,
-  expression statements, assignments, ``try`` blocks, asserts, imports)
-  and the module's ``# verify: allow[...]`` pragma lines.
-* :class:`FunctionInfo` — per function/method: own-scope generator-ness
-  (contains ``yield``/``yield from`` outside nested defs), the returns it
-  makes, and its qualified name.
+  expression statements, ``try`` blocks, asserts, imports and the import
+  facts derived from them, ``ev.kind`` comparisons against event-name
+  literals) and the module's ``# verify: allow[...]`` pragma lines.
+* :class:`FunctionInfo` — per function/method: its own-scope nodes (every
+  descendant outside nested defs and lambdas, in walk order), the names
+  it loads, own-scope generator-ness (``yield``/``yield from``), the
+  returns it makes, and its qualified name.
 * :class:`ClassInfo` — per class: base-class simple names, every
-  ``self.X = ...`` attribute the methods assign, and the class-level
+  ``self.X = ...`` attribute the methods assign, the class-level
   capture manifests (``RESUME_FIELDS``/``VOLATILE_FIELDS``/
-  ``RESUME_COMPONENTS`` tuples of strings).
+  ``RESUME_COMPONENTS`` tuples of strings) and trace-checker
+  ``consumes`` manifests.
 * :class:`Project` — the whole-program view: modules, symbol tables by
   simple name, and the *generator name* classification the yield-discipline
   pass keys on (a simple name is generator-returning only when **every**
@@ -44,6 +48,7 @@ __all__ = [
     "Project",
     "default_target",
     "dotted_name",
+    "child_nodes",
     "build_project",
 ]
 
@@ -90,8 +95,19 @@ def default_target() -> Path:
     return Path(__file__).resolve().parent.parent.parent
 
 
-_FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
-_SCOPE_NODES = _FUNC_NODES + (ast.Lambda,)
+def child_nodes(node: ast.AST) -> List[ast.AST]:
+    """*node*'s direct children in field order: exactly
+    ``list(ast.iter_child_nodes(node))``, without its generator pair."""
+    out: List[ast.AST] = []
+    for name in node._fields:
+        value = getattr(node, name, None)
+        if isinstance(value, list):
+            for item in value:
+                if isinstance(item, ast.AST):
+                    out.append(item)
+        elif isinstance(value, ast.AST):
+            out.append(value)
+    return out
 
 
 @dataclass
@@ -103,13 +119,38 @@ class FunctionInfo:
     qualname: str
     class_name: Optional[str]
     module: "Module"
-    is_generator: bool
+    is_generator: bool = False
     #: ``return <expr>`` values in the function's own scope.
     returns: List[ast.expr] = field(default_factory=list)
+    #: every descendant outside nested defs and lambdas, in walk order
+    #: (the function's own decorators, defaults and annotations included).
+    own: List[ast.AST] = field(default_factory=list)
+    #: names read (``ast.Load``) in the function's own scope.
+    loaded: Set[str] = field(default_factory=set)
 
     @property
     def lineno(self) -> int:
         return getattr(self.node, "lineno", 0)
+
+    def _digest_own(self, cls: Optional[ClassInfo]) -> None:
+        """Derive the own-scope facts once :attr:`own` is complete; a
+        method also records its ``self.X`` stores on *cls*."""
+        for node in self.own:
+            kind = type(node)
+            if kind is ast.Name:
+                if type(node.ctx) is ast.Load:
+                    self.loaded.add(node.id)
+            elif kind is ast.Return:
+                if node.value is not None:
+                    self.returns.append(node.value)
+            elif kind is ast.Yield or kind is ast.YieldFrom:
+                self.is_generator = True
+            elif cls is None:
+                continue
+            elif kind is ast.Assign:
+                _record_self_assigns(node.targets, cls)
+            elif kind is ast.AugAssign or kind is ast.AnnAssign:
+                _record_self_assigns([node.target], cls)
 
 
 @dataclass
@@ -125,9 +166,12 @@ class ClassInfo:
     #: whose name ends in ``_FIELDS`` or ``_COMPONENTS``.
     manifests: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     #: ``self.X`` attributes assigned anywhere in the class body, with the
-    #: first line each was assigned on.
+    #: lowest line each is assigned on.
     self_fields: Dict[str, int] = field(default_factory=dict)
     methods: List[FunctionInfo] = field(default_factory=list)
+    #: ``consumes = ("kind", ...)`` statements in the class body, each
+    #: with its string literals (a trace checker's subscriptions).
+    consumes: List[Tuple[ast.Assign, Tuple[str, ...]]] = field(default_factory=list)
 
     def declared_fields(self) -> Set[str]:
         out: Set[str] = set()
@@ -159,13 +203,19 @@ class Module:
         self.imports: List[ast.Import] = []
         self.import_froms: List[ast.ImportFrom] = []
         self.tries: List[ast.Try] = []
+        #: every ``ev.kind ==/!=/in/not in <literal(s)>`` comparison (the
+        #: checker idiom; ``event.kind`` too), with its string literals and
+        #: the innermost class it sits in (None at module level).
+        self.kind_compares: List[
+            Tuple[ast.Compare, Tuple[str, ...], Optional[ClassInfo]]
+        ] = []
         # module-level import facts (for the hygiene rules)
         self.imports_random = False
         self.imports_numpy = False
         self.numpy_aliases: Set[str] = {"numpy"}
         self.from_time_names: Set[str] = set()
         if self.tree is not None:
-            self._index()
+            self._walk(self.tree, None, [], [])
 
     @classmethod
     def from_source(cls, source: str, path: str = "<string>") -> "Module":
@@ -191,90 +241,96 @@ class Module:
 
     # -- the single walk ------------------------------------------------------
 
-    def _index(self) -> None:
-        for alias in [
-            a for node in ast.walk(self.tree) if isinstance(node, ast.Import)
-            for a in node.names
-        ]:
-            if alias.name == "random":
-                self.imports_random = True
-            if alias.name == "numpy":
-                self.imports_numpy = True
-                self.numpy_aliases.add(alias.asname or "numpy")
-        self._walk(self.tree, class_stack=[], func_stack=[])
-
-    def _walk(self, node: ast.AST, class_stack, func_stack) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Import):
+    def _walk(self, node: ast.AST, own, class_stack, func_stack) -> None:
+        """Index *node*'s subtree; *own* collects the nodes of the
+        innermost enclosing function's own scope (None outside one)."""
+        for child in child_nodes(node):
+            kind = type(child)
+            if kind is ast.FunctionDef or kind is ast.AsyncFunctionDef:
+                self._function(child, class_stack, func_stack)
+                continue
+            if kind is ast.Lambda:
+                self._walk(child, None, class_stack, func_stack)
+                continue
+            if own is not None:
+                own.append(child)
+            if kind is ast.Call:
+                self.calls.append((child, dotted_name(child.func)))
+            elif kind is ast.Compare:
+                self._compare(child, class_stack)
+            elif kind is ast.Expr:
+                self.expr_statements.append(child)
+            elif kind is ast.Assert:
+                self.asserts.append(child)
+            elif kind is ast.Try:
+                self.tries.append(child)
+            elif kind is ast.Import:
                 self.imports.append(child)
-            elif isinstance(child, ast.ImportFrom):
+                for alias in child.names:
+                    if alias.name == "random":
+                        self.imports_random = True
+                    if alias.name == "numpy":
+                        self.imports_numpy = True
+                        self.numpy_aliases.add(alias.asname or "numpy")
+            elif kind is ast.ImportFrom:
                 self.import_froms.append(child)
                 if child.module == "time":
                     for alias in child.names:
                         if alias.name in ("time", "perf_counter", "monotonic"):
                             self.from_time_names.add(alias.asname or alias.name)
-            elif isinstance(child, ast.Call):
-                self.calls.append((child, dotted_name(child.func)))
-            elif isinstance(child, ast.Expr):
-                self.expr_statements.append(child)
-            elif isinstance(child, ast.Assert):
-                self.asserts.append(child)
-            elif isinstance(child, ast.Try):
-                self.tries.append(child)
-            elif isinstance(child, ast.ClassDef):
+            elif kind is ast.ClassDef:
                 info = ClassInfo(
                     node=child,
                     name=child.name,
                     module=self,
                     bases=tuple(
-                        b for b in (
-                            base.id if isinstance(base, ast.Name)
-                            else base.attr if isinstance(base, ast.Attribute)
-                            else None
-                            for base in child.bases
-                        ) if b is not None
+                        b.id if isinstance(b, ast.Name) else b.attr
+                        for b in child.bases
+                        if isinstance(b, (ast.Name, ast.Attribute))
                     ),
                 )
                 self._collect_manifests(child, info)
                 self.classes.append(info)
-                self._walk(child, class_stack + [info], func_stack)
+                self._walk(child, own, class_stack + [info], func_stack)
                 continue
-            elif isinstance(child, _FUNC_NODES):
-                cls = class_stack[-1] if class_stack else None
-                # one walk of the function's own scope feeds all three
-                # per-function facts below
-                own = list(_own_scope_children(child))
-                qual = ".".join(
-                    [c.name for c in class_stack]
-                    + [f.name for f in func_stack]
-                    + [child.name]
-                )
-                info = FunctionInfo(
-                    node=child,
-                    name=child.name,
-                    qualname=qual,
-                    class_name=cls.name if cls else None,
-                    module=self,
-                    is_generator=any(
-                        isinstance(c, (ast.Yield, ast.YieldFrom)) for c in own
-                    ),
-                    returns=[
-                        c.value
-                        for c in own
-                        if isinstance(c, ast.Return) and c.value is not None
-                    ],
-                )
-                self.functions.append(info)
-                if cls is not None:
-                    cls.methods.append(info)
-                    _collect_self_assigns(own, cls)
-                self._walk(child, class_stack, func_stack + [info])
-                continue
-            elif class_stack and isinstance(child, (ast.Assign, ast.AugAssign)):
-                # class-level (non-method) assigns were already handled by
-                # _collect_manifests; still descend for nested calls.
-                pass
-            self._walk(child, class_stack, func_stack)
+            if child._fields:  # contexts and operators have no children
+                self._walk(child, own, class_stack, func_stack)
+
+    def _function(self, node: ast.AST, class_stack, func_stack) -> None:
+        cls = class_stack[-1] if class_stack else None
+        qual = ".".join(
+            [c.name for c in class_stack] + [f.name for f in func_stack] + [node.name]
+        )
+        info = FunctionInfo(
+            node=node,
+            name=node.name,
+            qualname=qual,
+            class_name=cls.name if cls else None,
+            module=self,
+        )
+        self.functions.append(info)
+        if cls is not None:
+            cls.methods.append(info)
+        self._walk(node, info.own, class_stack, func_stack + [info])
+        info._digest_own(cls)
+
+    def _compare(self, node: ast.Compare, class_stack) -> None:
+        # only the checker idiom `ev.kind == "…"` — message kinds
+        # (`msg.kind == "app"`) live in a different namespace.
+        left = node.left
+        if not (
+            type(left) is ast.Attribute
+            and left.attr == "kind"
+            and isinstance(left.value, ast.Name)
+            and left.value.id in ("ev", "event")
+            and len(node.ops) == 1
+            and isinstance(node.ops[0], (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
+        ):
+            return
+        comp = node.comparators[0]
+        values = comp.elts if isinstance(comp, (ast.Tuple, ast.Set, ast.List)) else [comp]
+        owner = class_stack[-1] if class_stack else None
+        self.kind_compares.append((node, _strings(values), owner))
 
     @staticmethod
     def _collect_manifests(cls_node: ast.ClassDef, info: ClassInfo) -> None:
@@ -283,64 +339,54 @@ class Module:
             # — resume.py reads the class attribute either way.
             if isinstance(stmt, ast.Assign):
                 targets = stmt.targets
+                if (
+                    len(targets) == 1
+                    and isinstance(targets[0], ast.Name)
+                    and targets[0].id == "consumes"
+                    and isinstance(stmt.value, (ast.Tuple, ast.List))
+                ):
+                    info.consumes.append((stmt, _strings(stmt.value.elts)))
             elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
                 targets = [stmt.target]
             else:
                 continue
             for target in targets:
-                if not isinstance(target, ast.Name):
-                    continue
-                if not (
-                    target.id.endswith("_FIELDS")
-                    or target.id.endswith("_COMPONENTS")
+                if isinstance(target, ast.Name) and target.id.endswith(
+                    ("_FIELDS", "_COMPONENTS")
                 ):
-                    continue
-                names = _string_tuple(stmt.value)
-                if names is not None:
-                    info.manifests[target.id] = names
+                    names = _string_tuple(stmt.value)
+                    if names is not None:
+                        info.manifests[target.id] = names
+
+
+def _strings(nodes: Iterable[ast.AST]) -> Tuple[str, ...]:
+    """The string constants among *nodes*, in order."""
+    return tuple(
+        n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    )
 
 
 def _string_tuple(node: ast.expr) -> Optional[Tuple[str, ...]]:
     """A literal tuple/list of string constants, or None."""
     if not isinstance(node, (ast.Tuple, ast.List)):
         return None
-    out: List[str] = []
-    for el in node.elts:
-        if isinstance(el, ast.Constant) and isinstance(el.value, str):
-            out.append(el.value)
-        else:
-            return None
-    return tuple(out)
+    names = _strings(node.elts)
+    return names if len(names) == len(node.elts) else None
 
 
-def _own_scope_children(node: ast.AST):
-    """Yield descendants of *node* without entering nested scopes."""
-    stack = list(ast.iter_child_nodes(node))
-    while stack:
-        child = stack.pop()
-        if isinstance(child, _SCOPE_NODES):
-            continue
-        yield child
-        stack.extend(ast.iter_child_nodes(child))
-
-
-def _collect_self_assigns(own: Iterable[ast.AST], cls: ClassInfo) -> None:
-    """Record the ``self.X`` attribute stores among *own*, a method's
-    own-scope nodes."""
-    for child in own:
-        targets: List[ast.expr] = []
-        if isinstance(child, ast.Assign):
-            targets = list(child.targets)
-        elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
-            targets = [child.target]
-        for target in targets:
-            for t in _flatten_targets(target):
-                if (
-                    isinstance(t, ast.Attribute)
-                    and isinstance(t.value, ast.Name)
-                    and t.value.id == "self"
-                ):
-                    cls.self_fields.setdefault(t.attr, t.lineno)
+def _record_self_assigns(targets: Iterable[ast.expr], cls: ClassInfo) -> None:
+    """Record the ``self.X`` attribute stores among *targets*, each at
+    the lowest line it is assigned on."""
+    for target in targets:
+        for t in _flatten_targets(target):
+            if (
+                isinstance(t, ast.Attribute)
+                and isinstance(t.value, ast.Name)
+                and t.value.id == "self"
+            ):
+                cls.self_fields[t.attr] = min(
+                    t.lineno, cls.self_fields.get(t.attr, t.lineno)
+                )
 
 
 def _flatten_targets(target: ast.expr):

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import List
 
 from ..findings import Finding
-from ..frontend import Project, _own_scope_children, dotted_name
+from ..frontend import FunctionInfo, Project, dotted_name
 
 __all__ = ["cleanup_mutation_pass"]
 
@@ -65,10 +65,10 @@ def _touches_state_root(dotted: str) -> bool:
     return any(seg in STATE_ROOTS for seg in dotted.split("."))
 
 
-def _cleanup_bodies(func: ast.AST):
+def _cleanup_bodies(fn: FunctionInfo):
     """(kind, stmt-list) for every finally / except-GeneratorExit in
-    *func*'s own scope."""
-    for node in _own_scope_children(func):
+    *fn*'s own scope."""
+    for node in fn.own:
         if not isinstance(node, ast.Try):
             continue
         if node.finalbody:
@@ -109,7 +109,7 @@ def cleanup_mutation_pass(project: Project) -> List[Finding]:
         for fn in module.functions:
             if not fn.is_generator:
                 continue
-            for kind, body in _cleanup_bodies(fn.node):
+            for kind, body in _cleanup_bodies(fn):
                 for node in _body_nodes(body):
                     finding = _check_node(module, fn, kind, node)
                     if finding is not None:

@@ -27,13 +27,7 @@ import ast
 from typing import Dict, List, Optional
 
 from ..findings import Finding
-from ..frontend import (
-    FunctionInfo,
-    Module,
-    Project,
-    _own_scope_children,
-    dotted_name,
-)
+from ..frontend import FunctionInfo, Module, Project, dotted_name
 
 __all__ = ["nondet_taint_pass"]
 
@@ -127,15 +121,6 @@ class _Taint:
                 self.names.pop(target.id, None)
 
 
-def _statements(func: ast.AST) -> List[ast.stmt]:
-    """Own-scope statements of *func*, in source order."""
-    stmts = [
-        n for n in _own_scope_children(func) if isinstance(n, ast.stmt)
-    ]
-    stmts.sort(key=lambda n: (n.lineno, n.col_offset))
-    return stmts
-
-
 def _sink_kind(dotted: Optional[str], call: ast.Call) -> Optional[str]:
     if dotted is None:
         return None
@@ -162,7 +147,10 @@ def nondet_taint_pass(project: Project) -> List[Finding]:
 
 def _analyze_function(module: Module, fn: FunctionInfo) -> List[Finding]:
     env = _Taint()
-    stmts = _statements(fn.node)
+    stmts = sorted(
+        (n for n in fn.own if isinstance(n, ast.stmt)),
+        key=lambda n: (n.lineno, n.col_offset),
+    )
     # two sequential passes: the second sees loop-carried taint.
     for _ in range(2):
         for stmt in stmts:
@@ -181,11 +169,7 @@ def _analyze_function(module: Module, fn: FunctionInfo) -> List[Finding]:
                 env.assign(stmt.target, env.of(stmt.iter))
 
     out: List[Finding] = []
-    calls = [
-        (n, dotted_name(n.func))
-        for n in _own_scope_children(fn.node)
-        if isinstance(n, ast.Call)
-    ]
+    calls = [(n, dotted_name(n.func)) for n in fn.own if isinstance(n, ast.Call)]
     for call, dotted in calls:
         sink = _sink_kind(dotted, call)
         if sink is None:

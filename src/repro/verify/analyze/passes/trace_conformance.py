@@ -44,12 +44,8 @@ def _emission_sites(module: Module) -> List[Tuple[ast.Call, str]]:
     """(call, event-name) for every ``<…>.tracer.event("name", …)``."""
     sites = []
     for call, dotted in module.calls:
-        if dotted is None:
-            continue
-        parts = dotted.split(".")
-        if len(parts) < 2 or parts[-1] != "event":
-            continue
-        if parts[-2] not in _TRACER_NAMES:
+        parts = dotted.split(".") if dotted else ()
+        if len(parts) < 2 or parts[-1] != "event" or parts[-2] not in _TRACER_NAMES:
             continue
         if call.args and isinstance(call.args[0], ast.Constant):
             if isinstance(call.args[0].value, str):
@@ -58,43 +54,18 @@ def _emission_sites(module: Module) -> List[Tuple[ast.Call, str]]:
 
 
 def _consumption_sites(module: Module) -> List[Tuple[ast.AST, str]]:
-    """(node, event-name) for every place a checker names an event."""
-    if module.tree is None:
-        return []
-    sites: List[Tuple[ast.AST, str]] = []
-    # ev.kind == "…" / != / in ("…", "…")
-    for node in ast.walk(module.tree):
-        if isinstance(node, ast.Compare):
-            # only the checker idiom `ev.kind == "…"` — message kinds
-            # (`msg.kind == "app"`) live in a different namespace.
-            if not (
-                isinstance(node.left, ast.Attribute)
-                and node.left.attr == "kind"
-                and isinstance(node.left.value, ast.Name)
-                and node.left.value.id in ("ev", "event")
-                and len(node.ops) == 1
-                and isinstance(node.ops[0], (ast.Eq, ast.NotEq, ast.In, ast.NotIn))
-            ):
-                continue
-            comp = node.comparators[0]
-            values = comp.elts if isinstance(comp, (ast.Tuple, ast.Set, ast.List)) else [comp]
-            for v in values:
-                if isinstance(v, ast.Constant) and isinstance(v.value, str):
-                    sites.append((node, v.value))
-        elif isinstance(node, ast.ClassDef):
-            # consumes = ("…", …) subscription manifests
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.Assign)
-                    and len(stmt.targets) == 1
-                    and isinstance(stmt.targets[0], ast.Name)
-                    and stmt.targets[0].id == "consumes"
-                    and isinstance(stmt.value, (ast.Tuple, ast.List))
-                ):
-                    for el in stmt.value.elts:
-                        if isinstance(el, ast.Constant) and isinstance(el.value, str):
-                            sites.append((stmt, el.value))
-    # events_named("…")
+    """(node, event-name) for every place a checker names an event:
+    ``consumes`` manifests, then ``ev.kind`` comparisons, then
+    ``events_named("…")`` calls."""
+    sites: List[Tuple[ast.AST, str]] = [
+        (stmt, name)
+        for cls in module.classes
+        for stmt, names in cls.consumes
+        for name in names
+    ]
+    sites.extend(
+        (node, name) for node, names, _cls in module.kind_compares for name in names
+    )
     for call, dotted in module.calls:
         if dotted is None or dotted.split(".")[-1] != "events_named":
             continue

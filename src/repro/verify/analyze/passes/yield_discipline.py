@@ -29,12 +29,7 @@ import io
 from typing import List
 
 from ..findings import Finding
-from ..frontend import (
-    GENERATOR_PRIMITIVES,
-    Project,
-    _own_scope_children,
-    dotted_name,
-)
+from ..frontend import GENERATOR_PRIMITIVES, Project, dotted_name
 
 __all__ = ["yield_discipline_pass"]
 
@@ -98,11 +93,11 @@ def yield_discipline_pass(project: Project) -> List[Finding]:
     # generator bound to a name with zero subsequent loads.
     for fns in project.functions_by_name.values():
         for fn in fns:
-            for node in _own_scope_children(fn.node):
-                if not isinstance(node, ast.Assign):
-                    continue
-                if len(node.targets) != 1 or not isinstance(
-                    node.targets[0], ast.Name
+            for node in fn.own:
+                if not (
+                    isinstance(node, ast.Assign)
+                    and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
                 ):
                     continue
                 value = node.value
@@ -114,7 +109,7 @@ def yield_discipline_pass(project: Project) -> List[Finding]:
                 if name in _AMBIENT_NAMES and name not in GENERATOR_PRIMITIVES:
                     continue
                 var = node.targets[0].id
-                if _loaded_elsewhere(fn.node, var, node):
+                if var in fn.loaded:
                     continue
                 module = fn.module
                 if module.allowed(node.lineno, RULE):
@@ -136,14 +131,3 @@ def yield_discipline_pass(project: Project) -> List[Finding]:
     findings.sort(key=lambda f: (f.path, f.line, f.col))
     return findings
 
-
-def _loaded_elsewhere(func: ast.AST, var: str, assignment: ast.Assign) -> bool:
-    """Is *var* read anywhere in *func*'s own scope outside *assignment*?"""
-    for node in _own_scope_children(func):
-        if (
-            isinstance(node, ast.Name)
-            and node.id == var
-            and isinstance(node.ctx, ast.Load)
-        ):
-            return True
-    return False

@@ -107,19 +107,24 @@ class Checker:
 
     name = "checker"
 
-    #: trace-event kinds this checker keys on — ``("*",)`` for every
-    #: event. Cross-checked statically against the emission sites by the
-    #: analyzer's trace-conformance pass, so a subscription to an event
-    #: nothing emits (a vacuously-green invariant) fails analysis.
+    #: the only trace-event kinds ``check_trace`` shows this checker
+    #: (``("*",)``: every event), so it must name every kind ``on_event``
+    #: reads. Cross-checked against the emission sites by the analyzer's
+    #: trace-conformance pass: a subscription nothing emits fails analysis.
     consumes: Tuple[str, ...] = ()
 
     def __init__(self, meta: RunMeta) -> None:
         self.meta = meta
         self.violations: List[TraceViolation] = []
         self._index = -1
+        #: time of the stream's latest event of any kind, consumed or not
+        #: — what :meth:`finish` stamps end-of-stream violations with.
+        self._now = 0.0
 
     def feed(self, index: int, ev: TraceEvent) -> None:
+        """Show this checker one event, whatever its kind."""
         self._index = index
+        self._now = ev.time
         self.on_event(ev)
 
     def flag(self, message: str, time: float) -> None:
@@ -183,34 +188,34 @@ class ChannelFifo(Checker):
 
     def on_event(self, ev: TraceEvent) -> None:
         if ev.kind == "msg.send":
-            key = (ev["gen"], ev["src"], ev["dst"])
-            seq = ev["seq"]
+            gen, src, dst, seq = ev["gen"], ev["src"], ev["dst"], ev["seq"]
+            key = (gen, src, dst)
             last = self._sent.get(key, 0)
             if seq <= last:
                 self.flag(
-                    f"send {ev['src']}->{ev['dst']} gen={ev['gen']} "
+                    f"send {src}->{dst} gen={gen} "
                     f"seq={seq} not increasing (last {last})",
                     ev.time,
                 )
             self._sent[key] = max(last, seq)
-            chan = (ev["src"], ev["dst"])
+            chan = (src, dst)
             self._channel_high[chan] = max(self._channel_high.get(chan, 0), seq)
         elif ev.kind == "msg.deliver":
-            key = (ev["gen"], ev["src"], ev["dst"])
-            seq = ev["seq"]
+            gen, src, dst, seq = ev["gen"], ev["src"], ev["dst"], ev["seq"]
+            key = (gen, src, dst)
             last = self._delivered.get(key, 0)
             if seq <= last:
                 self.flag(
-                    f"delivery {ev['src']}->{ev['dst']} gen={ev['gen']} "
+                    f"delivery {src}->{dst} gen={gen} "
                     f"seq={seq} out of order (last {last})",
                     ev.time,
                 )
             self._delivered[key] = max(last, seq)
-            chan = (ev["src"], ev["dst"])
-            if seq > self._channel_high.get(chan, 0):
+            high = self._channel_high.get((src, dst), 0)
+            if seq > high:
                 self.flag(
-                    f"delivery {ev['src']}->{ev['dst']} seq={seq} was never "
-                    f"sent (channel high {self._channel_high.get(chan, 0)})",
+                    f"delivery {src}->{dst} seq={seq} was never "
+                    f"sent (channel high {high})",
                     ev.time,
                 )
 
@@ -592,7 +597,6 @@ class CicIndexRule(Checker):
         self._obliged: Dict[int, int] = {}  #: rank -> outstanding forced index
         #: rank -> index of a delivery whose rule event has not appeared yet
         self._pending: Dict[int, int] = {}
-        self._now = 0.0
 
     def _rule_never_fired(self, rank: int, time: float) -> None:
         pending = self._pending.pop(rank, None)
@@ -606,7 +610,6 @@ class CicIndexRule(Checker):
     def on_event(self, ev: TraceEvent) -> None:
         if self.meta.klass != "cic":
             return
-        self._now = ev.time
         if ev.kind == "msg.deliver":
             dst, midx = ev["dst"], ev["epoch"]
             self._rule_never_fired(dst, ev.time)

@@ -46,6 +46,7 @@ from .analyze.frontend import (
     ALLOW_RE as _ALLOW_RE,
     GENERATOR_PRIMITIVES,
     Module as _Module,
+    default_target,
     iter_python_files as _iter_python_files,
 )
 from .analyze.passes.hygiene import WALL_CLOCK, module_hygiene
@@ -76,11 +77,6 @@ def lint_source(source: str, path: str = "<string>") -> List[LintIssue]:
         )
         for f in module_hygiene(module)
     ]
-
-
-def default_target() -> Path:
-    """The package root the lint covers by default (``src/repro``)."""
-    return Path(__file__).resolve().parent.parent
 
 
 def lint_paths(paths: Optional[Iterable[Path]] = None) -> List[LintIssue]:

@@ -20,13 +20,13 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Sequence
 
 from ..core.errors import VerificationError
 
 if TYPE_CHECKING:
     from ..core.tracing import TraceEvent
-    from .invariants import RunMeta, TraceViolation
+    from .invariants import Checker, RunMeta, TraceViolation
 
 __all__ = [
     "TraceReport",
@@ -70,13 +70,27 @@ class TraceReport:
 
 
 def check_trace(events: Sequence[TraceEvent], meta: RunMeta) -> TraceReport:
-    """Replay *events* through the full checker battery."""
+    """Replay *events* through the full checker battery.
+
+    Each event visits only the checkers that consume its kind, in battery
+    order (a ``"*"`` checker sees every event); the result is what
+    feeding every event to every checker gives."""
     from .invariants import default_checkers
 
     checkers = default_checkers(meta)
+    everyone = [c for c in checkers if "*" in c.consumes]
+    table: Dict[str, List[Checker]] = {
+        kind: [c for c in checkers if kind in c.consumes or "*" in c.consumes]
+        for checker in checkers
+        for kind in checker.consumes
+    }
     for index, ev in enumerate(events):
-        for checker in checkers:
-            checker.feed(index, ev)
+        for checker in table.get(ev.kind, everyone):
+            checker._index = index
+            checker.on_event(ev)
+    end = events[-1].time if events else 0.0
+    for checker in checkers:  # finish() stamps the stream's end, not its last own event
+        checker._index, checker._now = len(events) - 1, end
     violations: List[TraceViolation] = []
     for checker in checkers:
         violations.extend(checker.finish())

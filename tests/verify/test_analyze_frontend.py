@@ -1,14 +1,19 @@
 """Tests for the shared static-analysis front-end (Module/Project)."""
 
+import ast
 import textwrap
+from collections import Counter
 
+from repro.verify.analyze import analyze, frontend, run_passes
 from repro.verify.analyze.frontend import (
     GENERATOR_PRIMITIVES,
     Module,
     Project,
     build_project,
+    child_nodes,
     dotted_name,
 )
+from repro.verify.analyze.passes import cleanup_mutation
 
 
 def _module(source, path="pkg/mod.py"):
@@ -88,6 +93,69 @@ def test_class_manifests_and_self_fields():
     assert cls.manifests["VOLATILE_FIELDS"] == ("engine",)
     assert cls.declared_fields() == {"a", "b", "engine"}
     assert set(cls.self_fields) == {"a", "b", "engine"}
+
+
+def test_self_fields_record_the_lowest_line():
+    mod = _module(
+        """
+        class Thing:
+            def __init__(self):
+                self.x = 1
+                self.y = 0
+                self.x = 2
+        """
+    )
+    (cls,) = mod.classes
+    assert cls.self_fields == {"x": 4, "y": 5}
+
+
+def test_own_scope_skips_nested_defs_and_lambdas():
+    mod = _module(
+        """
+        def outer(a=default()):
+            x = f()
+            g = lambda: hidden()
+            def inner():
+                return secret
+            return x
+        """
+    )
+    outer = mod.functions[0]
+    names = {n.id for n in outer.own if isinstance(n, ast.Name)}
+    assert {"default", "f", "x", "g"} <= names
+    assert not {"hidden", "secret"} & names
+    assert outer.loaded == {"default", "f", "x"}
+    assert [ast.dump(r) for r in outer.returns] == [ast.dump(ast.Name("x", ast.Load()))]
+
+
+def test_kind_comparisons_and_consumes_are_indexed():
+    mod = _module(
+        """
+        class Audit:
+            consumes = ("msg.send", "msg.deliver")
+
+            def on_event(self, ev):
+                if ev.kind == "msg.send":
+                    pass
+                elif ev.kind in ("msg.deliver", "proto.cut"):
+                    pass
+                if msg.kind == "app":  # a message kind, not an event kind
+                    pass
+
+        def free(event):
+            return event.kind != "gc.run"
+        """
+    )
+    (cls,) = mod.classes
+    assert [names for _stmt, names in cls.consumes] == [("msg.send", "msg.deliver")]
+    assert [
+        (names, owner.name if owner else None)
+        for _node, names, owner in mod.kind_compares
+    ] == [
+        (("msg.send",), "Audit"),
+        (("msg.deliver", "proto.cut"), "Audit"),
+        (("gc.run",), None),
+    ]
 
 
 def test_annotated_class_manifests_are_read():
@@ -273,3 +341,53 @@ def test_build_project_subset_is_not_whole_program(tmp_path):
     project = build_project([tmp_path])
     assert not project.whole_program
     assert len(project.modules) == 1
+
+
+# -- the single walk ----------------------------------------------------------
+
+
+def _spy_listings(monkeypatch):
+    """Count every child listing: ``ast.iter_child_nodes`` (which
+    ``ast.walk`` lists through), ``ast.walk`` itself, and the front-end's
+    lister."""
+    counts = Counter()
+
+    def spy(name, real):
+        def counted(node):
+            counts[name] += 1
+            return real(node)
+
+        return counted
+
+    monkeypatch.setattr(ast, "iter_child_nodes", spy("iter_child_nodes", ast.iter_child_nodes))
+    monkeypatch.setattr(ast, "walk", spy("walk", ast.walk))
+    monkeypatch.setattr(frontend, "child_nodes", spy("child_nodes", frontend.child_nodes))
+    return counts
+
+
+def test_child_nodes_is_iter_child_nodes():
+    for module in build_project().modules:
+        for node in ast.walk(module.tree):
+            assert child_nodes(node) == list(ast.iter_child_nodes(node))
+
+
+def test_analyze_lists_children_at_most_once_and_a_half_per_node(monkeypatch):
+    nodes = sum(
+        sum(1 for _ in ast.walk(m.tree)) for m in build_project().modules
+    )
+    counts = _spy_listings(monkeypatch)
+    analyze()
+    listings = counts["iter_child_nodes"] + counts["child_nodes"]
+    assert listings <= 1.5 * nodes, (listings, nodes)
+
+
+def test_passes_walk_nothing_but_cleanup_bodies(monkeypatch):
+    project = build_project()
+    counts = _spy_listings(monkeypatch)
+    run_passes(project)
+    assert counts["walk"] == counts["child_nodes"] == 0
+    assert counts["iter_child_nodes"] > 0  # cleanup-mutation's finally bodies
+    counts.clear()
+    monkeypatch.setattr(cleanup_mutation, "_body_nodes", lambda stmts: iter(()))
+    run_passes(project)
+    assert sum(counts.values()) == 0
