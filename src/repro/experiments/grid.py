@@ -265,7 +265,7 @@ class ExperimentSpec:
     reduce: Callable[[GridResults], TableResult]
 
     def all_cells(self, results: GridResults) -> List[Cell]:
-        """Baselines plus planned cells; the repo benchmark
+        """The baselines plus the planned cells; the repo benchmark
         (``benchmarks/e2e``, a frozen contract) reads a command's counts
         back through this."""
         return list(self.baselines) + list(self.plan(results))

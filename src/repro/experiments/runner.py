@@ -30,9 +30,9 @@ Any invocation accepts ``--verify``: every simulation run is then audited
 post-hoc by the trace invariant engine (:mod:`repro.verify`), and the
 first violated invariant aborts the experiment with a VerificationError.
 Before any cell runs, ``--verify`` also gates on the static analyzer's
-whole-tree report (exit 2 on a new finding or a stale baseline entry); a
-clean verdict is recorded in the result cache and reused while the code,
-``ANALYZE_BASELINE.json`` and the interpreter version stay the same.
+whole-tree report (exit 2 on any finding); a clean verdict is recorded in
+the result cache and reused while the code and the interpreter version
+stay the same.
 ``smoke`` is the verification smoke battery itself — a small traced run of
 every scheme (plus a crash) with the audit always on.
 
@@ -211,25 +211,19 @@ _VERDICT_VERSION = 1
 
 
 def _static_gate(cache_dir: Optional[str], use_cache: bool) -> bool:
-    """``--verify``'s static gate: the whole-tree analyzer report against
-    the committed baseline.
+    """``--verify``'s static gate: the whole-tree analyzer report, clean
+    only with no finding.
 
-    The verdict is a pure function of three inputs — every ``*.py`` under
-    the package (:func:`code_fingerprint`, the analyzer included), the
-    baseline's bytes and the interpreter's minor version (its ``ast``) —
-    so a clean one is recorded in the result cache under their sha256 and
-    the next command on the same tree reuses it without importing the
-    analyzer. A failing verdict is never recorded: its findings print on
-    every run until they are fixed.
+    The verdict is a pure function of two inputs — every ``*.py`` under
+    the package (:func:`code_fingerprint`, the analyzer included) and the
+    interpreter's minor version (its ``ast``) — so a clean one is
+    recorded in the result cache under their sha256 and the next command
+    on the same tree reuses it without importing the analyzer. A failing
+    verdict is never recorded: its findings print on every run until they
+    are fixed.
     """
-    from ..verify import analyze as analyzer
-
     fingerprint = code_fingerprint()
-    baseline = analyzer.default_baseline_path()
     key = hashlib.sha256(fingerprint.encode("ascii"))
-    key.update(
-        hashlib.sha256(baseline.read_bytes() if baseline.is_file() else b"").digest()
-    )
     key.update("{}.{}".format(*sys.version_info[:2]).encode("ascii"))
     root = Path(cache_dir) if cache_dir is not None else default_cache_dir()
     path = root / "gate" / f"{key.hexdigest()}.json"
@@ -246,13 +240,15 @@ def _static_gate(cache_dir: Optional[str], use_cache: bool) -> bool:
                 file=sys.stderr,
             )
             return True
-    report = analyzer.check_tree(force=True)
+    from ..verify.analyze import check_tree
+
+    report = check_tree(force=True)
     if not report.ok:
         for line in report.render_text():
             print(line, file=sys.stderr)
         print(
-            "[runner] static analysis failed (new findings or stale "
-            "baseline); fix them or update ANALYZE_BASELINE.json",
+            "[runner] static analysis failed; fix each finding or waive "
+            "its line with `# verify: allow[rule]` (never in repro/core/)",
             file=sys.stderr,
         )
         return False

@@ -1,4 +1,4 @@
-"""Four-layer verification subsystem for the reproduction.
+"""Three-layer verification subsystem for the reproduction.
 
 1. **Model checking** (:mod:`.model`, :mod:`.explorer`) — exhaustive
    explicit-state exploration of abstracted protocol state machines: the
@@ -10,23 +10,20 @@
    declarative checkers replayed over the structured event streams the
    simulator records (FIFO delivery, 2PC commit rules, staggered-write
    mutual exclusion, GC line safety, recovery-line soundness). Runnable
-   post-hoc on any run via ``--verify`` on the experiment runner.
-3. **Sim-hygiene lint** (:mod:`.lint`) — an AST pass over ``src/repro``
-   that forbids wall-clock and unseeded-randomness leaks into simulation
-   code, bare ``assert`` for runtime validation, and engine primitives
-   called without ``yield``.
-4. **Whole-program static analysis** (:mod:`.analyze`) — multi-pass
-   analysis over one shared front-end (per-module ASTs, project symbol
-   table, generator classification): yield-discipline dataflow,
-   cleanup-mutation detection (the PR 5 ``_quiesced`` bug class),
-   resume-capture completeness against the classes' RESUME_FIELDS
-   manifests, trace-event conformance against ``EVENT_KINDS``, and
-   nondeterminism taint tracking — gated by the committed
-   ``ANALYZE_BASELINE.json`` in both directions.
+   post-hoc on any run via ``--verify`` on the experiment runner; the
+   ``smoke`` layer audits a traced run of every scheme.
+3. **Whole-program static analysis** (:mod:`.analyze`) — the one static
+   gate: six passes over one shared front-end (per-module ASTs, project
+   symbol table, generator classification): sim hygiene (wall clock,
+   global RNG, bare asserts, unyielded primitives), yield-discipline
+   dataflow, cleanup-mutation detection, resume-capture completeness
+   against the classes' RESUME_FIELDS manifests, trace-event conformance
+   against ``EVENT_KINDS``, and nondeterminism taint tracking. Any
+   finding fails; a ``# verify: allow[rule]`` pragma waives one line,
+   never under ``repro/core/``.
 
-CLI: ``python -m repro.verify [lint|model|smoke|trace|analyze|all]``;
-each layer has a distinct failure exit code (lint=2, model=3, trace=4,
-analyze=5).
+CLI: ``python -m repro.verify [model|smoke|analyze|all]``; each layer has
+a distinct failure exit code (model=3, smoke=4, analyze=5).
 """
 
 from .._lazy import lazy_surface
@@ -34,7 +31,6 @@ from .._lazy import lazy_surface
 #: name -> the submodule defining it, imported on first use.
 _LAZY = {
     "AnalysisReport": "analyze.findings",
-    "Baseline": "analyze.findings",
     "Finding": "analyze.findings",
     "ExplorationResult": "explorer",
     "Violation": "explorer",
@@ -42,9 +38,6 @@ _LAZY = {
     "RunMeta": "invariants",
     "TraceViolation": "invariants",
     "default_checkers": "invariants",
-    "LintIssue": "lint",
-    "lint_paths": "lint",
-    "lint_source": "lint",
     "CicIndexModel": "model",
     "ModelBugs": "model",
     "SenderLogModel": "model",

@@ -2,24 +2,18 @@
 
 Usage::
 
-    python -m repro.verify            # everything (lint + model + smoke + analyze)
-    python -m repro.verify lint       # sim-hygiene AST lint over src/repro
+    python -m repro.verify            # everything (model + smoke + analyze)
     python -m repro.verify model      # exhaustive small-N model checking
     python -m repro.verify smoke      # traced scheme runs + invariant audit
-    python -m repro.verify trace      # alias for smoke (the trace layer)
     python -m repro.verify analyze    # whole-program static analysis
 
 Each layer prints a one-line ``[verify] <layer>: PASS|FAIL`` summary to
 stderr and the exit status identifies the (first) failing layer without
-scrollback: lint=2, model=3, trace/smoke=4, analyze=5. A standalone
-``analyze`` additionally distinguishes stale baseline suppressions
-(exit 6) from new findings (exit 5).
+scrollback: model=3, smoke=4, analyze=5.
 
 ``analyze`` options: ``--format json`` emits the full machine-readable
-report on stdout (the CI artifact), ``--baseline`` points at an alternate
-suppression file, ``--update-baseline`` rewrites the baseline to match
-the current findings, and ``--paths`` restricts analysis to a file
-subset (whole-program completeness checks are skipped then).
+report on stdout (the CI artifact), and ``--paths`` restricts analysis to
+a file subset (whole-program completeness checks are skipped then).
 """
 
 from __future__ import annotations
@@ -31,32 +25,19 @@ from pathlib import Path
 from typing import List, Optional
 
 from ..chklib.schemes.registry import REGISTRY
-from .analyze import Baseline, analyze, default_baseline_path
+from .analyze import analyze
 from .explorer import explore
-from .lint import lint_paths
 from .smoke import run_smoke
 
 __all__ = ["main", "LAYER_CODES"]
 
-#: exit code identifying each failing layer (trace is the smoke layer's
-#: proper name — both spellings gate the same audit).
-LAYER_CODES = {"lint": 2, "model": 3, "smoke": 4, "trace": 4, "analyze": 5}
-
-#: standalone ``analyze`` exit for a baseline that only has stale entries.
-STALE_BASELINE_CODE = 6
+#: exit code identifying each failing layer.
+LAYER_CODES = {"model": 3, "smoke": 4, "analyze": 5}
 
 
-def _summary(layer: str, ok: bool) -> None:
+def _summary(layer: str, ok: bool) -> int:
     print(f"[verify] {layer}: {'PASS' if ok else 'FAIL'}", file=sys.stderr)
-
-
-def _run_lint(verbose: bool) -> int:
-    issues = lint_paths()
-    for issue in issues:
-        print(f"{issue.path}:{issue.line}:{issue.col}: [{issue.rule}] {issue.message}")
-    print(f"[verify:lint] {len(issues)} issue(s)")
-    _summary("lint", not issues)
-    return LAYER_CODES["lint"] if issues else 0
+    return 0 if ok else LAYER_CODES[layer]
 
 
 def _run_model(ranks: List[int], verbose: bool) -> int:
@@ -70,8 +51,7 @@ def _run_model(ranks: List[int], verbose: bool) -> int:
                 for v in result.violations[:3]:
                     print(f"  {v.invariant}: " + " -> ".join(v.trace))
             failed += 0 if result.ok else 1
-    _summary("model", not failed)
-    return LAYER_CODES["model"] if failed else 0
+    return _summary("model", not failed)
 
 
 def _run_smoke(seed: int, verbose: bool) -> int:
@@ -82,41 +62,17 @@ def _run_smoke(seed: int, verbose: bool) -> int:
         for v in report.violations[:5]:
             print(f"  [{v.invariant}] t={v.time:.6f} {v.message}")
         bad += 0 if report.ok else 1
-    _summary("trace", not bad)
-    return LAYER_CODES["trace"] if bad else 0
+    return _summary("smoke", not bad)
 
 
-def _run_analyze(args, standalone: bool) -> int:
-    paths = [Path(p) for p in args.paths] if args.paths else None
-    baseline_path = (
-        Path(args.baseline) if args.baseline else default_baseline_path()
-    )
-    if args.update_baseline:
-        report = analyze(paths=paths, baseline=Baseline())
-        Baseline(suppressions=[f.key for f in report.findings]).save(
-            baseline_path
-        )
-        print(
-            f"[verify:analyze] baseline updated: {len(report.findings)} "
-            f"suppression(s) -> {baseline_path}"
-        )
-        _summary("analyze", True)
-        return 0
-    report = analyze(
-        paths=paths,
-        baseline=baseline_path if paths is None or args.baseline else Baseline(),
-    )
+def _run_analyze(args) -> int:
+    report = analyze(paths=[Path(p) for p in args.paths] if args.paths else None)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2))
     else:
         for line in report.render_text():
             print(line)
-    _summary("analyze", report.ok)
-    if report.ok:
-        return 0
-    if standalone and not report.new:
-        return STALE_BASELINE_CODE  # stale suppressions only
-    return LAYER_CODES["analyze"]
+    return _summary("analyze", report.ok)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -125,7 +81,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "layer",
         nargs="?",
         default="all",
-        choices=["lint", "model", "smoke", "trace", "analyze", "all"],
+        choices=[*LAYER_CODES, "all"],
     )
     parser.add_argument(
         "--ranks",
@@ -143,16 +99,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="analyze output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        help="analyze suppression file (default: ANALYZE_BASELINE.json at the repo root)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to match the current findings, then exit 0",
-    )
-    parser.add_argument(
         "--paths",
         nargs="+",
         default=None,
@@ -160,20 +106,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # the first failing layer determines the exit code (lint=2, model=3,
-    # trace=4, analyze=5) so CI logs identify the layer at a glance.
+    # the first failing layer determines the exit code (LAYER_CODES) so
+    # CI logs identify the layer at a glance.
     status = 0
-    if args.layer in ("lint", "all"):
-        code = _run_lint(args.verbose)
-        status = status or code
     if args.layer in ("model", "all"):
         code = _run_model(args.ranks, args.verbose)
         status = status or code
-    if args.layer in ("smoke", "trace", "all"):
+    if args.layer in ("smoke", "all"):
         code = _run_smoke(args.seed, args.verbose)
         status = status or code
     if args.layer in ("analyze", "all"):
-        code = _run_analyze(args, standalone=args.layer == "analyze")
+        code = _run_analyze(args)
         status = status or code
     if not (args.layer == "analyze" and args.format == "json"):
         # with `analyze --format json` stdout is exactly the JSON report

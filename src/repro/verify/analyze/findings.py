@@ -1,36 +1,29 @@
-"""Findings, baselines, and analysis reports.
+"""Findings and analysis reports.
 
-A :class:`Finding` is one analyzer diagnostic. Its *key* — ``(rule,
-relative path, message)`` — deliberately excludes line/column so that a
-baselined finding survives unrelated edits above it in the file.
-
-The baseline file (``ANALYZE_BASELINE.json`` at the repo root) is a
-committed list of suppressed finding keys. The gate is bidirectional:
-
-* a finding whose key is **not** in the baseline is *new* → fail;
-* a baseline entry matching **no** current finding is *stale* → fail.
-
-So the baseline can only ever shrink to match reality — it cannot rot.
+A :class:`Finding` is one analyzer diagnostic; an :class:`AnalysisReport`
+holds every finding of one run, and it is clean only when it holds none.
+The one waiver is a ``# verify: allow[rule]`` pragma on the flagged line
+(:meth:`~.frontend.Module.allowed`), which no module under
+``repro/core/`` can use.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
-__all__ = ["Finding", "Baseline", "AnalysisReport"]
+from .frontend import default_target
+
+__all__ = ["Finding", "AnalysisReport"]
 
 
 def _relpath(path: str) -> str:
-    """Paths relative to the repo root when possible, POSIX separators."""
+    """Paths relative to the repo root when under it, POSIX separators."""
     p = Path(path)
-    if not p.is_absolute():
-        return p.as_posix()
-    for parent in p.parents:
-        if (parent / "ANALYZE_BASELINE.json").exists() or (parent / ".git").exists():
-            return p.relative_to(parent).as_posix()
+    root = default_target().parents[1]
+    if p.is_absolute() and p.is_relative_to(root):
+        return p.relative_to(root).as_posix()
     return p.as_posix()
 
 
@@ -47,10 +40,6 @@ class Finding:
     def __str__(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: [{self.rule}] {self.message}"
 
-    @property
-    def key(self) -> Tuple[str, str, str]:
-        return (self.rule, _relpath(self.path), self.message)
-
     def to_json(self) -> Dict[str, object]:
         return {
             "rule": self.rule,
@@ -62,89 +51,25 @@ class Finding:
 
 
 @dataclass
-class Baseline:
-    """Committed suppression list, keyed like :attr:`Finding.key`."""
-
-    suppressions: List[Tuple[str, str, str]] = field(default_factory=list)
-
-    @classmethod
-    def load(cls, path: Optional[Path]) -> "Baseline":
-        if path is None or not Path(path).exists():
-            return cls()
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = raw.get("suppressions", []) if isinstance(raw, dict) else raw
-        return cls(
-            suppressions=[
-                (e["rule"], e["path"], e["message"]) for e in entries
-            ]
-        )
-
-    def save(self, path: Path) -> None:
-        payload = {
-            "version": 1,
-            "suppressions": [
-                {"rule": r, "path": p, "message": m}
-                for (r, p, m) in sorted(set(self.suppressions))
-            ],
-        }
-        Path(path).write_text(
-            json.dumps(payload, indent=2) + "\n", encoding="utf-8"
-        )
-
-    def __contains__(self, key: Tuple[str, str, str]) -> bool:
-        return key in set(self.suppressions)
-
-
-@dataclass
 class AnalysisReport:
-    """All findings from one run, split against a baseline."""
+    """Every finding from one run; any finding fails the gate."""
 
     findings: List[Finding]
-    baseline: Baseline = field(default_factory=Baseline)
-
-    def __post_init__(self) -> None:
-        suppressed = set(self.baseline.suppressions)
-        self.new: List[Finding] = [
-            f for f in self.findings if f.key not in suppressed
-        ]
-        current = {f.key for f in self.findings}
-        self.stale: List[Tuple[str, str, str]] = [
-            key for key in self.baseline.suppressions if key not in current
-        ]
 
     @property
     def ok(self) -> bool:
-        return not self.new and not self.stale
+        return not self.findings
 
     def to_json(self) -> Dict[str, object]:
         return {
-            "version": 1,
-            "counts": {
-                "total": len(self.findings),
-                "new": len(self.new),
-                "baselined": len(self.findings) - len(self.new),
-                "stale_suppressions": len(self.stale),
-            },
+            "version": 2,
             "findings": [f.to_json() for f in self.findings],
-            "new": [f.to_json() for f in self.new],
-            "stale_suppressions": [
-                {"rule": r, "path": p, "message": m} for (r, p, m) in self.stale
-            ],
         }
 
     def render_text(self) -> List[str]:
-        """Human-readable report lines (one per finding / stale entry)."""
-        lines = [str(f) for f in sorted(self.new, key=_sort_key)]
-        baselined = len(self.findings) - len(self.new)
-        for (rule, path, message) in self.stale:
-            lines.append(
-                f"{path}: [stale-baseline] suppression no longer fires: "
-                f"[{rule}] {message}"
-            )
-        lines.append(
-            f"[verify:analyze] {len(self.new)} new finding(s), "
-            f"{baselined} baselined, {len(self.stale)} stale suppression(s)"
-        )
+        """Human-readable report lines: one per finding, then a count."""
+        lines = [str(f) for f in sorted(self.findings, key=_sort_key)]
+        lines.append(f"[verify:analyze] {len(self.findings)} finding(s)")
         return lines
 
 

@@ -1,9 +1,9 @@
 """Shared static-analysis front-end: one AST walk per module.
 
-Every analysis pass (and the hygiene lint that predates them) consumes the
-same pre-digested view of the tree, built here in a single recursive walk
-per module that lists each node's children exactly once
-(:func:`child_nodes`). The passes read these indexes and walk nothing:
+Every analysis pass consumes the same pre-digested view of the tree,
+built here in a single recursive walk per module that lists each node's
+children exactly once (:func:`child_nodes`). The passes read these
+indexes and walk nothing:
 
 * :class:`Module` — the parsed source plus flat, walk-ordered indexes of
   the nodes the passes care about (calls with their dotted callee names,
@@ -27,8 +27,10 @@ per module that lists each node's children exactly once
 
 Waivers: a finding on line *L* is suppressed when line *L* carries a
 ``# verify: allow`` comment, optionally naming rules
-(``# verify: allow[cleanup-mutation]``) — the same pragma the hygiene lint
-has always honoured, shared by every pass.
+(``# verify: allow[cleanup-mutation]``), shared by every pass — except in
+the kernel (``repro/core/``), where no pragma waives anything: everything
+above it trusts its firing order, so a comment must never be able to
+launder nondeterminism into it.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 __all__ = [
     "ALLOW_RE",
     "GENERATOR_PRIMITIVES",
+    "WALL_CLOCK",
+    "WALL_CLOCK_FROM_TIME",
     "FunctionInfo",
     "ClassInfo",
     "Module",
@@ -76,6 +80,26 @@ GENERATOR_PRIMITIVES = {
     "gather",
     "scatter",
 }
+
+
+#: wall-clock calls by dotted suffix.
+WALL_CLOCK = {
+    "time.time",
+    "time.time_ns",
+    "time.perf_counter",
+    "time.perf_counter_ns",
+    "time.monotonic",
+    "time.monotonic_ns",
+    "time.clock",
+    "datetime.now",
+    "datetime.utcnow",
+    "date.today",
+}
+
+#: the same clocks as bare names a ``from time import ...`` brings in.
+WALL_CLOCK_FROM_TIME = frozenset(
+    name.split(".")[1] for name in WALL_CLOCK if name.startswith("time.")
+)
 
 
 def dotted_name(node: ast.AST) -> Optional[str]:
@@ -185,6 +209,11 @@ class Module:
 
     def __init__(self, path: str, source: str) -> None:
         self.path = path
+        parts = Path(path).parts
+        #: under ``repro/core/``: no pragma waives a finding here.
+        self.in_kernel = any(
+            parts[i : i + 2] == ("repro", "core") for i in range(len(parts) - 1)
+        )
         self.source = source
         self.lines: Sequence[str] = source.splitlines()
         self.syntax_error: Optional[SyntaxError] = None
@@ -228,8 +257,9 @@ class Module:
     # -- pragma waivers -------------------------------------------------------
 
     def allowed(self, lineno: int, rule: str) -> bool:
-        """Does line *lineno* waive *rule* with a ``# verify: allow``?"""
-        if not (1 <= lineno <= len(self.lines)):
+        """Does line *lineno* waive *rule* with a ``# verify: allow``?
+        Never in the kernel."""
+        if self.in_kernel or not (1 <= lineno <= len(self.lines)):
             return False
         m = ALLOW_RE.search(self.lines[lineno - 1])
         if not m:
@@ -276,7 +306,7 @@ class Module:
                 self.import_froms.append(child)
                 if child.module == "time":
                     for alias in child.names:
-                        if alias.name in ("time", "perf_counter", "monotonic"):
+                        if alias.name in WALL_CLOCK_FROM_TIME:
                             self.from_time_names.add(alias.asname or alias.name)
             elif kind is ast.ClassDef:
                 info = ClassInfo(

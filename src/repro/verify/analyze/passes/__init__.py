@@ -1,9 +1,9 @@
 """The analyzer's passes, in the order ``run_passes`` executes them.
 
 Each pass is a function ``(Project) -> List[Finding]`` (hygiene is
-additionally usable per-module, which is how the legacy ``lint`` layer
-drives it). Pragma waivers (``# verify: allow[rule]``) are honoured by
-every pass through :meth:`Module.allowed`.
+additionally usable per-module, as :func:`module_hygiene`). Pragma
+waivers (``# verify: allow[rule]``) are honoured by every pass through
+:meth:`Module.allowed`, which refuses every waiver under ``repro/core/``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from .cleanup_mutation import cleanup_mutation_pass
 from .capture import capture_pass
 from .trace_conformance import trace_conformance_pass
 from .nondet_taint import nondet_taint_pass
-from .backend_purity import backend_purity_pass
 
 __all__ = [
     "ALL_PASSES",
@@ -25,7 +24,6 @@ __all__ = [
     "capture_pass",
     "trace_conformance_pass",
     "nondet_taint_pass",
-    "backend_purity_pass",
 ]
 
 #: (name, pass) in execution order.
@@ -36,5 +34,4 @@ ALL_PASSES = (
     ("capture-completeness", capture_pass),
     ("trace-conformance", trace_conformance_pass),
     ("nondet-taint", nondet_taint_pass),
-    ("backend-purity", backend_purity_pass),
 )

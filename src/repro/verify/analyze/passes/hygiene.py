@@ -1,17 +1,35 @@
-"""Hygiene pass: the sim-determinism lint rules, on the shared front-end.
+"""Hygiene pass: the sim-determinism rules.
 
-These are the rules the original single-file ``lint.py`` visitor applied
-— wall-clock reads, global-RNG use, bare asserts, generator primitives
-called as bare statements — migrated onto the one-walk :class:`Module`
-index so they share parsing with every other pass, plus the broadened
-nondeterminism set (``os.urandom``, ``uuid.*``, ``time.strftime`` of the
-current time, ``random.Random()`` without an explicit seed).
+The simulation's headline property is determinism — same seed, same run,
+bit for bit. That dies quietly the moment simulation code reads the wall
+clock, pulls from a global RNG, or validates correctness with a statement
+``python -O`` deletes. This pass rejects:
 
-Finding order and message text are byte-compatible with the legacy
-visitor: candidates are emitted per node in the original check order and
-stable-sorted by position, with same-position ties broken the way a
-pre-order AST visit would have flagged them (imports, then the statement
-wrapping a call, then the call itself).
+``wall-clock``
+    ``time.time()``, ``time.perf_counter()``, ``time.monotonic()`` (and
+    their ``_ns`` twins), ``datetime.now()``/``utcnow()``,
+    ``date.today()``, ``time.strftime()`` of the current time —
+    simulated code must read :attr:`Engine.now`.
+``nondeterminism``
+    the global ``random`` module and NumPy's global RNG
+    (``np.random.*``), plus ``os.urandom``, ``uuid.*``, and
+    ``random.Random()`` without an explicit seed — streams must come
+    from :class:`repro.core.rng.RngStreams`, which is seeded per run.
+``bare-assert``
+    ``assert`` used for runtime validation — stripped under ``python -O``;
+    correctness checks must raise
+    :class:`~repro.core.errors.InvariantViolation` (or another typed
+    exception). ``assert isinstance(...)`` is tolerated as the standard
+    type-narrowing idiom (it guards nothing at runtime by contract).
+``unyielded-primitive``
+    an engine primitive called as a bare expression statement —
+    ``ctx.compute(n)`` instead of ``yield from ctx.compute(n)`` returns a
+    generator that never runs; the simulation silently skips the work.
+
+A finding can be waived for one line with a trailing ``# verify: allow``
+comment (optionally naming the rule: ``# verify: allow[wall-clock]``) —
+e.g. the experiment runner legitimately reports wall-clock duration —
+anywhere but ``repro/core/``. Findings sort by (line, col).
 """
 
 from __future__ import annotations
@@ -20,60 +38,38 @@ import ast
 from typing import List, Optional
 
 from ..findings import Finding
-from ..frontend import GENERATOR_PRIMITIVES, Module, Project
+from ..frontend import (
+    GENERATOR_PRIMITIVES,
+    WALL_CLOCK,
+    WALL_CLOCK_FROM_TIME,
+    Module,
+    Project,
+)
 
 __all__ = ["WALL_CLOCK", "GENERATOR_PRIMITIVES", "module_hygiene", "hygiene_pass"]
-
-#: wall-clock calls by dotted suffix
-WALL_CLOCK = {
-    "time.time",
-    "time.time_ns",
-    "time.perf_counter",
-    "time.perf_counter_ns",
-    "time.monotonic",
-    "time.monotonic_ns",
-    "time.clock",
-    "datetime.now",
-    "datetime.utcnow",
-    "date.today",
-}
-
-# same-position tie-break phases, matching pre-order visitor flag order:
-# an import flags before anything else on its line, a statement node
-# (Expr/Assert) flags before the call nested inside it.
-_PHASE_IMPORT = 0
-_PHASE_STMT = 1
-_PHASE_CALL = 2
 
 
 class _Emitter:
     def __init__(self, module: Module) -> None:
         self.module = module
-        self.raw: List[tuple] = []
+        self.found: List[Finding] = []
 
-    def flag(self, node: ast.AST, phase: int, rule: str, message: str) -> None:
-        if self.module.allowed(getattr(node, "lineno", 0), rule):
-            return
+    def flag(self, node: ast.AST, rule: str, message: str) -> None:
         line = getattr(node, "lineno", 0)
-        col = getattr(node, "col_offset", 0)
-        self.raw.append(
-            (
-                line,
-                col,
-                phase,
-                len(self.raw),
-                Finding(
-                    rule=rule,
-                    path=self.module.path,
-                    line=line,
-                    col=col,
-                    message=message,
-                ),
+        if self.module.allowed(line, rule):
+            return
+        self.found.append(
+            Finding(
+                rule=rule,
+                path=self.module.path,
+                line=line,
+                col=getattr(node, "col_offset", 0),
+                message=message,
             )
         )
 
     def findings(self) -> List[Finding]:
-        return [entry[-1] for entry in sorted(self.raw, key=lambda e: e[:4])]
+        return sorted(self.found, key=lambda f: (f.line, f.col))
 
 
 def module_hygiene(module: Module) -> List[Finding]:
@@ -111,10 +107,9 @@ def _check_imports(module: Module, out: _Emitter) -> None:
     for node in module.import_froms:
         if node.module == "time":
             for alias in node.names:
-                if alias.name in ("time", "perf_counter", "monotonic"):
+                if alias.name in WALL_CLOCK_FROM_TIME:
                     out.flag(
                         node,
-                        _PHASE_IMPORT,
                         "wall-clock",
                         f"importing wall-clock `{alias.name}` from `time`; "
                         f"simulation code must use Engine.now",
@@ -122,7 +117,6 @@ def _check_imports(module: Module, out: _Emitter) -> None:
         if node.module == "random":
             out.flag(
                 node,
-                _PHASE_IMPORT,
                 "nondeterminism",
                 "importing from the global `random` module; use "
                 "repro.core.rng.RngStreams",
@@ -141,7 +135,6 @@ def _check_calls(module: Module, out: _Emitter) -> None:
         if suffix2 in WALL_CLOCK:
             out.flag(
                 node,
-                _PHASE_CALL,
                 "wall-clock",
                 f"wall-clock call `{dotted}()` in simulation code; "
                 f"use Engine.now (waive with `# verify: allow[wall-clock]` "
@@ -150,7 +143,6 @@ def _check_calls(module: Module, out: _Emitter) -> None:
         if len(parts) == 1 and parts[0] in module.from_time_names:
             out.flag(
                 node,
-                _PHASE_CALL,
                 "wall-clock",
                 f"wall-clock call `{dotted}()` in simulation code",
             )
@@ -158,7 +150,6 @@ def _check_calls(module: Module, out: _Emitter) -> None:
             if parts[1] == "Random" and not (node.args or node.keywords):
                 out.flag(
                     node,
-                    _PHASE_CALL,
                     "nondeterminism",
                     "`random.Random()` without an explicit seed draws from "
                     "OS entropy; seed it, or draw from RngStreams",
@@ -166,7 +157,6 @@ def _check_calls(module: Module, out: _Emitter) -> None:
             else:
                 out.flag(
                     node,
-                    _PHASE_CALL,
                     "nondeterminism",
                     f"global RNG call `{dotted}()`; draw from a seeded "
                     f"RngStreams stream instead",
@@ -184,7 +174,6 @@ def _check_calls(module: Module, out: _Emitter) -> None:
             if not seeded:
                 out.flag(
                     node,
-                    _PHASE_CALL,
                     "nondeterminism",
                     f"NumPy global RNG call `{dotted}()`; use the run's "
                     f"RngStreams / an explicitly seeded default_rng",
@@ -192,7 +181,6 @@ def _check_calls(module: Module, out: _Emitter) -> None:
         if suffix2 == "os.urandom":
             out.flag(
                 node,
-                _PHASE_CALL,
                 "nondeterminism",
                 "`os.urandom()` reads OS entropy; deterministic runs must "
                 "draw from RngStreams",
@@ -200,7 +188,6 @@ def _check_calls(module: Module, out: _Emitter) -> None:
         if len(parts) >= 2 and parts[0] == "uuid":
             out.flag(
                 node,
-                _PHASE_CALL,
                 "nondeterminism",
                 f"`{dotted}()` derives from host state/entropy; "
                 f"deterministic runs must not mint UUIDs",
@@ -208,7 +195,6 @@ def _check_calls(module: Module, out: _Emitter) -> None:
         if suffix2 == "time.strftime" and len(node.args) < 2:
             out.flag(
                 node,
-                _PHASE_CALL,
                 "wall-clock",
                 "`time.strftime()` without an explicit time tuple formats "
                 "the wall clock; pass a value derived from Engine.now",
@@ -229,7 +215,6 @@ def _check_asserts(module: Module, out: _Emitter) -> None:
         if not is_narrowing:
             out.flag(
                 node,
-                _PHASE_STMT,
                 "bare-assert",
                 "bare `assert` for runtime validation is stripped by "
                 "`python -O`; raise InvariantViolation (repro.core.errors) "
@@ -253,7 +238,6 @@ def _check_statements(module: Module, out: _Emitter) -> None:
         if name in GENERATOR_PRIMITIVES:
             out.flag(
                 node,
-                _PHASE_STMT,
                 "unyielded-primitive",
                 f"`{name}(...)` called as a statement returns an inert "
                 f"generator — the simulated work never happens; drive it "

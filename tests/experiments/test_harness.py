@@ -66,7 +66,7 @@ class TestSchemeFactory:
 
 
 def _run_grid(baselines, plan):
-    """Baselines, then the planned cells: (results, planned)."""
+    """The baselines, then the planned cells: (results, planned)."""
     ex = GridExecutor(jobs=1, use_cache=False)
     results = ex.run_cells(baselines)
     planned = plan(results)

@@ -7,11 +7,13 @@ the rules discriminate rather than blanket-fire.
 
 import textwrap
 
+import pytest
+
 from repro.verify.analyze import analyze
 from repro.verify.analyze.frontend import Module, Project
-from repro.verify.analyze.passes.backend_purity import backend_purity_pass
 from repro.verify.analyze.passes.capture import capture_pass
 from repro.verify.analyze.passes.cleanup_mutation import cleanup_mutation_pass
+from repro.verify.analyze.passes.hygiene import module_hygiene
 from repro.verify.analyze.passes.nondet_taint import nondet_taint_pass
 from repro.verify.analyze.passes.trace_conformance import trace_conformance_pass
 from repro.verify.analyze.passes.yield_discipline import yield_discipline_pass
@@ -435,143 +437,89 @@ def test_len_of_set_is_clean():
     assert nondet_taint_pass(project) == []
 
 
-# -- backend-purity: kernel layer stays deterministic and layered -------------
+# -- the kernel: hygiene with no waivers under repro/core/ --------------------
+# (that the kernel imports nothing above it is tests/test_layering.py's)
 
 _CORE = "src/repro/core/fastengine.py"
 
 
-def test_backend_upward_import_flagged():
-    project = _project(
-        """
-        from repro.chklib.runtime import CheckpointRuntime
-        import repro.experiments.runner
-        """,
-        path=_CORE,
-    )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity", "backend-purity"]
-    assert "reach up" in findings[0].message
+def _core_hygiene(source, path=_CORE):
+    return module_hygiene(Module.from_source(textwrap.dedent(source), path=path))
 
 
-def test_backend_relative_upward_import_flagged():
-    # ``from ..chklib import runtime`` carries module="chklib" level=2
-    project = _project(
-        """
-        from ..chklib import runtime
-        """,
-        path=_CORE,
-    )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity"]
-
-
-def test_backend_wall_clock_flagged_despite_pragma():
-    # the one pass pragma waivers must never reach: nondeterminism
-    # cannot be laundered into the kernel with a comment
-    project = _project(
+def test_kernel_wall_clock_flagged_despite_pragma():
+    # nondeterminism cannot be laundered into the kernel with a comment
+    findings = _core_hygiene(
         """
         import time
 
         class FastEngine:
             def run(self):
-                self._t0 = time.perf_counter()  # verify: allow[backend-purity]
-        """,
-        path=_CORE,
-    )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity"]
-    assert "wall-clock" in findings[0].message
-
-
-def test_backend_from_time_import_flagged():
-    project = _project(
+                self._t0 = time.perf_counter()  # verify: allow[wall-clock]
         """
-        from time import perf_counter
+    )
+    assert _rules(findings) == ["wall-clock"]
+
+
+def test_kernel_blanket_pragma_waives_no_rule_of_any_pass():
+    module = Module.from_source("x = 1  # verify: allow\n", path=_CORE)
+    for rule in ("wall-clock", "undriven-generator", "nondet-taint"):
+        assert not module.allowed(1, rule)
+
+
+def test_pragma_still_waives_outside_the_kernel():
+    source = """
+        import time
 
         def stamp():
-            return perf_counter()
-        """,
-        path=_CORE,
-    )
-    findings = backend_purity_pass(project)
-    # once for the import, once for the call
-    assert _rules(findings) == ["backend-purity", "backend-purity"]
-
-
-def test_backend_global_rng_flagged():
-    project = _project(
+            return time.perf_counter()  # verify: allow[wall-clock]
         """
-        import random
-
-        def jitter():
-            return random.random()
-        """,
-        path=_CORE,
-    )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity"]
-    assert "global RNG" in findings[0].message
+    assert _core_hygiene(source) != []
+    assert _core_hygiene(source, path="src/repro/experiments/runner.py") == []
 
 
-def test_backend_numpy_global_rng_flagged_seeded_ctor_clean():
-    project = _project(
-        """
-        import numpy as np
-
-        def bad():
-            return np.random.random(8)
-
-        def good(seed):
-            return np.random.default_rng(seed)
-        """,
-        path=_CORE,
-    )
-    findings = backend_purity_pass(project)
-    assert _rules(findings) == ["backend-purity"]
-    assert "np.random.random" in findings[0].message
-
-
-def test_backend_unseeded_default_rng_flagged():
-    # default_rng() with no seed is OS entropy — still forbidden
-    project = _project(
-        """
-        import numpy as np
-
-        def bad():
-            return np.random.default_rng()
-        """,
-        path=_CORE,
-    )
-    assert _rules(backend_purity_pass(project)) == ["backend-purity"]
-
-
-def test_backend_purity_ignores_non_core_modules():
-    # the same sins outside repro/core/ belong to other passes
-    project = _project(
-        """
-        import random
-        from repro.chklib.runtime import CheckpointRuntime
-
-        def jitter():
-            return random.random()
-        """,
-        path="src/repro/experiments/harness.py",
-    )
-    assert backend_purity_pass(project) == []
-
-
-def test_backend_clean_module_clean():
-    project = _project(
-        """
-        import heapq
-        from .engine import Engine
-
-        def requeue(engine: Engine, entry):
-            heapq.heappush(engine._heap, entry)
-        """,
-        path=_CORE,
-    )
-    assert backend_purity_pass(project) == []
+@pytest.mark.parametrize(
+    "source, rules",
+    [
+        pytest.param(
+            "from time import perf_counter\n"
+            "def stamp():\n"
+            "    return perf_counter()\n",
+            ["wall-clock", "wall-clock"],  # the import and the call
+            id="from-time-import",
+        ),
+        pytest.param(
+            "import random\ndef jitter():\n    return random.random()\n",
+            ["nondeterminism"],
+            id="global-rng",
+        ),
+        pytest.param(
+            "import numpy as np\n"
+            "def bad():\n"
+            "    return np.random.random(8)\n"
+            "def good(seed):\n"
+            "    return np.random.default_rng(seed)\n",
+            ["nondeterminism"],
+            id="numpy-global-rng-seeded-ctor-clean",
+        ),
+        pytest.param(
+            # default_rng() with no seed is OS entropy
+            "import numpy as np\ndef bad():\n    return np.random.default_rng()\n",
+            ["nondeterminism"],
+            id="unseeded-default-rng",
+        ),
+        pytest.param(
+            "import heapq\n"
+            "from .engine import Engine\n"
+            "def requeue(engine: Engine, entry):\n"
+            "    heapq.heappush(engine._heap, entry)\n",
+            [],
+            id="clean",
+        ),
+    ],
+)
+def test_kernel_hygiene(source, rules):
+    assert _rules(_core_hygiene(source)) == rules
 
 
 # -- end-to-end: analyze() over a seeded-bug subset ---------------------------
@@ -605,7 +553,7 @@ def test_analyze_subset_reports_all_seeded_bug_classes(tmp_path):
         )
     )
     report = analyze(paths=[tmp_path])
-    rules = {f.rule for f in report.new}
+    rules = {f.rule for f in report.findings}
     assert rules == {
         "undriven-generator",
         "cleanup-mutation",
@@ -617,8 +565,7 @@ def test_analyze_subset_reports_all_seeded_bug_classes(tmp_path):
 
 
 def test_analyze_repro_tree_is_clean():
-    """The enforcement gate: the shipped tree has zero non-baselined findings."""
+    """The enforcement gate: the shipped tree has zero findings."""
     report = analyze()
-    assert report.new == [], "\n".join(str(f) for f in report.new)
-    assert report.stale == []
+    assert report.findings == [], "\n".join(str(f) for f in report.findings)
     assert report.ok
