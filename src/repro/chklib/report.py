@@ -1,10 +1,11 @@
 """What one run measured: :class:`RunReport` and its :class:`RecoveryEvent`s.
 
 Plain data with a JSON round trip (:meth:`RunReport.to_dict` /
-:meth:`RunReport.from_dict`) — the experiment grid's on-disk result cache
-and run journal store these dicts. The module imports nothing of the
-simulator, so a command whose every cell is a cache hit reads its reports
-without loading the runtime that produced them.
+:meth:`RunReport.from_dict`) — the experiment grid's on-disk result
+cache, which is also its resume record, stores these dicts. The module
+imports nothing of the simulator, so a command whose every cell is a
+cache hit reads its reports without loading the runtime that produced
+them.
 """
 
 from __future__ import annotations

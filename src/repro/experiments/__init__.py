@@ -25,7 +25,6 @@ _LAZY = {
     "interval_times": "grid",
     "GridExecutor": "executor",
     "ExecutorStats": "executor",
-    "RunJournal": "executor",
     "CellTimeout": "executor",
     "run_cell": "executor",
     "run_spec": "executor",

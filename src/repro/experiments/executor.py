@@ -28,20 +28,22 @@ rendered tables) never depend on which path produced a result.
 
 Robustness (the crash-survivable experiment plane):
 
-* **run journal** — with a :class:`RunJournal`, every completed cell is
-  appended (flushed and fsynced) to a JSONL file keyed by cell hash and
-  code fingerprint.  A re-run against the same journal replays completed
-  cells without executing them, so a sweep killed mid-flight resumes
-  byte-identically;
+* **resume** — the cache is the one durable record of finished cells:
+  each entry is fsynced and atomically renamed into place the moment its
+  cell completes, so a sweep killed at any instant (even ``kill -9``)
+  resumes by rerunning it against the same cache directory — only the
+  unfinished cells execute, and the tables are byte-identical;
 * **per-cell timeout** — ``cell_timeout`` bounds each cell's wall clock
-  (enforced in the worker via ``SIGALRM``); a timed-out cell is retried
-  once and then recorded as failed, never hanging the sweep;
+  (enforced in the worker via ``SIGALRM``);
 * **worker-crash survival** — a ``BrokenProcessPool`` restarts the pool
   (bounded, with backoff) and re-runs the unfinished cells; past the
   restart budget the executor degrades to in-process serial execution;
-* **failure accounting** — with ``raise_on_failure=False`` failed cells
-  land in :attr:`GridExecutor.failures` (and spec-level plan/reduce
-  errors in :attr:`GridExecutor.spec_errors`) instead of aborting the
+* **one failure policy** — :meth:`GridExecutor._on_failure` decides, for
+  the serial path and the pool alike, whether a failed cell (error,
+  timeout or worker crash) runs again, is recorded in
+  :attr:`GridExecutor.failures`, or raises.  With
+  ``raise_on_failure=False`` nothing raises, and spec-level plan/reduce
+  errors land in :attr:`GridExecutor.spec_errors` instead of aborting the
   whole sweep.
 """
 
@@ -54,7 +56,7 @@ import os
 import signal
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -65,7 +67,6 @@ from .grid import Cell, ExperimentSpec, GridResults, cell_key, cell_to_jsonable
 __all__ = [
     "GridExecutor",
     "ExecutorStats",
-    "RunJournal",
     "CellTimeout",
     "run_cell",
     "run_spec",
@@ -75,7 +76,6 @@ __all__ = [
 ]
 
 _CACHE_VERSION = 1
-_JOURNAL_VERSION = 1
 _FINGERPRINT: Optional[str] = None
 
 #: per-cell execution attempts before the cell is recorded as failed.
@@ -117,14 +117,17 @@ def code_fingerprint() -> str:
 
 
 def write_json_atomic(path: Path, entry: dict) -> None:
-    """Write *entry* to *path* as JSON through a temporary file and a
-    rename, so a reader sees the whole entry or none.  Best-effort, like
-    every cache write: an ``OSError`` never fails the run."""
+    """Write *entry* to *path* as JSON through a temporary file, fsynced
+    and then renamed, so a reader — even after a crash of the machine —
+    sees the whole entry or none.  Best-effort, like every cache write:
+    an ``OSError`` never fails the run."""
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-", suffix=".json")
         with os.fdopen(fd, "w") as fh:
             json.dump(entry, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except OSError:
         pass
@@ -214,92 +217,6 @@ def run_spec(
     return ex.run_specs([spec])[spec.name]
 
 
-# -- the run journal ----------------------------------------------------------
-
-
-class RunJournal:
-    """Append-only JSONL journal of completed cells — the executor's
-    crash-recovery log.
-
-    Each line is ``{"v", "fingerprint", "key", "cell", "report"}``; every
-    append is flushed and fsynced, so a sweep killed at any instant loses
-    at most the cell that was in flight.  Loading tolerates a torn tail
-    (a half-written final line is skipped) and ignores entries written by
-    a different code fingerprint — resuming across a code change re-runs
-    everything rather than mixing measurements.
-    """
-
-    def __init__(self, path: os.PathLike) -> None:
-        self.path = Path(path)
-        self._fh = None
-        self._entries: Dict[str, dict] = {}
-        self.skipped_lines = 0  #: torn/stale lines ignored during load
-        self._load()
-
-    def _load(self) -> None:
-        try:
-            with open(self.path, encoding="utf-8") as fh:
-                lines = fh.readlines()
-        except OSError:
-            return
-        want = code_fingerprint()
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-                key, report = entry["key"], entry["report"]
-            except (ValueError, KeyError, TypeError):
-                self.skipped_lines += 1  # torn tail or garbage — skip
-                continue
-            if entry.get("v") != _JOURNAL_VERSION or entry.get("fingerprint") != want:
-                self.skipped_lines += 1
-                continue
-            self._entries[key] = report
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: str) -> Optional[dict]:
-        """The journalled report dict for *key*, or ``None``."""
-        return self._entries.get(key)
-
-    def record(self, key: str, cell: Cell, report_dict: dict) -> None:
-        """Durably append one completed cell."""
-        if key in self._entries:
-            return
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        line = json.dumps(
-            {
-                "v": _JOURNAL_VERSION,
-                "fingerprint": code_fingerprint(),
-                "key": key,
-                "cell": cell_to_jsonable(cell),
-                "report": report_dict,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
-        self._fh.write(line + "\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-        self._entries[key] = report_dict
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "RunJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 # -- the executor -------------------------------------------------------------
 
 
@@ -312,31 +229,18 @@ class ExecutorStats:
     deduped: int = 0  #: duplicate cells coalesced away
     executed: int = 0  #: simulations actually run by this executor
     cache_hits: int = 0  #: results served from the on-disk cache
-    journal_hits: int = 0  #: results replayed from the run journal
     timeouts: int = 0  #: cell executions cut off by the wall-clock budget
-    retries: int = 0  #: cell executions re-attempted after a failure
+    retries: int = 0  #: cell executions re-attempted after a failure or crash
     failed: int = 0  #: cells abandoned after exhausting their attempts
     pool_restarts: int = 0  #: process pools replaced after a worker crash
 
     def as_dict(self) -> Dict[str, int]:
-        return {
-            "requested": self.requested,
-            "deduped": self.deduped,
-            "executed": self.executed,
-            "cache_hits": self.cache_hits,
-            "journal_hits": self.journal_hits,
-            "timeouts": self.timeouts,
-            "retries": self.retries,
-            "failed": self.failed,
-            "pool_restarts": self.pool_restarts,
-        }
+        return asdict(self)
 
     def __str__(self) -> str:
         extra = ""
-        if self.journal_hits:
-            extra += f", {self.journal_hits} from journal"
         if self.timeouts or self.failed or self.pool_restarts:
-            extra += (
+            extra = (
                 f", {self.timeouts} timed out, {self.failed} failed, "
                 f"{self.pool_restarts} pool restarts"
             )
@@ -355,7 +259,6 @@ class GridExecutor:
         cache_dir: Optional[os.PathLike] = None,
         use_cache: bool = True,
         verify: bool = False,
-        journal: Optional[RunJournal] = None,
         cell_timeout: float = 0.0,
         raise_on_failure: bool = True,
     ) -> None:
@@ -363,11 +266,10 @@ class GridExecutor:
         self.use_cache = use_cache
         self.cache_dir = Path(cache_dir) if cache_dir is not None else default_cache_dir()
         self.verify = verify
-        self.journal = journal
         self.cell_timeout = float(cell_timeout)
         #: ``True`` (the default) re-raises the first cell failure — the
-        #: historical behaviour unit tests and ``run_spec`` rely on.
-        #: ``False`` (the sweep runner) records failures and keeps going.
+        #: behaviour unit tests and ``run_spec`` rely on.  ``False`` (the
+        #: sweep runner) records failures and keeps going.
         self.raise_on_failure = raise_on_failure
         self.stats = ExecutorStats()
         self.results = GridResults()
@@ -421,8 +323,9 @@ class GridExecutor:
         return tables
 
     def run_cells(self, cells: Iterable[Cell]) -> GridResults:
-        """Execute *cells* (deduplicated, journal-replayed, cache-checked,
-        fanned out)."""
+        """Execute *cells* (deduplicated, cache-checked, fanned out).  A
+        cell finished by an earlier, perhaps killed, run against the same
+        cache is a hit, so rerunning a sweep resumes it."""
         todo: List[Tuple[str, Cell]] = []
         seen: Dict[str, bool] = {}
         for cell in cells:
@@ -432,13 +335,6 @@ class GridExecutor:
                 self.stats.deduped += 1
                 continue
             seen[key] = True
-            if self.journal is not None:
-                journalled = self.journal.get(key)
-                if journalled is not None:
-                    self.stats.journal_hits += 1
-                    self.cell_seconds[key] = 0.0
-                    self.results.put(key, RunReport.from_dict(journalled))
-                    continue
             if self.use_cache:
                 cached = self._cache_read(key)
                 if cached is not None:
@@ -480,14 +376,21 @@ class GridExecutor:
         self.stats.executed += 1
         self.cell_seconds[key] = dt
         self.results.put(key, report)
-        if self.journal is not None:
-            self.journal.record(key, cell, report_dict)
         if self.use_cache:
             self._cache_write(key, cell, report_dict)
 
-    def _record_failure(
+    def _on_failure(
         self, key: str, cell: Cell, exc: BaseException, attempts: int
-    ) -> None:
+    ) -> bool:
+        """The one per-cell failure policy, for the serial path and the
+        pool alike: whether the cell, which just failed its *attempts*-th
+        execution with *exc*, runs again.
+
+        A timeout is counted.  In raise mode a plain error raises at once;
+        a timeout or a worker crash (``BrokenProcessPool``) first uses up
+        its attempts.  A cell out of attempts is recorded in
+        :attr:`failures`, and raised in raise mode.
+        """
         from concurrent.futures.process import BrokenProcessPool
 
         kind = (
@@ -497,6 +400,13 @@ class GridExecutor:
             if isinstance(exc, BrokenProcessPool)
             else "error"
         )
+        if kind == "timeout":
+            self.stats.timeouts += 1
+        elif kind == "error" and self.raise_on_failure:
+            raise exc
+        if attempts < _MAX_CELL_ATTEMPTS:
+            self.stats.retries += 1
+            return True
         self.stats.failed += 1
         self.failures[key] = {
             "cell": cell_to_jsonable(cell),
@@ -504,11 +414,13 @@ class GridExecutor:
             "kind": kind,
             "attempts": attempts,
         }
+        if self.raise_on_failure:
+            raise exc
+        return False
 
     def _run_serial(self, todo: List[Tuple[str, Cell]]) -> None:
         """In-process execution (``jobs=1`` and the post-pool-crash
-        degradation path), with the same timeout/retry semantics as the
-        pool."""
+        degradation path)."""
         for key, cell in todo:
             attempts = 0
             while True:
@@ -518,122 +430,79 @@ class GridExecutor:
                         _run_cell_task, cell, self.cell_timeout
                     )
                 except Exception as exc:
-                    timed_out = isinstance(exc, CellTimeout)
-                    if timed_out:
-                        self.stats.timeouts += 1
-                    # timeouts always get their one retry; other errors
-                    # raise straight through in raise_on_failure mode
-                    if self.raise_on_failure and not timed_out:
-                        raise
-                    if attempts < _MAX_CELL_ATTEMPTS:
-                        self.stats.retries += 1
+                    if self._on_failure(key, cell, exc, attempts):
                         continue
-                    self._record_failure(key, cell, exc, attempts)
-                    if self.raise_on_failure:
-                        raise
-                    break
                 else:
                     self._absorb(key, cell, report_dict, dt)
-                    break
+                break
 
     def _run_parallel(self, todo: List[Tuple[str, Cell]]) -> None:
         """Pool execution that survives worker crashes and cell failures.
 
         Cells run in rounds: each round submits every remaining cell to a
-        fresh pool and drains completions.  A failed or timed-out cell is
-        retried in the next round (bounded by ``_MAX_CELL_ATTEMPTS``); a
-        broken pool bumps the attempt count of every still-unfinished
-        cell (the culprit is indistinguishable from its collateral) and
-        restarts, with backoff, up to ``_MAX_POOL_RESTARTS`` times —
-        after that the remaining cells run serially in-process.
+        fresh pool and drains completions.  A cell the policy retries
+        runs again in the next round.  A broken pool costs every
+        still-unfinished cell an attempt (the culprit is
+        indistinguishable from its collateral) and restarts, with
+        backoff, up to ``_MAX_POOL_RESTARTS`` times — after that the
+        remaining cells run serially in-process.
         """
-        # the pool machinery (multiprocessing) is imported only by a
-        # command that has cells to fan out
-        from concurrent.futures.process import BrokenProcessPool
-
         remaining: Dict[str, Cell] = dict(todo)
         attempts: Dict[str, int] = {}
         restarts = 0
         while remaining:
-            try:
-                self._parallel_round(remaining, attempts)
-            except BrokenProcessPool:
-                self.stats.pool_restarts += 1
-                restarts += 1
-                # every unfinished cell just lost an attempt to the crash
-                dead = [
-                    key
-                    for key in list(remaining)
-                    if attempts.get(key, 0) >= _MAX_CELL_ATTEMPTS
-                ]
-                for key in dead:
-                    cell = remaining.pop(key)
-                    self._record_failure(
-                        key,
-                        cell,
-                        BrokenProcessPool("worker died while running this cell"),
-                        attempts[key],
-                    )
-                if restarts > _MAX_POOL_RESTARTS:
-                    # the pool keeps dying: finish the tail in-process
-                    self._run_serial(list(remaining.items()))
-                    return
-                time.sleep(0.1 * restarts)  # verify: allow[wall-clock] — pool restart backoff
+            if not self._parallel_round(remaining, attempts):
+                continue
+            self.stats.pool_restarts += 1
+            restarts += 1
+            if restarts > _MAX_POOL_RESTARTS:
+                # the pool keeps dying: finish the tail in-process
+                self._run_serial(list(remaining.items()))
+                return
+            time.sleep(0.1 * restarts)  # verify: allow[wall-clock] — pool restart backoff
 
     def _parallel_round(
         self, remaining: Dict[str, Cell], attempts: Dict[str, int]
-    ) -> None:
+    ) -> bool:
         """One pool lifetime: submit all remaining cells, drain results.
 
-        Mutates *remaining*/*attempts* in place; raises
-        :class:`BrokenProcessPool` if the pool died (the caller restarts).
+        Mutates *remaining*/*attempts* in place and returns whether the
+        pool died (the caller restarts it).  An exception the failure
+        policy raises cancels the cells not yet started.
         """
+        # the pool machinery (multiprocessing) is imported only by a
+        # command that has cells to fan out
         from concurrent.futures import ProcessPoolExecutor, as_completed
         from concurrent.futures.process import BrokenProcessPool
 
-        broken: Optional[BrokenProcessPool] = None
-        with ProcessPoolExecutor(
+        broken = False
+        pool = ProcessPoolExecutor(
             max_workers=min(self.jobs, len(remaining)),
             initializer=_worker_init,
             initargs=(self.verify, self.cell_timeout),
-        ) as pool:
+        )
+        try:
             futures = {}
             try:
                 for key, cell in remaining.items():
                     futures[pool.submit(_guarded_task, cell)] = (key, cell)
-            except BrokenProcessPool as exc:
-                broken = exc  # pool died mid-submission; drain what we have
+            except BrokenProcessPool:
+                broken = True  # pool died mid-submission; drain what we have
             for fut in as_completed(futures):
                 key, cell = futures[fut]
                 exc = fut.exception()
                 if exc is None:
                     report_dict, dt = fut.result()
                     self._absorb(key, cell, report_dict, dt)
-                    remaining.pop(key, None)
+                    remaining.pop(key)
                     continue
-                if isinstance(exc, BrokenProcessPool):
-                    attempts[key] = attempts.get(key, 0) + 1
-                    broken = exc
-                    continue
-                # the cell itself failed (simulation error or timeout)
-                if isinstance(exc, CellTimeout):
-                    self.stats.timeouts += 1
-                if self.raise_on_failure and not isinstance(exc, CellTimeout):
-                    for other in futures:
-                        other.cancel()
-                    raise exc
+                broken = broken or isinstance(exc, BrokenProcessPool)
                 attempts[key] = attempts.get(key, 0) + 1
-                if attempts[key] < _MAX_CELL_ATTEMPTS:
-                    self.stats.retries += 1  # retried next round
-                else:
-                    remaining.pop(key, None)
-                    self._record_failure(key, cell, exc, attempts[key])
-                    if self.raise_on_failure:
-                        for other in futures:
-                            other.cancel()
-                        raise exc
-        if broken is not None:
-            raise broken
+                if not self._on_failure(key, cell, exc, attempts[key]):
+                    remaining.pop(key)
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+        return broken
 
     # -- the on-disk cache --------------------------------------------------
 

@@ -36,13 +36,14 @@ stay the same.
 ``smoke`` is the verification smoke battery itself — a small traced run of
 every scheme (plus a crash) with the audit always on.
 
-Robustness: ``--resume PATH`` journals every completed cell to a JSONL
-file and replays it on re-run, so a sweep killed mid-flight (even
-``kill -9``) resumes where it left off with byte-identical stdout;
-``--cell-timeout SECONDS`` bounds each cell's wall clock (a timed-out
-cell is retried once, then recorded as failed).  Failed or timed-out
-cells no longer abort the whole sweep: the runner renders every table it
-can, prints a per-cell failure summary to stderr and exits non-zero.
+Robustness: every finished cell is a fsynced, atomically renamed cache
+entry, so a sweep killed mid-flight (even ``kill -9``) resumes where it
+left off, with byte-identical stdout, when rerun against the same
+``--cache-dir``; ``--cell-timeout SECONDS`` bounds each cell's wall clock
+(a timed-out cell is retried once, then recorded as failed).  Failed or
+timed-out cells no longer abort the whole sweep: the runner renders every
+table it can, prints a per-cell failure summary to stderr and exits
+non-zero.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .. import experiments
 from ..machine import MachineParams
 from .executor import (
     GridExecutor,
-    RunJournal,
     code_fingerprint,
     default_cache_dir,
     write_json_atomic,
@@ -318,19 +318,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--cache-dir",
         default=None,
         metavar="PATH",
-        help=f"result cache location (default: {default_cache_dir()})",
+        help=f"result cache location (default: {default_cache_dir()}); "
+        "rerunning a killed sweep against it resumes the sweep",
     )
     parser.add_argument(
         "--no-cache",
         action="store_true",
         help="neither read nor write the on-disk result cache",
-    )
-    parser.add_argument(
-        "--resume",
-        metavar="PATH",
-        default=None,
-        help="journal completed cells to PATH (JSONL) and replay any "
-        "already journalled there — resume an interrupted sweep",
     )
     parser.add_argument(
         "--cell-timeout",
@@ -409,27 +403,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 topology=args.topology,
             )
 
-    journal = RunJournal(args.resume) if args.resume else None
-    if journal is not None and len(journal):
-        print(
-            f"[runner] resuming: {len(journal)} cells already journalled "
-            f"in {args.resume}",
-            file=sys.stderr,
-        )
     executor = GridExecutor(
         jobs=args.jobs,
         cache_dir=args.cache_dir,
         use_cache=not args.no_cache,
         verify=args.verify,
-        journal=journal,
         cell_timeout=args.cell_timeout,
         raise_on_failure=False,
     )
-    try:
-        results = executor.run_specs(list(specs.values()))
-    finally:
-        if journal is not None:
-            journal.close()
+    results = executor.run_specs(list(specs.values()))
 
     report_sections = []
     for exp in todo:

@@ -1,7 +1,8 @@
-"""Executor robustness: run journal, cell timeouts, crash survival.
+"""Executor robustness: resume from the cache, cell timeouts, crash survival.
 
 The crash-survivable experiment plane (DESIGN.md §9): a sweep killed at
-any instant resumes byte-identically from its :class:`RunJournal`; a cell
+any instant resumes byte-identically from its result cache, whose every
+entry is fsynced before it is renamed into place; a cell
 that hangs is cut off by the wall-clock budget, retried once, and then
 recorded as failed; a worker crash (``BrokenProcessPool``) restarts the
 pool without losing completed work; and the runner reports failures on
@@ -20,8 +21,8 @@ from repro.analysis import TableResult, TableView
 from repro.experiments.executor import (
     CellTimeout,
     GridExecutor,
-    RunJournal,
     code_fingerprint,
+    write_json_atomic,
 )
 from repro.experiments.grid import (
     Cell,
@@ -95,87 +96,64 @@ def test_torn_cache_entry_is_a_miss_not_a_crash(tmp_path):
     assert second.render() == first.render()
 
 
-# -- the run journal ----------------------------------------------------------
+def test_cache_entry_is_fsynced_before_it_is_renamed(tmp_path, monkeypatch):
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        calls.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.stat(src).st_ino))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    target = tmp_path / "entry.json"
+    write_json_atomic(target, {"ok": True})
+    assert [kind for kind, _ in calls] == ["fsync", "replace"]
+    # the file fsynced is the temp file that is then renamed into place
+    assert calls[0][1] == calls[1][1]
+    assert json.loads(target.read_text()) == {"ok": True}
 
 
-def test_journal_resume_executes_nothing_and_matches(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as journal:
-        ex1 = GridExecutor(jobs=1, use_cache=False, journal=journal)
-        first = ex1.run_specs([_tiny_spec()])["tiny"]
-        assert ex1.stats.executed == 3
-        assert len(journal) == 3
-
-    with RunJournal(path) as journal2:
-        ex2 = GridExecutor(jobs=1, use_cache=False, journal=journal2)
-        second = ex2.run_specs([_tiny_spec()])["tiny"]
-        assert ex2.stats.executed == 0, str(ex2.stats)
-        assert ex2.stats.journal_hits == 3
-        assert second.render() == first.render()
-        assert second.data == first.data
+# -- resume: the cache is the record of finished cells -------------------------
 
 
-def test_journal_partial_resume_runs_only_the_missing_cells(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as journal:
-        ex1 = GridExecutor(jobs=1, use_cache=False, journal=journal)
-        ex1.run_specs([_tiny_spec()])
-
-    # keep only the first journalled cell: an interrupt after one cell
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text(lines[0])
-    with RunJournal(path) as journal2:
-        assert len(journal2) == 1
-        ex2 = GridExecutor(jobs=1, use_cache=False, journal=journal2)
-        ex2.run_specs([_tiny_spec()])
-        assert ex2.stats.journal_hits == 1
-        assert ex2.stats.executed == 2
-        assert len(journal2) == 3  # the re-run cells were re-journalled
+def test_cache_partial_resume_runs_only_the_missing_cells(tmp_path):
+    first = GridExecutor(jobs=1, cache_dir=tmp_path).run_specs(
+        [_tiny_spec()]
+    )["tiny"]
+    # keep one finished cell: a sweep killed after its first cell
+    for path in sorted(tmp_path.rglob("*.json"))[1:]:
+        path.unlink()
+    ex = GridExecutor(jobs=1, cache_dir=tmp_path)
+    second = ex.run_specs([_tiny_spec()])["tiny"]
+    assert ex.stats.cache_hits == 1
+    assert ex.stats.executed == 2
+    assert second.render() == first.render()
+    assert len(list(tmp_path.rglob("*.json"))) == 3  # the re-run cells cached
 
 
-def test_journal_tolerates_torn_tail(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as journal:
-        ex1 = GridExecutor(jobs=1, use_cache=False, journal=journal)
-        first = ex1.run_specs([_tiny_spec()])["tiny"]
-
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write('{"v": 1, "fingerprint": "abc", "key": "tr')  # kill -9 here
-
-    with RunJournal(path) as journal2:
-        assert journal2.skipped_lines == 1
-        assert len(journal2) == 3
-        ex2 = GridExecutor(jobs=1, use_cache=False, journal=journal2)
-        second = ex2.run_specs([_tiny_spec()])["tiny"]
-        assert ex2.stats.executed == 0
-        assert second.render() == first.render()
+def test_cache_entry_of_another_code_fingerprint_is_a_miss(
+    tmp_path, monkeypatch
+):
+    GridExecutor(jobs=1, cache_dir=tmp_path).run_specs([_tiny_spec()])
+    monkeypatch.setattr(executor_mod, "_FINGERPRINT", "0" * 24)
+    ex = GridExecutor(jobs=1, cache_dir=tmp_path)
+    ex.run_specs([_tiny_spec()])
+    assert ex.stats.cache_hits == 0
+    assert ex.stats.executed == 3
 
 
-def test_journal_ignores_other_code_fingerprints(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as journal:
-        GridExecutor(jobs=1, use_cache=False, journal=journal).run_specs(
-            [_tiny_spec()]
-        )
-
-    stale = [
-        json.dumps({**json.loads(line), "fingerprint": "0" * 24})
-        for line in path.read_text().splitlines()
-    ]
-    path.write_text("\n".join(stale) + "\n")
-    journal2 = RunJournal(path)
-    assert len(journal2) == 0
-    assert journal2.skipped_lines == 3
-
-
-def test_journal_entries_carry_the_cell_for_tooling(tmp_path):
-    path = tmp_path / "run.jsonl"
-    with RunJournal(path) as journal:
-        GridExecutor(jobs=1, use_cache=False, journal=journal).run_cells(
-            [Cell(workload=_TINY, seed=5)]
-        )
-    entry = json.loads(path.read_text().splitlines()[0])
-    assert entry["v"] == 1
+def test_cache_entries_carry_the_cell_for_tooling(tmp_path):
+    GridExecutor(jobs=1, cache_dir=tmp_path).run_cells(
+        [Cell(workload=_TINY, seed=5)]
+    )
+    (path,) = tmp_path.rglob("*.json")
+    entry = json.loads(path.read_text())
+    assert entry["version"] == 1
     assert entry["fingerprint"] == code_fingerprint()
     assert entry["cell"]["workload"]["label"] == "sor-tiny"
     assert entry["cell"]["seed"] == 5
@@ -242,18 +220,23 @@ def _crashy_task(cell):
     return executor_mod.__dict__["_original_run_cell_task"](cell)
 
 
-@pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="needs fork workers to inherit the patch"
-)
-def test_broken_pool_restarts_and_records_the_culprit(monkeypatch):
+@pytest.fixture
+def crashy_cells(monkeypatch):
+    """A cell whose worker dies on every attempt, and an innocent one."""
     monkeypatch.setitem(
         executor_mod.__dict__,
         "_original_run_cell_task",
         executor_mod._run_cell_task,
     )
     monkeypatch.setattr(executor_mod, "_run_cell_task", _crashy_task)
-    crash = Cell(workload=_TINY, seed=99)
-    ok = Cell(workload=_TINY, seed=1)
+    return [Cell(workload=_TINY, seed=99), Cell(workload=_TINY, seed=1)]
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="needs fork workers to inherit the patch"
+)
+def test_broken_pool_restarts_and_records_the_culprit(crashy_cells):
+    crash, ok = crashy_cells
     ex = GridExecutor(jobs=2, use_cache=False, raise_on_failure=False)
     ex.run_cells([crash, ok])
     assert ex.stats.pool_restarts >= 1
@@ -263,6 +246,21 @@ def test_broken_pool_restarts_and_records_the_culprit(monkeypatch):
     assert record["cell"]["seed"] == 99
     # the innocent cell still completed
     assert ex.results.get(ok) is not None
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork"), reason="needs fork workers to inherit the patch"
+)
+def test_broken_pool_raises_when_asked(crashy_cells):
+    from concurrent.futures.process import BrokenProcessPool
+
+    ex = GridExecutor(jobs=2, use_cache=False)
+    with pytest.raises(BrokenProcessPool):
+        ex.run_cells(crashy_cells)
+    assert ex.stats.failed == 1
+    (record,) = ex.failures.values()
+    assert record["kind"] == "crash"
+    assert record["attempts"] == 2
 
 
 # -- runner: failure summary + exit status ------------------------------------
