@@ -53,7 +53,7 @@ def _init_block(lo: int, hi: int, n: int) -> np.ndarray:
     return block
 
 
-#: per-shape scratch buffers for _sweep (keyed by interior shape).
+#: per-shape scratch buffers for _sweep (keyed by interior rows, row width).
 _SCRATCH: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -64,11 +64,17 @@ def _sweep(block: np.ndarray, row_offset: int, omega: float, phase: int) -> None
     ``row_offset``. Same-colour cells are independent, so the vectorised
     simultaneous update is exact red-black Gauss–Seidel.
 
-    The colour mask is a checkerboard over global ``(i + j)`` parity, so
-    instead of materialising a boolean mask and fancy-indexing (the old,
-    much slower spelling) the update is written back through two strided
-    slice copies; the arithmetic is evaluated in the same operation order,
-    so the resulting floats are bit-identical.
+    The arithmetic runs over contiguous 1-D views of the row-major block:
+    interior cell ``(i, j)`` sits at flat index ``i*n + j``, so its four
+    neighbours are the same run shifted by ``-n``, ``+n``, ``-1`` and
+    ``+1``. The run from ``(1, 1)`` to ``(m, n-2)`` also covers the
+    boundary pairs where one row wraps into the next; those results are
+    computed and never written back. Every cell sees the same operations
+    on the same operands in the same order as a 2-D stencil, so the floats
+    are bit-identical. The write-back is two strided slice copies, one per
+    row parity (the colour is a checkerboard over global ``(i + j)``).
+    A block that is not C-contiguous is read through a flat copy and still
+    written through its ``interior`` view.
     """
     m, n = block.shape[0] - 2, block.shape[1]
     if m <= 0:
@@ -76,22 +82,26 @@ def _sweep(block: np.ndarray, row_offset: int, omega: float, phase: int) -> None
     bufs = _SCRATCH.get((m, n))
     if bufs is None:
         bufs = _SCRATCH[(m, n)] = (
-            np.empty((m, n - 2), dtype=np.float64),
-            np.empty((m, n - 2), dtype=np.float64),
+            np.empty(m * n - 2, dtype=np.float64),
+            np.empty(m * n, dtype=np.float64),
         )
     neighbours, updated = bufs
-    np.add(block[0:-2, 1:-1], block[2:, 1:-1], out=neighbours)
-    neighbours += block[1:-1, 0:-2]
-    neighbours += block[1:-1, 2:]
-    interior = block[1:-1, 1:-1]
-    np.multiply(interior, 1.0 - omega, out=updated)
+    flat = block.ravel()
+    run = m * n - 2  # flat indices n+1 .. (m+1)*n - 2
+    np.add(flat[1 : 1 + run], flat[2 * n + 1 : 2 * n + 1 + run], out=neighbours)
+    neighbours += flat[n : n + run]
+    neighbours += flat[n + 2 : n + 2 + run]
+    centre = updated[:run]
+    np.multiply(flat[n + 1 : n + 1 + run], 1.0 - omega, out=centre)
     neighbours *= omega * 0.25
-    updated += neighbours
-    # interior[di, jj] is global cell (row_offset + di, jj + 1): its colour
-    # matches ``phase`` when (di + jj) % 2 == q
+    centre += neighbours
+    # updated[di*n + jj] is interior cell (di, jj), global (row_offset + di,
+    # jj + 1): its colour matches ``phase`` when (di + jj) % 2 == q
+    grid = updated.reshape(m, n)
+    interior = block[1:-1, 1:-1]
     q = (phase + row_offset + 1) % 2
-    interior[0::2, q::2] = updated[0::2, q::2]
-    interior[1::2, 1 - q :: 2] = updated[1::2, 1 - q :: 2]
+    interior[0::2, q::2] = grid[0::2, q : n - 2 : 2]
+    interior[1::2, 1 - q :: 2] = grid[1::2, 1 - q : n - 2 : 2]
 
 
 class SOR(Application):

@@ -2,9 +2,9 @@
 
 Two primitives cover everything the machine model needs:
 
-* :class:`Resource` — a FIFO server with integer capacity. Disk, host link
-  and per-node DMA engines are ``Resource(capacity=1)``; contention falls
-  out of the queue discipline.
+* :class:`Resource` — a FIFO server with integer capacity; contention
+  falls out of the queue discipline. The staggered schemes' per-server
+  write slot is one.
 * :class:`Store` — an unbounded (or bounded) FIFO buffer of items with
   blocking ``get``. Message channels and mailboxes are Stores.
 
@@ -65,9 +65,6 @@ class Resource:
         self.name = name
         self._users: list[Request] = []
         self._queue: Deque[Request] = deque()
-        # occupancy bookkeeping for utilisation metrics
-        self._busy_area = 0.0
-        self._last_change = engine.now
 
     # -- claims ---------------------------------------------------------------
 
@@ -86,7 +83,6 @@ class Resource:
             raise SimulationError(
                 f"release of a request that does not hold {self.name or 'resource'!r}"
             )
-        self._account()  # account busy time *before* dropping the user
         self._users.remove(request)
         self._pump()
 
@@ -102,18 +98,12 @@ class Resource:
     # -- internals --------------------------------------------------------------
 
     def _grant(self, req: Request) -> None:
-        self._account()
         self._users.append(req)
         req.succeed(self)
 
     def _pump(self) -> None:
         while self._queue and len(self._users) < self.capacity:
             self._grant(self._queue.popleft())
-
-    def _account(self) -> None:
-        now = self.engine.now
-        self._busy_area += len(self._users) * (now - self._last_change)
-        self._last_change = now
 
     # -- introspection -----------------------------------------------------------
 
@@ -126,12 +116,6 @@ class Resource:
     def queued(self) -> int:
         """Number of waiting requests."""
         return len(self._queue)
-
-    def utilisation(self, since: float = 0.0) -> float:
-        """Mean busy slots per unit time over ``[since, now]``."""
-        self._account()
-        span = self.engine.now - since
-        return self._busy_area / span if span > 0 else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

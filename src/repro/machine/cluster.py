@@ -8,9 +8,8 @@ the number of checkpoint streams crossing the interconnect towards the host.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..core.resources import Resource
 from .node import Node
 from .params import MachineParams, StorageParams
 from .storage import StableStorage
@@ -61,13 +60,9 @@ class Cluster:
             )
             for _ in range(self.params.n_nodes)
         ]
-        #: one outbound link engine per node (transputer link DMA): messages
-        #: from the same sender serialise; different senders proceed in
-        #: parallel. Receive side is delivery into a mailbox (no resource).
-        self.tx_links: List[Resource] = [
-            Resource(engine, capacity=1, name=f"tx-link:{i}")
-            for i in range(self.params.n_nodes)
-        ]
+        #: (src, dst) -> (latency, bandwidth) of the route, filled on first
+        #: use; the parameters are frozen, so a route never changes.
+        self._routes: Dict[Tuple[int, int], Tuple[float, float]] = {}
         #: ranks currently blocked inside a checkpoint operation (no
         #: application traffic from them); drives the storage rate factor.
         self._blocked_ranks: set[int] = set()
@@ -136,10 +131,15 @@ class Cluster:
         separately by the transport at send time). With endpoints given,
         the topology's distance-dependent link cost applies; intra-rack
         and flat traffic computes the identical base expression."""
-        link = self.params.link
-        if src is None or dst is None or self.topology.is_flat:
+        if src is None or dst is None:
+            link = self.params.link
             return link.latency + nbytes / link.bandwidth
-        latency, bandwidth = self.topology.link_cost(link, src, dst)
+        route = self._routes.get((src, dst))
+        if route is None:
+            route = self._routes[(src, dst)] = self.topology.link_cost(
+                self.params.link, src, dst
+            )
+        latency, bandwidth = route
         return latency + nbytes / bandwidth
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -12,13 +12,36 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator
 
-from ..core.events import Event
+from ..core.events import PENDING, Event
 from .params import NodeParams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.engine import Engine
 
 __all__ = ["Node"]
+
+
+class _Race(Event):
+    """Fires when the first of two events fires: ``AnyOf``'s rule for two
+    members, without the collected-value dict (a compute never reads the
+    value)."""
+
+    __slots__ = ()
+
+    def __init__(self, engine: "Engine", first: Event, second: Event) -> None:
+        super().__init__(engine)
+        check = self._check
+        first.callbacks.append(check)  # type: ignore[union-attr]
+        second.callbacks.append(check)  # type: ignore[union-attr]
+
+    def _check(self, event: Event) -> None:
+        if self._value is not PENDING:
+            return
+        if not event._ok:
+            event.defused = True
+            self.fail(event._value)
+            return
+        self.succeed()
 
 
 class Node:
@@ -95,7 +118,7 @@ class Node:
             t0 = engine.now
             finish = engine.timeout(remaining / rate)
             change = self._rate_change
-            either = finish | change
+            either = _Race(engine, finish, change)
             yield either
             elapsed = engine.now - t0
             done = rate * elapsed

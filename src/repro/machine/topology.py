@@ -7,7 +7,7 @@ questions for the rest of the system:
 
 * *distance*: how many inter-rack hops separate two nodes, and what the
   effective link cost (latency, bandwidth) of that route is — consumed by
-  :meth:`repro.machine.cluster.Cluster.message_time` per message;
+  :meth:`repro.machine.cluster.Cluster.message_time`, once per route;
 * *locality*: which rack a node lives in — consumed by the burst-buffer
   tier of the storage plane;
 * *sharding*: which stable-storage server a rank writes to
@@ -22,7 +22,7 @@ computes the exact same floats as the pre-topology machine.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from .params import LinkParams, TopologyParams
 
@@ -38,7 +38,7 @@ class Topology:
     """
 
     RESUME_FIELDS: tuple = ()
-    VOLATILE_FIELDS = ("params", "n_nodes", "n_racks", "is_flat", "_cost_cache")
+    VOLATILE_FIELDS = ("params", "n_nodes", "n_racks", "is_flat")
 
     def __init__(self, n_nodes: int, params: TopologyParams | None = None) -> None:
         self.params = params or TopologyParams()
@@ -49,8 +49,6 @@ class Topology:
         else:
             per = self.params.nodes_per_rack
             self.n_racks = (self.n_nodes + per - 1) // per
-        #: hop count -> (latency, bandwidth) of the route, memoised.
-        self._cost_cache: Dict[Tuple[float, float, int], Tuple[float, float]] = {}
 
     # -- locality -----------------------------------------------------------
 
@@ -93,15 +91,10 @@ class Topology:
         h = self.hops(src, dst)
         if h == 0:
             return (link.latency, link.bandwidth)
-        key = (link.latency, link.bandwidth, h)
-        cost = self._cost_cache.get(key)
-        if cost is None:
-            cost = (
-                link.latency + h * self.params.uplink_latency,
-                link.bandwidth / (1.0 + self.params.uplink_taper * (h - 1)),
-            )
-            self._cost_cache[key] = cost
-        return cost
+        return (
+            link.latency + h * self.params.uplink_latency,
+            link.bandwidth / (1.0 + self.params.uplink_taper * (h - 1)),
+        )
 
     # -- storage sharding ---------------------------------------------------
 

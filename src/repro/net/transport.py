@@ -3,15 +3,18 @@
 Sending occupies the sender's outbound link engine for the transfer time
 (latency + size/bandwidth, inflated by the current network pressure from
 checkpoint streams crossing the interconnect), then delivers to the
-destination endpoint. Per-sender FIFO falls out of the link being a
-capacity-1 FIFO resource — which is exactly the ordering guarantee the
-marker protocol needs (a marker sent after a cut arrives after all pre-cut
-messages from that sender).
+destination endpoint. Each rank's outbound wire is a claim queue the
+transport owns: the head of the rank's deque holds the wire, the rest wait
+in call order, and a claim's event fires when it reaches the head.
+Per-sender FIFO falls out of that queue — which is exactly the ordering
+guarantee the marker protocol needs (a marker sent after a cut arrives
+after all pre-cut messages from that sender).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List
+from collections import deque
+from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List
 
 from ..core.errors import SizeOnlyError
 from ..core.events import Event
@@ -37,7 +40,14 @@ class Transport:
         "control_messages",
         "control_bytes",
     )
-    VOLATILE_FIELDS = ("cluster", "engine", "tracer", "endpoints", "_next_seq")
+    VOLATILE_FIELDS = (
+        "cluster",
+        "engine",
+        "tracer",
+        "endpoints",
+        "_next_seq",
+        "_wires",
+    )
 
     def __init__(self, cluster: "Cluster", tracer: "Tracer | None" = None) -> None:
         self.cluster = cluster
@@ -47,6 +57,11 @@ class Transport:
         self.endpoints: Dict[int, Callable[[Message], None]] = {}
         #: per-(src, dst) next sequence number.
         self._next_seq: Dict[tuple[int, int], int] = {}
+        #: per-rank outbound wire: the claim at the head holds it, the
+        #: others wait behind it in call order.
+        self._wires: List[Deque[Event]] = [
+            deque() for _ in range(cluster.n_nodes)
+        ]
         # metrics
         self.messages_sent = 0
         self.bytes_sent = 0
@@ -93,13 +108,18 @@ class Transport:
         if msg.src == msg.dst:
             raise ValueError(f"self-send not allowed: {msg!r}")
         msg.finalize_size()
-        link = self.cluster.tx_links[msg.src]
-        req = link.request()
-        return self._transfer(msg, req)
+        wire = self._wires[msg.src]
+        claim = Event(self.engine)
+        wire.append(claim)
+        if len(wire) == 1:
+            claim.succeed()  # the wire was free: granted now
+        return self._transfer(msg, wire, claim)
 
-    def _transfer(self, msg: Message, req: Any) -> Generator[Event, Any, None]:
+    def _transfer(
+        self, msg: Message, wire: Deque[Event], claim: Event
+    ) -> Generator[Event, Any, None]:
         try:
-            yield req
+            yield claim
             pressure = self.cluster.network_pressure()
             # pooled delay: one per message, recycled by the engine; the
             # (src, dst) pair routes through the topology's link cost
@@ -107,7 +127,14 @@ class Transport:
                 self.cluster.message_time(msg.size, msg.src, msg.dst) * pressure
             )
         finally:
-            req.cancel()
+            # release (or withdraw, if interrupted while queued): the next
+            # claim in line is granted at this instant
+            if wire[0] is claim:
+                wire.popleft()
+                if wire:
+                    wire[0].succeed()
+            else:
+                wire.remove(claim)
         self._account(msg)
         self.endpoints[msg.dst](msg)
 

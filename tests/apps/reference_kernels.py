@@ -1,6 +1,6 @@
 """The kernels of ``repro.apps`` in their original, slower spellings.
 
-The application layer computes these four in rewritten forms that claim the
+The application layer computes these five in rewritten forms that claim the
 *same arithmetic*: the same floating-point operations on the same operands
 in the same order, hence bit-identical results. These are the oracles that
 claim is tested against (``test_kernel_exactness.py``); nothing under
@@ -106,3 +106,23 @@ def eliminate(rows: np.ndarray, ids: np.ndarray, pivot: np.ndarray, k: int) -> i
         factors = rows[below, k] / pivot[k]
         rows[below, k:] -= factors[:, None] * pivot[k:]
     return m
+
+
+def sor_sweep(block: np.ndarray, row_offset: int, omega: float, phase: int) -> None:
+    """SOR red-black half-sweep as 2-D strided arithmetic over the
+    interior, written back through two strided colour slices."""
+    m, n = block.shape[0] - 2, block.shape[1]
+    if m <= 0:
+        return
+    neighbours = np.empty((m, n - 2), dtype=np.float64)
+    updated = np.empty((m, n - 2), dtype=np.float64)
+    np.add(block[0:-2, 1:-1], block[2:, 1:-1], out=neighbours)
+    neighbours += block[1:-1, 0:-2]
+    neighbours += block[1:-1, 2:]
+    interior = block[1:-1, 1:-1]
+    np.multiply(interior, 1.0 - omega, out=updated)
+    neighbours *= omega * 0.25
+    updated += neighbours
+    q = (phase + row_offset + 1) % 2
+    interior[0::2, q::2] = updated[0::2, q::2]
+    interior[1::2, 1 - q :: 2] = updated[1::2, 1 - q :: 2]

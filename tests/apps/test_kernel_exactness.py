@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.apps.gauss import _eliminate
 from repro.apps.ising import _sweep_colour
 from repro.apps.nbody import _block_forces
+from repro.apps.sor import _sweep
 from repro.apps.tsp import _solve_task
 
 from . import reference_kernels as ref
@@ -134,3 +135,38 @@ def test_gauss_eliminate_same_rows_for_every_rank_and_pivot(size):
             m_got = _eliminate(got, ids, pivot, k)
             assert m_got == m_want == int((ids > k).sum())
             np.testing.assert_array_equal(got, want)
+
+
+# -- SOR ----------------------------------------------------------------------
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    m=st.integers(1, 40),
+    n=st.integers(3, 41),  # odd and even grid widths
+    row_offset=st.integers(0, 9),
+    phase=st.sampled_from([0, 1]),
+    omega=st.sampled_from([0.5, 1.0, 1.5, 1.9, 1.2345]),
+    layout=st.sampled_from(["C", "F", "strided"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sor_sweep_bit_identical(m, n, row_offset, phase, omega, layout, seed):
+    """The flat-run stencil equals the 2-D one bit for bit, also on blocks
+    that are not C-contiguous (read through a flat copy, written through
+    the interior view)."""
+    values = np.random.default_rng(seed).normal(size=(m + 2, n))
+    want = values.copy()
+    if layout == "C":
+        got = values.copy()
+    elif layout == "F":
+        got = np.asfortranarray(values)
+    else:  # every other column of a wider array
+        wide = np.zeros((m + 2, 2 * n))
+        wide[:, ::2] = values
+        got = wide[:, ::2]
+    assert got.flags.c_contiguous == (layout == "C")
+    ref.sor_sweep(want, row_offset, omega, phase)
+    _sweep(got, row_offset, omega, phase)
+    assert np.ascontiguousarray(got).tobytes() == want.tobytes()
+    if layout == "strided":
+        assert not wide[:, 1::2].any()  # the untouched columns stayed untouched

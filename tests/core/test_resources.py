@@ -90,22 +90,6 @@ def test_capacity_validation():
         Resource(eng, capacity=0)
 
 
-def test_utilisation_tracks_busy_time():
-    eng = Engine()
-    res = Resource(eng, capacity=1)
-
-    def user():
-        with res.request() as req:
-            yield req
-            yield eng.timeout(4.0)
-
-    eng.process(user())
-    eng.run()
-    eng.timeout(4.0)
-    eng.run()  # idle 4s
-    assert res.utilisation() == pytest.approx(0.5)
-
-
 def test_n_writers_single_server_total_time():
     """The contention mechanism behind Coord_NB: N simultaneous writers to
     one server take N service times end to end."""

@@ -138,10 +138,10 @@ def test_parallel_computes_on_one_node_both_slow_during_stream():
 
 
 def test_sequential_computes_retain_no_spent_subscription():
-    """Each compute() subscribes an AnyOf to the node's rate-change event;
-    once the compute finished that subscription is dead weight. It used to
-    pile up — one AnyOf + Timeout + bound method per compute — until the
-    next rate bump."""
+    """Each compute() subscribes a race trigger to the node's rate-change
+    event; once the compute finished that subscription is dead weight. It
+    used to pile up — one trigger + Timeout + bound method per compute —
+    until the next rate bump."""
     eng, node = make_node(cpu_flops=1000.0)
     high_water = []
 
@@ -160,7 +160,8 @@ def test_sequential_computes_retain_no_spent_subscription():
 
 
 def _parent_compute(node, flops):
-    """``Node.compute`` as it was before the detach (the reference)."""
+    """``Node.compute`` as it was before the detach, racing with a general
+    ``AnyOf`` (the reference)."""
     engine = node.engine
     remaining = float(flops)
     while remaining > 1e-9:
@@ -188,7 +189,12 @@ def test_detach_leaves_firing_order_unchanged(backend):
         eng = Engine(backend=backend)
         node = Node(eng, 0, NodeParams(cpu_flops=1000.0, bg_write_interference=0.5))
         fired, ends = [], []
-        eng.step_hook = lambda t, ev: fired.append((t, type(ev).__name__))
+        # the parent raced with an AnyOf, Node.compute with its own _Race:
+        # only the class name differs, the firing itself must not
+        name = {"AnyOf": "_Race"}
+        eng.step_hook = lambda t, ev: fired.append(
+            (t, name.get(type(ev).__name__, type(ev).__name__))
+        )
 
         def app(tag, chunks):
             for flops in chunks:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import Engine, Tracer
 from repro.machine import Cluster, MachineParams, StableStorage, StorageParams
+from repro.net import Message, Transport
 
 
 def test_xplorer_preset_has_eight_nodes():
@@ -11,7 +12,37 @@ def test_xplorer_preset_has_eight_nodes():
     cluster = Cluster(eng)
     assert cluster.n_nodes == 8
     assert len(cluster.nodes) == 8
-    assert len(cluster.tx_links) == 8
+
+
+def test_each_sender_owns_one_fifo_wire():
+    """Messages from one sender cross its outbound wire one at a time, in
+    call order, whatever their sizes; another sender's wire runs in
+    parallel."""
+    eng = Engine()
+    cluster = Cluster(eng)
+    transport = Transport(cluster)
+    arrivals = []
+    for rank in range(cluster.n_nodes):
+        transport.register(rank, lambda m: arrivals.append((m.src, m.tag, eng.now)))
+    link = cluster.params.link
+    sizes = [8 * link.bandwidth, 1, 2 * link.bandwidth]  # big, tiny, medium
+    for tag, size in enumerate(sizes):
+        msg = Message(src=0, dst=1 + tag, tag=tag, payload=None, seq=0, kind="app")
+        msg.size = size
+        eng.process(transport.send(msg))
+    other = Message(src=4, dst=5, tag=9, payload=None, seq=0, kind="app")
+    other.size = 1
+    eng.process(transport.send(other))
+    eng.run()
+    from_zero = [(tag, t) for src, tag, t in arrivals if src == 0]
+    assert [tag for tag, _ in from_zero] == [0, 1, 2]
+    done, want = 0.0, []
+    for size in sizes:
+        done += cluster.message_time(size)
+        want.append(pytest.approx(done))
+    assert [t for _, t in from_zero] == want
+    # rank 4's tiny message did not queue behind rank 0's big one
+    assert (4, 9, pytest.approx(cluster.message_time(1))) in arrivals
 
 
 def test_params_validation():
