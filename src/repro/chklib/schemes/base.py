@@ -346,13 +346,6 @@ class Scheme:
         return self.capture != "blocking"
 
     @classmethod
-    def model_machines(cls):
-        """``((label, factory), ...)`` abstract machines model-checking
-        this protocol; ``repro.verify model`` enumerates these through the
-        protocol registry. Factories take ``n_ranks`` plus bug knobs."""
-        return ()
-
-    @classmethod
     def trace_checkers(cls):
         """Checker classes (see :mod:`repro.verify.invariants`) auditing
         this protocol's trace events; contributed to ``default_checkers``

@@ -27,8 +27,7 @@ covered by the same piecewise-deterministic machinery the logging
 recovery path already relies on: checkpoint-time log annexes replay
 in-transit messages, re-executed sends reuse their sequence numbers, and
 receivers drop the duplicates. The ``cic_index_rule`` trace invariant
-audits the obligation (no basic cut may land below a forced index) and
-the ``cic-index`` abstract machine model-checks the rule itself.
+audits the obligation (no basic cut may land below a forced index).
 """
 
 from __future__ import annotations
@@ -109,12 +108,6 @@ class CICScheme(IndependentScheme):
         return cls(times, cic_rule="fdas", skew=skew, **kw)
 
     # -- verify hooks (protocol registry) --------------------------------------
-
-    @classmethod
-    def model_machines(cls):
-        from ...verify.model import CicIndexModel
-
-        return (("cic-index", CicIndexModel),)
 
     @classmethod
     def trace_checkers(cls):

@@ -13,9 +13,8 @@ protocol family lives here, declared once per family:
 * the *option schema* — which ``SchemeSpec`` fields the family honours
   (anything else is rejected at spec-build time instead of silently
   ignored);
-* its *verify hooks*: the abstract model-checker machines
-  (``Scheme.model_machines``), the trace-invariant checkers
-  (``Scheme.trace_checkers``), and the trace-event vocabulary
+* its *verify hooks*: the trace-invariant checkers
+  (``Scheme.trace_checkers``) and the trace-event vocabulary
   (``Scheme.TRACE_EVENTS``), validated against
   :data:`repro.core.tracing.EVENT_KINDS` whenever the class is resolved
   here, so no protocol event can ship
@@ -27,14 +26,17 @@ maps each alias to a base name plus fixed option overrides; the literal
 dict that used to live in ``experiments/grid.py`` is re-exported from
 here. Adding a fourth family is one module: subclass ``Scheme``, declare
 the verify hooks on the class, and register the family and its aliases
-below — the grid, the runner, ``repro.verify model``, the trace
-checkers and the resume layer all pick it up from the registry.
+below — the grid, the runner, the trace checkers and the resume layer
+all pick it up from the registry. Its aliases also go into
+``repro.verify.smoke.SMOKE_SCHEMES``, which the smoke audit and the
+``repro.verify model`` schedule explorer run (a test holds that every
+registered family is there).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple, Type
+from typing import TYPE_CHECKING, Any, Dict, List, Tuple, Type
 
 from ..._lazy import resolve
 
@@ -66,7 +68,7 @@ class ProtocolFamily:
         """The family's Scheme class, imported on first use and checked
         against :data:`repro.core.tracing.EVENT_KINDS` on every
         resolution — a protocol declaring an event kind the tracer would
-        reject fails before any of its schemes is built or model-checked."""
+        reject fails before any of its schemes is built or explored."""
         from ...core.tracing import EVENT_KINDS
 
         cls = resolve(self.scheme)
@@ -187,18 +189,6 @@ class ProtocolRegistry:
         return make(list(spec.times), **kw)
 
     # -- verify hooks ----------------------------------------------------------
-
-    def model_machines(self) -> List[Tuple[str, Callable[..., Any]]]:
-        """Every family's abstract machines, registration order, deduped
-        by label — what ``repro.verify model`` enumerates."""
-        machines: List[Tuple[str, Callable[..., Any]]] = []
-        seen = set()
-        for family in self._families.values():
-            for label, factory in family.scheme_cls.model_machines():
-                if label not in seen:
-                    seen.add(label)
-                    machines.append((label, factory))
-        return machines
 
     def trace_checkers(self) -> List[type]:
         """Every family's trace-checker classes, deduped, registration

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
+from ..core.errors import InvariantViolation
 from ..net.message import Message
 from .state import Snapshot
 
@@ -159,8 +160,14 @@ class CheckpointStore:
             self._bytes += msg.size
 
     def commit(self, rank: int, index: int) -> None:
-        """Mark a checkpoint stable (keeps it eligible for recovery)."""
-        self._chains[rank][index].committed = True
+        """Mark a checkpoint stable (keeps it eligible for recovery). Only
+        a stored record can be: the store holds one once its write ended."""
+        record = self._chains[rank].get(index)
+        if record is None:
+            raise InvariantViolation(
+                "commit of a checkpoint that was never stored", rank=rank, index=index
+            )
+        record.committed = True
 
     def quarantine(self, rank: int, index: int) -> None:
         """Mark a checkpoint unusable (corrupt or unreadable). The record

@@ -130,9 +130,10 @@ class InvariantViolation(SimulationError):
 
     Used instead of bare ``assert`` for runtime validation in simulation
     code: unlike ``assert``, these checks survive ``python -O`` and carry a
-    structured description of what was violated. The sim-hygiene lint
-    (:mod:`repro.verify.lint`) forbids bare non-``isinstance`` asserts in
-    :mod:`repro` precisely so correctness checks end up here.
+    structured description of what was violated. The static analyzer's
+    sim-hygiene pass (``python -m repro.verify analyze``) forbids bare
+    non-``isinstance`` asserts in :mod:`repro` precisely so correctness
+    checks end up here.
     """
 
     def __init__(self, what: str, **context: Any) -> None:
@@ -145,9 +146,8 @@ class InvariantViolation(SimulationError):
 class VerificationError(SimulationError):
     """The protocol verification subsystem found a violated invariant.
 
-    Raised by the trace invariant engine (when post-run verification is
-    enabled) and by the model-checker CLI when exploration surfaces a
-    counterexample. Carries the individual violations for reporting.
+    Raised by the trace invariant engine when post-run verification is
+    enabled. Carries the individual violations for reporting.
     """
 
     def __init__(self, summary: str, violations: Any = ()) -> None:

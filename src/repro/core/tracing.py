@@ -62,6 +62,7 @@ EVENT_KINDS = frozenset(
         "proto.cic.promote",
         # sender-based pessimistic message logging
         "proto.mlog.logged",
+        "proto.mlog.degraded",
         # channel traffic
         "msg.send",
         "msg.deliver",

@@ -1,11 +1,10 @@
 """Three-layer verification subsystem for the reproduction.
 
-1. **Model checking** (:mod:`.model`, :mod:`.explorer`) — exhaustive
-   explicit-state exploration of abstracted protocol state machines: the
-   coordinated two-phase commit (with crash/abort at every reachable
-   state) and the staggered token ring. Small-N (2–4 ranks) but complete:
-   every interleaving of message deliveries, write completions and
-   failures is visited.
+1. **Schedule exploration** (:mod:`.explorer`) — the real schemes, run
+   through one checkpoint round of a tiny ring app at 2–4 ranks under
+   chosen crash instants, storage-write failures and per-transfer wire
+   delays; every run is audited by the trace checkers, drained to
+   quiescence and checked for undecided 2PC rounds and a changed result.
 2. **Trace invariants** (:mod:`.invariants`, :mod:`.trace_check`) —
    declarative checkers replayed over the structured event streams the
    simulator records (FIFO delivery, 2PC commit rules, staggered-write
@@ -32,17 +31,9 @@ from .._lazy import lazy_surface
 _LAZY = {
     "AnalysisReport": "analyze.findings",
     "Finding": "analyze.findings",
-    "ExplorationResult": "explorer",
-    "Violation": "explorer",
-    "explore": "explorer",
     "RunMeta": "invariants",
     "TraceViolation": "invariants",
     "default_checkers": "invariants",
-    "CicIndexModel": "model",
-    "ModelBugs": "model",
-    "SenderLogModel": "model",
-    "TokenRingModel": "model",
-    "TwoPhaseCommitModel": "model",
     "TraceReport": "trace_check",
     "check_runtime": "trace_check",
     "check_trace": "trace_check",

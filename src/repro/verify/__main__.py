@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.verify            # everything (model + smoke + analyze)
-    python -m repro.verify model      # exhaustive small-N model checking
+    python -m repro.verify model      # schedule exploration of the real schemes
     python -m repro.verify smoke      # traced scheme runs + invariant audit
     python -m repro.verify analyze    # whole-program static analysis
 
@@ -21,13 +21,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
-from ..chklib.schemes.registry import REGISTRY
 from .analyze import analyze
 from .explorer import explore
-from .smoke import run_smoke
+from .smoke import SMOKE_SCHEMES, make_smoke_scheme, run_smoke
 
 __all__ = ["main", "LAYER_CODES"]
 
@@ -41,15 +41,16 @@ def _summary(layer: str, ok: bool) -> int:
 
 
 def _run_model(ranks: List[int], verbose: bool) -> int:
-    # every protocol family's declared abstract machine, from the registry
+    # every smoke scheme (all four families) under explored schedules
     failed = 0
-    for label, machine in REGISTRY.model_machines():
+    for name in SMOKE_SCHEMES:
         for n in ranks:
-            result = explore(machine(n_ranks=n))
-            print(f"[verify:model] {label} n={n}: {result.summary()}")
-            if verbose:
-                for v in result.violations[:3]:
-                    print(f"  {v.invariant}: " + " -> ".join(v.trace))
+            result = explore(partial(make_smoke_scheme, name), n)
+            print(f"[verify:model] {name} n={n}: {result.summary()}")
+            if not result.ok:
+                print(f"  schedule: {result.schedule}")
+                for v in result.violations[: None if verbose else 3]:
+                    print(f"  {v}")
             failed += 0 if result.ok else 1
     return _summary("model", not failed)
 
@@ -88,7 +89,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         type=int,
         nargs="+",
         default=[2, 3, 4],
-        help="system sizes for the model checker (default: 2 3 4)",
+        help="system sizes for the schedule explorer (default: 2 3 4)",
     )
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--verbose", action="store_true")

@@ -1,60 +1,103 @@
-"""Exhaustive state-space exploration for protocol models.
+"""Schedule exploration of the real checkpoint protocols.
 
-A *model* is any object exposing:
+The ``model`` layer of ``python -m repro.verify``: the schemes the
+simulator measures run in a :class:`~repro.chklib.runtime.CheckpointRuntime`
+through one checkpoint round of :class:`Ring` under chosen schedules. A
+schedule is the choices one run makes, in call order: a machine crash
+(none, or midway between two distinct ``proto.*`` event times of the
+default run), a storage-write failure (none, or the k-th write, with no
+retries) and, per wire transfer, an extra delay from :data:`EXTRA_DELAYS`,
+added by wrapping that runtime's ``cluster.message_time``, which every
+transfer calls once.
 
-* ``initial_states() -> Iterable[state]`` — hashable start states;
-* ``successors(state) -> Iterable[(label, state)]`` — every enabled action
-  and its resulting state (the explorer never invents transitions);
-* ``invariants`` — ``[(name, predicate)]`` checked on **every** reachable
-  state. Because a crash can happen at any instant, checking a state
-  invariant on every reachable state is equivalent to checking it at every
-  possible crash point — this is how the model covers crash branches
-  without an explicit crash action;
-* ``terminal_invariants`` — ``[(name, predicate)]`` checked only on states
-  with no enabled action (termination / final-outcome properties).
+The default schedule chooses 0 everywhere. Prefixes run in order of how
+many choices they change, each child changing one more choice past its
+parent's prefix; a run is expanded only if its projection, the ordered
+``proto.*`` and ``msg.deliver`` events, is new. Past :data:`BUDGET` runs,
+:data:`RANDOM_RUNS` schedules follow, drawn from seeded
+:class:`~repro.core.rng.RngStreams`. The first violating schedule ends
+the search.
 
-Exploration is breadth-first, so a reported counterexample trace is a
-shortest one. The frontier is bounded by ``max_states`` as a safety valve;
-hitting the bound marks the result incomplete instead of raising, because
-an incomplete exploration can still *find* bugs — it just cannot prove
-their absence.
+A run violates when it raises, when its trace fails a checker, when its
+result differs from the crash-free run's, or when it is not quiescent: a
+:class:`~repro.core.errors.Deadlock` while draining the engine after
+``run()``, or a round of the last generation that every rank acked, or
+that got an abort vote, with no decision.
 """
 
 from __future__ import annotations
 
+import operator
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
-__all__ = ["Violation", "ExplorationResult", "explore"]
+from ..apps.base import Application
+from ..chklib.runtime import CheckpointRuntime
+from ..core.errors import Deadlock
+from ..core.rng import RngStreams
+from ..fault.model import FaultModel, RetryPolicy, StorageFaultSpec
+from ..machine.params import MachineParams
+from ..net.collectives import reduce
+from .trace_check import check_runtime
 
-State = Hashable
+__all__ = ["Ring", "Exploration", "explore"]
+
+#: a wire transfer's extra delay: none, ε (reorders transfers that land
+#: together) and Δ (about a ring iteration: passes protocol phases).
+EXTRA_DELAYS = (0.0, 1e-6, 5e-3)
+#: systematic runs per scheme and size before the search turns random.
+BUDGET = 200
+#: seeded random schedules run once the budget is spent.
+RANDOM_RUNS = 40
+
+
+class Ring(Application):
+    """N-rank ring exchanger with per-iteration checkpoint points. Each
+    rank folds what it receives in order, so a replay that reorders a
+    channel changes the result."""
+
+    name = "ring"
+    image_bytes = 8 * 1024
+
+    def __init__(self, iters=40, flops=50_000.0):
+        self.iters = iters
+        self.flops = flops
+
+    def make_state(self, rank, size, seed):
+        return {"iter": 0, "acc": 0}
+
+    def run(self, ctx, state):
+        right = (ctx.rank + 1) % ctx.size
+        left = (ctx.rank - 1) % ctx.size
+        while state["iter"] < self.iters:
+            yield from ctx.comm.send(right, state["iter"], tag=1)
+            msg = yield from ctx.comm.recv(source=left, tag=1)
+            state["acc"] = (state["acc"] * 31 + msg.payload) % 1_000_003
+            yield from ctx.compute(self.flops)
+            state["iter"] += 1
+            yield from ctx.checkpoint_point()
+        total = yield from reduce(ctx.comm, state["acc"], operator.add, root=0)
+        return total if ctx.rank == 0 else None
+
+
+#: the explored workload: its checkpoint round spans a few iterations
+APP = Ring(iters=12, flops=10_000.0)
 
 
 @dataclass
-class Violation:
-    """One invariant violation with a shortest counterexample trace."""
+class Exploration:
+    """What exploring one scheme at one size found."""
 
-    invariant: str
-    state: Any
-    trace: Tuple[str, ...]  #: action labels from an initial state
-    terminal: bool = False  #: found on a terminal (deadlocked/final) state
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        where = "terminal state" if self.terminal else "state"
-        steps = " -> ".join(self.trace) or "<initial>"
-        return f"<Violation {self.invariant} at {where} via {steps}>"
-
-
-@dataclass
-class ExplorationResult:
-    """Outcome of one exhaustive exploration."""
-
-    states_explored: int
-    transitions: int
-    terminal_states: int
-    violations: List[Violation] = field(default_factory=list)
-    complete: bool = True  #: False when max_states cut the search short
+    scheme: str
+    n_ranks: int
+    runs: int = 0
+    projections: int = 0
+    #: every new projection was expanded before the budget ran out
+    complete: bool = False
+    #: the first violating schedule and what it broke (empty = clean)
+    schedule: str = ""
+    violations: List[str] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -62,86 +105,172 @@ class ExplorationResult:
 
     def summary(self) -> str:
         status = "ok" if self.ok else f"{len(self.violations)} violation(s)"
-        scope = "exhaustive" if self.complete else "TRUNCATED"
+        search = "complete" if self.complete else "budgeted" if self.ok else "stopped"
         return (
-            f"{status}: {self.states_explored} states, "
-            f"{self.transitions} transitions, "
-            f"{self.terminal_states} terminal ({scope})"
+            f"{status}: {self.runs} runs, {self.projections} distinct "
+            f"projections ({search})"
         )
 
 
-def trace_to(
-    parents: Dict[State, Optional[Tuple[State, str]]], state: State
-) -> Tuple[str, ...]:
-    """Reconstruct the action-label path from an initial state to *state*."""
-    labels: List[str] = []
-    cursor: Optional[State] = state
-    while cursor is not None:
-        link = parents[cursor]
-        if link is None:
-            break
-        cursor, label = link
-        labels.append(label)
-    return tuple(reversed(labels))
+class _Chooser:
+    """Replays a prefix of choices, then takes the default (or draws);
+    records every choice made and how many there were."""
+
+    def __init__(self, prefix: Sequence[int] = (), rng: Any = None) -> None:
+        self.prefix = prefix
+        self.rng = rng
+        self.made: List[int] = []
+        self.arity: List[int] = []
+
+    def __call__(self, arity: int) -> int:
+        i = len(self.made)
+        if i < len(self.prefix):
+            choice = self.prefix[i]
+        else:
+            choice = int(self.rng.integers(arity)) if self.rng is not None else 0
+        self.made.append(choice)
+        self.arity.append(arity)
+        return choice
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """The fixed part of the choice space, read off the default run."""
+
+    interval: float  #: the time of the one checkpoint round
+    expected: Any  #: the application result of the crash-free run
+    crashes: Tuple[float, ...] = ()
+    writes: int = 0
+
+    def describe(self, schedule: Sequence[int]) -> str:
+        crash, fail, *delays = schedule
+        moved = " ".join(
+            f"#{i}+{('0', 'eps', 'Delta')[c]}" for i, c in enumerate(delays) if c
+        )
+        return (
+            (f"crash at t={self.crashes[crash - 1]:.6f}" if crash else "no crash")
+            + (f"; write #{fail} fails" if fail else "; no write fails")
+            + f"; transfer delays {moved or 'none'}"
+        )
+
+
+def _undecided(events, n_ranks: int) -> List[str]:
+    """Rounds of the last generation that every rank acked, or that got
+    an abort vote, but that no commit or abort decision closed."""
+    start = max(
+        (i for i, ev in enumerate(events) if ev.kind == "recover.line"), default=-1
+    )
+    acks: dict = {}
+    votes, decided = set(), set()
+    for ev in events[start + 1 :]:
+        if ev.kind == "proto.ack":
+            acks.setdefault(ev["round"], set()).add(ev["rank"])
+        elif ev.kind == "proto.abort_report":
+            votes.add(ev["round"])
+        elif ev.kind in ("proto.commit", "proto.abort"):
+            decided.add(ev["round"])
+    return [
+        f"round {n}: every rank acked but no decision"
+        for n, who in sorted(acks.items())
+        if len(who) == n_ranks and n not in decided
+    ] + [f"round {n}: abort vote but no decision" for n in sorted(votes - decided)]
+
+
+def _projection(events) -> tuple:
+    return tuple(
+        (ev.kind, tuple(sorted(ev.fields.items())))
+        for ev in events
+        if ev.kind.startswith("proto.") or ev.kind == "msg.deliver"
+    )
+
+
+def _children(queue: deque) -> Iterator[_Chooser]:
+    """Breadth-first over *queue*: each parent's prefixes that change one
+    more choice, past the parent's own prefix."""
+    while queue:
+        parent = queue.popleft()
+        for pos in range(len(parent.prefix), len(parent.made)):
+            for alt in range(1, parent.arity[pos]):
+                yield _Chooser(parent.made[:pos] + [alt])
 
 
 def explore(
-    model: Any,
-    max_states: int = 500_000,
-    stop_at_first: bool = False,
-) -> ExplorationResult:
-    """Breadth-first exhaustive exploration of *model*.
+    make_scheme: Callable[[List[float], float], Any], n_ranks: int
+) -> Exploration:
+    """Explore schedules of the scheme ``make_scheme(times, interval)``
+    builds, on an *n_ranks* ring with one checkpoint round."""
+    machine = MachineParams(n_nodes=n_ranks)
+    normal = CheckpointRuntime(APP, machine=machine).run()
+    plan = _Plan(interval=normal.sim_time / 2, expected=normal.result)
 
-    Every reachable state is checked against ``model.invariants``; states
-    with no successor are additionally checked against
-    ``model.terminal_invariants``. Violations carry a shortest trace.
-    """
-    invariants = list(getattr(model, "invariants", ()))
-    terminal_invariants = list(getattr(model, "terminal_invariants", ()))
-    parents: Dict[State, Optional[Tuple[State, str]]] = {}
-    queue: deque[State] = deque()
-    result = ExplorationResult(
-        states_explored=0, transitions=0, terminal_states=0
+    def run(choose: _Chooser):
+        crash = choose(1 + len(plan.crashes))
+        fail = choose(1 + plan.writes)
+        fault = FaultModel(
+            machine_crash_times=(plan.crashes[crash - 1],) if crash else (),
+            storage=StorageFaultSpec(fail_writes_at=(fail,) if fail else ()),
+            retry=RetryPolicy(max_retries=0),
+        )
+        scheme = make_scheme([plan.interval], plan.interval)
+        rt = CheckpointRuntime(APP, scheme=scheme, machine=machine, fault_model=fault)
+        wire_time = rt.cluster.message_time
+        rt.cluster.message_time = lambda nbytes, src=None, dst=None: (
+            wire_time(nbytes, src, dst) + EXTRA_DELAYS[choose(len(EXTRA_DELAYS))]
+        )
+        found: List[str] = []
+        try:
+            result = rt.run().result
+            if result != plan.expected:
+                found.append(f"result {result!r}, crash-free run {plan.expected!r}")
+            rt.engine.run()  # drain to quiescence
+        except Deadlock as exc:
+            found.append(f"not quiescent: {exc}")
+        except Exception as exc:  # any exception is a finding, not a crash
+            found.append(f"raised {type(exc).__name__}: {exc}")
+        found += [f"[{v.invariant}] {v.message}" for v in check_runtime(rt).violations]
+        return rt, found + _undecided(rt.tracer.events, n_ranks)
+
+    # the default schedule fixes the crash instants and the write count
+    root = _Chooser()
+    rt, found = run(root)
+    events = rt.tracer.events
+    instants = sorted({ev.time for ev in events if ev.kind.startswith("proto.")})
+    plan = replace(
+        plan,
+        crashes=tuple((a + b) / 2 for a, b in zip(instants, instants[1:])),
+        writes=int(rt.tracer.counters.get("storage.write_ops", 0)),
     )
+    root.arity[:2] = [1 + len(plan.crashes), 1 + plan.writes]
+    outcome = Exploration(scheme=rt.scheme.name, n_ranks=n_ranks)
+    seen: set = set()
 
-    def check(state: State, checks, terminal: bool) -> bool:
-        for name, predicate in checks:
-            if not predicate(state):
-                result.violations.append(
-                    Violation(
-                        invariant=name,
-                        state=state,
-                        trace=trace_to(parents, state),
-                        terminal=terminal,
-                    )
-                )
-                if stop_at_first:
-                    return False
-        return True
+    def record(choose: _Chooser, rt, found: List[str]) -> bool:
+        """Count one run; whether it is clean with a new projection."""
+        outcome.runs += 1
+        projection = _projection(rt.tracer.events)
+        new = projection not in seen
+        seen.add(projection)
+        outcome.projections = len(seen)
+        if found:
+            outcome.schedule = plan.describe(choose.made)
+            outcome.violations = found
+        return new and not found
 
-    for initial in model.initial_states():
-        if initial not in parents:
-            parents[initial] = None
-            queue.append(initial)
-
-    while queue:
-        state = queue.popleft()
-        result.states_explored += 1
-        if not check(state, invariants, terminal=False):
-            return result
-        successors = list(model.successors(state))
-        result.transitions += len(successors)
-        if not successors:
-            result.terminal_states += 1
-            if not check(state, terminal_invariants, terminal=True):
-                return result
-            continue
-        for label, nxt in successors:
-            if nxt not in parents:
-                if len(parents) >= max_states:
-                    result.complete = False
-                    continue
-                parents[nxt] = (state, label)
-                queue.append(nxt)
-
-    return result
+    queue = deque([root] if record(root, rt, found) else [])
+    for child in _children(queue):
+        if outcome.runs >= BUDGET:
+            break
+        if record(child, *run(child)):
+            queue.append(child)
+        if not outcome.ok:
+            return outcome
+    else:
+        outcome.complete = outcome.ok
+        return outcome
+    streams = RngStreams(0)
+    for i in range(RANDOM_RUNS):
+        choose = _Chooser(rng=streams.get(f"explore:{outcome.scheme}:n{n_ranks}:{i}"))
+        record(choose, *run(choose))
+        if not outcome.ok:
+            break
+    return outcome

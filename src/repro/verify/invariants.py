@@ -25,6 +25,8 @@ event vocabulary (``kind`` → fields):
                        re-labelled to also cover ``index`` (nothing sent)
 ``proto.mlog.logged``  src, dst, seq — message-log record reached stable
                        storage (sync send-path write or annex flush)
+``proto.mlog.degraded`` src, dst, seq — the sync log write failed; the
+                       message goes out logged only in the volatile log
 ``msg.send``           src, dst, seq, epoch, gen — application send
 ``msg.deliver``        src, dst, seq, epoch, gen — accepted app delivery
 ``recover.crash``      gen, failed — a failure took the machine down
@@ -112,6 +114,8 @@ class Checker:
     #: reads. Cross-checked against the emission sites by the analyzer's
     #: trace-conformance pass: a subscription nothing emits fails analysis.
     consumes: Tuple[str, ...] = ()
+    #: the protocol family whose runs this checker audits (None: every run)
+    klass: Optional[str] = None
 
     def __init__(self, meta: RunMeta) -> None:
         self.meta = meta
@@ -255,6 +259,8 @@ class CoordinatedTwoPhase(Checker):
       stream, so a premature-quorum coordinator is caught even on runs
       where the missing vote was merely still on the wire;
     * every ack the decision cites must actually have been cast;
+    * a rank acks a round only after its stable write for that round
+      ended ``ok`` (since the last recovery);
     * no commit decision (or apply) for a round with an abort vote;
     * no round may see both a commit and an abort decision;
     * commit-on-recovery is legal only for a round whose commit decision
@@ -262,26 +268,40 @@ class CoordinatedTwoPhase(Checker):
     """
 
     name = "coordinated_two_phase"
+    klass = "coordinated"
     consumes = (
+        "proto.write_end",
         "proto.ack",
         "proto.abort_report",
         "proto.commit",
         "proto.abort",
         "proto.commit_apply",
         "proto.commit_on_recovery",
+        "recover.line",
     )
 
     def __init__(self, meta: RunMeta) -> None:
         super().__init__(meta)
+        #: (rank, round) whose write ended ok since the last recovery
+        self._written: Set[Tuple[int, int]] = set()
         self._acks: Dict[int, Set[int]] = {}
         self._abort_votes: Dict[int, Set[int]] = {}
         self._committed: Set[int] = set()
         self._aborted: Set[int] = set()
 
     def on_event(self, ev: TraceEvent) -> None:
-        if self.meta.klass != "coordinated":
-            return
-        if ev.kind == "proto.ack":
+        if ev.kind == "proto.write_end":
+            if ev["ok"]:
+                self._written.add((ev["rank"], ev["round"]))
+        elif ev.kind == "recover.line":
+            self._written.clear()
+        elif ev.kind == "proto.ack":
+            if (ev["rank"], ev["round"]) not in self._written:
+                self.flag(
+                    f"rank {ev['rank']} acked round {ev['round']} before "
+                    f"its write ended",
+                    ev.time,
+                )
             self._acks.setdefault(ev["round"], set()).add(ev["rank"])
         elif ev.kind == "proto.abort_report":
             self._abort_votes.setdefault(ev["round"], set()).add(ev["rank"])
@@ -348,6 +368,7 @@ class StaggeredWriteMutex(Checker):
     shards, up to S writers (one per shard) are legal concurrently."""
 
     name = "staggered_write_mutex"
+    klass = "coordinated"
     consumes = ("proto.write_begin", "proto.write_end")
 
     def __init__(self, meta: RunMeta) -> None:
@@ -359,7 +380,7 @@ class StaggeredWriteMutex(Checker):
         return rank * self.meta.storage_servers // self.meta.n_ranks
 
     def on_event(self, ev: TraceEvent) -> None:
-        if not self.meta.staggered or self.meta.klass != "coordinated":
+        if not self.meta.staggered:
             return
         if ev.kind == "proto.write_begin":
             n, rank = ev["round"], ev["rank"]
@@ -583,6 +604,7 @@ class CicIndexRule(Checker):
     """
 
     name = "cic_index_rule"
+    klass = "cic"
     consumes = (
         "msg.deliver",
         "proto.cut",
@@ -608,8 +630,6 @@ class CicIndexRule(Checker):
             )
 
     def on_event(self, ev: TraceEvent) -> None:
-        if self.meta.klass != "cic":
-            return
         if ev.kind == "msg.deliver":
             dst, midx = ev["dst"], ev["epoch"]
             self._rule_never_fired(dst, ev.time)
@@ -671,13 +691,19 @@ class MsglogReplayBounds(Checker):
       quarantine`` retracts them from the expectation);
     * everything the line's channel counters say is in transit must sit
       at or below the channel's durable log watermark — the replayed
-      suffix comes entirely from stable logs, never from luck.
+      suffix comes entirely from stable logs, never from luck;
+    * a message is delivered only once its log record is stable, unless
+      its sync log write failed (``proto.mlog.degraded``) — pessimistic
+      logging means no receiver depends on an unlogged message.
     """
 
     name = "msglog_replay_bounds"
+    klass = "msglog"
     consumes = (
         "proto.local_commit",
         "proto.mlog.logged",
+        "proto.mlog.degraded",
+        "msg.deliver",
         "recover.quarantine",
         "recover.line",
     )
@@ -686,11 +712,23 @@ class MsglogReplayBounds(Checker):
         super().__init__(meta)
         self._stable: Dict[int, Set[int]] = {}  #: rank -> committed indices
         self._watermark: Dict[Tuple[int, int], int] = {}  #: (src,dst) -> seq
+        self._degraded: Set[Tuple[int, int, int]] = set()  #: (src, dst, seq)
 
     def on_event(self, ev: TraceEvent) -> None:
-        if self.meta.klass != "msglog":
-            return
-        if ev.kind == "proto.local_commit":
+        if ev.kind == "msg.deliver":
+            src, dst, seq = ev["src"], ev["dst"], ev["seq"]
+            if (
+                seq > self._watermark.get((src, dst), 0)
+                and (src, dst, seq) not in self._degraded
+            ):
+                self.flag(
+                    f"message {src}->{dst} seq={seq} delivered before its "
+                    f"log record reached stable storage",
+                    ev.time,
+                )
+        elif ev.kind == "proto.mlog.degraded":
+            self._degraded.add((ev["src"], ev["dst"], ev["seq"]))
+        elif ev.kind == "proto.local_commit":
             self._stable.setdefault(ev["rank"], set()).add(ev["index"])
         elif ev.kind == "proto.mlog.logged":
             chan = (ev["src"], ev["dst"])
@@ -734,8 +772,7 @@ class MsglogReplayBounds(Checker):
 
 def default_checkers(meta: RunMeta) -> List[Checker]:
     """The full checker battery for one run: the scheme-independent core,
-    plus every protocol-declared checker from the registry (each gates
-    itself on ``meta.klass``, so the battery is safe to run wholesale)."""
+    plus the registry's checkers for the run's protocol family."""
     from ..chklib.schemes.registry import REGISTRY
 
     checkers: List[Checker] = [
@@ -746,5 +783,7 @@ def default_checkers(meta: RunMeta) -> List[Checker]:
         LineSoundness(meta),
         PolicyAdaptation(meta),
     ]
-    checkers.extend(cls(meta) for cls in REGISTRY.trace_checkers())
+    checkers.extend(
+        cls(meta) for cls in REGISTRY.trace_checkers() if cls.klass == meta.klass
+    )
     return checkers

@@ -13,7 +13,7 @@ from typing import List, Tuple
 
 from .trace_check import TraceReport, check_runtime
 
-__all__ = ["SMOKE_SCHEMES", "run_smoke"]
+__all__ = ["SMOKE_SCHEMES", "make_smoke_scheme", "run_smoke"]
 
 #: the paper's five measured schemes plus the coverage extras: the logged
 #: independent variant (message replay from stable logs), a GC-enabled
@@ -34,7 +34,8 @@ SMOKE_SCHEMES = (
 )
 
 
-def _make_scheme(name: str, times, interval: float):
+def make_smoke_scheme(name: str, times, interval: float):
+    """The smoke scheme *name*, checkpointing at *times*."""
     from ..chklib import IndependentScheme
     from ..experiments.harness import INDEP_SKEW_FRACTION, make_scheme
 
@@ -59,7 +60,7 @@ def run_smoke(
     interval, times = interval_times(normal.sim_time, 3)
     results: List[Tuple[str, TraceReport]] = []
     for name in SMOKE_SCHEMES:
-        scheme = _make_scheme(name, times, interval)
+        scheme = make_smoke_scheme(name, times, interval)
         fault = (
             FaultModel.machine_crash(interval * 2.5) if crash else None
         )

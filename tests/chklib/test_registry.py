@@ -1,8 +1,8 @@
 """Unit tests for the protocol registry (DESIGN.md §13).
 
 The registry is the single source of truth for scheme families: alias
-resolution, option schemas, the verify hooks (abstract machines, trace
-checkers, event vocabularies) and the ``--list-schemes`` description
+resolution, option schemas, the verify hooks (trace checkers, event
+vocabularies) and the ``--list-schemes`` description
 rows all come from one object. These tests pin that contract down.
 """
 
@@ -130,9 +130,13 @@ def test_build_constructs_the_right_classes():
 # -- verify hooks --------------------------------------------------------------
 
 
-def test_model_machines_enumerate_every_family_once():
-    labels = [label for label, _ in REGISTRY.model_machines()]
-    assert labels == ["2pc", "token-ring", "cic-index", "sender-log"]
+def test_explorer_covers_every_registered_family():
+    # ``repro.verify model`` explores the smoke schemes: one or more per
+    # family, so a new family cannot ship unexplored
+    from repro.verify.smoke import SMOKE_SCHEMES, make_smoke_scheme
+
+    explored = {type(make_smoke_scheme(name, [1.0], 1.0)) for name in SMOKE_SCHEMES}
+    assert {family.scheme_cls for family in REGISTRY.families()} <= explored
 
 
 def test_trace_checkers_deduped_and_ordered():
@@ -149,6 +153,7 @@ def test_trace_events_registered_in_event_kinds():
         "proto.cic.forced",
         "proto.cic.promote",
         "proto.mlog.logged",
+        "proto.mlog.degraded",
     } <= REGISTRY.trace_events()
 
 

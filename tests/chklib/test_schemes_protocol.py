@@ -18,6 +18,7 @@ from repro.chklib import (
     IndependentScheme,
     MessageLoggingScheme,
 )
+from repro.core.errors import Deadlock
 from repro.machine import MachineParams
 from repro.net.collectives import reduce
 
@@ -201,3 +202,32 @@ def test_blocked_time_nbm_much_smaller_than_nb():
     _, nbm = run_pingpong(iters=30, flops=300_000.0,
                           scheme=CoordinatedScheme.NBM(times))
     assert nbm.blocked_time < nb.blocked_time / 5
+
+
+# -- known defect: overlapping coordinated rounds ------------------------------
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=Deadlock,
+    reason=(
+        "ROADMAP item 2: with three quick rounds, rounds overlap; "
+        "coord_nbms cuts rounds 2 and 3 but commits only round 1, and its "
+        "token ring wedges with writers still waiting"
+    ),
+)
+def test_three_quick_nbms_rounds_reach_quiescence():
+    from repro.experiments.grid import interval_times
+    from repro.experiments.harness import make_scheme
+    from repro.experiments.workloads import quick_workloads
+
+    workload = quick_workloads()[0]  # sor-96, as in the smoke battery
+    normal = CheckpointRuntime(workload.build(), seed=0).run()
+    interval, times = interval_times(normal.sim_time, 3)
+    rt = CheckpointRuntime(
+        workload.build(),
+        scheme=make_scheme("coord_nbms", times, interval),
+        seed=0,
+    )
+    rt.run()
+    rt.engine.run()  # drain: every writer and token should finish

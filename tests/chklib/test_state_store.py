@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chklib import CheckpointRecord, CheckpointStore, Snapshot
-from repro.core.errors import SizeOnlyError
+from repro.core.errors import InvariantViolation, SizeOnlyError
 from repro.net import Message
 
 
@@ -115,6 +115,17 @@ class TestCheckpointStore:
         store = CheckpointStore(1)
         with pytest.raises(ValueError):
             store.add(make_record(0, 0))
+
+    def test_commit_of_unstored_record_is_typed(self):
+        # the store holds a record only once its write ended; committing
+        # one it never got names the rank and index
+        store = CheckpointStore(2)
+        store.add(make_record(0, 1))
+        with pytest.raises(InvariantViolation) as err:
+            store.commit(1, 1)
+        assert err.value.context == {"rank": 1, "index": 1}
+        store.commit(0, 1)
+        assert store.get(0, 1).committed
 
     def test_latest_index(self):
         store = CheckpointStore(2)

@@ -17,6 +17,7 @@ def test_cli_all_parses_the_tree_once(monkeypatch, capsys):
 
     monkeypatch.setattr(Module, "__init__", spy)
     monkeypatch.setattr(cli, "run_smoke", lambda seed, verbose: [])
+    monkeypatch.setattr(cli, "SMOKE_SCHEMES", ())  # no runs to explore
     assert main(["all", "--ranks", "2"]) == 0
     files = sorted(str(f) for f in default_target().rglob("*.py"))
     assert sorted(parsed) == files
@@ -24,9 +25,12 @@ def test_cli_all_parses_the_tree_once(monkeypatch, capsys):
 
 def test_cli_model_small(capsys):
     assert main(["model", "--ranks", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "2pc n=2" in out and "token-ring n=2" in out
-    assert "PASS" in out
+    out, err = capsys.readouterr()
+    # every smoke scheme explored: runs, projections, how the search ended
+    for name in ("coord_nb", "coord_nbms", "indep_m_log_gc", "cic", "indep_m_mlog"):
+        assert f"[verify:model] {name} n=2: ok: " in out
+    assert "distinct projections (" in out
+    assert "[verify] model: PASS" in err
 
 
 def test_cli_smoke_battery(capsys):

@@ -1,18 +1,16 @@
-"""Mutation tests: deliberately-broken schemes must be caught by the
-trace invariant engine.
+"""Mutation tests: deliberately-broken schemes must be caught.
 
-Each mutation subclasses a real scheme and re-runs a small application;
-the recorded event stream is then audited with ``check_runtime``. The
-liveness-style mutations (dropped ack, skipped token hand-off) wedge the
-protocol rather than corrupt state, so they are caught by the model
-checker instead — see ``test_model_checker.py``.
+Each mutation subclasses a real scheme. The single-run tests audit one
+recorded event stream with ``check_runtime``; ``test_explorer_catches``
+hands every mutation to the schedule explorer (``repro.verify model``),
+which also catches the liveness bugs — a dropped ack, an ignored abort —
+by draining each run to quiescence.
 """
 
-import operator
+from functools import partial
 
 import pytest
 
-from repro.apps.base import Application
 from repro.chklib import (
     CheckpointRuntime,
     CICScheme,
@@ -23,37 +21,14 @@ from repro.chklib import (
 from repro.chklib.schemes.coordinated import CTL_COMMIT
 from repro.chklib.schemes.msglog import MessageLoggingScheme
 from repro.core.errors import VerificationError
+from repro.core.tracing import TraceEvent
+from repro.experiments.harness import INDEP_SKEW_FRACTION
 from repro.machine import MachineParams
-from repro.net.collectives import reduce
 from repro.net.message import KIND_CONTROL
 from repro.verify import check_runtime, verified
-
-
-class Ring(Application):
-    """N-rank ring exchanger with per-iteration checkpoint points."""
-
-    name = "ring"
-    image_bytes = 8 * 1024
-
-    def __init__(self, iters=40, flops=50_000.0):
-        self.iters = iters
-        self.flops = flops
-
-    def make_state(self, rank, size, seed):
-        return {"iter": 0, "acc": 0}
-
-    def run(self, ctx, state):
-        right = (ctx.rank + 1) % ctx.size
-        left = (ctx.rank - 1) % ctx.size
-        while state["iter"] < self.iters:
-            yield from ctx.comm.send(right, state["iter"], tag=1)
-            msg = yield from ctx.comm.recv(source=left, tag=1)
-            state["acc"] += msg.payload
-            yield from ctx.compute(self.flops)
-            state["iter"] += 1
-            yield from ctx.checkpoint_point()
-        total = yield from reduce(ctx.comm, state["acc"], operator.add, root=0)
-        return total if ctx.rank == 0 else None
+from repro.verify import explorer
+from repro.verify.explorer import Ring, explore
+from repro.verify.smoke import SMOKE_SCHEMES, make_smoke_scheme
 
 
 MACHINE3 = MachineParams(n_nodes=3)
@@ -270,3 +245,171 @@ def test_shipped_msglog_replay_bounds_hold():
     rt = _mlog_run(MessageLoggingScheme)
     report = check_runtime(rt)
     assert report.ok, report.violations
+
+
+# -- the schedule explorer: every mutation is caught, every scheme clean ------
+
+
+class AckBeforeWrite(CoordinatedScheme):
+    """BUG: a rank acks once its markers are in, without waiting for its
+    stable write — the coordinator can commit a record nobody stored."""
+
+    def _maybe_ack(self, agent, rnd):
+        rnd.write_done = True  # BUG: the write has not ended
+        super()._maybe_ack(agent, rnd)
+
+
+class DropAck(CoordinatedScheme):
+    """BUG: rank 1's ack is lost on its way to the coordinator, so the
+    round is never decided."""
+
+    def _on_ack(self, agent_at_coord, src, n):
+        if src != 1:  # BUG
+            super()._on_ack(agent_at_coord, src, n)
+
+
+class IgnoreAbort(CoordinatedScheme):
+    """BUG: the coordinator drops abort votes — a round whose write
+    failed is never decided."""
+
+    def _on_abort(self, agent_at_coord, n):
+        pass  # BUG: no abort decision
+
+
+class CommitOnAbort(CoordinatedScheme):
+    """BUG: the coordinator answers an abort vote with a commit."""
+
+    def _on_abort(self, agent_at_coord, n):
+        rt = agent_at_coord.runtime
+        acks = self._acks.pop(n, set())
+        rt.tracer.event("proto.commit", round=n, acks=tuple(sorted(acks)))
+        comm = rt.comms[self.coordinator_rank]
+        for dst in range(rt.n_ranks):
+            if dst != self.coordinator_rank:
+                rt.spawn(
+                    comm.send_control(dst, KIND_CONTROL, type=CTL_COMMIT, n=n),
+                    name=f"commit:{n}->{dst}",
+                )
+        self._apply_commit(agent_at_coord, n)
+
+
+class SkipTokenHop(CoordinatedScheme):
+    """BUG: rank 2 drops the staggering token, so its background write
+    (and every write behind it on the ring) waits forever."""
+
+    def _on_token(self, agent, n):
+        if agent.rank != 2:  # BUG
+            super()._on_token(agent, n)
+
+
+class SkipLog(MessageLoggingScheme):
+    """BUG: sends skip the synchronous log write, so receivers depend on
+    messages that are logged only in the sender's volatile memory."""
+
+    def send_extra(self, agent, msg):
+        return None  # BUG
+
+
+class OutOfOrderReplay(MessageLoggingScheme):
+    """BUG: recovery replays each channel's logged suffix newest first:
+    the oldest replayed sequence number carries the newest payload."""
+
+    def replay_messages(self, runtime, line):
+        logged = super().replay_messages(runtime, line)
+        replayed = []
+        for msg in logged:
+            chan = [m for m in logged if (m.src, m.dst) == (msg.src, msg.dst)]
+            clone = msg.shell_copy()
+            clone.payload = chan[-1 - chan.index(msg)].payload  # BUG
+            replayed.append(clone)
+        return replayed
+
+
+def _skew(interval):
+    return INDEP_SKEW_FRACTION * interval
+
+
+#: mutation -> (scheme factory, text its first finding contains)
+MUTATIONS = {
+    "commit_early": (lambda t, i: CommitEarly.NB(t), "committed with acks"),
+    "no_token_wait": (lambda t, i: NoTokenWait.NBMS(t), "staggered_write_mutex"),
+    "skip_token_hop": (lambda t, i: SkipTokenHop.NBMS(t), "not quiescent"),
+    "cic_skip_forced": (
+        lambda t, i: CicSkipForced.BCS(t, skew=_skew(i)),
+        "cic_index_rule",
+    ),
+    "ack_before_write": (
+        lambda t, i: AckBeforeWrite.NBM(t),
+        "before its write ended",
+    ),
+    "drop_ack": (lambda t, i: DropAck.NB(t), "every rank acked but no decision"),
+    "ignore_abort": (lambda t, i: IgnoreAbort.NB(t), "abort vote but no decision"),
+    "commit_on_abort": (
+        lambda t, i: CommitOnAbort.NB(t),
+        "committed after abort vote",
+    ),
+    "skip_log": (
+        lambda t, i: SkipLog.Mlog(t, skew=_skew(i)),
+        "delivered before its log record",
+    ),
+    "out_of_order_replay": (
+        lambda t, i: OutOfOrderReplay.Mlog(t, skew=_skew(i)),
+        "crash-free run",
+    ),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_explorer_catches(mutation):
+    make, text = MUTATIONS[mutation]
+    result = explore(make, 3)
+    assert not result.ok, result.summary()
+    assert result.schedule
+    assert any(text in v for v in result.violations), result.violations
+
+
+@pytest.mark.parametrize("name", SMOKE_SCHEMES)
+def test_explorer_finds_shipped_scheme_clean(name):
+    result = explore(partial(make_smoke_scheme, name), 3)
+    assert result.ok, (result.schedule, result.violations)
+    assert result.runs > 1 and result.projections > 1
+
+
+def test_explorer_turns_random_past_its_budget(monkeypatch):
+    monkeypatch.setattr(explorer, "BUDGET", 3)
+    monkeypatch.setattr(explorer, "RANDOM_RUNS", 2)
+    result = explore(partial(make_smoke_scheme, "coord_nb"), 2)
+    assert result.ok and not result.complete
+    assert result.runs == 5
+    assert result.summary().endswith("(budgeted)")
+
+
+def test_explorer_completes_a_small_choice_space(monkeypatch):
+    # no transfer delays: only the crash instant and the failing write vary
+    monkeypatch.setattr(explorer, "EXTRA_DELAYS", (0.0,))
+    result = explore(partial(make_smoke_scheme, "coord_nbms"), 2)
+    assert result.ok and result.complete, result.summary()
+    assert 1 < result.runs < explorer.BUDGET
+    assert result.summary().endswith("(complete)")
+
+
+def test_undecided_rounds_of_the_last_generation_are_reported():
+    def ev(kind, **fields):
+        return TraceEvent(0.0, kind, fields)
+
+    events = [
+        ev("proto.ack", rank=0, round=1),
+        ev("proto.ack", rank=1, round=1),  # round 1: all acked, undecided
+        ev("recover.line", gen=1),
+        ev("proto.ack", rank=0, round=2),
+        ev("proto.ack", rank=1, round=2),
+        ev("proto.abort_report", rank=1, round=3),
+        ev("proto.ack", rank=0, round=4),  # one ack short: still open
+        ev("proto.ack", rank=0, round=5),
+        ev("proto.ack", rank=1, round=5),
+        ev("proto.commit", round=5, acks=(0, 1)),
+    ]
+    assert explorer._undecided(events, 2) == [
+        "round 2: every rank acked but no decision",
+        "round 3: abort vote but no decision",
+    ]

@@ -112,6 +112,87 @@ def test_commit_on_recovery_without_decision_flagged():
     assert "coordinated_two_phase" in _names(check_trace(events, COORD))
 
 
+def _line(time, gen):
+    return _ev(time, "recover.line", gen=gen, indices=((0, 1), (1, 1)),
+               klass="coordinated", logging=False, consistent=True,
+               sent=((0, ()), (1, ())), consumed=((0, ()), (1, ())))
+
+
+def test_ack_before_write_end_flagged():
+    events = [
+        _ev(1.0, "proto.ack", rank=1, round=1),
+        _ev(2.0, "proto.write_end", rank=1, round=1, ok=True),
+    ]
+    report = check_trace(events, COORD)
+    assert [v.message for v in report.violations] == [
+        "rank 1 acked round 1 before its write ended"
+    ]
+
+
+def test_ack_after_ok_write_end_passes():
+    events = [
+        _ev(1.0, "proto.write_end", rank=1, round=1, ok=True),
+        _ev(2.0, "proto.ack", rank=1, round=1),
+    ]
+    assert check_trace(events, COORD).ok
+
+
+def test_ack_after_failed_write_end_flagged():
+    events = [
+        _ev(1.0, "proto.write_end", rank=1, round=1, ok=False),
+        _ev(2.0, "proto.ack", rank=1, round=1),
+    ]
+    assert "coordinated_two_phase" in _names(check_trace(events, COORD))
+
+
+def test_ack_needs_a_write_since_the_last_recovery():
+    # the write ended in generation 0; the ack in generation 1 cites it
+    events = [
+        _ev(1.0, "proto.write_end", rank=1, round=2, ok=True),
+        _line(2.0, gen=1),
+        _ev(2.0, "recover.replay", gen=1, count=0),
+        _ev(3.0, "proto.ack", rank=1, round=2),
+    ]
+    assert "coordinated_two_phase" in _names(check_trace(events, COORD))
+
+
+MLOG = RunMeta(n_ranks=2, scheme="indep_m_mlog", klass="msglog", logging=True)
+
+
+def test_msglog_delivery_before_log_record_flagged():
+    events = [
+        _ev(0.1, "msg.send", src=0, dst=1, seq=1, epoch=0, gen=0),
+        _ev(0.2, "msg.deliver", src=0, dst=1, seq=1, epoch=0, gen=0),
+        _ev(0.3, "proto.mlog.logged", src=0, dst=1, seq=1),
+    ]
+    assert _names(check_trace(events, MLOG)) == {"msglog_replay_bounds"}
+
+
+def test_msglog_delivery_after_log_or_degraded_write_passes():
+    events = [
+        _ev(0.1, "proto.mlog.logged", src=0, dst=1, seq=1),
+        _ev(0.1, "msg.send", src=0, dst=1, seq=1, epoch=0, gen=0),
+        _ev(0.2, "proto.mlog.degraded", src=0, dst=1, seq=2),
+        _ev(0.2, "msg.send", src=0, dst=1, seq=2, epoch=0, gen=0),
+        _ev(0.3, "msg.deliver", src=0, dst=1, seq=1, epoch=0, gen=0),
+        _ev(0.4, "msg.deliver", src=0, dst=1, seq=2, epoch=0, gen=0),
+    ]
+    assert check_trace(events, MLOG).ok
+
+
+def test_family_checkers_audit_only_their_family():
+    # an unlogged delivery and an unwritten ack break the msglog and 2PC
+    # rules, but an independent run is bound by neither
+    events = [
+        _ev(0.1, "msg.send", src=0, dst=1, seq=1, epoch=0, gen=0),
+        _ev(0.2, "msg.deliver", src=0, dst=1, seq=1, epoch=0, gen=0),
+        _ev(0.3, "proto.ack", rank=1, round=1),
+    ]
+    assert check_trace(events, INDEP).ok
+    assert _names(check_trace(events, MLOG)) == {"msglog_replay_bounds"}
+    assert _names(check_trace(events, COORD)) == {"coordinated_two_phase"}
+
+
 def test_unsound_line_flagged_by_runtime_bit():
     events = [
         _ev(1.0, "recover.line", gen=1, indices=((0, 1), (1, 1)),
