@@ -11,8 +11,9 @@ checkpoint point should trigger a cut), and the policy emits structured
 decision.
 
 Policies are deliberately *picklable* and engine-free: the runtime is
-passed into every decision call and never stored, so a policy travels
-inside a durable recovery line (:mod:`repro.chklib.resume`). Decisions are
+passed into every decision call and never stored, so a policy is
+pickled whole with its scheme into a durable recovery line
+(:mod:`repro.chklib.resume`). Decisions are
 memoised per (rank, shot): a resumed run replays the pre-halt shots
 through :meth:`CheckpointPolicy.next_time` and gets the recorded answers
 back without re-running the decision logic — no duplicate ``policy.*``
@@ -65,11 +66,6 @@ class CheckpointPolicy:
     #: policies without a notion of interval, e.g. an explicit schedule).
     lo: Optional[float] = None
     hi: Optional[float] = None
-
-    #: Capture manifest (see :mod:`repro.chklib.resume`): a policy rides
-    #: in the pickled scheme, and the decision memo is what makes resumed
-    #: runs replay pre-halt decisions with no side effects.
-    RESUME_FIELDS = ("_memo",)
 
     def __init__(self) -> None:
         #: per-rank memo of every decision: ``{rank: {shot: time|None}}``.
@@ -130,7 +126,6 @@ class FixedTimes(CheckpointPolicy):
     """
 
     kind = "fixed"
-    RESUME_FIELDS = ("times",)
 
     def __init__(self, times: Sequence[float]) -> None:
         super().__init__()
@@ -149,7 +144,6 @@ class Periodic(CheckpointPolicy):
     """A fixed interval, open-ended (or bounded by *stop*)."""
 
     kind = "periodic"
-    RESUME_FIELDS = ("interval", "start", "stop", "lo", "hi", "_prev")
 
     def __init__(
         self,
@@ -184,7 +178,6 @@ class PhaseTriggered(CheckpointPolicy):
 
     kind = "phase"
     point_driven = True
-    RESUME_FIELDS = ("every", "_points", "_shots")
 
     def __init__(self, every: int = 1) -> None:
         super().__init__()
@@ -218,8 +211,6 @@ class PhaseTriggered(CheckpointPolicy):
 class _AdaptiveInterval(CheckpointPolicy):
     """Shared machinery: an interval clamped to [lo, hi], adapted per
     decision, with the next shot scheduled one interval ahead."""
-
-    RESUME_FIELDS = ("base_interval", "lo", "hi", "stop", "_interval", "_prev")
 
     def __init__(
         self, base_interval: float, lo: float, hi: float, stop: Optional[float]
@@ -288,14 +279,6 @@ class FailureRateAdaptive(_AdaptiveInterval):
     """
 
     kind = "failure_adaptive"
-    RESUME_FIELDS = (
-        "narrow",
-        "widen",
-        "quiet_shots",
-        "_seen_recoveries",
-        "_seen_faults",
-        "_quiet",
-    )
 
     def __init__(
         self,
@@ -355,7 +338,6 @@ class StoragePressure(_AdaptiveInterval):
     """
 
     kind = "storage_pressure"
-    RESUME_FIELDS = ("budget_bytes",)
 
     def __init__(
         self,

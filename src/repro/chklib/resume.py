@@ -37,6 +37,7 @@ __all__ = [
     "resume_fields",
     "volatile_fields",
     "resume_components",
+    "capture_fields",
 ]
 
 LINE_MAGIC = b"RPRL"
@@ -74,6 +75,56 @@ def resume_components(cls: Type) -> Tuple[str, ...]:
     return _manifest_union(cls, "RESUME_COMPONENTS")
 
 
+def capture_fields(obj: Any) -> Dict[str, Any]:
+    """*obj*'s ``RESUME_FIELDS`` as a dict — the one path every
+    declared-list capture takes.
+
+    An attribute no manifest of *obj*'s class lists (``RESUME_FIELDS``,
+    ``VOLATILE_FIELDS`` or ``RESUME_COMPONENTS``, each over the MRO)
+    would silently fall out of the durable line, so it raises
+    :class:`ResumeError` naming the class and every such attribute."""
+    cls = type(obj)
+    fields = resume_fields(cls)
+    unlisted = set(vars(obj)).difference(
+        fields, volatile_fields(cls), resume_components(cls)
+    )
+    if unlisted:
+        raise ResumeError(
+            f"{cls.__name__} holds {', '.join(sorted(unlisted))}, which no "
+            f"capture manifest (RESUME_FIELDS / VOLATILE_FIELDS / "
+            f"RESUME_COMPONENTS) lists: a durable line would drop "
+            f"{'it' if len(unlisted) == 1 else 'them'}"
+        )
+    return {name: getattr(obj, name) for name in fields}
+
+
+def _pickles(value: Any) -> bool:
+    try:
+        pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    except (pickle.PicklingError, TypeError, AttributeError):
+        return False
+    return True
+
+
+def _unpicklable(payload: Dict[str, Any]) -> str:
+    """The first payload entry that does not pickle, with the attribute
+    of it that does not, when it is an object with a state dict."""
+    for name, value in payload.items():
+        if _pickles(value):
+            continue
+        getstate = getattr(value, "__getstate__", None)
+        if getstate is not None:
+            state = getstate()
+        else:
+            state = getattr(value, "__dict__", None)
+        if isinstance(state, dict):
+            for attr, item in state.items():
+                if not _pickles(item):
+                    return f"{name!r} ({type(value).__name__}.{attr})"
+        return repr(name)
+    return "?"
+
+
 class DurableLine:
     """One serialised recovery line (see module docstring for the format)."""
 
@@ -85,7 +136,16 @@ class DurableLine:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "DurableLine":
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        """Pickle *payload*; a component that cannot be pickled (an
+        engine-bound attribute no ``VOLATILE_FIELDS`` lists) raises
+        :class:`ResumeError` naming it."""
+        try:
+            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PicklingError, TypeError, AttributeError) as exc:
+            raise ResumeError(
+                f"durable line component {_unpicklable(payload)} does not "
+                f"pickle: {exc}"
+            ) from exc
         return cls(meta=dict(payload["meta"]), blob=blob)
 
     def payload(self) -> Dict[str, Any]:

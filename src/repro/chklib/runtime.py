@@ -41,7 +41,7 @@ from ..net.transport import Transport
 from ..fault.model import CrashEvent
 from .recovery import CutPoint
 from .report import RecoveryEvent, RunReport
-from .resume import DurableLine, resume_components, resume_fields
+from .resume import DurableLine, capture_fields, resume_components, resume_fields
 from .schemes.base import NoCheckpointing, Scheme
 from .storage_mgr import CheckpointRecord, CheckpointStore
 
@@ -117,9 +117,8 @@ class CheckpointRuntime:
         "agents",
     )
     #: Rebuilt from scratch by ``__init__`` on every (re)start; never
-    #: captured. The static analyzer's capture-completeness pass checks
-    #: that every attribute assigned on this class appears in one of the
-    #: three manifests.
+    #: captured. An attribute in none of the three manifests makes
+    #: :meth:`export_line` raise (:func:`~repro.chklib.resume.capture_fields`).
     VOLATILE_FIELDS = (
         "engine",
         "cluster",
@@ -356,31 +355,30 @@ class CheckpointRuntime:
                 for r in range(self.n_ranks)
             },
         }
-        payload: Dict[str, Any] = {"meta": meta}
         # the payload layout IS the manifests: plain fields verbatim,
-        # components through _export_component. The static analyzer's
-        # capture-completeness pass checks the manifests against the
-        # attributes the classes actually assign, closing the loop.
-        for name in resume_fields(type(self)):
-            payload[name] = getattr(self, name)
+        # components through _export_component. capture_fields refuses
+        # an object holding an attribute no manifest lists.
+        payload: Dict[str, Any] = {"meta": meta, **capture_fields(self)}
         for name in resume_components(type(self)):
             payload[name] = self._export_component(name)
         return DurableLine.from_payload(payload)
 
     def _export_component(self, name: str) -> Any:
         """One RESUME_COMPONENTS entry's captured form: ``export_state()``
-        when the object has one, otherwise a dict of the object's own
-        RESUME_FIELDS (a list thereof for the per-rank agents)."""
+        when the object has one, otherwise :func:`capture_fields` of the
+        object (a list thereof for the per-rank agents). The storage
+        plane's ``export_state`` takes :func:`capture_fields` for itself
+        and its tiers."""
         obj = getattr(self, name)
         if obj is None:
             return None
         if name == "agents":
-            return [
-                {f: getattr(a, f) for f in resume_fields(type(a))} for a in obj
-            ]
+            return [capture_fields(a) for a in obj]
+        if name == "storage":
+            return obj.export_state(capture_fields)
         if hasattr(obj, "export_state"):
             return obj.export_state()
-        return {f: getattr(obj, f) for f in resume_fields(type(obj))}
+        return capture_fields(obj)
 
     def _restore_component(self, name: str, saved: Any) -> None:
         """Mirror of :meth:`_export_component` for :meth:`_apply_resume`."""

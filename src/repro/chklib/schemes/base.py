@@ -296,18 +296,11 @@ class Scheme:
     write_tag = "ckpt"
     writer_name = "ckpt-writer"
 
-    #: Capture manifests (see :mod:`repro.chklib.resume`). A scheme is
-    #: pickled whole into the durable line; VOLATILE_FIELDS are nulled by
-    #: the generic ``__getstate__`` below and rebuilt by ``install()``.
-    RESUME_FIELDS: tuple = (
-        "times",
-        "policy",
-        "capture",
-        "incremental",
-        "full_every",
-        "two_level",
-        "name",
-    )
+    #: A scheme (its policy included) is pickled whole into the durable
+    #: line, so it declares no field list: VOLATILE_FIELDS names the
+    #: engine-bound attributes the generic ``__getstate__`` below nulls
+    #: and ``install()`` rebuilds. One missing makes the pickling fail
+    #: with a ResumeError naming it.
     VOLATILE_FIELDS: tuple = ()
 
     #: Protocol-specific trace-event vocabulary (beyond the shared kinds
@@ -349,8 +342,9 @@ class Scheme:
     def trace_checkers(cls):
         """Checker classes (see :mod:`repro.verify.invariants`) auditing
         this protocol's trace events; contributed to ``default_checkers``
-        through the protocol registry. Each must gate itself on
-        ``meta.klass`` so it is inert for other families."""
+        through the protocol registry. Each declares its family as
+        ``Checker.klass``, and ``default_checkers`` runs it only on that
+        family's traces."""
         return ()
 
     def __getstate__(self) -> Dict[str, Any]:

@@ -68,7 +68,6 @@ class CICScheme(IndependentScheme):
 
     klass = "cic"
 
-    RESUME_FIELDS = ("cic_rule", "_promoted", "_last_cut")
     TRACE_EVENTS = ("proto.cic.forced", "proto.cic.promote")
 
     def __init__(

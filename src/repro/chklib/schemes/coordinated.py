@@ -109,19 +109,10 @@ class CoordinatedScheme(Scheme):
 
     klass = "coordinated"
 
-    #: Capture manifests (see :mod:`repro.chklib.resume`). Everything but
-    #: the engine-bound staggering slot travels in the pickled scheme:
-    #: ``_acks``/``_aborted`` must survive a halt so ``on_crash`` and the
-    #: coordinator's bookkeeping resume bitwise-identically.
-    RESUME_FIELDS = (
-        "staggered",
-        "coordinator_rank",
-        "marker_scope",
-        "_next_n",
-        "_initiated",
-        "_acks",
-        "_aborted",
-    )
+    #: Everything but the engine-bound staggering state travels in the
+    #: pickled scheme: ``_acks``/``_aborted`` must survive a halt so
+    #: ``on_crash`` and the coordinator's bookkeeping resume
+    #: bitwise-identically.
     VOLATILE_FIELDS = ("_write_slot", "_ring_next", "_ring_leader")
 
     #: Protocol vocabulary: the two-phase round plus the staggering token

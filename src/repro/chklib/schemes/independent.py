@@ -61,11 +61,6 @@ class IndependentScheme(Scheme):
     write_tag = "ickpt"
     writer_name = "indep-writer"
 
-    #: Capture manifest: the whole scheme object is durable — per-rank
-    #: fire/draw bookkeeping must survive a halt so resumed timers replay
-    #: the same skewed schedule bitwise.
-    RESUME_FIELDS = ("_fired", "_drawn", "_pending_fire", "skew", "logging", "gc")
-
     #: Beyond the shared kinds, independent checkpointing only adds the
     #: per-rank commit of a background write.
     TRACE_EVENTS = ("proto.local_commit",)

@@ -3,9 +3,9 @@
 Everything the rest of the codebase needs to know about a checkpointing
 protocol family lives here, declared once per family:
 
-* the concrete :class:`~repro.chklib.schemes.base.Scheme` class (whose
-  ``RESUME_FIELDS`` manifests the resume layer unions over the MRO),
-  named by dotted path and imported on first use;
+* the concrete :class:`~repro.chklib.schemes.base.Scheme` class (pickled
+  whole into a durable line, minus its ``VOLATILE_FIELDS``), named by
+  dotted path and imported on first use;
 * its *base names* (one named constructor each, or the class itself) —
   :meth:`ProtocolRegistry.build` turns a declarative
   :class:`~repro.experiments.grid.SchemeSpec` into a scheme by the same

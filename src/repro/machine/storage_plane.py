@@ -27,7 +27,7 @@ tiers — drains move already-counted bytes, so they keep their own
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from ..core.events import Event
 from .params import MachineParams, StorageParams
@@ -47,9 +47,8 @@ class StoragePlane:
     """S shard servers plus an optional per-rack burst-buffer tier.
 
     Capture manifest (see :mod:`repro.chklib.resume`): the drain counters
-    are plane-level state; the per-tier counters travel through
-    :meth:`export_state`, which the runtime's component capture prefers
-    over the field manifest.
+    are plane-level state; :meth:`export_state` adds each tier's own
+    manifest-listed counters.
     """
 
     RESUME_FIELDS = ("drained_bytes", "drain_ops")
@@ -267,17 +266,16 @@ class StoragePlane:
 
     # -- durable-line capture -------------------------------------------------
 
-    def export_state(self) -> Dict[str, Any]:
-        """Counters of every tier, for the runtime's component capture."""
-
-        def fields(st: StableStorage) -> Dict[str, Any]:
-            return {f: getattr(st, f) for f in StableStorage.RESUME_FIELDS}
-
+    def export_state(
+        self, capture: Callable[[Any], Dict[str, Any]]
+    ) -> Dict[str, Any]:
+        """The plane's counters and every tier's, each through *capture*
+        (the runtime's checked field capture, which this layer cannot
+        import)."""
         return {
-            "drained_bytes": self.drained_bytes,
-            "drain_ops": self.drain_ops,
-            "servers": [fields(s) for s in self.servers],
-            "burst_buffers": [fields(b) for b in self.burst_buffers],
+            **capture(self),
+            "servers": [capture(s) for s in self.servers],
+            "burst_buffers": [capture(b) for b in self.burst_buffers],
         }
 
     def restore_state(self, state: Dict[str, Any]) -> None:

@@ -32,13 +32,9 @@ __all__ = ["Topology"]
 class Topology:
     """Node → rack layout plus the inter-rack link cost model.
 
-    Capture manifests (see :mod:`repro.chklib.resume`): a topology is
-    stateless — everything here is derived from frozen parameters, so
-    nothing travels in a durable line and every attribute is volatile.
+    Stateless: everything here is derived from frozen parameters, so a
+    durable line never captures a topology.
     """
-
-    RESUME_FIELDS: tuple = ()
-    VOLATILE_FIELDS = ("params", "n_nodes", "n_racks", "is_flat")
 
     def __init__(self, n_nodes: int, params: TopologyParams | None = None) -> None:
         self.params = params or TopologyParams()

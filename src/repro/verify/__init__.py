@@ -12,12 +12,11 @@
    post-hoc on any run via ``--verify`` on the experiment runner; the
    ``smoke`` layer audits a traced run of every scheme.
 3. **Whole-program static analysis** (:mod:`.analyze`) — the one static
-   gate: six passes over one shared front-end (per-module ASTs, project
+   gate: five passes over one shared front-end (per-module ASTs, project
    symbol table, generator classification): sim hygiene (wall clock,
-   global RNG, bare asserts, unyielded primitives), yield-discipline
-   dataflow, cleanup-mutation detection, resume-capture completeness
-   against the classes' RESUME_FIELDS manifests, trace-event conformance
-   against ``EVENT_KINDS``, and nondeterminism taint tracking. Any
+   global RNG, bare asserts), yield discipline (generators never
+   driven), cleanup-mutation detection, trace-event conformance against
+   ``EVENT_KINDS``, and nondeterminism taint tracking. Any
    finding fails; a ``# verify: allow[rule]`` pragma waives one line,
    never under ``repro/core/``.
 

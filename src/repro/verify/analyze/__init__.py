@@ -2,24 +2,21 @@
 
 The repo's one static gate. This package builds one
 :class:`~.frontend.Project` — every module parsed once, indexed once —
-and runs six passes over it:
+and runs five passes over it:
 
 ==============================  ==============================================
 pass                            what it proves
 ==============================  ==============================================
-``hygiene``                     no wall-clock read, global RNG, bare assert
-                                or primitive called without ``yield``
+``hygiene``                     no wall-clock read, global RNG or bare
+                                assert
 ``yield-discipline``            no generator is created and silently dropped
-                                (dataflow: bound-but-never-driven, plain
-                                calls of project coroutines)
+                                (engine primitives and project coroutines
+                                called as plain statements, or bound and
+                                never driven)
 ``cleanup-mutation``            no ``finally``/``except GeneratorExit`` in a
                                 process coroutine touches machine state
                                 outside the quiesce-guard API (the
                                 ``_quiesced`` bug class)
-``capture-completeness``        every attribute of runtime/scheme/policy/
-                                transport/storage classes appears in a
-                                capture manifest, so halt/resume stays
-                                bitwise-complete
 ``trace-conformance``           trace emitters and invariant checkers agree
                                 on the ``EVENT_KINDS`` vocabulary
 ``nondet-taint``                no order-unstable value (set iteration,

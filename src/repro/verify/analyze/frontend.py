@@ -7,18 +7,15 @@ indexes and walk nothing:
 
 * :class:`Module` — the parsed source plus flat, walk-ordered indexes of
   the nodes the passes care about (calls with their dotted callee names,
-  expression statements, ``try`` blocks, asserts, imports and the import
-  facts derived from them, ``ev.kind`` comparisons against event-name
+  expression statements, asserts, ``from`` imports and the import facts
+  derived from all imports, ``ev.kind`` comparisons against event-name
   literals) and the module's ``# verify: allow[...]`` pragma lines.
 * :class:`FunctionInfo` — per function/method: its own-scope nodes (every
   descendant outside nested defs and lambdas, in walk order), the names
   it loads, own-scope generator-ness (``yield``/``yield from``), the
   returns it makes, and its qualified name.
-* :class:`ClassInfo` — per class: base-class simple names, every
-  ``self.X = ...`` attribute the methods assign, the class-level
-  capture manifests (``RESUME_FIELDS``/``VOLATILE_FIELDS``/
-  ``RESUME_COMPONENTS`` tuples of strings) and trace-checker
-  ``consumes`` manifests.
+* :class:`ClassInfo` — per class: its trace-checker ``consumes``
+  subscriptions.
 * :class:`Project` — the whole-program view: modules, symbol tables by
   simple name, and the *generator name* classification the yield-discipline
   pass keys on (a simple name is generator-returning only when **every**
@@ -141,7 +138,6 @@ class FunctionInfo:
     node: ast.AST
     name: str
     qualname: str
-    class_name: Optional[str]
     module: "Module"
     is_generator: bool = False
     #: ``return <expr>`` values in the function's own scope.
@@ -156,9 +152,8 @@ class FunctionInfo:
     def lineno(self) -> int:
         return getattr(self.node, "lineno", 0)
 
-    def _digest_own(self, cls: Optional[ClassInfo]) -> None:
-        """Derive the own-scope facts once :attr:`own` is complete; a
-        method also records its ``self.X`` stores on *cls*."""
+    def _digest_own(self) -> None:
+        """Derive the own-scope facts once :attr:`own` is complete."""
         for node in self.own:
             kind = type(node)
             if kind is ast.Name:
@@ -169,39 +164,18 @@ class FunctionInfo:
                     self.returns.append(node.value)
             elif kind is ast.Yield or kind is ast.YieldFrom:
                 self.is_generator = True
-            elif cls is None:
-                continue
-            elif kind is ast.Assign:
-                _record_self_assigns(node.targets, cls)
-            elif kind is ast.AugAssign or kind is ast.AnnAssign:
-                _record_self_assigns([node.target], cls)
 
 
 @dataclass
 class ClassInfo:
-    """One class: bases, assigned instance attributes, capture manifests."""
+    """One class and its trace-checker subscriptions."""
 
     node: ast.ClassDef
     name: str
     module: "Module"
-    #: simple names of the base expressions (terminal attribute segment).
-    bases: Tuple[str, ...]
-    #: class-level ``NAME = ("a", "b", ...)`` string-tuple assignments
-    #: whose name ends in ``_FIELDS`` or ``_COMPONENTS``.
-    manifests: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    #: ``self.X`` attributes assigned anywhere in the class body, with the
-    #: lowest line each is assigned on.
-    self_fields: Dict[str, int] = field(default_factory=dict)
-    methods: List[FunctionInfo] = field(default_factory=list)
     #: ``consumes = ("kind", ...)`` statements in the class body, each
     #: with its string literals (a trace checker's subscriptions).
     consumes: List[Tuple[ast.Assign, Tuple[str, ...]]] = field(default_factory=list)
-
-    def declared_fields(self) -> Set[str]:
-        out: Set[str] = set()
-        for names in self.manifests.values():
-            out.update(names)
-        return out
 
 
 class Module:
@@ -229,9 +203,7 @@ class Module:
         self.calls: List[Tuple[ast.Call, Optional[str]]] = []
         self.expr_statements: List[ast.Expr] = []
         self.asserts: List[ast.Assert] = []
-        self.imports: List[ast.Import] = []
         self.import_froms: List[ast.ImportFrom] = []
-        self.tries: List[ast.Try] = []
         #: every ``ev.kind ==/!=/in/not in <literal(s)>`` comparison (the
         #: checker idiom; ``event.kind`` too), with its string literals and
         #: the innermost class it sits in (None at module level).
@@ -292,10 +264,7 @@ class Module:
                 self.expr_statements.append(child)
             elif kind is ast.Assert:
                 self.asserts.append(child)
-            elif kind is ast.Try:
-                self.tries.append(child)
             elif kind is ast.Import:
-                self.imports.append(child)
                 for alias in child.names:
                     if alias.name == "random":
                         self.imports_random = True
@@ -309,17 +278,8 @@ class Module:
                         if alias.name in WALL_CLOCK_FROM_TIME:
                             self.from_time_names.add(alias.asname or alias.name)
             elif kind is ast.ClassDef:
-                info = ClassInfo(
-                    node=child,
-                    name=child.name,
-                    module=self,
-                    bases=tuple(
-                        b.id if isinstance(b, ast.Name) else b.attr
-                        for b in child.bases
-                        if isinstance(b, (ast.Name, ast.Attribute))
-                    ),
-                )
-                self._collect_manifests(child, info)
+                info = ClassInfo(node=child, name=child.name, module=self)
+                self._collect_consumes(child, info)
                 self.classes.append(info)
                 self._walk(child, own, class_stack + [info], func_stack)
                 continue
@@ -327,22 +287,13 @@ class Module:
                 self._walk(child, own, class_stack, func_stack)
 
     def _function(self, node: ast.AST, class_stack, func_stack) -> None:
-        cls = class_stack[-1] if class_stack else None
         qual = ".".join(
             [c.name for c in class_stack] + [f.name for f in func_stack] + [node.name]
         )
-        info = FunctionInfo(
-            node=node,
-            name=node.name,
-            qualname=qual,
-            class_name=cls.name if cls else None,
-            module=self,
-        )
+        info = FunctionInfo(node=node, name=node.name, qualname=qual, module=self)
         self.functions.append(info)
-        if cls is not None:
-            cls.methods.append(info)
         self._walk(node, info.own, class_stack, func_stack + [info])
-        info._digest_own(cls)
+        info._digest_own()
 
     def _compare(self, node: ast.Compare, class_stack) -> None:
         # only the checker idiom `ev.kind == "…"` — message kinds
@@ -363,30 +314,16 @@ class Module:
         self.kind_compares.append((node, _strings(values), owner))
 
     @staticmethod
-    def _collect_manifests(cls_node: ast.ClassDef, info: ClassInfo) -> None:
+    def _collect_consumes(cls_node: ast.ClassDef, info: ClassInfo) -> None:
         for stmt in cls_node.body:
-            # ``RESUME_FIELDS = (...)`` or ``RESUME_FIELDS: tuple = (...)``
-            # — resume.py reads the class attribute either way.
-            if isinstance(stmt, ast.Assign):
-                targets = stmt.targets
-                if (
-                    len(targets) == 1
-                    and isinstance(targets[0], ast.Name)
-                    and targets[0].id == "consumes"
-                    and isinstance(stmt.value, (ast.Tuple, ast.List))
-                ):
-                    info.consumes.append((stmt, _strings(stmt.value.elts)))
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets = [stmt.target]
-            else:
-                continue
-            for target in targets:
-                if isinstance(target, ast.Name) and target.id.endswith(
-                    ("_FIELDS", "_COMPONENTS")
-                ):
-                    names = _string_tuple(stmt.value)
-                    if names is not None:
-                        info.manifests[target.id] = names
+            if (
+                isinstance(stmt, ast.Assign)
+                and len(stmt.targets) == 1
+                and isinstance(stmt.targets[0], ast.Name)
+                and stmt.targets[0].id == "consumes"
+                and isinstance(stmt.value, (ast.Tuple, ast.List))
+            ):
+                info.consumes.append((stmt, _strings(stmt.value.elts)))
 
 
 def _strings(nodes: Iterable[ast.AST]) -> Tuple[str, ...]:
@@ -394,37 +331,6 @@ def _strings(nodes: Iterable[ast.AST]) -> Tuple[str, ...]:
     return tuple(
         n.value for n in nodes if isinstance(n, ast.Constant) and isinstance(n.value, str)
     )
-
-
-def _string_tuple(node: ast.expr) -> Optional[Tuple[str, ...]]:
-    """A literal tuple/list of string constants, or None."""
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return None
-    names = _strings(node.elts)
-    return names if len(names) == len(node.elts) else None
-
-
-def _record_self_assigns(targets: Iterable[ast.expr], cls: ClassInfo) -> None:
-    """Record the ``self.X`` attribute stores among *targets*, each at
-    the lowest line it is assigned on."""
-    for target in targets:
-        for t in _flatten_targets(target):
-            if (
-                isinstance(t, ast.Attribute)
-                and isinstance(t.value, ast.Name)
-                and t.value.id == "self"
-            ):
-                cls.self_fields[t.attr] = min(
-                    t.lineno, cls.self_fields.get(t.attr, t.lineno)
-                )
-
-
-def _flatten_targets(target: ast.expr):
-    if isinstance(target, (ast.Tuple, ast.List)):
-        for el in target.elts:
-            yield from _flatten_targets(el)
-    else:
-        yield target
 
 
 class Project:
@@ -437,12 +343,9 @@ class Project:
         #: subscriptions) that would misfire on partial file sets.
         self.whole_program = whole_program
         self.functions_by_name: Dict[str, List[FunctionInfo]] = {}
-        self.classes_by_name: Dict[str, List[ClassInfo]] = {}
         for mod in modules:
             for fn in mod.functions:
                 self.functions_by_name.setdefault(fn.name, []).append(fn)
-            for cls in mod.classes:
-                self.classes_by_name.setdefault(cls.name, []).append(cls)
         self.generator_names: Set[str] = self._classify_generators()
 
     # -- generator classification --------------------------------------------
@@ -485,38 +388,6 @@ class Project:
             if terminal not in known:
                 return False
         return True
-
-    def subclasses_of(self, roots: Iterable[str]) -> List[ClassInfo]:
-        """All classes transitively derived (by simple base name) from any
-        of *roots*, roots included."""
-        names = set(roots)
-        changed = True
-        while changed:
-            changed = False
-            for name, classes in self.classes_by_name.items():
-                if name in names:
-                    continue
-                if any(b in names for cls in classes for b in cls.bases):
-                    names.add(name)
-                    changed = True
-        return [
-            cls
-            for name in sorted(names)
-            for cls in self.classes_by_name.get(name, [])
-        ]
-
-    def ancestry(self, cls: ClassInfo) -> List[ClassInfo]:
-        """*cls* plus every project class reachable through base names."""
-        seen: Dict[int, ClassInfo] = {id(cls): cls}
-        queue = [cls]
-        while queue:
-            cur = queue.pop()
-            for base in cur.bases:
-                for parent in self.classes_by_name.get(base, []):
-                    if id(parent) not in seen:
-                        seen[id(parent)] = parent
-                        queue.append(parent)
-        return list(seen.values())
 
 
 def iter_python_files(paths: Optional[Iterable[Path]] = None) -> List[Path]:

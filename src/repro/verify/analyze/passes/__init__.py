@@ -11,7 +11,6 @@ from __future__ import annotations
 from .hygiene import hygiene_pass, module_hygiene
 from .yield_discipline import yield_discipline_pass
 from .cleanup_mutation import cleanup_mutation_pass
-from .capture import capture_pass
 from .trace_conformance import trace_conformance_pass
 from .nondet_taint import nondet_taint_pass
 
@@ -21,7 +20,6 @@ __all__ = [
     "module_hygiene",
     "yield_discipline_pass",
     "cleanup_mutation_pass",
-    "capture_pass",
     "trace_conformance_pass",
     "nondet_taint_pass",
 ]
@@ -31,7 +29,6 @@ ALL_PASSES = (
     ("hygiene", hygiene_pass),
     ("yield-discipline", yield_discipline_pass),
     ("cleanup-mutation", cleanup_mutation_pass),
-    ("capture-completeness", capture_pass),
     ("trace-conformance", trace_conformance_pass),
     ("nondet-taint", nondet_taint_pass),
 )

@@ -21,10 +21,9 @@ clock, pulls from a global RNG, or validates correctness with a statement
     :class:`~repro.core.errors.InvariantViolation` (or another typed
     exception). ``assert isinstance(...)`` is tolerated as the standard
     type-narrowing idiom (it guards nothing at runtime by contract).
-``unyielded-primitive``
-    an engine primitive called as a bare expression statement —
-    ``ctx.compute(n)`` instead of ``yield from ctx.compute(n)`` returns a
-    generator that never runs; the simulation silently skips the work.
+
+A primitive called without ``yield`` is the yield-discipline pass's
+``undriven-generator``.
 
 A finding can be waived for one line with a trailing ``# verify: allow``
 comment (optionally naming the rule: ``# verify: allow[wall-clock]``) —
@@ -35,18 +34,12 @@ anywhere but ``repro/core/``. Findings sort by (line, col).
 from __future__ import annotations
 
 import ast
-from typing import List, Optional
+from typing import List
 
 from ..findings import Finding
-from ..frontend import (
-    GENERATOR_PRIMITIVES,
-    WALL_CLOCK,
-    WALL_CLOCK_FROM_TIME,
-    Module,
-    Project,
-)
+from ..frontend import WALL_CLOCK, WALL_CLOCK_FROM_TIME, Module, Project
 
-__all__ = ["WALL_CLOCK", "GENERATOR_PRIMITIVES", "module_hygiene", "hygiene_pass"]
+__all__ = ["WALL_CLOCK", "module_hygiene", "hygiene_pass"]
 
 
 class _Emitter:
@@ -87,7 +80,6 @@ def module_hygiene(module: Module) -> List[Finding]:
         ]
     out = _Emitter(module)
     _check_imports(module, out)
-    _check_statements(module, out)
     _check_calls(module, out)
     _check_asserts(module, out)
     return out.findings()
@@ -219,27 +211,4 @@ def _check_asserts(module: Module, out: _Emitter) -> None:
                 "bare `assert` for runtime validation is stripped by "
                 "`python -O`; raise InvariantViolation (repro.core.errors) "
                 "instead",
-            )
-
-
-# -- discarded generators ------------------------------------------------
-
-
-def _check_statements(module: Module, out: _Emitter) -> None:
-    for node in module.expr_statements:
-        call = node.value
-        if not isinstance(call, ast.Call):
-            continue
-        name: Optional[str] = None
-        if isinstance(call.func, ast.Attribute):
-            name = call.func.attr
-        elif isinstance(call.func, ast.Name):
-            name = call.func.id
-        if name in GENERATOR_PRIMITIVES:
-            out.flag(
-                node,
-                "unyielded-primitive",
-                f"`{name}(...)` called as a statement returns an inert "
-                f"generator — the simulated work never happens; drive it "
-                f"with `yield from` (or spawn it as a process)",
             )

@@ -2,20 +2,22 @@
 
 The kernel's simulation primitives (``ctx.compute``, ``node.send``, …)
 and every project coroutine built on them return *generators* — inert
-until driven by ``yield from`` (or spawned as a process). The hygiene
-lint catches the bare-statement form for the fixed primitive set; this
-pass upgrades the check with whole-program knowledge and dataflow:
+until driven by ``yield from`` (or spawned as a process):
 
 ``undriven-generator``
-    * a **project** generator-returning helper (classified by the
+    * an engine primitive (:data:`~..frontend.GENERATOR_PRIMITIVES`) or
+      a **project** generator-returning helper (classified by the
       front-end: every definition of that simple name is a generator or a
       thin wrapper around one) called as a bare expression statement —
-      the plain-call form of the bug for names the primitive set cannot
-      list; and
-    * a generator primitive or project generator **bound to a name that
-      is never read again** in the enclosing function — assignment hides
-      the discarded generator from the statement-level rule, but a name
-      with zero subsequent loads cannot have been driven.
+      ``ctx.compute(n)`` instead of ``yield from ctx.compute(n)``, so the
+      simulation silently skips the work; and
+    * either kind **bound to a name that is never read again** in the
+      enclosing function — assignment hides the discarded generator from
+      the statement-level rule, but a name with zero subsequent loads
+      cannot have been driven.
+
+A callee is named by its attribute or bare name, so ``a().compute(x)``
+counts as ``compute``.
 
 A name that *is* read later (``yield from g``, ``spawn(g)``,
 ``return g``, a loop over it) is presumed driven: the read is where the
@@ -29,7 +31,7 @@ import io
 from typing import List
 
 from ..findings import Finding
-from ..frontend import GENERATOR_PRIMITIVES, Project, dotted_name
+from ..frontend import GENERATOR_PRIMITIVES, Project
 
 __all__ = ["yield_discipline_pass"]
 
@@ -49,31 +51,29 @@ _AMBIENT_NAMES = (
 )
 
 
-def _terminal(call: ast.Call) -> str | None:
-    dotted = dotted_name(call.func)
-    if dotted is None:
-        return None
-    return dotted.split(".")[-1]
+def _callee(call: ast.Call) -> str | None:
+    """The called attribute's or bare name's identifier."""
+    func = call.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
 
 
 def yield_discipline_pass(project: Project) -> List[Finding]:
     findings: List[Finding] = []
-    gen_names = project.generator_names
-    all_gen = gen_names | GENERATOR_PRIMITIVES
+    # the primitives, plus project generator names no stdlib type shares
+    generators = GENERATOR_PRIMITIVES | (project.generator_names - _AMBIENT_NAMES)
 
-    # plain-statement calls of project generator helpers (the primitives
-    # themselves are the hygiene pass's `unyielded-primitive` rule).
+    # generator-returning calls made as plain statements.
     for module in project.modules:
         for stmt in module.expr_statements:
             call = stmt.value
             if not isinstance(call, ast.Call):
                 continue
-            name = _terminal(call)
-            if (
-                name in gen_names
-                and name not in GENERATOR_PRIMITIVES
-                and name not in _AMBIENT_NAMES
-            ):
+            name = _callee(call)
+            if name in generators:
                 if module.allowed(stmt.lineno, RULE):
                     continue
                 findings.append(
@@ -103,10 +103,8 @@ def yield_discipline_pass(project: Project) -> List[Finding]:
                 value = node.value
                 if not isinstance(value, ast.Call):
                     continue
-                name = _terminal(value)
-                if name not in all_gen:
-                    continue
-                if name in _AMBIENT_NAMES and name not in GENERATOR_PRIMITIVES:
+                name = _callee(value)
+                if name not in generators:
                     continue
                 var = node.targets[0].id
                 if var in fn.loaded:

@@ -26,9 +26,11 @@ from repro.chklib import (
     CICScheme,
     CoordinatedScheme,
     DurableLine,
+    FailureRateAdaptive,
     FaultModel,
     IndependentScheme,
     NoCheckpointing,
+    StoragePressure,
 )
 from repro.chklib.schemes.msglog import MessageLoggingScheme
 from repro.chklib.resume import LINE_MAGIC
@@ -59,6 +61,20 @@ def schemes(T):
         "cic": lambda: CICScheme.BCS(times, skew=T / 10),
         "cic_fdas": lambda: CICScheme.FDAS(times, skew=T / 10),
         "mlog": lambda: MessageLoggingScheme.Mlog(times, skew=T / 10),
+        # the agent's incremental state, copy-on-write capture, the
+        # two-level local tier and the pickled adaptive policies
+        "coord_nb_inc": lambda: CoordinatedScheme.NB(times, incremental=True),
+        "coord_nbms_inc": lambda: CoordinatedScheme.NBMS(times, incremental=True),
+        "coord_nb_2l": lambda: CoordinatedScheme.NB(times, two_level=True),
+        "coord_nbcs": lambda: CoordinatedScheme.NBCS(times),
+        "coord_nb_failure_adaptive": lambda: CoordinatedScheme.NB(
+            times, policy=FailureRateAdaptive(T / 4)
+        ),
+        "indep_log_storage_pressure": lambda: IndependentScheme.Indep(
+            times,
+            logging=True,
+            policy=StoragePressure(T / 4, budget_bytes=128 * 1024),
+        ),
     }
 
 
@@ -81,6 +97,12 @@ def T():
         "cic",
         "cic_fdas",
         "mlog",
+        "coord_nb_inc",
+        "coord_nbms_inc",
+        "coord_nb_2l",
+        "coord_nbcs",
+        "coord_nb_failure_adaptive",
+        "indep_log_storage_pressure",
     ],
 )
 def test_restart_continues_bitwise_identically(name, T):
@@ -246,6 +268,43 @@ def test_halt_must_be_in_the_future():
     )
     with pytest.raises(ResumeError, match="future"):
         rt.run(halt_at=-1.0)
+
+
+# -- what a durable line cannot carry -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "where, klass",
+    [
+        (lambda rt: rt, "CheckpointRuntime"),
+        (lambda rt: rt.agents[1], "CoordinatedAgent"),
+        (lambda rt: rt.transport, "Transport"),
+        (lambda rt: rt.storage, "StoragePlane"),
+        (lambda rt: rt.storage.servers[0], "StableStorage"),
+    ],
+    ids=["runtime", "agent", "transport", "plane", "tier"],
+)
+def test_unlisted_attribute_fails_the_capture(where, klass, T):
+    """Every declared-list capture checks its object: an attribute no
+    manifest lists would fall out of the line, so the halt refuses."""
+    rt = CheckpointRuntime(
+        make_app(), scheme=schemes(T)["coord_nb"](), machine=MACHINE, seed=SEED
+    )
+    where(rt).planted_state = 1
+    with pytest.raises(ResumeError, match=rf"{klass} holds planted_state\b"):
+        rt.run(halt_at=0.55 * T)
+
+
+def test_unpicklable_scheme_attribute_is_a_resume_error(T):
+    """A scheme is pickled whole: an engine-bound attribute its
+    VOLATILE_FIELDS does not list fails the halt with the component and
+    the attribute named, not with pickle's bare TypeError."""
+    rt = CheckpointRuntime(
+        make_app(), scheme=schemes(T)["coord_nb"](), machine=MACHINE, seed=SEED
+    )
+    rt.scheme._handle = rt.engine
+    with pytest.raises(ResumeError, match=r"'scheme' \(CoordinatedScheme\._handle\)"):
+        rt.run(halt_at=0.55 * T)
 
 
 # -- damaged frames ----------------------------------------------------------

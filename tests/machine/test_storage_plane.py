@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chklib.resume import capture_fields
 from repro.core import Engine
 from repro.machine import Cluster, MachineParams
 
@@ -112,7 +113,7 @@ def test_export_restore_roundtrip():
 
     eng.process(writer(0, 100.0))
     eng.run()
-    state = plane.export_state()
+    state = plane.export_state(capture_fields)
 
     eng2, cluster2, plane2 = build(hierarchical16(burst_buffers=True))
     plane2.restore_state(state)
@@ -123,7 +124,7 @@ def test_export_restore_roundtrip():
 
 def test_restore_rejects_shape_change():
     eng, cluster, plane = build(hierarchical16())
-    state = plane.export_state()
+    state = plane.export_state(capture_fields)
     eng2, cluster2, plane2 = build(
         MachineParams.hierarchical(16, nodes_per_rack=4, servers=4)
     )

@@ -57,7 +57,7 @@ def test_generator_flag_is_own_scope_only():
     assert by_name["inner"].is_generator
 
 
-def test_method_qualnames_and_class_membership():
+def test_method_qualnames():
     mod = _module(
         """
         class Agent:
@@ -67,46 +67,6 @@ def test_method_qualnames_and_class_membership():
     )
     (fn,) = mod.functions
     assert fn.qualname == "Agent.step"
-    assert fn.class_name == "Agent"
-    (cls,) = mod.classes
-    assert [m.name for m in cls.methods] == ["step"]
-
-
-def test_class_manifests_and_self_fields():
-    mod = _module(
-        """
-        class Thing:
-            RESUME_FIELDS = ("a", "b")
-            VOLATILE_FIELDS = ("engine",)
-            NOT_A_MANIFEST = ("c",) + ("d",)   # non-literal: ignored
-
-            def __init__(self):
-                self.a = 1
-                self.engine = None
-
-            def tick(self):
-                self.b += 1
-        """
-    )
-    (cls,) = mod.classes
-    assert cls.manifests["RESUME_FIELDS"] == ("a", "b")
-    assert cls.manifests["VOLATILE_FIELDS"] == ("engine",)
-    assert cls.declared_fields() == {"a", "b", "engine"}
-    assert set(cls.self_fields) == {"a", "b", "engine"}
-
-
-def test_self_fields_record_the_lowest_line():
-    mod = _module(
-        """
-        class Thing:
-            def __init__(self):
-                self.x = 1
-                self.y = 0
-                self.x = 2
-        """
-    )
-    (cls,) = mod.classes
-    assert cls.self_fields == {"x": 4, "y": 5}
 
 
 def test_own_scope_skips_nested_defs_and_lambdas():
@@ -156,39 +116,6 @@ def test_kind_comparisons_and_consumes_are_indexed():
         (("msg.deliver", "proto.cut"), "Audit"),
         (("gc.run",), None),
     ]
-
-
-def test_annotated_class_manifests_are_read():
-    # resume.py reads the class attribute however it is spelled, so an
-    # annotated manifest must count too (a bare annotation declares none)
-    mod = _module(
-        """
-        class Base:
-            RESUME_FIELDS: tuple = ("times", "name")
-            VOLATILE_FIELDS: tuple = ()
-            RESUME_COMPONENTS: tuple
-
-            def __init__(self):
-                self.times = []
-                self.name = "x"
-        """
-    )
-    (cls,) = mod.classes
-    assert cls.manifests["RESUME_FIELDS"] == ("times", "name")
-    assert cls.manifests["VOLATILE_FIELDS"] == ()
-    assert "RESUME_COMPONENTS" not in cls.manifests
-    assert cls.declared_fields() == {"times", "name"}
-
-
-def test_class_bases_use_terminal_names():
-    mod = _module(
-        """
-        class Mine(base.Scheme, Mixin):
-            pass
-        """
-    )
-    (cls,) = mod.classes
-    assert cls.bases == ("Scheme", "Mixin")
 
 
 def test_syntax_error_recorded_not_raised():
@@ -270,45 +197,6 @@ def test_wrapper_of_primitive_classifies():
         """
     )
     assert "pause" in project.generator_names
-
-
-# -- class hierarchy helpers --------------------------------------------------
-
-
-def test_subclasses_of_is_transitive():
-    project = _project(
-        """
-        class Scheme:
-            pass
-
-        class Mid(Scheme):
-            pass
-
-        class Leaf(Mid):
-            pass
-
-        class Unrelated:
-            pass
-        """
-    )
-    names = {c.name for c in project.subclasses_of(["Scheme"])}
-    assert names == {"Scheme", "Mid", "Leaf"}
-
-
-def test_ancestry_walks_base_names_across_modules():
-    project = _project(
-        """
-        class Base:
-            RESUME_FIELDS = ("x",)
-        """,
-        """
-        class Child(Base):
-            RESUME_FIELDS = ("y",)
-        """,
-    )
-    child = project.classes_by_name["Child"][0]
-    names = {c.name for c in project.ancestry(child)}
-    assert names == {"Child", "Base"}
 
 
 # -- misc ---------------------------------------------------------------------

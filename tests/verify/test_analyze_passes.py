@@ -11,7 +11,6 @@ import pytest
 
 from repro.verify.analyze import analyze
 from repro.verify.analyze.frontend import Module, Project
-from repro.verify.analyze.passes.capture import capture_pass
 from repro.verify.analyze.passes.cleanup_mutation import cleanup_mutation_pass
 from repro.verify.analyze.passes.hygiene import module_hygiene
 from repro.verify.analyze.passes.nondet_taint import nondet_taint_pass
@@ -44,59 +43,105 @@ def test_undriven_generator_assignment_flagged():
     assert "never driven" in findings[0].message
 
 
-def test_driven_generator_assignment_clean():
-    project = _project(
-        """
-        def worker(ctx):
-            g = ctx.compute(100.0)
-            yield from g
-        """
-    )
-    assert yield_discipline_pass(project) == []
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param(
+            """
+            def worker(ctx):
+                g = ctx.compute(100.0)
+                yield from g
+            """,
+            id="bound-then-driven",
+        ),
+        pytest.param(
+            # handing the generator to the engine counts as driving it
+            """
+            def worker(ctx, engine):
+                g = ctx.compute(100.0)
+                engine.spawn(g)
+                yield from ctx.timeout(1.0)
+            """,
+            id="bound-then-spawned",
+        ),
+        pytest.param(
+            # binding the generator to hand it on is deliberate use
+            """
+            def worker(ctx):
+                g = ctx.compute(100.0)
+                return g
+            """,
+            id="bound-then-returned",
+        ),
+        pytest.param(
+            """
+            def worker(ctx):
+                yield from ctx.compute(100.0)
+            """,
+            id="yield-from-primitive",
+        ),
+        pytest.param(
+            """
+            def warmup(ctx):
+                yield from ctx.timeout(1.0)
+
+            def worker(ctx):
+                yield from warmup(ctx)
+            """,
+            id="yield-from-project-coroutine",
+        ),
+    ],
+)
+def test_driven_generator_clean(source):
+    assert yield_discipline_pass(_project(source)) == []
 
 
-def test_spawned_generator_assignment_clean():
-    # handing the generator to the engine counts as driving it
-    project = _project(
-        """
-        def worker(ctx, engine):
-            g = ctx.compute(100.0)
-            engine.spawn(g)
-            yield from ctx.timeout(1.0)
-        """
-    )
-    assert yield_discipline_pass(project) == []
+@pytest.mark.parametrize(
+    "source, name",
+    [
+        pytest.param(
+            """
+            def warmup(ctx):
+                yield from ctx.timeout(1.0)
 
-
-def test_plain_call_of_project_coroutine_flagged():
-    # the whole-program upgrade over the fixed primitive list: `warmup`
-    # is a *project* coroutine, invisible to the hygiene lint's rule
-    project = _project(
-        """
-        def warmup(ctx):
-            yield from ctx.timeout(1.0)
-
-        def worker(ctx):
-            warmup(ctx)
-            yield from ctx.compute(5.0)
-        """
-    )
-    findings = yield_discipline_pass(project)
+            def worker(ctx):
+                warmup(ctx)
+                yield from ctx.compute(5.0)
+            """,
+            "warmup",
+            id="project-coroutine",
+        ),
+        pytest.param(
+            """
+            def worker(ctx):
+                ctx.compute(100.0)
+            """,
+            "compute",
+            id="primitive-compute",
+        ),
+        pytest.param(
+            """
+            def worker(comm, payload):
+                comm.send(1, payload)
+            """,
+            "send",
+            id="primitive-send",
+        ),
+        pytest.param(
+            # the callee is named by its attribute, whatever it hangs off
+            """
+            def worker(rt, rank):
+                rt.node(rank).compute(5.0)
+            """,
+            "compute",
+            id="primitive-on-a-call-result",
+        ),
+    ],
+)
+def test_plain_call_of_generator_flagged(source, name):
+    findings = yield_discipline_pass(_project(source))
     assert _rules(findings) == ["undriven-generator"]
-    assert "warmup" in findings[0].message
-
-
-def test_yield_from_project_coroutine_clean():
-    project = _project(
-        """
-        def warmup(ctx):
-            yield from ctx.timeout(1.0)
-
-        def worker(ctx):
-            yield from warmup(ctx)
-        """
-    )
-    assert yield_discipline_pass(project) == []
+    assert f"`{name}(...)`" in findings[0].message
 
 
 def test_undriven_generator_allow_pragma():
@@ -195,77 +240,7 @@ def test_local_state_in_finally_clean():
     assert cleanup_mutation_pass(project) == []
 
 
-# -- 3. capture-completeness: a field dropped from the manifests --------------
-
-
-def test_scheme_field_missing_from_manifests_flagged():
-    project = _project(
-        """
-        class Scheme:
-            RESUME_FIELDS = ("times",)
-
-        class SkewedScheme(Scheme):
-            RESUME_FIELDS = ("skew",)
-            VOLATILE_FIELDS = ("_write_slot",)
-
-            def __init__(self, times, skew):
-                self.times = times
-                self.skew = skew
-                self.drift = 0.0
-                self._write_slot = None
-        """
-    )
-    findings = capture_pass(project)
-    assert _rules(findings) == ["capture-completeness"]
-    assert "SkewedScheme.drift" in findings[0].message
-
-
-def test_fields_declared_anywhere_in_ancestry_clean():
-    project = _project(
-        """
-        class Scheme:
-            RESUME_FIELDS = ("times",)
-            VOLATILE_FIELDS = ("runtime",)
-
-        class MyScheme(Scheme):
-            RESUME_FIELDS = ("interval",)
-
-            def __init__(self, times, interval):
-                self.times = times
-                self.interval = interval
-                self.runtime = None
-        """
-    )
-    assert capture_pass(project) == []
-
-
-def test_classes_outside_capture_roots_ignored():
-    project = _project(
-        """
-        class Report:
-            def __init__(self):
-                self.rows = []
-        """
-    )
-    assert capture_pass(project) == []
-
-
-def test_capture_allow_pragma():
-    project = _project(
-        """
-        class Scheme:
-            RESUME_FIELDS = ("times",)
-
-        class MyScheme(Scheme):
-            def __init__(self, times):
-                self.times = times
-                self.scratch = None  # verify: allow[capture-completeness]
-        """
-    )
-    assert capture_pass(project) == []
-
-
-# -- 4. trace-conformance: a typo'd event name --------------------------------
+# -- 3. trace-conformance: a typo'd event name --------------------------------
 
 
 def test_typoed_emission_flagged():
@@ -356,7 +331,7 @@ def test_subset_run_skips_vacuous_consumption():
     assert trace_conformance_pass(project) == []
 
 
-# -- 5. nondet-taint: set iteration order reaching a trace event --------------
+# -- 4. nondet-taint: set iteration order reaching a trace event --------------
 
 
 def test_set_order_into_trace_event_flagged():
@@ -529,14 +504,7 @@ def test_analyze_subset_reports_all_seeded_bug_classes(tmp_path):
     (tmp_path / "buggy.py").write_text(
         textwrap.dedent(
             """
-            class Scheme:
-                RESUME_FIELDS = ("times",)
-
-            class BadScheme(Scheme):
-                def __init__(self, times):
-                    self.times = times
-                    self.lost = 0.0
-
+            class BadScheme:
                 def commit(self):
                     self.tracer.event("proto.comit", n=1)
 
@@ -557,7 +525,6 @@ def test_analyze_subset_reports_all_seeded_bug_classes(tmp_path):
     assert rules == {
         "undriven-generator",
         "cleanup-mutation",
-        "capture-completeness",
         "trace-conformance",
         "nondet-taint",
     }

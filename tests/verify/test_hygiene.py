@@ -133,30 +133,6 @@ def test_isinstance_assert_allowed():
     assert _rules("assert isinstance(agent, CoordinatedAgent)\n") == []
 
 
-# -- unyielded primitives -----------------------------------------------------
-
-
-def test_unyielded_compute_flagged():
-    src = "def f(ctx):\n    ctx.compute(100.0)\n"
-    assert _rules(src) == ["unyielded-primitive"]
-
-
-def test_yield_from_compute_allowed():
-    src = "def f(ctx):\n    yield from ctx.compute(100.0)\n"
-    assert _rules(src) == []
-
-
-def test_assigned_generator_allowed():
-    # binding the generator (to spawn or combine) is deliberate use
-    src = "def f(ctx):\n    g = ctx.compute(100.0)\n    return g\n"
-    assert _rules(src) == []
-
-
-def test_unyielded_send_flagged():
-    src = "def f(comm):\n    comm.send(1, payload)\n"
-    assert _rules(src) == ["unyielded-primitive"]
-
-
 # -- pragmas ------------------------------------------------------------------
 
 
@@ -183,12 +159,13 @@ def test_syntax_error_is_a_finding_not_a_crash():
 
 
 def test_findings_sort_by_position():
-    src = "def f(ctx):\n    assert ctx\n    ctx.compute(time.time())\n"
+    # calls are checked before asserts; the report is in source order
+    src = "def f(ctx):\n    assert ctx\n    assert time.time()\n"
     findings = _hygiene("import time\n" + src)
     assert [(f.line, f.col, f.rule) for f in findings] == [
         (3, 4, "bare-assert"),
-        (4, 4, "unyielded-primitive"),
-        (4, 16, "wall-clock"),
+        (4, 4, "bare-assert"),
+        (4, 11, "wall-clock"),
     ]
 
 
