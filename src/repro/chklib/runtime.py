@@ -31,7 +31,7 @@ from ..core.errors import (
 from ..core.events import Event
 from ..core.process import Process
 from ..core.rng import RngStreams
-from ..core.tracing import make_tracer
+from ..core.tracing import Tracer
 from ..fault.injection import make_injector
 from ..fault.model import FaultModel, FaultPlan, RetryPolicy
 from ..machine.cluster import Cluster
@@ -135,6 +135,8 @@ class CheckpointRuntime:
         "_result",
         "_ran",
         "_resumed_at",
+        "trace",
+        "audit_report",
     )
 
     def __init__(
@@ -155,9 +157,10 @@ class CheckpointRuntime:
         self.engine = Engine(
             start_time=float(_resume["meta"]["halted_at"]) if _resume else 0.0
         )
-        # trace=False selects the NullTracer: the counters the report reads
-        # are still kept, but no event, span or timeline is recorded.
-        self.tracer = make_tracer(self.engine, enabled=trace)
+        # trace=True subscribes the recording sink (at the end, once a
+        # resume has restored the history it is shown first)
+        self.tracer = Tracer(self.engine)
+        self.trace = bool(trace)
         self.machine_params = machine or MachineParams.xplorer8()
         self.cluster = Cluster(self.engine, self.machine_params, tracer=self.tracer)
         self.n_ranks = self.cluster.n_nodes
@@ -210,8 +213,13 @@ class CheckpointRuntime:
         self.keeps_bytes = True
         #: simulated time this runtime resumed from (None = a fresh run).
         self._resumed_at: Optional[float] = None
+        #: the live trace audit's ``TraceReport``, once an audited
+        #: :meth:`run` finished (``verify.trace_check.check_runtime``).
+        self.audit_report: Any = None
         if _resume is not None:
             self._apply_resume(_resume)
+        if trace:
+            self.tracer.record()
 
     # -- public API ---------------------------------------------------------
 
@@ -260,6 +268,15 @@ class CheckpointRuntime:
                     "checkpointing scheme (nothing to restart from)"
                 )
         self.scheme.install(self)
+        # a durable line carries the stream so far, for the resumed run's
+        # audit; --verify / verified() audits every event as it is emitted
+        from ..verify import trace_check
+
+        if halt_at is not None:
+            self.tracer.record()
+        audit = None
+        if trace_check.runtime_verification_enabled():
+            audit = trace_check.Audit(self.tracer, trace_check.meta_for_runtime(self))
         items = self._interrupt_schedule(halt_at)
         if self._resumed_at is not None:
             # restart IS a recovery: roll every rank back to the captured
@@ -273,14 +290,11 @@ class CheckpointRuntime:
             self._start_generation({r: None for r in range(self.n_ranks)})
         self.engine.run(until=self._done)
         report = self._report()
-        # post-run audit: replay the recorded event stream through the
-        # trace invariant engine when --verify (or the tests) asked for it.
-        # A halted run is exempt: its trace legitimately ends mid-protocol
-        # (open rounds finish in the resumed run, which is audited whole).
-        from ..verify.trace_check import check_runtime, runtime_verification_enabled
-
-        if runtime_verification_enabled() and self.tracer.enabled and not self.halted:
-            check_runtime(self).raise_if_violated()
+        # A halted run's stream legitimately ends mid-protocol: open rounds
+        # finish in the resumed run, whose audit sees the whole history.
+        if audit is not None and not self.halted:
+            self.audit_report = audit.report()
+            self.audit_report.raise_if_violated()
         return report
 
     # -- durable recovery lines ------------------------------------------------
@@ -340,7 +354,7 @@ class CheckpointRuntime:
             "n_ranks": self.n_ranks,
             "seed": self.seed,
             "halted_at": self.engine.now,
-            "trace": self.tracer.enabled,
+            "trace": self.trace,
             # side-effect-free summary for inspection/tooling (recovery
             # itself re-derives the line via scheme.recovery_line()).
             "committed_indices": {

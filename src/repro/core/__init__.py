@@ -29,8 +29,6 @@ _LAZY = {
     "RngStreams": "rng",
     "derive_seed": "rng",
     "Tracer": "tracing",
-    "NullTracer": "tracing",
-    "make_tracer": "tracing",
     "Span": "tracing",
     "SimulationError": "errors",
     "Deadlock": "errors",

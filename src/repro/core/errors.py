@@ -146,8 +146,9 @@ class InvariantViolation(SimulationError):
 class VerificationError(SimulationError):
     """The protocol verification subsystem found a violated invariant.
 
-    Raised by the trace invariant engine when post-run verification is
-    enabled. Carries the individual violations for reporting.
+    Raised by the trace invariant engine when run verification is
+    enabled, and by ``check_runtime`` for a run with nothing to audit.
+    Carries the individual violations for reporting.
     """
 
     def __init__(self, summary: str, violations: Any = ()) -> None:

@@ -1,28 +1,22 @@
-"""Lightweight metric and trace collection.
+"""Counters and the event stream of one simulation run.
 
-A :class:`Tracer` is attached to a run and accumulates:
-
-* **counters** — monotone named totals (bytes written, protocol messages…);
-* **timelines** — (time, value) samples for plotting/sweeps;
-* **spans** — named intervals (checkpoint N on node R took [t0, t1]);
-* **events** — structured protocol events (vote/commit/abort/token-pass,
-  cuts, writes, message sends/deliveries, recoveries, GC) consumed by the
-  trace invariant engine (:mod:`repro.verify.trace_check`).
-
-Counters belong to the run's report, so they are kept whether or not
-anything is recorded. Timelines, spans and events are *recordings*: they
-exist for a reader (the trace audit, the timeline renderer, a test), and
-:class:`NullTracer` — same interface, no-op recording bodies — drops them
-when there is none, so a run nobody inspects pays only the call. Events
-and spans are additionally indexed per kind/name at record time, so the
-verify engine's :meth:`Tracer.events_named`/:meth:`Tracer.spans_named`
-lookups are O(matches) instead of O(total recorded).
+A :class:`Tracer` keeps the run's **counters** (named totals the report
+reads, kept on every run) and is the one dispatch point of its **event
+stream**: :meth:`Tracer.event` hands each structured protocol event (cuts,
+votes, commits, writes, message sends/deliveries, recoveries, GC…) to the
+*sinks* subscribed to its kind, in subscription order, and keeps nothing
+itself. With no sink, ``enabled`` is False and an event builds no
+:class:`TraceEvent` at all. A run's sinks are the checker battery of the
+live trace audit (:class:`repro.verify.trace_check.Audit`) and the
+recording sink (:meth:`Tracer.record`), which keeps ``events`` and the
+named **spans** (checkpoint N on node R took [t0, t1]) for tests, the
+explorer, the timeline renderer and a halt's durable line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import Engine
@@ -30,8 +24,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EVENT_KINDS",
     "Tracer",
-    "NullTracer",
-    "make_tracer",
     "Span",
     "TraceEvent",
 ]
@@ -120,23 +112,34 @@ class Span:
         return self.end - self.start
 
 
-class Tracer:
-    """Accumulates counters, timelines and spans for one simulation run."""
+#: a stream subscriber: called with each event's index in the run's stream
+#: (0 = the run's first event, across restarts) and the event.
+Sink = Callable[[int, TraceEvent], None]
 
-    #: does this tracer record events, spans and timelines? (Counters are
-    #: kept either way.) Emission sites test it to skip building kwargs.
-    enabled = True
+#: the span handed out while nothing records; closed at birth so a
+#: ``duration`` read stays well-defined (always 0.0).
+_NULL_SPAN = Span(name="<null>", start=0.0, end=0.0)
+
+
+class Tracer:
+    """Counters, spans and the event stream of one simulation run."""
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
         self.counters: Dict[str, float] = {}
-        self.timelines: Dict[str, List[Tuple[float, float]]] = {}
-        self.spans: List[Span] = []
+        #: does any sink listen? Emission sites test it to skip building kwargs.
+        self.enabled = False
+        #: is the recording sink subscribed (:meth:`record`)?
+        self.recording = False
         self.events: List[TraceEvent] = []
-        # per-kind/name indexes kept in sync by event()/open_span(), so
-        # events_named()/spans_named() never scan the full record.
-        self._events_by_kind: Dict[str, List[TraceEvent]] = {}
-        self._spans_by_name: Dict[str, List[Span]] = {}
+        self.spans: List[Span] = []
+        #: the stream before this run: events restored from a durable line,
+        #: shown to every sink when it subscribes.
+        self.history: List[TraceEvent] = []
+        #: the index the next event gets in the run's stream.
+        self.emitted = 0
+        self._sinks: Dict[str, List[Sink]] = {}
+        self._everyone: List[Sink] = []
 
     # -- counters ------------------------------------------------------------
 
@@ -147,141 +150,91 @@ class Tracer:
     def get(self, counter: str, default: float = 0.0) -> float:
         return self.counters.get(counter, default)
 
-    # -- events ----------------------------------------------------------------
+    # -- the event stream ------------------------------------------------------
+
+    def subscribe(self, kinds: Tuple[str, ...], sink: Sink) -> None:
+        """Show *sink* every event whose kind is in *kinds* (``"*"``: every
+        event) — first the restored :attr:`history`, then each new one.
+        A ``"*"`` sink is folded into every kind's entry, present and
+        future, so dispatch is one table lookup per event."""
+        if "*" in kinds:
+            self._everyone.append(sink)
+            for sinks in self._sinks.values():
+                sinks.append(sink)
+        else:
+            for kind in kinds:
+                self._sinks.setdefault(kind, list(self._everyone)).append(sink)
+        self.enabled = True
+        for index, ev in enumerate(self.history):
+            if "*" in kinds or ev.kind in kinds:
+                sink(index, ev)
 
     def event(self, kind: str, **fields: object) -> None:
-        """Record a structured protocol event at the current time."""
-        ev = TraceEvent(self.engine.now, kind, fields)
-        self.events.append(ev)
-        bucket = self._events_by_kind.get(kind)
-        if bucket is None:
-            self._events_by_kind[kind] = [ev]
-        else:
-            bucket.append(ev)
+        """Emit a structured protocol event at the current time."""
+        if self.enabled:
+            self.publish(TraceEvent(self.engine.now, kind, fields))
+
+    def publish(self, ev: TraceEvent) -> None:
+        """Hand *ev*, the stream's next event, to the sinks of its kind."""
+        index = self.emitted
+        self.emitted = index + 1
+        for sink in self._sinks.get(ev.kind, self._everyone):
+            sink(index, ev)
+
+    def record(self) -> "Tracer":
+        """Subscribe the recording sink: from now on :attr:`events` holds
+        the whole stream (history included) and :attr:`spans` every span."""
+        if not self.recording:
+            self.recording = True
+            self.subscribe(("*",), lambda _index, ev: self.events.append(ev))
+        return self
 
     def events_named(self, kind: str) -> List[TraceEvent]:
-        """All recorded events of *kind*, oldest first (a fresh list)."""
-        return list(self._events_by_kind.get(kind, ()))
-
-    # -- timelines -------------------------------------------------------------
-
-    def sample(self, timeline: str, value: float) -> None:
-        """Record ``(now, value)`` on a named timeline."""
-        self.timelines.setdefault(timeline, []).append((self.engine.now, value))
+        """The recorded events of *kind*, oldest first."""
+        return [ev for ev in self.events if ev.kind == kind]
 
     # -- spans -----------------------------------------------------------------
 
     def open_span(self, name: str, **attrs: object) -> Span:
         """Open an interval starting now; close with :meth:`close_span`.
-
-        ``attrs`` is already a fresh dict owned by this call, so it is
-        stored as-is — no defensive copy.
-        """
+        Kept only while recording; otherwise a shared closed dummy."""
+        if not self.recording:
+            return _NULL_SPAN
         span = Span(name=name, start=self.engine.now, attrs=attrs)
         self.spans.append(span)
-        bucket = self._spans_by_name.get(name)
-        if bucket is None:
-            self._spans_by_name[name] = [span]
-        else:
-            bucket.append(span)
         return span
 
     def close_span(self, span: Span, **attrs: object) -> Span:
-        span.end = self.engine.now
-        if attrs:
+        if span is not _NULL_SPAN:
+            span.end = self.engine.now
             span.attrs.update(attrs)
         return span
 
     def spans_named(self, name: str) -> List[Span]:
-        """All recorded spans named *name*, oldest first (a fresh list)."""
-        return list(self._spans_by_name.get(name, ()))
+        """The recorded spans named *name*, oldest first."""
+        return [span for span in self.spans if span.name == name]
 
     # -- durable-line support --------------------------------------------------
 
     def export_state(self) -> dict:
-        """Serialisable snapshot of counters, events and timelines.
+        """Serialisable snapshot: the counters and the recorded events.
 
         Spans are intentionally excluded: a halted run can hold open spans
         whose closing side lives in interrupted coroutines, so they cannot
         be resumed faithfully — and no report or invariant depends on spans
-        surviving a restart. A :class:`NullTracer` exports its counters
-        and no recordings.
-        """
+        surviving a restart."""
         return {
             "counters": dict(self.counters),
             "events": [(ev.time, ev.kind, dict(ev.fields)) for ev in self.events],
-            "timelines": {k: list(v) for k, v in self.timelines.items()},
         }
 
     def restore_state(self, state: dict) -> None:
-        """Load a snapshot from :meth:`export_state`: the counters always,
-        the recordings only into a tracer that records."""
+        """Load a snapshot from :meth:`export_state` into a tracer nothing
+        has subscribed to yet: the events become the :attr:`history` each
+        sink is shown first, and the next event continues their indices."""
         self.counters = dict(state.get("counters", {}))
-        if not self.enabled:
-            return
-        self.events = [
+        self.history = [
             TraceEvent(t, kind, dict(fields))
             for t, kind, fields in state.get("events", ())
         ]
-        self._events_by_kind = {}
-        for ev in self.events:
-            self._events_by_kind.setdefault(ev.kind, []).append(ev)
-        self.timelines = {
-            k: [tuple(s) for s in v] for k, v in state.get("timelines", {}).items()
-        }
-
-    def total_span_time(self, name: str) -> float:
-        """Sum of closed-span durations for *name* (open spans skipped)."""
-        return sum(
-            s.end - s.start
-            for s in self._spans_by_name.get(name, ())
-            if s.end is not None
-        )
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"<Tracer counters={len(self.counters)} "
-            f"timelines={len(self.timelines)} spans={len(self.spans)} "
-            f"events={len(self.events)}>"
-        )
-
-
-class NullTracer(Tracer):
-    """Records nothing, counts everything.
-
-    Selected by :func:`make_tracer` (and
-    :class:`~repro.chklib.runtime.CheckpointRuntime` with ``trace=False``)
-    for runs whose recordings nobody reads: every recording method body is
-    a true no-op — no ``TraceEvent`` construction, no appends, no ``Span``
-    allocation — while :meth:`add` is inherited, so the run's
-    :class:`~repro.chklib.runtime.RunReport` is the same with or without
-    recording. Read accessors answer with empties for the recordings.
-    """
-
-    enabled = False
-
-    def event(self, kind: str, **fields: object) -> None:
-        pass
-
-    def sample(self, timeline: str, value: float) -> None:
-        pass
-
-    def open_span(self, name: str, **attrs: object) -> Span:
-        return _NULL_SPAN
-
-    def close_span(self, span: Span, **attrs: object) -> Span:
-        return span
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<NullTracer>"
-
-
-#: the shared dummy span handed out by a :class:`NullTracer`; closed at birth
-#: so accidental ``duration`` reads stay well-defined (always 0.0).
-_NULL_SPAN = Span(name="<null>", start=0.0, end=0.0)
-
-
-def make_tracer(engine: "Engine", enabled: bool = True) -> Tracer:
-    """The run's tracer: a recording :class:`Tracer`, or the counting-only
-    :class:`NullTracer` when nobody will read the recordings."""
-    return Tracer(engine) if enabled else NullTracer(engine)
+        self.emitted = len(self.history)

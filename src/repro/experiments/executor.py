@@ -136,11 +136,11 @@ def write_json_atomic(path: Path, entry: dict) -> None:
 def run_cell(cell: Cell) -> RunReport:
     """Execute one grid cell (one deterministic simulation).
 
-    Only the report leaves this function, so events, spans and timelines
-    are recorded only when the post-run trace audit is on to read them.
+    Only the report leaves this function, so nothing is recorded: under
+    ``--verify`` the runtime's live audit checks each event as it is
+    emitted and keeps no event list.
     """
     from ..chklib.runtime import CheckpointRuntime
-    from ..verify.trace_check import runtime_verification_enabled
 
     report = CheckpointRuntime(
         cell.workload.build(),
@@ -148,7 +148,7 @@ def run_cell(cell: Cell) -> RunReport:
         machine=cell.machine,
         seed=cell.seed,
         fault_model=cell.fault,
-        trace=runtime_verification_enabled(),
+        trace=False,
     ).run()
     # The finished runtime is one reference cycle (engine <-> processes <->
     # agents <-> runtime) that refcounting cannot free; left to the cyclic

@@ -27,7 +27,7 @@ worker processes and memoises results in a content-keyed on-disk cache
 stdout is byte-identical regardless of job count or cache state.
 
 Any invocation accepts ``--verify``: every simulation run is then audited
-post-hoc by the trace invariant engine (:mod:`repro.verify`), and the
+live by the trace invariant engine (:mod:`repro.verify`), and the
 first violated invariant aborts the experiment with a VerificationError.
 Before any cell runs, ``--verify`` also gates on the static analyzer's
 whole-tree report (exit 2 on any finding); a clean verdict is recorded in
@@ -300,7 +300,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--verify",
         action="store_true",
-        help="audit every run's event trace post-hoc (repro.verify)",
+        help="audit every run's event stream live (repro.verify)",
     )
     parser.add_argument(
         "--quick",

@@ -159,11 +159,6 @@ class StableStorage:
         verdict = (
             self.fault_injector.on_read(tag) if self.fault_injector else None
         )
-        span = (
-            self.tracer.open_span("storage.read", node=node.id, bytes=nbytes, tag=tag)
-            if self.tracer
-            else None
-        )
         job = None
         try:
             yield self.engine.delay(self.params.op_latency)  # pooled
@@ -182,8 +177,6 @@ class StableStorage:
         finally:
             if job is not None and not job.done.triggered:
                 self.server.cancel(job)
-            if self.tracer and span is not None:
-                self.tracer.close_span(span)
         self.bytes_read += nbytes
         self.read_ops += 1
         if self.tracer:

@@ -6,11 +6,11 @@
    delays; every run is audited by the trace checkers, drained to
    quiescence and checked for undecided 2PC rounds and a changed result.
 2. **Trace invariants** (:mod:`.invariants`, :mod:`.trace_check`) —
-   declarative checkers replayed over the structured event streams the
-   simulator records (FIFO delivery, 2PC commit rules, staggered-write
-   mutual exclusion, GC line safety, recovery-line soundness). Runnable
-   post-hoc on any run via ``--verify`` on the experiment runner; the
-   ``smoke`` layer audits a traced run of every scheme.
+   declarative checkers subscribed to the structured event stream the
+   simulator emits (FIFO delivery, 2PC commit rules, staggered-write
+   mutual exclusion, GC line safety, recovery-line soundness). Live on
+   any run via ``--verify`` on the experiment runner; the ``smoke``
+   layer audits a traced run of every scheme.
 3. **Whole-program static analysis** (:mod:`.analyze`) — the one static
    gate: five passes over one shared front-end (per-module ASTs, project
    symbol table, generator classification): sim hygiene (wall clock,

@@ -14,8 +14,8 @@ output (breaks the byte-compared resume sweep).
     iterables, containers and string formatting, and is *cleansed* by
     order-fixing operations (``sorted``, ``min``, ``max``, ``len``,
     ``sum``). A tainted expression used as an argument to a sink —
-    ``tracer.event(...)``/``tracer.sample(...)``, ``.seed(...)``,
-    ``RngStreams(...)``, ``print(...)`` — is flagged.
+    ``tracer.event(...)``, ``.seed(...)``, ``RngStreams(...)``,
+    ``print(...)`` — is flagged.
 
 Statements are processed in source order twice, so taint carried around
 a loop back-edge still reaches a sink above its source line.
@@ -127,7 +127,7 @@ def _sink_kind(dotted: Optional[str], call: ast.Call) -> Optional[str]:
     parts = dotted.split(".")
     if parts == ["print"]:
         return "report output (`print`)"
-    if len(parts) >= 2 and parts[-2] in _TRACER_NAMES and parts[-1] in ("event", "sample"):
+    if len(parts) >= 2 and parts[-2] in _TRACER_NAMES and parts[-1] == "event":
         return "a trace event emission"
     if parts[-1] == "seed" and len(parts) >= 2:
         return "RNG seeding"

@@ -13,8 +13,8 @@ cross-checks three directions:
     * an event-name literal at an emission site (``*.tracer.event("…")``)
       that is not in ``EVENT_KINDS``;
     * a name a checker consumes (``ev.kind == "…"`` comparisons, a
-      ``consumes = ("…",)`` class attribute, ``events_named("…")``) that
-      is not in ``EVENT_KINDS``;
+      ``consumes = ("…",)`` class attribute) that is not in
+      ``EVENT_KINDS``;
     * — whole-program runs only — a vocabulary entry no site emits, or a
       consumed name no site emits (the vacuous-checker case).
 
@@ -55,8 +55,7 @@ def _emission_sites(module: Module) -> List[Tuple[ast.Call, str]]:
 
 def _consumption_sites(module: Module) -> List[Tuple[ast.AST, str]]:
     """(node, event-name) for every place a checker names an event:
-    ``consumes`` manifests, then ``ev.kind`` comparisons, then
-    ``events_named("…")`` calls."""
+    ``consumes`` manifests, then ``ev.kind`` comparisons."""
     sites: List[Tuple[ast.AST, str]] = [
         (stmt, name)
         for cls in module.classes
@@ -66,12 +65,6 @@ def _consumption_sites(module: Module) -> List[Tuple[ast.AST, str]]:
     sites.extend(
         (node, name) for node, names, _cls in module.kind_compares for name in names
     )
-    for call, dotted in module.calls:
-        if dotted is None or dotted.split(".")[-1] != "events_named":
-            continue
-        if call.args and isinstance(call.args[0], ast.Constant):
-            if isinstance(call.args[0].value, str):
-                sites.append((call, call.args[0].value))
     return sites
 
 

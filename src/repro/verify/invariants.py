@@ -1,4 +1,4 @@
-"""Declarative invariant checkers over recorded event streams.
+"""Declarative invariant checkers over a run's event stream.
 
 The schemes, runtime and GC emit structured :class:`~repro.core.tracing.TraceEvent`
 records; each checker here replays that stream and reports violations. The
@@ -44,7 +44,7 @@ event vocabulary (``kind`` → fields):
 ``resume.halt``        at — the run was halted to capture a durable line
 =====================  =====================================================
 
-Checkers are fed events in recorded order via :meth:`Checker.on_event` and
+Checkers are fed events in stream order via :meth:`Checker.on_event` and
 report accumulated :class:`TraceViolation`s from :meth:`Checker.finish`.
 They are deliberately *independent re-implementations* of the conditions
 the runtime already enforces inline — the point is cross-checking the
@@ -105,11 +105,11 @@ class TraceViolation:
 
 
 class Checker:
-    """Base class: accumulate violations while replaying the stream."""
+    """Base class: accumulate violations while fed the stream."""
 
     name = "checker"
 
-    #: the only trace-event kinds ``check_trace`` shows this checker
+    #: the only trace-event kinds the audit subscribes this checker to
     #: (``("*",)``: every event), so it must name every kind ``on_event``
     #: reads. Cross-checked against the emission sites by the analyzer's
     #: trace-conformance pass: a subscription nothing emits fails analysis.
@@ -126,7 +126,7 @@ class Checker:
         self._now = 0.0
 
     def feed(self, index: int, ev: TraceEvent) -> None:
-        """Show this checker one event, whatever its kind."""
+        """Show this checker the stream's event number *index* — its sink."""
         self._index = index
         self._now = ev.time
         self.on_event(ev)

@@ -1,34 +1,32 @@
-"""Replay a run's event stream through the invariant checkers.
+"""The trace audit: the checker battery as a sink on a run's event stream.
 
-Two entry points:
-
-* :func:`check_trace` — audit a raw event list against a :class:`RunMeta`;
-* :func:`check_runtime` — audit a finished
-  :class:`~repro.chklib.runtime.CheckpointRuntime` (metadata is derived
-  from its scheme).
-
-Post-run verification can be switched on globally
-(:func:`set_runtime_verification` or the :func:`verified` context manager):
-the runtime then audits its own trace at the end of ``run()`` and raises
-:class:`~repro.core.errors.VerificationError` on any violation. This is
-what ``--verify`` on the experiment runner toggles — every run of every
-experiment is audited post-hoc, at zero cost to the measured simulation
-(checking happens after the simulated clock stops).
+:class:`Audit` subscribes each invariant checker to a
+:class:`~repro.core.tracing.Tracer` for the kinds it ``consumes``. With
+verification on (:func:`set_runtime_verification`, the :func:`verified`
+context manager, the experiment runner's ``--verify``), ``run()`` attaches
+one to its own tracer, so every event is checked as it is emitted and
+nothing is stored for the purpose; the end of ``run()`` raises
+:class:`~repro.core.errors.VerificationError` on any violation. A resumed
+run's audit is first shown the halted run's events (a halt always records
+them into its durable line), so it judges the whole history.
+:func:`check_trace` feeds a recorded list through the same sink, and
+:func:`check_runtime` gives a finished runtime's report.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, List
 
 from ..core.errors import VerificationError
+from ..core.tracing import TraceEvent, Tracer
 
 if TYPE_CHECKING:
-    from ..core.tracing import TraceEvent
-    from .invariants import Checker, RunMeta, TraceViolation
+    from .invariants import RunMeta, TraceViolation
 
 __all__ = [
+    "Audit",
     "TraceReport",
     "check_trace",
     "check_runtime",
@@ -69,37 +67,49 @@ class TraceReport:
         raise VerificationError("\n".join(lines), violations=self.violations)
 
 
-def check_trace(events: Sequence[TraceEvent], meta: RunMeta) -> TraceReport:
-    """Replay *events* through the full checker battery.
+class Audit:
+    """The checker battery for one run, subscribed to *tracer*.
 
-    Each event visits only the checkers that consume its kind, in battery
-    order (a ``"*"`` checker sees every event); the result is what
-    feeding every event to every checker gives."""
-    from .invariants import default_checkers
+    Each checker sees only the kinds it ``consumes`` (the tracer folds
+    ``"*"`` in), through :meth:`~repro.verify.invariants.Checker.feed`
+    with the event's index in the run's stream."""
 
-    checkers = default_checkers(meta)
-    everyone = [c for c in checkers if "*" in c.consumes]
-    table: Dict[str, List[Checker]] = {
-        kind: [c for c in checkers if kind in c.consumes or "*" in c.consumes]
-        for checker in checkers
-        for kind in checker.consumes
-    }
-    for index, ev in enumerate(events):
-        for checker in table.get(ev.kind, everyone):
-            checker._index = index
-            checker.on_event(ev)
-    end = events[-1].time if events else 0.0
-    for checker in checkers:  # finish() stamps the stream's end, not its last own event
-        checker._index, checker._now = len(events) - 1, end
-    violations: List[TraceViolation] = []
-    for checker in checkers:
-        violations.extend(checker.finish())
-    violations.sort(key=lambda v: (v.time, v.event_index or 0))
-    return TraceReport(
-        events_checked=len(events),
-        invariants_run=[c.name for c in checkers],
-        violations=violations,
-    )
+    def __init__(self, tracer: Tracer, meta: RunMeta) -> None:
+        from .invariants import default_checkers
+
+        self.checkers = default_checkers(meta)
+        self.events_checked = 0
+        self.end = 0.0
+        tracer.subscribe(("*",), self._tick)
+        for checker in self.checkers:
+            tracer.subscribe(checker.consumes, checker.feed)
+
+    def _tick(self, index: int, ev: TraceEvent) -> None:
+        self.events_checked = index + 1
+        self.end = ev.time
+
+    def report(self) -> TraceReport:
+        """End the stream: every checker's end-of-stream checks, stamped
+        with the stream's last event whatever its kind, then the report."""
+        violations: List[TraceViolation] = []
+        for checker in self.checkers:
+            checker._index, checker._now = self.events_checked - 1, self.end
+            violations.extend(checker.finish())
+        violations.sort(key=lambda v: (v.time, v.event_index or 0))
+        return TraceReport(
+            events_checked=self.events_checked,
+            invariants_run=[c.name for c in self.checkers],
+            violations=violations,
+        )
+
+
+def check_trace(events: Iterable[TraceEvent], meta: RunMeta) -> TraceReport:
+    """Feed *events*, a whole recorded stream, through an :class:`Audit`."""
+    tracer = Tracer(engine=None)
+    audit = Audit(tracer, meta)
+    for ev in events:
+        tracer.publish(ev)
+    return audit.report()
 
 
 def meta_for_runtime(runtime: Any) -> RunMeta:
@@ -119,22 +129,27 @@ def meta_for_runtime(runtime: Any) -> RunMeta:
 
 
 def check_runtime(runtime: Any) -> TraceReport:
-    """Audit a finished runtime's recorded trace.
+    """The trace report of a finished runtime: its live audit's when
+    ``run()`` was audited, else a replay of its recording. A runtime with
+    neither has nothing to report, and says so with a
+    :class:`VerificationError` rather than pass on zero events."""
+    if runtime.audit_report is not None:
+        return runtime.audit_report
+    if runtime.tracer.recording:
+        return check_trace(runtime.tracer.events, meta_for_runtime(runtime))
+    raise VerificationError(
+        "nothing to audit: the run was neither audited live (verified()) "
+        "nor recorded (trace=True)"
+    )
 
-    Requires the runtime to have been built with tracing enabled
-    (``trace=True``, the default) — with tracing off there are no events
-    to audit and the report trivially passes on zero events.
-    """
-    return check_trace(runtime.tracer.events, meta_for_runtime(runtime))
 
-
-# -- global post-run verification toggle ---------------------------------------
+# -- the global live-audit toggle ------------------------------------------------
 
 _RUNTIME_VERIFICATION = False
 
 
 def set_runtime_verification(enabled: bool) -> None:
-    """Globally toggle post-run trace auditing inside ``run()``."""
+    """Globally toggle the live trace audit of every ``run()``."""
     global _RUNTIME_VERIFICATION
     _RUNTIME_VERIFICATION = bool(enabled)
 
@@ -145,7 +160,7 @@ def runtime_verification_enabled() -> bool:
 
 @contextmanager
 def verified() -> Iterator[None]:
-    """Audit every runtime that finishes inside this context."""
+    """Audit every runtime whose ``run()`` starts inside this context."""
     previous = _RUNTIME_VERIFICATION
     set_runtime_verification(True)
     try:

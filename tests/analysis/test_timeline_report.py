@@ -12,7 +12,7 @@ from repro.machine import MachineParams
 class TestTimeline:
     def test_paints_spans(self):
         eng = Engine()
-        tracer = Tracer(eng)
+        tracer = Tracer(eng).record()
         s1 = tracer.open_span("ckpt.cut", rank=0)
         eng.timeout(5.0)
         eng.run()
@@ -25,7 +25,7 @@ class TestTimeline:
 
     def test_write_spans_rendered_separately(self):
         eng = Engine()
-        tracer = Tracer(eng)
+        tracer = Tracer(eng).record()
         span = tracer.open_span("storage.write", node=1)
         eng.timeout(2.0)
         eng.run()
@@ -35,7 +35,7 @@ class TestTimeline:
         assert "~" in r1
 
     def test_empty_window_rejected(self):
-        tracer = Tracer(Engine())
+        tracer = Tracer(Engine()).record()
         with pytest.raises(ValueError):
             render_timeline(tracer, t_end=0.0)
 

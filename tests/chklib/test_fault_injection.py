@@ -193,7 +193,7 @@ class _FakeNode:
 
 def _storage_sim(spec, seed=0):
     engine = Engine()
-    tracer = Tracer(engine)
+    tracer = Tracer(engine).record()
     storage = StableStorage(engine, StorageParams(), tracer=tracer)
     storage.set_fault_injector(make_injector(spec, RngStreams(seed)))
     return engine, tracer, storage

@@ -34,8 +34,9 @@ from repro.chklib import (
 )
 from repro.chklib.schemes.msglog import MessageLoggingScheme
 from repro.chklib.resume import LINE_MAGIC
-from repro.core.errors import ResumeError
+from repro.core.errors import ResumeError, VerificationError
 from repro.machine import MachineParams
+from repro.verify import check_runtime, verified
 
 MACHINE = MachineParams(n_nodes=4)
 SEED = 7
@@ -238,6 +239,84 @@ def test_untraced_restart_continues_bitwise_identically(T):
     assert _dumps(rc) == _dumps(rb)
     assert rc.counters["chk.commits"] == rb.checkpoints_committed > 0
     assert rc.result == ra.result
+
+
+# -- the audit of a resumed run sees the whole history --------------------------
+
+
+@pytest.mark.parametrize("name", SCHEME_NAMES)
+def test_audited_resume_of_an_unrecorded_line_is_clean(name, T):
+    """A halt records its stream whatever ``trace`` says, so the live
+    audit of the resumed run starts from the halted run's events. It used
+    to see the continuation alone: ``mlog`` reported 27 violations (a
+    durable log watermark of 0, deliveries of seqs "never sent")."""
+    halted = CheckpointRuntime(
+        make_app(),
+        scheme=schemes(T)[name](),
+        machine=MACHINE,
+        seed=SEED,
+        trace=False,
+    )
+    halted.run(halt_at=0.55 * T)
+    assert halted.durable_line.meta["trace"] is False
+    with verified():
+        resumed = CheckpointRuntime.restart_from(halted.durable_line, trace=True)
+        resumed.run()
+    report = resumed.audit_report
+    assert report.ok and report.events_checked == len(resumed.tracer.events)
+
+
+def _plant_unsent_delivery(rt, at):
+    """Emit, at simulated time *at*, a delivery nothing ever sent."""
+
+    def plant():
+        yield rt.engine.timeout(at)
+        rt.tracer.event("msg.deliver", src=0, dst=1, seq=10**6, epoch=0, gen=99)
+
+    rt.engine.process(plant(), name="plant")
+
+
+def test_a_violation_before_the_halt_is_reported_after_the_restart(T):
+    halt = 0.55 * T
+
+    def runtime():
+        rt = CheckpointRuntime(
+            make_app(), scheme=schemes(T)["coord_nb"](), machine=MACHINE, seed=SEED
+        )
+        _plant_unsent_delivery(rt, 0.3 * T)
+        return rt
+
+    with verified(), pytest.raises(VerificationError) as whole:
+        runtime().run()
+    (planted,) = whole.value.violations
+    assert planted.invariant == "channel_fifo" and "never sent" in planted.message
+
+    halted = runtime()
+    halted.run(halt_at=halt)  # a halted run ends mid-protocol: not audited
+    assert halted.audit_report is None
+    with verified(), pytest.raises(VerificationError) as resumed:
+        CheckpointRuntime.restart_from(halted.durable_line).run()
+    assert resumed.value.violations == [planted]
+    assert halted.tracer.events[planted.event_index]["seq"] == 10**6
+
+
+def test_check_runtime_never_passes_on_nothing(T):
+    """A run neither audited live nor recorded has no report to give."""
+    rt = CheckpointRuntime(
+        make_app(), scheme=schemes(T)["coord_nb"](), machine=MACHINE, seed=SEED,
+        trace=False,
+    )
+    rt.run()
+    with pytest.raises(VerificationError, match="nothing to audit"):
+        check_runtime(rt)
+    with verified():
+        audited = CheckpointRuntime(
+            make_app(), scheme=schemes(T)["coord_nb"](), machine=MACHINE, seed=SEED,
+            trace=False,
+        )
+        audited.run()
+    assert check_runtime(audited) is audited.audit_report
+    assert audited.audit_report.ok and audited.tracer.events == []
 
 
 def test_halt_after_completion_never_fires(T):

@@ -248,7 +248,7 @@ def test_crash_recovery_identical_across_backends(_T, monkeypatch):
 
 
 def test_traced_verified_runs_identical_across_backends(_T, monkeypatch):
-    """--verify parity: the post-hoc trace audit passes under both
+    """--verify parity: the live trace audit passes under both
     backends and the audited trace state is byte-identical."""
     make_scheme = _schemes(_T)["indep_log"]
     states = {}

@@ -1,91 +1,109 @@
-"""Tracer behaviour: per-kind indexes, span accounting, the NullTracer."""
+"""Tracer behaviour: one event stream, dispatched by kind to its sinks."""
 
-from repro.core import Engine, NullTracer, Tracer, make_tracer
+import repro.core.tracing as tracing
+from repro.core import Engine, Tracer
+from repro.core.tracing import TraceEvent
 
 
-def test_make_tracer_selects_implementation():
+def _seen(tracer, kinds):
+    seen = []
+    tracer.subscribe(kinds, lambda index, ev: seen.append((index, ev.kind)))
+    return seen
+
+
+def test_zero_sinks_build_no_trace_event_and_keep_counters(monkeypatch):
+    built = []
+
+    class CountingEvent(TraceEvent):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(tracing, "TraceEvent", CountingEvent)
+    tr = Tracer(Engine())
+    assert not tr.enabled and not tr.recording
+    tr.add("chk.commits")
+    tr.add("bytes", 100.0)
+    tr.add("bytes", 28.0)
+    tr.event("proto.commit", round=1)
+    span = tr.open_span("ckpt", node=3)
+    assert tr.close_span(span, ok=True) is span
+    assert built == [] and tr.emitted == 0
+    assert tr.events == [] and tr.spans == []
+    assert tr.counters == {"chk.commits": 1.0, "bytes": 128.0}
+    assert tr.get("bytes") == 128.0 and tr.get("absent") == 0.0
+    # the span handed out while nothing records is shared and closed at birth
+    assert tr.open_span("other") is span and span.duration == 0.0
+
+
+def test_events_reach_only_the_sinks_of_their_kind_in_subscription_order():
+    tr = Tracer(Engine())
+    order = []
+    tr.subscribe(("msg.send",), lambda i, ev: order.append(("sends", i)))
+    tr.subscribe(("*",), lambda i, ev: order.append(("all", i)))
+    tr.subscribe(("msg.deliver", "msg.send"), lambda i, ev: order.append(("msgs", i)))
+    assert tr.enabled
+    tr.event("msg.send", src=0)
+    tr.event("proto.commit", round=1)
+    tr.event("msg.deliver", dst=1)
+    assert order == [
+        ("sends", 0), ("all", 0), ("msgs", 0),
+        ("all", 1),
+        ("all", 2), ("msgs", 2),
+    ]  # fmt: skip
+
+
+def test_a_star_sink_is_folded_into_kinds_subscribed_before_and_after_it():
+    tr = Tracer(Engine())
+    early = _seen(tr, ("msg.send",))
+    everything = _seen(tr, ("*",))
+    late = _seen(tr, ("gc.run",))
+    for kind in ("msg.send", "gc.run", "recover.crash"):
+        tr.event(kind)
+    assert early == [(0, "msg.send")] and late == [(1, "gc.run")]
+    assert everything == [(0, "msg.send"), (1, "gc.run"), (2, "recover.crash")]
+
+
+def test_recording_sink_keeps_events_and_spans_and_filters_by_name():
     eng = Engine()
-    assert type(make_tracer(eng, enabled=True)) is Tracer
-    assert type(make_tracer(eng, enabled=False)) is NullTracer
-
-
-def test_events_named_uses_per_kind_index():
-    eng = Engine()
-    tr = Tracer(eng)
+    tr = Tracer(eng).record()
+    assert tr.record() is tr and tr.recording
     tr.event("msg.send", src=0)
     tr.event("msg.deliver", dst=1)
     tr.event("msg.send", src=2)
-    sends = tr.events_named("msg.send")
-    assert [e["src"] for e in sends] == [0, 2]
-    assert tr.events_named("msg.deliver")[0]["dst"] == 1
+    assert [e["src"] for e in tr.events_named("msg.send")] == [0, 2]
     assert tr.events_named("nothing") == []
-    # the returned list is a fresh copy: mutating it must not corrupt
-    # the index
-    sends.clear()
-    assert len(tr.events_named("msg.send")) == 2
-
-
-def test_spans_named_and_total_span_time_skip_open_spans():
-    eng = Engine()
-    tr = Tracer(eng)
     s1 = tr.open_span("ckpt", node=0)
     eng._now = 2.0
     tr.close_span(s1, bytes=10)
     tr.open_span("ckpt", node=1)  # stays open
-    s3 = tr.open_span("other")
-    eng._now = 5.0
-    tr.close_span(s3)
-    assert len(tr.spans_named("ckpt")) == 2
-    # only the *closed* ckpt span counts; the open one and the
-    # differently-named one do not
-    assert tr.total_span_time("ckpt") == 2.0
-    assert tr.total_span_time("other") == 3.0
-    assert tr.total_span_time("absent") == 0.0
-    assert s1.attrs == {"node": 0, "bytes": 10}
+    assert [s.attrs["node"] for s in tr.spans_named("ckpt")] == [0, 1]
+    assert s1.duration == 2.0 and s1.attrs == {"node": 0, "bytes": 10}
 
 
-def test_disabled_tracer_records_nothing():
+def test_restored_history_is_shown_to_each_sink_first_and_indices_continue():
     eng = Engine()
-    tr = make_tracer(eng, enabled=False)
-    assert not tr.enabled
-    tr.event("proto.commit", round=1)
-    tr.sample("load", 1.0)
-    span = tr.open_span("ckpt", node=3)
-    assert tr.close_span(span, ok=True) is span
-    # nothing was recorded, all read accessors answer with empties
-    assert tr.events == [] and tr.spans == [] and tr.timelines == {}
-    assert tr.events_named("proto.commit") == []
-    assert tr.spans_named("ckpt") == []
-    assert tr.total_span_time("ckpt") == 0.0
-    # the shared null span is closed at birth: duration is well-defined
-    assert span.duration == 0.0
+    halted = Tracer(eng).record()
+    halted.add("chk.commits")
+    halted.event("msg.send", src=0)
+    halted.event("proto.commit", round=1)
+    state = halted.export_state()
+    assert state == {
+        "counters": {"chk.commits": 1.0},
+        "events": [(0.0, "msg.send", {"src": 0}), (0.0, "proto.commit", {"round": 1})],
+    }
 
-
-def test_null_tracer_counts_everything():
-    """Counters feed the RunReport, so they do not depend on recording."""
-    eng = Engine()
-    null, full = NullTracer(eng), Tracer(eng)
-    for tr in (null, full):
-        tr.add("chk.commits")
-        tr.add("bytes", 100.0)
-        tr.add("bytes", 28.0)
-        tr.event("proto.commit", round=1)
-    assert null.counters == full.counters == {"chk.commits": 1.0, "bytes": 128.0}
-    assert null.get("bytes") == 128.0 and null.get("absent") == 0.0
-    # a durable line carries the counters of an unrecorded run ...
-    state = null.export_state()
-    assert state == {"counters": null.counters, "events": [], "timelines": {}}
-    # ... and a resumed unrecorded run takes the counters and nothing else
-    resumed = NullTracer(eng)
-    resumed.restore_state(full.export_state())
-    assert resumed.counters == full.counters
-    assert resumed.events == [] and resumed.events_named("proto.commit") == []
-    recording = Tracer(eng)
-    recording.restore_state(full.export_state())
-    assert [e.kind for e in recording.events] == ["proto.commit"]
-
-
-def test_null_tracer_span_is_shared_singleton():
-    eng = Engine()
-    tr = NullTracer(eng)
-    assert tr.open_span("a") is tr.open_span("b")
+    resumed = Tracer(eng)
+    resumed.restore_state(state)
+    assert resumed.counters == halted.counters and not resumed.enabled
+    commits = _seen(resumed, ("proto.commit",))
+    resumed.record()
+    resumed.event("proto.commit", round=2)
+    assert commits == [(1, "proto.commit"), (2, "proto.commit")]
+    kinds = [e.kind for e in resumed.events]
+    assert kinds == ["msg.send", "proto.commit", "proto.commit"]
+    # a resumed tracer nothing subscribes to keeps the counters only
+    quiet = Tracer(eng)
+    quiet.restore_state(state)
+    quiet.event("proto.commit", round=2)
+    assert quiet.export_state() == {"counters": {"chk.commits": 1.0}, "events": []}

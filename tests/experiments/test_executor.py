@@ -148,37 +148,41 @@ def test_run_cell_is_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
-def test_run_cell_records_only_under_the_audit(monkeypatch):
-    """Only the report leaves ``run_cell``, so a cell builds trace events
-    only when the post-run audit is on to read them — and then the audit
-    reads every one of them. The report is the same either way."""
+def test_verified_run_cell_builds_events_only_for_the_live_audit(monkeypatch):
+    """Only the report leaves ``run_cell``, so a cell records nothing: an
+    unaudited cell builds no trace event, and under ``verified()`` it
+    builds exactly the events its live audit checks and keeps no list of
+    them. The report is the same either way."""
     import repro.core.tracing as tracing
-    import repro.verify.trace_check as trace_check
+    from repro.chklib.runtime import CheckpointRuntime
+    from repro.verify import trace_check
 
     built = []
-    audited = []
+    runtimes = []
 
     class CountingEvent(tracing.TraceEvent):
         def __init__(self, *args, **kwargs):
             built.append(1)
             super().__init__(*args, **kwargs)
 
-    real_check = trace_check.check_trace
+    real_run = CheckpointRuntime.run
 
-    def counting_check(events, meta):
-        report = real_check(events, meta)
-        audited.append(report.events_checked)
-        return report
+    def run(self, *args, **kwargs):
+        runtimes.append(self)
+        return real_run(self, *args, **kwargs)
 
     monkeypatch.setattr(tracing, "TraceEvent", CountingEvent)
-    monkeypatch.setattr(trace_check, "check_trace", counting_check)
+    monkeypatch.setattr(CheckpointRuntime, "run", run)
     cell = Cell(workload=_TINY, scheme=SchemeSpec.of("coord_nbms", (0.002, 0.004)))
 
     quiet = run_cell(cell)
     assert quiet.checkpoints_committed > 0
-    assert built == [] and audited == []
+    assert built == [] and runtimes[-1].audit_report is None
 
     with trace_check.verified():
         loud = run_cell(cell)
-    assert len(built) > 0 and audited == [len(built)]
+    rt = runtimes[-1]
+    assert len(built) > 0 and rt.audit_report.events_checked == len(built)
+    assert rt.audit_report.ok
+    assert not rt.tracer.recording and rt.tracer.events == []
     assert loud.to_dict() == quiet.to_dict()

@@ -190,7 +190,7 @@ def test_single_stream_time_helper():
 
 def test_tracer_records_storage_spans():
     eng = Engine()
-    tracer = Tracer(eng)
+    tracer = Tracer(eng).record()
     params = StorageParams(op_latency=0.0, bandwidth=1000.0, thrash=0.0)
     storage = StableStorage(eng, params, tracer=tracer)
     cluster = Cluster(eng, MachineParams(n_nodes=1))

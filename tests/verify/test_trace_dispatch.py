@@ -1,10 +1,12 @@
-"""The trace audit's kind dispatch, checked against the loop it replaced.
+"""The live trace audit's kind dispatch, checked against the loop it replaced.
 
-``check_trace`` shows each event only to the checkers whose ``consumes``
-names its kind. :func:`reference_check_trace` is the all-checkers ×
-all-events loop it replaced, kept here as the oracle: on every trace both
-must give an equal :class:`TraceReport` (events checked, invariants run,
-and each violation's invariant, message, time and event index).
+Under ``verified()`` each event a run emits is shown only to the checkers
+whose ``consumes`` names its kind, through the tracer's subscription
+table. :func:`reference_check_trace` is the all-checkers × all-events
+loop over a recorded stream, kept here as the oracle: on every run the
+live report and the reference over the run's recording must be equal
+(events checked, invariants run, and each violation's invariant, message,
+time and event index).
 
 Dispatch is only as good as ``consumes``: a kind a checker reads but does
 not declare is a kind it never sees. The last tests read every checker's
@@ -17,9 +19,11 @@ from pathlib import Path
 
 import pytest
 
+from repro.chklib import CheckpointRuntime
 from repro.chklib.schemes.registry import REGISTRY
+from repro.core.errors import VerificationError
 from repro.core.tracing import TraceEvent
-from repro.verify import invariants, smoke
+from repro.verify import invariants, smoke, verified
 from repro.verify.analyze.frontend import Module
 from repro.verify.invariants import Checker, CicIndexRule, RunMeta, default_checkers
 from repro.verify.trace_check import TraceReport, check_trace, meta_for_runtime
@@ -54,10 +58,14 @@ def reference_check_trace(events, meta):
     )
 
 
-def _audit_both(runtime):
+def _live_matches_reference(runtime):
+    """The runtime's live report, checked against the oracle over its
+    recording (and against :func:`check_trace`, the same sink fed a list)."""
     events, meta = runtime.tracer.events, meta_for_runtime(runtime)
-    report = check_trace(events, meta)
+    report = runtime.audit_report
+    assert report is not None and report.events_checked == len(events)
     assert report == reference_check_trace(events, meta)
+    assert report == check_trace(events, meta)
     return report
 
 
@@ -68,15 +76,16 @@ def _ev(time, kind, **fields):
 # -- the oracle ----------------------------------------------------------------
 
 
-def test_smoke_battery_traces_match_reference(monkeypatch):
+def test_smoke_battery_live_reports_match_reference(monkeypatch):
     audited = []
 
     def audit(runtime):
         audited.append(runtime.scheme.name)
-        return _audit_both(runtime)
+        return _live_matches_reference(runtime)
 
     monkeypatch.setattr(smoke, "check_runtime", audit)
-    results = smoke.run_smoke(seed=0, crash=True)
+    with verified():
+        results = smoke.run_smoke(seed=0, crash=True)
     assert len(audited) == len(smoke.SMOKE_SCHEMES)
     assert all(report.ok for _name, report in results)
 
@@ -98,9 +107,19 @@ MUTANTS = {
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_mutant_traces_match_reference(name):
-    report = _audit_both(MUTANTS[name]())
-    assert not report.ok
+def test_mutant_live_reports_match_reference(name, monkeypatch):
+    runtimes = []
+    real_run = CheckpointRuntime.run
+
+    def run(self, *args, **kwargs):
+        runtimes.append(self)
+        return real_run(self, *args, **kwargs)
+
+    monkeypatch.setattr(CheckpointRuntime, "run", run)
+    with verified(), pytest.raises(VerificationError) as caught:
+        MUTANTS[name]()
+    report = _live_matches_reference(runtimes[-1])
+    assert not report.ok and caught.value.violations == report.violations
 
 
 def test_pending_cic_obligation_is_stamped_at_the_stream_end():
