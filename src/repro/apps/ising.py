@@ -166,9 +166,9 @@ class Ising(Application):
                     # consume in send order (matters when size == 2 and
                     # both halos come over the same channel): every rank
                     # sends its DOWN-tagged row first.
-                    msg = yield from comm.recv(source=down, tag=_TAG_DOWN)
+                    msg = yield comm.recv(source=down, tag=_TAG_DOWN)
                     spins[-1, :] = msg.payload
-                    msg = yield from comm.recv(source=up, tag=_TAG_UP)
+                    msg = yield comm.recv(source=up, tag=_TAG_UP)
                     spins[0, :] = msg.payload
                 else:
                     spins[0, :] = spins[-2]

@@ -103,7 +103,7 @@ class NBody(Application):
             travel = (pos.copy(), mass.copy())
             for _hop in range(ctx.size - 1):
                 yield from comm.send(right, travel, tag=_TAG_RING)
-                msg = yield from comm.recv(source=left, tag=_TAG_RING)
+                msg = yield comm.recv(source=left, tag=_TAG_RING)
                 travel = msg.payload
                 force += _block_forces(pos, travel[0], travel[1])
                 yield from ctx.compute(pair_flops)

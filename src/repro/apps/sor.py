@@ -169,10 +169,10 @@ class SOR(Application):
                 if down is not None:
                     yield from comm.send(down, grid[-2].copy(), tag=_TAG_UP)
                 if up is not None:
-                    msg = yield from comm.recv(source=up, tag=_TAG_UP)
+                    msg = yield comm.recv(source=up, tag=_TAG_UP)
                     grid[0, :] = msg.payload
                 if down is not None:
-                    msg = yield from comm.recv(source=down, tag=_TAG_DOWN)
+                    msg = yield comm.recv(source=down, tag=_TAG_DOWN)
                     grid[-1, :] = msg.payload
                 if my_rows > 0:
                     _sweep(grid, lo, self.omega, phase)

@@ -164,7 +164,7 @@ class CheckpointRuntime:
         self.machine_params = machine or MachineParams.xplorer8()
         self.cluster = Cluster(self.engine, self.machine_params, tracer=self.tracer)
         self.n_ranks = self.cluster.n_nodes
-        self.transport = Transport(self.cluster, tracer=self.tracer)
+        self.transport = Transport(self.cluster)
         self.storage = self.cluster.storage
         self.store = CheckpointStore(self.n_ranks)
         self.scheme = scheme or NoCheckpointing()
@@ -786,7 +786,7 @@ class CheckpointRuntime:
             control_bytes=self.transport.control_bytes,
             app_messages=self.transport.messages_sent,
             app_bytes=self.transport.bytes_sent,
-            counters=dict(self.tracer.counters),
+            counters={**self.tracer.counters, **self.transport.counters()},
             recoveries=list(self.recoveries),
             storage_write_faults=self.storage.write_faults,
             storage_read_faults=self.storage.read_faults,

@@ -180,8 +180,9 @@ class SchemeAgent(CommAgent):
     # -- checkpoint points ------------------------------------------------------
 
     def at_point(self) -> Generator[Any, Any, None]:
-        """Called by the application at every checkpoint point."""
-        yield from self.scheme.at_point(self)
+        """Called by the application at every checkpoint point: the
+        scheme's generator for this rank (``yield from`` it)."""
+        return self.scheme.at_point(self)
 
     # -- what a checkpoint holds on the host --------------------------------
     #

@@ -158,6 +158,20 @@ def run_cell(cell: Cell) -> RunReport:
     return report
 
 
+def _freeze_heap() -> None:
+    """Move the import-time heap out of the cyclic collector's reach, once
+    per process (the frozen generation is the process's own), before its
+    first cell: :func:`run_cell`'s ``gc.collect()`` then walks only what
+    the cells allocate (~7 ms a call before, ~0.2 ms after, on
+    ``sor-128`` cells)."""
+    if gc.get_freeze_count():
+        return
+    from ..chklib import runtime  # noqa: F401 - what every cell imports first
+
+    gc.collect()
+    gc.freeze()
+
+
 # -- worker-process side ------------------------------------------------------
 
 #: per-worker cell timeout, installed by :func:`_worker_init` (seconds,
@@ -172,6 +186,7 @@ def _worker_init(verify: bool, cell_timeout: float = 0.0) -> None:  # pragma: no
         from ..verify.trace_check import set_runtime_verification
 
         set_runtime_verification(True)
+    _freeze_heap()
 
 
 def _call_with_timeout(task, cell: Cell, timeout: float):
@@ -421,6 +436,7 @@ class GridExecutor:
     def _run_serial(self, todo: List[Tuple[str, Cell]]) -> None:
         """In-process execution (``jobs=1`` and the post-pool-crash
         degradation path)."""
+        _freeze_heap()
         for key, cell in todo:
             attempts = 0
             while True:

@@ -7,8 +7,13 @@ One :class:`Comm` per rank. Point-to-point semantics:
   matters for the paper's results — a process blocked inside a checkpoint
   stalls only the processes that *receive from* it, which is exactly the
   stall-propagation mechanism that penalises independent checkpointing in
-  tightly-coupled applications.
-* ``recv`` blocks until a matching message was consumed.
+  tightly-coupled applications. The message is built, validated and put on
+  the sender's wire at the call; the returned generator (drive it with
+  ``yield from``) waits out the wire time.
+* ``recv`` returns the mailbox's :class:`~repro.net.mailbox.RecvRequest`;
+  ``yield`` it to block until a matching message was consumed. The match
+  is made at the call, so a ``recv`` that is not yielded still consumes a
+  buffered message.
 * per-``(src, dst)`` channels are reliable and FIFO; consumption within a
   channel is enforced to be in sequence order (the checkpoint layer's
   dependency accounting is prefix-based).
@@ -20,17 +25,14 @@ suppression, control routing) and consumptions (dependency counting).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional
+from typing import Any, Dict, Generator, Optional
 
 from ..core.errors import SimulationError
 from ..core.events import Event
 from ..core.process import Process
-from .mailbox import Mailbox
+from .mailbox import Mailbox, RecvRequest
 from .message import ANY_SOURCE, ANY_TAG, KIND_APP, Message
 from .transport import Transport
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 __all__ = ["Comm", "CommAgent"]
 
@@ -126,13 +128,14 @@ class Comm:
     def send(
         self, dst: int, payload: Any, tag: int = 0
     ) -> Generator[Event, Any, None]:
-        """Eager send; returns after the wire time."""
+        """Eager send: builds and validates the message now and returns the
+        generator that blocks for its wire time (``yield from``)."""
         msg = self._make_app_message(dst, payload, tag)
         extra = self.agent.send_extra(msg) if self.agent is not None else None
-        if extra is not None:
-            msg.finalize_size()
-            yield from extra
-        yield from self.transport.send(msg)
+        if extra is None:
+            return self.transport.send(msg)
+        msg.finalize_size()
+        return self._send_after(extra, msg)
 
     def isend(self, dst: int, payload: Any, tag: int = 0) -> Process:
         """Non-blocking send; returns a process event to optionally wait on.
@@ -141,18 +144,14 @@ class Comm:
         order is fixed at call time even though the wire transfer proceeds
         in the background.
         """
-        msg = self._make_app_message(dst, payload, tag)
-        extra = self.agent.send_extra(msg) if self.agent is not None else None
-        if extra is None:
-            body = self.transport.send(msg)
-        else:
-            msg.finalize_size()
-            body = self._isend_with_extra(extra, msg)
+        body = self.send(dst, payload, tag)
         proc = self.engine.process(body, name=f"isend:{self.rank}->{dst}")
         proc.defused = True  # failure surfaces via transport invariants
         return proc
 
-    def _isend_with_extra(self, extra, msg: Message):
+    def _send_after(self, extra, msg: Message):
+        """The sender's extra work first, then the wire (claimed only once
+        the extra work is done)."""
         yield from extra
         yield from self.transport.send(msg)
 
@@ -176,12 +175,10 @@ class Comm:
             self.agent.on_send(msg)
         return msg
 
-    def recv(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> Generator[Event, Any, Message]:
-        """Blocking receive; returns the matched :class:`Message`."""
-        msg = yield self.mailbox.recv(source, tag)
-        return msg
+    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
+        """Blocking receive: ``yield`` the request; it fires with the
+        matched :class:`Message`."""
+        return self.mailbox.recv(source, tag)
 
     def probe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Optional[Message]:
         """Oldest matching buffered message without consuming it, else None."""

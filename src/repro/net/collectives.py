@@ -74,7 +74,7 @@ def barrier(comm: Comm) -> Generator[Event, Any, None]:
         dst = (comm.rank + dist) % p
         src = (comm.rank - dist) % p
         yield from comm.send(dst, None, tag=_slot_tag_prev(comm, round_no))
-        yield from comm.recv(source=src, tag=_slot_tag_prev(comm, round_no))
+        yield comm.recv(source=src, tag=_slot_tag_prev(comm, round_no))
         dist *= 2
         round_no += 1
 
@@ -102,7 +102,7 @@ def bcast(comm: Comm, value: Any = None, root: int = 0) -> Generator[Event, Any,
         while (highest << 1) <= vrank:
             highest <<= 1
         parent = ((vrank - highest) + root) % p
-        msg = yield from comm.recv(source=parent, tag=_slot_tag_prev(comm, 0))
+        msg = yield comm.recv(source=parent, tag=_slot_tag_prev(comm, 0))
         value = msg.payload
     # forward to children: vrank + 2^k for every 2^k above vrank's highest
     # set bit (all powers for the root).
@@ -136,7 +136,7 @@ def reduce(
         peer_v = vrank + mask
         if peer_v < p:
             child = (peer_v + root) % p
-            msg = yield from comm.recv(source=child, tag=_slot_tag_prev(comm, 0))
+            msg = yield comm.recv(source=child, tag=_slot_tag_prev(comm, 0))
             acc = op(acc, msg.payload)
         mask <<= 1
     return acc if comm.rank == root else None
@@ -162,7 +162,7 @@ def gather(
         for src in range(comm.size):
             if src == root:
                 continue
-            msg = yield from comm.recv(source=src, tag=_slot_tag_prev(comm, 0))
+            msg = yield comm.recv(source=src, tag=_slot_tag_prev(comm, 0))
             out[src] = msg.payload
         return out
     yield from comm.send(root, value, tag=_slot_tag_prev(comm, 0))
@@ -185,7 +185,7 @@ def scatter(
                 continue
             yield from comm.send(dst, values[dst], tag=_slot_tag_prev(comm, 0))
         return values[root]
-    msg = yield from comm.recv(source=root, tag=_slot_tag_prev(comm, 0))
+    msg = yield comm.recv(source=root, tag=_slot_tag_prev(comm, 0))
     return msg.payload
 
 
@@ -203,7 +203,7 @@ def alltoall(comm: Comm, values: List[Any]) -> Generator[Event, Any, List[Any]]:
         peer = (comm.rank + step) % p
         source = (comm.rank - step) % p
         yield from comm.send(peer, values[peer], tag=_slot_tag_prev(comm, step))
-        msg = yield from comm.recv(
+        msg = yield comm.recv(
             source=source, tag=_slot_tag_prev(comm, step)
         )
         out[source] = msg.payload

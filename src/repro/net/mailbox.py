@@ -7,6 +7,11 @@ Within one channel (fixed ``src``) consumption is therefore FIFO as long as
 the application does not use tag-selective receives to jump the queue — the
 checkpointing layer's per-channel accounting relies on in-order consumption
 and enforces it (see :class:`repro.net.api.Comm`).
+
+A receive matches at the call: :meth:`Mailbox.recv` consumes a buffered
+match at once (its request fires at this instant) or parks the request
+until a delivery matches it. The match test is written out inline in
+:meth:`~Mailbox.deliver` and :meth:`~Mailbox.recv`, the two hot paths.
 """
 
 from __future__ import annotations
@@ -32,11 +37,6 @@ class RecvRequest(Event):
         self.source = source
         self.tag = tag
 
-    def matches(self, msg: Message) -> bool:
-        return (self.source == ANY_SOURCE or self.source == msg.src) and (
-            self.tag == ANY_TAG or self.tag == msg.tag
-        )
-
 
 class Mailbox:
     """Delivered-message buffer with wildcard matching."""
@@ -54,8 +54,12 @@ class Mailbox:
 
     def deliver(self, msg: Message) -> None:
         """A message arrived from the transport; match or buffer it."""
+        src = msg.src
+        tag = msg.tag
         for i, waiter in enumerate(self._waiters):
-            if waiter.matches(msg):
+            if (waiter.source == ANY_SOURCE or waiter.source == src) and (
+                waiter.tag == ANY_TAG or waiter.tag == tag
+            ):
                 del self._waiters[i]
                 self._consume(msg, waiter)
                 return
@@ -67,7 +71,9 @@ class Mailbox:
         """Consume the oldest matching message (event fires with it)."""
         req = RecvRequest(self.engine, source, tag)
         for i, msg in enumerate(self.pending):
-            if req.matches(msg):
+            if (source == ANY_SOURCE or source == msg.src) and (
+                tag == ANY_TAG or tag == msg.tag
+            ):
                 del self.pending[i]
                 self._consume(msg, req)
                 return req

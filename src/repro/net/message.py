@@ -66,6 +66,8 @@ def payload_nbytes(payload: Any) -> int:
     buffers); everything else at its pickled size. Small scalars get a
     floor of 8 bytes.
     """
+    if payload.__class__ is np.ndarray:  # the apps' halo rows and blocks
+        return payload.nbytes
     if payload is None:
         return 0
     if isinstance(payload, np.ndarray):
@@ -81,7 +83,7 @@ def payload_nbytes(payload: Any) -> int:
     return len(pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """One message on the wire (or recorded into a checkpoint)."""
 

@@ -1,14 +1,21 @@
 """The wire: maps messages onto the machine's links.
 
-Sending occupies the sender's outbound link engine for the transfer time
+Sending occupies the sender's outbound link for the transfer time
 (latency + size/bandwidth, inflated by the current network pressure from
 checkpoint streams crossing the interconnect), then delivers to the
-destination endpoint. Each rank's outbound wire is a claim queue the
-transport owns: the head of the rank's deque holds the wire, the rest wait
-in call order, and a claim's event fires when it reaches the head.
-Per-sender FIFO falls out of that queue — which is exactly the ordering
-guarantee the marker protocol needs (a marker sent after a cut arrives
-after all pre-cut messages from that sender).
+destination endpoint. Each rank's outbound wire is a queue the transport
+owns: the head holds the wire, the rest wait in call order. A send that
+finds its wire free is granted at the call — it reads the pressure and
+schedules the wire time there and then, and fires no claim event. A send
+that finds the wire busy appends a claim ``Event``, which fires when it
+reaches the head; only then is the pressure read. Per-sender FIFO falls
+out of that queue — which is exactly the ordering guarantee the marker
+protocol needs (a marker sent after a cut arrives after all pre-cut
+messages from that sender).
+
+The transport's message and byte counts are the run's only ``net.*``
+counts: the runtime copies them into ``RunReport.counters`` at report
+time (:meth:`Transport.counters`).
 """
 
 from __future__ import annotations
@@ -18,10 +25,9 @@ from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, Generator, List
 
 from ..core.errors import SizeOnlyError
 from ..core.events import Event
-from .message import SIZE_ONLY, Message
+from .message import KIND_APP, SIZE_ONLY, Message
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.tracing import Tracer
     from ..machine.cluster import Cluster
 
 __all__ = ["Transport"]
@@ -43,22 +49,21 @@ class Transport:
     VOLATILE_FIELDS = (
         "cluster",
         "engine",
-        "tracer",
         "endpoints",
         "_next_seq",
         "_wires",
     )
 
-    def __init__(self, cluster: "Cluster", tracer: "Tracer | None" = None) -> None:
+    def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
         self.engine = cluster.engine
-        self.tracer = tracer
         #: per-rank delivery targets, registered by Comm instances.
         self.endpoints: Dict[int, Callable[[Message], None]] = {}
         #: per-(src, dst) next sequence number.
         self._next_seq: Dict[tuple[int, int], int] = {}
-        #: per-rank outbound wire: the claim at the head holds it, the
-        #: others wait behind it in call order.
+        #: per-rank outbound wire: the head holds it (the wire time of a
+        #: transfer granted at its call, or a claim that reached the head),
+        #: the claims behind it wait in call order.
         self._wires: List[Deque[Event]] = [
             deque() for _ in range(cluster.n_nodes)
         ]
@@ -98,10 +103,11 @@ class Transport:
     def send(self, msg: Message) -> Generator[Event, Any, None]:
         """Transfer *msg*; blocks the calling process for the wire time.
 
-        The sender's link slot is *claimed at call time* (not at first
+        The sender's wire is *claimed at call time* (not at first
         iteration of the returned generator), so a mix of ``isend`` and
         ``send`` from one rank transfers in call order — the FIFO guarantee
-        the marker protocol depends on.
+        the marker protocol depends on. On a free wire the transfer starts
+        at the call: the returned generator only waits out the wire time.
         """
         if msg.dst not in self.endpoints:
             raise KeyError(f"no endpoint registered for rank {msg.dst}")
@@ -109,23 +115,31 @@ class Transport:
             raise ValueError(f"self-send not allowed: {msg!r}")
         msg.finalize_size()
         wire = self._wires[msg.src]
-        claim = Event(self.engine)
-        wire.append(claim)
-        if len(wire) == 1:
-            claim.succeed()  # the wire was free: granted now
-        return self._transfer(msg, wire, claim)
+        if wire:  # busy: wait in line for the claims ahead
+            claim = Event(self.engine)
+            wire.append(claim)
+            return self._transfer(msg, wire, claim, None)
+        hop = self._hop(msg)  # free: granted now, the wire time starts
+        wire.append(hop)
+        return self._transfer(msg, wire, hop, hop)
+
+    def _hop(self, msg: Message) -> Event:
+        """The wire time of *msg* from now: its route's cost under the
+        pressure of this instant (one pooled delay per message)."""
+        cluster = self.cluster
+        pressure = cluster.network_pressure()
+        return self.engine.delay(
+            cluster.message_time(msg.size, msg.src, msg.dst) * pressure
+        )
 
     def _transfer(
-        self, msg: Message, wire: Deque[Event], claim: Event
+        self, msg: Message, wire: Deque[Event], claim: Event, hop: "Event | None"
     ) -> Generator[Event, Any, None]:
         try:
-            yield claim
-            pressure = self.cluster.network_pressure()
-            # pooled delay: one per message, recycled by the engine; the
-            # (src, dst) pair routes through the topology's link cost
-            yield self.engine.delay(
-                self.cluster.message_time(msg.size, msg.src, msg.dst) * pressure
-            )
+            if hop is None:
+                yield claim
+                hop = self._hop(msg)
+            yield hop
         finally:
             # release (or withdraw, if interrupted while queued): the next
             # claim in line is granted at this instant
@@ -135,22 +149,23 @@ class Transport:
                     wire[0].succeed()
             else:
                 wire.remove(claim)
-        self._account(msg)
-        self.endpoints[msg.dst](msg)
-
-    def _account(self, msg: Message) -> None:
-        if msg.kind == "app":
+        if msg.kind == KIND_APP:
             self.messages_sent += 1
             self.bytes_sent += msg.size
-            if self.tracer:
-                self.tracer.add("net.app_messages")
-                self.tracer.add("net.app_bytes", msg.size)
         else:
             self.control_messages += 1
             self.control_bytes += msg.size
-            if self.tracer:
-                self.tracer.add("net.control_messages")
-                self.tracer.add("net.control_bytes", msg.size)
+        self.endpoints[msg.dst](msg)
+
+    def counters(self) -> Dict[str, float]:
+        """The run's ``net.*`` counts, each present only once non-zero."""
+        counts = {
+            "net.app_messages": self.messages_sent,
+            "net.app_bytes": self.bytes_sent,
+            "net.control_messages": self.control_messages,
+            "net.control_bytes": self.control_bytes,
+        }
+        return {name: float(n) for name, n in counts.items() if n}
 
     def deliver_local(self, msg: Message) -> None:
         """Inject a message directly into an endpoint without wire time

@@ -56,8 +56,12 @@ __all__ = [
 #: ``# verify: allow`` / ``# verify: allow[rule-a, rule-b]``
 ALLOW_RE = re.compile(r"#\s*verify:\s*allow(?:\[([a-z\-,\s]+)\])?")
 
-#: generator-returning simulation primitives that are inert unless driven
-#: by ``yield``/``yield from`` (or handed to the engine/spawn explicitly).
+#: simulation primitives whose result must be driven by ``yield``/``yield
+#: from`` (or handed to the engine/spawn explicitly). Listed by name, so
+#: they are flagged whether or not their definition is a generator
+#: function: ``Comm.send`` and ``Ctx.checkpoint_point`` return another
+#: function's generator, and ``Comm.recv`` returns its request — a bare
+#: ``recv`` still consumes a buffered message that nothing then reads.
 GENERATOR_PRIMITIVES = {
     "timeout",
     "compute",

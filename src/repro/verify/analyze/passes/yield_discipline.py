@@ -2,7 +2,8 @@
 
 The kernel's simulation primitives (``ctx.compute``, ``node.send``, …)
 and every project coroutine built on them return *generators* — inert
-until driven by ``yield from`` (or spawned as a process):
+until driven by ``yield from`` (or spawned as a process) — or, like
+``comm.recv``, an event that must be yielded:
 
 ``undriven-generator``
     * an engine primitive (:data:`~..frontend.GENERATOR_PRIMITIVES`) or
@@ -83,9 +84,9 @@ def yield_discipline_pass(project: Project) -> List[Finding]:
                         line=stmt.lineno,
                         col=stmt.col_offset,
                         message=(
-                            f"`{name}(...)` is generator-returning but called "
-                            f"as a plain statement — the coroutine never runs; "
-                            f"drive it with `yield from` (or spawn it)"
+                            f"`{name}(...)` returns a generator or event but "
+                            f"is called as a plain statement — it is never "
+                            f"driven; `yield from` / `yield` it (or spawn it)"
                         ),
                     )
                 )

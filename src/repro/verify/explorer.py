@@ -72,7 +72,7 @@ class Ring(Application):
         left = (ctx.rank - 1) % ctx.size
         while state["iter"] < self.iters:
             yield from ctx.comm.send(right, state["iter"], tag=1)
-            msg = yield from ctx.comm.recv(source=left, tag=1)
+            msg = yield ctx.comm.recv(source=left, tag=1)
             state["acc"] = (state["acc"] * 31 + msg.payload) % 1_000_003
             yield from ctx.compute(self.flops)
             state["iter"] += 1

@@ -41,7 +41,7 @@ class Ring(Application):
         left = (ctx.rank - 1) % ctx.size
         while state["iter"] < self.iters:
             yield from ctx.comm.send(right, state["iter"], tag=1)
-            msg = yield from ctx.comm.recv(source=left, tag=1)
+            msg = yield ctx.comm.recv(source=left, tag=1)
             state["acc"] += msg.payload
             yield from ctx.compute(self.flops)
             state["iter"] += 1
@@ -69,7 +69,7 @@ class OneWay(Application):
             if ctx.rank == 0:
                 yield from ctx.comm.send(1, state["iter"], tag=1)
             else:
-                msg = yield from ctx.comm.recv(source=0, tag=1)
+                msg = yield ctx.comm.recv(source=0, tag=1)
                 state["acc"] += msg.payload
             yield from ctx.compute(self.flops)
             state["iter"] += 1

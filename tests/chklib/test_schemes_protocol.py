@@ -41,7 +41,7 @@ class PingPong(Application):
         left = (ctx.rank - 1) % ctx.size
         while state["iter"] < self.iters:
             yield from ctx.comm.send(right, state["iter"], tag=1)
-            msg = yield from ctx.comm.recv(source=left, tag=1)
+            msg = yield ctx.comm.recv(source=left, tag=1)
             state["acc"] += msg.payload
             yield from ctx.compute(self.flops)
             state["iter"] += 1

@@ -15,7 +15,7 @@ def test_send_recv_roundtrip(world):
         yield from comms[0].send(1, {"x": 42}, tag=7)
 
     def receiver():
-        msg = yield from comms[1].recv(source=0, tag=7)
+        msg = yield comms[1].recv(source=0, tag=7)
         got.append(msg.payload)
 
     eng.process(sender())
@@ -33,7 +33,7 @@ def test_send_blocks_for_wire_time(world):
         done.append(eng.now)
 
     def receiver():
-        yield from comms[1].recv()
+        yield comms[1].recv()
 
     eng.process(sender())
     eng.process(receiver())
@@ -53,7 +53,7 @@ def test_send_is_eager_does_not_wait_for_receiver(world):
 
     def late_receiver():
         yield eng.timeout(100.0)
-        yield from comms[1].recv()
+        yield comms[1].recv()
 
     eng.process(sender())
     eng.process(late_receiver())
@@ -71,7 +71,7 @@ def test_fifo_per_channel(world):
 
     def receiver():
         for _ in range(5):
-            msg = yield from comms[1].recv(source=0)
+            msg = yield comms[1].recv(source=0)
             got.append(msg.payload)
 
     eng.process(sender())
@@ -91,7 +91,7 @@ def test_sequence_numbers_per_channel(world):
 
     def receiver(rank, n):
         for _ in range(n):
-            msg = yield from comms[rank].recv()
+            msg = yield comms[rank].recv()
             seqs.append((rank, msg.seq))
 
     eng.process(sender())
@@ -111,7 +111,7 @@ def test_any_source_matching(world):
 
     def master():
         for _ in range(3):
-            msg = yield from comms[0].recv(source=ANY_SOURCE)
+            msg = yield comms[0].recv(source=ANY_SOURCE)
             got.append(msg.payload)
 
     eng.process(master())
@@ -130,8 +130,8 @@ def test_tag_matching_same_source_in_order(world):
         yield from comms[0].send(1, "second", tag=2)
 
     def receiver():
-        m1 = yield from comms[1].recv(source=0, tag=1)
-        m2 = yield from comms[1].recv(source=0, tag=2)
+        m1 = yield comms[1].recv(source=0, tag=1)
+        m2 = yield comms[1].recv(source=0, tag=2)
         got.extend([m1.payload, m2.payload])
 
     eng.process(sender())
@@ -149,7 +149,7 @@ def test_out_of_order_consumption_rejected(world):
         yield from comms[0].send(1, "new", tag=2)
 
     def bad_receiver():
-        yield from comms[1].recv(source=0, tag=2)
+        yield comms[1].recv(source=0, tag=2)
 
     eng.process(sender())
     eng.process(bad_receiver())
@@ -169,7 +169,7 @@ def test_isend_overlaps_computation(world):
         times["after_wait"] = eng.now
 
     def receiver():
-        yield from comms[1].recv()
+        yield comms[1].recv()
 
     eng.process(sender())
     eng.process(receiver())
@@ -189,7 +189,7 @@ def test_isend_order_fixed_at_call(world):
 
     def receiver():
         for _ in range(3):
-            msg = yield from comms[1].recv(source=0)
+            msg = yield comms[1].recv(source=0)
             got.append(msg.payload)
 
     eng.process(sender())
@@ -208,7 +208,7 @@ def test_same_sender_messages_serialise_on_link(world):
         yield eng.timeout(0)
 
     def receiver(rank):
-        msg = yield from comms[rank].recv()
+        msg = yield comms[rank].recv()
         arrivals.append((rank, eng.now))
 
     eng.process(sender())
@@ -232,7 +232,7 @@ def test_probe_non_destructive(world):
         assert comms[1].probe(source=0, tag=99) is None
         peeked = comms[1].probe(source=0, tag=3)
         observed.append(peeked.payload)
-        msg = yield from comms[1].recv(source=0, tag=3)
+        msg = yield comms[1].recv(source=0, tag=3)
         observed.append(msg.payload)
 
     eng.process(sender())
@@ -243,23 +243,20 @@ def test_probe_non_destructive(world):
 
 def test_self_send_rejected(world):
     eng, cluster, transport, comms = world()
-    gen = comms[0].send(0, "loop")
-    with pytest.raises(ValueError):
-        next(gen)
+    with pytest.raises(ValueError):  # an eager send checks at the call
+        comms[0].send(0, "loop")
 
 
 def test_destination_range_validated(world):
     eng, cluster, transport, comms = world()
-    gen = comms[0].send(99, "nowhere")
-    with pytest.raises(ValueError):
-        next(gen)
+    with pytest.raises(ValueError):  # an eager send checks at the call
+        comms[0].send(99, "nowhere")
 
 
 def test_negative_tag_rejected(world):
     eng, cluster, transport, comms = world()
-    gen = comms[0].send(1, "x", tag=-1)
-    with pytest.raises(ValueError):
-        next(gen)
+    with pytest.raises(ValueError):  # an eager send checks at the call
+        comms[0].send(1, "x", tag=-1)
 
 
 def test_duplicate_rank_registration_rejected(world):
@@ -275,7 +272,7 @@ def test_transport_metrics(world):
         yield from comms[0].send(1, np.zeros(10))
 
     def receiver():
-        yield from comms[1].recv()
+        yield comms[1].recv()
 
     eng.process(sender())
     eng.process(receiver())
@@ -292,8 +289,8 @@ def test_channel_meta_roundtrip(world):
         yield from comms[0].send(1, "b")
 
     def receiver():
-        yield from comms[1].recv()
-        yield from comms[1].recv()
+        yield comms[1].recv()
+        yield comms[1].recv()
 
     eng.process(sender())
     eng.process(receiver())
@@ -312,7 +309,7 @@ def test_channel_meta_roundtrip(world):
         yield from comms[0].send(1, "b-again")
 
     def rereceiver():
-        msg = yield from comms[1].recv(source=0)
+        msg = yield comms[1].recv(source=0)
         got.append(msg.seq)
 
     eng.process(resender())

@@ -2,10 +2,14 @@
 
 Each rank's outbound wire used to be a capacity-1 ``Resource`` on the
 cluster, and every message re-derived its route through the topology.
-``Transport`` now keeps the claim queue itself and the cluster costs each
-route once. Both must fire the same events in the same order: the
-reference below is the parent spelling, and the step-hook transcripts of
-one scenario under both must be equal.
+``Transport`` now keeps the wire queue itself, the cluster costs each
+route once, and a send that finds its wire free starts its transfer at
+the call instead of waiting for a granted claim to fire. The reference
+below is the ``Resource`` spelling; it records which of its requests were
+granted at the call. The step-hook transcript of one scenario under the
+transport must equal the reference's with exactly those requests' entries
+removed, the engine's sequence counter must be lower by exactly their
+count, and the log, the clock and the counters must be equal.
 """
 
 import numpy as np
@@ -17,15 +21,18 @@ from repro.net import Comm, CommAgent, Transport
 
 
 class _ParentTransport(Transport):
-    """``Transport.send`` as it was: the wire a ``Resource`` request and the
-    route costed through the topology on every message (the reference)."""
+    """``Transport.send`` as it was: the wire a ``Resource`` request, fired
+    even when granted at the call, and the route costed through the
+    topology on every message (the reference)."""
 
-    def __init__(self, cluster, tracer=None):
-        super().__init__(cluster, tracer)
+    def __init__(self, cluster):
+        super().__init__(cluster)
         self.tx_links = [
             Resource(cluster.engine, capacity=1, name=f"tx-link:{i}")
             for i in range(cluster.n_nodes)
         ]
+        #: the requests granted at the call (the wire was free)
+        self.granted = []
 
     def send(self, msg):
         if msg.dst not in self.endpoints:
@@ -34,6 +41,8 @@ class _ParentTransport(Transport):
             raise ValueError(f"self-send not allowed: {msg!r}")
         msg.finalize_size()
         req = self.tx_links[msg.src].request()
+        if req.triggered:
+            self.granted.append(req)
         return self._parent_transfer(msg, req)
 
     def _message_time(self, nbytes, src, dst):
@@ -53,7 +62,12 @@ class _ParentTransport(Transport):
             )
         finally:
             req.cancel()
-        self._account(msg)
+        if msg.kind == "app":
+            self.messages_sent += 1
+            self.bytes_sent += msg.size
+        else:
+            self.control_messages += 1
+            self.control_bytes += msg.size
         self.endpoints[msg.dst](msg)
 
 
@@ -76,8 +90,9 @@ def _scenario(transport_cls, backend, topology):
     comms = [Comm(transport, r, 6, agent=_Recorder(log)) for r in range(6)]
     fired = []
     name = {"Request": "Event"}  # the claim was a Request, now a plain Event
+    # the hook keeps each event, so the engine recycles none of them
     eng.step_hook = lambda t, ev: fired.append(
-        (t, name.get(type(ev).__name__, type(ev).__name__))
+        (t, name.get(type(ev).__name__, type(ev).__name__), ev)
     )
     big, small = np.zeros(4096), np.zeros(16)
 
@@ -120,7 +135,7 @@ def _scenario(transport_cls, backend, topology):
 
     def drain(rank):
         while True:
-            msg = yield from comms[rank].recv()
+            msg = yield comms[rank].recv()
             log.append(("recv", msg.src, rank, msg.tag, eng.now))
 
     eng.process(mixer())
@@ -135,7 +150,7 @@ def _scenario(transport_cls, backend, topology):
         transport.control_messages,
         transport.control_bytes,
     )
-    return fired, log, eng.now, eng._seq, counters
+    return transport, fired, (log, eng.now, counters), eng._seq
 
 
 TOPOLOGIES = [
@@ -147,10 +162,21 @@ TOPOLOGIES = [
 @pytest.mark.parametrize("topology", TOPOLOGIES, ids=["flat", "torus"])
 @pytest.mark.parametrize("backend", ["reference", "twotier"])
 def test_wire_queue_fires_like_the_resource(backend, topology):
-    want = _scenario(_ParentTransport, backend, topology)
-    got = _scenario(Transport, backend, topology)
-    assert got == want
-    fired, log = got[0], got[1]
+    reference, want_fired, want, want_seq = _scenario(
+        _ParentTransport, backend, topology
+    )
+    _, got_fired, got, seq = _scenario(Transport, backend, topology)
+    # a wire granted at the call fires no claim: exactly the reference's
+    # granted requests are missing from the transcript, each took one
+    # sequence number, and nothing else moves
+    granted = {id(req) for req in reference.granted}
+    assert sum(id(e[2]) in granted for e in want_fired) == len(granted) > 0
+    assert [e[:2] for e in got_fired] == [
+        e[:2] for e in want_fired if id(e[2]) not in granted
+    ]
+    assert seq == want_seq - len(granted)
+    assert got == want  # the log, the clock and the counters
+    log = got[0]
     # the scenario did what it claims: both interrupts landed, neither
     # victim's message was delivered, and the queue moved on behind them
     assert ("interrupted", 11, "while queued", 1e-6) in log
@@ -159,4 +185,4 @@ def test_wire_queue_fires_like_the_resource(backend, topology):
     assert {11, 13}.isdisjoint(delivered)
     assert {1, 2, 3, 4, 5, 10, 12, 14} <= delivered
     assert ("control", 0, 5, "marker") in log
-    assert len(fired) > 50
+    assert len(got_fired) > 50

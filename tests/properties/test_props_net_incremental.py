@@ -57,7 +57,7 @@ def test_per_channel_fifo_under_random_traffic(case):
     def receiver(rank):
         expect = sum(1 for s, r, _ in events if r == rank)
         for _ in range(expect):
-            msg = yield from comms[rank].recv()
+            msg = yield comms[rank].recv()
             received[(msg.src, rank)].append(msg.seq)
 
     for rank in range(n):

@@ -144,6 +144,42 @@ def test_plain_call_of_generator_flagged(source, name):
     assert f"`{name}(...)`" in findings[0].message
 
 
+def test_bare_primitive_flagged_when_not_a_generator_function():
+    """``Comm.send`` returns the transport's generator, ``Comm.recv`` its
+    request event and ``Ctx.checkpoint_point`` the scheme's generator: none
+    is a generator function, so the project classification cannot name
+    them. Their bare statements must still be flagged — a bare ``recv``
+    would silently consume a buffered message."""
+    project = _project(
+        """
+        class Comm:
+            def send(self, dst, payload):
+                return self.transport.send(self.build(dst, payload))
+
+            def recv(self, source=-1, tag=-1):
+                return self.mailbox.recv(source, tag)
+
+        class Ctx:
+            def checkpoint_point(self):
+                return self._agent.at_point()
+
+        def worker(ctx, comm, payload):
+            comm.send(1, payload)
+            comm.recv(0)
+            ctx.checkpoint_point()
+            yield from comm.send(1, payload)
+            msg = yield comm.recv(0)
+            yield from ctx.checkpoint_point()
+            return msg
+        """
+    )
+    findings = yield_discipline_pass(project)
+    assert _rules(findings) == ["undriven-generator"] * 3
+    assert [f.line for f in findings] == [14, 15, 16]
+    for finding, name in zip(findings, ("send", "recv", "checkpoint_point")):
+        assert f"`{name}(...)`" in finding.message
+
+
 def test_undriven_generator_allow_pragma():
     project = _project(
         """
