@@ -7,7 +7,7 @@ schemes perform better ... although the difference is not very
 significant").
 """
 
-from repro.chklib.schemes import REGISTRY
+from repro.chklib.schemes.registry import family_of
 from repro.experiments import run_spec, table23_spec, table23_workloads
 
 
@@ -29,7 +29,7 @@ def test_table2(benchmark, bench_scale, bench_seed, save_result, grid_executor):
             assert report.sim_time >= res.normal_time, (res.label, scheme)
             # every run took and committed its three rounds; the CIC
             # family additionally takes index-induced forced checkpoints
-            if REGISTRY.family_of(scheme).name == "cic":
+            if family_of(scheme) == "cic":
                 assert report.checkpoints_taken >= 3 * report.n_nodes, (
                     res.label,
                     scheme,

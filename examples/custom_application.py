@@ -16,7 +16,7 @@ Demonstrates the full SPMD contract:
 import numpy as np
 
 from repro.apps.base import Application
-from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultPlan
+from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultModel
 from repro.core.rng import derive_seed
 from repro.machine import MachineParams
 from repro.net.collectives import allreduce
@@ -75,7 +75,7 @@ def main() -> None:
         scheme=CoordinatedScheme.NBMS(times),
         machine=machine,
         seed=9,
-        fault_plan=FaultPlan.single(0.85 * baseline.sim_time),
+        fault_model=FaultModel.machine_crash(0.85 * baseline.sim_time),
     ).run()
     print(
         f"with crash+recovery: {crashed.sim_time:.2f} s  "

@@ -17,7 +17,7 @@ Runs the ISING spin glass under independent checkpointing and crashes it:
 """
 
 from repro.apps import Ising
-from repro.chklib import CheckpointRuntime, FaultPlan, IndependentScheme
+from repro.chklib import CheckpointRuntime, FaultModel, IndependentScheme
 from repro.machine import MachineParams
 
 
@@ -27,7 +27,7 @@ def run_case(label, scheme, baseline, machine):
         scheme=scheme,
         machine=machine,
         seed=3,
-        fault_plan=FaultPlan.single(0.9 * baseline.sim_time),
+        fault_model=FaultModel.machine_crash(0.9 * baseline.sim_time),
     ).run()
     rec = report.recoveries[0]
     restored = sorted(rec.line_indices.values())

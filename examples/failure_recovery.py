@@ -13,7 +13,7 @@ from repro.apps import ASP
 from repro.chklib import (
     CheckpointRuntime,
     CoordinatedScheme,
-    FaultPlan,
+    FaultModel,
     IndependentScheme,
 )
 from repro.machine import MachineParams
@@ -49,7 +49,7 @@ def main() -> None:
                 scheme=scheme_factory(),
                 machine=machine,
                 seed=4,
-                fault_plan=FaultPlan.single(crash_frac * T),
+                fault_model=FaultModel.machine_crash(crash_frac * T),
             ).run()
             rec = report.recoveries[0]
             line = sorted(set(rec.line_indices.values()))

@@ -12,7 +12,7 @@ the shipped volume by ~3x, with recovery still exact across a crash.
 """
 
 from repro.apps import Ising
-from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultPlan
+from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultModel
 from repro.machine import MachineParams
 
 
@@ -22,7 +22,7 @@ def run(scheme, fault=None, machine=None, seed=21):
         scheme=scheme,
         machine=machine or MachineParams.xplorer8(),
         seed=seed,
-        fault_plan=fault,
+        fault_model=fault,
     ).run()
 
 
@@ -50,7 +50,7 @@ def main() -> None:
     # recovery through an incremental chain is exact
     crashed = run(
         CoordinatedScheme.NBMS(times, incremental=True, full_every=8),
-        fault=FaultPlan.single(0.8 * T),
+        fault=FaultModel.machine_crash(0.8 * T),
     )
     rec = crashed.recoveries[0]
     print(

@@ -6,7 +6,7 @@ crash the machine, and watch it recover to the exact same answer.
 """
 
 from repro.apps import SOR
-from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultPlan
+from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultModel
 from repro.machine import MachineParams
 
 
@@ -40,7 +40,7 @@ def main() -> None:
         scheme=CoordinatedScheme.NBMS(times),
         machine=machine,
         seed=42,
-        fault_plan=FaultPlan.single(0.8 * baseline.sim_time),
+        fault_model=FaultModel.machine_crash(0.8 * baseline.sim_time),
     ).run()
     rec = crashed.recoveries[0]
     print(

@@ -72,7 +72,3 @@ class TableResult:
 
     def shape_holds(self) -> Dict[str, bool]:
         return dict(self.shapes)
-
-    @property
-    def all_shapes_hold(self) -> bool:
-        return all(self.shapes.values())

@@ -12,7 +12,6 @@ from .._lazy import lazy_surface
 _LAZY = {
     "CheckpointRuntime": "runtime",
     "Ctx": "runtime",
-    "FaultPlan": "runtime",
     "FaultModel": "runtime",
     "RetryPolicy": "runtime",
     "RunReport": "report",
@@ -35,9 +34,6 @@ _LAZY = {
     "IndependentScheme": "schemes",
     "CICScheme": "schemes",
     "MessageLoggingScheme": "schemes",
-    "ProtocolFamily": "schemes",
-    "ProtocolRegistry": "schemes",
-    "REGISTRY": "schemes",
     "Snapshot": "state",
     "CheckpointRecord": "storage_mgr",
     "CheckpointStore": "storage_mgr",

@@ -119,10 +119,6 @@ class RunReport:
     ckpt_writes_failed: int = 0  #: checkpoint writes dropped after retries
     checkpoints_quarantined: int = 0  #: records excluded as corrupt/unreadable
 
-    @property
-    def overhead_vs(self) -> Any:  # pragma: no cover - convenience stub
-        raise AttributeError("use repro.analysis.metrics.overhead()")
-
     # -- serialization (the experiment grid's on-disk result cache) ---------
 
     def to_dict(self) -> Dict[str, Any]:

@@ -33,7 +33,7 @@ from ..core.process import Process
 from ..core.rng import RngStreams
 from ..core.tracing import Tracer
 from ..fault.injection import make_injector
-from ..fault.model import FaultModel, FaultPlan, RetryPolicy
+from ..fault.model import FaultModel, RetryPolicy
 from ..machine.cluster import Cluster
 from ..machine.params import MachineParams
 from ..net.api import Comm
@@ -50,7 +50,6 @@ __all__ = [
     "Ctx",
     "RunReport",
     "RecoveryEvent",
-    "FaultPlan",
     "FaultModel",
     "RetryPolicy",
     "DurableLine",
@@ -124,7 +123,6 @@ class CheckpointRuntime:
         "cluster",
         "n_ranks",
         "seed",
-        "fault_plan",
         "comms",
         "durable_line",
         "halted",
@@ -145,13 +143,10 @@ class CheckpointRuntime:
         scheme: Optional[Scheme] = None,
         machine: Optional[MachineParams] = None,
         seed: int = 0,
-        fault_plan: Optional[FaultPlan] = None,
         fault_model: Optional[FaultModel] = None,
         trace: bool = True,
         _resume: Optional[Dict[str, Any]] = None,
     ) -> None:
-        if fault_plan is not None and fault_model is not None:
-            raise ValueError("pass either fault_plan or fault_model, not both")
         self.app = app
         # a resumed run's clock starts where the halted run's stopped
         self.engine = Engine(
@@ -170,11 +165,8 @@ class CheckpointRuntime:
         self.scheme = scheme or NoCheckpointing()
         self.seed = int(seed)
         self.rngs = RngStreams(seed)
-        #: the unified fault model (legacy FaultPlan is normalised into it).
-        if fault_model is None and fault_plan is not None:
-            fault_model = FaultModel.from_plan(fault_plan)
+        #: what fails in this run, and when (None: nothing does).
         self.fault_model = fault_model
-        self.fault_plan = fault_plan  # kept for legacy introspection
         #: deterministic storage-fault oracle (None = storage never fails).
         self.injector = (
             make_injector(fault_model.storage, self.rngs)

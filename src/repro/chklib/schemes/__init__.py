@@ -1,6 +1,6 @@
 """Checkpointing schemes: the paper's coordinated and independent
 families, the CIC / message-logging third family, ablation variants, the
-no-checkpoint baseline — and the protocol registry that owns them."""
+no-checkpoint baseline — and the tables naming them (:mod:`.registry`)."""
 
 from ..._lazy import lazy_surface
 
@@ -16,9 +16,6 @@ _LAZY = {
     "CICScheme": "cic",
     "CICAgent": "cic",
     "MessageLoggingScheme": "msglog",
-    "ProtocolFamily": "registry",
-    "ProtocolRegistry": "registry",
-    "REGISTRY": "registry",
 }
 
 __all__ = list(_LAZY)

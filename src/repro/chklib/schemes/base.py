@@ -304,12 +304,11 @@ class Scheme:
     #: with a ResumeError naming it.
     VOLATILE_FIELDS: tuple = ()
 
-    #: Protocol-specific trace-event vocabulary (beyond the shared kinds
-    #: every scheme emits). The protocol registry validates each family's
-    #: vocabulary against :data:`repro.core.tracing.EVENT_KINDS` so a new
-    #: event cannot ship unregistered — the analyzer's trace-conformance
-    #: pass then proves it is both emitted and consumed.
-    TRACE_EVENTS: tuple = ()
+    #: The family's own trace checkers (:class:`~repro.core.tracing.Checker`
+    #: subclasses, defined in the family's module), run by the audit of
+    #: every run of the family beside the family-independent battery of
+    #: :mod:`repro.verify.invariants`.
+    CHECKERS: tuple = ()
 
     def __init__(
         self,
@@ -338,15 +337,6 @@ class Scheme:
         """The cut blocks only for an in-memory capture and a checkpointer
         thread streams the image to stable storage."""
         return self.capture != "blocking"
-
-    @classmethod
-    def trace_checkers(cls):
-        """Checker classes (see :mod:`repro.verify.invariants`) auditing
-        this protocol's trace events; contributed to ``default_checkers``
-        through the protocol registry. Each declares its family as
-        ``Checker.klass``, and ``default_checkers`` runs it only on that
-        family's traces."""
-        return ()
 
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle with every VOLATILE_FIELDS entry (unioned over the MRO)

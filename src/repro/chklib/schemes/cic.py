@@ -32,8 +32,9 @@ audits the obligation (no basic cut may land below a forced index).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
+from ...core.tracing import Checker, RunMeta, TraceEvent, TraceViolation
 from ...net.message import Message
 from ..policy import CheckpointPolicy
 from ..recovery import covered_index_line
@@ -43,7 +44,7 @@ from .independent import IndependentAgent, IndependentScheme
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime import CheckpointRuntime
 
-__all__ = ["CICScheme", "CICAgent"]
+__all__ = ["CICScheme", "CICAgent", "CicIndexRule"]
 
 
 class CICAgent(IndependentAgent):
@@ -63,12 +64,109 @@ class CICAgent(IndependentAgent):
         self.sent_since_cut = False
 
 
+# -- trace invariant --------------------------------------------------------------
+
+
+class CicIndexRule(Checker):
+    """The CIC index rule, re-derived from the event stream.
+
+    Mirrors the receiver's index (``proto.cut`` rounds, FDAS promotions,
+    recovery-line resets) and its forced-index obligation, then audits
+    every accepted delivery:
+
+    * a message whose piggybacked index exceeds both the receiver's index
+      and its standing obligation must trigger ``proto.cic.forced`` or
+      ``proto.cic.promote`` *as part of that delivery* (the scheme hook
+      runs synchronously) — and at an index at least the message's;
+    * no basic checkpoint may land below a standing forced-index
+      obligation (the deferred forced cut must *jump* to the obliged
+      index, never undershoot it).
+    """
+
+    name = "cic_index_rule"
+    consumes = (
+        "msg.deliver",
+        "proto.cut",
+        "proto.cic.forced",
+        "proto.cic.promote",
+        "recover.line",
+    )
+
+    def __init__(self, meta: RunMeta) -> None:
+        super().__init__(meta)
+        self._idx: Dict[int, int] = {r: 0 for r in range(meta.n_ranks)}
+        self._obliged: Dict[int, int] = {}  #: rank -> outstanding forced index
+        #: rank -> index of a delivery whose rule event has not appeared yet
+        self._pending: Dict[int, int] = {}
+
+    def _rule_never_fired(self, rank: int, time: float) -> None:
+        pending = self._pending.pop(rank, None)
+        if pending is not None:
+            self.flag(
+                f"rank {rank} consumed a message of interval index {pending} "
+                f"above its own without a forced checkpoint",
+                time,
+            )
+
+    def on_event(self, ev: TraceEvent) -> None:
+        if ev.kind == "msg.deliver":
+            dst, midx = ev["dst"], ev["epoch"]
+            self._rule_never_fired(dst, ev.time)
+            if midx > max(self._idx.get(dst, 0), self._obliged.get(dst, 0)):
+                self._pending[dst] = midx
+        elif ev.kind == "proto.cic.forced":
+            rank, idx = ev["rank"], ev["index"]
+            pending = self._pending.pop(rank, None)
+            if pending is not None and idx < pending:
+                self.flag(
+                    f"rank {rank} forced index {idx} below the triggering "
+                    f"message's index {pending}",
+                    ev.time,
+                )
+            self._obliged[rank] = max(self._obliged.get(rank, 0), idx)
+        elif ev.kind == "proto.cic.promote":
+            rank, idx = ev["rank"], ev["index"]
+            pending = self._pending.pop(rank, None)
+            if pending is not None and idx < pending:
+                self.flag(
+                    f"rank {rank} promoted to index {idx} below the "
+                    f"triggering message's index {pending}",
+                    ev.time,
+                )
+            self._idx[rank] = idx
+            if self._obliged.get(rank, 0) <= idx:
+                self._obliged.pop(rank, None)
+        elif ev.kind == "proto.cut":
+            rank, n = ev["rank"], ev["round"]
+            self._rule_never_fired(rank, ev.time)
+            obliged = self._obliged.pop(rank, None)
+            if obliged is not None and n < obliged:
+                self.flag(
+                    f"rank {rank} cut at index {n} below its forced-index "
+                    f"obligation {obliged}",
+                    ev.time,
+                )
+            self._idx[rank] = n
+        elif ev.kind == "recover.line":
+            for rank, idx in dict(ev["indices"]).items():
+                self._idx[rank] = idx
+            # rolled-away state: obligations and in-flight rule firings
+            # died with the pre-crash generation.
+            self._pending.clear()
+            self._obliged.clear()
+
+    def finish(self) -> List[TraceViolation]:
+        for rank in sorted(self._pending):
+            self._rule_never_fired(rank, self._now)
+        return self.violations
+
+
 class CICScheme(IndependentScheme):
     """Index-based communication-induced checkpointing (BCS / FDAS)."""
 
     klass = "cic"
 
-    TRACE_EVENTS = ("proto.cic.forced", "proto.cic.promote")
+    CHECKERS = (CicIndexRule,)
 
     def __init__(
         self,
@@ -105,14 +203,6 @@ class CICScheme(IndependentScheme):
     @classmethod
     def FDAS(cls, times: Sequence[float], skew: float = 0.0, **kw) -> "CICScheme":
         return cls(times, cic_rule="fdas", skew=skew, **kw)
-
-    # -- verify hooks (protocol registry) --------------------------------------
-
-    @classmethod
-    def trace_checkers(cls):
-        from ...verify.invariants import CicIndexRule
-
-        return (CicIndexRule,)
 
     # -- wiring ------------------------------------------------------------------
 

@@ -41,10 +41,21 @@ numbers. See DESIGN.md §5.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence, Set
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ...core.errors import SimulationError
 from ...core.events import Event
+from ...core.tracing import Checker, RunMeta, TraceEvent
 from ...net.message import KIND_CONTROL, KIND_MARKER, Message
 from ..policy import CheckpointPolicy
 from ..storage_mgr import CheckpointRecord
@@ -53,7 +64,12 @@ from .base import Scheme, SchemeAgent, WriteJob
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime import CheckpointRuntime
 
-__all__ = ["CoordinatedScheme", "CoordinatedAgent"]
+__all__ = [
+    "CoordinatedScheme",
+    "CoordinatedAgent",
+    "CoordinatedTwoPhase",
+    "StaggeredWriteMutex",
+]
 
 CTL_REQUEST = "request"
 CTL_ACK = "ack"
@@ -104,6 +120,154 @@ class CoordinatedAgent(SchemeAgent):
         self.aborted_rounds: Set[int] = set()
 
 
+# -- trace invariants ------------------------------------------------------------
+
+
+class CoordinatedTwoPhase(Checker):
+    """The 2PC commit rules, re-derived from the event stream:
+
+    * a commit decision for round *n* requires an ack from **every** rank —
+      audited against the decision's own ``acks`` evidence (the votes the
+      coordinator actually held), not just the votes cast somewhere in the
+      stream, so a premature-quorum coordinator is caught even on runs
+      where the missing vote was merely still on the wire;
+    * every ack the decision cites must actually have been cast;
+    * a rank acks a round only after its stable write for that round
+      ended ``ok`` (since the last recovery);
+    * no commit decision (or apply) for a round with an abort vote;
+    * no round may see both a commit and an abort decision;
+    * commit-on-recovery is legal only for a round whose commit decision
+      was broadcast before the crash.
+    """
+
+    name = "coordinated_two_phase"
+    consumes = (
+        "proto.write_end",
+        "proto.ack",
+        "proto.abort_report",
+        "proto.commit",
+        "proto.abort",
+        "proto.commit_apply",
+        "proto.commit_on_recovery",
+        "recover.line",
+    )
+
+    def __init__(self, meta: RunMeta) -> None:
+        super().__init__(meta)
+        #: (rank, round) whose write ended ok since the last recovery
+        self._written: Set[Tuple[int, int]] = set()
+        self._acks: Dict[int, Set[int]] = {}
+        self._abort_votes: Dict[int, Set[int]] = {}
+        self._committed: Set[int] = set()
+        self._aborted: Set[int] = set()
+
+    def on_event(self, ev: TraceEvent) -> None:
+        if ev.kind == "proto.write_end":
+            if ev["ok"]:
+                self._written.add((ev["rank"], ev["round"]))
+        elif ev.kind == "recover.line":
+            self._written.clear()
+        elif ev.kind == "proto.ack":
+            if (ev["rank"], ev["round"]) not in self._written:
+                self.flag(
+                    f"rank {ev['rank']} acked round {ev['round']} before "
+                    f"its write ended",
+                    ev.time,
+                )
+            self._acks.setdefault(ev["round"], set()).add(ev["rank"])
+        elif ev.kind == "proto.abort_report":
+            self._abort_votes.setdefault(ev["round"], set()).add(ev["rank"])
+        elif ev.kind == "proto.commit":
+            n = ev["round"]
+            self._committed.add(n)
+            cited = ev.get("acks")
+            acks = set(cited) if cited is not None else self._acks.get(n, set())
+            if acks != set(range(self.meta.n_ranks)):
+                self.flag(
+                    f"round {n} committed with acks {sorted(acks)} "
+                    f"(need all {self.meta.n_ranks} ranks)",
+                    ev.time,
+                )
+            if cited is not None:
+                uncast = set(cited) - self._acks.get(n, set())
+                if uncast:
+                    self.flag(
+                        f"round {n} commit cites ack(s) from {sorted(uncast)} "
+                        f"that were never cast",
+                        ev.time,
+                    )
+            if n in self._abort_votes:
+                self.flag(
+                    f"round {n} committed after abort vote(s) from "
+                    f"{sorted(self._abort_votes[n])}",
+                    ev.time,
+                )
+            if n in self._aborted:
+                self.flag(f"round {n} committed after an abort decision", ev.time)
+        elif ev.kind == "proto.abort":
+            n = ev["round"]
+            self._aborted.add(n)
+            if n in self._committed:
+                self.flag(f"round {n} aborted after a commit decision", ev.time)
+        elif ev.kind == "proto.commit_apply":
+            n = ev["round"]
+            if n not in self._committed:
+                self.flag(
+                    f"rank {ev['rank']} applied commit for round {n} "
+                    f"without a commit decision",
+                    ev.time,
+                )
+            if n in self._abort_votes or n in self._aborted:
+                self.flag(
+                    f"rank {ev['rank']} applied commit for aborted round {n}",
+                    ev.time,
+                )
+        elif ev.kind == "proto.commit_on_recovery":
+            n = ev["round"]
+            if n not in self._committed:
+                self.flag(
+                    f"commit-on-recovery of round {n} that was never "
+                    f"decided committed before the crash",
+                    ev.time,
+                )
+
+
+class StaggeredWriteMutex(Checker):
+    """Staggered variants: checkpoint writes of one round never overlap
+    *on the same storage server* — the per-server token ring (NBMS/NBCS)
+    / write slot (NBS) holds mutual exclusion on each shard's path. With
+    one server (the paper's machine) this is the old global mutex; with S
+    shards, up to S writers (one per shard) are legal concurrently."""
+
+    name = "staggered_write_mutex"
+    consumes = ("proto.write_begin", "proto.write_end")
+
+    def __init__(self, meta: RunMeta) -> None:
+        super().__init__(meta)
+        #: (round, server) -> rank currently writing on that shard
+        self._open: Dict[tuple, int] = {}
+
+    def _server_of(self, rank: int) -> int:
+        return rank * self.meta.storage_servers // self.meta.n_ranks
+
+    def on_event(self, ev: TraceEvent) -> None:
+        if not self.meta.staggered:
+            return
+        if ev.kind == "proto.write_begin":
+            n, rank = ev["round"], ev["rank"]
+            key = (n, self._server_of(rank))
+            if key in self._open:
+                self.flag(
+                    f"rank {rank} began its round-{n} write while rank "
+                    f"{self._open[key]} was still writing to server "
+                    f"{key[1]} (staggering broken)",
+                    ev.time,
+                )
+            self._open[key] = rank
+        elif ev.kind == "proto.write_end":
+            self._open.pop((ev["round"], self._server_of(ev["rank"])), None)
+
+
 class CoordinatedScheme(Scheme):
     """Coordinator + agents for one coordinated variant."""
 
@@ -115,25 +279,7 @@ class CoordinatedScheme(Scheme):
     #: bitwise-identically.
     VOLATILE_FIELDS = ("_write_slot", "_ring_next", "_ring_leader")
 
-    #: Protocol vocabulary: the two-phase round plus the staggering token
-    #: (see the registry's conformance wiring in ``schemes.registry``).
-    TRACE_EVENTS = (
-        "proto.request",
-        "proto.ack",
-        "proto.commit",
-        "proto.commit_apply",
-        "proto.commit_on_recovery",
-        "proto.abort_report",
-        "proto.abort",
-        "proto.abort_apply",
-        "proto.token_pass",
-    )
-
-    @classmethod
-    def trace_checkers(cls):
-        from ...verify.invariants import CoordinatedTwoPhase, StaggeredWriteMutex
-
-        return (CoordinatedTwoPhase, StaggeredWriteMutex)
+    CHECKERS = (CoordinatedTwoPhase, StaggeredWriteMutex)
 
     def __init__(
         self,

@@ -61,10 +61,6 @@ class IndependentScheme(Scheme):
     write_tag = "ickpt"
     writer_name = "indep-writer"
 
-    #: Beyond the shared kinds, independent checkpointing only adds the
-    #: per-rank commit of a background write.
-    TRACE_EVENTS = ("proto.local_commit",)
-
     def __init__(
         self,
         times: Sequence[float],

@@ -12,7 +12,7 @@ accumulates a chain until garbage collection).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from ..core.errors import InvariantViolation
 from ..net.message import Message
@@ -195,29 +195,6 @@ class CheckpointStore:
         """Most recent checkpoint index for *rank* (0 if none)."""
         chain = self._chains[rank]
         return max(chain) if chain else 0
-
-    def latest_committed_global(
-        self, eligible: Optional[Callable[[CheckpointRecord], bool]] = None
-    ) -> int:
-        """Largest index committed by *every* rank (0 if none).
-
-        Quarantined records never qualify; *eligible* narrows further
-        (e.g. "must have reached the global server").
-        """
-        best = 0
-        candidates = None
-        for rank in range(self.n_ranks):
-            committed = {
-                i
-                for i, rec in self._chains[rank].items()
-                if rec.committed
-                and not rec.quarantined
-                and (eligible is None or eligible(rec))
-            }
-            candidates = committed if candidates is None else candidates & committed
-        if candidates:
-            best = max(candidates)
-        return best
 
     def count(self, rank: Optional[int] = None, committed_only: bool = False) -> int:
         chains = (

@@ -24,8 +24,6 @@ _LAZY = {
     "Process": "process",
     "Resource": "resources",
     "Request": "resources",
-    "Store": "resources",
-    "StoreGet": "resources",
     "RngStreams": "rng",
     "derive_seed": "rng",
     "Tracer": "tracing",

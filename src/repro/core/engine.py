@@ -39,7 +39,7 @@ from heapq import heappop, heappush
 from typing import Any, Callable, Deque, Generator, Iterable, List, Optional, Tuple
 
 from .errors import Deadlock, InvariantViolation, NegativeDelay, SimulationError
-from .events import AllOf, AnyOf, Event, Timeout
+from .events import AllOf, Event, Timeout
 from .kernel import resolve_backend
 from .process import Process
 
@@ -179,9 +179,6 @@ class Engine:
         else:
             heappush(self._heap, (self._now + delay, 1, seq, ev))
         return ev
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)

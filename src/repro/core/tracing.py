@@ -11,6 +11,12 @@ live trace audit (:class:`repro.verify.trace_check.Audit`) and the
 recording sink (:meth:`Tracer.record`), which keeps ``events`` and the
 named **spans** (checkpoint N on node R took [t0, t1]) for tests, the
 explorer, the timeline renderer and a halt's durable line.
+
+The invariant-checker base (:class:`Checker`, with :class:`RunMeta` and
+:class:`TraceViolation`) sits here beside the stream it reads, so a
+protocol family defines its checkers in its own module: the
+family-independent ones are in :mod:`repro.verify.invariants`, each
+family's in its scheme module (``Scheme.CHECKERS``).
 """
 
 from __future__ import annotations
@@ -26,6 +32,9 @@ __all__ = [
     "Tracer",
     "Span",
     "TraceEvent",
+    "RunMeta",
+    "TraceViolation",
+    "Checker",
 ]
 
 #: The closed vocabulary of trace-event kinds. Every ``tracer.event(...)``
@@ -115,6 +124,86 @@ class Span:
 #: a stream subscriber: called with each event's index in the run's stream
 #: (0 = the run's first event, across restarts) and the event.
 Sink = Callable[[int, TraceEvent], None]
+
+@dataclass(frozen=True)
+class RunMeta:
+    """What the checkers need to know about the run they are auditing."""
+
+    n_ranks: int
+    scheme: str = "none"  #: scheme name (coord_nbms, indep_m, …)
+    klass: str = "none"  #: "coordinated" | "independent" | "cic" | "msglog" | "none"
+    staggered: bool = False
+    logging: bool = False
+    #: stable-storage shard count: staggering holds mutual exclusion *per
+    #: server* (S independent rings), so the write-mutex checker groups
+    #: writers by their shard (block sharding, ``rank * S // n_ranks``).
+    storage_servers: int = 1
+
+
+@dataclass
+class TraceViolation:
+    """One violated trace invariant."""
+
+    invariant: str
+    message: str
+    time: float
+    event_index: Optional[int] = None
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<TraceViolation {self.invariant} t={self.time:.6f}: {self.message}>"
+
+
+class Checker:
+    """Base class of a trace invariant: accumulate violations while fed
+    the stream.
+
+    Checkers are fed events in stream order via :meth:`on_event` and
+    report the accumulated violations from :meth:`finish`.
+    They are deliberately *independent re-implementations* of the
+    conditions the runtime already enforces inline — the point is
+    cross-checking the implementation, not reusing it.
+    """
+
+    name = "checker"
+
+    #: the only trace-event kinds the audit subscribes this checker to
+    #: (``("*",)``: every event), so it must name every kind ``on_event``
+    #: reads. Cross-checked against the emission sites by the analyzer's
+    #: trace-conformance pass: a subscription nothing emits fails analysis.
+    consumes: Tuple[str, ...] = ()
+
+    def __init__(self, meta: RunMeta) -> None:
+        self.meta = meta
+        self.violations: List[TraceViolation] = []
+        self._index = -1
+        #: time of the stream's latest event of any kind, consumed or not
+        #: — what :meth:`finish` stamps end-of-stream violations with.
+        self._now = 0.0
+
+    def feed(self, index: int, ev: TraceEvent) -> None:
+        """Show this checker the stream's event number *index* — its sink."""
+        self._index = index
+        self._now = ev.time
+        self.on_event(ev)
+
+    def flag(self, message: str, time: float) -> None:
+        self.violations.append(
+            TraceViolation(
+                invariant=self.name,
+                message=message,
+                time=time,
+                event_index=self._index,
+            )
+        )
+
+    # -- overridables --------------------------------------------------------
+
+    def on_event(self, ev: TraceEvent) -> None:
+        raise NotImplementedError
+
+    def finish(self) -> List[TraceViolation]:
+        return self.violations
+
 
 #: the span handed out while nothing records; closed at birth so a
 #: ``duration`` read stays well-defined (always 0.0).

@@ -48,7 +48,7 @@ from typing import (
 
 from ..analysis.result import TableResult
 from ..chklib.report import RunReport
-from ..chklib.schemes.registry import REGISTRY
+from ..chklib.schemes.registry import BASES, FAMILIES, resolve_alias, scheme_class
 from ..machine import MachineParams
 
 if TYPE_CHECKING:
@@ -64,7 +64,6 @@ __all__ = [
     "cell_key",
     "cell_to_jsonable",
     "APP_REGISTRY",
-    "SCHEME_ALIASES",
 ]
 
 
@@ -124,14 +123,6 @@ class WorkloadSpec:
         return app
 
 
-#: scheme aliases: name -> (base, fixed option overrides) — a snapshot of
-#: the :data:`~repro.chklib.schemes.registry.REGISTRY` alias table, which
-#: is the single source of truth (``skew`` is the one option resolved at
-#: plan time, as a fraction of the checkpoint interval, so aliases only
-#: pin the discrete flags).
-SCHEME_ALIASES: Dict[str, Tuple[str, Dict[str, Any]]] = REGISTRY.alias_table()
-
-
 @dataclass(frozen=True)
 class SchemeSpec:
     """A checkpointing scheme as data: base name, times, option flags."""
@@ -157,18 +148,56 @@ class SchemeSpec:
 
     @staticmethod
     def of(alias: str, times: Sequence[float], **options) -> "SchemeSpec":
-        """Build a spec from a scheme *alias* (e.g. ``indep_m_log``);
-        options outside the family's registry schema are rejected."""
-        base, fixed = REGISTRY.resolve(alias)
+        """Build a spec from a scheme *alias* (e.g. ``indep_m_log``).
+        An option outside the family's schema (``FAMILIES`` in
+        :mod:`repro.chklib.schemes.registry`) is rejected — silently
+        ignoring it would make the spec lie about what it measures —
+        unless it is at its field default, which is a no-op, not a
+        request (so a uniform ``skew=0.0`` on a timerless scheme stays
+        legal)."""
+        base, fixed = resolve_alias(alias)
         merged = {**fixed, **options}
-        REGISTRY.check_options(base, merged)
+        family = BASES[base][0]
+        schema = FAMILIES[family][1]
+        unknown = sorted(
+            name
+            for name, value in merged.items()
+            if name not in schema and value != _SPEC_DEFAULTS.get(name, object())
+        )
+        if unknown:
+            raise ValueError(
+                f"scheme base {base!r} ({family}) takes no option(s) "
+                f"{unknown}; its schema is {sorted(schema)}"
+            )
         return SchemeSpec(
             name=base, times=tuple(float(t) for t in times), **merged
         )
 
     def build(self) -> Scheme:
-        """Instantiate the scheme for one simulation run."""
-        return REGISTRY.build(self)
+        """Instantiate the scheme for one simulation run: the base's named
+        constructor (or the family class) gets the times plus every schema
+        option this spec sets away from its default."""
+        from ..chklib.policy import build_policy
+
+        try:
+            family, factory = BASES[self.name]
+        except KeyError:
+            raise ValueError(f"unknown scheme base {self.name!r}") from None
+        kw: Dict[str, Any] = {}
+        for option in FAMILIES[family][1]:
+            value = getattr(self, option)
+            if value != _SPEC_DEFAULTS[option]:
+                kw[option] = build_policy(value) if option == "policy" else value
+        cls = scheme_class(family)
+        make = getattr(cls, factory) if factory is not None else cls
+        return make(list(self.times), **kw)
+
+
+#: each ``SchemeSpec`` option's field default: left there, an option is
+#: not a request.
+_SPEC_DEFAULTS: Dict[str, Any] = {
+    f.name: f.default for f in dataclasses.fields(SchemeSpec)
+}
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from typing import (
 )
 
 from ..chklib.report import RunReport
-from ..chklib.schemes.registry import REGISTRY
+from ..chklib.schemes.registry import skewed
 from ..machine import MachineParams
 from .grid import Cell, GridResults, SchemeSpec, WorkloadSpec, interval_times
 
@@ -77,7 +77,7 @@ def scheme_spec(name: str, times: Sequence[float], interval: float) -> SchemeSpe
     — the registry knows which) get the standard timer skew
     (:data:`INDEP_SKEW_FRACTION` of *interval*); coordinated variants
     carry no skew."""
-    if REGISTRY.skewed(name):
+    if skewed(name):
         return SchemeSpec.of(name, times, skew=INDEP_SKEW_FRACTION * interval)
     return SchemeSpec.of(name, times)
 

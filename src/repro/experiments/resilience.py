@@ -30,7 +30,7 @@ from ..analysis import TableResult, TableView
 from ..chklib import RunReport
 from ..fault import FaultModel, RetryPolicy, StorageFaultSpec
 from ..machine import MachineParams
-from ..chklib.schemes.registry import REGISTRY
+from ..chklib.schemes.registry import skewed
 from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec
 from .workloads import fault_workload
 
@@ -78,7 +78,7 @@ def resilience_spec(
         skew = T / 50
 
         def scheme(name: str) -> SchemeSpec:
-            if REGISTRY.skewed(name):
+            if skewed(name):
                 return SchemeSpec.of(name, times, skew=skew)
             return SchemeSpec.of(name, times)
 

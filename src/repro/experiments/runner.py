@@ -350,9 +350,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.list_schemes:
-        from ..chklib.schemes.registry import REGISTRY
+        from ..chklib.schemes.registry import ALIASES, BASES
 
-        for alias, family, fixed in REGISTRY.describe():
+        for alias, base, fixed in ALIASES:
+            family = BASES[base][0]
             overrides = (
                 " ".join(f"{k}={v}" for k, v in sorted(fixed.items())) or "-"
             )

@@ -1,18 +1,15 @@
-"""Failure injection: fault models, plan builders and the storage injector.
+"""Failure injection: fault models, their builders and the storage injector.
 
 The runtime consumes a :class:`~repro.fault.model.FaultModel` describing
 whole-machine crashes, per-node crash schedules and stable-storage faults
 (transient op failures + silent checkpoint corruption), plus the
-:class:`~repro.fault.model.RetryPolicy` governing retry-with-backoff. The
-legacy :class:`~repro.fault.model.FaultPlan` (crash times only) is still
-accepted everywhere and normalised internally.
+:class:`~repro.fault.model.RetryPolicy` governing retry-with-backoff.
 """
 
 from .._lazy import lazy_surface
 
 #: name -> the submodule defining it, imported on first use.
 _LAZY = {
-    "FaultPlan": "model",
     "FaultModel": "model",
     "CrashEvent": "model",
     "RetryPolicy": "model",
@@ -20,9 +17,6 @@ _LAZY = {
     "StorageFaultInjector": "injection",
     "OpVerdict": "injection",
     "make_injector": "injection",
-    "single_crash": "plans",
-    "periodic_plan": "plans",
-    "exponential_plan": "plans",
     "crash_times": "plans",
     "node_crash_model": "plans",
     "exponential_node_model": "plans",

@@ -1,11 +1,11 @@
 """The fault model: what can fail, when, and how hard we fight back.
 
-The seed's fault model was a single knob — :class:`FaultPlan`, a list of
-whole-machine crash times. Real checkpoint/restart stacks spend most of
-their robustness budget elsewhere: partial node failures, failed or torn
-stable-storage writes, and silently corrupted checkpoint images (cf. the
-multi-level validation/retry machinery of thread-based MPI checkpointing
-runtimes). :class:`FaultModel` generalises the plan into three axes:
+Whole-machine crashes are the classic failure, but real
+checkpoint/restart stacks spend most of their robustness budget
+elsewhere: partial node failures, failed or torn stable-storage writes,
+and silently corrupted checkpoint images (cf. the multi-level
+validation/retry machinery of thread-based MPI checkpointing runtimes).
+:class:`FaultModel` covers three axes:
 
 * **machine crashes** — the classic whole-application failure (every rank
   loses its volatile state; stable storage and local disks survive);
@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 __all__ = [
-    "FaultPlan",
     "RetryPolicy",
     "StorageFaultSpec",
     "CrashEvent",
@@ -46,27 +45,6 @@ def _clean_times(times: Sequence[float], what: str) -> Tuple[float, ...]:
         if t != t or t < 0:  # NaN or negative
             raise ValueError(f"{what} must be non-negative, got {t!r}")
     return tuple(sorted(cleaned))
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """When to crash the machine (whole-application failures).
-
-    Kept as the simple legacy interface; the runtime normalises it into a
-    :class:`FaultModel`. Crash times are validated (non-negative, no NaN)
-    and stored sorted, so unsorted input cannot silently skip injections.
-    """
-
-    crash_times: Sequence[float] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "crash_times", _clean_times(self.crash_times, "crash time")
-        )
-
-    @staticmethod
-    def single(at: float) -> "FaultPlan":
-        return FaultPlan(crash_times=(float(at),))
 
 
 @dataclass(frozen=True)
@@ -190,11 +168,6 @@ class FaultModel:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def from_plan(cls, plan: FaultPlan, **kw) -> "FaultModel":
-        """Wrap a legacy :class:`FaultPlan` (whole-machine crashes only)."""
-        return cls(machine_crash_times=tuple(plan.crash_times), **kw)
-
-    @classmethod
     def machine_crash(cls, at: float, **kw) -> "FaultModel":
         return cls(machine_crash_times=(float(at),), **kw)
 
@@ -203,12 +176,6 @@ class FaultModel:
         return cls(node_crash_times={int(rank): (float(at),)}, **kw)
 
     # -- queries --------------------------------------------------------------
-
-    @property
-    def has_crashes(self) -> bool:
-        return bool(self.machine_crash_times) or any(
-            ts for ts in self.node_crash_times.values()
-        )
 
     def crash_events(self, n_ranks: int) -> List[CrashEvent]:
         """The merged, time-ordered failure schedule.

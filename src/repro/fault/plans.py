@@ -7,34 +7,14 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..core.rng import derive_seed
-from .model import FaultModel, FaultPlan, RetryPolicy, StorageFaultSpec
+from .model import FaultModel, RetryPolicy, StorageFaultSpec
 
 __all__ = [
-    "single_crash",
-    "periodic_plan",
-    "exponential_plan",
     "crash_times",
     "node_crash_model",
     "exponential_node_model",
     "storage_fault_model",
 ]
-
-
-def single_crash(at: float) -> FaultPlan:
-    """One whole-machine failure at time *at*."""
-    return FaultPlan.single(at)
-
-
-def periodic_plan(period: float, horizon: float, offset: float = 0.0) -> FaultPlan:
-    """A crash every *period* seconds from *offset* up to *horizon*."""
-    if period <= 0:
-        raise ValueError(f"period must be positive, got {period}")
-    times = []
-    t = offset + period
-    while t <= horizon:
-        times.append(t)
-        t += period
-    return FaultPlan(crash_times=tuple(times))
 
 
 def crash_times(
@@ -51,13 +31,6 @@ def crash_times(
         t += float(rng.exponential(mtbf))
         times.append(t)
     return times
-
-
-def exponential_plan(
-    mtbf: float, horizon: float, seed: int = 0, stream: str = "faults"
-) -> FaultPlan:
-    """A :class:`FaultPlan` with exponential inter-arrival times."""
-    return FaultPlan(crash_times=tuple(crash_times(mtbf, horizon, seed, stream)))
 
 
 def node_crash_model(

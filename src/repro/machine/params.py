@@ -269,12 +269,6 @@ class MachineParams:
             self, link=dataclasses.replace(self.link, **changes)
         )
 
-    def with_topology(self, **changes) -> "MachineParams":
-        """Copy with topology parameters overridden."""
-        return dataclasses.replace(
-            self, topology=dataclasses.replace(self.topology, **changes)
-        )
-
     def with_plane(self, **changes) -> "MachineParams":
         """Copy with storage-plane parameters overridden."""
         return dataclasses.replace(

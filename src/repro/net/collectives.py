@@ -48,14 +48,6 @@ def _stride(comm: Comm) -> int:
     return 1 << (p - 1).bit_length()
 
 
-def _slot_tag(comm: Comm, offset: int) -> int:
-    """Wire tag for sub-operation *offset* of the current collective slot."""
-    stride = _stride(comm)
-    if offset >= stride:
-        raise ValueError(f"collective sub-tag overflow: {offset}")
-    return COLL_TAG_BASE + comm.coll_counter * stride + offset
-
-
 def _take_slot(comm: Comm) -> int:
     slot = comm.coll_counter
     comm.coll_counter += 1

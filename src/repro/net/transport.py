@@ -94,10 +94,6 @@ class Transport:
         sends reuse the original sequence numbers (duplicate suppression)."""
         self._next_seq[(src, dst)] = int(to)
 
-    def seq_state(self) -> Dict[tuple[int, int], int]:
-        """Snapshot of all channel send counters (for checkpoint metadata)."""
-        return dict(self._next_seq)
-
     # -- the wire -----------------------------------------------------------------
 
     def send(self, msg: Message) -> Generator[Event, Any, None]:
@@ -118,10 +114,15 @@ class Transport:
         if wire:  # busy: wait in line for the claims ahead
             claim = Event(self.engine)
             wire.append(claim)
-            return self._transfer(msg, wire, claim, None)
-        hop = self._hop(msg)  # free: granted now, the wire time starts
-        wire.append(hop)
-        return self._transfer(msg, wire, hop, hop)
+            transfer = self._transfer(msg, wire, claim, None)
+        else:
+            hop = self._hop(msg)  # free: granted now, the wire time starts
+            wire.append(hop)
+            transfer = self._transfer(msg, wire, hop, hop)
+        # step it into its ``try``: a process interrupted (or a generator
+        # closed) before its first step then still withdraws the claim
+        next(transfer)
+        return transfer
 
     def _hop(self, msg: Message) -> Event:
         """The wire time of *msg* from now: its route's cost under the
@@ -136,6 +137,7 @@ class Transport:
         self, msg: Message, wire: Deque[Event], claim: Event, hop: "Event | None"
     ) -> Generator[Event, Any, None]:
         try:
+            yield  # where send() parks it
             if hop is None:
                 yield claim
                 hop = self._hop(msg)

@@ -17,13 +17,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, List
+from typing import Any, Iterable, Iterator, List
 
 from ..core.errors import VerificationError
-from ..core.tracing import TraceEvent, Tracer
-
-if TYPE_CHECKING:
-    from .invariants import RunMeta, TraceViolation
+from ..core.tracing import RunMeta, TraceEvent, Tracer, TraceViolation
 
 __all__ = [
     "Audit",
@@ -71,7 +68,7 @@ class Audit:
     """The checker battery for one run, subscribed to *tracer*.
 
     Each checker sees only the kinds it ``consumes`` (the tracer folds
-    ``"*"`` in), through :meth:`~repro.verify.invariants.Checker.feed`
+    ``"*"`` in), through :meth:`~repro.core.tracing.Checker.feed`
     with the event's index in the run's stream."""
 
     def __init__(self, tracer: Tracer, meta: RunMeta) -> None:
@@ -114,8 +111,6 @@ def check_trace(events: Iterable[TraceEvent], meta: RunMeta) -> TraceReport:
 
 def meta_for_runtime(runtime: Any) -> RunMeta:
     """Derive checker metadata from a (duck-typed) runtime's scheme."""
-    from .invariants import RunMeta
-
     scheme = runtime.scheme
     storage = getattr(runtime, "storage", None)
     return RunMeta(

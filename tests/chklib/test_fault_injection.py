@@ -12,7 +12,6 @@ from repro.apps import SOR
 from repro.chklib import (
     CheckpointRuntime,
     CoordinatedScheme,
-    FaultPlan,
     IndependentScheme,
     stable_read,
     stable_write,
@@ -37,12 +36,15 @@ from repro.machine.storage import StableStorage
 # model validation
 
 
-def test_fault_plan_rejects_bad_times():
+def test_fault_model_rejects_bad_machine_crash_times():
     with pytest.raises(ValueError):
-        FaultPlan(crash_times=(-1.0,))
+        FaultModel(machine_crash_times=(-1.0,))
     with pytest.raises(ValueError):
-        FaultPlan(crash_times=(float("nan"),))
-    assert FaultPlan(crash_times=(5.0, 1.0)).crash_times == (1.0, 5.0)
+        FaultModel(machine_crash_times=(float("nan"),))
+    assert FaultModel(machine_crash_times=(5.0, 1.0)).machine_crash_times == (
+        1.0,
+        5.0,
+    )
 
 
 def test_retry_policy_validation_and_backoff():
@@ -86,16 +88,6 @@ def test_fault_model_rejects_out_of_range_rank():
     model = FaultModel.node_crash(7, 1.0)
     with pytest.raises(ValueError):
         model.crash_events(n_ranks=4)
-
-
-def test_runtime_rejects_plan_and_model_together():
-    with pytest.raises(ValueError):
-        CheckpointRuntime(
-            SOR(n=10, iters=2),
-            machine=MachineParams(n_nodes=2),
-            fault_plan=FaultPlan.single(1.0),
-            fault_model=FaultModel.machine_crash(1.0),
-        )
 
 
 # ---------------------------------------------------------------------------

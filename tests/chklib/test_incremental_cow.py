@@ -7,7 +7,7 @@ from repro.apps import SOR, Ising, TSP
 from repro.chklib import (
     CheckpointRuntime,
     CoordinatedScheme,
-    FaultPlan,
+    FaultModel,
     IndependentScheme,
 )
 from repro.chklib.incremental import (
@@ -116,7 +116,7 @@ class TestIncrementalScheme:
             scheme=CoordinatedScheme.NBM(times, incremental=True, full_every=8),
             machine=MACHINE,
             seed=3,
-            fault_plan=FaultPlan.single(0.85 * base.sim_time),
+            fault_model=FaultModel.machine_crash(0.85 * base.sim_time),
         ).run()
         assert len(report.recoveries) == 1
         assert report.result == base.result  # exact replay through the chain
@@ -224,7 +224,7 @@ class TestCowCapture:
             scheme=CoordinatedScheme.NBCS(times, incremental=True),
             machine=MACHINE,
             seed=3,
-            fault_plan=FaultPlan.single(0.8 * base.sim_time),
+            fault_model=FaultModel.machine_crash(0.8 * base.sim_time),
         ).run()
         assert report.result == base.result
 

@@ -1,34 +1,70 @@
-"""Unit tests for the protocol registry (DESIGN.md §13).
+"""The protocol families as data (DESIGN.md §13).
 
-The registry is the single source of truth for scheme families: alias
-resolution, option schemas, the verify hooks (trace checkers, event
-vocabularies) and the ``--list-schemes`` description
-rows all come from one object. These tests pin that contract down.
+``repro.chklib.schemes.registry`` holds three tables — family, base,
+alias — and a few lookups over them; ``SchemeSpec.of``/``.build`` apply
+them. The table tests here stand in for the registration-time checks a
+registry object used to run. The structural tests hold each family's
+trace checkers to its own module, and to its own runs.
 """
+
+import inspect
 
 import pytest
 
 from repro.chklib import CICScheme, CoordinatedScheme, IndependentScheme
 from repro.chklib.schemes.msglog import MessageLoggingScheme
 from repro.chklib.schemes.registry import (
-    REGISTRY,
-    ProtocolFamily,
-    ProtocolRegistry,
+    ALIASES,
+    BASES,
+    FAMILIES,
+    family_of,
+    resolve_alias,
+    scheme_class,
+    skewed,
 )
-from repro.core.tracing import EVENT_KINDS
-from repro.experiments.grid import SCHEME_ALIASES, SchemeSpec
+from repro.core.tracing import Checker, RunMeta
+from repro.experiments.grid import SchemeSpec
+from repro.verify import invariants
+from repro.verify.invariants import default_checkers
+
+# -- the tables ----------------------------------------------------------------
 
 
-# -- the populated registry ----------------------------------------------------
+def test_four_families():
+    assert list(FAMILIES) == ["coordinated", "independent", "cic", "msglog"]
 
 
-def test_four_families_registered():
-    names = [f.name for f in REGISTRY.families()]
-    assert names == ["coordinated", "independent", "cic", "msglog"]
+def test_no_alias_is_listed_twice():
+    names = [alias for alias, _base, _fixed in ALIASES]
+    assert len(names) == len(set(names))
+
+
+def test_every_alias_resolves_to_a_known_base():
+    for alias, base, _fixed in ALIASES:
+        assert base in BASES, alias
+
+
+def test_every_fixed_override_is_in_its_familys_options():
+    for alias, base, fixed in ALIASES:
+        family = BASES[base][0]
+        assert set(fixed) <= set(FAMILIES[family][1]), alias
+
+
+def test_every_base_names_a_family_and_a_constructor_it_has():
+    for base, (family, factory) in BASES.items():
+        cls = scheme_class(family)
+        assert cls is not None, base
+        if factory is not None:
+            assert callable(getattr(cls, factory)), base
+
+
+def test_every_family_option_is_a_spec_field():
+    fields = set(inspect.signature(SchemeSpec).parameters)
+    for family, (_path, options, _skewed) in FAMILIES.items():
+        assert set(options) <= fields, family
 
 
 def test_alias_table_covers_legacy_and_new():
-    table = REGISTRY.alias_table()
     legacy = {
         "coord_nb", "coord_nbm", "coord_nbms", "coord_nbs", "coord_nbc",
         "coord_nbcs", "indep", "indep_m", "indep_c", "indep_log",
@@ -36,21 +72,27 @@ def test_alias_table_covers_legacy_and_new():
         "coord_nbcs_inc", "coord_nb_2l", "coord_nbms_2l",
     }
     new = {"cic", "cic_fdas", "indep_m_mlog"}
-    assert set(table) == legacy | new
-    # grid.py's SCHEME_ALIASES is the same table (single-sourced)
-    assert SCHEME_ALIASES == table
+    assert {alias for alias, _base, _fixed in ALIASES} == legacy | new
+
+
+# -- the lookups ---------------------------------------------------------------
 
 
 def test_aliases_pin_fixed_overrides():
-    assert REGISTRY.resolve("indep_m_log") == ("indep_m", {"logging": True})
-    assert REGISTRY.resolve("cic") == ("cic", {})
-    assert REGISTRY.resolve("cic_fdas") == ("cic", {"cic_rule": "fdas"})
-    assert REGISTRY.resolve("indep_m_mlog") == ("mlog", {})
+    assert resolve_alias("indep_m_log") == ("indep_m", {"logging": True})
+    assert resolve_alias("cic") == ("cic", {})
+    assert resolve_alias("cic_fdas") == ("cic", {"cic_rule": "fdas"})
+    assert resolve_alias("indep_m_mlog") == ("mlog", {})
+
+
+def test_resolved_overrides_are_a_copy():
+    resolve_alias("indep_m_log")[1]["logging"] = False
+    assert resolve_alias("indep_m_log") == ("indep_m", {"logging": True})
 
 
 def test_unknown_alias_error_lists_available():
     with pytest.raises(ValueError, match="unknown scheme 'nope'") as ei:
-        REGISTRY.resolve("nope")
+        resolve_alias("nope")
     msg = str(ei.value)
     assert "available:" in msg
     # a representative from every family shows up in the hint
@@ -59,19 +101,18 @@ def test_unknown_alias_error_lists_available():
 
 
 def test_skewed_marks_timer_families():
-    assert not REGISTRY.skewed("coord_nbms")
-    assert REGISTRY.skewed("indep_m")
-    assert REGISTRY.skewed("cic")
-    assert REGISTRY.skewed("indep_m_mlog")
+    assert not skewed("coord_nbms")
+    assert skewed("indep_m")
+    assert skewed("cic")
+    assert skewed("indep_m_mlog")
 
 
-def test_family_of_maps_alias_to_scheme_class():
-    assert REGISTRY.family_of("coord_nb").scheme_cls is CoordinatedScheme
-    assert REGISTRY.family_of("indep_log").scheme_cls is IndependentScheme
-    assert REGISTRY.family_of("cic_fdas").scheme_cls is CICScheme
-    assert (
-        REGISTRY.family_of("indep_m_mlog").scheme_cls is MessageLoggingScheme
-    )
+def test_family_of_and_scheme_class():
+    assert scheme_class(family_of("coord_nb")) is CoordinatedScheme
+    assert scheme_class(family_of("indep_log")) is IndependentScheme
+    assert scheme_class(family_of("cic_fdas")) is CICScheme
+    assert scheme_class(family_of("indep_m_mlog")) is MessageLoggingScheme
+    assert scheme_class("none") is None
 
 
 # -- option schema enforcement -------------------------------------------------
@@ -93,25 +134,12 @@ def test_option_at_default_is_tolerated():
         SchemeSpec.of("coord_nb", (1.0,), skew=0.5)
 
 
-def test_alias_fixed_overrides_must_be_in_schema():
-    reg = ProtocolRegistry()
-    reg.register(REGISTRY.family_of("coord_nb"))
-    with pytest.raises(ValueError, match="not in the coordinated"):
-        reg.register_alias("bad", "coord_nb", {"logging": True})
-
-
-def test_duplicate_registration_rejected():
-    reg = ProtocolRegistry()
-    fam = REGISTRY.family_of("cic")
-    reg.register(fam)
-    with pytest.raises(ValueError, match="duplicate protocol family"):
-        reg.register(fam)
-    reg.register_alias("cic", "cic", {})
-    with pytest.raises(ValueError, match="duplicate scheme alias"):
-        reg.register_alias("cic", "cic", {})
-
-
 # -- spec building -------------------------------------------------------------
+
+
+def test_unknown_base_rejected_at_build():
+    with pytest.raises(ValueError, match="unknown scheme base 'nope'"):
+        SchemeSpec(name="nope", times=(1.0,)).build()
 
 
 def test_build_constructs_the_right_classes():
@@ -127,60 +155,56 @@ def test_build_constructs_the_right_classes():
     assert mlog.logging
 
 
-# -- verify hooks --------------------------------------------------------------
+# -- each family's verification ------------------------------------------------
 
 
-def test_explorer_covers_every_registered_family():
+def test_explorer_covers_every_family():
     # ``repro.verify model`` explores the smoke schemes: one or more per
     # family, so a new family cannot ship unexplored
     from repro.verify.smoke import SMOKE_SCHEMES, make_smoke_scheme
 
     explored = {type(make_smoke_scheme(name, [1.0], 1.0)) for name in SMOKE_SCHEMES}
-    assert {family.scheme_cls for family in REGISTRY.families()} <= explored
+    assert {scheme_class(family) for family in FAMILIES} <= explored
 
 
-def test_trace_checkers_deduped_and_ordered():
-    from repro.verify.invariants import CicIndexRule, MsglogReplayBounds
-
-    classes = REGISTRY.trace_checkers()
-    assert len(classes) == len(set(classes))
-    assert classes.index(CicIndexRule) < classes.index(MsglogReplayBounds)
-
-
-def test_trace_events_registered_in_event_kinds():
-    assert REGISTRY.trace_events() <= EVENT_KINDS
-    assert {
-        "proto.cic.forced",
-        "proto.cic.promote",
-        "proto.mlog.logged",
-        "proto.mlog.degraded",
-    } <= REGISTRY.trace_events()
-
-
-class Rogue(CICScheme):
-    TRACE_EVENTS = ("proto.not.a.kind",)
+def test_family_checkers_are_defined_in_their_schemes_module():
+    names = []
+    for family in FAMILIES:
+        cls = scheme_class(family)
+        for checker in cls.CHECKERS:
+            assert issubclass(checker, Checker)
+            assert checker.__module__ == cls.__module__, (family, checker)
+            names.append(checker.name)
+    # the invariants tests/verify/test_mutations.py's family mutants
+    # (CommitEarly, NoTokenWait, CicSkipForced, MlogDeepRollback) are
+    # flagged by
+    assert sorted(names) == [
+        "cic_index_rule",
+        "coordinated_two_phase",
+        "msglog_replay_bounds",
+        "staggered_write_mutex",
+    ]
 
 
-def test_validate_rejects_rogue_event_vocabulary():
-    reg = ProtocolRegistry()
-    fam = REGISTRY.family_of("cic")
-    reg.register(
-        ProtocolFamily(
-            name="rogue",
-            scheme=f"{__name__}.Rogue",
-            bases=("rogue",),
-            options=fam.options,
-            skewed=True,
-        )
-    )
-    with pytest.raises(ValueError, match="missing from EVENT_KINDS"):
-        reg.validate()
+def test_the_verify_engine_defines_no_family_checker():
+    family = {c for f in FAMILIES for c in scheme_class(f).CHECKERS}
+    core = {
+        obj
+        for obj in vars(invariants).values()
+        if inspect.isclass(obj) and issubclass(obj, Checker) and obj is not Checker
+    }
+    assert len(core) == 6
+    assert all(c.__module__ == invariants.__name__ for c in core)
+    assert not core & family
 
 
-def test_describe_rows_match_alias_table():
-    rows = REGISTRY.describe()
-    assert [alias for alias, _, _ in rows] == REGISTRY.aliases()
-    by_alias = {alias: (family, fixed) for alias, family, fixed in rows}
-    assert by_alias["indep_m_log"] == ("independent", {"logging": True})
-    assert by_alias["cic_fdas"] == ("cic", {"cic_rule": "fdas"})
-    assert by_alias["indep_m_mlog"] == ("msglog", {})
+@pytest.mark.parametrize("family", list(FAMILIES) + ["none"])
+def test_family_checkers_run_only_on_their_familys_runs(family):
+    meta = RunMeta(n_ranks=2, klass=family)
+    ran = {type(c) for c in default_checkers(meta)}
+    for other in FAMILIES:
+        own = set(scheme_class(other).CHECKERS)
+        if other == family:
+            assert own <= ran
+        else:
+            assert not own & ran, other

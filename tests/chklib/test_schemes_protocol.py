@@ -14,7 +14,7 @@ from repro.apps.base import Application
 from repro.chklib import (
     CheckpointRuntime,
     CoordinatedScheme,
-    FaultPlan,
+    FaultModel,
     IndependentScheme,
     MessageLoggingScheme,
 )
@@ -55,7 +55,7 @@ MACHINE2 = MachineParams(n_nodes=2)
 
 def run_pingpong(scheme=None, fault=None, machine=MACHINE2, **app_kw):
     rt = CheckpointRuntime(
-        PingPong(**app_kw), scheme=scheme, machine=machine, seed=1, fault_plan=fault
+        PingPong(**app_kw), scheme=scheme, machine=machine, seed=1, fault_model=fault
     )
     report = rt.run()
     return rt, report
@@ -97,7 +97,7 @@ def test_tentative_checkpoint_not_used_for_recovery():
     # crash just after round 2 starts (markers sent, writes queued)
     rt, report = run_pingpong(
         scheme=CoordinatedScheme.NB([t1, t2]),
-        fault=FaultPlan.single(t2 + 0.02),
+        fault=FaultModel.machine_crash(t2 + 0.02),
     )
     rec = report.recoveries[0]
     assert set(rec.line_indices.values()) == {1}
@@ -179,7 +179,7 @@ def test_duplicate_suppression_counter_after_crash():
     rt, report = run_pingpong(
         iters=120,
         scheme=CoordinatedScheme.NBM(times),
-        fault=FaultPlan.single(base.sim_time * 0.7),
+        fault=FaultModel.machine_crash(base.sim_time * 0.7),
     )
     assert report.result == base.result
     # the replayed prefix re-sent messages the survivors had consumed

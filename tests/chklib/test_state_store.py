@@ -133,19 +133,6 @@ class TestCheckpointStore:
         store.add(make_record(0, 3))
         assert store.latest_index(0) == 3
 
-    def test_latest_committed_global(self):
-        store = CheckpointStore(2)
-        for rank in (0, 1):
-            for idx in (1, 2):
-                store.add(make_record(rank, idx))
-        assert store.latest_committed_global() == 0
-        store.commit(0, 1)
-        store.commit(0, 2)
-        store.commit(1, 1)
-        assert store.latest_committed_global() == 1
-        store.commit(1, 2)
-        assert store.latest_committed_global() == 2
-
     def test_discard_frees_bytes(self):
         store = CheckpointStore(1)
         rec = make_record(0, 1, {"x": np.zeros(1000)})

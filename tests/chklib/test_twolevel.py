@@ -3,7 +3,7 @@
 import pytest
 
 from repro.apps import SOR
-from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultPlan, IndependentScheme
+from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultModel, IndependentScheme
 from repro.machine import MachineParams
 
 MACHINE = MachineParams(n_nodes=4)
@@ -69,7 +69,7 @@ def test_two_level_crash_recovery_exact_and_reads_local(base):
         scheme=CoordinatedScheme.NBMS(times, two_level=True),
         machine=MACHINE,
         seed=7,
-        fault_plan=FaultPlan.single(0.8 * base.sim_time),
+        fault_model=FaultModel.machine_crash(0.8 * base.sim_time),
     )
     report = rt.run()
     assert report.result["sum"] == base.result["sum"]
@@ -86,7 +86,7 @@ def test_two_level_recovery_faster_than_global(base):
             scheme=CoordinatedScheme.NB(times, two_level=two_level),
             machine=MACHINE,
             seed=7,
-            fault_plan=FaultPlan.single(0.8 * base.sim_time),
+            fault_model=FaultModel.machine_crash(0.8 * base.sim_time),
         ).run()
 
     slow = run_with(False)
@@ -103,7 +103,7 @@ def test_independent_two_level(base):
         scheme=IndependentScheme.IndepM(times, two_level=True, logging=True),
         machine=MACHINE,
         seed=7,
-        fault_plan=FaultPlan.single(0.8 * base.sim_time),
+        fault_model=FaultModel.machine_crash(0.8 * base.sim_time),
     ).run()
     assert report.result["sum"] == base.result["sum"]
     assert report.scheme == "indep_m_2l"

@@ -1,8 +1,8 @@
-"""Unit tests for Resource and Store."""
+"""Unit tests for Resource."""
 
 import pytest
 
-from repro.core import Engine, Resource, SimulationError, Store
+from repro.core import Engine, Resource, SimulationError
 
 
 def test_resource_grants_up_to_capacity_immediately():
@@ -107,79 +107,3 @@ def test_n_writers_single_server_total_time():
         eng.process(writer())
     eng.run()
     assert finish == [2.0 * (i + 1) for i in range(8)]
-
-
-def test_store_put_then_get():
-    eng = Engine()
-    st = Store(eng)
-    st.put("m1")
-    got = st.get()
-    assert got.triggered and got._value == "m1"
-    eng.run(until=0.0)
-
-
-def test_store_get_blocks_until_put():
-    eng = Engine()
-    st = Store(eng)
-    received = []
-
-    def consumer():
-        item = yield st.get()
-        received.append((eng.now, item))
-
-    def producer():
-        yield eng.timeout(3.0)
-        st.put("late")
-
-    eng.process(consumer())
-    eng.process(producer())
-    eng.run()
-    assert received == [(3.0, "late")]
-
-
-def test_store_fifo_items_and_getters():
-    eng = Engine()
-    st = Store(eng)
-    got = []
-
-    def consumer(tag):
-        item = yield st.get()
-        got.append((tag, item))
-
-    eng.process(consumer("c1"))
-    eng.process(consumer("c2"))
-    st.put("first")
-    st.put("second")
-    eng.run()
-    assert got == [("c1", "first"), ("c2", "second")]
-
-
-def test_store_capacity_overflow_raises():
-    eng = Engine()
-    st = Store(eng, capacity=1)
-    st.put("x")
-    with pytest.raises(SimulationError):
-        st.put("y")
-
-
-def test_store_peek():
-    eng = Engine()
-    st = Store(eng)
-    with pytest.raises(SimulationError):
-        st.peek()
-    st.put("a")
-    st.put("b")
-    assert st.peek() == "a"
-    assert len(st) == 2
-
-
-def test_store_get_cancel():
-    eng = Engine()
-    st = Store(eng)
-    g1 = st.get()
-    g2 = st.get()
-    g1.cancel()
-    st.put("only")
-    assert not g1.triggered
-    assert g2.triggered and g2._value == "only"
-    eng.run(until=0.0)

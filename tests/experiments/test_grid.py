@@ -4,8 +4,8 @@ import pickle
 
 import pytest
 
+from repro.chklib.schemes.registry import ALIASES
 from repro.experiments.grid import (
-    SCHEME_ALIASES,
     Cell,
     GridResults,
     SchemeSpec,
@@ -69,7 +69,7 @@ def test_scheme_spec_alias_resolves_flags():
 
 
 def test_scheme_spec_every_alias_builds():
-    for alias in SCHEME_ALIASES:
+    for alias, _base, _fixed in ALIASES:
         scheme = SchemeSpec.of(alias, (5.0, 10.0)).build()
         assert scheme is not None, alias
 

@@ -63,13 +63,13 @@ def test_runner_requires_experiment_or_list_schemes():
 
 
 def test_runner_list_schemes(capsys):
-    from repro.chklib.schemes.registry import REGISTRY
+    from repro.chklib.schemes.registry import ALIASES
 
     assert runner_mod.main(["--list-schemes"]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""  # rows go to stdout only
     lines = captured.out.strip().splitlines()
-    assert len(lines) == len(REGISTRY.aliases())
+    assert len(lines) == len(ALIASES)
     rows = {ln.split()[0]: ln.split()[1:] for ln in lines}
     # every alias appears with its family ...
     assert rows["coord_nbms"][0] == "coordinated"

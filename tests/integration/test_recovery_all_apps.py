@@ -7,7 +7,7 @@ from repro.apps import ASP, SOR, Gauss, Ising, NBody, NQueens, TSP
 from repro.chklib import (
     CheckpointRuntime,
     CoordinatedScheme,
-    FaultPlan,
+    FaultModel,
     IndependentScheme,
 )
 from repro.machine import MachineParams
@@ -34,7 +34,7 @@ def make_app(name):
 
 def run(name, scheme=None, fault=None):
     rt = CheckpointRuntime(
-        make_app(name), scheme=scheme, machine=MACHINE, seed=SEED, fault_plan=fault
+        make_app(name), scheme=scheme, machine=MACHINE, seed=SEED, fault_model=fault
     )
     return rt.run()
 
@@ -58,7 +58,7 @@ def test_coordinated_crash_recovery_exact(baselines, name):
     base = baselines[name]
     t = base.sim_time
     scheme = CoordinatedScheme.NBM([t / 4, t / 2])
-    report = run(name, scheme=scheme, fault=FaultPlan.single(0.8 * t))
+    report = run(name, scheme=scheme, fault=FaultModel.machine_crash(0.8 * t))
     assert len(report.recoveries) == 1
     assert result_key(report) == result_key(base)
     assert report.sim_time > base.sim_time
@@ -69,7 +69,7 @@ def test_independent_logging_crash_recovery_exact(baselines, name):
     base = baselines[name]
     t = base.sim_time
     scheme = IndependentScheme.IndepM([t / 4, t / 2], skew=t / 50, logging=True)
-    report = run(name, scheme=scheme, fault=FaultPlan.single(0.8 * t))
+    report = run(name, scheme=scheme, fault=FaultModel.machine_crash(0.8 * t))
     assert len(report.recoveries) == 1
     assert result_key(report) == result_key(base)
 
@@ -81,7 +81,7 @@ def test_independent_no_logging_loosely_coupled_no_domino(baselines, name):
     base = baselines[name]
     t = base.sim_time
     scheme = IndependentScheme.Indep([t / 4, t / 2], skew=t / 50, logging=False)
-    report = run(name, scheme=scheme, fault=FaultPlan.single(0.8 * t))
+    report = run(name, scheme=scheme, fault=FaultModel.machine_crash(0.8 * t))
     rec = report.recoveries[0]
     assert rec.domino_extent < 1.0
     assert result_key(report) == result_key(base)
@@ -95,7 +95,7 @@ def test_independent_no_logging_tightly_coupled_dominoes(baselines, name):
     base = baselines[name]
     t = base.sim_time
     scheme = IndependentScheme.Indep([t / 4, t / 2], skew=t / 6, logging=False)
-    report = run(name, scheme=scheme, fault=FaultPlan.single(0.85 * t))
+    report = run(name, scheme=scheme, fault=FaultModel.machine_crash(0.85 * t))
     rec = report.recoveries[0]
     assert rec.domino_extent == 1.0  # rolled all the way back
     assert result_key(report) == result_key(base)  # ... but still correct
@@ -110,7 +110,7 @@ def test_independent_aligned_timers_find_boundary_line(baselines, name):
     base = baselines[name]
     t = base.sim_time
     scheme = IndependentScheme.Indep([t / 4, t / 2], skew=t / 1000, logging=False)
-    report = run(name, scheme=scheme, fault=FaultPlan.single(0.85 * t))
+    report = run(name, scheme=scheme, fault=FaultModel.machine_crash(0.85 * t))
     rec = report.recoveries[0]
     assert rec.domino_extent == 0.0
     assert result_key(report) == result_key(base)

@@ -11,7 +11,7 @@ from repro.apps import SOR
 from repro.chklib import (
     CheckpointRuntime,
     CoordinatedScheme,
-    FaultPlan,
+    FaultModel,
     IndependentScheme,
 )
 from repro.machine import MachineParams
@@ -37,7 +37,7 @@ def run(scheme=None, fault=None, app=None, **kw):
         scheme=scheme,
         machine=MACHINE,
         seed=7,
-        fault_plan=fault,
+        fault_model=fault,
         **kw,
     )
     return rt.run()
@@ -131,7 +131,7 @@ def test_coordinated_crash_recovery_exact(normal_report, factory):
     times = ckpt_times(normal_report, k=2)
     crash_at = times[1] + 0.35 * (normal_report.sim_time / 3)
     scheme = factory(times)
-    report = run(scheme=scheme, fault=FaultPlan.single(crash_at))
+    report = run(scheme=scheme, fault=FaultModel.machine_crash(crash_at))
     assert len(report.recoveries) == 1
     rec = report.recoveries[0]
     assert set(rec.line_indices.values()) == {2} or set(
@@ -143,7 +143,7 @@ def test_coordinated_crash_recovery_exact(normal_report, factory):
 
 def test_coordinated_crash_before_any_checkpoint(normal_report):
     scheme = CoordinatedScheme.NB([normal_report.sim_time * 10])  # never fires
-    report = run(scheme=scheme, fault=FaultPlan.single(normal_report.sim_time / 2))
+    report = run(scheme=scheme, fault=FaultModel.machine_crash(normal_report.sim_time / 2))
     rec = report.recoveries[0]
     assert all(i == 0 for i in rec.line_indices.values())  # restart from scratch
     assert rec.domino_extent == 1.0
@@ -154,7 +154,7 @@ def test_independent_with_logging_crash_recovery_exact(normal_report):
     times = ckpt_times(normal_report, k=2)
     crash_at = times[1] + 0.3 * (normal_report.sim_time / 3)
     scheme = IndependentScheme.Indep(times, skew=0.1, logging=True)
-    report = run(scheme=scheme, fault=FaultPlan.single(crash_at))
+    report = run(scheme=scheme, fault=FaultModel.machine_crash(crash_at))
     assert len(report.recoveries) == 1
     assert report.result["sum"] == normal_report.result["sum"]
 
@@ -167,7 +167,7 @@ def test_independent_without_logging_dominoes_but_recovers(normal_report):
     scheme = IndependentScheme.Indep(
         times, skew=normal_report.sim_time / 6, logging=False
     )
-    report = run(scheme=scheme, fault=FaultPlan.single(crash_at))
+    report = run(scheme=scheme, fault=FaultModel.machine_crash(crash_at))
     rec = report.recoveries[0]
     # a tightly-coupled app has no transitless line except the start
     assert rec.domino_extent == 1.0
@@ -180,7 +180,7 @@ def test_two_crashes_still_exact(normal_report):
     scheme = CoordinatedScheme.NBM(times)
     report = run(
         scheme=scheme,
-        fault=FaultPlan(crash_times=(times[0] + t / 6, times[1] + t / 5)),
+        fault=FaultModel(machine_crash_times=(times[0] + t / 6, times[1] + t / 5)),
     )
     assert len(report.recoveries) == 2
     assert report.result["sum"] == normal_report.result["sum"]

@@ -198,6 +198,48 @@ def test_isend_order_fixed_at_call(world):
     assert got == ["one", "two", "three"]
 
 
+def _buffered(comm):
+    return [msg.payload for msg in comm.mailbox.pending]
+
+
+def test_isend_interrupted_before_its_first_step_frees_the_wire(world):
+    # the wire is claimed at the isend call; an interrupt that lands
+    # before the isend process first runs must withdraw that claim, or
+    # every later send from the rank waits behind it forever. The
+    # interrupted message is lost (a receiver consuming "b" would see
+    # the gap in the channel's sequence numbers and raise).
+    eng, cluster, transport, comms = world(n=2)
+    done = []
+
+    def sender():
+        comms[0].isend(1, "a").interrupt()
+        yield from comms[0].send(1, "b")
+        done.append(eng.now)
+
+    eng.process(sender())
+    eng.run()
+    assert len(done) == 1
+    assert _buffered(comms[1]) == ["b"]
+    assert len(transport._wires[0]) == 0
+
+
+def test_queued_isend_interrupted_before_its_first_step_leaves_the_line(world):
+    eng, cluster, transport, comms = world(n=2)
+    done = []
+
+    def sender():
+        comms[0].isend(1, "a")
+        comms[0].isend(1, "b").interrupt()  # queued behind "a"
+        yield from comms[0].send(1, "c")
+        done.append(eng.now)
+
+    eng.process(sender())
+    eng.run()
+    assert len(done) == 1
+    assert _buffered(comms[1]) == ["a", "c"]
+    assert len(transport._wires[0]) == 0
+
+
 def test_same_sender_messages_serialise_on_link(world):
     eng, cluster, transport, comms = world()
     arrivals = []

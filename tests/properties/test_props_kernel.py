@@ -5,7 +5,7 @@ import heapq
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import Engine, Resource, Store
+from repro.core import Engine, Resource
 from repro.machine import SharedServer
 
 
@@ -98,27 +98,6 @@ def test_shared_server_conserves_bytes_and_bounds_time(jobs, bandwidth, thrash):
     k = len(jobs)
     worst_rate = bandwidth / (k * (1 + thrash * (k - 1)))
     assert max(finish.values()) <= last_start + total_bytes / worst_rate + 1e-6
-
-
-@given(
-    st.lists(st.integers(min_value=0, max_value=1000), min_size=0, max_size=50)
-)
-@settings(max_examples=100, deadline=None)
-def test_store_is_fifo(items):
-    eng = Engine()
-    store = Store(eng)
-    out = []
-
-    def consumer():
-        for _ in items:
-            item = yield store.get()
-            out.append(item)
-
-    eng.process(consumer())
-    for item in items:
-        store.put(item)
-    eng.run()
-    assert out == items
 
 
 @given(

@@ -23,14 +23,14 @@ from hypothesis import strategies as st
 
 from repro.apps import SOR
 from repro.chklib import CheckpointRuntime
-from repro.chklib.schemes.registry import REGISTRY
+from repro.chklib.schemes.registry import ALIASES as ALIAS_ROWS, skewed
 from repro.experiments.grid import SchemeSpec
 from repro.fault import FaultModel, RetryPolicy, StorageFaultSpec
 from repro.machine import MachineParams
 
 N_RANKS = 4
 MACHINE = MachineParams(n_nodes=N_RANKS)
-ALIASES = REGISTRY.aliases()
+ALIASES = [alias for alias, _base, _fixed in ALIAS_ROWS]
 
 
 def _app():
@@ -47,7 +47,7 @@ def _baseline(seed):
 
 
 def _make_scheme(alias, T):
-    skew = T / 50 if REGISTRY.skewed(alias) else 0.0
+    skew = T / 50 if skewed(alias) else 0.0
     return SchemeSpec.of(alias, [T / 4, T / 2], skew=skew).build()
 
 

@@ -42,14 +42,11 @@ RANK = {
 }
 
 #: every function-level import that points up or sideways, as
-#: (importing module, imported layer): the runtime's post-run audit and
-#: the three protocol families' verify hooks reach up into ``verify``,
-#: and ``experiments`` and ``verify`` call each other.
+#: (importing module, imported layer): the runtime's post-run audit
+#: reaches up into ``verify``, and ``experiments`` and ``verify`` call
+#: each other.
 LATE_EDGES = {
     ("repro.chklib.runtime", "verify"),
-    ("repro.chklib.schemes.cic", "verify"),
-    ("repro.chklib.schemes.coordinated", "verify"),
-    ("repro.chklib.schemes.msglog", "verify"),
     ("repro.experiments.executor", "verify"),
     ("repro.experiments.runner", "verify"),
     ("repro.verify.smoke", "experiments"),

@@ -20,12 +20,13 @@ from pathlib import Path
 import pytest
 
 from repro.chklib import CheckpointRuntime
-from repro.chklib.schemes.registry import REGISTRY
+from repro.chklib.schemes.cic import CicIndexRule
+from repro.chklib.schemes.registry import FAMILIES, scheme_class
 from repro.core.errors import VerificationError
-from repro.core.tracing import TraceEvent
+from repro.core.tracing import Checker, RunMeta, TraceEvent
 from repro.verify import invariants, smoke, verified
 from repro.verify.analyze.frontend import Module
-from repro.verify.invariants import Checker, CicIndexRule, RunMeta, default_checkers
+from repro.verify.invariants import default_checkers
 from repro.verify.trace_check import TraceReport, check_trace, meta_for_runtime
 
 from .test_mutations import (
@@ -160,7 +161,7 @@ def _checker_classes():
         for obj in vars(invariants).values()
         if inspect.isclass(obj) and issubclass(obj, Checker) and obj is not Checker
     ]
-    return core + [c for c in REGISTRY.trace_checkers() if c not in core]
+    return core + [c for family in FAMILIES for c in scheme_class(family).CHECKERS]
 
 
 def test_every_checker_consumes_every_kind_it_reads():

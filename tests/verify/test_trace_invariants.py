@@ -3,7 +3,7 @@ plus clean-run audits of real simulations."""
 
 import pytest
 
-from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultPlan, IndependentScheme
+from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultModel, IndependentScheme
 from repro.core.errors import VerificationError
 from repro.core.tracing import TraceEvent
 from repro.machine import MachineParams
@@ -260,7 +260,7 @@ def _audit(scheme, fault=None):
     from tests.verify.test_mutations import Ring
 
     rt = CheckpointRuntime(
-        Ring(), scheme=scheme, machine=MACHINE2, seed=3, fault_plan=fault
+        Ring(), scheme=scheme, machine=MACHINE2, seed=3, fault_model=fault
     )
     rt.run()
     return rt, check_runtime(rt)
@@ -271,7 +271,7 @@ def test_coordinated_run_with_crash_is_clean():
     horizon = rt0.engine.now
     times = [horizon / 3, horizon * 2 / 3]
     rt, report = _audit(
-        CoordinatedScheme.NB(times), fault=FaultPlan.single(horizon / 2)
+        CoordinatedScheme.NB(times), fault=FaultModel.machine_crash(horizon / 2)
     )
     assert rt.recoveries, "the crash must actually have happened"
     assert report.ok, report.violations
@@ -283,7 +283,7 @@ def test_logged_independent_run_with_crash_is_clean():
     times = [horizon / 3, horizon * 2 / 3]
     rt, report = _audit(
         IndependentScheme.Indep(times, logging=True),
-        fault=FaultPlan.single(horizon / 2),
+        fault=FaultModel.machine_crash(horizon / 2),
     )
     assert rt.recoveries
     assert report.ok, report.violations
