@@ -14,6 +14,7 @@ from typing import Any, Dict, Generator, List, Tuple
 
 import numpy as np
 
+from ..core.errors import InvariantViolation
 from ..net.collectives import reduce
 from .base import Application, partition
 
@@ -53,12 +54,31 @@ def _init_block(lo: int, hi: int, n: int) -> np.ndarray:
     return block
 
 
-#: per-shape scratch buffers for _sweep (keyed by interior rows, row width).
-_SCRATCH: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+#: scratch shared by every plan of one block shape ``(m, n)`` (interior rows,
+#: row width): the neighbour-sum buffer, the run the relaxed values land in,
+#: and that run's write-back sources for each colour parity ``q``. A
+#: half-sweep never yields, so the ranks of one process take turns on them.
+_SCRATCH: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, tuple]] = {}
 
 
-def _sweep(block: np.ndarray, row_offset: int, omega: float, phase: int) -> None:
-    """Relax one colour of the interior of *block* in place.
+def _scratch(m: int, n: int) -> Tuple[np.ndarray, np.ndarray, tuple]:
+    bufs = _SCRATCH.get((m, n))
+    if bufs is None:
+        run = m * n - 2
+        neighbours = np.empty(run, dtype=np.float64)
+        updated = np.empty(m * n, dtype=np.float64)
+        # updated[di*n + jj] is interior cell (di, jj); the last two cells
+        # of the last row are never computed and never read
+        grid = updated.reshape(m, n)
+        sources = tuple(
+            (grid[0::2, q : n - 2 : 2], grid[1::2, 1 - q : n - 2 : 2]) for q in (0, 1)
+        )
+        bufs = _SCRATCH[(m, n)] = (neighbours, updated[:run], sources)
+    return bufs
+
+
+class _SweepPlan:
+    """One rank's red-black half-sweep with every operand built once.
 
     ``block`` has one halo row on each side; its row 1 is global row
     ``row_offset``. Same-colour cells are independent, so the vectorised
@@ -73,35 +93,82 @@ def _sweep(block: np.ndarray, row_offset: int, omega: float, phase: int) -> None
     on the same operands in the same order as a 2-D stencil, so the floats
     are bit-identical. The write-back is two strided slice copies, one per
     row parity (the colour is a checkerboard over global ``(i + j)``).
-    A block that is not C-contiguous is read through a flat copy and still
-    written through its ``interior`` view.
+
+    The plan holds views of *block* and of the shared :data:`_SCRATCH`,
+    never buffers of its own, so it stays valid exactly as long as *block*
+    is the rank's grid. The flat views alias the block only when it is
+    C-contiguous (``ravel`` of any other layout is a copy), so any other
+    layout is refused. ``top``/``bottom`` are the border rows a rank sends,
+    ``halo_up``/``halo_down`` the halo rows its neighbours' rows land in.
     """
-    m, n = block.shape[0] - 2, block.shape[1]
-    if m <= 0:
+
+    __slots__ = ("grid", "top", "bottom", "halo_up", "halo_down", "_keep",
+                 "_relax", "_north", "_south", "_west", "_east", "_centre",
+                 "_neighbours", "_updated", "_writes")
+
+    def __init__(self, block: np.ndarray, row_offset: int, omega: float) -> None:
+        if not block.flags.c_contiguous:
+            raise InvariantViolation(
+                "an SOR sweep plan needs a C-contiguous block",
+                shape=block.shape, strides=block.strides,
+            )
+        self.grid = block
+        self.top, self.bottom = block[1], block[-2]
+        self.halo_up, self.halo_down = block[0], block[-1]
+        m, n = block.shape[0] - 2, block.shape[1]
+        self._writes = None
+        if m <= 0:
+            return
+        # 0-d float64 operands: the same products as the Python floats,
+        # without converting a scalar on every call
+        self._keep = np.array(1.0 - omega)
+        self._relax = np.array(omega * 0.25)
+        flat = block.ravel()
+        run = m * n - 2  # flat indices n+1 .. (m+1)*n - 2
+        self._north = flat[1 : 1 + run]
+        self._south = flat[2 * n + 1 : 2 * n + 1 + run]
+        self._west = flat[n : n + run]
+        self._east = flat[n + 2 : n + 2 + run]
+        self._centre = flat[n + 1 : n + 1 + run]
+        self._neighbours, self._updated, sources = _scratch(m, n)
+        interior = block[1:-1, 1:-1]
+        writes = []
+        for phase in (0, 1):
+            # interior cell (di, jj) is global (row_offset + di, jj + 1): its
+            # colour matches ``phase`` when (di + jj) % 2 == q
+            q = (phase + row_offset + 1) % 2
+            even, odd = sources[q]
+            writes.append((interior[0::2, q::2], even, interior[1::2, 1 - q :: 2], odd))
+        self._writes = tuple(writes)
+
+    def sweep(self, phase: int) -> None:
+        """Relax colour *phase* of the interior in place."""
+        if self._writes is None:
+            return
+        neighbours, updated = self._neighbours, self._updated
+        np.add(self._north, self._south, neighbours)
+        neighbours += self._west
+        neighbours += self._east
+        np.multiply(self._centre, self._keep, updated)
+        neighbours *= self._relax
+        updated += neighbours
+        even_dst, even_src, odd_dst, odd_src = self._writes[phase]
+        even_dst[...] = even_src
+        odd_dst[...] = odd_src
+
+
+def _sweep(block: np.ndarray, row_offset: int, omega: float, phase: int) -> None:
+    """Relax one colour of the interior of *block* in place, once.
+
+    Goes through a :class:`_SweepPlan`; a block that is not C-contiguous is
+    swept as a C-ordered copy whose interior is then written back.
+    """
+    if block.flags.c_contiguous:
+        _SweepPlan(block, row_offset, omega).sweep(phase)
         return
-    bufs = _SCRATCH.get((m, n))
-    if bufs is None:
-        bufs = _SCRATCH[(m, n)] = (
-            np.empty(m * n - 2, dtype=np.float64),
-            np.empty(m * n, dtype=np.float64),
-        )
-    neighbours, updated = bufs
-    flat = block.ravel()
-    run = m * n - 2  # flat indices n+1 .. (m+1)*n - 2
-    np.add(flat[1 : 1 + run], flat[2 * n + 1 : 2 * n + 1 + run], out=neighbours)
-    neighbours += flat[n : n + run]
-    neighbours += flat[n + 2 : n + 2 + run]
-    centre = updated[:run]
-    np.multiply(flat[n + 1 : n + 1 + run], 1.0 - omega, out=centre)
-    neighbours *= omega * 0.25
-    centre += neighbours
-    # updated[di*n + jj] is interior cell (di, jj), global (row_offset + di,
-    # jj + 1): its colour matches ``phase`` when (di + jj) % 2 == q
-    grid = updated.reshape(m, n)
-    interior = block[1:-1, 1:-1]
-    q = (phase + row_offset + 1) % 2
-    interior[0::2, q::2] = grid[0::2, q : n - 2 : 2]
-    interior[1::2, 1 - q :: 2] = grid[1::2, 1 - q : n - 2 : 2]
+    work = np.ascontiguousarray(block)
+    _SweepPlan(work, row_offset, omega).sweep(phase)
+    block[1:-1, 1:-1] = work[1:-1, 1:-1]
 
 
 class SOR(Application):
@@ -160,22 +227,23 @@ class SOR(Application):
         my_rows = hi - lo
         phase_flops = self.flops_per_cell * my_rows * self.n / 2.0
 
+        plan = None
         while state["iter"] < self.iters:
-            grid = state["grid"]
+            if plan is None or plan.grid is not state["grid"]:
+                plan = _SweepPlan(state["grid"], lo, self.omega)
             for phase in (0, 1):
                 # halo exchange: push our border rows, pull the neighbours'
                 if up is not None:
-                    yield from comm.send(up, grid[1].copy(), tag=_TAG_DOWN)
+                    yield from comm.send(up, plan.top.copy(), tag=_TAG_DOWN)
                 if down is not None:
-                    yield from comm.send(down, grid[-2].copy(), tag=_TAG_UP)
+                    yield from comm.send(down, plan.bottom.copy(), tag=_TAG_UP)
                 if up is not None:
                     msg = yield comm.recv(source=up, tag=_TAG_UP)
-                    grid[0, :] = msg.payload
+                    plan.halo_up[...] = msg.payload
                 if down is not None:
                     msg = yield comm.recv(source=down, tag=_TAG_DOWN)
-                    grid[-1, :] = msg.payload
-                if my_rows > 0:
-                    _sweep(grid, lo, self.omega, phase)
+                    plan.halo_down[...] = msg.payload
+                plan.sweep(phase)
                 yield from ctx.compute(phase_flops)
             state["iter"] += 1
             yield from ctx.checkpoint_point()
@@ -190,7 +258,8 @@ class SOR(Application):
 
     def serial_result(self, size: int, seed: int) -> Any:
         grid = _init_block(1, self.n - 1, self.n)  # whole interior + halos
+        plan = _SweepPlan(grid, 1, self.omega)
         for _ in range(self.iters):
             for phase in (0, 1):
-                _sweep(grid, 1, self.omega, phase)
+                plan.sweep(phase)
         return {"sum": float(grid[1:-1, :].sum()), "n": self.n, "iters": self.iters}

@@ -35,6 +35,13 @@ def _plain(value: Any) -> Any:
     return value
 
 
+def _plain_fields(obj: Any) -> Dict[str, Any]:
+    """The fields of dataclass *obj* by name, each made plain: what
+    ``_plain(dataclasses.asdict(obj))`` gives, without ``asdict``'s deep
+    copy of every value (``_plain`` builds new containers anyway)."""
+    return {f.name: _plain(getattr(obj, f.name)) for f in _dc.fields(obj)}
+
+
 def _int_keyed(mapping: Dict[str, Any]) -> Dict[int, Any]:
     return {int(k): v for k, v in mapping.items()}
 
@@ -67,7 +74,7 @@ class RecoveryEvent:
     # -- serialization (the experiment grid's on-disk result cache) ---------
 
     def to_dict(self) -> Dict[str, Any]:
-        return _plain(_dc.asdict(self))
+        return _plain_fields(self)
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "RecoveryEvent":
@@ -123,7 +130,7 @@ class RunReport:
 
     def to_dict(self) -> Dict[str, Any]:
         """A plain-JSON dict round-trippable through :meth:`from_dict`."""
-        d = _plain(_dc.asdict(self))
+        d = _plain_fields(self)
         d["recoveries"] = [ev.to_dict() for ev in self.recoveries]
         return d
 

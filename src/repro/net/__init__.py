@@ -12,6 +12,7 @@ from .._lazy import lazy_surface
 _LAZY = {
     "Comm": "api",
     "CommAgent": "api",
+    "WithdrawalRefused": "api",
     "Transport": "transport",
     "Mailbox": "mailbox",
     "RecvRequest": "mailbox",

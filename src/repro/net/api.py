@@ -34,7 +34,26 @@ from .mailbox import Mailbox, RecvRequest
 from .message import ANY_SOURCE, ANY_TAG, KIND_APP, Message
 from .transport import Transport
 
-__all__ = ["Comm", "CommAgent"]
+__all__ = ["Comm", "CommAgent", "WithdrawalRefused"]
+
+
+class WithdrawalRefused(SimulationError):
+    """An interrupted ``isend`` could not take its message back.
+
+    Withdrawing a send before delivery gives back its channel sequence
+    number and send count, which only leaves the channel consistent while
+    the message is the newest one numbered on it and no agent has
+    accounted it; otherwise the interrupt is refused with this error and
+    the message stays on its way.
+    """
+
+    def __init__(self, src: int, dst: int, seq: int, reason: str) -> None:
+        super().__init__(
+            f"cannot withdraw seq {seq} from channel {src}->{dst}: {reason}"
+        )
+        self.src = src
+        self.dst = dst
+        self.seq = seq
 
 
 class CommAgent:
@@ -130,7 +149,11 @@ class Comm:
     ) -> Generator[Event, Any, None]:
         """Eager send: builds and validates the message now and returns the
         generator that blocks for its wire time (``yield from``)."""
-        msg = self._make_app_message(dst, payload, tag)
+        return self._post(self._make_app_message(dst, payload, tag))
+
+    def _post(self, msg: Message) -> Generator[Event, Any, None]:
+        """The sender's side of *msg*: the agent's extra work, if any, then
+        the wire."""
         extra = self.agent.send_extra(msg) if self.agent is not None else None
         if extra is None:
             return self.transport.send(msg)
@@ -142,12 +165,11 @@ class Comm:
 
         The message (and its sequence number) is created *now*, so the send
         order is fixed at call time even though the wire transfer proceeds
-        in the background.
+        in the background. Interrupting the process before delivery
+        withdraws the message (see :meth:`_withdraw`).
         """
-        body = self.send(dst, payload, tag)
-        proc = self.engine.process(body, name=f"isend:{self.rank}->{dst}")
-        proc.defused = True  # failure surfaces via transport invariants
-        return proc
+        msg = self._make_app_message(dst, payload, tag)
+        return _ISend(self, msg, self._post(msg))
 
     def _send_after(self, extra, msg: Message):
         """The sender's extra work first, then the wire (claimed only once
@@ -174,6 +196,25 @@ class Comm:
         if self.agent is not None:
             self.agent.on_send(msg)
         return msg
+
+    def _withdraw(self, msg: Message) -> None:
+        """Take back *msg*, an app message not yet delivered: give back its
+        sequence number and its send count, as if it had never been sent.
+        Refused (:class:`WithdrawalRefused`, the channel untouched) when an
+        agent has already accounted it or a later message is numbered on
+        the channel — either would leave a gap the receiver trips on."""
+        if self.agent is not None:
+            reason = "the agent already accounted it"
+        elif not self.transport.withdraw_seq(msg.src, msg.dst, msg.seq):
+            reason = "a later message is already numbered on the channel"
+        else:
+            left = self.sent_counts[msg.dst] - 1
+            if left:
+                self.sent_counts[msg.dst] = left
+            else:
+                del self.sent_counts[msg.dst]
+            return
+        raise WithdrawalRefused(msg.src, msg.dst, msg.seq, reason)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> RecvRequest:
         """Blocking receive: ``yield`` the request; it fires with the
@@ -234,3 +275,29 @@ class Comm:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<Comm rank={self.rank}/{self.size}>"
+
+
+class _ISend(Process):
+    """The background process of one ``isend``.
+
+    Interrupting it while the message is undelivered withdraws the message
+    at the interrupt, before any later send can be numbered behind it, and
+    raises :class:`WithdrawalRefused` there if the channel cannot take it
+    back. The process is defused: its own failure (the ``Interrupt``) is
+    expected and reaches no one.
+    """
+
+    __slots__ = ("_comm", "_msg")
+
+    def __init__(self, comm: Comm, msg: Message, body) -> None:
+        super().__init__(comm.engine, body, name=f"isend:{msg.src}->{msg.dst}")
+        self.defused = True
+        self._comm = comm
+        self._msg: Optional[Message] = msg
+
+    def interrupt(self, cause: Any = None) -> None:
+        msg = self._msg
+        if msg is not None and self.is_alive:
+            self._comm._withdraw(msg)
+            self._msg = None
+        super().interrupt(cause)

@@ -89,6 +89,16 @@ class Transport:
         self._next_seq[key] = seq
         return seq
 
+    def withdraw_seq(self, src: int, dst: int, seq: int) -> bool:
+        """Give back *seq*, the number of a message withdrawn before
+        delivery, if it is still the channel's newest; False (nothing
+        changed) once a later message has been numbered."""
+        key = (src, dst)
+        if self._next_seq.get(key, 0) != seq:
+            return False
+        self._next_seq[key] = seq - 1
+        return True
+
     def rewind_seq(self, src: int, dst: int, to: int) -> None:
         """Reset a channel's send counter after a rollback, so replayed
         sends reuse the original sequence numbers (duplicate suppression)."""

@@ -9,14 +9,16 @@ so that a change to either surfaces here and not as a drifted table.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.apps.gauss import _eliminate
 from repro.apps.ising import _sweep_colour
 from repro.apps.nbody import _block_forces
-from repro.apps.sor import _sweep
+from repro.apps.sor import _SweepPlan, _sweep
 from repro.apps.tsp import _solve_task
+
+from repro.core.errors import InvariantViolation
 
 from . import reference_kernels as ref
 
@@ -170,3 +172,50 @@ def test_sor_sweep_bit_identical(m, n, row_offset, phase, omega, layout, seed):
     assert np.ascontiguousarray(got).tobytes() == want.tobytes()
     if layout == "strided":
         assert not wide[:, 1::2].any()  # the untouched columns stayed untouched
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 12),
+    n=st.integers(3, 17),  # odd and even grid widths
+    row_offset=st.integers(0, 9),  # both parities
+    omega=st.sampled_from([0.5, 1.5, 1.9, 1.2345]),
+    k=st.integers(1, 8),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(m=1, n=3, row_offset=0, omega=1.5, k=4, seed=0)
+@example(m=1, n=4, row_offset=1, omega=1.5, k=4, seed=1)
+def test_sor_plan_reused_across_iterations_bit_identical(m, n, row_offset, omega, k, seed):
+    """One kept plan driven as ``SOR.run`` drives it — alternating phases,
+    fresh halo rows written through the plan's row views before every
+    half-sweep — equals the 2-D stencil applied as often. A view that went
+    stale after the first call would diverge here."""
+    rng = np.random.default_rng(seed)
+    want = rng.normal(size=(m + 2, n))
+    got = want.copy()
+    plan = _SweepPlan(got, row_offset, omega)
+    for step in range(k):
+        phase = step % 2
+        up, down = rng.normal(size=n), rng.normal(size=n)
+        want[0], want[-1] = up, down
+        plan.halo_up[...] = up
+        plan.halo_down[...] = down
+        ref.sor_sweep(want, row_offset, omega, phase)
+        plan.sweep(phase)
+        assert got.tobytes() == want.tobytes()
+        # the border rows a rank sends are the block's current rows
+        assert plan.top.tobytes() == want[1].tobytes()
+        assert plan.bottom.tobytes() == want[-2].tobytes()
+
+
+@pytest.mark.parametrize("layout", ["F", "strided"])
+def test_sor_kept_plan_refuses_a_block_it_cannot_alias(layout):
+    """``ravel`` of a block that is not C-contiguous is a copy, so a kept
+    plan's flat views would read a stale snapshot: it is refused."""
+    values = np.random.default_rng(0).normal(size=(6, 8))
+    if layout == "F":
+        block = np.asfortranarray(values)
+    else:
+        block = np.zeros((6, 16))[:, ::2]
+    with pytest.raises(InvariantViolation, match="C-contiguous"):
+        _SweepPlan(block, 1, 1.5)

@@ -202,12 +202,26 @@ def _buffered(comm):
     return [msg.payload for msg in comm.mailbox.pending]
 
 
+def _consume(eng, comm, count):
+    """Receive *count* messages from rank 0 in channel order."""
+    got = []
+
+    def receiver():
+        for _ in range(count):
+            msg = yield comm.recv(source=0)
+            got.append((msg.payload, msg.seq))
+
+    eng.process(receiver())
+    eng.run()
+    return got
+
+
 def test_isend_interrupted_before_its_first_step_frees_the_wire(world):
     # the wire is claimed at the isend call; an interrupt that lands
     # before the isend process first runs must withdraw that claim, or
     # every later send from the rank waits behind it forever. The
-    # interrupted message is lost (a receiver consuming "b" would see
-    # the gap in the channel's sequence numbers and raise).
+    # withdrawn message gives its sequence number back, so "b" takes it
+    # and the receiver consumes the channel without a gap.
     eng, cluster, transport, comms = world(n=2)
     done = []
 
@@ -221,6 +235,8 @@ def test_isend_interrupted_before_its_first_step_frees_the_wire(world):
     assert len(done) == 1
     assert _buffered(comms[1]) == ["b"]
     assert len(transport._wires[0]) == 0
+    assert comms[0].sent_counts == {1: 1}
+    assert _consume(eng, comms[1], 1) == [("b", 1)]
 
 
 def test_queued_isend_interrupted_before_its_first_step_leaves_the_line(world):
@@ -238,6 +254,51 @@ def test_queued_isend_interrupted_before_its_first_step_leaves_the_line(world):
     assert len(done) == 1
     assert _buffered(comms[1]) == ["a", "c"]
     assert len(transport._wires[0]) == 0
+    assert comms[0].sent_counts == {1: 2}
+    assert _consume(eng, comms[1], 2) == [("a", 1), ("c", 2)]
+
+
+def test_isend_withdrawn_mid_wire_gives_its_seq_back(world):
+    eng, cluster, transport, comms = world(n=2)
+
+    def sender():
+        req = comms[0].isend(1, np.zeros(10_000))
+        yield eng.timeout(1e-6)  # the transfer is on the wire now
+        req.interrupt()
+        yield from comms[0].send(1, "b")
+
+    eng.process(sender())
+    eng.run()
+    assert comms[0].sent_counts == {1: 1}
+    assert _consume(eng, comms[1], 1) == [("b", 1)]
+
+
+@pytest.mark.parametrize("case", ["later-message", "agent"])
+def test_isend_withdrawal_refused_leaves_the_channel_whole(world, case):
+    """A withdrawal that would leave a gap is refused at the interrupt,
+    with a typed error naming the channel and the seq, and the message
+    is delivered as if never interrupted."""
+    from repro.net import CommAgent, WithdrawalRefused
+
+    eng, cluster, transport, comms = world(n=2)
+    if case == "agent":
+        comms[0].agent = CommAgent()
+    refused = []
+
+    def sender():
+        req = comms[0].isend(1, "a")
+        if case == "later-message":
+            comms[0].isend(1, "b")
+        with pytest.raises(WithdrawalRefused, match=r"seq 1 from channel 0->1") as err:
+            req.interrupt()
+        refused.append(err.value)
+        yield eng.timeout(0)
+
+    eng.process(sender())
+    eng.run()
+    assert [(e.src, e.dst, e.seq) for e in refused] == [(0, 1, 1)]
+    want = [("a", 1), ("b", 2)] if case == "later-message" else [("a", 1)]
+    assert _consume(eng, comms[1], len(want)) == want
 
 
 def test_same_sender_messages_serialise_on_link(world):
