@@ -1,33 +1,43 @@
 """ASCII timelines of checkpoint activity.
 
-Renders the tracer's ``ckpt.cut`` and ``storage.write`` spans as a Gantt
-strip per rank — the quickest way to *see* the difference between
-``Coord_NB`` (one aligned wall of blocked writes), ``Indep`` (a staircase
-of autonomous stalls) and ``Coord_NBMS`` (one tiny blip per rank, writes
-daisy-chained in the background).
+Reads the recorded event stream and renders two intervals per rank as a
+Gantt strip: a cut's blocked window (``proto.cut`` → ``proto.cut_end``)
+and its image's stable write (``proto.write_begin`` → ``proto.write_end``)
+— the quickest way to *see* the difference between ``Coord_NB`` (one
+aligned wall of blocked writes), ``Indep`` (a staircase of autonomous
+stalls) and ``Coord_NBMS`` (one tiny blip per rank, writes daisy-chained
+in the background).
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from ..core.tracing import Span, Tracer
+from ..core.tracing import Tracer
 
 __all__ = ["render_timeline"]
 
+#: the interval each strip character paints: its opening and closing kind
+_CUT = ("proto.cut", "proto.cut_end")
+_WRITE = ("proto.write_begin", "proto.write_end")
 
-def _collect(
-    tracer: Tracer, name: str, rank_key: str
+
+def _intervals(
+    tracer: Tracer, kinds: Tuple[str, str]
 ) -> Dict[int, List[Tuple[float, float]]]:
-    spans: Dict[int, List[Tuple[float, float]]] = {}
-    for span in tracer.spans_named(name):
-        if span.end is None:
-            continue
-        rank = span.attrs.get(rank_key)
-        if rank is None:
-            continue
-        spans.setdefault(int(rank), []).append((span.start, span.end))
-    return spans
+    """Each rank's closed intervals of *kinds*, paired by ``(rank, round)``.
+    An opening with no closing (a crash cut it short) is left out."""
+    begin, end = kinds
+    open_at: Dict[Tuple[int, int], float] = {}
+    out: Dict[int, List[Tuple[float, float]]] = {}
+    for ev in tracer.events:
+        if ev.kind == begin:
+            open_at[(ev["rank"], ev["round"])] = ev.time
+        elif ev.kind == end:
+            start = open_at.pop((ev["rank"], ev["round"]), None)
+            if start is not None:
+                out.setdefault(int(ev["rank"]), []).append((start, ev.time))
+    return out
 
 
 def render_timeline(
@@ -41,8 +51,8 @@ def render_timeline(
     streaming to stable storage, ``.`` = computing."""
     if t_end <= t_start:
         raise ValueError("empty time window")
-    cuts = _collect(tracer, "ckpt.cut", "rank")
-    writes = _collect(tracer, "storage.write", "node")
+    cuts = _intervals(tracer, _CUT)
+    writes = _intervals(tracer, _WRITE)
     ranks = sorted(set(cuts) | set(writes))
     if n_ranks is not None:
         ranks = list(range(n_ranks))

@@ -10,7 +10,6 @@ from .._lazy import lazy_surface
 #: name -> the submodule defining it, imported on first use.
 _LAZY = {
     "Application": "base",
-    "app_rng": "base",
     "SOR": "sor",
     "Ising": "ising",
     "ASP": "asp",

@@ -32,9 +32,7 @@ from __future__ import annotations
 import functools
 from typing import Any, Dict, Generator, Tuple
 
-from ..core.rng import derive_seed
-
-__all__ = ["Application", "app_rng", "partition"]
+__all__ = ["Application", "partition"]
 
 
 @functools.lru_cache(maxsize=32)
@@ -52,13 +50,6 @@ def partition(n: int, size: int) -> Tuple[Tuple[int, int], ...]:
         ranges.append((lo, lo + cnt))
         lo += cnt
     return tuple(ranges)
-
-
-def app_rng(seed: int, app_name: str, rank: int):
-    """The deterministic per-rank data stream for one application run."""
-    import numpy as np
-
-    return np.random.default_rng(derive_seed(seed, f"app.{app_name}.r{rank}"))
 
 
 class Application:

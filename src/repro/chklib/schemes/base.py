@@ -237,11 +237,12 @@ class SchemeAgent(CommAgent):
             kept.payload = SIZE_ONLY
         return kept
 
-    def charge_blocked(self, started_at: float) -> None:
-        """Account application-blocked time for a completed cut."""
+    def charge_blocked(self, started_at: float) -> float:
+        """Account application-blocked time for a completed cut; returns it."""
         dt = self.runtime.engine.now - started_at
         self.blocked_time += dt
         self.runtime.tracer.add("chk.blocked_time", dt)
+        return dt
 
     # -- lifecycle across recoveries ----------------------------------------------
 
@@ -408,14 +409,11 @@ class Scheme:
         background."""
         rt = agent.runtime
         t0 = rt.engine.now
-        span = rt.tracer.open_span(
-            "ckpt.cut", rank=agent.rank, n=job.n, scheme=self.name
-        )
         if agent.finished:
             # a finished process has nothing to block: capture is already
             # done, the write streams in the background under any variant.
             self._spawn_writer(agent, job, cow=False)
-            rt.tracer.close_span(span)
+            rt.tracer.event("proto.cut_end", rank=agent.rank, round=job.n, blocked=0.0)
             return
         if self.capture == "cow":
             # block only to write-protect the pages; the background writer
@@ -435,8 +433,8 @@ class Scheme:
             finally:
                 rt.cluster.set_rank_blocked(agent.rank, False)
             (self._write_finished if wrote else self._write_failed)(agent, job)
-        agent.charge_blocked(t0)
-        rt.tracer.close_span(span)
+        blocked = agent.charge_blocked(t0)
+        rt.tracer.event("proto.cut_end", rank=agent.rank, round=job.n, blocked=blocked)
 
     def _spawn_writer(self, agent: SchemeAgent, job: WriteJob, cow: bool) -> None:
         agent.writing = True

@@ -27,7 +27,6 @@ _LAZY = {
     "RngStreams": "rng",
     "derive_seed": "rng",
     "Tracer": "tracing",
-    "Span": "tracing",
     "SimulationError": "errors",
     "Deadlock": "errors",
     "Interrupt": "errors",

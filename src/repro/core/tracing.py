@@ -8,9 +8,10 @@ votes, commits, writes, message sends/deliveries, recoveries, GC…) to the
 itself. With no sink, ``enabled`` is False and an event builds no
 :class:`TraceEvent` at all. A run's sinks are the checker battery of the
 live trace audit (:class:`repro.verify.trace_check.Audit`) and the
-recording sink (:meth:`Tracer.record`), which keeps ``events`` and the
-named **spans** (checkpoint N on node R took [t0, t1]) for tests, the
-explorer, the timeline renderer and a halt's durable line.
+recording sink (:meth:`Tracer.record`), which keeps ``events`` for tests,
+the explorer, the timeline renderer and a halt's durable line. An
+interval (a cut's blocked window, an image's stable write) is the pair of
+events that opens and closes it, so every sink sees it.
 
 The invariant-checker base (:class:`Checker`, with :class:`RunMeta` and
 :class:`TraceViolation`) sits here beside the stream it reads, so a
@@ -21,7 +22,7 @@ family's in its scheme module (``Scheme.CHECKERS``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -30,7 +31,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "EVENT_KINDS",
     "Tracer",
-    "Span",
     "TraceEvent",
     "RunMeta",
     "TraceViolation",
@@ -47,6 +47,7 @@ EVENT_KINDS = frozenset(
         # protocol rounds (coordinated 2PC + markers, independent cuts)
         "proto.request",
         "proto.cut",
+        "proto.cut_end",
         "proto.ack",
         "proto.commit",
         "proto.commit_apply",
@@ -103,22 +104,6 @@ class TraceEvent:
 
     def get(self, key: str, default: object = None) -> object:
         return self.fields.get(key, default)
-
-
-@dataclass
-class Span:
-    """A named interval of simulated time with free-form attributes."""
-
-    name: str
-    start: float
-    end: Optional[float] = None
-    attrs: dict = field(default_factory=dict)
-
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise ValueError(f"span {self.name!r} is still open")
-        return self.end - self.start
 
 
 #: a stream subscriber: called with each event's index in the run's stream
@@ -205,13 +190,8 @@ class Checker:
         return self.violations
 
 
-#: the span handed out while nothing records; closed at birth so a
-#: ``duration`` read stays well-defined (always 0.0).
-_NULL_SPAN = Span(name="<null>", start=0.0, end=0.0)
-
-
 class Tracer:
-    """Counters, spans and the event stream of one simulation run."""
+    """Counters and the event stream of one simulation run."""
 
     def __init__(self, engine: "Engine") -> None:
         self.engine = engine
@@ -221,7 +201,6 @@ class Tracer:
         #: is the recording sink subscribed (:meth:`record`)?
         self.recording = False
         self.events: List[TraceEvent] = []
-        self.spans: List[Span] = []
         #: the stream before this run: events restored from a durable line,
         #: shown to every sink when it subscribes.
         self.history: List[TraceEvent] = []
@@ -272,7 +251,7 @@ class Tracer:
 
     def record(self) -> "Tracer":
         """Subscribe the recording sink: from now on :attr:`events` holds
-        the whole stream (history included) and :attr:`spans` every span."""
+        the whole stream (history included)."""
         if not self.recording:
             self.recording = True
             self.subscribe(("*",), lambda _index, ev: self.events.append(ev))
@@ -282,36 +261,10 @@ class Tracer:
         """The recorded events of *kind*, oldest first."""
         return [ev for ev in self.events if ev.kind == kind]
 
-    # -- spans -----------------------------------------------------------------
-
-    def open_span(self, name: str, **attrs: object) -> Span:
-        """Open an interval starting now; close with :meth:`close_span`.
-        Kept only while recording; otherwise a shared closed dummy."""
-        if not self.recording:
-            return _NULL_SPAN
-        span = Span(name=name, start=self.engine.now, attrs=attrs)
-        self.spans.append(span)
-        return span
-
-    def close_span(self, span: Span, **attrs: object) -> Span:
-        if span is not _NULL_SPAN:
-            span.end = self.engine.now
-            span.attrs.update(attrs)
-        return span
-
-    def spans_named(self, name: str) -> List[Span]:
-        """The recorded spans named *name*, oldest first."""
-        return [span for span in self.spans if span.name == name]
-
     # -- durable-line support --------------------------------------------------
 
     def export_state(self) -> dict:
-        """Serialisable snapshot: the counters and the recorded events.
-
-        Spans are intentionally excluded: a halted run can hold open spans
-        whose closing side lives in interrupted coroutines, so they cannot
-        be resumed faithfully — and no report or invariant depends on spans
-        surviving a restart."""
+        """Serialisable snapshot: the counters and the recorded events."""
         return {
             "counters": dict(self.counters),
             "events": [(ev.time, ev.kind, dict(ev.fields)) for ev in self.events],

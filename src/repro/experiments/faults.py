@@ -20,11 +20,11 @@ the failure case. This experiment closes the loop:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..analysis import TableResult, TableView, fmt_seconds
 from ..fault.model import FaultModel
-from ..fault.plans import crash_times as _shared_crash_times
+from ..fault.plans import crash_times
 from ..machine import MachineParams
 from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec, interval_times
 from .workloads import scaled_iters
@@ -39,11 +39,6 @@ def young_interval(per_checkpoint_overhead: float, mtbf: float) -> float:
     if per_checkpoint_overhead <= 0 or mtbf <= 0:
         raise ValueError("overhead and MTBF must be positive")
     return math.sqrt(2.0 * per_checkpoint_overhead * mtbf)
-
-
-def _crash_times(mtbf: float, horizon: float, seed: int, stream: str) -> List[float]:
-    """Deterministic exponential crash arrivals covering [0, horizon]."""
-    return _shared_crash_times(mtbf, horizon, seed=seed, stream=stream)
 
 
 def _default_workload(scale: float) -> WorkloadSpec:
@@ -93,7 +88,7 @@ def failure_rates_spec(
                     else:
                         fault = FaultModel(
                             machine_crash_times=tuple(
-                                _crash_times(
+                                crash_times(
                                     factor * T,
                                     40 * T,
                                     seed,
@@ -200,7 +195,7 @@ def interval_sweep_spec(
         T = results[baseline].sim_time
         mtbf = mtbf_factor * T
         fault = FaultModel(
-            machine_crash_times=tuple(_crash_times(mtbf, 30 * T, seed, "sweep"))
+            machine_crash_times=tuple(crash_times(mtbf, 30 * T, seed, "sweep"))
         )
         intervals = [f * T for f in fractions]
         sweep = {

@@ -13,7 +13,6 @@ Usage::
     python -m repro.experiments.runner storage-overhead
     python -m repro.experiments.runner resilience
     python -m repro.experiments.runner policies
-    python -m repro.experiments.runner smoke
     python -m repro.experiments.runner all [--jobs N]
     python -m repro.experiments.runner --list-schemes
 
@@ -33,8 +32,8 @@ Before any cell runs, ``--verify`` also gates on the static analyzer's
 whole-tree report (exit 2 on any finding); a clean verdict is recorded in
 the result cache and reused while the code and the interpreter version
 stay the same.
-``smoke`` is the verification smoke battery itself — a small traced run of
-every scheme (plus a crash) with the audit always on.
+The verification smoke battery (a small traced run of every scheme, plus
+a crash, with the audit always on) is ``python -m repro.verify smoke``.
 
 Robustness: every finished cell is a fsynced, atomically renamed cache
 entry, so a sweep killed mid-flight (even ``kill -9``) resumes where it
@@ -272,7 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "experiment",
         nargs="?",
         default=None,
-        choices=list(_EXPERIMENTS) + ["smoke", "all"],
+        choices=list(_EXPERIMENTS) + ["all"],
     )
     parser.add_argument(
         "--list-schemes",
@@ -340,7 +339,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="write per-experiment execution seconds + executor stats as JSON",
     )
-    parser.add_argument("--verbose", action="store_true")
     parser.add_argument(
         "--report",
         metavar="PATH",
@@ -375,21 +373,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     scale = 0.2 if args.quick else 1.0
     t0 = time.time()  # verify: allow[wall-clock] — CLI wall-time reporting
     todo = [args.experiment] if args.experiment != "all" else list(_ALL_ORDER)
-
-    if todo == ["smoke"]:
-        from ..verify.smoke import run_smoke
-
-        results = run_smoke(seed=args.seed, verbose=args.verbose)
-        lines = [
-            f"  [{'ok' if rep.ok else 'FAIL'}] {name:<16} {rep.summary()}"
-            for name, rep in results
-        ]
-        _emit("verification smoke battery:\n" + "\n".join(lines))
-        for _name, rep in results:
-            rep.raise_if_violated()
-        wall = time.time() - t0  # verify: allow[wall-clock] — CLI wall-time reporting
-        print(f"[runner] done in {wall:.1f}s wall", file=sys.stderr)
-        return 0
 
     # one spec per distinct grid (table2 + table3 share "table23")
     specs: Dict[str, ExperimentSpec] = {}

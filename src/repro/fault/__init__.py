@@ -1,4 +1,4 @@
-"""Failure injection: fault models, their builders and the storage injector.
+"""Failure injection: fault models, crash schedules and the storage injector.
 
 The runtime consumes a :class:`~repro.fault.model.FaultModel` describing
 whole-machine crashes, per-node crash schedules and stable-storage faults
@@ -18,9 +18,6 @@ _LAZY = {
     "OpVerdict": "injection",
     "make_injector": "injection",
     "crash_times": "plans",
-    "node_crash_model": "plans",
-    "exponential_node_model": "plans",
-    "storage_fault_model": "plans",
 }
 
 __all__ = list(_LAZY)

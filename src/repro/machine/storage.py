@@ -108,11 +108,6 @@ class StableStorage:
         verdict = (
             self.fault_injector.on_write(tag) if self.fault_injector else None
         )
-        span = (
-            self.tracer.open_span("storage.write", node=node.id, bytes=nbytes, tag=tag)
-            if self.tracer
-            else None
-        )
         if background:
             node.bg_stream_started()
         job = None
@@ -136,10 +131,6 @@ class StableStorage:
             if job is not None and not job.done.triggered:
                 # interrupted mid-transfer (crash): free the server
                 self.server.cancel(job)
-            if self.tracer and span is not None:
-                # close in all cases — a crash or injected fault must not
-                # leak an open span (satellite fix: span leak on interrupt)
-                self.tracer.close_span(span)
         self.bytes_written += nbytes
         self.write_ops += 1
         if self.tracer:

@@ -3,12 +3,16 @@
 The schemes, runtime and GC emit structured :class:`~repro.core.tracing.TraceEvent`
 records; each checker replays that stream and reports violations. The
 event vocabulary (``kind`` → fields) — the names are
-:data:`~repro.core.tracing.EVENT_KINDS`, and the analyzer's
-``trace-conformance`` pass proves every one is both emitted and consumed:
+:data:`~repro.core.tracing.EVENT_KINDS`. The analyzer's
+``trace-conformance`` pass proves every one is emitted and that every
+name an emitter or a checker uses is in it; it does not prove a kind is
+consumed (``proto.cut_end`` feeds the timeline renderer, no checker):
 
 =====================  =====================================================
 ``proto.request``      round, coordinator — 2PC initiation
 ``proto.cut``          rank, round, scheme — a rank captured its state
+``proto.cut_end``      rank, round, blocked — the cut's application block
+                       ended after ``blocked`` seconds (0.0: rank finished)
 ``proto.ack``          rank, round — a rank's commit vote (write + markers)
 ``proto.commit``       round, acks — coordinator's commit decision
 ``proto.commit_apply`` rank, round — a rank made its record permanent

@@ -187,7 +187,7 @@ SCHEME_NAMES = sorted(schemes(1.0))
 
 @pytest.mark.parametrize("name", SCHEME_NAMES + ["coord_nb+crash"])
 def test_report_does_not_depend_on_recording(name, T):
-    """``trace=False`` drops events, spans and timelines — never a counter
+    """``trace=False`` drops the recorded events (and so timelines) — never a counter
     or a report field (it used to zero ``checkpoints_committed``, the retry
     and abort tallies and ``counters``)."""
     name, _, crash = name.partition("+")

@@ -13,6 +13,7 @@ import pytest
 from repro.apps.base import Application
 from repro.chklib import (
     CheckpointRuntime,
+    CICScheme,
     CoordinatedScheme,
     FaultModel,
     IndependentScheme,
@@ -202,6 +203,40 @@ def test_blocked_time_nbm_much_smaller_than_nb():
     _, nbm = run_pingpong(iters=30, flops=300_000.0,
                           scheme=CoordinatedScheme.NBM(times))
     assert nbm.blocked_time < nb.blocked_time / 5
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda times: CoordinatedScheme.NB(times),
+        lambda times: CoordinatedScheme.NBM(times),
+        lambda times: IndependentScheme.Indep(times),
+        lambda times: CICScheme.BCS(times, skew=times[0] / 10),
+        lambda times: MessageLoggingScheme.Mlog(times, skew=times[0] / 10),
+    ],
+    ids=["coord_nb", "coord_nbm", "indep", "cic", "mlog"],
+)
+def test_cut_end_closes_its_own_cut_and_sums_to_blocked_time(make):
+    machine = MachineParams(n_nodes=4)
+    base = CheckpointRuntime(PingPong(iters=60), machine=machine, seed=1).run()
+    times = [base.sim_time / 4, base.sim_time / 2]
+    rt = CheckpointRuntime(
+        PingPong(iters=60), scheme=make(times), machine=machine, seed=1
+    )
+    report = rt.run()
+    open_cuts = {}
+    ends = 0
+    for ev in rt.tracer.events:
+        key = (ev.get("rank"), ev.get("round"))
+        if ev.kind == "proto.cut":
+            assert key not in open_cuts
+            open_cuts[key] = ev.time
+        elif ev.kind == "proto.cut_end":
+            assert ev.time >= open_cuts.pop(key)
+            ends += 1
+    assert ends > 0 and not open_cuts
+    blocked = sum(ev["blocked"] for ev in rt.tracer.events_named("proto.cut_end"))
+    assert blocked == pytest.approx(report.blocked_time, rel=1e-12)
 
 
 # -- known defect: overlapping coordinated rounds ------------------------------

@@ -26,14 +26,10 @@ def test_zero_sinks_build_no_trace_event_and_keep_counters(monkeypatch):
     tr.add("bytes", 100.0)
     tr.add("bytes", 28.0)
     tr.event("proto.commit", round=1)
-    span = tr.open_span("ckpt", node=3)
-    assert tr.close_span(span, ok=True) is span
     assert built == [] and tr.emitted == 0
-    assert tr.events == [] and tr.spans == []
+    assert tr.events == []
     assert tr.counters == {"chk.commits": 1.0, "bytes": 128.0}
     assert tr.get("bytes") == 128.0 and tr.get("absent") == 0.0
-    # the span handed out while nothing records is shared and closed at birth
-    assert tr.open_span("other") is span and span.duration == 0.0
 
 
 def test_events_reach_only_the_sinks_of_their_kind_in_subscription_order():
@@ -64,21 +60,14 @@ def test_a_star_sink_is_folded_into_kinds_subscribed_before_and_after_it():
     assert everything == [(0, "msg.send"), (1, "gc.run"), (2, "recover.crash")]
 
 
-def test_recording_sink_keeps_events_and_spans_and_filters_by_name():
-    eng = Engine()
-    tr = Tracer(eng).record()
+def test_recording_sink_keeps_events_and_filters_by_name():
+    tr = Tracer(Engine()).record()
     assert tr.record() is tr and tr.recording
     tr.event("msg.send", src=0)
     tr.event("msg.deliver", dst=1)
     tr.event("msg.send", src=2)
     assert [e["src"] for e in tr.events_named("msg.send")] == [0, 2]
     assert tr.events_named("nothing") == []
-    s1 = tr.open_span("ckpt", node=0)
-    eng._now = 2.0
-    tr.close_span(s1, bytes=10)
-    tr.open_span("ckpt", node=1)  # stays open
-    assert [s.attrs["node"] for s in tr.spans_named("ckpt")] == [0, 1]
-    assert s1.duration == 2.0 and s1.attrs == {"node": 0, "bytes": 10}
 
 
 def test_restored_history_is_shown_to_each_sink_first_and_indices_continue():

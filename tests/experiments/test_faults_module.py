@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.experiments.faults import _crash_times, young_interval
+from repro.experiments.faults import young_interval
+from repro.fault.plans import crash_times
 
 
 class TestYoungInterval:
@@ -22,22 +23,22 @@ class TestYoungInterval:
 
 class TestCrashTimes:
     def test_deterministic(self):
-        a = _crash_times(10.0, 100.0, seed=1, stream="s")
-        b = _crash_times(10.0, 100.0, seed=1, stream="s")
+        a = crash_times(10.0, 100.0, seed=1, stream="s")
+        b = crash_times(10.0, 100.0, seed=1, stream="s")
         assert a == b
 
     def test_different_streams_differ(self):
-        a = _crash_times(10.0, 100.0, seed=1, stream="s1")
-        b = _crash_times(10.0, 100.0, seed=1, stream="s2")
+        a = crash_times(10.0, 100.0, seed=1, stream="s1")
+        b = crash_times(10.0, 100.0, seed=1, stream="s2")
         assert a != b
 
     def test_covers_horizon(self):
-        times = _crash_times(5.0, 200.0, seed=0, stream="s")
+        times = crash_times(5.0, 200.0, seed=0, stream="s")
         assert times[-1] >= 200.0
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_mean_roughly_mtbf(self):
-        times = _crash_times(10.0, 10_000.0, seed=0, stream="s")
+        times = crash_times(10.0, 10_000.0, seed=0, stream="s")
         gaps = [b - a for a, b in zip([0.0] + times[:-1], times)]
         mean = sum(gaps) / len(gaps)
         assert 8.0 < mean < 12.0

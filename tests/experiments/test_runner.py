@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.experiments.ablations as ablations_mod
 import repro.experiments.runner as runner_mod
 import repro.experiments.table1 as table1_mod
 import repro.experiments.table23 as table23_mod
@@ -27,6 +28,7 @@ def tiny_workloads(scale=1.0):
 def patch_workloads(monkeypatch):
     monkeypatch.setattr(table1_mod, "table1_workloads", tiny_workloads)
     monkeypatch.setattr(table23_mod, "table23_workloads", tiny_workloads)
+    monkeypatch.setattr(ablations_mod, "table23_workloads", tiny_workloads)
 
 
 def test_runner_table1(capsys):
