@@ -10,8 +10,7 @@ them.
 
 from __future__ import annotations
 
-import dataclasses as _dc
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, List, Tuple
 
 __all__ = ["RunReport", "RecoveryEvent"]
@@ -33,13 +32,6 @@ def _plain(value: Any) -> Any:
             return _plain(value.tolist())
         return _plain(value.item() if hasattr(value, "item") else value)
     return value
-
-
-def _plain_fields(obj: Any) -> Dict[str, Any]:
-    """The fields of dataclass *obj* by name, each made plain: what
-    ``_plain(dataclasses.asdict(obj))`` gives, without ``asdict``'s deep
-    copy of every value (``_plain`` builds new containers anyway)."""
-    return {f.name: _plain(getattr(obj, f.name)) for f in _dc.fields(obj)}
 
 
 def _int_keyed(mapping: Dict[str, Any]) -> Dict[int, Any]:
@@ -74,7 +66,8 @@ class RecoveryEvent:
     # -- serialization (the experiment grid's on-disk result cache) ---------
 
     def to_dict(self) -> Dict[str, Any]:
-        return _plain_fields(self)
+        # not asdict(): it deep-copies every value, which _plain rebuilds anyway
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "RecoveryEvent":
@@ -86,17 +79,33 @@ class RecoveryEvent:
             replayed_messages=int(d["replayed_messages"]),
             duration=float(d["duration"]),
             domino_extent=float(d["domino_extent"]),
-            failed_ranks=tuple(d.get("failed_ranks", ())),
-            disks_lost=tuple(d.get("disks_lost", ())),
-            quarantined=int(d.get("quarantined", 0)),
-            restore_retries=int(d.get("restore_retries", 0)),
-            line_consistent=bool(d.get("line_consistent", True)),
+            failed_ranks=tuple(d["failed_ranks"]),
+            disks_lost=tuple(d["disks_lost"]),
+            quarantined=int(d["quarantined"]),
+            restore_retries=int(d["restore_retries"]),
+            line_consistent=bool(d["line_consistent"]),
         )
+
+
+def _count(counter: str, kind: type = int) -> property:
+    """A read-only view of ``counters[counter]``, 0 if never added to."""
+    return property(lambda self: kind(self.counters.get(counter, 0)))
+
+
+#: :meth:`RunReport.to_dict`'s keys, in order: the cache layout.
+_LAYOUT = """
+    app scheme n_nodes seed sim_time result checkpoints_taken checkpoints_committed
+    blocked_time storage_bytes_written storage_peak_bytes storage_peak_checkpoints
+    storage_final_bytes control_messages control_bytes app_messages app_bytes counters
+    recoveries storage_write_faults storage_read_faults storage_write_retries
+    storage_read_retries rounds_aborted ckpt_writes_failed checkpoints_quarantined
+""".split()
 
 
 @dataclass
 class RunReport:
-    """Everything measured in one run."""
+    """Everything measured in one run. A field stores what is not a count;
+    each named count below is a read-only view of its counter."""
 
     app: str
     scheme: str
@@ -104,41 +113,47 @@ class RunReport:
     seed: int
     sim_time: float
     result: Any
-    checkpoints_taken: int
-    checkpoints_committed: int
-    blocked_time: float  #: total app-blocked time across ranks
-    storage_bytes_written: float
+    #: total app-blocked time, summed per rank (``chk.blocked_time`` sums
+    #: the same charges in event order, so it can differ in the last bits)
+    blocked_time: float
     storage_peak_bytes: int
     storage_peak_checkpoints: int
     storage_final_bytes: int
-    control_messages: int
-    control_bytes: int
-    app_messages: int
-    app_bytes: int
     counters: Dict[str, float] = field(default_factory=dict)
     recoveries: List[RecoveryEvent] = field(default_factory=list)
-    # -- resilience accounting (fault-injection subsystem) --------------------
-    storage_write_faults: int = 0  #: injected transient write failures
-    storage_read_faults: int = 0  #: injected transient read failures
-    storage_write_retries: int = 0  #: write attempts repeated after a fault
-    storage_read_retries: int = 0  #: read attempts repeated after a fault
-    rounds_aborted: int = 0  #: coordinated 2PC rounds aborted cleanly
-    ckpt_writes_failed: int = 0  #: checkpoint writes dropped after retries
-    checkpoints_quarantined: int = 0  #: records excluded as corrupt/unreadable
+
+    checkpoints_taken = _count("chk.cuts")
+    checkpoints_committed = _count("chk.commits")
+    storage_bytes_written = _count("storage.bytes_written", float)
+    control_messages = _count("net.control_messages")
+    control_bytes = _count("net.control_bytes")
+    app_messages = _count("net.app_messages")
+    app_bytes = _count("net.app_bytes")
+    storage_write_faults = _count("storage.write_faults")  #: injected, transient
+    storage_read_faults = _count("storage.read_faults")  #: injected, transient
+    storage_write_retries = _count("storage.write_retries")
+    storage_read_retries = _count("storage.read_retries")
+    rounds_aborted = _count("chk.rounds_aborted")  #: 2PC rounds aborted cleanly
+    ckpt_writes_failed = _count("chk.ckpt_writes_failed")  #: dropped after retries
+
+    @property
+    def checkpoints_quarantined(self) -> int:
+        """Records excluded as corrupt or unreadable, over all recoveries."""
+        return sum(ev.quarantined for ev in self.recoveries)
 
     # -- serialization (the experiment grid's on-disk result cache) ---------
 
     def to_dict(self) -> Dict[str, Any]:
-        """A plain-JSON dict round-trippable through :meth:`from_dict`."""
-        d = _plain_fields(self)
+        """Plain JSON in :data:`_LAYOUT` order; :meth:`from_dict` reverses it."""
+        d = {name: _plain(getattr(self, name)) for name in _LAYOUT}
         d["recoveries"] = [ev.to_dict() for ev in self.recoveries]
         return d
 
     @classmethod
     def from_dict(cls, d: Dict[str, Any]) -> "RunReport":
-        """Rebuild a report (type-normalised: every number is plain
-        Python, so a cached report compares and renders identically to a
-        fresh one)."""
+        """Rebuild a report from its stored fields (type-normalised: every
+        number is plain Python, so a cached report compares and renders
+        identically to a fresh one)."""
         return cls(
             app=str(d["app"]),
             scheme=str(d["scheme"]),
@@ -146,26 +161,10 @@ class RunReport:
             seed=int(d["seed"]),
             sim_time=float(d["sim_time"]),
             result=d["result"],
-            checkpoints_taken=int(d["checkpoints_taken"]),
-            checkpoints_committed=int(d["checkpoints_committed"]),
             blocked_time=float(d["blocked_time"]),
-            storage_bytes_written=float(d["storage_bytes_written"]),
             storage_peak_bytes=int(d["storage_peak_bytes"]),
             storage_peak_checkpoints=int(d["storage_peak_checkpoints"]),
             storage_final_bytes=int(d["storage_final_bytes"]),
-            control_messages=int(d["control_messages"]),
-            control_bytes=int(d["control_bytes"]),
-            app_messages=int(d["app_messages"]),
-            app_bytes=int(d["app_bytes"]),
-            counters={str(k): v for k, v in d.get("counters", {}).items()},
-            recoveries=[
-                RecoveryEvent.from_dict(ev) for ev in d.get("recoveries", [])
-            ],
-            storage_write_faults=int(d.get("storage_write_faults", 0)),
-            storage_read_faults=int(d.get("storage_read_faults", 0)),
-            storage_write_retries=int(d.get("storage_write_retries", 0)),
-            storage_read_retries=int(d.get("storage_read_retries", 0)),
-            rounds_aborted=int(d.get("rounds_aborted", 0)),
-            ckpt_writes_failed=int(d.get("ckpt_writes_failed", 0)),
-            checkpoints_quarantined=int(d.get("checkpoints_quarantined", 0)),
+            counters={str(k): v for k, v in d["counters"].items()},
+            recoveries=[RecoveryEvent.from_dict(ev) for ev in d["recoveries"]],
         )

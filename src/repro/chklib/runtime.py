@@ -58,7 +58,9 @@ __all__ = [
 #: version stamp of the durable-line payload layout. v2: the payload is
 #: manifest-driven (keys come from the classes' RESUME_FIELDS /
 #: RESUME_COMPONENTS declarations; ``machine`` became ``machine_params``).
-LINE_PAYLOAD_VERSION = 2
+#: v3: an agent no longer carries ``cuts_taken`` (the ``chk.cuts`` counter
+#: travels with the tracer).
+LINE_PAYLOAD_VERSION = 3
 
 
 class Ctx:
@@ -767,24 +769,10 @@ class CheckpointRuntime:
             seed=self.seed,
             sim_time=self.engine.now,
             result=self._result,
-            checkpoints_taken=sum(a.cuts_taken for a in self.agents),
-            checkpoints_committed=int(self.tracer.get("chk.commits")),
             blocked_time=sum(a.blocked_time for a in self.agents),
-            storage_bytes_written=self.storage.bytes_written,
             storage_peak_bytes=self.store.peak_bytes,
             storage_peak_checkpoints=self.store.peak_checkpoints,
             storage_final_bytes=self.store.total_bytes(),
-            control_messages=self.transport.control_messages,
-            control_bytes=self.transport.control_bytes,
-            app_messages=self.transport.messages_sent,
-            app_bytes=self.transport.bytes_sent,
             counters={**self.tracer.counters, **self.transport.counters()},
             recoveries=list(self.recoveries),
-            storage_write_faults=self.storage.write_faults,
-            storage_read_faults=self.storage.read_faults,
-            storage_write_retries=int(self.tracer.get("storage.write_retries")),
-            storage_read_retries=int(self.tracer.get("storage.read_retries")),
-            rounds_aborted=int(self.tracer.get("chk.rounds_aborted")),
-            ckpt_writes_failed=int(self.tracer.get("chk.ckpt_writes_failed")),
-            checkpoints_quarantined=self.store.quarantined_count,
         )

@@ -54,7 +54,7 @@ class SchemeAgent(CommAgent):
 
     #: Capture manifest (see :mod:`repro.chklib.resume`): the cumulative
     #: per-rank facts a durable line carries across a halt/restart.
-    RESUME_FIELDS = ("epoch", "blocked_time", "cuts_taken")
+    RESUME_FIELDS = ("epoch", "blocked_time")
     #: Rebuilt by ``__init__``/``bind``/``bind_state`` on every restart —
     #: in-flight protocol state is wiped by recovery in-process too.
     VOLATILE_FIELDS = (
@@ -99,7 +99,6 @@ class SchemeAgent(CommAgent):
         )
         # cumulative metrics
         self.blocked_time = 0.0
-        self.cuts_taken = 0
 
     # -- wiring ------------------------------------------------------------
 

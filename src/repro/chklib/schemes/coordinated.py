@@ -571,7 +571,6 @@ class CoordinatedScheme(Scheme):
         rnd.markers_pending -= agent.early_markers.pop(n, set())
         agent.round = rnd
         agent.epoch = n
-        agent.cuts_taken += 1
         rt.tracer.add("chk.cuts")
         rt.tracer.event("proto.cut", rank=agent.rank, round=n, scheme=self.name)
         # pre-cut messages still queued in the mailbox are in-transit state

@@ -194,7 +194,6 @@ class IndependentScheme(Scheme):
             record.log_annex = agent.volatile_log
             agent.volatile_log = []
         agent.epoch = n
-        agent.cuts_taken += 1
         rt.tracer.add("chk.cuts")
         rt.tracer.event("proto.cut", rank=agent.rank, round=n, scheme=self.name)
         yield from self.save(agent, WriteJob(n, record, self._write_bytes(record)))

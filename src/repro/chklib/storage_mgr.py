@@ -131,7 +131,6 @@ class CheckpointStore:
         self.peak_checkpoints = 0
         self.discarded_bytes = 0.0
         self.discarded_count = 0
-        self.quarantined_count = 0
 
     # -- additions -----------------------------------------------------------
 
@@ -173,10 +172,7 @@ class CheckpointStore:
         """Mark a checkpoint unusable (corrupt or unreadable). The record
         stays in storage (it still occupies bytes) but is permanently
         excluded from recovery-line construction."""
-        rec = self._chains[rank][index]
-        if not rec.quarantined:
-            rec.quarantined = True
-            self.quarantined_count += 1
+        self._chains[rank][index].quarantined = True
 
     def corrupt(self, rank: int, index: int) -> None:
         """Silently corrupt a stored checkpoint image (fault injection)."""

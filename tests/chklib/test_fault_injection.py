@@ -152,10 +152,14 @@ def test_checksum_detects_silent_corruption():
 
 def test_quarantine_is_idempotent():
     store = CheckpointStore(n_ranks=1)
-    store.add(_record(index=1))
+    rec = _record(index=1)
+    store.add(rec)
     store.quarantine(0, 1)
     store.quarantine(0, 1)
-    assert store.quarantined_count == 1
+    assert rec.quarantined
+    # the record stays stored: it still occupies its bytes
+    assert store.get(0, 1) is rec
+    assert store.count() == 1 and store.total_bytes() == rec.total_bytes
 
 
 def test_chain_intact_sees_through_quarantined_base():

@@ -1,9 +1,9 @@
 """RunReport / RecoveryEvent to_dict <-> from_dict round-trips.
 
 The grid executor's on-disk cache (and its uniform round-trip of fresh
-results) relies on serialization preserving *every* field — including
-the fault/recovery counters — and on the rebuilt report comparing equal
-to the original after both sides are type-normalised.
+results) relies on serialization preserving *every* key — the stored
+fields and the counts read from ``counters`` — and on the rebuilt report
+comparing equal to the original after both sides are type-normalised.
 """
 
 import dataclasses
@@ -42,26 +42,28 @@ def _full_report() -> RunReport:
         seed=7,
         sim_time=123.456,
         result={"sum": 1.5, "nested": [1, 2.0, "x"]},
-        checkpoints_taken=12,
-        checkpoints_committed=8,
         blocked_time=9.875,
-        storage_bytes_written=2.5e6,
         storage_peak_bytes=1 << 20,
         storage_peak_checkpoints=6,
         storage_final_bytes=4096,
-        control_messages=42,
-        control_bytes=8400,
-        app_messages=600,
-        app_bytes=120000,
-        counters={"sync_time": 1.25, "copy_bytes": 512.0},
+        counters={
+            "sync_time": 1.25,
+            "copy_bytes": 512.0,
+            "chk.cuts": 12.0,
+            "chk.commits": 8.0,
+            "storage.bytes_written": 2.5e6,
+            "net.control_messages": 42.0,
+            "net.control_bytes": 8400.0,
+            "net.app_messages": 600.0,
+            "net.app_bytes": 120000.0,
+            "storage.write_faults": 5.0,
+            "storage.read_faults": 4.0,
+            "storage.write_retries": 3.0,
+            "storage.read_retries": 2.0,
+            "chk.rounds_aborted": 1.0,
+            "chk.ckpt_writes_failed": 2.0,
+        },
         recoveries=[_full_recovery_event()],
-        storage_write_faults=5,
-        storage_read_faults=4,
-        storage_write_retries=3,
-        storage_read_retries=2,
-        rounds_aborted=1,
-        ckpt_writes_failed=2,
-        checkpoints_quarantined=3,
     )
 
 
@@ -86,8 +88,9 @@ def test_recovery_event_roundtrip_all_fields():
 def test_run_report_roundtrip_all_fields():
     report = _full_report()
     back = _roundtrip(report)
-    for f in dataclasses.fields(RunReport):
-        assert getattr(back, f.name) == getattr(report, f.name), f.name
+    for name in report.to_dict():  # stored fields and counts alike
+        assert getattr(back, name) == getattr(report, name), name
+    assert back.checkpoints_taken == 12 and back.checkpoints_quarantined == 3
     assert isinstance(back.recoveries[0], RecoveryEvent)
 
 
@@ -99,29 +102,6 @@ def test_run_report_roundtrip_is_stable():
     assert json.dumps(once.to_dict(), sort_keys=True) == json.dumps(
         twice.to_dict(), sort_keys=True
     )
-
-
-def test_from_dict_defaults_for_missing_optional_fields():
-    """Old cache entries without the resilience counters still load."""
-    d = _full_report().to_dict()
-    for key in (
-        "storage_write_faults",
-        "storage_read_faults",
-        "storage_write_retries",
-        "storage_read_retries",
-        "rounds_aborted",
-        "ckpt_writes_failed",
-        "checkpoints_quarantined",
-        "counters",
-        "recoveries",
-    ):
-        del d[key]
-    back = RunReport.from_dict(d)
-    assert back.storage_write_faults == 0
-    assert back.rounds_aborted == 0
-    assert back.checkpoints_quarantined == 0
-    assert back.counters == {}
-    assert back.recoveries == []
 
 
 def test_to_dict_normalises_numpy_scalars_and_arrays():
@@ -177,8 +157,8 @@ def test_real_faulted_run_roundtrips():
     ) > 0, "storage faults must have been injected"
 
     back = _roundtrip(report)
-    for f in dataclasses.fields(RunReport):
-        assert getattr(back, f.name) == getattr(report, f.name), f.name
+    for name in report.to_dict():
+        assert getattr(back, name) == getattr(report, name), name
     for ev, ev_back in zip(report.recoveries, back.recoveries):
         for f in dataclasses.fields(RecoveryEvent):
             assert getattr(ev_back, f.name) == getattr(ev, f.name), f.name

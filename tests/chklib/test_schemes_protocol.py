@@ -246,7 +246,7 @@ def test_cut_end_closes_its_own_cut_and_sums_to_blocked_time(make):
     strict=True,
     raises=Deadlock,
     reason=(
-        "ROADMAP item 2: with three quick rounds, rounds overlap; "
+        "ROADMAP item 13: with three quick rounds, rounds overlap; "
         "coord_nbms cuts rounds 2 and 3 but commits only round 1, and its "
         "token ring wedges with writers still waiting"
     ),

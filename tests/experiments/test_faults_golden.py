@@ -52,7 +52,8 @@ def test_every_faults_report_matches_the_fixture():
     got = _reports()
     assert list(got) == list(want)  # the same cells, in the same order
     for cid, report in want.items():
-        assert set(got[cid]) == set(report), cid
+        # the same keys in the same order: to_dict's layout is the cache's
+        assert list(got[cid]) == list(report), cid
         for name, value in report.items():
             assert got[cid][name] == value, (cid, name)
 

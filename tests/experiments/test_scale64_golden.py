@@ -39,7 +39,8 @@ def test_every_scale64_report_matches_the_fixture():
     got = _reports()
     assert list(got) == list(want)  # the same cells, in the same order
     for key, report in want.items():
-        assert set(got[key]) == set(report), key
+        # the same keys in the same order: to_dict's layout is the cache's
+        assert list(got[key]) == list(report), key
         for name, value in report.items():
             assert got[key][name] == value, (key, report["scheme"], name)
 
