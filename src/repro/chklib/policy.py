@@ -308,7 +308,10 @@ class FailureRateAdaptive(_AdaptiveInterval):
 
     def _observe(self, runtime: Any, rank: int) -> None:
         recoveries = len(runtime.recoveries)
-        faults = runtime.storage.write_faults + runtime.storage.read_faults
+        tracer = runtime.tracer
+        faults = int(
+            tracer.get("storage.write_faults") + tracer.get("storage.read_faults")
+        )
         observed = (recoveries - self._seen_recoveries) + (
             faults - self._seen_faults
         )

@@ -92,16 +92,6 @@ def _count(counter: str, kind: type = int) -> property:
     return property(lambda self: kind(self.counters.get(counter, 0)))
 
 
-#: :meth:`RunReport.to_dict`'s keys, in order: the cache layout.
-_LAYOUT = """
-    app scheme n_nodes seed sim_time result checkpoints_taken checkpoints_committed
-    blocked_time storage_bytes_written storage_peak_bytes storage_peak_checkpoints
-    storage_final_bytes control_messages control_bytes app_messages app_bytes counters
-    recoveries storage_write_faults storage_read_faults storage_write_retries
-    storage_read_retries rounds_aborted ckpt_writes_failed checkpoints_quarantined
-""".split()
-
-
 @dataclass
 class RunReport:
     """Everything measured in one run. A field stores what is not a count;
@@ -144,8 +134,10 @@ class RunReport:
     # -- serialization (the experiment grid's on-disk result cache) ---------
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain JSON in :data:`_LAYOUT` order; :meth:`from_dict` reverses it."""
-        d = {name: _plain(getattr(self, name)) for name in _LAYOUT}
+        """The stored fields as plain JSON, in declaration order (each
+        count is read back from ``counters``); :meth:`from_dict` reverses
+        it."""
+        d = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
         d["recoveries"] = [ev.to_dict() for ev in self.recoveries]
         return d
 

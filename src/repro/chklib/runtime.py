@@ -59,8 +59,10 @@ __all__ = [
 #: manifest-driven (keys come from the classes' RESUME_FIELDS /
 #: RESUME_COMPONENTS declarations; ``machine`` became ``machine_params``).
 #: v3: an agent no longer carries ``cuts_taken`` (the ``chk.cuts`` counter
-#: travels with the tracer).
-LINE_PAYLOAD_VERSION = 3
+#: travels with the tracer). v4: the storage plane, its tiers, the fault
+#: injector and the checkpoint store no longer carry tallies that
+#: duplicate the tracer's counters.
+LINE_PAYLOAD_VERSION = 4
 
 
 class Ctx:

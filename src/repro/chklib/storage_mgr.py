@@ -129,8 +129,6 @@ class CheckpointStore:
         # metrics
         self.peak_bytes = 0
         self.peak_checkpoints = 0
-        self.discarded_bytes = 0.0
-        self.discarded_count = 0
 
     # -- additions -----------------------------------------------------------
 
@@ -229,8 +227,6 @@ class CheckpointStore:
         freed = rec.total_bytes
         self._count -= 1
         self._bytes -= freed
-        self.discarded_bytes += freed
-        self.discarded_count += 1
         return freed
 
     def discard_older_than(self, rank: int, index: int) -> int:

@@ -52,14 +52,11 @@ class StorageFaultInjector:
     def __init__(self, spec: StorageFaultSpec, rng: "np.random.Generator") -> None:
         self.spec = spec
         self._rng = rng
-        # attempt counters (1-based at decision time; retries count anew)
+        # attempt counters (1-based at decision time; retries count anew):
+        # decision state, since ``fail_*_at`` index them. The faults they
+        # inject are counted by the storage tier and the scheme.
         self.write_attempts = 0
         self.read_attempts = 0
-        self.ckpt_writes = 0
-        # injected-fault tallies
-        self.write_faults = 0
-        self.read_faults = 0
-        self.corruptions = 0
 
     # -- per-operation verdicts ----------------------------------------------
 
@@ -70,7 +67,6 @@ class StorageFaultInjector:
             fail = float(self._rng.random()) < self.spec.write_fail_p
         if not fail:
             return _OK
-        self.write_faults += 1
         return OpVerdict(fail=True, fraction=float(self._rng.random()))
 
     def on_read(self, tag: str = "") -> OpVerdict:
@@ -80,31 +76,20 @@ class StorageFaultInjector:
             fail = float(self._rng.random()) < self.spec.read_fail_p
         if not fail:
             return _OK
-        self.read_faults += 1
         return OpVerdict(fail=True, fraction=float(self._rng.random()))
 
     # -- per-checkpoint silent corruption ------------------------------------
 
     def corrupts_checkpoint(self, rank: int, index: int) -> bool:
         """Decide whether the just-completed checkpoint write rotted."""
-        self.ckpt_writes += 1
         corrupt = (rank, index) in self.spec.corrupt_ckpts
         if not corrupt and self.spec.corrupt_p > 0.0:
             corrupt = float(self._rng.random()) < self.spec.corrupt_p
-        if corrupt:
-            self.corruptions += 1
         return corrupt
 
     # -- durable-line support --------------------------------------------------
 
-    _COUNTERS = (
-        "write_attempts",
-        "read_attempts",
-        "ckpt_writes",
-        "write_faults",
-        "read_faults",
-        "corruptions",
-    )
+    _COUNTERS = ("write_attempts", "read_attempts")
 
     def export_state(self) -> dict:
         """Counter snapshot for durable lines (the RNG stream position is
@@ -118,9 +103,8 @@ class StorageFaultInjector:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<StorageFaultInjector wf={self.write_faults}/{self.write_attempts} "
-            f"rf={self.read_faults}/{self.read_attempts} "
-            f"corrupt={self.corruptions}>"
+            f"<StorageFaultInjector writes={self.write_attempts} "
+            f"reads={self.read_attempts}>"
         )
 
 

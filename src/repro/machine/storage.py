@@ -37,17 +37,11 @@ __all__ = ["StableStorage"]
 class StableStorage:
     """Shared stable-storage server with per-request latency and PS service."""
 
-    #: Capture manifest (see :mod:`repro.chklib.resume`): the accounting
-    #: counters travel in a durable line; the server/engine handles and
-    #: the fault oracle are rebuilt by the restarted runtime.
-    RESUME_FIELDS = (
-        "bytes_written",
-        "bytes_read",
-        "write_ops",
-        "read_ops",
-        "write_faults",
-        "read_faults",
-    )
+    #: Capture manifest (see :mod:`repro.chklib.resume`): a tier holds no
+    #: durable state of its own (its counts live in the tracer's
+    #: ``storage.*`` counters); the server/engine handles and the fault
+    #: oracle are rebuilt by the restarted runtime.
+    RESUME_FIELDS = ()
     VOLATILE_FIELDS = ("engine", "params", "tracer", "server", "fault_injector")
 
     def __init__(
@@ -66,13 +60,6 @@ class StableStorage:
             thrash=params.thrash,
             name=name,
         )
-        self.bytes_written = 0.0
-        self.bytes_read = 0.0
-        self.write_ops = 0
-        self.read_ops = 0
-        #: injected transient failures observed (successful ops excluded).
-        self.write_faults = 0
-        self.read_faults = 0
         #: optional fault oracle (duck-typed; see repro.fault.injection).
         self.fault_injector: Optional["StorageFaultInjector"] = None
 
@@ -119,7 +106,6 @@ class StableStorage:
                     job = self.server.transfer(partial, tag=tag or f"write:n{node.id}")
                     yield job.done
                     job = None
-                self.write_faults += 1
                 if self.tracer:
                     self.tracer.add("storage.write_faults")
                 raise StorageFault("write", tag=tag, partial_bytes=partial)
@@ -131,8 +117,6 @@ class StableStorage:
             if job is not None and not job.done.triggered:
                 # interrupted mid-transfer (crash): free the server
                 self.server.cancel(job)
-        self.bytes_written += nbytes
-        self.write_ops += 1
         if self.tracer:
             self.tracer.add("storage.bytes_written", nbytes)
             self.tracer.add("storage.write_ops")
@@ -159,7 +143,6 @@ class StableStorage:
                     job = self.server.transfer(partial, tag=tag or f"read:n{node.id}")
                     yield job.done
                     job = None
-                self.read_faults += 1
                 if self.tracer:
                     self.tracer.add("storage.read_faults")
                 raise StorageFault("read", tag=tag, partial_bytes=partial)
@@ -168,18 +151,12 @@ class StableStorage:
         finally:
             if job is not None and not job.done.triggered:
                 self.server.cancel(job)
-        self.bytes_read += nbytes
-        self.read_ops += 1
         if self.tracer:
             self.tracer.add("storage.bytes_read", nbytes)
             self.tracer.add("storage.read_ops")
 
-    def single_stream_time(self, nbytes: float) -> float:
-        """Uncontended service time for one write (planning helper)."""
-        return self.params.op_latency + nbytes / self.params.bandwidth
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"<StableStorage streams={self.active_streams} "
-            f"written={self.bytes_written:.0f}B>"
+            f"<StableStorage {self.server.name!r} "
+            f"streams={self.active_streams}>"
         )

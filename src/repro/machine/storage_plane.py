@@ -18,11 +18,6 @@ Routing (all through the :class:`~repro.machine.topology.Topology`):
   the rank's shard server (spawned by the scheme after a buffered write,
   generation-scoped so a crash kills in-flight drains on both the
   restart and the in-process paths identically).
-
-Accounting: the plane presents the same counter surface as one
-StableStorage (``bytes_written``, ``write_faults``, ...) by summing the
-tiers — drains move already-counted bytes, so they keep their own
-``drained_bytes`` counter instead.
 """
 
 from __future__ import annotations
@@ -46,12 +41,13 @@ __all__ = ["StoragePlane"]
 class StoragePlane:
     """S shard servers plus an optional per-rack burst-buffer tier.
 
-    Capture manifest (see :mod:`repro.chklib.resume`): the drain counters
-    are plane-level state; :meth:`export_state` adds each tier's own
-    manifest-listed counters.
+    Capture manifest (see :mod:`repro.chklib.resume`): the plane and its
+    tiers hold no durable state (every count is a tracer counter), but
+    :meth:`export_state` still captures each of them through the checked
+    field capture, so an attribute no manifest lists fails the line.
     """
 
-    RESUME_FIELDS = ("drained_bytes", "drain_ops")
+    RESUME_FIELDS = ()
     VOLATILE_FIELDS = (
         "engine",
         "machine_params",
@@ -111,8 +107,6 @@ class StoragePlane:
         #: burst-buffer tier is flash behind the same blast radius as the
         #: node and stays reliable, like the two-level local disks.
         self.fault_injector: Optional["StorageFaultInjector"] = None
-        self.drained_bytes = 0.0
-        self.drain_ops = 0
         # Exact incremental mirror of sum(srv.active_streams): pressure is
         # read once per message transfer, which dwarfs job-set changes.
         self._active_streams = 0
@@ -142,12 +136,6 @@ class StoragePlane:
         return self.servers[self.server_index(rank)]
 
     # -- the single-server surface (legacy compatibility) --------------------
-
-    @property
-    def params(self) -> StorageParams:
-        """The shard servers' storage parameters (the legacy
-        ``StableStorage.params`` surface; all shards share them)."""
-        return self.machine_params.storage
 
     @property
     def server(self):
@@ -201,12 +189,6 @@ class StoragePlane:
         """Stream a restore read back from *node*'s write target."""
         return self.write_target(node.id).read(node, nbytes, tag)
 
-    def single_stream_time(self, nbytes: float) -> float:
-        """Uncontended service time of one write at the write target
-        (planning helper; uniform across ranks by construction)."""
-        target = self.write_target(0)
-        return target.single_stream_time(nbytes)
-
     # -- burst-buffer drain ---------------------------------------------------
 
     def drain(
@@ -227,49 +209,16 @@ class StoragePlane:
         finally:
             if not job.done.triggered:
                 server.server.cancel(job)
-        self.drained_bytes += nbytes
-        self.drain_ops += 1
         if self.tracer:
             self.tracer.add("storage.drained_bytes", nbytes)
             self.tracer.add("storage.drain_ops")
-
-    # -- aggregate accounting (the RunReport surface) -------------------------
-
-    def _sum(self, field: str) -> Any:
-        return sum(getattr(s, field) for s in self.servers) + sum(
-            getattr(b, field) for b in self.burst_buffers
-        )
-
-    @property
-    def bytes_written(self) -> float:
-        return self._sum("bytes_written")
-
-    @property
-    def bytes_read(self) -> float:
-        return self._sum("bytes_read")
-
-    @property
-    def write_ops(self) -> int:
-        return self._sum("write_ops")
-
-    @property
-    def read_ops(self) -> int:
-        return self._sum("read_ops")
-
-    @property
-    def write_faults(self) -> int:
-        return self._sum("write_faults")
-
-    @property
-    def read_faults(self) -> int:
-        return self._sum("read_faults")
 
     # -- durable-line capture -------------------------------------------------
 
     def export_state(
         self, capture: Callable[[Any], Dict[str, Any]]
     ) -> Dict[str, Any]:
-        """The plane's counters and every tier's, each through *capture*
+        """The plane's fields and every tier's, each through *capture*
         (the runtime's checked field capture, which this layer cannot
         import)."""
         return {
@@ -280,8 +229,6 @@ class StoragePlane:
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Mirror of :meth:`export_state` (restart path)."""
-        self.drained_bytes = state["drained_bytes"]
-        self.drain_ops = state["drain_ops"]
         for tier, saved in (
             (self.servers, state["servers"]),
             (self.burst_buffers, state["burst_buffers"]),
@@ -292,11 +239,10 @@ class StoragePlane:
                     f"{len(saved)} captured tiers vs {len(tier)} rebuilt"
                 )
             for st, snap in zip(tier, saved):
-                for f, v in snap.items():
-                    setattr(st, f, v)
+                vars(st).update(snap)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<StoragePlane servers={self.n_servers} "
-            f"bb={len(self.burst_buffers)} written={self.bytes_written:.0f}B>"
+            f"bb={len(self.burst_buffers)} streams={self.active_streams}>"
         )

@@ -103,7 +103,7 @@ def test_scheduled_write_failures_fire_exactly_once():
     verdicts = [inj.on_write() for _ in range(4)]
     assert [v.fail for v in verdicts] == [False, True, False, False]
     assert 0.0 <= verdicts[1].fraction <= 1.0
-    assert inj.write_faults == 1
+    assert inj.write_attempts == 4
 
 
 def test_injector_is_deterministic_per_seed():
@@ -216,9 +216,11 @@ def test_failed_write_pays_partial_time():
     assert isinstance(err, StorageFault)
     assert err.partial_bytes >= 0
     # failed ops do not count as completed writes
-    assert storage.write_faults == 1
-    assert storage.write_ops == 0
-    assert storage.bytes_written == 0
+    assert tracer.get("storage.write_faults") == 1
+    assert tracer.get("storage.write_ops") == 0
+    assert tracer.get("storage.bytes_written") == 0
+    # the torn transfer did run on the server
+    assert storage.server.bytes_completed == err.partial_bytes
 
 
 def test_stable_write_retries_until_success():
@@ -234,8 +236,8 @@ def test_stable_write_retries_until_success():
         ),
     )
     assert err is None
-    assert storage.write_faults == 2
-    assert storage.write_ops == 1
+    assert tracer.get("storage.write_faults") == 2
+    assert tracer.get("storage.write_ops") == 1
     assert tracer.get("storage.write_retries") == 2
 
 
@@ -248,7 +250,7 @@ def test_stable_write_exhausts_budget_and_raises():
         ),
     )
     assert isinstance(err, StorageFault)
-    assert storage.write_ops == 0
+    assert tracer.get("storage.write_ops") == 0
 
 
 def test_stable_read_retries_until_success():
@@ -264,8 +266,8 @@ def test_stable_read_retries_until_success():
         ),
     )
     assert err is None
-    assert storage.read_faults == 1
-    assert storage.read_ops == 1
+    assert tracer.get("storage.read_faults") == 1
+    assert tracer.get("storage.read_ops") == 1
     assert tracer.get("storage.read_retries") == 1
 
 

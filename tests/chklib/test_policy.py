@@ -41,7 +41,8 @@ def make_app():
     return app
 
 
-def run(scheme, fault_model=None, seed=SEED):
+def run_traced(scheme, fault_model=None, seed=SEED):
+    """The audited run's runtime and report (the runtime traces by default)."""
     rt = CheckpointRuntime(
         make_app(),
         scheme=scheme,
@@ -52,7 +53,11 @@ def run(scheme, fault_model=None, seed=SEED):
     report = rt.run()
     audit = check_runtime(rt)
     assert audit.ok, audit.violations
-    return report
+    return rt, report
+
+
+def run(scheme, fault_model=None, seed=SEED):
+    return run_traced(scheme, fault_model, seed)[1]
 
 
 def _dumps(report):
@@ -151,7 +156,7 @@ def test_adaptive_narrows_under_faults_and_not_when_quiet(T):
             policy=FailureRateAdaptive(base_interval=interval, stop=4 * T),
         )
 
-    faulted = run(scheme(), fault_model=_faults(T))
+    rt, faulted = run_traced(scheme(), fault_model=_faults(T))
     quiet = run(scheme())
 
     assert faulted.counters.get("policy.narrowings", 0) > 0
@@ -170,6 +175,12 @@ def test_adaptive_narrows_under_faults_and_not_when_quiet(T):
     assert mean(faulted) >= interval / 4.0
     # both runs still compute the undisturbed answer
     assert faulted.result == quiet.result
+    # the faults observed are a count of events, not a sum of floats
+    narrowed = [
+        ev for ev in rt.tracer.events_named("policy.adapt") if ev["cause"] == "fault"
+    ]
+    assert narrowed
+    assert all(type(ev["observed"]) is int for ev in narrowed)
 
 
 def test_adaptive_parameter_validation():

@@ -4,7 +4,7 @@ Same contract as test_resume.py — halting at *t* and restarting from the
 captured line continues bit-for-bit identically to a run that crashed at
 *t* and recovered in-process — but on a multi-rack machine with two
 shard servers and the burst-buffer tier, so the capture must cover the
-per-tier storage counters, the plane's drain counters and the per-server
+tracer's ``storage.*`` counters (drains included) and the per-server
 staggering rings, and a crash must kill in-flight burst-buffer drains
 identically on both paths.
 """
@@ -82,7 +82,7 @@ def test_restart_on_hierarchical_machine_is_bitwise_identical(name, halt_frac, T
 
 def test_burst_buffer_drains_progress_and_survive_resume(T):
     """The NBMS run on the buffered machine actually exercises the drain
-    path, and drain counters restore across the halt."""
+    path, and the counters restore across the halt."""
     times = (T / 4, T / 2, 3 * T / 4)
     rt = CheckpointRuntime(
         make_app(),
@@ -91,10 +91,10 @@ def test_burst_buffer_drains_progress_and_survive_resume(T):
         seed=SEED,
     )
     report = rt.run()
-    assert rt.storage.drain_ops > 0
-    assert rt.storage.drained_bytes > 0
+    assert report.counters["storage.drain_ops"] > 0
+    assert report.counters["storage.drained_bytes"] > 0
     # buffered writes landed on the rack tier, drains moved them on
-    assert sum(b.bytes_written for b in rt.storage.burst_buffers) > 0
+    assert sum(b.server.bytes_completed for b in rt.storage.burst_buffers) > 0
 
     crashed = CheckpointRuntime(
         make_app(),
@@ -102,8 +102,7 @@ def test_burst_buffer_drains_progress_and_survive_resume(T):
         machine=MACHINE,
         seed=SEED,
         fault_model=FaultModel.machine_crash(0.8 * T),
-    )
-    crashed.run()
+    ).run()
 
     halted = CheckpointRuntime(
         make_app(),
@@ -112,14 +111,14 @@ def test_burst_buffer_drains_progress_and_survive_resume(T):
         seed=SEED,
     )
     halted.run(halt_at=0.8 * T)
-    drained_at_halt = halted.storage.drained_bytes
+    drained_at_halt = halted.tracer.get("storage.drained_bytes")
+    assert drained_at_halt > 0
     resumed = CheckpointRuntime.restart_from(halted.durable_line)
-    assert resumed.storage.drained_bytes == drained_at_halt
-    resumed.run()
+    assert resumed.tracer.get("storage.drained_bytes") == drained_at_halt
     # the resumed run re-does rolled-back rounds exactly like the
-    # in-process crash recovery (not like the uninterrupted run)
-    assert resumed.storage.drain_ops == crashed.storage.drain_ops
-    assert resumed.storage.drained_bytes == crashed.storage.drained_bytes
+    # in-process crash recovery (not like the uninterrupted run): every
+    # count, each storage.* one included, is the same
+    assert resumed.run().counters == crashed.counters
 
 
 def test_recovery_rewinds_only_the_channels_in_use():

@@ -67,7 +67,7 @@ def test_staggered_writes_serialise_within_each_server(T_hier):
     rt, report = run_sor(scheme=scheme, machine=HIER8)
     for srv in rt.storage.servers:
         assert srv.server.peak_concurrency == 1
-        assert srv.bytes_written > 0
+        assert srv.server.bytes_completed > 0
 
 
 def test_unstaggered_writes_collide_within_a_server(T_hier):

@@ -140,7 +140,6 @@ class TestCheckpointStore:
         freed = store.discard(0, 1)
         assert freed == rec.total_bytes
         assert store.count() == 0
-        assert store.discarded_count == 1
 
     def test_discard_older_than(self):
         store = CheckpointStore(1)

@@ -42,7 +42,7 @@ def test_local_disks_receive_capture_writes(base):
     )
     rt.run()
     for rank in range(4):
-        assert rt.cluster.local_disk(rank).bytes_written > 0
+        assert rt.cluster.local_disk(rank).server.bytes_completed > 0
         # the trickle ships the same bytes to the global server
         rec = rt.store.get(rank, 2)
         assert rec.global_written_at is not None
@@ -71,10 +71,19 @@ def test_two_level_crash_recovery_exact_and_reads_local(base):
         seed=7,
         fault_model=FaultModel.machine_crash(0.8 * base.sim_time),
     )
+    restored_from = []  # (disk index, reading node)
+    for i, disk in enumerate(rt.cluster.local_disks):
+        def read(node, nbytes, tag="", _read=disk.read, _i=i):
+            restored_from.append((_i, node.id))
+            return _read(node, nbytes, tag)
+
+        disk.read = read
     report = rt.run()
     assert report.result["sum"] == base.result["sum"]
-    assert all(disk.bytes_read > 0 for disk in rt.cluster.local_disks)
-    assert rt.storage.bytes_read == 0  # the global server was not touched
+    # every rank restored from its own disk
+    assert sorted(restored_from) == [(r, r) for r in range(rt.n_ranks)]
+    # the global server was not read (local disks add no counters)
+    assert "storage.read_ops" not in report.counters
 
 
 def test_two_level_recovery_faster_than_global(base):

@@ -6,8 +6,9 @@ in its last bits still prints the same table. This test runs the quick
 F1 baseline and its three schemes at MTBF = T and at MTBF = 0.33 T
 (trial 0, seed 0), and compares each cell's full ``RunReport.to_dict()``
 with ``tests/golden/faults_quick_reports.json``, field for field, floats
-exactly. Cells are keyed by what they are in the experiment (scheme,
-MTBF factor, trial), not by ``cell_key``.
+exactly, and then the file's text byte for byte. Cells are keyed by
+what they are in the experiment (scheme, MTBF factor, trial), not by
+``cell_key``.
 
 Re-record the fixture only for a change that is meant to alter the
 simulation, and say so where the change is described::
@@ -47,6 +48,11 @@ def _reports():
     }
 
 
+def _render(reports):
+    """The fixture's text, as ``__main__`` writes it."""
+    return json.dumps(reports, indent=1) + "\n"
+
+
 def test_every_faults_report_matches_the_fixture():
     want = json.loads(GOLDEN.read_text())
     got = _reports()
@@ -56,7 +62,9 @@ def test_every_faults_report_matches_the_fixture():
         assert list(got[cid]) == list(report), cid
         for name, value in report.items():
             assert got[cid][name] == value, (cid, name)
+    # the file itself, byte for byte: a key-order drift fails here
+    assert GOLDEN.read_text() == _render(got)
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_reports(), indent=1) + "\n")
+    GOLDEN.write_text(_render(_reports()))

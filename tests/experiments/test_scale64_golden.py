@@ -4,7 +4,7 @@ The printed scale table rounds to two decimals, so a change that moves a
 ``sim_time`` in its last bits (a reordered event, a different route cost)
 still prints the same table. This test compares each cell's full
 ``RunReport.to_dict()`` with ``tests/golden/scale64_reports.json``, field
-for field, floats exactly.
+for field, floats exactly, and then the file's text byte for byte.
 
 Re-record the fixture only for a change that is meant to alter the
 simulation, and say so where the change is described::
@@ -34,6 +34,11 @@ def _reports():
     }
 
 
+def _render(reports):
+    """The fixture's text, as ``__main__`` writes it."""
+    return json.dumps(reports, indent=1) + "\n"
+
+
 def test_every_scale64_report_matches_the_fixture():
     want = json.loads(GOLDEN.read_text())
     got = _reports()
@@ -43,7 +48,9 @@ def test_every_scale64_report_matches_the_fixture():
         assert list(got[key]) == list(report), key
         for name, value in report.items():
             assert got[key][name] == value, (key, report["scheme"], name)
+    # the file itself, byte for byte: a key-order drift fails here
+    assert GOLDEN.read_text() == _render(got)
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(_reports(), indent=1) + "\n")
+    GOLDEN.write_text(_render(_reports()))

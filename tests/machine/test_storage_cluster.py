@@ -67,7 +67,8 @@ def test_with_node_and_link_override():
 def test_single_write_time():
     eng = Engine()
     params = StorageParams(op_latency=0.1, bandwidth=1000.0, thrash=0.0)
-    storage = StableStorage(eng, params)
+    tracer = Tracer(eng)
+    storage = StableStorage(eng, params, tracer=tracer)
     cluster_node = Cluster(eng).node(0)
 
     def proc():
@@ -76,8 +77,9 @@ def test_single_write_time():
     eng.process(proc())
     eng.run()
     assert eng.now == pytest.approx(0.1 + 0.5)
-    assert storage.bytes_written == 500.0
-    assert storage.write_ops == 1
+    assert storage.server.bytes_completed == 500.0
+    assert tracer.get("storage.bytes_written") == 500.0
+    assert tracer.get("storage.write_ops") == 1
 
 
 def test_concurrent_writes_contend():
@@ -110,7 +112,7 @@ def test_background_write_marks_node_streaming():
         yield from cluster.storage.write(node, 70000.0, background=True)
 
     def probe():
-        yield eng.timeout(cluster.storage.params.op_latency + 0.01)
+        yield eng.timeout(cluster.storage.servers[0].params.op_latency + 0.01)
         seen.append(node.bg_streams)
 
     eng.process(writer())
@@ -141,15 +143,18 @@ def test_foreground_write_does_not_mark_streaming():
 
 def test_read_accounting():
     eng = Engine()
-    cluster = Cluster(eng, MachineParams(n_nodes=1))
+    tracer = Tracer(eng)
+    cluster = Cluster(eng, MachineParams(n_nodes=1), tracer=tracer)
 
     def reader():
         yield from cluster.storage.read(cluster.node(0), 1234.0)
 
     eng.process(reader())
     eng.run()
-    assert cluster.storage.bytes_read == 1234.0
-    assert cluster.storage.read_ops == 1
+    assert cluster.storage.server.bytes_completed == 1234.0
+    assert tracer.get("storage.bytes_read") == 1234.0
+    assert tracer.get("storage.read_ops") == 1
+    assert tracer.get("storage.write_ops") == 0
 
 
 def test_network_pressure_scales_with_streams():
@@ -163,7 +168,7 @@ def test_network_pressure_scales_with_streams():
         yield from cluster.storage.write(node, 1e6, background=True)
 
     def probe():
-        yield eng.timeout(cluster.storage.params.op_latency + 0.01)
+        yield eng.timeout(cluster.storage.servers[0].params.op_latency + 0.01)
         pressures.append(cluster.network_pressure())
 
     for node in cluster.nodes:
@@ -180,12 +185,6 @@ def test_message_time_helper():
     link = cluster.params.link
     assert cluster.message_time(0.0) == pytest.approx(link.latency)
     assert cluster.message_time(link.bandwidth) == pytest.approx(link.latency + 1.0)
-
-
-def test_single_stream_time_helper():
-    eng = Engine()
-    storage = StableStorage(eng, StorageParams(op_latency=0.5, bandwidth=100.0))
-    assert storage.single_stream_time(50.0) == pytest.approx(1.0)
 
 
 def test_storage_write_takes_its_service_time_and_counts_bytes():

@@ -3,14 +3,19 @@
 import pytest
 
 from repro.chklib.resume import capture_fields
-from repro.core import Engine
+from repro.core import Engine, Tracer
 from repro.machine import Cluster, MachineParams
 
 
 def build(machine):
     eng = Engine()
-    cluster = Cluster(eng, machine)
+    cluster = Cluster(eng, machine, tracer=Tracer(eng))
     return eng, cluster, cluster.storage
+
+
+def completed(tier):
+    """Bytes the tier's fluid server finished, per server."""
+    return [s.server.bytes_completed for s in tier]
 
 
 def hierarchical16(**kw):
@@ -22,7 +27,7 @@ def test_flat_plane_is_the_legacy_single_server():
     assert plane.n_servers == 1
     assert not plane.has_burst_buffers
     # legacy surfaces still answer
-    assert plane.params.bandwidth == MachineParams.xplorer8().storage.bandwidth
+    assert plane.servers[0].params == MachineParams.xplorer8().storage
     assert plane.server is plane.servers[0].server
     assert all(plane.server_index(r) == 0 for r in range(8))
 
@@ -43,11 +48,10 @@ def test_write_routes_to_the_ranks_shard():
     eng.process(writer(0, 1000.0))
     eng.process(writer(15, 3000.0))
     eng.run()
-    assert plane.servers[0].bytes_written == 1000.0
-    assert plane.servers[1].bytes_written == 3000.0
-    # the aggregate surface sums the tiers
-    assert plane.bytes_written == 4000.0
-    assert plane.write_ops == 2
+    assert completed(plane.servers) == [1000.0, 3000.0]
+    # the counters sum the tiers
+    assert plane.tracer.get("storage.bytes_written") == 4000.0
+    assert plane.tracer.get("storage.write_ops") == 2
 
 
 def test_burst_buffer_write_lands_on_the_rack_buffer():
@@ -60,9 +64,9 @@ def test_burst_buffer_write_lands_on_the_rack_buffer():
 
     eng.process(writer(5, 2000.0))  # rack 1
     eng.run()
-    assert plane.burst_buffers[1].bytes_written == 2000.0
-    assert all(s.bytes_written == 0.0 for s in plane.servers)
-    assert plane.bytes_written == 2000.0
+    assert completed(plane.burst_buffers) == [0.0, 2000.0, 0.0, 0.0]
+    assert completed(plane.servers) == [0.0, 0.0]
+    assert plane.tracer.get("storage.bytes_written") == 2000.0
 
 
 def test_drain_moves_bytes_without_double_counting():
@@ -74,11 +78,14 @@ def test_drain_moves_bytes_without_double_counting():
 
     eng.process(writer_then_drain(10, 4096.0))  # rack 2, shard 1
     eng.run()
-    # counted once at the buffer; the drain keeps its own counters
-    assert plane.bytes_written == 4096.0
-    assert plane.drained_bytes == 4096.0
-    assert plane.drain_ops == 1
-    assert plane.servers[1].bytes_written == 0.0
+    # counted once at the buffer; the drain has its own counters
+    assert plane.tracer.get("storage.bytes_written") == 4096.0
+    assert plane.tracer.get("storage.write_ops") == 1
+    assert plane.tracer.get("storage.drained_bytes") == 4096.0
+    assert plane.tracer.get("storage.drain_ops") == 1
+    # ...and the bytes crossed both tiers
+    assert completed(plane.burst_buffers)[2] == 4096.0
+    assert completed(plane.servers) == [0.0, 4096.0]
 
 
 def test_read_comes_back_from_the_write_target():
@@ -90,8 +97,9 @@ def test_read_comes_back_from_the_write_target():
 
     eng.process(roundtrip(3, 512.0))
     eng.run()
-    assert plane.burst_buffers[0].bytes_read == 512.0
-    assert plane.bytes_read == 512.0
+    assert plane.burst_buffers[0].server.jobs_completed == 2  # write + read
+    assert completed(plane.servers) == [0.0, 0.0]
+    assert plane.tracer.get("storage.bytes_read") == 512.0
 
 
 def test_rate_factor_and_pressure_skip_burst_buffers():
@@ -114,12 +122,12 @@ def test_export_restore_roundtrip():
     eng.process(writer(0, 100.0))
     eng.run()
     state = plane.export_state(capture_fields)
+    # every count is a tracer counter: what is captured is the shape
+    assert state == {"servers": [{}, {}], "burst_buffers": [{}] * 4}
 
     eng2, cluster2, plane2 = build(hierarchical16(burst_buffers=True))
     plane2.restore_state(state)
-    assert plane2.drained_bytes == plane.drained_bytes
-    assert plane2.bytes_written == plane.bytes_written
-    assert plane2.burst_buffers[0].bytes_written == 100.0
+    assert plane2.export_state(capture_fields) == state
 
 
 def test_restore_rejects_shape_change():
