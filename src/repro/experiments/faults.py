@@ -19,12 +19,13 @@ the failure case. This experiment closes the loop:
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, Optional, Sequence
 
 from ..analysis import TableResult, TableView, fmt_seconds
 from ..fault.model import FaultModel
-from ..fault.plans import crash_times
+from ..fault.plans import CrashSchedule
 from ..machine import MachineParams
 from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec, interval_times
 from .workloads import scaled_iters
@@ -74,8 +75,8 @@ def failure_rates_spec(
     factors = sorted(mtbf_factors, reverse=True)
     baseline = Cell(workload=workload, machine=machine, seed=seed)
 
-    def cells_for(results: GridResults):
-        T = results[baseline].sim_time
+    @functools.lru_cache(maxsize=1)
+    def cells_at(T: float):
         interval, times = interval_times(T, rounds)
         skew = 0.1 * interval
         grid = {}
@@ -87,13 +88,8 @@ def failure_rates_spec(
                         fault = None
                     else:
                         fault = FaultModel(
-                            machine_crash_times=tuple(
-                                crash_times(
-                                    factor * T,
-                                    40 * T,
-                                    seed,
-                                    f"f1@{factor}#{trial}",
-                                )
+                            machine_crash_times=CrashSchedule(
+                                factor * T, 40 * T, seed, f"f1@{factor}#{trial}"
                             )
                         )
                     grid[(scheme_name, factor, trial)] = Cell(
@@ -106,11 +102,11 @@ def failure_rates_spec(
         return grid
 
     def plan(results: GridResults):
-        return list(cells_for(results).values())
+        return list(cells_at(results[baseline].sim_time).values())
 
     def reduce(results: GridResults) -> TableResult:
         T = results[baseline].sim_time
-        grid = cells_for(results)
+        grid = cells_at(T)
         completion: Dict[str, Dict[float, float]] = {}
         for scheme_name in _F1_SCHEMES:
             completion[scheme_name] = {}
@@ -191,11 +187,11 @@ def interval_sweep_spec(
     fractions = list(interval_fractions)
     baseline = Cell(workload=workload, machine=machine, seed=seed)
 
-    def cells_for(results: GridResults):
-        T = results[baseline].sim_time
+    @functools.lru_cache(maxsize=1)
+    def cells_at(T: float):
         mtbf = mtbf_factor * T
         fault = FaultModel(
-            machine_crash_times=tuple(crash_times(mtbf, 30 * T, seed, "sweep"))
+            machine_crash_times=CrashSchedule(mtbf, 30 * T, seed, "sweep")
         )
         intervals = [f * T for f in fractions]
         sweep = {
@@ -229,11 +225,11 @@ def interval_sweep_spec(
         return T, mtbf, intervals, sweep, (mid, k, ff)
 
     def plan(results: GridResults):
-        _, _, _, sweep, (_, _, ff) = cells_for(results)
+        _, _, _, sweep, (_, _, ff) = cells_at(results[baseline].sim_time)
         return list(sweep.values()) + [ff]
 
     def reduce(results: GridResults) -> TableResult:
-        T, mtbf, intervals, sweep, (mid, k, ff) = cells_for(results)
+        T, mtbf, intervals, sweep, (mid, k, ff) = cells_at(results[baseline].sim_time)
         completion = {
             interval: results[cell].sim_time
             for interval, cell in sweep.items()

@@ -32,7 +32,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -40,7 +42,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -210,6 +211,13 @@ class Cell:
     seed: int = 0
     fault: Optional[FaultModel] = None
 
+    @cached_property
+    def _key(self) -> str:
+        payload = json.dumps(
+            cell_to_jsonable(self), sort_keys=True, separators=(",", ":")
+        )
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
 
 def _jsonable(value: Any) -> Any:
     """Canonical JSON-compatible form of cell contents (recursive)."""
@@ -237,11 +245,9 @@ def cell_to_jsonable(cell: Cell) -> Dict[str, Any]:
 
 
 def cell_key(cell: Cell) -> str:
-    """Stable content hash of one cell's parameters."""
-    payload = json.dumps(
-        cell_to_jsonable(cell), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Stable content hash of one cell's parameters, computed once per
+    cell object (a cell is frozen, so its key cannot go stale)."""
+    return cell._key
 
 
 class GridResults:

@@ -17,6 +17,7 @@ _LAZY = {
     "StorageFaultInjector": "injection",
     "OpVerdict": "injection",
     "make_injector": "injection",
+    "CrashSchedule": "plans",
     "crash_times": "plans",
 }
 

@@ -60,7 +60,7 @@ class StorageFaultInjector:
 
     # -- per-operation verdicts ----------------------------------------------
 
-    def on_write(self, tag: str = "") -> OpVerdict:
+    def on_write(self) -> OpVerdict:
         self.write_attempts += 1
         fail = self.write_attempts in self.spec.fail_writes_at
         if not fail and self.spec.write_fail_p > 0.0:
@@ -69,7 +69,7 @@ class StorageFaultInjector:
             return _OK
         return OpVerdict(fail=True, fraction=float(self._rng.random()))
 
-    def on_read(self, tag: str = "") -> OpVerdict:
+    def on_read(self) -> OpVerdict:
         self.read_attempts += 1
         fail = self.read_attempts in self.spec.fail_reads_at
         if not fail and self.spec.read_fail_p > 0.0:

@@ -29,7 +29,9 @@ falling back to an older recovery line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
+
+from .plans import CrashSchedule
 
 __all__ = [
     "RetryPolicy",
@@ -142,8 +144,10 @@ class CrashEvent:
 class FaultModel:
     """Everything that goes wrong in one run, and the retry knobs."""
 
-    #: whole-machine crash times (all ranks fail; disks survive).
-    machine_crash_times: Tuple[float, ...] = ()
+    #: whole-machine crash times (all ranks fail; disks survive), or a
+    #: :class:`~repro.fault.plans.CrashSchedule` left undrawn until
+    #: :meth:`crash_events` reads it.
+    machine_crash_times: Union[Tuple[float, ...], CrashSchedule] = ()
     #: per-rank crash schedules ``{rank: (t, ...)}`` (failed ranks lose
     #: their local disks; the application still restarts as a gang).
     node_crash_times: Mapping[int, Sequence[float]] = field(default_factory=dict)
@@ -153,11 +157,12 @@ class FaultModel:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "machine_crash_times",
-            _clean_times(self.machine_crash_times, "machine crash time"),
-        )
+        if not isinstance(self.machine_crash_times, CrashSchedule):
+            object.__setattr__(
+                self,
+                "machine_crash_times",
+                _clean_times(self.machine_crash_times, "machine crash time"),
+            )
         norm: Dict[int, Tuple[float, ...]] = {}
         for rank, times in dict(self.node_crash_times).items():
             if int(rank) < 0:

@@ -92,9 +92,7 @@ class StableStorage:
         """
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
-        verdict = (
-            self.fault_injector.on_write(tag) if self.fault_injector else None
-        )
+        verdict = self.fault_injector.on_write() if self.fault_injector else None
         if background:
             node.bg_stream_started()
         job = None
@@ -131,9 +129,7 @@ class StableStorage:
         """
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
-        verdict = (
-            self.fault_injector.on_read(tag) if self.fault_injector else None
-        )
+        verdict = self.fault_injector.on_read() if self.fault_injector else None
         job = None
         try:
             yield self.engine.delay(self.params.op_latency)  # pooled

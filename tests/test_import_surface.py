@@ -16,6 +16,7 @@ import sys
 
 import pytest
 
+import repro.experiments.executor as executor_mod
 import repro.experiments.runner as runner_mod
 
 #: every package whose ``__init__`` is a lazy surface.
@@ -70,6 +71,17 @@ NOT_LOADED_WARM = (
     "repro.experiments.twolevel",
 )
 
+_WARM_FAULTS = ["failure-rates", "--quick", "--jobs", "1"]
+
+#: what a warm ``runner failure-rates`` never loads: the scale rerun's
+#: set, less the experiment it runs and the fault model its cells hold
+#: (a crash schedule is a recipe: nothing draws it, so neither NumPy nor
+#: ``repro.core.rng`` loads), plus the storage injector and the scale
+#: experiment.
+NOT_LOADED_WARM_FAULTS = tuple(
+    p for p in NOT_LOADED_WARM if p not in ("repro.fault", "repro.experiments.faults")
+) + ("repro.fault.injection", "repro.experiments.scale")
+
 _PROBE = """
 import json, sys
 import repro.experiments.runner as runner
@@ -96,20 +108,49 @@ def _fresh_interpreter(*args):
     return proc.stdout
 
 
-def test_a_warm_run_imports_only_what_it_runs(tmp_path):
-    argv = _WARM + ["--cache-dir", str(tmp_path / "cache")]
-    assert runner_mod.main(argv) == 0  # cold: fills the cache
-
+def _warm_rerun(argv, not_loaded):
+    """What a fresh interpreter rerunning *argv* on a filled cache
+    imports: (the probe's record, the names it loaded of *not_loaded*)."""
     seen = json.loads(_fresh_interpreter("-c", _PROBE, *argv).splitlines()[-1])
     assert seen["code"] == 0
     loaded = [
         name
         for name in seen["warm"]
-        if any(name == p or name.startswith(p + ".") for p in NOT_LOADED_WARM)
+        if any(name == p or name.startswith(p + ".") for p in not_loaded)
     ]
+    return seen, loaded
+
+
+def test_a_warm_run_imports_only_what_it_runs(tmp_path):
+    argv = _WARM + ["--cache-dir", str(tmp_path / "cache")]
+    assert runner_mod.main(argv) == 0  # cold: fills the cache
+
+    seen, loaded = _warm_rerun(argv, NOT_LOADED_WARM)
     assert loaded == [], f"a warm rerun imported {loaded}"
     assert "repro.experiments.scale" in seen["warm"]
     assert seen["networkx"] is False
+
+
+def test_a_warm_failure_rates_rerun_draws_no_crash_time(tmp_path, monkeypatch):
+    # The cold fill simulates the baseline only (~0.1 s, where the 40
+    # real cells take ~7 s of CPU): each planned cell is cached with the
+    # baseline's report. The warm rerun reads every cell back, plans and
+    # reduces as it would on real reports, and executes nothing.
+    simulate = executor_mod._run_cell_task
+    baseline = []
+
+    def fill(cell):
+        if not baseline:
+            baseline.append(simulate(cell))
+        return baseline[0]
+
+    monkeypatch.setattr(executor_mod, "_run_cell_task", fill)
+    argv = _WARM_FAULTS + ["--cache-dir", str(tmp_path / "cache")]
+    assert runner_mod.main(argv) == 0
+
+    seen, loaded = _warm_rerun(argv, NOT_LOADED_WARM_FAULTS)
+    assert loaded == [], f"a warm failure-rates rerun imported {loaded}"
+    assert {"repro.experiments.faults", "repro.fault.plans"} <= set(seen["warm"])
 
 
 def test_importing_repro_loads_no_subpackage():
