@@ -17,14 +17,6 @@ _LAZY = {
     "RunReport": "report",
     "RecoveryEvent": "report",
     "DurableLine": "resume",
-    "CheckpointPolicy": "policy",
-    "FixedTimes": "policy",
-    "Periodic": "policy",
-    "PhaseTriggered": "policy",
-    "FailureRateAdaptive": "policy",
-    "StoragePressure": "policy",
-    "policy_spec": "policy",
-    "build_policy": "policy",
     "stable_write": "retry",
     "stable_read": "retry",
     "Scheme": "schemes",

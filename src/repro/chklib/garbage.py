@@ -60,7 +60,7 @@ def collect_garbage(
     before_count = store.count()
     freed = 0
     protected: Dict[int, tuple] = {}
-    discards = []  # (rank, index) chosen by the policy below
+    discards = []  # (rank, index) chosen by the rule below
     if logging_recovery:
         latest = {r: cuts[r][-1] for r in cuts}
         line_indices = {r: c.index for r, c in latest.items()}

@@ -61,8 +61,9 @@ __all__ = [
 #: v3: an agent no longer carries ``cuts_taken`` (the ``chk.cuts`` counter
 #: travels with the tracer). v4: the storage plane, its tiers, the fault
 #: injector and the checkpoint store no longer carry tallies that
-#: duplicate the tracer's counters.
-LINE_PAYLOAD_VERSION = 4
+#: duplicate the tracer's counters. v5: a scheme carries only its
+#: ``times``, no scheduling object beside them.
+LINE_PAYLOAD_VERSION = 5
 
 
 class Ctx:

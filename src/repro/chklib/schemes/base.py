@@ -1,7 +1,7 @@
 """Scheme framework: per-rank agents, the scheme interface and the one
 checkpoint write path.
 
-A :class:`Scheme` object describes one checkpointing policy (one column of
+A :class:`Scheme` object describes one checkpointing scheme (one column of
 the paper's tables). It creates one :class:`SchemeAgent` per rank — the
 agent plugs into the rank's :class:`~repro.net.api.Comm` as a
 :class:`~repro.net.api.CommAgent` and implements the mechanics: epoch
@@ -30,7 +30,6 @@ from ...core.errors import InvariantViolation, SimulationError, StorageFault
 from ...net.api import CommAgent
 from ...net.message import KIND_APP, SIZE_ONLY, Message
 from ..incremental import PAGE_SIZE, IncrementalState
-from ..policy import CheckpointPolicy, FixedTimes
 from ..retry import stable_write
 from ..state import Snapshot
 from ..storage_mgr import CheckpointRecord
@@ -297,11 +296,11 @@ class Scheme:
     write_tag = "ckpt"
     writer_name = "ckpt-writer"
 
-    #: A scheme (its policy included) is pickled whole into the durable
-    #: line, so it declares no field list: VOLATILE_FIELDS names the
-    #: engine-bound attributes the generic ``__getstate__`` below nulls
-    #: and ``install()`` rebuilds. One missing makes the pickling fail
-    #: with a ResumeError naming it.
+    #: A scheme is pickled whole into the durable line, so it declares
+    #: no field list: VOLATILE_FIELDS names the engine-bound attributes
+    #: the generic ``__getstate__`` below nulls and ``install()``
+    #: rebuilds. One missing makes the pickling fail with a ResumeError
+    #: naming it.
     VOLATILE_FIELDS: tuple = ()
 
     #: The family's own trace checkers (:class:`~repro.core.tracing.Checker`
@@ -318,12 +317,9 @@ class Scheme:
         incremental: bool = False,
         full_every: int = 4,
         two_level: bool = False,
-        policy: Optional[CheckpointPolicy] = None,
     ) -> None:
+        #: when to checkpoint: the k-th initiation fires at ``times[k]``.
         self.times = sorted(float(t) for t in times)
-        #: when to checkpoint; the explicit ``times`` schedule is the
-        #: legacy default, wrapped in a :class:`FixedTimes` policy.
-        self.policy = policy if policy is not None else FixedTimes(self.times)
         if capture not in CAPTURE_MODES:
             raise ValueError(f"unknown capture mode {capture!r}")
         self.capture = capture

@@ -36,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
 
 from ...core.tracing import Checker, RunMeta, TraceEvent, TraceViolation
 from ...net.message import Message
-from ..policy import CheckpointPolicy
 from ..recovery import covered_index_line
 from .base import SchemeAgent
 from .independent import IndependentAgent, IndependentScheme
@@ -175,7 +174,6 @@ class CICScheme(IndependentScheme):
         skew: float = 0.0,
         name: Optional[str] = None,
         capture: str = "memcopy",
-        policy: Optional[CheckpointPolicy] = None,
     ) -> None:
         if cic_rule not in ("bcs", "fdas"):
             raise ValueError(f"unknown CIC rule {cic_rule!r}")
@@ -183,9 +181,7 @@ class CICScheme(IndependentScheme):
             name = "cic" if cic_rule == "bcs" else f"cic_{cic_rule}"
         # Logging stays on: the annex logs are what cover the window
         # between a triggering receive and its deferred forced cut.
-        super().__init__(
-            times, name, capture=capture, skew=skew, logging=True, policy=policy
-        )
+        super().__init__(times, name, capture=capture, skew=skew, logging=True)
         self.cic_rule = cic_rule
         #: per-rank FDAS promotions: ``{rank: {base_index: top_index}}`` —
         #: checkpoint *base_index* also stands for every index up to
@@ -253,13 +249,6 @@ class CICScheme(IndependentScheme):
 
     def at_point(self, agent: SchemeAgent) -> Generator[Any, Any, None]:
         assert isinstance(agent, CICAgent)
-        if (
-            self.policy.point_driven
-            and not agent.finished
-            and self.policy.on_point(agent.runtime, agent.rank)
-        ):
-            agent.set_pending((agent.pending_cut or agent.epoch) + 1)
-            agent.runtime.tracer.add("chk.initiations")
         target = agent.pending_cut
         if target is None or target <= agent.epoch:
             return

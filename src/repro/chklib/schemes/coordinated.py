@@ -57,7 +57,6 @@ from ...core.errors import SimulationError
 from ...core.events import Event
 from ...core.tracing import Checker, RunMeta, TraceEvent
 from ...net.message import KIND_CONTROL, KIND_MARKER, Message
-from ..policy import CheckpointPolicy
 from ..storage_mgr import CheckpointRecord
 from .base import Scheme, SchemeAgent, WriteJob
 
@@ -291,7 +290,6 @@ class CoordinatedScheme(Scheme):
         incremental: bool = False,
         full_every: int = 4,
         two_level: bool = False,
-        policy: Optional[CheckpointPolicy] = None,
         marker_scope: str = "all",
     ) -> None:
         super().__init__(
@@ -301,7 +299,6 @@ class CoordinatedScheme(Scheme):
             incremental=incremental,
             full_every=full_every,
             two_level=two_level,
-            policy=policy,
         )
         self.staggered = bool(staggered)
         self.coordinator_rank = coordinator_rank
@@ -316,7 +313,7 @@ class CoordinatedScheme(Scheme):
         self.marker_scope = marker_scope
         self._next_n = 1
         #: initiations already fired — a resumed initiator skips this many
-        #: policy shots instead of re-requesting pre-halt rounds.
+        #: times instead of re-requesting pre-halt rounds.
         self._initiated = 0
         self._acks: Dict[int, Set[int]] = {}
         #: rounds the coordinator has cancelled (stale acks are ignored).
@@ -390,8 +387,7 @@ class CoordinatedScheme(Scheme):
             }
         if self.staggered and self.memory_ckpt:
             self._build_rings(runtime)
-        if not self.policy.point_driven:
-            runtime.engine.process(self._initiator(runtime), name="ckpt-initiator")
+        runtime.engine.process(self._initiator(runtime), name="ckpt-initiator")
 
     def _build_rings(self, runtime: "CheckpointRuntime") -> None:
         """One token ring per storage server, over the ranks sharded onto
@@ -433,22 +429,14 @@ class CoordinatedScheme(Scheme):
     # recreates it in the restarted runtime.
 
     def _initiator(self, runtime: "CheckpointRuntime"):
-        """Coordinator-side: kick off a global checkpoint at each time the
-        policy decides (skips shots a resumed run already fired)."""
+        """Coordinator-side: kick off a global checkpoint at each of
+        ``times`` (skips those a resumed run already fired)."""
         engine = runtime.engine
-        shot = 0
-        while True:
-            t = self.policy.next_time(runtime, self.coordinator_rank, shot)
-            if t is None:
-                return
-            if shot < self._initiated:
-                shot += 1  # fired before the halt; the memoised decision
-                continue  # replays with no side effects
+        for t in self.times[self._initiated:]:
             if t > engine.now:
                 yield engine.delay(t - engine.now)
             if runtime.finished:
                 return
-            shot += 1
             self._initiated += 1
             self._initiate(runtime)
 
@@ -536,18 +524,6 @@ class CoordinatedScheme(Scheme):
     # -- the cut -----------------------------------------------------------------
 
     def at_point(self, agent: CoordinatedAgent) -> Generator[Any, Any, None]:
-        # point-driven policies initiate rounds from the coordinator's own
-        # checkpoint points (the request broadcast happens here; the
-        # coordinator's set_pending makes it cut at this same point). A
-        # finished coordinator's at_point re-entries are late-cut spawns,
-        # not application phases, and must not count as points.
-        if (
-            self.policy.point_driven
-            and agent.rank == self.coordinator_rank
-            and not agent.finished
-            and self.policy.on_point(agent.runtime, agent.rank)
-        ):
-            self._initiate(agent.runtime)
         if agent.pending_cut is None or agent.pending_cut <= agent.epoch:
             return
         if agent.round is not None:

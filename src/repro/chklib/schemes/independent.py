@@ -26,12 +26,11 @@ Options:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Generator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Dict, Generator, List, Sequence
 
 from ...core.errors import SimulationError
 from ...net.message import Message
 from ..garbage import collect_garbage
-from ..policy import CheckpointPolicy
 from ..recovery import build_cuts, consistent_line, in_transit_ranges
 from ..storage_mgr import CheckpointRecord
 from .base import Scheme, SchemeAgent, WriteJob
@@ -72,7 +71,6 @@ class IndependentScheme(Scheme):
         incremental: bool = False,
         full_every: int = 4,
         two_level: bool = False,
-        policy: Optional[CheckpointPolicy] = None,
     ) -> None:
         super().__init__(
             times,
@@ -81,7 +79,6 @@ class IndependentScheme(Scheme):
             incremental=incremental,
             full_every=full_every,
             two_level=two_level,
-            policy=policy,
         )
         #: per-rank resume bookkeeping: shots fired, shots whose skew was
         #: drawn, and the drawn-but-unfired fire time carried across a halt
@@ -118,42 +115,34 @@ class IndependentScheme(Scheme):
         return IndependentAgent(self, runtime, rank)
 
     def install(self, runtime: "CheckpointRuntime") -> None:
-        if self.policy.point_driven:
-            return  # cuts are triggered from checkpoint points instead
         for rank in range(runtime.n_ranks):
             runtime.engine.process(
                 self._timer(runtime, rank), name=f"indep-timer:r{rank}"
             )
 
     def _timer(self, runtime: "CheckpointRuntime", rank: int):
-        """Local checkpoint timer: fires at each policy-decided time plus a
-        deterministic per-(rank, shot) skew. A resumed timer replays
-        pre-halt shots without waiting — and without redrawing skews the
+        """Local checkpoint timer: fires at each of ``times`` plus a
+        deterministic per-(rank, shot) skew. A resumed timer skips the
+        shots fired before the halt — and does not redraw skews the
         restored RNG stream has already consumed."""
         engine = runtime.engine
         rng = runtime.rngs.get(f"indep.skew.r{rank}")
         agent = runtime.agents[rank]
-        shot = 0
-        while True:
-            t = self.policy.next_time(runtime, rank, shot)
-            if t is None:
-                return
-            if shot < self._fired.get(rank, 0):
-                shot += 1  # fired before the halt; no wait, no draw
-                continue
+        for shot in range(self._fired.get(rank, 0), len(self.times)):
             if shot < self._drawn.get(rank, 0):
                 # skew drawn but the shot had not fired when the run halted
                 fire_at = self._pending_fire[rank]
             else:
-                fire_at = t + (float(rng.uniform(-1.0, 1.0)) * self.skew)
+                fire_at = self.times[shot] + (
+                    float(rng.uniform(-1.0, 1.0)) * self.skew
+                )
                 self._drawn[rank] = shot + 1
                 self._pending_fire[rank] = fire_at
             if fire_at > engine.now:
                 yield engine.delay(fire_at - engine.now)
             if runtime.finished:
                 return
-            shot += 1
-            self._fired[rank] = shot
+            self._fired[rank] = shot + 1
             agent.set_pending((agent.pending_cut or agent.epoch) + 1)
             runtime.tracer.add("chk.initiations")
 
@@ -168,17 +157,6 @@ class IndependentScheme(Scheme):
 
     def at_point(self, agent: SchemeAgent) -> Generator[Any, Any, None]:
         assert isinstance(agent, IndependentAgent)
-        # point-driven policies: each rank decides at its own points. A
-        # finished rank has no application phases — its at_point re-entries
-        # are late-cut spawns, not points, and must not count (a phantom
-        # point could otherwise trigger cuts forever).
-        if (
-            self.policy.point_driven
-            and not agent.finished
-            and self.policy.on_point(agent.runtime, agent.rank)
-        ):
-            agent.set_pending((agent.pending_cut or agent.epoch) + 1)
-            agent.runtime.tracer.add("chk.initiations")
         if agent.pending_cut is None or agent.pending_cut <= agent.epoch:
             return
         if agent.writing:

@@ -26,12 +26,11 @@ transit may exceed the durable log watermark.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Sequence, Set, Tuple
 
 from ...core.errors import StorageFault
 from ...core.tracing import Checker, RunMeta, TraceEvent
 from ...net.message import KIND_APP, Message
-from ..policy import CheckpointPolicy
 from ..retry import stable_write
 from ..storage_mgr import CheckpointRecord
 from .base import SchemeAgent, WriteJob
@@ -144,7 +143,6 @@ class MessageLoggingScheme(IndependentScheme):
         gc: bool = False,
         name: str = "indep_m_mlog",
         capture: str = "memcopy",
-        policy: Optional[CheckpointPolicy] = None,
     ) -> None:
         super().__init__(
             times,
@@ -153,7 +151,6 @@ class MessageLoggingScheme(IndependentScheme):
             skew=skew,
             logging=True,
             gc=gc,
-            policy=policy,
         )
         #: per-channel durable watermark: ``{(src, dst): seq}`` — the
         #: highest sequence number whose log record reached stable storage.

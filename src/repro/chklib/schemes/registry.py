@@ -50,22 +50,22 @@ __all__ = [
 FAMILIES: Dict[str, Tuple[str, Tuple[str, ...], bool]] = {
     "coordinated": (
         f"{__package__}.coordinated.CoordinatedScheme",
-        ("incremental", "two_level", "marker_scope", "policy"),
+        ("incremental", "two_level", "marker_scope"),
         False,
     ),
     "independent": (
         f"{__package__}.independent.IndependentScheme",
-        ("skew", "logging", "gc", "policy"),
+        ("skew", "logging", "gc"),
         True,
     ),
     "cic": (
         f"{__package__}.cic.CICScheme",
-        ("skew", "cic_rule", "policy"),
+        ("skew", "cic_rule"),
         True,
     ),
     "msglog": (
         f"{__package__}.msglog.MessageLoggingScheme",
-        ("skew", "gc", "policy"),
+        ("skew", "gc"),
         True,
     ),
 }

@@ -76,9 +76,6 @@ EVENT_KINDS = frozenset(
         # checkpoint garbage collection
         "gc.run",
         "gc.discard",
-        # checkpoint-interval policies
-        "policy.decide",
-        "policy.adapt",
         # durable halt/resume
         "resume.halt",
     }

@@ -41,7 +41,6 @@ _LAZY = {
     "SCHEMES_TABLE1": "harness",
     "SCHEMES_TABLE23": "harness",
     "RESILIENCE_SCHEMES": "resilience",
-    "POLICY_SCHEMES": "policies",
     # the experiments
     "table1_spec": "table1",
     "table23_spec": "table23",
@@ -57,7 +56,6 @@ _LAZY = {
     "young_interval": "faults",
     "two_level_spec": "twolevel",
     "resilience_spec": "resilience",
-    "policies_spec": "policies",
     "SCALE_NS": "scale",
     "scale_workload": "scale",
     "scale_machine": "scale",

@@ -142,10 +142,6 @@ class SchemeSpec:
     #: CIC forced-checkpoint rule: "bcs" (always force) or "fdas"
     #: (promote the previous checkpoint when nothing was sent since).
     cic_rule: str = "bcs"
-    #: checkpoint policy as data — a :func:`~repro.chklib.policy.policy_spec`
-    #: tuple ``(kind, ((option, value), ...))``. ``None`` keeps the
-    #: fixed-times schedule in :attr:`times`.
-    policy: Optional[Tuple[str, Tuple[Tuple[str, Any], ...]]] = None
 
     @staticmethod
     def of(alias: str, times: Sequence[float], **options) -> "SchemeSpec":
@@ -178,8 +174,6 @@ class SchemeSpec:
         """Instantiate the scheme for one simulation run: the base's named
         constructor (or the family class) gets the times plus every schema
         option this spec sets away from its default."""
-        from ..chklib.policy import build_policy
-
         try:
             family, factory = BASES[self.name]
         except KeyError:
@@ -188,7 +182,7 @@ class SchemeSpec:
         for option in FAMILIES[family][1]:
             value = getattr(self, option)
             if value != _SPEC_DEFAULTS[option]:
-                kw[option] = build_policy(value) if option == "policy" else value
+                kw[option] = value
         cls = scheme_class(family)
         make = getattr(cls, factory) if factory is not None else cls
         return make(list(self.times), **kw)

@@ -12,7 +12,6 @@ Usage::
     python -m repro.experiments.runner domino
     python -m repro.experiments.runner storage-overhead
     python -m repro.experiments.runner resilience
-    python -m repro.experiments.runner policies
     python -m repro.experiments.runner all [--jobs N]
     python -m repro.experiments.runner --list-schemes
 
@@ -99,9 +98,6 @@ _EXPERIMENTS = {
     "resilience": (
         "resilience", "R3 — resilience under faulty stable storage", None, False,
     ),
-    "policies": (
-        "policies", "P1 — checkpoint policies (fixed vs fault-adaptive)", None, False,
-    ),
     "scale": ("scale", "Scale — overhead vs machine size", None, True),
 }
 
@@ -146,7 +142,6 @@ _FACTORIES = {
     "interval-sweep": ("interval_sweep_spec", "workload"),
     "two-level": ("two_level_spec", "workloads"),
     "resilience": ("resilience_spec", "workload"),
-    "policies": ("policies_spec", "workload"),
 }
 
 

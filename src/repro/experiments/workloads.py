@@ -132,8 +132,8 @@ def quick_workloads() -> List[WorkloadSpec]:
 
 
 def fault_workload(scale: float = 1.0) -> WorkloadSpec:
-    """The small 4-rank SOR the storage-fault experiments (``resilience``,
-    ``policies``) run: short enough for dozens of faulted cells."""
+    """The small 4-rank SOR the storage-fault experiment (``resilience``)
+    runs: short enough for dozens of faulted cells."""
     return WorkloadSpec.of(
         "sor-26",
         "sor",

@@ -43,14 +43,10 @@ consumed (``proto.cut_end`` feeds the timeline renderer, no checker):
 ``recover.replay``     gen, count — in-transit messages re-injected
 ``gc.run``             line, protected — GC pass over the store
 ``gc.discard``         rank, index — GC removed one checkpoint
-``policy.decide``      policy, rank, shot, at [, interval, lo, hi] — a
-                       checkpoint policy scheduled the next initiation
-``policy.adapt``       policy, rank, direction, interval, lo, hi, cause,
-                       observed — an adaptive policy changed its interval
 ``resume.halt``        at — the run was halted to capture a durable line
 =====================  =====================================================
 
-The six checkers here audit every run, whatever its scheme. A protocol
+The five checkers here audit every run, whatever its scheme. A protocol
 family's own checkers live in its scheme module, beside the protocol
 they audit, and its scheme class names them in ``CHECKERS``:
 ``coordinated_two_phase`` and ``staggered_write_mutex`` in
@@ -76,7 +72,6 @@ __all__ = [
     "CutMonotonic",
     "GcLineSafety",
     "LineSoundness",
-    "PolicyAdaptation",
     "default_checkers",
 ]
 
@@ -300,77 +295,6 @@ class LineSoundness(Checker):
                     )
 
 
-class PolicyAdaptation(Checker):
-    """Checkpoint-policy decisions and adaptations are well-formed:
-
-    * per rank, the decided initiation times (``policy.decide``'s ``at``)
-      never move backwards — a policy that scheduled shot *k* at *t* may
-      not schedule shot *k+1* before *t*;
-    * an interval-based decision stays inside the policy's declared
-      bounds (``lo <= interval <= hi`` when those fields are present);
-    * an adaptation's ``direction`` is ``narrow`` or ``widen``, its new
-      interval respects the bounds, and its ``cause`` is consistent with
-      its evidence: a ``fault`` adaptation must cite ``observed > 0``
-      faults, a ``quiet`` adaptation must widen.
-    """
-
-    name = "policy_adaptation"
-    consumes = ("policy.decide", "policy.adapt")
-
-    _EPS = 1e-9
-
-    def __init__(self, meta: RunMeta) -> None:
-        super().__init__(meta)
-        self._last_at: Dict[int, float] = {}
-
-    def on_event(self, ev: TraceEvent) -> None:
-        if ev.kind == "policy.decide":
-            rank, at = ev["rank"], ev["at"]
-            last = self._last_at.get(rank)
-            if last is not None and at < last - self._EPS:
-                self.flag(
-                    f"policy {ev['policy']} rank {rank} decided shot "
-                    f"{ev['shot']} at {at} before the previous shot ({last})",
-                    ev.time,
-                )
-            self._last_at[rank] = max(last if last is not None else at, at)
-            self._check_bounds(ev)
-        elif ev.kind == "policy.adapt":
-            direction = ev["direction"]
-            if direction not in ("narrow", "widen"):
-                self.flag(
-                    f"policy {ev['policy']} adapted in unknown direction "
-                    f"{direction!r}",
-                    ev.time,
-                )
-            cause = ev["cause"]
-            if cause == "fault" and not ev["observed"] > 0:
-                self.flag(
-                    f"policy {ev['policy']} narrowed for cause=fault with "
-                    f"no observed faults",
-                    ev.time,
-                )
-            if cause == "quiet" and direction != "widen":
-                self.flag(
-                    f"policy {ev['policy']} adapted for cause=quiet but "
-                    f"direction is {direction!r} (quiet periods widen)",
-                    ev.time,
-                )
-            self._check_bounds(ev)
-
-    def _check_bounds(self, ev: TraceEvent) -> None:
-        interval = ev.get("interval")
-        lo, hi = ev.get("lo"), ev.get("hi")
-        if interval is None or lo is None or hi is None:
-            return
-        if not (lo - self._EPS <= interval <= hi + self._EPS):
-            self.flag(
-                f"policy {ev['policy']} interval {interval} escaped its "
-                f"bounds [{lo}, {hi}]",
-                ev.time,
-            )
-
-
 def default_checkers(meta: RunMeta) -> List[Checker]:
     """The full checker battery for one run: the family-independent
     core, plus the ``CHECKERS`` of the run's protocol family."""
@@ -380,7 +304,6 @@ def default_checkers(meta: RunMeta) -> List[Checker]:
         CutMonotonic(meta),
         GcLineSafety(meta),
         LineSoundness(meta),
-        PolicyAdaptation(meta),
     ]
     scheme = scheme_class(meta.klass)
     if scheme is not None:

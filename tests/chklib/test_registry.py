@@ -193,7 +193,7 @@ def test_the_verify_engine_defines_no_family_checker():
         for obj in vars(invariants).values()
         if inspect.isclass(obj) and issubclass(obj, Checker) and obj is not Checker
     }
-    assert len(core) == 6
+    assert len(core) == 5
     assert all(c.__module__ == invariants.__name__ for c in core)
     assert not core & family
 

@@ -26,11 +26,9 @@ from repro.chklib import (
     CICScheme,
     CoordinatedScheme,
     DurableLine,
-    FailureRateAdaptive,
     FaultModel,
     IndependentScheme,
     NoCheckpointing,
-    StoragePressure,
 )
 from repro.chklib.schemes.msglog import MessageLoggingScheme
 from repro.chklib.resume import LINE_MAGIC
@@ -62,20 +60,12 @@ def schemes(T):
         "cic": lambda: CICScheme.BCS(times, skew=T / 10),
         "cic_fdas": lambda: CICScheme.FDAS(times, skew=T / 10),
         "mlog": lambda: MessageLoggingScheme.Mlog(times, skew=T / 10),
-        # the agent's incremental state, copy-on-write capture, the
-        # two-level local tier and the pickled adaptive policies
+        # the agent's incremental state, copy-on-write capture and the
+        # two-level local tier
         "coord_nb_inc": lambda: CoordinatedScheme.NB(times, incremental=True),
         "coord_nbms_inc": lambda: CoordinatedScheme.NBMS(times, incremental=True),
         "coord_nb_2l": lambda: CoordinatedScheme.NB(times, two_level=True),
         "coord_nbcs": lambda: CoordinatedScheme.NBCS(times),
-        "coord_nb_failure_adaptive": lambda: CoordinatedScheme.NB(
-            times, policy=FailureRateAdaptive(T / 4)
-        ),
-        "indep_log_storage_pressure": lambda: IndependentScheme.Indep(
-            times,
-            logging=True,
-            policy=StoragePressure(T / 4, budget_bytes=128 * 1024),
-        ),
     }
 
 
@@ -102,8 +92,6 @@ def T():
         "coord_nbms_inc",
         "coord_nb_2l",
         "coord_nbcs",
-        "coord_nb_failure_adaptive",
-        "indep_log_storage_pressure",
     ],
 )
 def test_restart_continues_bitwise_identically(name, T):

@@ -70,6 +70,21 @@ def test_epochs_advance_with_rounds():
     assert report.result == base.result
 
 
+def test_schemes_initiate_at_their_times():
+    """A fault-free run initiates at exactly its ``times``: the
+    coordinator's k-th request at ``times[k-1]``, and each independent
+    rank once per time."""
+    rt0, base = run_pingpong()
+    T = base.sim_time
+    times = [T / 4, T / 2, 3 * T / 4]
+    rt, _ = run_pingpong(scheme=CoordinatedScheme.NB(times))
+    requests = rt.tracer.events_named("proto.request")
+    assert [ev["round"] for ev in requests] == [1, 2, 3]
+    assert [ev.time for ev in requests] == times
+    rt, report = run_pingpong(scheme=IndependentScheme.Indep(times, skew=T / 20))
+    assert report.counters["chk.initiations"] == rt.n_ranks * len(times)
+
+
 def test_marker_count_per_round():
     rt0, base = run_pingpong()
     times = [base.sim_time / 3]

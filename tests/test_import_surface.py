@@ -63,7 +63,6 @@ NOT_LOADED_WARM = (
     "repro.experiments.capture",
     "repro.experiments.domino",
     "repro.experiments.faults",
-    "repro.experiments.policies",
     "repro.experiments.resilience",
     "repro.experiments.sweeps",
     "repro.experiments.table1",
