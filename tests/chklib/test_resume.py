@@ -55,8 +55,12 @@ def schemes(T):
     return {
         "coord_nb": lambda: CoordinatedScheme.NB(times),
         "coord_nbm": lambda: CoordinatedScheme.NBM(times),
+        "coord_nbs": lambda: CoordinatedScheme.NBS(times),
+        "coord_nbc": lambda: CoordinatedScheme.NBC(times),
         "indep_log": lambda: IndependentScheme.Indep(times, logging=True),
         "indep_nolog": lambda: IndependentScheme.Indep(times, logging=False),
+        "indep_m": lambda: IndependentScheme.IndepM(times, logging=True),
+        "indep_c": lambda: IndependentScheme.IndepC(times, logging=True),
         "cic": lambda: CICScheme.BCS(times, skew=T / 10),
         "cic_fdas": lambda: CICScheme.FDAS(times, skew=T / 10),
         "mlog": lambda: MessageLoggingScheme.Mlog(times, skew=T / 10),
@@ -83,8 +87,12 @@ def T():
     [
         "coord_nb",
         "coord_nbm",
+        "coord_nbs",
+        "coord_nbc",
         "indep_log",
         "indep_nolog",
+        "indep_m",
+        "indep_c",
         "cic",
         "cic_fdas",
         "mlog",

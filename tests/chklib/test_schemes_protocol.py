@@ -70,18 +70,38 @@ def test_epochs_advance_with_rounds():
     assert report.result == base.result
 
 
-def test_schemes_initiate_at_their_times():
-    """A fault-free run initiates at exactly its ``times``: the
-    coordinator's k-th request at ``times[k-1]``, and each independent
-    rank once per time."""
+@pytest.mark.parametrize("variant", ["NB", "NBM", "NBMS", "NBS", "NBC", "NBCS"])
+def test_coordinated_requests_fire_at_their_times(variant):
+    """In a fault-free run the coordinator's k-th request fires at
+    exactly ``times[k-1]``, whatever the capture or the staggering."""
     rt0, base = run_pingpong()
     T = base.sim_time
     times = [T / 4, T / 2, 3 * T / 4]
-    rt, _ = run_pingpong(scheme=CoordinatedScheme.NB(times))
+    rt, _ = run_pingpong(scheme=getattr(CoordinatedScheme, variant)(times))
     requests = rt.tracer.events_named("proto.request")
     assert [ev["round"] for ev in requests] == [1, 2, 3]
     assert [ev.time for ev in requests] == times
-    rt, report = run_pingpong(scheme=IndependentScheme.Indep(times, skew=T / 20))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        IndependentScheme.Indep,
+        IndependentScheme.IndepM,
+        IndependentScheme.IndepC,
+        CICScheme.BCS,
+        CICScheme.FDAS,
+        MessageLoggingScheme.Mlog,
+    ],
+    ids=["indep", "indep_m", "indep_c", "cic_bcs", "cic_fdas", "mlog"],
+)
+def test_each_rank_initiates_once_per_time(make):
+    """Every rank of an uncoordinated scheme initiates once per entry
+    of ``times``; CIC's forced checkpoints are not initiations."""
+    rt0, base = run_pingpong()
+    T = base.sim_time
+    times = [T / 4, T / 2, 3 * T / 4]
+    rt, report = run_pingpong(scheme=make(times, skew=T / 20))
     assert report.counters["chk.initiations"] == rt.n_ranks * len(times)
 
 
