@@ -14,7 +14,6 @@ _LAZY = {
     "fmt_seconds": "tables",
     "fmt_percent": "tables",
     "render_timeline": "timeline",
-    "build_report": "report",
     "TableResult": "result",
     "TableView": "result",
 }

@@ -8,7 +8,7 @@ replaces all of that: an experiment's ``reduce`` step distils its raw
 :class:`TableView`s (rendered tables), a dict of boolean shape checks
 (the paper's qualitative claims) and optional summary lines.  Experiment-
 specific structured data (per-row measurements, comparisons, raw reports)
-rides along in ``data`` for tests and benchmarks.
+rides along in ``data`` for tests.
 """
 
 from __future__ import annotations

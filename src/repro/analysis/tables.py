@@ -1,7 +1,7 @@
 """Plain-text table rendering for experiment output.
 
 Produces aligned ASCII tables in the spirit of the paper's Tables 1-3, so
-benchmark runs print directly comparable artefacts.
+runner output reads directly against the paper.
 """
 
 from __future__ import annotations

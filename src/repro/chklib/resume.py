@@ -9,14 +9,14 @@ simulation from it and continues **bit-for-bit identically** to a run that
 crashed at the same instant and recovered in-process — restarting *is* a
 recovery, just one that crossed a process boundary.
 
-File format (version 1)::
+File format::
 
     b"RPRL" | version:u32be | crc32:u32be | pickled payload
 
 The whole frame is written atomically (temp file + ``os.replace``), and
-:meth:`load` validates magic, version and CRC before unpickling — a torn
-or corrupted line raises :class:`~repro.core.errors.ResumeError` instead
-of resurrecting garbage.
+:meth:`load` validates magic, version and CRC before unpickling — a torn,
+corrupted or stale line raises :class:`~repro.core.errors.ResumeError`
+instead of resurrecting garbage or failing on a class it no longer has.
 """
 
 from __future__ import annotations
@@ -41,7 +41,17 @@ __all__ = [
 ]
 
 LINE_MAGIC = b"RPRL"
-LINE_VERSION = 1
+#: version of the whole line, frame and payload layout. v2: the payload
+#: is manifest-driven (keys come from the classes' RESUME_FIELDS /
+#: RESUME_COMPONENTS declarations; ``machine`` became ``machine_params``).
+#: v3: an agent no longer carries ``cuts_taken`` (the ``chk.cuts`` counter
+#: travels with the tracer). v4: the storage plane, its tiers, the fault
+#: injector and the checkpoint store no longer carry tallies that
+#: duplicate the tracer's counters. v5: a scheme carries only its
+#: ``times``, no scheduling object beside them; the frame header holds
+#: the version (lines before v5 stamped it inside the payload, under a
+#: frame that always read 1).
+LINE_VERSION = 5
 _HEADER = struct.Struct(">II")  # version, crc32
 
 
@@ -209,6 +219,8 @@ class DurableLine:
             raw[len(LINE_MAGIC) : header_len]
         )
         if version != LINE_VERSION:
+            # refused before unpickling: a stale payload may name classes
+            # this code no longer has
             raise ResumeError(
                 f"recovery line {path!r} has version {version}, "
                 f"expected {LINE_VERSION}"

@@ -55,16 +55,6 @@ __all__ = [
     "DurableLine",
 ]
 
-#: version stamp of the durable-line payload layout. v2: the payload is
-#: manifest-driven (keys come from the classes' RESUME_FIELDS /
-#: RESUME_COMPONENTS declarations; ``machine`` became ``machine_params``).
-#: v3: an agent no longer carries ``cuts_taken`` (the ``chk.cuts`` counter
-#: travels with the tracer). v4: the storage plane, its tiers, the fault
-#: injector and the checkpoint store no longer carry tallies that
-#: duplicate the tracer's counters. v5: a scheme carries only its
-#: ``times``, no scheduling object beside them.
-LINE_PAYLOAD_VERSION = 5
-
 
 class Ctx:
     """Per-rank execution context handed to the application."""
@@ -344,7 +334,6 @@ class CheckpointRuntime:
                 "— nothing could restore from it)"
             )
         meta = {
-            "version": LINE_PAYLOAD_VERSION,
             "app": getattr(self.app, "name", type(self.app).__name__),
             "scheme": self.scheme.name,
             "klass": self.scheme.klass,
@@ -410,11 +399,6 @@ class CheckpointRuntime:
     def _apply_resume(self, payload: Dict[str, Any]) -> None:
         """Load a durable line's payload into this (freshly built) runtime."""
         meta = payload["meta"]
-        if int(meta.get("version", -1)) != LINE_PAYLOAD_VERSION:
-            raise ResumeError(
-                f"durable line payload version {meta.get('version')!r} "
-                f"not supported (expected {LINE_PAYLOAD_VERSION})"
-            )
         app_name = getattr(self.app, "name", type(self.app).__name__)
         mismatches = []
         if int(meta["n_ranks"]) != self.n_ranks:

@@ -12,7 +12,7 @@ Usage::
     python -m repro.experiments.runner domino
     python -m repro.experiments.runner storage-overhead
     python -m repro.experiments.runner resilience
-    python -m repro.experiments.runner all [--jobs N]
+    python -m repro.experiments.runner all [--jobs N]   # results/all.txt at full scale
     python -m repro.experiments.runner --list-schemes
 
 Every experiment is a declarative :class:`~repro.experiments.grid.ExperimentSpec`;
@@ -66,39 +66,25 @@ from .grid import ExperimentSpec
 
 __all__ = ["main"]
 
-#: CLI name -> (spec name, report title, view restriction, print summary?).
+#: CLI name -> (spec name, view restriction, print summary?).
 #: ``table2`` and ``table3`` are two views of the single shared ``table23``
 #: grid result — the executor runs that spec once for both.
 _EXPERIMENTS = {
-    "table1": ("table1", "Table 1 — overhead per checkpoint", None, True),
-    "table2": ("table23", "Table 2 — execution times", "table2", False),
-    "table3": ("table23", "Table 3 — overhead percentages", "table3", True),
-    "ablation-staggering": (
-        "ablation-staggering", "A1 — staggering ablation", None, False,
-    ),
-    "ablation-sync": (
-        "ablation-sync", "A2 — synchronisation vs saving cost", None, False,
-    ),
-    "sweep-writers": ("sweep-writers", "S1 — writer sweep", None, False),
-    "sweep-storage": (
-        "sweep-storage", "S2 — storage-bandwidth sweep", None, False,
-    ),
-    "domino": ("domino", "R1 — rollback behaviour", None, False),
-    "storage-overhead": (
-        "storage-overhead", "R2 — stable-storage overhead", None, False,
-    ),
-    "capture": ("capture", "E1 — capture modes and incremental", None, False),
-    "failure-rates": (
-        "failure-rates", "E2/F1 — completion vs failure rate", None, False,
-    ),
-    "interval-sweep": (
-        "interval-sweep", "E2/F2 — interval sweep vs Young", None, False,
-    ),
-    "two-level": ("two-level", "E3 — two-level stable storage", None, False),
-    "resilience": (
-        "resilience", "R3 — resilience under faulty stable storage", None, False,
-    ),
-    "scale": ("scale", "Scale — overhead vs machine size", None, True),
+    "table1": ("table1", None, True),
+    "table2": ("table23", "table2", False),
+    "table3": ("table23", "table3", True),
+    "ablation-staggering": ("ablation-staggering", None, False),  # A1
+    "ablation-sync": ("ablation-sync", None, False),  # A2
+    "sweep-writers": ("sweep-writers", None, False),  # S1
+    "sweep-storage": ("sweep-storage", None, False),  # S2
+    "domino": ("domino", None, False),  # R1
+    "storage-overhead": ("storage-overhead", None, False),  # R2
+    "capture": ("capture", None, False),  # E1
+    "failure-rates": ("failure-rates", None, False),  # E2/F1
+    "interval-sweep": ("interval-sweep", None, False),  # E2/F2
+    "two-level": ("two-level", None, False),  # E3
+    "resilience": ("resilience", None, False),  # R3
+    "scale": ("scale", None, True),
 }
 
 #: ``all`` excludes the scale sweep: its N=1024 cells dwarf every other
@@ -334,12 +320,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help="write per-experiment execution seconds + executor stats as JSON",
     )
-    parser.add_argument(
-        "--report",
-        metavar="PATH",
-        default=None,
-        help="also write a consolidated markdown report of everything run",
-    )
     args = parser.parse_args(argv)
 
     if args.list_schemes:
@@ -392,9 +372,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     results = executor.run_specs(list(specs.values()))
 
-    report_sections = []
     for exp in todo:
-        spec_name, title, view, with_summary = _EXPERIMENTS[exp]
+        spec_name, view, with_summary = _EXPERIMENTS[exp]
         res = results.get(spec_name)
         if res is None:
             print(
@@ -404,7 +383,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             continue
         if view is not None and not with_summary:  # table2: just the table
-            report_sections.append((title, res.view(view)))
             _emit(res.render(view))
             continue
         if view is not None:  # table3: one view + the shared shapes/summary
@@ -416,25 +394,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 shapes=res.shapes,
                 summary_lines=res.summary_lines,
             )
-            report_sections.append((title, narrowed))
             _emit(
                 narrowed.render(),
                 narrowed.summary() + "\n" + _shape_report(narrowed.shapes),
             )
             continue
-        report_sections.append((title, res))
         summary = _shape_report(res.shape_holds())
         if with_summary and res.summary_lines:
             summary = res.summary() + "\n" + summary
         _emit(res.render(), summary)
-
-    if args.report and report_sections:
-        from ..analysis import build_report
-
-        text = build_report(report_sections, seed=args.seed)
-        with open(args.report, "w") as fh:
-            fh.write(text)
-        print(f"[runner] report written to {args.report}", file=sys.stderr)
 
     if args.timings:
         timings = {

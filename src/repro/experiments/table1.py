@@ -5,7 +5,7 @@ checkpoint overheads in (simulated) seconds:
 
     overhead_per_ckpt = (T_scheme - T_normal) / checkpoint_rounds
 
-Headline shapes asserted by the benchmark:
+Headline shapes, printed as the runner's shape checks:
   * ``Indep`` does *not* beat ``Coord_NB`` overall (paper: 15 of 21 worse);
   * ``Indep_M`` beats ``Coord_NBM`` in a clear majority (paper: 12 of 15);
   * ``Coord_NBMS`` is the best column nearly everywhere.

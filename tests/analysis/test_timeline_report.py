@@ -1,11 +1,11 @@
-"""Unit tests for the ASCII timeline and the markdown report builder."""
+"""Unit tests for the ASCII timeline."""
 
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from repro.analysis import build_report, render_timeline
+from repro.analysis import render_timeline
 from repro.apps import SOR
 from repro.chklib import CheckpointRuntime, CoordinatedScheme
 from repro.core import Engine, Tracer
@@ -88,36 +88,3 @@ class TestTimeline:
         example.main()
         assert capsys.readouterr().out == GOLDEN.read_text()
 
-
-class _FakeResult:
-    def __init__(self, ok=True):
-        self._ok = ok
-
-    def render(self):
-        return "col\n---\n1"
-
-    def shape_holds(self):
-        return {"claim_a": self._ok, "claim_b": True}
-
-
-class TestReport:
-    def test_report_contains_sections_and_verdict(self):
-        text = build_report([("Table 1", _FakeResult())], seed=7)
-        assert "## Table 1" in text
-        assert "seed: `7`" in text
-        assert "- [x] claim_a" in text
-        assert "ALL SHAPE CHECKS PASS" in text
-
-    def test_report_flags_failures(self):
-        text = build_report([("T", _FakeResult(ok=False))])
-        assert "- [ ] claim_a" in text
-        assert "SOME SHAPE CHECKS FAILED" in text
-
-    def test_report_without_shapes(self):
-        class Bare:
-            def render(self):
-                return "body"
-
-        text = build_report([("B", Bare())], preamble="intro text")
-        assert "intro text" in text
-        assert "body" in text

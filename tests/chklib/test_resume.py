@@ -17,6 +17,8 @@ recovery record, the final simulated clock) and ``C.result == A.result``.
 """
 
 import json
+import struct
+import zlib
 
 import pytest
 
@@ -31,7 +33,7 @@ from repro.chklib import (
     NoCheckpointing,
 )
 from repro.chklib.schemes.msglog import MessageLoggingScheme
-from repro.chklib.resume import LINE_MAGIC
+from repro.chklib.resume import LINE_MAGIC, LINE_VERSION
 from repro.core.errors import ResumeError, VerificationError
 from repro.machine import MachineParams
 from repro.verify import check_runtime, verified
@@ -426,6 +428,21 @@ def test_load_bad_magic_raises(tmp_path, T):
     path.write_bytes(b"XXXX" + raw[len(LINE_MAGIC):])
     with pytest.raises(ResumeError, match="bad magic"):
         DurableLine.load(path)
+
+
+def test_stale_line_is_refused_on_its_version_before_unpickling(tmp_path):
+    # a previous-version payload naming a class this code no longer has
+    blob = b"crepro.chklib.policy\nFixedTimes\n."
+    stale = LINE_VERSION - 1
+    path = tmp_path / "stale.line"
+    path.write_bytes(
+        LINE_MAGIC + struct.pack(">II", stale, zlib.crc32(blob)) + blob
+    )
+    with pytest.raises(ResumeError) as err:
+        DurableLine.load(path)
+    message = str(err.value)
+    assert f"version {stale}, expected {LINE_VERSION}" in message
+    assert "No module" not in message
 
 
 def test_restart_config_mismatch_raises(T):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.chklib.schemes.registry import family_of
 from repro.experiments import (
     SCHEMES_TABLE1,
     Cell,
@@ -140,6 +141,8 @@ class TestOverheadGrid:
             assert res.per_checkpoint(scheme) == pytest.approx(
                 res.overhead_seconds(scheme) / 2
             )
+            # a coordinated scheme cuts exactly once per rank per round
+            assert res.reports[scheme].checkpoints_taken == 2 * MACHINE.n_nodes
 
     def test_interval_spacing(self):
         baselines, plan, measure = overhead_grid([(TINY[0], MACHINE)], (), 3, 0)
@@ -200,3 +203,11 @@ class TestTableRunners:
         red = result.data["reduction"]
         assert red["min"] > 0
         assert "reduction factor" in result.summary()
+        # every run takes its two rounds; CIC adds its forced checkpoints
+        for res in result.data["results"]:
+            for scheme, report in res.reports.items():
+                taken, cut = report.checkpoints_taken, 2 * MACHINE.n_nodes
+                if family_of(scheme) == "cic":
+                    assert taken >= cut, (res.label, scheme)
+                else:
+                    assert taken == cut, (res.label, scheme)

@@ -57,7 +57,6 @@ NOT_LOADED_WARM = (
     "repro.chklib.dependency",
     "repro.chklib.recovery",
     "repro.verify",
-    "repro.analysis.report",
     "repro.analysis.timeline",
     "repro.experiments.ablations",
     "repro.experiments.capture",
