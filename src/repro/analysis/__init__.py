@@ -1,12 +1,9 @@
-"""Measurement analysis: overhead metrics and table rendering."""
+"""Measurement analysis: scheme comparisons and table rendering."""
 
 from .._lazy import lazy_surface
 
 #: name -> the submodule defining it, imported on first use.
 _LAZY = {
-    "overhead_seconds": "metrics",
-    "overhead_percent": "metrics",
-    "per_checkpoint_overhead": "metrics",
     "count_wins": "metrics",
     "reduction_factor": "metrics",
     "SchemeComparison": "metrics",

@@ -1,41 +1,15 @@
-"""Overhead metrics — the quantities the paper's tables report."""
+"""Scheme comparisons over a table's rows: win counts and reduction factors."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Tuple
-
-from ..chklib.report import RunReport
+from typing import Dict, Iterable, Mapping, Tuple
 
 __all__ = [
-    "overhead_seconds",
-    "overhead_percent",
-    "per_checkpoint_overhead",
     "count_wins",
     "reduction_factor",
     "SchemeComparison",
 ]
-
-
-def overhead_seconds(report: RunReport, baseline: RunReport) -> float:
-    """Extra execution time caused by checkpointing."""
-    return report.sim_time - baseline.sim_time
-
-
-def overhead_percent(report: RunReport, baseline: RunReport) -> float:
-    """Overhead as a percentage of the uncheckpointed run (Table 3)."""
-    if baseline.sim_time <= 0:
-        raise ValueError("baseline run has non-positive duration")
-    return 100.0 * overhead_seconds(report, baseline) / baseline.sim_time
-
-
-def per_checkpoint_overhead(
-    report: RunReport, baseline: RunReport, rounds: int
-) -> float:
-    """Overhead per checkpoint in seconds (Table 1)."""
-    if rounds <= 0:
-        raise ValueError(f"rounds must be positive, got {rounds}")
-    return overhead_seconds(report, baseline) / rounds
 
 
 def count_wins(

@@ -50,8 +50,10 @@ LINE_MAGIC = b"RPRL"
 #: duplicate the tracer's counters. v5: a scheme carries only its
 #: ``times``, no scheduling object beside them; the frame header holds
 #: the version (lines before v5 stamped it inside the payload, under a
-#: frame that always read 1).
-LINE_VERSION = 5
+#: frame that always read 1). v6: the machine parameters lose the rack
+#: buffer tier and the multi-hop link models, and the storage plane's
+#: capture holds its shard servers only.
+LINE_VERSION = 6
 _HEADER = struct.Struct(">II")  # version, crc32
 
 

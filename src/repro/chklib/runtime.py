@@ -170,8 +170,8 @@ class CheckpointRuntime:
         )
         if self.injector is not None:
             # faults target the shared storage plane (every shard server);
-            # private local disks and rack burst buffers stay reliable
-            # (they fail by dying with their node/rack instead).
+            # private local disks stay reliable (they fail by dying with
+            # their node instead).
             self.storage.set_fault_injector(self.injector)
         #: bumped on every recovery; stale wire messages are dropped by it.
         self.generation = 0

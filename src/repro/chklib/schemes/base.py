@@ -480,8 +480,7 @@ class Scheme:
 
     def _write_finished(self, agent: SchemeAgent, job: WriteJob) -> None:
         """*job*'s image landed: store it, then start its copy to the
-        global tier — the trickle under two-level storage, the drain out
-        of a burst buffer."""
+        global tier under two-level storage."""
         rt = agent.runtime
         record = job.record
         record.written_at = rt.engine.now
@@ -496,8 +495,6 @@ class Scheme:
             rt.spawn(
                 self._trickle(agent, job), name=f"trickle:{job.n}:r{agent.rank}"
             )
-        elif rt.cluster.storage.has_burst_buffers:
-            rt.spawn(self._drain(agent, job), name=f"drain:{job.n}:r{agent.rank}")
         else:
             record.global_written_at = record.written_at
 
@@ -524,17 +521,6 @@ class Scheme:
             return
         job.record.global_written_at = rt.engine.now
         rt.tracer.add("chk.trickled_bytes", job.nbytes)
-
-    def _drain(self, agent: SchemeAgent, job: WriteJob):
-        """Empty *job*'s bytes from the rack burst buffer onto the rank's
-        shard server. Generation-scoped (``rt.spawn``): a crash kills
-        in-flight drains identically on the in-process and restart paths,
-        so the resume equivalence proof covers the buffered plane."""
-        rt = agent.runtime
-        yield from rt.cluster.storage.drain(
-            agent.node, job.nbytes, tag=f"drain{job.n}:r{agent.rank}"
-        )
-        job.record.global_written_at = rt.engine.now
 
     # -- recovery interface -----------------------------------------------------
 

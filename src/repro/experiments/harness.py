@@ -105,9 +105,15 @@ class WorkloadResult:
         return self.reports[scheme].sim_time - self.normal.sim_time
 
     def overhead_percent(self, scheme: str) -> float:
+        """Overhead as a percentage of the uncheckpointed run (Table 3)."""
+        if self.normal.sim_time <= 0:
+            raise ValueError("baseline run has non-positive duration")
         return 100.0 * self.overhead_seconds(scheme) / self.normal.sim_time
 
     def per_checkpoint(self, scheme: str) -> float:
+        """Overhead per checkpoint in seconds (Table 1)."""
+        if self.rounds <= 0:
+            raise ValueError(f"rounds must be positive, got {self.rounds}")
         return self.overhead_seconds(scheme) / self.rounds
 
 

@@ -55,7 +55,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from .. import experiments
-from ..machine import MachineParams
 from .executor import (
     GridExecutor,
     code_fingerprint,
@@ -136,48 +135,38 @@ def _build_spec(
     seed: int,
     scale: float,
     ranks: Optional[int] = None,
-    topology: Optional[str] = None,
 ) -> ExperimentSpec:
     """One experiment spec, with ``--quick``'s scale plumbed everywhere.
 
-    ``--ranks``/``--topology`` resize the simulated machine for *any*
-    experiment: the machine becomes the named preset (or the scale
-    sweep's default shape) at ``ranks`` nodes, and — because the paper's
-    fixed-size workload catalogues cannot be partitioned over arbitrarily
-    many ranks — the workload becomes the weak-scaled SOR row used by the
-    scale sweep. At the default 8 ranks with no topology flag nothing
-    changes.
+    ``--ranks`` resizes the simulated machine for *any* experiment: the
+    machine becomes the scale sweep's shape at ``ranks`` nodes, and —
+    because the paper's fixed-size workload catalogues cannot be
+    partitioned over arbitrarily many ranks — the workload becomes the
+    weak-scaled SOR row used by the scale sweep. Without ``--ranks``
+    nothing changes.
     """
     if spec_name == "scale":
         return experiments.scale_spec(
             ns=(ranks,) if ranks is not None else None,
             seed=seed,
             scale=scale,
-            topology=topology,
         )
     if spec_name == "sweep-writers":
         if ranks is None:
-            return experiments.writer_sweep_spec(
-                seed=seed, scale=scale, topology=topology
-            )
+            return experiments.writer_sweep_spec(seed=seed, scale=scale)
         counts = sorted({max(2, ranks // 4), max(2, ranks // 2), ranks})
         return experiments.writer_sweep_spec(
             node_counts=counts,
             seed=seed,
             scale=scale,
             base_grid=max(128, 4 * counts[0] + 2),
-            topology=topology,
         )
     if spec_name not in _FACTORIES:
         raise ValueError(f"unknown spec {spec_name!r}")
     factory, workload_kw = _FACTORIES[spec_name]
-    machine = None
-    if ranks is not None or topology is not None:
-        machine = experiments.scale_machine(
-            ranks if ranks is not None else 8, topology
-        )
-    override = None
+    machine = override = None
     if ranks is not None:
+        machine = experiments.scale_machine(ranks)
         override = experiments.scale_workload(ranks, scale)
         if workload_kw == "workloads":
             override = [override]
@@ -271,13 +260,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep, runs just the N-rank point)",
     )
     parser.add_argument(
-        "--topology",
-        choices=list(MachineParams.TOPOLOGY_PRESETS),
-        default=None,
-        help="machine preset to run on (default: each experiment's own "
-        "machine; the scale sweep picks flat at 8 ranks, racks beyond)",
-    )
-    parser.add_argument(
         "--verify",
         action="store_true",
         help="audit every run's event stream live (repro.verify)",
@@ -359,7 +341,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 args.seed,
                 scale,
                 ranks=args.ranks,
-                topology=args.topology,
             )
 
     executor = GridExecutor(

@@ -66,12 +66,9 @@ def scale_workload(n_ranks: int, scale: float = 1.0) -> WorkloadSpec:
     )
 
 
-def scale_machine(n_ranks: int, topology: Optional[str] = None) -> MachineParams:
-    """The machine for one sweep point: the paper's flat Xplorer at its
-    native 8 ranks, a hierarchical racks machine beyond that — unless a
-    ``--topology`` preset pins the shape explicitly."""
-    if topology is not None:
-        return MachineParams.preset(topology, n_ranks)
+def scale_machine(n_ranks: int) -> MachineParams:
+    """The machine for one sweep point: the paper's flat Xplorer up to its
+    native 8 ranks, a hierarchical racks machine beyond that."""
     if n_ranks <= 8:
         return MachineParams.xplorer(n_ranks)
     return MachineParams.hierarchical(n_ranks)
@@ -91,14 +88,13 @@ def scale_spec(
     seed: int = 0,
     rounds: int = 2,
     scale: float = 1.0,
-    topology: Optional[str] = None,
 ) -> ExperimentSpec:
     """The scale sweep as a declarative grid (len(ns) × 6 runs)."""
     ns = tuple(int(n) for n in (ns if ns is not None else SCALE_NS))
     if not ns:
         raise ValueError("scale sweep needs at least one rank count")
     baselines, plan, measure = overhead_grid(
-        [(scale_workload(n, scale), scale_machine(n, topology)) for n in ns],
+        [(scale_workload(n, scale), scale_machine(n)) for n in ns],
         SCHEMES_TABLE1,
         rounds,
         seed,

@@ -28,12 +28,10 @@ def writer_sweep_spec(
     rounds: int = 2,
     base_grid: int = 128,
     scale: float = 1.0,
-    topology: Optional[str] = None,
 ) -> ExperimentSpec:
     """S1, weak scaling: the SOR grid grows with the node count so each
     rank's checkpoint stays the same size; total volume scales linearly in
-    the writer count.  ``topology`` swaps the flat Xplorer for a named
-    machine preset at each node count (runner ``--topology``)."""
+    the writer count."""
     node_counts = list(node_counts)
     points = []
     for n in node_counts:
@@ -47,9 +45,7 @@ def writer_sweep_spec(
                     iters=scaled_iters(200, scale),
                     flops_per_cell=40.0,
                 ),
-                MachineParams.preset(topology, n)
-                if topology is not None
-                else MachineParams.xplorer(n),
+                MachineParams.xplorer(n),
             )
         )
     baselines, plan, measure = overhead_grid(

@@ -2,10 +2,9 @@
 
 Approximates the paper's Parsytec Xplorer (8 × T805, host file system as
 stable storage) as a deterministic discrete-event model, generalised to
-parameterised hierarchical topologies (racks × nodes, fat-tree/torus link
-cost) with a multi-server storage plane and optional rack-local burst
-buffers. The flat 8-node default remains bit-identical to the paper's
-machine. See ``DESIGN.md`` §2 and §11.
+a racks × nodes machine (one uplink hop between any two racks) with a
+multi-server storage plane. The flat 8-node default remains
+bit-identical to the paper's machine. See ``DESIGN.md`` §2 and §11.
 """
 
 from .._lazy import lazy_surface

@@ -39,9 +39,9 @@ class Cluster:
         self.nodes: List[Node] = [
             Node(engine, i, self.params.node) for i in range(self.params.n_nodes)
         ]
-        #: the stable-storage plane (S shard servers + optional burst
-        #: buffers); with the default flat parameters it is bit-identical
-        #: to the old single StableStorage, down to the event order.
+        #: the stable-storage plane (S shard servers); with the default
+        #: flat parameters it is bit-identical to the old single
+        #: StableStorage, down to the event order.
         self.storage = StoragePlane(
             engine, self.params, self.topology, tracer=tracer
         )
@@ -118,11 +118,6 @@ class Cluster:
         """
         streams = self.storage.active_streams
         return 1.0 + self.params.link.storage_pressure * streams
-
-    @property
-    def plane(self) -> "StoragePlane":
-        """Alias for the storage plane (``storage`` keeps the legacy name)."""
-        return self.storage
 
     def message_time(
         self, nbytes: float, src: Optional[int] = None, dst: Optional[int] = None

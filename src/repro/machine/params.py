@@ -106,26 +106,16 @@ class TopologyParams:
     """
 
     #: "flat" (paper's single crossbar) or "racks" (nodes grouped into
-    #: racks; inter-rack messages traverse uplinks).
+    #: racks; any two racks are one uplink hop apart).
     kind: str = "flat"
     #: nodes per rack (required >= 1 for kind="racks"; ignored for flat).
     nodes_per_rack: int = 0
-    #: inter-rack cost model: "uniform" (one uplink hop between any two
-    #: racks), "fat-tree" (up to the spine and back down: two hops) or
-    #: "torus" (racks on a ring; hop count is the ring distance).
-    link_model: str = "uniform"
-    #: extra one-way latency per inter-rack hop (s).
+    #: extra one-way latency of the inter-rack uplink hop (s).
     uplink_latency: float = 50e-6
-    #: bandwidth taper per hop beyond the first: effective bandwidth is
-    #: ``link.bandwidth / (1 + uplink_taper * (hops - 1))`` — the first
-    #: uplink hop is full-rate, longer torus routes degrade.
-    uplink_taper: float = 0.5
 
     def __post_init__(self) -> None:
         if self.kind not in ("flat", "racks"):
             raise ValueError(f"unknown topology kind {self.kind!r}")
-        if self.link_model not in ("uniform", "fat-tree", "torus"):
-            raise ValueError(f"unknown link model {self.link_model!r}")
         if self.kind == "racks" and self.nodes_per_rack < 1:
             raise ValueError(
                 f"racks topology needs nodes_per_rack >= 1, "
@@ -135,28 +125,17 @@ class TopologyParams:
 
 @dataclass(frozen=True)
 class StoragePlaneParams:
-    """The stable-storage plane: S parallel servers, optional burst buffers.
+    """The stable-storage plane: S parallel servers.
 
     ``servers=1`` (default) is the paper's single host file system. With
     S > 1 the ranks shard onto the servers in contiguous blocks
     (``server_of(r) = r * S // N``), so storage fan-in per server is N/S.
-    ``burst_buffers=True`` fronts each *rack* with a fast rack-local tier:
-    checkpoint writes land on the rack's buffer and a background drain
-    streams them to the rank's shard server afterwards.
     """
 
     #: number of parallel stable-storage servers (each a fluid
     #: :class:`~repro.machine.shared_server.SharedServer` with the
     #: machine's ``storage`` parameters).
     servers: int = 1
-    #: front each rack with a burst-buffer tier (racks topology only).
-    burst_buffers: bool = False
-    #: burst-buffer per-request cost (NVMe-class, not host-FS-class).
-    bb_op_latency: float = 0.002
-    #: burst-buffer streaming bandwidth for a single writer (bytes/s).
-    bb_bandwidth: float = 8e6
-    #: burst-buffer thrash penalty (flash: none by default).
-    bb_thrash: float = 0.0
 
     def __post_init__(self) -> None:
         if self.servers < 1:
@@ -183,8 +162,6 @@ class MachineParams:
                 f"more storage servers ({self.plane.servers}) than "
                 f"nodes ({self.n_nodes})"
             )
-        if self.plane.burst_buffers and self.topology.kind != "racks":
-            raise ValueError("burst buffers need a racks topology")
 
     # -- presets ------------------------------------------------------------
 
@@ -203,8 +180,6 @@ class MachineParams:
         n_nodes: int,
         nodes_per_rack: int = 32,
         servers: int | None = None,
-        burst_buffers: bool = False,
-        link_model: str = "uniform",
     ) -> "MachineParams":
         """A racks × nodes machine with a multi-server storage plane.
 
@@ -223,30 +198,8 @@ class MachineParams:
             topology=TopologyParams(
                 kind="racks",
                 nodes_per_rack=min(nodes_per_rack, n_nodes),
-                link_model=link_model,
             ),
-            plane=StoragePlaneParams(servers=servers, burst_buffers=burst_buffers),
-        )
-
-    #: topology preset names accepted by the runner's ``--topology`` flag.
-    TOPOLOGY_PRESETS = ("flat", "racks", "racks-bb", "fat-tree", "torus")
-
-    @staticmethod
-    def preset(name: str, n_nodes: int) -> "MachineParams":
-        """Build a named machine preset at *n_nodes* (runner ``--topology``)."""
-        if name == "flat":
-            return MachineParams.xplorer(n_nodes)
-        if name == "racks":
-            return MachineParams.hierarchical(n_nodes)
-        if name == "racks-bb":
-            return MachineParams.hierarchical(n_nodes, burst_buffers=True)
-        if name == "fat-tree":
-            return MachineParams.hierarchical(n_nodes, link_model="fat-tree")
-        if name == "torus":
-            return MachineParams.hierarchical(n_nodes, link_model="torus")
-        raise ValueError(
-            f"unknown topology preset {name!r} "
-            f"(choose from {MachineParams.TOPOLOGY_PRESETS})"
+            plane=StoragePlaneParams(servers=servers),
         )
 
     # -- modified copies ---------------------------------------------------
@@ -255,22 +208,4 @@ class MachineParams:
         """Copy with storage parameters overridden (bandwidth sweeps)."""
         return dataclasses.replace(
             self, storage=dataclasses.replace(self.storage, **changes)
-        )
-
-    def with_node(self, **changes: float) -> "MachineParams":
-        """Copy with node parameters overridden (interference ablations)."""
-        return dataclasses.replace(
-            self, node=dataclasses.replace(self.node, **changes)
-        )
-
-    def with_link(self, **changes: float) -> "MachineParams":
-        """Copy with link parameters overridden."""
-        return dataclasses.replace(
-            self, link=dataclasses.replace(self.link, **changes)
-        )
-
-    def with_plane(self, **changes) -> "MachineParams":
-        """Copy with storage-plane parameters overridden."""
-        return dataclasses.replace(
-            self, plane=dataclasses.replace(self.plane, **changes)
         )

@@ -1,23 +1,14 @@
-"""The stable-storage plane: S parallel servers + optional burst buffers.
+"""The stable-storage plane: S parallel storage servers.
 
 The paper's machine funnels every checkpoint into one host file system;
-modern machines spread the fan-in over S parallel storage servers, often
-fronted by a fast rack-local burst-buffer tier. The plane generalises the
-single :class:`~repro.machine.storage.StableStorage` to that shape while
-keeping S=1 / no-buffers *bit-identical* to the old single server — the
-same object graph, the same event order, the same floats.
+modern machines spread the fan-in over S parallel storage servers. The
+plane generalises the single :class:`~repro.machine.storage.StableStorage`
+to that shape while keeping S=1 *bit-identical* to the old single server
+— the same object graph, the same event order, the same floats.
 
-Routing (all through the :class:`~repro.machine.topology.Topology`):
-
-* ``server_for(rank)`` — the shard server a rank's checkpoints live on
-  (contiguous block sharding, ``r * S // N``);
-* ``write_target(rank)`` — where a capture write physically lands: the
-  rank's rack burst buffer when the tier is enabled, else the shard
-  server. Restores read back from the same place;
-* ``drain(...)`` — the background stream that empties a burst buffer onto
-  the rank's shard server (spawned by the scheme after a buffered write,
-  generation-scoped so a crash kills in-flight drains on both the
-  restart and the in-process paths identically).
+Routing goes through the :class:`~repro.machine.topology.Topology`:
+``server_for(rank)`` is the shard server a rank's checkpoints are written
+to and restored from (contiguous block sharding, ``r * S // N``).
 """
 
 from __future__ import annotations
@@ -25,7 +16,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
 
 from ..core.events import Event
-from .params import MachineParams, StorageParams
+from .params import MachineParams
 from .storage import StableStorage
 from .topology import Topology
 
@@ -39,10 +30,10 @@ __all__ = ["StoragePlane"]
 
 
 class StoragePlane:
-    """S shard servers plus an optional per-rack burst-buffer tier.
+    """S shard servers.
 
     Capture manifest (see :mod:`repro.chklib.resume`): the plane and its
-    tiers hold no durable state (every count is a tracer counter), but
+    servers hold no durable state (every count is a tracer counter), but
     :meth:`export_state` still captures each of them through the checked
     field capture, so an attribute no manifest lists fails the line.
     """
@@ -54,7 +45,6 @@ class StoragePlane:
         "topology",
         "tracer",
         "servers",
-        "burst_buffers",
         "fault_injector",
         "n_servers",
         # derived stream counter; rebuilt at 0 with fresh (empty) servers
@@ -88,24 +78,8 @@ class StoragePlane:
             )
             for i in range(self.n_servers)
         ]
-        self.burst_buffers: List[StableStorage] = []
-        if params.plane.burst_buffers:
-            bb = StorageParams(
-                op_latency=params.plane.bb_op_latency,
-                bandwidth=params.plane.bb_bandwidth,
-                thrash=params.plane.bb_thrash,
-                # rack-local: application traffic on the interconnect
-                # towards the host does not slow the buffer down.
-                app_traffic_penalty=0.0,
-            )
-            self.burst_buffers = [
-                StableStorage(engine, bb, tracer=tracer, name=f"burst-buffer:{r}")
-                for r in range(topology.n_racks)
-            ]
         #: fault oracle (mirrors StableStorage's surface); installed on the
-        #: shard servers — the durable tier the paper's faults model. The
-        #: burst-buffer tier is flash behind the same blast radius as the
-        #: node and stays reliable, like the two-level local disks.
+        #: shard servers — the durable tier the paper's faults model.
         self.fault_injector: Optional["StorageFaultInjector"] = None
         # Exact incremental mirror of sum(srv.active_streams): pressure is
         # read once per message transfer, which dwarfs job-set changes.
@@ -115,24 +89,12 @@ class StoragePlane:
 
     # -- routing ------------------------------------------------------------
 
-    @property
-    def has_burst_buffers(self) -> bool:
-        return bool(self.burst_buffers)
-
     def server_index(self, rank: int) -> int:
         """Which shard serves *rank* (contiguous blocks via the topology)."""
         return self.topology.server_of(rank, self.n_servers)
 
     def server_for(self, rank: int) -> StableStorage:
         """The shard server holding *rank*'s durable checkpoints."""
-        return self.servers[self.server_index(rank)]
-
-    def write_target(self, rank: int) -> StableStorage:
-        """Where *rank*'s capture writes land (and restores read from):
-        the rack's burst buffer when the tier is enabled, else the shard
-        server."""
-        if self.burst_buffers:
-            return self.burst_buffers[self.topology.rack_of(rank)]
         return self.servers[self.server_index(rank)]
 
     # -- the single-server surface (legacy compatibility) --------------------
@@ -156,8 +118,7 @@ class StoragePlane:
 
     def apply_rate_factor(self, factor: float) -> None:
         """Application-traffic slowdown on the shared path — every shard
-        crosses the interconnect, so all of them feel it; burst buffers
-        are rack-local and do not."""
+        crosses the interconnect, so all of them feel it."""
         for srv in self.servers:
             srv.server.set_rate_factor(factor)
 
@@ -167,8 +128,7 @@ class StoragePlane:
     @property
     def active_streams(self) -> int:
         """Concurrent transfers crossing the interconnect towards the
-        storage plane (network-pressure input). Burst-buffer traffic is
-        rack-local and exerts no pressure; drains do, via the servers.
+        storage plane (network-pressure input).
 
         Maintained incrementally via the servers' ``on_jobs_delta`` hook;
         always equal to ``sum(srv.active_streams for srv in self.servers)``.
@@ -178,71 +138,40 @@ class StoragePlane:
     def write(
         self, node: "Node", nbytes: float, tag: str = "", background: bool = False
     ) -> Generator[Event, Any, None]:
-        """Stream a capture write from *node* to its write target. Returns
-        the target's generator directly — zero extra frames, so the S=1
+        """Stream a capture write from *node* to its shard server. Returns
+        the server's generator directly — zero extra frames, so the S=1
         plane is event-for-event the old single server."""
-        return self.write_target(node.id).write(node, nbytes, tag, background)
+        return self.server_for(node.id).write(node, nbytes, tag, background)
 
     def read(
         self, node: "Node", nbytes: float, tag: str = ""
     ) -> Generator[Event, Any, None]:
-        """Stream a restore read back from *node*'s write target."""
-        return self.write_target(node.id).read(node, nbytes, tag)
-
-    # -- burst-buffer drain ---------------------------------------------------
-
-    def drain(
-        self, node: "Node", nbytes: float, tag: str = ""
-    ) -> Generator[Event, Any, None]:
-        """Stream *nbytes* from *node*'s rack buffer to its shard server.
-
-        Raw fluid transfer on the shard server (the bytes were already
-        counted when they hit the buffer); fan-in contention and network
-        pressure apply exactly as for direct writes. Safe to interrupt:
-        a crash mid-drain frees the server.
-        """
-        server = self.server_for(node.id)
-        yield self.engine.delay(server.params.op_latency)  # pooled
-        job = server.server.transfer(nbytes, tag=tag or f"drain:n{node.id}")
-        try:
-            yield job.done
-        finally:
-            if not job.done.triggered:
-                server.server.cancel(job)
-        if self.tracer:
-            self.tracer.add("storage.drained_bytes", nbytes)
-            self.tracer.add("storage.drain_ops")
+        """Stream a restore read back from *node*'s shard server."""
+        return self.server_for(node.id).read(node, nbytes, tag)
 
     # -- durable-line capture -------------------------------------------------
 
     def export_state(
         self, capture: Callable[[Any], Dict[str, Any]]
     ) -> Dict[str, Any]:
-        """The plane's fields and every tier's, each through *capture*
+        """The plane's fields and every server's, each through *capture*
         (the runtime's checked field capture, which this layer cannot
         import)."""
-        return {
-            **capture(self),
-            "servers": [capture(s) for s in self.servers],
-            "burst_buffers": [capture(b) for b in self.burst_buffers],
-        }
+        return {**capture(self), "servers": [capture(s) for s in self.servers]}
 
     def restore_state(self, state: Dict[str, Any]) -> None:
         """Mirror of :meth:`export_state` (restart path)."""
-        for tier, saved in (
-            (self.servers, state["servers"]),
-            (self.burst_buffers, state["burst_buffers"]),
-        ):
-            if len(tier) != len(saved):
-                raise ValueError(
-                    f"storage plane shape changed across the halt: "
-                    f"{len(saved)} captured tiers vs {len(tier)} rebuilt"
-                )
-            for st, snap in zip(tier, saved):
-                vars(st).update(snap)
+        saved = state["servers"]
+        if len(self.servers) != len(saved):
+            raise ValueError(
+                f"storage plane shape changed across the halt: "
+                f"{len(saved)} captured servers vs {len(self.servers)} rebuilt"
+            )
+        for st, snap in zip(self.servers, saved):
+            vars(st).update(snap)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<StoragePlane servers={self.n_servers} "
-            f"bb={len(self.burst_buffers)} streams={self.active_streams}>"
+            f"streams={self.active_streams}>"
         )

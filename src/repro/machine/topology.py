@@ -5,11 +5,10 @@ owns no simulation state (nothing to capture in a durable line) and is
 rebuilt from the machine parameters on every (re)start. It answers three
 questions for the rest of the system:
 
-* *distance*: how many inter-rack hops separate two nodes, and what the
-  effective link cost (latency, bandwidth) of that route is — consumed by
-  :meth:`repro.machine.cluster.Cluster.message_time`, once per route;
-* *locality*: which rack a node lives in — consumed by the burst-buffer
-  tier of the storage plane;
+* *distance*: whether two nodes sit in different racks (one uplink hop)
+  and what the effective link cost (latency, bandwidth) of that route is
+  — consumed by :meth:`repro.machine.cluster.Cluster.message_time`, once
+  per route;
 * *sharding*: which stable-storage server a rank writes to
   (``server_of(r) = r * S // N``, contiguous blocks aligned with racks) —
   consumed by the storage plane, recovery, and the per-server staggering
@@ -30,7 +29,7 @@ __all__ = ["Topology"]
 
 
 class Topology:
-    """Node → rack layout plus the inter-rack link cost model.
+    """Node → rack layout plus the inter-rack link cost.
 
     Stateless: everything here is derived from frozen parameters, so a
     durable line never captures a topology.
@@ -54,43 +53,23 @@ class Topology:
             return 0
         return node_id // self.params.nodes_per_rack
 
-    def rack_members(self, rack: int) -> range:
-        """The node ids in *rack* (contiguous by construction)."""
-        if self.is_flat:
-            return range(self.n_nodes)
-        per = self.params.nodes_per_rack
-        return range(rack * per, min((rack + 1) * per, self.n_nodes))
-
     # -- distance -----------------------------------------------------------
 
     def hops(self, src: int, dst: int) -> int:
-        """Inter-rack uplink hops between two nodes (0 = same rack)."""
-        r1, r2 = self.rack_of(src), self.rack_of(dst)
-        if r1 == r2:
-            return 0
-        model = self.params.link_model
-        if model == "uniform":
-            return 1
-        if model == "fat-tree":
-            return 2  # up to the spine, back down
-        # torus: racks on a ring, route the short way round
-        d = abs(r1 - r2)
-        return min(d, self.n_racks - d)
+        """Inter-rack uplink hops between two nodes: 0 within a rack, 1
+        across racks."""
+        return int(self.rack_of(src) != self.rack_of(dst))
 
     def link_cost(self, link: LinkParams, src: int, dst: int) -> Tuple[float, float]:
         """Effective (latency, bandwidth) of the src→dst route.
 
         Intra-rack (and all flat) traffic uses the base link unchanged;
-        each uplink hop adds ``uplink_latency``, and hops beyond the first
-        taper the bandwidth (torus routes through intermediate racks).
+        the uplink hop between racks adds ``uplink_latency`` at the full
+        link bandwidth.
         """
-        h = self.hops(src, dst)
-        if h == 0:
+        if self.hops(src, dst) == 0:
             return (link.latency, link.bandwidth)
-        return (
-            link.latency + h * self.params.uplink_latency,
-            link.bandwidth / (1.0 + self.params.uplink_taper * (h - 1)),
-        )
+        return (link.latency + self.params.uplink_latency, link.bandwidth)
 
     # -- storage sharding ---------------------------------------------------
 
@@ -114,6 +93,6 @@ class Topology:
         if self.is_flat:
             return f"<Topology flat n={self.n_nodes}>"
         return (
-            f"<Topology {self.params.link_model} n={self.n_nodes} "
+            f"<Topology racks n={self.n_nodes} "
             f"racks={self.n_racks}x{self.params.nodes_per_rack}>"
         )

@@ -1,4 +1,4 @@
-"""Unit tests for overhead metrics and table rendering."""
+"""Unit tests for overhead metrics, scheme comparisons and table rendering."""
 
 import pytest
 
@@ -7,12 +7,10 @@ from repro.analysis import (
     count_wins,
     fmt_percent,
     fmt_seconds,
-    overhead_percent,
-    overhead_seconds,
-    per_checkpoint_overhead,
     reduction_factor,
     render_table,
 )
+from repro.experiments import WorkloadResult
 
 
 class FakeReport:
@@ -20,23 +18,36 @@ class FakeReport:
         self.sim_time = sim_time
 
 
+def row(normal, scheme, rounds=3):
+    """A one-scheme table row: the uncheckpointed run and the scheme's."""
+    return WorkloadResult(
+        label="w",
+        normal=FakeReport(normal),
+        interval=1.0,
+        rounds=rounds,
+        reports={"s": FakeReport(scheme)},
+    )
+
+
 class TestOverheads:
+    """The one overhead rule the tables use: ``WorkloadResult``'s methods."""
+
     def test_overhead_seconds(self):
-        assert overhead_seconds(FakeReport(12.0), FakeReport(10.0)) == 2.0
+        assert row(10.0, 12.0).overhead_seconds("s") == 2.0
 
     def test_overhead_percent(self):
-        assert overhead_percent(FakeReport(11.0), FakeReport(10.0)) == pytest.approx(10.0)
+        assert row(10.0, 11.0).overhead_percent("s") == pytest.approx(10.0)
 
     def test_overhead_percent_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
-            overhead_percent(FakeReport(1.0), FakeReport(0.0))
+            row(0.0, 1.0).overhead_percent("s")
 
     def test_per_checkpoint(self):
-        assert per_checkpoint_overhead(FakeReport(16.0), FakeReport(10.0), 3) == 2.0
+        assert row(10.0, 16.0, rounds=3).per_checkpoint("s") == 2.0
 
     def test_per_checkpoint_invalid_rounds(self):
         with pytest.raises(ValueError):
-            per_checkpoint_overhead(FakeReport(16.0), FakeReport(10.0), 0)
+            row(10.0, 16.0, rounds=0).per_checkpoint("s")
 
 
 class TestWins:

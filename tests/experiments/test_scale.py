@@ -1,4 +1,4 @@
-"""The scale sweep spec and the runner's --ranks/--topology plumbing."""
+"""The scale sweep spec and the runner's --ranks plumbing."""
 
 import pytest
 
@@ -32,9 +32,15 @@ def test_scale_machine_defaults():
     m = scale_machine(256)
     assert m.topology.kind == "racks"
     assert m.plane.servers == 4
-    # an explicit preset wins
-    assert scale_machine(8, "racks").topology.kind == "racks"
-    assert scale_machine(64, "torus").topology.link_model == "torus"
+
+
+def test_scale_machine_is_the_only_rule():
+    # the paper's flat Xplorer up to its native 8 ranks...
+    for n in (1, 2, 8):
+        assert scale_machine(n) == MachineParams.xplorer(n)
+    # ...and the one hierarchical shape beyond that
+    for n in (9, 64, 512):
+        assert scale_machine(n) == MachineParams.hierarchical(n)
 
 
 def test_scale_spec_grid_shape():
@@ -89,20 +95,12 @@ def test_runner_ranks_resizes_other_experiments(capsys):
     assert "sor-weak-6" in out
 
 
-def test_runner_topology_flag(capsys):
-    assert (
-        runner_mod.main(
-            ["table1", "--quick", "--ranks", "6", "--topology", "racks"]
-            + _FAST
-        )
-        == 0
-    )
-    assert "sor-weak-6" in capsys.readouterr().out
-
-
-def test_runner_rejects_unknown_topology():
-    with pytest.raises(SystemExit):
-        runner_mod.main(["table1", "--topology", "mesh"])
+def test_runner_rejects_unknown_topology(capsys):
+    # one machine per rank count: there is no --topology option at all
+    with pytest.raises(SystemExit) as exc:
+        runner_mod.main(["table1", "--topology", "racks"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --topology racks" in capsys.readouterr().err
 
 
 def test_scale_excluded_from_all():

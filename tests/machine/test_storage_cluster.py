@@ -58,12 +58,6 @@ def test_with_storage_override():
     assert MachineParams.xplorer8().storage.bandwidth != 1e6
 
 
-def test_with_node_and_link_override():
-    p = MachineParams.xplorer8().with_node(cpu_flops=1.0).with_link(latency=0.5)
-    assert p.node.cpu_flops == 1.0
-    assert p.link.latency == 0.5
-
-
 def test_single_write_time():
     eng = Engine()
     params = StorageParams(op_latency=0.1, bandwidth=1000.0, thrash=0.0)

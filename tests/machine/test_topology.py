@@ -2,11 +2,18 @@
 
 import pytest
 
-from repro.machine import MachineParams, Topology, TopologyParams
+from repro.core import Engine
+from repro.machine import (
+    Cluster,
+    MachineParams,
+    StoragePlaneParams,
+    Topology,
+    TopologyParams,
+)
 
 
-def racks(n, per_rack, **kw):
-    return Topology(n, TopologyParams(kind="racks", nodes_per_rack=per_rack, **kw))
+def racks(n, per_rack):
+    return Topology(n, TopologyParams(kind="racks", nodes_per_rack=per_rack))
 
 
 def test_flat_is_the_default_and_degenerate():
@@ -25,51 +32,63 @@ def test_rack_membership():
     assert topo.rack_of(3) == 0
     assert topo.rack_of(4) == 1
     assert topo.rack_of(15) == 3
-    assert list(topo.rack_members(2)) == [8, 9, 10, 11]
     # ragged last rack
     ragged = racks(10, 4)
     assert ragged.n_racks == 3
-    assert list(ragged.rack_members(2)) == [8, 9]
+    assert ragged.rack_of(9) == 2
 
 
-def test_hops_uniform_fat_tree_torus():
-    uniform = racks(16, 4, link_model="uniform")
-    assert uniform.hops(0, 1) == 0  # same rack
-    assert uniform.hops(0, 5) == 1  # different rack: one uplink
-    assert uniform.hops(0, 15) == 1
-
-    fat = racks(16, 4, link_model="fat-tree")
-    assert fat.hops(0, 1) == 0
-    assert fat.hops(0, 5) == 2  # up to the spine and back down
-
-    torus = racks(32, 4, link_model="torus")  # 8 racks on a ring
-    assert torus.hops(0, 4) == 1  # rack 0 -> rack 1
-    assert torus.hops(0, 17) == 4  # rack 0 -> rack 4: halfway round
-    assert torus.hops(0, 29) == 1  # rack 0 -> rack 7: wraps the other way
+def test_hops():
+    topo = racks(16, 4)
+    assert topo.hops(0, 1) == 0  # same rack
+    assert topo.hops(0, 5) == 1  # different rack: one uplink
+    assert topo.hops(0, 15) == 1
 
 
-def test_link_cost_latency_and_taper():
-    params = TopologyParams(
-        kind="racks",
-        nodes_per_rack=4,
-        link_model="torus",
-        uplink_latency=1e-3,
-        uplink_taper=0.5,
-    )
+def test_link_cost_latency():
+    params = TopologyParams(kind="racks", nodes_per_rack=4, uplink_latency=1e-3)
     topo = Topology(32, params)
     machine = MachineParams.xplorer(32)
     link = machine.link
 
     # intra-rack: the base link, untouched
     assert topo.link_cost(link, 0, 1) == (link.latency, link.bandwidth)
-    # one hop: latency adder, full bandwidth (taper kicks in beyond 1 hop)
-    lat, bw = topo.link_cost(link, 0, 4)
-    assert lat == pytest.approx(link.latency + 1e-3)
-    assert bw == pytest.approx(link.bandwidth)
-    # four hops round the torus: 4 latency adders, tapered bandwidth
-    lat4, bw4 = topo.link_cost(link, 0, 17)
-    assert lat4 == pytest.approx(link.latency + 4e-3)
-    assert bw4 == pytest.approx(link.bandwidth / (1 + 0.5 * 3))
+    # across racks: the uplink's latency adder, full bandwidth, however
+    # far apart the racks are
+    for dst in (4, 17, 29):
+        assert topo.link_cost(link, 0, dst) == (link.latency + 1e-3, link.bandwidth)
+
+
+def test_flat_link_cost_is_the_base_link():
+    link = MachineParams.xplorer8().link
+    topo = Topology(8, TopologyParams())
+    assert all(
+        topo.link_cost(link, a, b) == (link.latency, link.bandwidth)
+        for a in range(8)
+        for b in range(8)
+    )
+
+
+def test_message_time_adds_the_uplink_only_across_racks():
+    machine = MachineParams.hierarchical(64)  # two racks of 32
+    cluster = Cluster(Engine(), machine)
+    link, uplink = machine.link, machine.topology.uplink_latency
+    nbytes = 4096.0
+    local = link.latency + nbytes / link.bandwidth
+    assert cluster.message_time(nbytes, 0, 31) == local
+    assert cluster.message_time(nbytes, 0, 32) == (
+        link.latency + uplink + nbytes / link.bandwidth
+    )
+    # no endpoints: the base link, as on the paper's machine
+    assert cluster.message_time(nbytes) == local
+
+
+def test_hierarchical_rack_never_exceeds_the_machine():
+    m = MachineParams.hierarchical(16)  # fewer nodes than one 32-node rack
+    assert m.topology.nodes_per_rack == 16
+    topo = Topology(m.n_nodes, m.topology)
+    assert topo.n_racks == 1
+    assert all(topo.hops(0, b) == 0 for b in range(16))
 
 
 def test_server_sharding_is_a_partition():
@@ -99,11 +118,8 @@ def test_topology_params_validation():
     with pytest.raises(ValueError):
         TopologyParams(kind="racks", nodes_per_rack=0)
     with pytest.raises(ValueError):
-        TopologyParams(link_model="hypercube")
-    with pytest.raises(ValueError):
-        MachineParams(n_nodes=4).with_plane(servers=5)  # more servers than nodes
-    with pytest.raises(ValueError):
-        MachineParams(n_nodes=8).with_plane(burst_buffers=True)  # needs racks
+        # more servers than nodes
+        MachineParams(n_nodes=4, plane=StoragePlaneParams(servers=5))
 
 
 def test_hierarchical_preset_shape():
@@ -113,9 +129,3 @@ def test_hierarchical_preset_shape():
     assert m.plane.servers == 8  # isqrt(1024) // 4
     small = MachineParams.hierarchical(8)
     assert small.plane.servers == 1
-
-    for name in MachineParams.TOPOLOGY_PRESETS:
-        built = MachineParams.preset(name, 64)
-        assert built.n_nodes == 64
-    with pytest.raises(ValueError):
-        MachineParams.preset("nope", 64)
