@@ -2,7 +2,8 @@
 """Writing your own application against the CHK-LIB API.
 
 A miniature parallel histogram equalisation: every rank owns a shard of
-data, computes local histograms, allreduces them, then remaps its shard.
+data, sums the local histograms on every rank (reduce, then broadcast),
+then remaps its shard.
 Demonstrates the full SPMD contract:
 
 * all state (including the RNG) in one dict, resumable at ``iter``;
@@ -19,7 +20,7 @@ from repro.apps.base import Application
 from repro.chklib import CheckpointRuntime, CoordinatedScheme, FaultModel
 from repro.core.rng import derive_seed
 from repro.machine import MachineParams
-from repro.net.collectives import allreduce
+from repro.net.collectives import bcast, reduce
 
 
 class ParallelHistogram(Application):
@@ -45,7 +46,8 @@ class ParallelHistogram(Application):
         while state["iter"] < self.iters:
             data = state["data"]
             local, edges = np.histogram(data, bins=self.bins, range=(-4, 4))
-            total = yield from allreduce(ctx.comm, local, np.add)
+            partial = yield from reduce(ctx.comm, local, np.add)
+            total = yield from bcast(ctx.comm, partial)
             # push samples toward under-populated bins (toy equalisation)
             weights = 1.0 / (1.0 + total)
             centres = (edges[:-1] + edges[1:]) / 2
@@ -55,7 +57,8 @@ class ParallelHistogram(Application):
             state["iter"] += 1
             yield from ctx.checkpoint_point()
         final = np.histogram(state["data"], bins=self.bins, range=(-4, 4))[0]
-        grand = yield from allreduce(ctx.comm, final, np.add)
+        partial = yield from reduce(ctx.comm, final, np.add)
+        grand = yield from bcast(ctx.comm, partial)
         if ctx.rank == 0:
             return {"spread": float(grand.std()), "total": int(grand.sum())}
         return None

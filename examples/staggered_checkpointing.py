@@ -51,7 +51,7 @@ def main() -> None:
         )
         report = rt.run()
         per_ckpt = (report.sim_time - baseline.sim_time) / rounds
-        peak = rt.storage.server.peak_concurrency
+        peak = rt.storage.servers[0].server.peak_concurrency
         print(
             f"{name:<12} {per_ckpt:>12.2f} s {report.blocked_time:>11.2f} "
             f"{peak:>13}"

@@ -16,7 +16,6 @@ _LAZY = {
     "RetryPolicy": "runtime",
     "RunReport": "report",
     "RecoveryEvent": "report",
-    "DurableLine": "resume",
     "stable_write": "retry",
     "stable_read": "retry",
     "Scheme": "schemes",

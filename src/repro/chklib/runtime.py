@@ -18,16 +18,10 @@ original results exactly.
 
 from __future__ import annotations
 
-import os
-from typing import Any, Dict, Generator, List, Optional, Tuple, Union
+from typing import Any, Dict, Generator, List, Optional
 
 from ..core.engine import Engine
-from ..core.errors import (
-    Interrupt,
-    ResumeError,
-    SimulationError,
-    StorageFault,
-)
+from ..core.errors import Interrupt, SimulationError, StorageFault
 from ..core.events import Event
 from ..core.process import Process
 from ..core.rng import RngStreams
@@ -41,7 +35,7 @@ from ..net.transport import Transport
 from ..fault.model import CrashEvent
 from .recovery import CutPoint
 from .report import RecoveryEvent, RunReport
-from .resume import DurableLine, capture_fields, resume_components, resume_fields
+from .retry import stable_read
 from .schemes.base import NoCheckpointing, Scheme
 from .storage_mgr import CheckpointRecord, CheckpointStore
 
@@ -52,7 +46,6 @@ __all__ = [
     "RecoveryEvent",
     "FaultModel",
     "RetryPolicy",
-    "DurableLine",
 ]
 
 
@@ -86,52 +79,6 @@ class Ctx:
 class CheckpointRuntime:
     """One application run on one machine under one checkpointing scheme."""
 
-    #: Capture manifest: attributes serialised verbatim into a durable
-    #: line. The first four are constructor inputs — :meth:`restart_from`
-    #: feeds them back into ``__init__``, so :meth:`_apply_resume` skips
-    #: them (:attr:`_CTOR_FIELDS`).
-    RESUME_FIELDS = (
-        "app",
-        "scheme",
-        "machine_params",
-        "fault_model",
-        "store",
-        "generation",
-        "recoveries",
-    )
-    _CTOR_FIELDS = ("app", "scheme", "machine_params", "fault_model")
-    #: Sub-objects captured through their own ``export_state()`` or their
-    #: class's RESUME_FIELDS manifest (see :meth:`_export_component`).
-    RESUME_COMPONENTS = (
-        "tracer",
-        "rngs",
-        "injector",
-        "transport",
-        "storage",
-        "agents",
-    )
-    #: Rebuilt from scratch by ``__init__`` on every (re)start; never
-    #: captured. An attribute in none of the three manifests makes
-    #: :meth:`export_line` raise (:func:`~repro.chklib.resume.capture_fields`).
-    VOLATILE_FIELDS = (
-        "engine",
-        "cluster",
-        "n_ranks",
-        "seed",
-        "comms",
-        "durable_line",
-        "halted",
-        "keeps_bytes",
-        "_gen_procs",
-        "_finished",
-        "_done",
-        "_result",
-        "_ran",
-        "_resumed_at",
-        "trace",
-        "audit_report",
-    )
-
     def __init__(
         self,
         app: Any,
@@ -140,17 +87,10 @@ class CheckpointRuntime:
         seed: int = 0,
         fault_model: Optional[FaultModel] = None,
         trace: bool = True,
-        _resume: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.app = app
-        # a resumed run's clock starts where the halted run's stopped
-        self.engine = Engine(
-            start_time=float(_resume["meta"]["halted_at"]) if _resume else 0.0
-        )
-        # trace=True subscribes the recording sink (at the end, once a
-        # resume has restored the history it is shown first)
+        self.engine = Engine()
         self.tracer = Tracer(self.engine)
-        self.trace = bool(trace)
         self.machine_params = machine or MachineParams.xplorer8()
         self.cluster = Cluster(self.engine, self.machine_params, tracer=self.tracer)
         self.n_ranks = self.cluster.n_nodes
@@ -190,21 +130,14 @@ class CheckpointRuntime:
         self._done: Event = self.engine.event()
         self._result: Any = None
         self._ran = False
-        #: set by a ``halt_at`` run: the captured image of this run.
-        self.durable_line: Optional[DurableLine] = None
-        self.halted = False
         #: do checkpoints hold their image and message payloads on the host,
         #: or only the sizes? Decided once by :meth:`run`, from whether
         #: anything can ever read them back (``SchemeAgent.capture`` /
         #: ``retain`` are the only readers).
         self.keeps_bytes = True
-        #: simulated time this runtime resumed from (None = a fresh run).
-        self._resumed_at: Optional[float] = None
         #: the live trace audit's ``TraceReport``, once an audited
         #: :meth:`run` finished (``verify.trace_check.check_runtime``).
         self.audit_report: Any = None
-        if _resume is not None:
-            self._apply_resume(_resume)
         if trace:
             self.tracer.record()
 
@@ -221,205 +154,31 @@ class CheckpointRuntime:
             return self.fault_model.retry
         return RetryPolicy()
 
-    def run(self, halt_at: Optional[float] = None) -> RunReport:
-        """Execute to completion (including any scheduled crashes).
-
-        With *halt_at*, the run stops at that simulated time instead and
-        captures a :class:`DurableLine` into :attr:`durable_line` — the
-        on-disk image :meth:`restart_from` continues from. The capture is
-        synchronous and happens at the same structural point a crash would
-        (the interrupt driver), so a restarted run is bit-for-bit the run
-        that crashed there and recovered in-process.
-        """
+    def run(self) -> RunReport:
+        """Execute to completion (including any scheduled crashes)."""
         if self._ran:
             raise RuntimeError("a CheckpointRuntime instance runs only once")
         self._ran = True
-        # Only a crash, a halt or the recovery a resume starts with ever
-        # restores an image or replays a recorded message; without any of
-        # the three, every simulated statistic needs sizes alone.
-        self.keeps_bytes = (
-            self.fault_model is not None
-            or halt_at is not None
-            or self._resumed_at is not None
-        )
-        if halt_at is not None:
-            halt_at = float(halt_at)
-            if halt_at <= self.engine.now:
-                raise ResumeError(
-                    f"halt_at={halt_at} is not in this run's future "
-                    f"(now={self.engine.now})"
-                )
-            if self.scheme.klass == "none":
-                raise ResumeError(
-                    "cannot capture a durable recovery line without a "
-                    "checkpointing scheme (nothing to restart from)"
-                )
+        # Only a crash ever restores an image or replays a recorded
+        # message; without one, every simulated statistic needs sizes alone.
+        self.keeps_bytes = self.fault_model is not None
         self.scheme.install(self)
-        # a durable line carries the stream so far, for the resumed run's
-        # audit; --verify / verified() audits every event as it is emitted
+        # --verify / verified() audits every event as it is emitted
         from ..verify import trace_check
 
-        if halt_at is not None:
-            self.tracer.record()
         audit = None
         if trace_check.runtime_verification_enabled():
             audit = trace_check.Audit(self.tracer, trace_check.meta_for_runtime(self))
-        items = self._interrupt_schedule(halt_at)
-        if self._resumed_at is not None:
-            # restart IS a recovery: roll every rank back to the captured
-            # recovery line, then keep serving the remaining interrupts.
-            self.engine.process(self._resume_driver(items), name="resume-driver")
-        else:
-            if items:
-                self.engine.process(
-                    self._interrupt_driver(items), name="fault-injector"
-                )
-            self._start_generation({r: None for r in range(self.n_ranks)})
+        crashes = self._interrupt_schedule()
+        if crashes:
+            self.engine.process(self._interrupt_driver(crashes), name="fault-injector")
+        self._start_generation({r: None for r in range(self.n_ranks)})
         self.engine.run(until=self._done)
         report = self._report()
-        # A halted run's stream legitimately ends mid-protocol: open rounds
-        # finish in the resumed run, whose audit sees the whole history.
-        if audit is not None and not self.halted:
+        if audit is not None:
             self.audit_report = audit.report()
             self.audit_report.raise_if_violated()
         return report
-
-    # -- durable recovery lines ------------------------------------------------
-
-    @classmethod
-    def restart_from(
-        cls,
-        line: Union[DurableLine, str, "os.PathLike[str]"],
-        app: Any = None,
-        machine: Optional[MachineParams] = None,
-        trace: Optional[bool] = None,
-    ) -> "CheckpointRuntime":
-        """A fresh runtime continuing a halted run from its durable line.
-
-        *line* is a :class:`DurableLine` or a path to one on disk. The
-        pickled application/machine are used unless overridden (an
-        override must describe the same run — mismatches raise
-        :class:`ResumeError`). Call :meth:`run` on the result to continue;
-        the continuation is bitwise-identical to an in-process recovery at
-        the halt time.
-        """
-        if not isinstance(line, DurableLine):
-            line = DurableLine.load(line)
-        payload = line.payload()
-        meta = payload["meta"]
-        return cls(
-            app if app is not None else payload["app"],
-            scheme=payload["scheme"],
-            machine=machine if machine is not None else payload["machine_params"],
-            seed=int(meta["seed"]),
-            fault_model=payload["fault_model"],
-            trace=bool(meta["trace"]) if trace is None else trace,
-            _resume=payload,
-        )
-
-    def export_line(self) -> DurableLine:
-        """Serialise this run's recoverable state as a durable line.
-
-        Captures only *stable* state: the checkpoint store, the scheme's
-        persistent protocol fields, RNG stream positions, the trace and the
-        accounting counters. Volatile per-rank protocol state (in-flight
-        rounds, mailboxes, volatile logs) is deliberately absent — recovery
-        wipes it in-process too, so the restart reconstructs exactly what a
-        crash survivor would see.
-        """
-        if not self.keeps_bytes:
-            raise ResumeError(
-                "cannot export a durable line: this run kept checkpoint "
-                "sizes, not bytes (no fault model, no halt_at, not resumed "
-                "— nothing could restore from it)"
-            )
-        meta = {
-            "app": getattr(self.app, "name", type(self.app).__name__),
-            "scheme": self.scheme.name,
-            "klass": self.scheme.klass,
-            "n_ranks": self.n_ranks,
-            "seed": self.seed,
-            "halted_at": self.engine.now,
-            "trace": self.trace,
-            # side-effect-free summary for inspection/tooling (recovery
-            # itself re-derives the line via scheme.recovery_line()).
-            "committed_indices": {
-                r: max(
-                    (
-                        rec.index
-                        for rec in self.store.chain(r)
-                        if rec.committed and not rec.quarantined
-                    ),
-                    default=0,
-                )
-                for r in range(self.n_ranks)
-            },
-        }
-        # the payload layout IS the manifests: plain fields verbatim,
-        # components through _export_component. capture_fields refuses
-        # an object holding an attribute no manifest lists.
-        payload: Dict[str, Any] = {"meta": meta, **capture_fields(self)}
-        for name in resume_components(type(self)):
-            payload[name] = self._export_component(name)
-        return DurableLine.from_payload(payload)
-
-    def _export_component(self, name: str) -> Any:
-        """One RESUME_COMPONENTS entry's captured form: ``export_state()``
-        when the object has one, otherwise :func:`capture_fields` of the
-        object (a list thereof for the per-rank agents). The storage
-        plane's ``export_state`` takes :func:`capture_fields` for itself
-        and its tiers."""
-        obj = getattr(self, name)
-        if obj is None:
-            return None
-        if name == "agents":
-            return [capture_fields(a) for a in obj]
-        if name == "storage":
-            return obj.export_state(capture_fields)
-        if hasattr(obj, "export_state"):
-            return obj.export_state()
-        return capture_fields(obj)
-
-    def _restore_component(self, name: str, saved: Any) -> None:
-        """Mirror of :meth:`_export_component` for :meth:`_apply_resume`."""
-        obj = getattr(self, name)
-        if obj is None or saved is None:
-            return
-        if name == "agents":
-            for agent, fields in zip(obj, saved):
-                for f, v in fields.items():
-                    setattr(agent, f, v)
-            return
-        if hasattr(obj, "restore_state"):
-            obj.restore_state(saved)
-            return
-        for f, v in saved.items():
-            setattr(obj, f, v)
-
-    def _apply_resume(self, payload: Dict[str, Any]) -> None:
-        """Load a durable line's payload into this (freshly built) runtime."""
-        meta = payload["meta"]
-        app_name = getattr(self.app, "name", type(self.app).__name__)
-        mismatches = []
-        if int(meta["n_ranks"]) != self.n_ranks:
-            mismatches.append(f"n_ranks {meta['n_ranks']} != {self.n_ranks}")
-        if int(meta["seed"]) != self.seed:
-            mismatches.append(f"seed {meta['seed']} != {self.seed}")
-        if str(meta["app"]) != app_name:
-            mismatches.append(f"app {meta['app']!r} != {app_name!r}")
-        if str(meta["scheme"]) != self.scheme.name:
-            mismatches.append(f"scheme {meta['scheme']!r} != {self.scheme.name!r}")
-        if mismatches:
-            raise ResumeError(
-                "durable line does not match this run: " + "; ".join(mismatches)
-            )
-        for name in resume_fields(type(self)):
-            if name in self._CTOR_FIELDS:
-                continue  # restart_from already fed these into __init__
-            setattr(self, name, payload[name])
-        for name in resume_components(type(self)):
-            self._restore_component(name, payload[name])
-        self._resumed_at = float(meta["halted_at"])
 
     def spawn(self, generator, name: str = "") -> Process:
         """Start a generation-scoped helper process (killed on crash)."""
@@ -460,85 +219,45 @@ class CheckpointRuntime:
             self._done.succeed()
         return result
 
-    # -- failure injection, halting & recovery ---------------------------------------
+    # -- failure injection & recovery -----------------------------------------------
 
-    def _interrupt_schedule(
-        self, halt_at: Optional[float]
-    ) -> List[Tuple[float, Optional[CrashEvent]]]:
-        """The merged, time-ordered interrupt plan: scheduled crashes plus
-        (optionally) the halt, which is modelled as one more interrupt.
-        Crashes already injected before a resume point — and crashes the
-        halt preempts — are excluded."""
-        items: List[Tuple[float, Optional[CrashEvent]]] = []
-        if self.fault_model is not None:
-            for ev in self.fault_model.crash_events(self.n_ranks):
-                if self._resumed_at is not None and ev.time <= self._resumed_at:
-                    continue  # fired before the halt we resumed from
-                if halt_at is not None and ev.time >= halt_at:
-                    continue  # this run stops before the crash
-                items.append((ev.time, ev))
-        if halt_at is not None:
-            items.append((halt_at, None))
-        return sorted(items, key=lambda item: item[0])
+    def _interrupt_schedule(self) -> List[CrashEvent]:
+        """The fault model's crashes, in time order."""
+        if self.fault_model is None:
+            return []
+        return sorted(
+            self.fault_model.crash_events(self.n_ranks), key=lambda ev: ev.time
+        )
 
-    def _interrupt_driver(self, items):
-        """One process serving the interrupt plan in order: a crash entry
-        runs rollback + re-execution in place; the halt entry (None)
-        captures the durable line and ends the run."""
+    def _interrupt_driver(self, crashes: List[CrashEvent]):
+        """One process serving the crashes in order, each running rollback
+        + re-execution in place."""
         engine = self.engine
-        for at, ev in items:
-            if at > engine.now:
-                yield engine.delay(at - engine.now)
+        for ev in crashes:
+            if ev.time > engine.now:
+                yield engine.delay(ev.time - engine.now)
             if self.finished:
-                return
-            if ev is None:
-                self._capture_halt()
                 return
             yield from self._recover(
                 failed_ranks=ev.ranks, disks_lost=ev.disks_lost
             )
 
-    def _resume_driver(self, items):
-        """First slice of a restarted run: recover to the captured line
-        (exactly what an in-process crash at the halt time would do), then
-        take over the remaining interrupt plan."""
-        yield from self._recover(failed_ranks=None)
-        yield from self._interrupt_driver(items)
-
-    def _capture_halt(self) -> None:
-        """Synchronously freeze the run into a durable line. The capture
-        happens *before* the halt event is traced, so the image holds
-        exactly the state an in-process crash survivor would observe."""
-        self.durable_line = self.export_line()
-        self.halted = True
-        self.tracer.event("resume.halt", at=self.engine.now)
-        if not self._done.triggered:
-            self._done.succeed()
-
-    def _restore_reader(self, rank, rec, source, failures, stats):
+    def _restore_reader(self, rank, rec, source, failures):
         """Read one rank's restore bytes, retrying transient faults; on an
         exhausted retry budget the record lands in *failures* (the recovery
         loop quarantines it and falls back) instead of raising — a reader
         death inside ``all_of`` would take down recovery itself."""
-        nbytes = self.store.restore_read_bytes(rank, rec.index)
-        retry = self.retry_policy
-        attempt = 0
-        while True:
-            try:
-                yield from source.read(
-                    self.cluster.node(rank), nbytes, tag=f"restore:r{rank}"
-                )
-                return
-            except StorageFault:
-                if attempt >= retry.max_retries:
-                    failures[rank] = rec
-                    return
-                stats["restore_retries"] += 1
-                self.tracer.add("storage.read_retries")
-                delay = retry.delay(attempt)
-                attempt += 1
-                if delay > 0:
-                    yield self.engine.delay(delay)
+        try:
+            yield from stable_read(
+                source,
+                self.cluster.node(rank),
+                self.store.restore_read_bytes(rank, rec.index),
+                tag=f"restore:r{rank}",
+                retry=self.retry_policy,
+                tracer=self.tracer,
+            )
+        except StorageFault:
+            failures[rank] = rec
 
     def _check_line(self, line) -> None:
         """No rank may resume from a checkpoint that is not committed,
@@ -552,14 +271,10 @@ class CheckpointRuntime:
                     f"for rank {rank}"
                 )
 
-    def _recover(self, failed_ranks=None, disks_lost=()):
+    def _recover(self, failed_ranks, disks_lost=()):
         engine = self.engine
         t_crash = engine.now
-        failed = tuple(
-            sorted(failed_ranks)
-            if failed_ranks is not None
-            else range(self.n_ranks)
-        )
+        failed = tuple(sorted(failed_ranks))
         disks_lost = tuple(sorted(disks_lost))
         self.tracer.add("fault.crashes")
         if len(failed) < self.n_ranks:
@@ -610,7 +325,8 @@ class CheckpointRuntime:
         # 4. self-healing restore: pick a line, read it back (retrying
         #    transient faults); if a record stays unreadable, quarantine it
         #    and fall back to the newest older line — degrade, never die.
-        stats = {"restore_retries": 0}
+        # the machine is quiescent: every read retry is a restore's
+        retries_before = self.tracer.get("storage.read_retries")
         while True:
             line = self.scheme.recovery_line(self)
             self._check_line(line)
@@ -630,7 +346,7 @@ class CheckpointRuntime:
                 )
                 readers.append(
                     engine.process(
-                        self._restore_reader(rank, rec, source, failures, stats),
+                        self._restore_reader(rank, rec, source, failures),
                         name=f"restore:r{rank}",
                     )
                 )
@@ -724,7 +440,9 @@ class CheckpointRuntime:
             failed_ranks=failed,
             disks_lost=disks_lost,
             quarantined=quarantined,
-            restore_retries=stats["restore_retries"],
+            restore_retries=int(
+                self.tracer.get("storage.read_retries") - retries_before
+            ),
             line_consistent=line_ok,
         )
         self.recoveries.append(event)

@@ -51,24 +51,6 @@ CAPTURE_MODES = ("blocking", "memcopy", "cow")
 class SchemeAgent(CommAgent):
     """Per-rank checkpointing agent wired into the communication path."""
 
-    #: Capture manifest (see :mod:`repro.chklib.resume`): the cumulative
-    #: per-rank facts a durable line carries across a halt/restart.
-    RESUME_FIELDS = ("epoch", "blocked_time")
-    #: Rebuilt by ``__init__``/``bind``/``bind_state`` on every restart —
-    #: in-flight protocol state is wiped by recovery in-process too.
-    VOLATILE_FIELDS = (
-        "scheme",
-        "runtime",
-        "rank",
-        "node",
-        "comm",
-        "state_ref",
-        "pending_cut",
-        "finished",
-        "inc",
-        "writing",
-    )
-
     def __init__(
         self, scheme: "Scheme", runtime: "CheckpointRuntime", rank: int
     ) -> None:
@@ -296,13 +278,6 @@ class Scheme:
     write_tag = "ckpt"
     writer_name = "ckpt-writer"
 
-    #: A scheme is pickled whole into the durable line, so it declares
-    #: no field list: VOLATILE_FIELDS names the engine-bound attributes
-    #: the generic ``__getstate__`` below nulls and ``install()``
-    #: rebuilds. One missing makes the pickling fail with a ResumeError
-    #: naming it.
-    VOLATILE_FIELDS: tuple = ()
-
     #: The family's own trace checkers (:class:`~repro.core.tracing.Checker`
     #: subclasses, defined in the family's module), run by the audit of
     #: every run of the family beside the family-independent battery of
@@ -333,17 +308,6 @@ class Scheme:
         """The cut blocks only for an in-memory capture and a checkpointer
         thread streams the image to stable storage."""
         return self.capture != "blocking"
-
-    def __getstate__(self) -> Dict[str, Any]:
-        """Pickle with every VOLATILE_FIELDS entry (unioned over the MRO)
-        nulled — engine-bound handles never enter a durable line."""
-        from ..resume import volatile_fields
-
-        state = dict(self.__dict__)
-        for name in volatile_fields(type(self)):
-            if name in state:
-                state[name] = None
-        return state
 
     def make_agent(self, runtime: "CheckpointRuntime", rank: int) -> SchemeAgent:
         return SchemeAgent(self, runtime, rank)

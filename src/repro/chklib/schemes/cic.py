@@ -49,10 +49,6 @@ __all__ = ["CICScheme", "CICAgent", "CicIndexRule"]
 class CICAgent(IndependentAgent):
     """Rank-local CIC state on top of the independent agent."""
 
-    #: Genuine protocol state: a halted run must restart with its index
-    #: obligation and send-tracking intact to continue bitwise.
-    RESUME_FIELDS = ("forced_index", "sent_since_cut")
-
     def __init__(self, scheme: "CICScheme", runtime, rank: int) -> None:
         super().__init__(scheme, runtime, rank)
         #: index a received message obliges us to reach at the next cut

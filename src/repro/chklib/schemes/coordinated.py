@@ -97,16 +97,6 @@ class _Round(WriteJob):
 class CoordinatedAgent(SchemeAgent):
     """Rank-local mechanics of the coordinated protocol."""
 
-    #: In-flight round state — wiped by every recovery/restart, so none of
-    #: it belongs in a durable line (see SchemeAgent.RESUME_FIELDS for
-    #: what does travel).
-    VOLATILE_FIELDS = (
-        "round",
-        "early_markers",
-        "early_tokens",
-        "aborted_rounds",
-    )
-
     def __init__(self, scheme: "CoordinatedScheme", runtime, rank: int) -> None:
         super().__init__(scheme, runtime, rank)
         self.round: Optional[_Round] = None
@@ -272,12 +262,6 @@ class CoordinatedScheme(Scheme):
 
     klass = "coordinated"
 
-    #: Everything but the engine-bound staggering state travels in the
-    #: pickled scheme: ``_acks``/``_aborted`` must survive a halt so
-    #: ``on_crash`` and the coordinator's bookkeeping resume
-    #: bitwise-identically.
-    VOLATILE_FIELDS = ("_write_slot", "_ring_next", "_ring_leader")
-
     CHECKERS = (CoordinatedTwoPhase, StaggeredWriteMutex)
 
     def __init__(
@@ -312,9 +296,6 @@ class CoordinatedScheme(Scheme):
             raise ValueError(f"unknown marker scope {marker_scope!r}")
         self.marker_scope = marker_scope
         self._next_n = 1
-        #: initiations already fired — a resumed initiator skips this many
-        #: times instead of re-requesting pre-halt rounds.
-        self._initiated = 0
         self._acks: Dict[int, Set[int]] = {}
         #: rounds the coordinator has cancelled (stale acks are ignored).
         self._aborted: Set[int] = set()
@@ -424,20 +405,15 @@ class CoordinatedScheme(Scheme):
                     return sorted({int(p) for p in peers} - {rank})
         return [r for r in range(rt.n_ranks) if r != rank]
 
-    # pickling: the generic Scheme.__getstate__ nulls VOLATILE_FIELDS —
-    # the staggering write slot holds an engine reference; install()
-    # recreates it in the restarted runtime.
-
     def _initiator(self, runtime: "CheckpointRuntime"):
         """Coordinator-side: kick off a global checkpoint at each of
-        ``times`` (skips those a resumed run already fired)."""
+        ``times``."""
         engine = runtime.engine
-        for t in self.times[self._initiated:]:
+        for t in self.times:
             if t > engine.now:
                 yield engine.delay(t - engine.now)
             if runtime.finished:
                 return
-            self._initiated += 1
             self._initiate(runtime)
 
     def _initiate(self, runtime: "CheckpointRuntime") -> None:

@@ -44,10 +44,6 @@ __all__ = ["IndependentScheme", "IndependentAgent"]
 class IndependentAgent(SchemeAgent):
     """Rank-local state: the volatile sender log."""
 
-    #: Wiped by recovery/restart (the volatile sender log is exactly the
-    #: state an independent-checkpointing crash loses).
-    VOLATILE_FIELDS = ("volatile_log",)
-
     def __init__(self, scheme: "IndependentScheme", runtime, rank: int) -> None:
         super().__init__(scheme, runtime, rank)
         self.volatile_log: List[Message] = []
@@ -80,13 +76,6 @@ class IndependentScheme(Scheme):
             full_every=full_every,
             two_level=two_level,
         )
-        #: per-rank resume bookkeeping: shots fired, shots whose skew was
-        #: drawn, and the drawn-but-unfired fire time carried across a halt
-        #: (the restored RNG stream is already past the draw, so a resumed
-        #: timer must not draw it again).
-        self._fired: Dict[int, int] = {}
-        self._drawn: Dict[int, int] = {}
-        self._pending_fire: Dict[int, float] = {}
         #: amplitude (seconds) of the deterministic per-rank timer skew.
         #: Real independent timers drift apart but start aligned; partial
         #: overlap of the background writes is part of the measured effect.
@@ -122,27 +111,16 @@ class IndependentScheme(Scheme):
 
     def _timer(self, runtime: "CheckpointRuntime", rank: int):
         """Local checkpoint timer: fires at each of ``times`` plus a
-        deterministic per-(rank, shot) skew. A resumed timer skips the
-        shots fired before the halt — and does not redraw skews the
-        restored RNG stream has already consumed."""
+        deterministic per-(rank, shot) skew."""
         engine = runtime.engine
         rng = runtime.rngs.get(f"indep.skew.r{rank}")
         agent = runtime.agents[rank]
-        for shot in range(self._fired.get(rank, 0), len(self.times)):
-            if shot < self._drawn.get(rank, 0):
-                # skew drawn but the shot had not fired when the run halted
-                fire_at = self._pending_fire[rank]
-            else:
-                fire_at = self.times[shot] + (
-                    float(rng.uniform(-1.0, 1.0)) * self.skew
-                )
-                self._drawn[rank] = shot + 1
-                self._pending_fire[rank] = fire_at
+        for t in self.times:
+            fire_at = t + float(rng.uniform(-1.0, 1.0)) * self.skew
             if fire_at > engine.now:
                 yield engine.delay(fire_at - engine.now)
             if runtime.finished:
                 return
-            self._fired[rank] = shot + 1
             agent.set_pending((agent.pending_cut or agent.epoch) + 1)
             runtime.tracer.add("chk.initiations")
 

@@ -60,8 +60,7 @@ class Snapshot:
         if self._blob is None:
             raise SizeOnlyError(
                 f"{self!r} kept its size, not its bytes: the run that took "
-                f"it had no fault model, no halt_at and was not resumed, so "
-                f"nothing could ever restore it"
+                f"it had no fault model, so nothing could ever restore it"
             )
         return self._blob
 

@@ -15,7 +15,6 @@ __all__ = [
     "NegativeDelay",
     "StopProcess",
     "StorageFault",
-    "ResumeError",
     "SizeOnlyError",
     "EventAlreadyTriggered",
     "InvariantViolation",
@@ -100,25 +99,14 @@ class StorageFault(SimulationError):
         self.partial_bytes = partial_bytes
 
 
-class ResumeError(SimulationError):
-    """A durable recovery line could not be loaded or applied.
-
-    Raised when restarting from a serialised line fails: the file is
-    missing, torn, or corrupted (framing/CRC validation), the payload does
-    not unpickle, or the line belongs to a different run configuration
-    (rank count, seed, scheme or application mismatch). Also raised when a
-    run is asked to halt in a configuration that cannot produce a durable
-    line (no checkpointing scheme installed)."""
-
-
 class SizeOnlyError(SimulationError):
     """Bytes were asked of a checkpoint image or recorded message that
     kept only its size.
 
-    A run nothing can ever restore (no fault model, no ``halt_at``, not
-    resumed) holds ``nbytes`` and a CRC per image and ``size`` per logged
-    message, never the bytes; restoring or replaying one is a bug in the
-    caller, not a recoverable condition."""
+    A run nothing can ever restore (no fault model) holds ``nbytes`` and
+    a CRC per image and ``size`` per logged message, never the bytes;
+    restoring or replaying one is a bug in the caller, not a recoverable
+    condition."""
 
 
 class EventAlreadyTriggered(SimulationError):

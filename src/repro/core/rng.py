@@ -47,22 +47,5 @@ class RngStreams:
         self._streams[name] = gen
         return gen
 
-    # -- durable-line support --------------------------------------------------
-
-    def export_state(self) -> Dict[str, dict]:
-        """Exact positions of every materialised stream (for durable lines)."""
-        return {
-            name: gen.bit_generator.state for name, gen in self._streams.items()
-        }
-
-    def restore_state(self, states: Dict[str, dict]) -> None:
-        """Re-position streams exactly where :meth:`export_state` left them.
-
-        Streams are (re)created on demand, so a restored run's first draw
-        from any stream continues the original sequence bit-for-bit.
-        """
-        for name, state in states.items():
-            self.get(name).bit_generator.state = state
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<RngStreams seed={self.master_seed} streams={len(self._streams)}>"

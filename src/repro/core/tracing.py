@@ -9,7 +9,7 @@ itself. With no sink, ``enabled`` is False and an event builds no
 :class:`TraceEvent` at all. A run's sinks are the checker battery of the
 live trace audit (:class:`repro.verify.trace_check.Audit`) and the
 recording sink (:meth:`Tracer.record`), which keeps ``events`` for tests,
-the explorer, the timeline renderer and a halt's durable line. An
+the explorer and the timeline renderer. An
 interval (a cut's blocked window, an image's stable write) is the pair of
 events that opens and closes it, so every sink sees it.
 
@@ -76,8 +76,6 @@ EVENT_KINDS = frozenset(
         # checkpoint garbage collection
         "gc.run",
         "gc.discard",
-        # durable halt/resume
-        "resume.halt",
     }
 )
 
@@ -198,9 +196,6 @@ class Tracer:
         #: is the recording sink subscribed (:meth:`record`)?
         self.recording = False
         self.events: List[TraceEvent] = []
-        #: the stream before this run: events restored from a durable line,
-        #: shown to every sink when it subscribes.
-        self.history: List[TraceEvent] = []
         #: the index the next event gets in the run's stream.
         self.emitted = 0
         self._sinks: Dict[str, List[Sink]] = {}
@@ -219,9 +214,9 @@ class Tracer:
 
     def subscribe(self, kinds: Tuple[str, ...], sink: Sink) -> None:
         """Show *sink* every event whose kind is in *kinds* (``"*"``: every
-        event) — first the restored :attr:`history`, then each new one.
-        A ``"*"`` sink is folded into every kind's entry, present and
-        future, so dispatch is one table lookup per event."""
+        event), from now on. A ``"*"`` sink is folded into every kind's
+        entry, present and future, so dispatch is one table lookup per
+        event."""
         if "*" in kinds:
             self._everyone.append(sink)
             for sinks in self._sinks.values():
@@ -230,9 +225,6 @@ class Tracer:
             for kind in kinds:
                 self._sinks.setdefault(kind, list(self._everyone)).append(sink)
         self.enabled = True
-        for index, ev in enumerate(self.history):
-            if "*" in kinds or ev.kind in kinds:
-                sink(index, ev)
 
     def event(self, kind: str, **fields: object) -> None:
         """Emit a structured protocol event at the current time."""
@@ -248,7 +240,7 @@ class Tracer:
 
     def record(self) -> "Tracer":
         """Subscribe the recording sink: from now on :attr:`events` holds
-        the whole stream (history included)."""
+        the whole stream."""
         if not self.recording:
             self.recording = True
             self.subscribe(("*",), lambda _index, ev: self.events.append(ev))
@@ -257,23 +249,3 @@ class Tracer:
     def events_named(self, kind: str) -> List[TraceEvent]:
         """The recorded events of *kind*, oldest first."""
         return [ev for ev in self.events if ev.kind == kind]
-
-    # -- durable-line support --------------------------------------------------
-
-    def export_state(self) -> dict:
-        """Serialisable snapshot: the counters and the recorded events."""
-        return {
-            "counters": dict(self.counters),
-            "events": [(ev.time, ev.kind, dict(ev.fields)) for ev in self.events],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Load a snapshot from :meth:`export_state` into a tracer nothing
-        has subscribed to yet: the events become the :attr:`history` each
-        sink is shown first, and the next event continues their indices."""
-        self.counters = dict(state.get("counters", {}))
-        self.history = [
-            TraceEvent(t, kind, dict(fields))
-            for t, kind, fields in state.get("events", ())
-        ]
-        self.emitted = len(self.history)

@@ -87,20 +87,6 @@ class StorageFaultInjector:
             corrupt = float(self._rng.random()) < self.spec.corrupt_p
         return corrupt
 
-    # -- durable-line support --------------------------------------------------
-
-    _COUNTERS = ("write_attempts", "read_attempts")
-
-    def export_state(self) -> dict:
-        """Counter snapshot for durable lines (the RNG stream position is
-        exported separately, at the :class:`~repro.core.rng.RngStreams`
-        level, together with every other substream)."""
-        return {name: getattr(self, name) for name in self._COUNTERS}
-
-    def restore_state(self, state: dict) -> None:
-        for name in self._COUNTERS:
-            setattr(self, name, int(state[name]))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"<StorageFaultInjector writes={self.write_attempts} "

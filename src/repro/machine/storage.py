@@ -37,13 +37,6 @@ __all__ = ["StableStorage"]
 class StableStorage:
     """Shared stable-storage server with per-request latency and PS service."""
 
-    #: Capture manifest (see :mod:`repro.chklib.resume`): a tier holds no
-    #: durable state of its own (its counts live in the tracer's
-    #: ``storage.*`` counters); the server/engine handles and the fault
-    #: oracle are rebuilt by the restarted runtime.
-    RESUME_FIELDS = ()
-    VOLATILE_FIELDS = ("engine", "params", "tracer", "server", "fault_injector")
-
     def __init__(
         self,
         engine: "Engine",

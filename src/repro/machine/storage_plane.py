@@ -13,7 +13,7 @@ to and restored from (contiguous block sharding, ``r * S // N``).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, Generator, List, Optional
+from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
 from ..core.events import Event
 from .params import MachineParams
@@ -30,26 +30,7 @@ __all__ = ["StoragePlane"]
 
 
 class StoragePlane:
-    """S shard servers.
-
-    Capture manifest (see :mod:`repro.chklib.resume`): the plane and its
-    servers hold no durable state (every count is a tracer counter), but
-    :meth:`export_state` still captures each of them through the checked
-    field capture, so an attribute no manifest lists fails the line.
-    """
-
-    RESUME_FIELDS = ()
-    VOLATILE_FIELDS = (
-        "engine",
-        "machine_params",
-        "topology",
-        "tracer",
-        "servers",
-        "fault_injector",
-        "n_servers",
-        # derived stream counter; rebuilt at 0 with fresh (empty) servers
-        "_active_streams",
-    )
+    """S shard servers."""
 
     def __init__(
         self,
@@ -97,19 +78,6 @@ class StoragePlane:
         """The shard server holding *rank*'s durable checkpoints."""
         return self.servers[self.server_index(rank)]
 
-    # -- the single-server surface (legacy compatibility) --------------------
-
-    @property
-    def server(self):
-        """The sole server's fluid engine — only meaningful for the flat
-        single-server plane (the paper's machine)."""
-        if self.n_servers != 1:
-            raise ValueError(
-                f"plane has {self.n_servers} servers; address them via "
-                "server_for(rank)/servers[i]"
-            )
-        return self.servers[0].server
-
     def set_fault_injector(self, injector: Optional["StorageFaultInjector"]) -> None:
         """Install (or clear) the fault oracle on every shard server."""
         self.fault_injector = injector
@@ -148,27 +116,6 @@ class StoragePlane:
     ) -> Generator[Event, Any, None]:
         """Stream a restore read back from *node*'s shard server."""
         return self.server_for(node.id).read(node, nbytes, tag)
-
-    # -- durable-line capture -------------------------------------------------
-
-    def export_state(
-        self, capture: Callable[[Any], Dict[str, Any]]
-    ) -> Dict[str, Any]:
-        """The plane's fields and every server's, each through *capture*
-        (the runtime's checked field capture, which this layer cannot
-        import)."""
-        return {**capture(self), "servers": [capture(s) for s in self.servers]}
-
-    def restore_state(self, state: Dict[str, Any]) -> None:
-        """Mirror of :meth:`export_state` (restart path)."""
-        saved = state["servers"]
-        if len(self.servers) != len(saved):
-            raise ValueError(
-                f"storage plane shape changed across the halt: "
-                f"{len(saved)} captured servers vs {len(self.servers)} rebuilt"
-            )
-        for st, snap in zip(self.servers, saved):
-            vars(st).update(snap)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -1,8 +1,8 @@
 """Hierarchical machine topology: racks, uplinks and storage sharding.
 
 A :class:`Topology` is a pure function of :class:`TopologyParams` — it
-owns no simulation state (nothing to capture in a durable line) and is
-rebuilt from the machine parameters on every (re)start. It answers three
+owns no simulation state and is built from the machine parameters. It
+answers three
 questions for the rest of the system:
 
 * *distance*: whether two nodes sit in different racks (one uplink hop)
@@ -31,8 +31,7 @@ __all__ = ["Topology"]
 class Topology:
     """Node → rack layout plus the inter-rack link cost.
 
-    Stateless: everything here is derived from frozen parameters, so a
-    durable line never captures a topology.
+    Stateless: everything here is derived from frozen parameters.
     """
 
     def __init__(self, n_nodes: int, params: TopologyParams | None = None) -> None:

@@ -28,10 +28,7 @@ _LAZY = {
     "barrier": "collectives",
     "bcast": "collectives",
     "reduce": "collectives",
-    "allreduce": "collectives",
     "gather": "collectives",
-    "scatter": "collectives",
-    "alltoall": "collectives",
 }
 
 __all__ = list(_LAZY)

@@ -22,20 +22,16 @@ __all__ = [
     "barrier",
     "bcast",
     "reduce",
-    "allreduce",
     "gather",
-    "scatter",
-    "alltoall",
     "COLL_TAG_BASE",
 ]
 
 #: application tags must stay below this.
 COLL_TAG_BASE = 1 << 20
-#: minimum tags per collective slot (round/peer sub-tags). The effective
-#: stride grows with the communicator so per-peer sub-tags (alltoall's
-#: ``step`` reaches p-1) never overflow a slot at large p: it is the next
-#: power of two >= p, floored at 64 so every communicator with p <= 64
-#: derives the exact tags it always did.
+#: minimum tags per collective slot (round sub-tags). The effective
+#: stride grows with the communicator, room for one sub-tag per peer at
+#: any p: it is the next power of two >= p, floored at 64 so every
+#: communicator with p <= 64 derives the exact tags it always did.
 _SLOT_STRIDE = 64
 
 
@@ -134,15 +130,6 @@ def reduce(
     return acc if comm.rank == root else None
 
 
-def allreduce(
-    comm: Comm, value: Any, op: Callable[[Any, Any], Any]
-) -> Generator[Event, Any, Any]:
-    """Reduce to rank 0, then broadcast the result."""
-    partial = yield from reduce(comm, value, op, root=0)
-    result = yield from bcast(comm, partial, root=0)
-    return result
-
-
 def gather(
     comm: Comm, value: Any, root: int = 0
 ) -> Generator[Event, Any, Optional[List[Any]]]:
@@ -159,44 +146,3 @@ def gather(
         return out
     yield from comm.send(root, value, tag=_slot_tag_prev(comm, 0))
     return None
-
-
-def scatter(
-    comm: Comm, values: Optional[List[Any]] = None, root: int = 0
-) -> Generator[Event, Any, Any]:
-    """Scatter ``values[i]`` to rank ``i`` from *root*; returns the local one."""
-    _take_slot(comm)
-    if comm.rank == root:
-        if values is None or len(values) != comm.size:
-            raise ValueError(
-                f"scatter at root needs exactly {comm.size} values, "
-                f"got {None if values is None else len(values)}"
-            )
-        for dst in range(comm.size):
-            if dst == root:
-                continue
-            yield from comm.send(dst, values[dst], tag=_slot_tag_prev(comm, 0))
-        return values[root]
-    msg = yield comm.recv(source=root, tag=_slot_tag_prev(comm, 0))
-    return msg.payload
-
-
-def alltoall(comm: Comm, values: List[Any]) -> Generator[Event, Any, List[Any]]:
-    """Personalised all-to-all; ``values[i]`` goes to rank ``i``."""
-    _take_slot(comm)
-    if len(values) != comm.size:
-        raise ValueError(f"alltoall needs {comm.size} values, got {len(values)}")
-    out: List[Any] = [None] * comm.size
-    out[comm.rank] = values[comm.rank]
-    # pairwise-exchange schedule: at step s exchange with rank ^ s where
-    # that is valid; for non-power-of-two sizes fall back to a shifted ring.
-    p = comm.size
-    for step in range(1, p):
-        peer = (comm.rank + step) % p
-        source = (comm.rank - step) % p
-        yield from comm.send(peer, values[peer], tag=_slot_tag_prev(comm, step))
-        msg = yield comm.recv(
-            source=source, tag=_slot_tag_prev(comm, step)
-        )
-        out[source] = msg.payload
-    return out

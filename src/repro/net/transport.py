@@ -36,24 +36,6 @@ __all__ = ["Transport"]
 class Transport:
     """Routes messages between ranks over the cluster's links."""
 
-    #: Capture manifest (see :mod:`repro.chklib.resume`): only the wire
-    #: accounting travels in a durable line. Endpoints and sequence
-    #: counters are volatile — restart re-registers comms and the
-    #: recovery path rewinds per-channel counters from checkpoint state.
-    RESUME_FIELDS = (
-        "messages_sent",
-        "bytes_sent",
-        "control_messages",
-        "control_bytes",
-    )
-    VOLATILE_FIELDS = (
-        "cluster",
-        "engine",
-        "endpoints",
-        "_next_seq",
-        "_wires",
-    )
-
     def __init__(self, cluster: "Cluster") -> None:
         self.cluster = cluster
         self.engine = cluster.engine

@@ -77,9 +77,7 @@ GENERATOR_PRIMITIVES = {
     "barrier",
     "bcast",
     "reduce",
-    "allreduce",
     "gather",
-    "scatter",
 }
 
 

@@ -43,7 +43,6 @@ consumed (``proto.cut_end`` feeds the timeline renderer, no checker):
 ``recover.replay``     gen, count — in-transit messages re-injected
 ``gc.run``             line, protected — GC pass over the store
 ``gc.discard``         rank, index — GC removed one checkpoint
-``resume.halt``        at — the run was halted to capture a durable line
 =====================  =====================================================
 
 The five checkers here audit every run, whatever its scheme. A protocol

@@ -6,9 +6,7 @@ verification on (:func:`set_runtime_verification`, the :func:`verified`
 context manager, the experiment runner's ``--verify``), ``run()`` attaches
 one to its own tracer, so every event is checked as it is emitted and
 nothing is stored for the purpose; the end of ``run()`` raises
-:class:`~repro.core.errors.VerificationError` on any violation. A resumed
-run's audit is first shown the halted run's events (a halt always records
-them into its durable line), so it judges the whole history.
+:class:`~repro.core.errors.VerificationError` on any violation.
 :func:`check_trace` feeds a recorded list through the same sink, and
 :func:`check_runtime` gives a finished runtime's report.
 """

@@ -152,7 +152,7 @@ def test_nbms_token_serialises_writes():
         seed=1,
     )
     rt.run()
-    assert rt.storage.server.peak_concurrency == 1
+    assert rt.storage.servers[0].server.peak_concurrency == 1
 
 
 def test_nb_writes_overlap():
@@ -167,7 +167,7 @@ def test_nb_writes_overlap():
         seed=1,
     )
     rt.run()
-    assert rt.storage.server.peak_concurrency > 1
+    assert rt.storage.servers[0].server.peak_concurrency > 1
 
 
 def test_pessimistic_logging_charges_send_path():

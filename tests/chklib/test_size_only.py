@@ -1,7 +1,7 @@
 """Hold sizes, not bytes: what a checkpoint pins on the host, and when.
 
 ``CheckpointRuntime.run()`` decides once whether anything can ever
-restore (a fault model, a ``halt_at``, a resumed run). When nothing can,
+restore (a fault model can crash the run). When nothing can,
 checkpoint images keep ``nbytes`` + CRC and recorded messages keep
 ``size``; the selection must never move a reported number, and asking a
 size-only object for its bytes is a typed error, not garbage.
@@ -14,7 +14,7 @@ import pytest
 
 from repro.apps import SOR
 from repro.chklib import CheckpointRuntime, FaultModel
-from repro.core.errors import ResumeError, SizeOnlyError
+from repro.core.errors import SizeOnlyError
 from repro.experiments import GridResults, cell_key, run_cell
 from repro.experiments.grid import interval_times
 from repro.experiments.harness import SCHEMES_TABLE1, make_scheme
@@ -71,14 +71,11 @@ def test_report_is_the_same_with_and_without_bytes(name, T):
             rec.snapshot.blob
     assert all(m.payload is SIZE_ONLY for m in recorded_messages(sized))
 
-    empty_model = runtime(name, T, fault_model=FaultModel())
-    assert empty_model.run().to_dict() == plain
-    never_halts = runtime(name, T)
-    assert never_halts.run(halt_at=10 * T).to_dict() == plain
-    for kept in (empty_model, never_halts):
-        assert kept.keeps_bytes and not kept.halted
-        assert all(rec.snapshot.restore() for rec in records(kept))
-        assert all(m.payload is not SIZE_ONLY for m in recorded_messages(kept))
+    kept = runtime(name, T, fault_model=FaultModel())
+    assert kept.run().to_dict() == plain
+    assert kept.keeps_bytes
+    assert all(rec.snapshot.restore() for rec in records(kept))
+    assert all(m.payload is not SIZE_ONLY for m in recorded_messages(kept))
 
 
 # -- host memory: a logging cell costs what an uncheckpointed one does --------------
@@ -111,7 +108,7 @@ def test_logging_cells_peak_near_the_uncheckpointed_baseline():
 # -- bytes a size-only run does not have are refused, not invented -----------------
 
 
-def test_size_only_run_refuses_restore_replay_and_export(T):
+def test_size_only_run_refuses_restore_and_replay(T):
     rt = runtime("cic", T)
     rt.run()
     rec = next(rec for rec in records(rt) if rec.log_annex)
@@ -121,22 +118,14 @@ def test_size_only_run_refuses_restore_replay_and_export(T):
     assert logged.size > 0 and logged.payload is SIZE_ONLY
     with pytest.raises(SizeOnlyError, match="cannot replay"):
         rt.transport.deliver_local(logged.shell_copy())
-    with pytest.raises(ResumeError, match="sizes, not bytes"):
-        rt.export_line()
 
 
 @pytest.mark.parametrize("name", ["coord_nbm", "cic"])
-def test_faulted_halted_and_resumed_runs_hold_real_bytes(name, T):
-    at = 0.55 * T
-    faulted = runtime(name, T, fault_model=FaultModel.machine_crash(at))
+def test_faulted_runs_hold_real_bytes(name, T):
+    faulted = runtime(name, T, fault_model=FaultModel.machine_crash(0.55 * T))
     faulted.run()
-    halted = runtime(name, T)
-    halted.run(halt_at=at)
-    resumed = CheckpointRuntime.restart_from(halted.durable_line)
-    resumed.run()
-    for rt in (faulted, halted, resumed):
-        assert rt.keeps_bytes
-        assert records(rt)
-        assert all(isinstance(rec.snapshot.restore(), dict) for rec in records(rt))
-        assert all(m.payload is not SIZE_ONLY for m in recorded_messages(rt))
-    assert len(faulted.recoveries) == len(resumed.recoveries) == 1
+    assert faulted.keeps_bytes
+    assert records(faulted)
+    assert all(isinstance(rec.snapshot.restore(), dict) for rec in records(faulted))
+    assert all(m.payload is not SIZE_ONLY for m in recorded_messages(faulted))
+    assert len(faulted.recoveries) == 1

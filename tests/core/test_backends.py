@@ -9,18 +9,11 @@ lines and RNG draws are byte-identical whichever of the two runs them:
 * property tests replaying random mixed workloads — timestamp
   collisions, priorities, delay-0 lane traffic — under both;
 * all nine checkpointing schemes (including the CIC and message-logging
-  family), crash/recovery, halt/resume via a
-  durable line crossing *backends* as well as process boundaries
-  (including a genuine SIGKILL), and ``--verify``-audited traced runs;
+  family), crash/recovery and ``--verify``-audited traced runs;
 * the experiment CLI: ``runner table1|table2|table3 --quick`` stdout.
 """
 
 import json
-import os
-import signal
-import subprocess
-import sys
-import textwrap
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +27,6 @@ from repro.chklib import (
     CheckpointRuntime,
     CICScheme,
     CoordinatedScheme,
-    DurableLine,
     FaultModel,
     IndependentScheme,
 )
@@ -240,8 +232,9 @@ def test_scheme_reports_identical_across_backends(name, _T, monkeypatch):
     assert _run_scheme("twotier", make_scheme, monkeypatch) == ref
 
 
-def test_crash_recovery_identical_across_backends(_T, monkeypatch):
-    make_scheme = _schemes(_T)["coord_nbm"]
+@pytest.mark.parametrize("name", ["coord_nbm", "coord_nb", "cic", "indep_m_mlog"])
+def test_crash_recovery_identical_across_backends(name, _T, monkeypatch):
+    make_scheme = _schemes(_T)[name]
     fault = lambda: FaultModel.machine_crash(0.55 * _T)  # noqa: E731
     ref = _run_scheme("reference", make_scheme, monkeypatch, fault())
     assert _run_scheme("twotier", make_scheme, monkeypatch, fault()) == ref
@@ -249,7 +242,7 @@ def test_crash_recovery_identical_across_backends(_T, monkeypatch):
 
 def test_traced_verified_runs_identical_across_backends(_T, monkeypatch):
     """--verify parity: the live trace audit passes under both
-    backends and the audited trace state is byte-identical."""
+    backends and the counters and recorded events are identical."""
     make_scheme = _schemes(_T)["indep_log"]
     states = {}
     with verified():
@@ -259,88 +252,8 @@ def test_traced_verified_runs_identical_across_backends(_T, monkeypatch):
                 _make_app(), scheme=make_scheme(), machine=_MACHINE, seed=_SEED
             )
             rt.run()  # raises if the trace audit fails
-            states[backend] = json.dumps(
-                rt.tracer.export_state(), sort_keys=True, default=str
-            )
+            states[backend] = (rt.tracer.counters, rt.tracer.events)
     assert states["twotier"] == states["reference"]
-
-
-@pytest.mark.parametrize("name", ["coord_nb", "cic", "indep_m_mlog"])
-def test_durable_line_resumes_across_backends(name, _T, tmp_path, monkeypatch):
-    """Halt under twotier, restart the on-disk line under reference —
-    bitwise the same as an in-process crash recovery under twotier."""
-    make_scheme = _schemes(_T)[name]
-    halt = 0.55 * _T
-
-    crashed = _run_scheme(
-        "twotier", make_scheme, monkeypatch, FaultModel.machine_crash(halt)
-    )
-
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "twotier")
-    halted = CheckpointRuntime(
-        _make_app(), scheme=make_scheme(), machine=_MACHINE, seed=_SEED
-    )
-    halted.run(halt_at=halt)
-    path = tmp_path / "run.line"
-    halted.durable_line.save(path)
-
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", "reference")
-    resumed = CheckpointRuntime.restart_from(DurableLine.load(path)).run()
-    assert json.dumps(resumed.to_dict(), sort_keys=True) == crashed
-
-
-_SIGKILL_CHILD = textwrap.dedent(
-    """
-    import os, signal, sys
-    from repro.chklib import CheckpointRuntime, CoordinatedScheme
-    from repro.apps import SOR
-    from repro.machine import MachineParams
-
-    T, halt_frac, path = float(sys.argv[1]), float(sys.argv[2]), sys.argv[3]
-    app = SOR(n=24, iters=8, flops_per_cell=2400.0)
-    app.image_bytes = 64 * 1024
-    times = (T / 4, T / 2, 3 * T / 4)
-    rt = CheckpointRuntime(
-        app,
-        scheme=CoordinatedScheme.NB(times),
-        machine=MachineParams(n_nodes=4),
-        seed=7,
-    )
-    rt.run(halt_at=halt_frac * T)
-    rt.durable_line.save(path)
-    os.kill(os.getpid(), signal.SIGKILL)  # die without any cleanup
-    """
-)
-
-
-@pytest.mark.skipif(sys.platform == "win32", reason="needs SIGKILL")
-def test_sigkill_resume_under_every_backend(_T, tmp_path, monkeypatch):
-    """A run SIGKILLed right after persisting its recovery line resumes
-    bit-for-bit under each backend from the frame it left behind."""
-    line = tmp_path / "killed.line"
-    env = dict(os.environ, REPRO_KERNEL_BACKEND="reference")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (env.get("PYTHONPATH"), *sys.path) if p
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", _SIGKILL_CHILD, str(_T), "0.55", str(line)],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == -signal.SIGKILL, proc.stderr
-    assert line.exists()
-
-    crashed = _run_scheme(
-        "twotier",
-        _schemes(_T)["coord_nb"],
-        monkeypatch,
-        FaultModel.machine_crash(0.55 * _T),
-    )
-    for backend in BACKENDS:
-        monkeypatch.setenv("REPRO_KERNEL_BACKEND", backend)
-        resumed = CheckpointRuntime.restart_from(DurableLine.load(line)).run()
-        assert json.dumps(resumed.to_dict(), sort_keys=True) == crashed
 
 
 # -- the experiment CLI -------------------------------------------------------

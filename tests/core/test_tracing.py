@@ -70,29 +70,12 @@ def test_recording_sink_keeps_events_and_filters_by_name():
     assert tr.events_named("nothing") == []
 
 
-def test_restored_history_is_shown_to_each_sink_first_and_indices_continue():
-    eng = Engine()
-    halted = Tracer(eng).record()
-    halted.add("chk.commits")
-    halted.event("msg.send", src=0)
-    halted.event("proto.commit", round=1)
-    state = halted.export_state()
-    assert state == {
-        "counters": {"chk.commits": 1.0},
-        "events": [(0.0, "msg.send", {"src": 0}), (0.0, "proto.commit", {"round": 1})],
-    }
-
-    resumed = Tracer(eng)
-    resumed.restore_state(state)
-    assert resumed.counters == halted.counters and not resumed.enabled
-    commits = _seen(resumed, ("proto.commit",))
-    resumed.record()
-    resumed.event("proto.commit", round=2)
-    assert commits == [(1, "proto.commit"), (2, "proto.commit")]
-    kinds = [e.kind for e in resumed.events]
-    assert kinds == ["msg.send", "proto.commit", "proto.commit"]
-    # a resumed tracer nothing subscribes to keeps the counters only
-    quiet = Tracer(eng)
-    quiet.restore_state(state)
-    quiet.event("proto.commit", round=2)
-    assert quiet.export_state() == {"counters": {"chk.commits": 1.0}, "events": []}
+def test_a_sink_subscribed_mid_stream_sees_only_what_follows():
+    tr = Tracer(Engine()).record()
+    tr.event("msg.send", src=0)
+    tr.event("proto.commit", round=1)
+    late = _seen(tr, ("*",))
+    commits = _seen(tr, ("proto.commit",))
+    tr.event("proto.commit", round=2)
+    assert late == commits == [(2, "proto.commit")]
+    assert [e.kind for e in tr.events] == ["msg.send", "proto.commit", "proto.commit"]

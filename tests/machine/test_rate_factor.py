@@ -53,7 +53,7 @@ def test_cluster_blocked_ranks_drive_rate():
         app_traffic_penalty=1.0, thrash=0.0
     )
     cluster = Cluster(eng, params)
-    srv = cluster.storage.server
+    srv = cluster.storage.servers[0].server
     # everyone computing: factor 1/(1+1.0) = 0.5
     assert srv.per_job_rate(1) == pytest.approx(params.storage.bandwidth / 2)
     cluster.set_rank_blocked(0, True)
@@ -73,7 +73,7 @@ def test_blocked_flag_idempotent():
     cluster.set_rank_blocked(0, True)  # no change, no error
     cluster.set_rank_blocked(0, False)
     cluster.set_rank_blocked(0, False)
-    assert cluster.storage.server.per_job_rate(1) == pytest.approx(
+    assert cluster.storage.servers[0].server.per_job_rate(1) == pytest.approx(
         cluster.params.storage.bandwidth
         / (1 + cluster.params.storage.app_traffic_penalty)
     )

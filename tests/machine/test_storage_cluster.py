@@ -145,7 +145,7 @@ def test_read_accounting():
 
     eng.process(reader())
     eng.run()
-    assert cluster.storage.server.bytes_completed == 1234.0
+    assert cluster.storage.servers[0].server.bytes_completed == 1234.0
     assert tracer.get("storage.bytes_read") == 1234.0
     assert tracer.get("storage.read_ops") == 1
     assert tracer.get("storage.write_ops") == 0

@@ -1,8 +1,6 @@
-"""StoragePlane: routing, aggregation, capture."""
+"""StoragePlane: routing and aggregation."""
 
-import pytest
 
-from repro.chklib.resume import capture_fields
 from repro.core import Engine, Tracer
 from repro.machine import Cluster, MachineParams
 
@@ -27,15 +25,7 @@ def test_flat_plane_is_the_legacy_single_server():
     assert plane.n_servers == 1
     # legacy surfaces still answer
     assert plane.servers[0].params == MachineParams.xplorer8().storage
-    assert plane.server is plane.servers[0].server
     assert all(plane.server_index(r) == 0 for r in range(8))
-
-
-def test_multi_server_plane_refuses_the_single_server_surface():
-    eng, cluster, plane = build(hierarchical16())
-    assert plane.n_servers == 2
-    with pytest.raises(ValueError):
-        plane.server
 
 
 def test_write_routes_to_the_ranks_shard():
@@ -90,30 +80,3 @@ def test_rate_factor_reaches_every_shard():
     for srv in plane.servers:
         assert srv.server._rate_factor == 0.5
     assert plane.active_streams == 0
-
-
-def test_export_restore_roundtrip():
-    eng, cluster, plane = build(hierarchical16())
-
-    def writer(rank, nbytes):
-        yield from plane.write(cluster.node(rank), nbytes)
-
-    eng.process(writer(0, 100.0))
-    eng.run()
-    state = plane.export_state(capture_fields)
-    # every count is a tracer counter: what is captured is the shape
-    assert state == {"servers": [{}, {}]}
-
-    eng2, cluster2, plane2 = build(hierarchical16())
-    plane2.restore_state(state)
-    assert plane2.export_state(capture_fields) == state
-
-
-def test_restore_rejects_shape_change():
-    eng, cluster, plane = build(hierarchical16())
-    state = plane.export_state(capture_fields)
-    eng2, cluster2, plane2 = build(
-        MachineParams.hierarchical(16, nodes_per_rack=4, servers=4)
-    )
-    with pytest.raises(ValueError):
-        plane2.restore_state(state)

@@ -1,10 +1,9 @@
 """Collectives beyond the paper's 8 ranks: odd sizes and p > 64.
 
 The tag discipline reserves a per-collective slot of ``_stride(comm)``
-wire tags. The stride used to be a flat 64 — alltoall's per-step sub-tag
-reaches p-1, so any communicator larger than 64 ranks overflowed the
-slot. The stride now grows to the next power of two >= p; these tests
-pin the derivation, the p=128 regression, round counts at awkward sizes
+wire tags: the next power of two >= p, floored at 64, so a slot has room
+for one sub-tag per peer at any size. These tests pin the derivation,
+round counts at awkward sizes, gathers beyond 64 ranks, disjoint slots
 and cross-rank ``coll_counter`` agreement.
 """
 
@@ -13,7 +12,7 @@ import operator
 
 import pytest
 
-from repro.net import allreduce, alltoall, barrier, bcast, reduce
+from repro.net import barrier, bcast, gather, reduce
 from repro.net.collectives import COLL_TAG_BASE, _SLOT_STRIDE, _stride
 
 
@@ -59,6 +58,19 @@ def test_reduce_and_bcast_at_odd_and_large_sizes(world, n):
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 96, 128])
+def test_gather_at_odd_and_large_sizes(world, n):
+    """Every rank's value reaches the root in rank order, in one slot."""
+
+    def body(comm, rank, results):
+        results[rank] = yield from gather(comm, rank * 1000, root=0)
+
+    comms, results = run_spmd(world, n, body)
+    assert results[0] == [src * 1000 for src in range(n)]
+    assert all(results[r] is None for r in range(1, n))
+    assert {c.coll_counter for c in comms} == {1}
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 96, 128])
 def test_barrier_round_counts(world, n):
     """Dissemination barrier: exactly ceil(log2 p) sends per rank."""
     sends = {r: 0 for r in range(n)}
@@ -80,21 +92,6 @@ def test_barrier_round_counts(world, n):
     assert all(count == expected for count in sends.values())
 
 
-@pytest.mark.parametrize("n", [96, 128])
-def test_alltoall_beyond_64_ranks(world, n):
-    """Regression: alltoall's step sub-tag reaches p-1 and used to
-    overflow the flat 64-tag slot for p > 64."""
-
-    def body(comm, rank, results):
-        values = [rank * 1000 + dst for dst in range(n)]
-        out = yield from alltoall(comm, values)
-        results[rank] = out
-
-    _, results = run_spmd(world, n, body)
-    for rank in range(n):
-        assert results[rank] == [src * 1000 + rank for src in range(n)]
-
-
 @pytest.mark.parametrize("n", [3, 5, 7, 96, 128])
 def test_coll_counter_agrees_across_ranks(world, n):
     """Mixed collectives advance every rank's slot counter identically
@@ -104,14 +101,15 @@ def test_coll_counter_agrees_across_ranks(world, n):
     def body(comm, rank, results):
         yield from barrier(comm)
         yield from reduce(comm, rank, operator.add, root=0)
-        got = yield from allreduce(comm, rank, max)
+        top = yield from reduce(comm, rank, max, root=0)
+        got = yield from bcast(comm, top, root=0)
         results[rank] = got
 
     comms, results = run_spmd(world, n, body)
     assert all(v == n - 1 for v in results.values())
     counters = {c.coll_counter for c in comms}
     assert len(counters) == 1
-    # barrier + reduce + allreduce(reduce + bcast) = 4 slots
+    # barrier + reduce + reduce + bcast = 4 slots
     assert counters.pop() == 4
 
 
@@ -132,12 +130,11 @@ def test_large_slot_tags_stay_disjoint(world, n):
 
         comm.send = tagged_send
         yield from barrier(comm)
-        out = yield from alltoall(comm, list(range(n)))
-        results[rank] = out
+        results[rank] = yield from bcast(comm, rank, root=0)
 
     run_spmd(world, n, body)
-    # two slots consumed: the barrier's offsets stay in the log2 rounds,
-    # the alltoall's sub-tags span 1..p-1 — all inside one stride.
+    # two slots consumed: the barrier's offsets are its log2 rounds, the
+    # broadcast's the first sub-tag of the next slot, a stride further.
     assert set(seen) == {0, 1}
-    assert max(seen[0]) < stride
-    assert seen[1] and max(seen[1]) <= n - 1 < stride
+    assert seen[0] == set(range(math.ceil(math.log2(n))))
+    assert seen[1] == {0}
