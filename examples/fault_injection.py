@@ -8,10 +8,7 @@ that assumption and walks through the defensive machinery:
 2. an unretryable write failure — coordinated aborts the 2PC round
    cleanly, independent drops the local checkpoint and carries on;
 3. silent corruption of a committed checkpoint, detected by checksum at
-   recovery time, quarantined, with fallback to an older committed line;
-4. a per-node crash under two-level storage: the failed node's private
-   local disk dies with it, so only checkpoints already trickled to the
-   global server survive for that rank.
+   recovery time, quarantined, with fallback to an older committed line.
 
 Every run still produces the exact fault-free answer — the machinery
 degrades performance, never correctness.
@@ -21,7 +18,7 @@ degrades performance, never correctness.
 
 from repro.apps import SOR
 from repro.chklib import CheckpointRuntime, CoordinatedScheme, IndependentScheme
-from repro.fault import FaultModel, RetryPolicy, StorageFaultSpec
+from repro.fault import FaultModel, StorageFaultSpec
 from repro.machine import MachineParams
 
 MACHINE = MachineParams(n_nodes=4)
@@ -65,7 +62,7 @@ def main() -> None:
     flaky = FaultModel.machine_crash(
         0.8 * T,
         storage=StorageFaultSpec(write_fail_p=0.30, read_fail_p=0.15),
-        retry=RetryPolicy(max_retries=4, backoff_base=0.05),
+        max_retries=4,
     )
     show("flaky storage + crash", run(CoordinatedScheme.NBM(times), flaky), expected)
 
@@ -73,7 +70,7 @@ def main() -> None:
     hard_fail = FaultModel.machine_crash(
         0.8 * T,
         storage=StorageFaultSpec(fail_writes_at=(2,)),
-        retry=RetryPolicy(max_retries=0),
+        max_retries=0,
     )
     show("write fails -> 2PC abort", run(CoordinatedScheme.NBM(times), hard_fail), expected)
     show(
@@ -89,14 +86,6 @@ def main() -> None:
     show(
         "rank 1 ckpt #2 corrupted",
         run(IndependentScheme.IndepM(times, skew=T / 50, logging=True), rot),
-        expected,
-    )
-
-    # 4. per-node crash: rank 1's local disk dies with it
-    node_down = FaultModel.node_crash(1, 0.8 * T)
-    show(
-        "node 1 dies (two-level)",
-        run(CoordinatedScheme.NBMS(times, two_level=True), node_down),
         expected,
     )
 

@@ -13,7 +13,6 @@ _LAZY = {
     "CheckpointRuntime": "runtime",
     "Ctx": "runtime",
     "FaultModel": "runtime",
-    "RetryPolicy": "runtime",
     "RunReport": "report",
     "RecoveryEvent": "report",
     "stable_write": "retry",

@@ -11,7 +11,7 @@ them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, List
 
 __all__ = ["RunReport", "RecoveryEvent"]
 
@@ -49,10 +49,6 @@ class RecoveryEvent:
     replayed_messages: int
     duration: float  #: crash -> all drivers restarted
     domino_extent: float  #: fraction of ranks pushed to the initial state
-    #: ranks that actually failed (all ranks for a machine crash).
-    failed_ranks: Tuple[int, ...] = ()
-    #: ranks whose local disks died with them (per-node failures).
-    disks_lost: Tuple[int, ...] = ()
     #: checkpoints quarantined while recovering (corrupt or unreadable).
     quarantined: int = 0
     #: restore-read retries spent before the line could be materialised.
@@ -79,8 +75,6 @@ class RecoveryEvent:
             replayed_messages=int(d["replayed_messages"]),
             duration=float(d["duration"]),
             domino_extent=float(d["domino_extent"]),
-            failed_ranks=tuple(d["failed_ranks"]),
-            disks_lost=tuple(d["disks_lost"]),
             quarantined=int(d["quarantined"]),
             restore_retries=int(d["restore_retries"]),
             line_consistent=bool(d["line_consistent"]),

@@ -27,12 +27,11 @@ from ..core.process import Process
 from ..core.rng import RngStreams
 from ..core.tracing import Tracer
 from ..fault.injection import make_injector
-from ..fault.model import FaultModel, RetryPolicy
+from ..fault.model import FaultModel
 from ..machine.cluster import Cluster
 from ..machine.params import MachineParams
 from ..net.api import Comm
 from ..net.transport import Transport
-from ..fault.model import CrashEvent
 from .recovery import CutPoint
 from .report import RecoveryEvent, RunReport
 from .retry import stable_read
@@ -45,7 +44,6 @@ __all__ = [
     "RunReport",
     "RecoveryEvent",
     "FaultModel",
-    "RetryPolicy",
 ]
 
 
@@ -102,6 +100,11 @@ class CheckpointRuntime:
         self.rngs = RngStreams(seed)
         #: what fails in this run, and when (None: nothing does).
         self.fault_model = fault_model
+        #: retries a failed storage operation gets (storage only fails
+        #: under a fault model).
+        self.max_retries = (
+            FaultModel.max_retries if fault_model is None else fault_model.max_retries
+        )
         #: deterministic storage-fault oracle (None = storage never fails).
         self.injector = (
             make_injector(fault_model.storage, self.rngs)
@@ -110,8 +113,7 @@ class CheckpointRuntime:
         )
         if self.injector is not None:
             # faults target the shared storage plane (every shard server);
-            # private local disks stay reliable (they fail by dying with
-            # their node instead).
+            # private local disks stay reliable.
             self.storage.set_fault_injector(self.injector)
         #: bumped on every recovery; stale wire messages are dropped by it.
         self.generation = 0
@@ -146,13 +148,6 @@ class CheckpointRuntime:
     @property
     def finished(self) -> bool:
         return self._done.triggered
-
-    @property
-    def retry_policy(self) -> RetryPolicy:
-        """The run's retry/backoff knobs for failed storage operations."""
-        if self.fault_model is not None:
-            return self.fault_model.retry
-        return RetryPolicy()
 
     def run(self) -> RunReport:
         """Execute to completion (including any scheduled crashes)."""
@@ -221,26 +216,23 @@ class CheckpointRuntime:
 
     # -- failure injection & recovery -----------------------------------------------
 
-    def _interrupt_schedule(self) -> List[CrashEvent]:
-        """The fault model's crashes, in time order."""
+    def _interrupt_schedule(self) -> List[float]:
+        """The fault model's crash times, in order; crashes at the same
+        instant are one failure."""
         if self.fault_model is None:
             return []
-        return sorted(
-            self.fault_model.crash_events(self.n_ranks), key=lambda ev: ev.time
-        )
+        return sorted(set(self.fault_model.machine_crash_times))
 
-    def _interrupt_driver(self, crashes: List[CrashEvent]):
+    def _interrupt_driver(self, crashes: List[float]):
         """One process serving the crashes in order, each running rollback
         + re-execution in place."""
         engine = self.engine
-        for ev in crashes:
-            if ev.time > engine.now:
-                yield engine.delay(ev.time - engine.now)
+        for t in crashes:
+            if t > engine.now:
+                yield engine.delay(t - engine.now)
             if self.finished:
                 return
-            yield from self._recover(
-                failed_ranks=ev.ranks, disks_lost=ev.disks_lost
-            )
+            yield from self._recover()
 
     def _restore_reader(self, rank, rec, source, failures):
         """Read one rank's restore bytes, retrying transient faults; on an
@@ -253,7 +245,7 @@ class CheckpointRuntime:
                 self.cluster.node(rank),
                 self.store.restore_read_bytes(rank, rec.index),
                 tag=f"restore:r{rank}",
-                retry=self.retry_policy,
+                max_retries=self.max_retries,
                 tracer=self.tracer,
             )
         except StorageFault:
@@ -271,20 +263,16 @@ class CheckpointRuntime:
                     f"for rank {rank}"
                 )
 
-    def _recover(self, failed_ranks, disks_lost=()):
+    def _recover(self):
         engine = self.engine
         t_crash = engine.now
-        failed = tuple(sorted(failed_ranks))
-        disks_lost = tuple(sorted(disks_lost))
         self.tracer.add("fault.crashes")
-        if len(failed) < self.n_ranks:
-            self.tracer.add("fault.node_crashes")
         cuts_before = {r: self.agents[r].epoch for r in range(self.n_ranks)}
-        # 1. the crash: the application restarts as a gang (the paper's
-        #    recovery semantics), so every process of the current
-        #    generation dies even when only a subset of nodes failed.
+        # 1. the crash takes the whole application down (the paper's
+        #    recovery semantics): every process of the current generation
+        #    dies.
         self.generation += 1
-        self.tracer.event("recover.crash", gen=self.generation, failed=failed)
+        self.tracer.event("recover.crash", gen=self.generation)
         for proc in self._gen_procs:
             proc.defused = True
             if proc.is_alive:
@@ -294,16 +282,7 @@ class CheckpointRuntime:
             comm.reset_mailbox()
         self.scheme.on_crash(self)
         two_level = getattr(self.scheme, "two_level", False)
-        # 2. a crashed *node* is replaced hardware: its private local disk
-        #    is gone, so under two-level storage only checkpoints already
-        #    trickled to the global server survive for that rank.
-        if disks_lost and two_level:
-            for rank in disks_lost:
-                for rec in list(self.store.chain(rank)):
-                    if rec.global_written_at is None:
-                        self.store.discard(rank, rec.index)
-                        self.tracer.add("fault.disk_lost_ckpts")
-        # 3. validate integrity: silently corrupted images are caught by
+        # 2. validate integrity: silently corrupted images are caught by
         #    their checksum now, before line selection can pick them.
         quarantined = 0
         for rank in range(self.n_ranks):
@@ -322,7 +301,7 @@ class CheckpointRuntime:
                         cause="corrupt",
                     )
                     quarantined += 1
-        # 4. self-healing restore: pick a line, read it back (retrying
+        # 3. self-healing restore: pick a line, read it back (retrying
         #    transient faults); if a record stays unreadable, quarantine it
         #    and fall back to the newest older line — degrade, never die.
         # the machine is quiescent: every read retry is a restore's
@@ -336,14 +315,10 @@ class CheckpointRuntime:
                 if rec is None:
                     continue
                 # incremental chains are read back whole (base + deltas);
-                # two-level storage restores from the *surviving* local
-                # disks in parallel instead of queueing at the global
-                # server — a rank whose disk died reads from the server.
-                source = (
-                    self.cluster.local_disk(rank)
-                    if two_level and rank not in disks_lost
-                    else self.storage
-                )
+                # two-level storage restores from the local disks, which
+                # survive the crash, in parallel instead of queueing at the
+                # global server.
+                source = self.cluster.local_disk(rank) if two_level else self.storage
                 readers.append(
                     engine.process(
                         self._restore_reader(rank, rec, source, failures),
@@ -371,7 +346,7 @@ class CheckpointRuntime:
         line_idx = {
             r: (rec.index if rec is not None else 0) for r, rec in line.items()
         }
-        # 5. drop everything newer than the final line. (Quarantined
+        # 4. drop everything newer than the final line. (Quarantined
         #    records above the line go too: sender logs needed for replay
         #    live in annexes at or below the senders' line indices.)
         for rank, idx in line_idx.items():
@@ -400,7 +375,7 @@ class CheckpointRuntime:
         self.tracer.event(
             "recover.replay", gen=self.generation, count=len(replay)
         )
-        # 6. restore per-rank state, counters, epochs.
+        # 5. restore per-rank state, counters, epochs.
         states: Dict[int, Optional[dict]] = {}
         for rank, rec in line.items():
             if rec is not None:
@@ -413,12 +388,12 @@ class CheckpointRuntime:
                     {"sent": {}, "consumed": {}, "coll_counter": 0}
                 )
                 self.agents[rank].reset_for_recovery(epoch=0)
-        # 7. re-inject in-transit channel state, in per-channel seq order.
+        # 6. re-inject in-transit channel state, in per-channel seq order.
         for msg in sorted(replay, key=lambda m: (m.dst, m.src, m.seq)):
             clone = msg.shell_copy()
             clone.meta["gen"] = self.generation
             self.transport.deliver_local(clone)
-        # 8. restart the application.
+        # 7. restart the application.
         self._start_generation(states)
         event = RecoveryEvent(
             crash_time=t_crash,
@@ -437,8 +412,6 @@ class CheckpointRuntime:
             domino_extent=(
                 sum(1 for i in line_idx.values() if i == 0) / self.n_ranks
             ),
-            failed_ranks=failed,
-            disks_lost=disks_lost,
             quarantined=quarantined,
             restore_retries=int(
                 self.tracer.get("storage.read_retries") - retries_before

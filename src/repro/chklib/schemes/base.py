@@ -433,7 +433,7 @@ class Scheme:
                 agent.node,
                 job.nbytes,
                 tag=f"{self.write_tag}{job.n}:r{agent.rank}",
-                retry=rt.retry_policy,
+                max_retries=rt.max_retries,
                 tracer=rt.tracer,
                 background=background,
             )
@@ -474,13 +474,13 @@ class Scheme:
                 agent.node,
                 job.nbytes,
                 tag=f"trickle{job.n}:r{agent.rank}",
-                retry=rt.retry_policy,
+                max_retries=rt.max_retries,
                 tracer=rt.tracer,
                 background=True,
             )
         except StorageFault:
             # the local-disk copy stays valid; only the global replica is
-            # missing, which matters if this node's disk later dies.
+            # missing.
             rt.tracer.add("chk.trickle_failures")
             return
         job.record.global_written_at = rt.engine.now

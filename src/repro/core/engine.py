@@ -92,8 +92,8 @@ class Engine:
         "step_hook",
     )
 
-    def __init__(self, start_time: float = 0.0, backend: Optional[str] = None) -> None:
-        self._now = float(start_time)
+    def __init__(self, backend: Optional[str] = None) -> None:
+        self._now = 0.0
         self._heap: List[Tuple[float, int, int, Event]] = []
         #: delay-0 NORMAL-priority FIFO (see module docstring).
         self._lane: Deque[Tuple[float, int, Event]] = deque()

@@ -28,7 +28,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis import TableResult, TableView
 from ..chklib import RunReport
-from ..fault import FaultModel, RetryPolicy, StorageFaultSpec
+from ..fault import FaultModel, StorageFaultSpec
 from ..machine import MachineParams
 from ..chklib.schemes.registry import skewed
 from .grid import Cell, ExperimentSpec, GridResults, SchemeSpec, WorkloadSpec
@@ -113,7 +113,7 @@ def resilience_spec(
                 FaultModel(
                     machine_crash_times=(0.8 * T,),
                     storage=StorageFaultSpec(fail_writes_at=(2,)),
-                    retry=RetryPolicy(max_retries=0),
+                    max_retries=0,
                 ),
             )
             for name in RESILIENCE_SCHEMES

@@ -1,9 +1,9 @@
 """Failure injection: fault models, crash schedules and the storage injector.
 
 The runtime consumes a :class:`~repro.fault.model.FaultModel` describing
-whole-machine crashes, per-node crash schedules and stable-storage faults
-(transient op failures + silent checkpoint corruption), plus the
-:class:`~repro.fault.model.RetryPolicy` governing retry-with-backoff.
+whole-machine crashes and stable-storage faults (transient op failures +
+silent checkpoint corruption), plus the retry budget for failed storage
+operations.
 """
 
 from .._lazy import lazy_surface
@@ -11,8 +11,6 @@ from .._lazy import lazy_surface
 #: name -> the submodule defining it, imported on first use.
 _LAZY = {
     "FaultModel": "model",
-    "CrashEvent": "model",
-    "RetryPolicy": "model",
     "StorageFaultSpec": "model",
     "StorageFaultInjector": "injection",
     "OpVerdict": "injection",

@@ -39,8 +39,6 @@ class NodeParams:
     #: fractional compute slowdown while this node's checkpointer thread is
     #: streaming a buffer to stable storage (CPU/DMA interference).
     bg_write_interference: float = 0.30
-    #: main memory per node (bytes); checkpoint buffers must fit.
-    memory_bytes: int = 4 * 1024 * 1024
     #: copy-on-write capture: cost of write-protecting one page at the cut.
     cow_mark_cost: float = 2e-6
     #: extra compute slowdown from copy-on-write page faults while the

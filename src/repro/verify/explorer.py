@@ -36,7 +36,7 @@ from ..apps.base import Application
 from ..chklib.runtime import CheckpointRuntime
 from ..core.errors import Deadlock
 from ..core.rng import RngStreams
-from ..fault.model import FaultModel, RetryPolicy, StorageFaultSpec
+from ..fault.model import FaultModel, StorageFaultSpec
 from ..machine.params import MachineParams
 from ..net.collectives import reduce
 from .trace_check import check_runtime
@@ -209,7 +209,7 @@ def explore(
         fault = FaultModel(
             machine_crash_times=(plan.crashes[crash - 1],) if crash else (),
             storage=StorageFaultSpec(fail_writes_at=(fail,) if fail else ()),
-            retry=RetryPolicy(max_retries=0),
+            max_retries=0,
         )
         scheme = make_scheme([plan.interval], plan.interval)
         rt = CheckpointRuntime(APP, scheme=scheme, machine=machine, fault_model=fault)

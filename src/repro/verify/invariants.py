@@ -35,7 +35,7 @@ consumed (``proto.cut_end`` feeds the timeline renderer, no checker):
                        message goes out logged only in the volatile log
 ``msg.send``           src, dst, seq, epoch, gen — application send
 ``msg.deliver``        src, dst, seq, epoch, gen — accepted app delivery
-``recover.crash``      gen, failed — a failure took the machine down
+``recover.crash``      gen — a failure took the machine down
 ``recover.quarantine`` rank, index, cause — recovery excluded a checkpoint
                        (failed checksum, or unreadable after retries)
 ``recover.line``       gen, indices, klass, logging, consistent,

@@ -17,7 +17,7 @@ import pytest
 from repro.apps.base import Application
 from repro.chklib import CheckpointRuntime, CICScheme, FaultModel
 from repro.chklib.schemes.msglog import MessageLoggingScheme
-from repro.fault import RetryPolicy, StorageFaultSpec
+from repro.fault import StorageFaultSpec
 from repro.machine import MachineParams
 from repro.net.collectives import reduce
 from repro.verify import check_runtime
@@ -242,7 +242,7 @@ def test_msglog_failed_log_write_degrades_to_optimistic(ring_T):
     scheme = MessageLoggingScheme.Mlog(times, skew=ring_T / 10)
     fault = FaultModel(
         storage=StorageFaultSpec(fail_writes_at=(1,)),
-        retry=RetryPolicy(max_retries=0),
+        max_retries=0,
     )
     rt, report = _run(Ring(), scheme=scheme, fault=fault)
     assert report.counters.get("chk.msglog_failed", 0) >= 1

@@ -12,7 +12,7 @@ from repro.apps import SOR
 from repro.chklib import CheckpointRuntime, CoordinatedScheme, RunReport
 from repro.chklib.schemes import registry
 from repro.experiments import Cell, GridExecutor, SchemeSpec, WorkloadSpec
-from repro.fault import FaultModel, RetryPolicy, StorageFaultSpec
+from repro.fault import FaultModel, StorageFaultSpec
 from repro.machine import MachineParams
 
 #: each count the report names, and the counter it reads
@@ -89,7 +89,7 @@ def test_every_count_reads_its_counter_under_storage_faults():
         fault_model=FaultModel(
             machine_crash_times=(0.9 * T,),
             storage=StorageFaultSpec(fail_writes_at=(2, 3, 6), corrupt_ckpts=((1, 3),)),
-            retry=RetryPolicy(max_retries=1),
+            max_retries=1,
         ),
     )
     report = rt.run()

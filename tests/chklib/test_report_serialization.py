@@ -31,8 +31,6 @@ def _full_recovery_event() -> RecoveryEvent:
         replayed_messages=17,
         duration=4.75,
         domino_extent=0.5,
-        failed_ranks=(1, 2),
-        disks_lost=(2,),
         quarantined=3,
         restore_retries=2,
         line_consistent=False,
@@ -86,8 +84,6 @@ def test_recovery_event_roundtrip_all_fields():
     assert all(isinstance(k, int) for k in back.line_indices)
     assert all(isinstance(k, int) for k in back.rollback_checkpoints)
     assert all(isinstance(k, int) for k in back.lost_time)
-    assert isinstance(back.failed_ranks, tuple)
-    assert isinstance(back.disks_lost, tuple)
 
 
 def test_to_dict_writes_the_stored_fields_only():

@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert eng.now == 0.0
 
 
-def test_clock_custom_start():
-    eng = Engine(start_time=5.0)
-    assert eng.now == 5.0
-
-
 def test_timeout_advances_clock():
     eng = Engine()
     eng.timeout(3.5)
@@ -166,7 +161,9 @@ def test_peek_reports_next_event_time():
 
 @pytest.mark.parametrize("backend", ["reference", "twotier"])
 def test_step_on_empty_queue_is_a_typed_error(backend):
-    eng = Engine(start_time=2.5, backend=backend)
+    eng = Engine(backend=backend)
+    eng.timeout(2.5)
+    eng.step()
     with pytest.raises(SimulationError, match=r"empty event queue at t=2\.5"):
         eng.step()
     eng.timeout(1.0)

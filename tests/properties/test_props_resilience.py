@@ -1,8 +1,8 @@
 """End-to-end property tests for the fault-injection subsystem.
 
 Random fault models — probabilistic storage faults, scheduled corruption,
-machine or per-node crashes — are thrown at full simulated runs, and the
-resilience invariants checked:
+a machine crash — are thrown at full simulated runs, and the resilience
+invariants checked:
 
 * the run always completes with the **exact** fault-free result
   (retries, aborts, quarantine and line fallback never corrupt state);
@@ -25,7 +25,7 @@ from repro.apps import SOR
 from repro.chklib import CheckpointRuntime
 from repro.chklib.schemes.registry import ALIASES as ALIAS_ROWS, skewed
 from repro.experiments.grid import SchemeSpec
-from repro.fault import FaultModel, RetryPolicy, StorageFaultSpec
+from repro.fault import FaultModel, StorageFaultSpec
 from repro.machine import MachineParams
 
 N_RANKS = 4
@@ -84,7 +84,6 @@ def fault_scenarios(draw):
     if draw(st.booleans()):
         corrupt_ckpts = ((draw(st.integers(0, N_RANKS - 1)), draw(st.integers(1, 2))),)
     crash_frac = draw(st.floats(0.3, 0.95))
-    node_crash = draw(st.booleans())  # partial failure vs whole machine
     max_retries = draw(st.integers(0, 4))
     return dict(
         seed=seed,
@@ -95,20 +94,16 @@ def fault_scenarios(draw):
             corrupt_ckpts=corrupt_ckpts,
         ),
         crash_frac=crash_frac,
-        node_crash=node_crash,
-        retry=RetryPolicy(max_retries=max_retries, backoff_base=0.01),
+        max_retries=max_retries,
     )
 
 
 def _run(alias, sc):
     T, expected = _baseline(sc["seed"])
     at = sc["crash_frac"] * T
-    if sc["node_crash"]:
-        model = FaultModel.node_crash(
-            1, at, storage=sc["spec"], retry=sc["retry"]
-        )
-    else:
-        model = FaultModel.machine_crash(at, storage=sc["spec"], retry=sc["retry"])
+    model = FaultModel.machine_crash(
+        at, storage=sc["spec"], max_retries=sc["max_retries"]
+    )
     rt = AuditingRuntime(
         _app(),
         scheme=_make_scheme(alias, T),
@@ -153,7 +148,7 @@ def test_retry_accounting_is_bounded(alias, sc):
     """Retries never exceed the per-operation budget times the number of
     faults, and a zero-fault spec injects nothing."""
     rt, report, _ = _run(alias, sc)
-    budget = sc["retry"].max_retries
+    budget = sc["max_retries"]
     assert report.storage_write_retries <= report.storage_write_faults * max(budget, 1)
     assert report.storage_read_retries <= report.storage_read_faults * max(budget, 1)
     if not sc["spec"].any_faults:

@@ -75,7 +75,7 @@ def test_fifo_replay_reuses_old_seq_numbers():
         _ev(0.1, "msg.send", src=0, dst=1, seq=1, epoch=0, gen=0),
         _ev(0.2, "msg.send", src=0, dst=1, seq=2, epoch=0, gen=0),
         _ev(0.3, "msg.deliver", src=0, dst=1, seq=1, epoch=0, gen=0),
-        _ev(0.5, "recover.crash", gen=1, failed=(0, 1)),
+        _ev(0.5, "recover.crash", gen=1),
         _ev(0.5, "recover.line", gen=1, indices=((0, 1), (1, 1)),
             klass="coordinated", logging=False, consistent=True,
             sent=((0, ((1, 2),)), (1, ())), consumed=((0, ()), (1, ((0, 1),)))),
